@@ -9,7 +9,9 @@ The constructions here connect the two worlds of the package:
   gives the plain generated ideal;
 * each atom also yields a refined generator ``delta(a)``: the gcd, over all
   elements ``p >= a`` and all atom subsets ``T`` joining to ``p``, of
-  ``lcm{x(b) : b in T}``; collecting these gives the weak generated ideal;
+  ``lcm{x(b) : b in T}``; collecting these gives the weak generated ideal.
+  It is computed per variable from join thresholds (see :func:`weak_ideal`),
+  in polynomial time, without enumerating atom subsets;
 * the *lcm-lattice* of a monomial ideal is the set of lcms of subsets of its
   minimal generators ordered by divisibility, and forgetting the monomials
   leaves a finite atomic lattice whose atoms are the minimal generators;
@@ -38,7 +40,7 @@ from .errors import (
     ValidationError,
 )
 from .lattice import AtomicLattice, atoms_of, bits_of, mask_of
-from .monomial import ONE, Monomial, gcd_all, lcm_all
+from .monomial import ONE, Monomial, gcd_all
 
 __all__ = [
     "Labeling",
@@ -178,6 +180,8 @@ def labeling_from_json_dict(
     for entry in labels:
         if not isinstance(entry, dict) or "set" not in entry or "monomial" not in entry:
             raise FormatError('each label entry needs "set" and "monomial" keys')
+        if not isinstance(entry["set"], list):
+            raise FormatError(f'"set" must be a list of atom indices, got {entry["set"]!r}')
         if not isinstance(entry["monomial"], str):
             raise FormatError(f'"monomial" must be a string, got {entry["monomial"]!r}')
         try:
@@ -302,47 +306,54 @@ def ideal_from_labeling(lat: AtomicLattice, labeling: Labeling) -> MonomialIdeal
     return MonomialIdeal(atom_generator(lat, labeling, a) for a in lat.atoms)
 
 
-def _joining_gcd(lat: AtomicLattice, x_of: Mapping[int, Monomial], p: int) -> Monomial:
-    """gcd over atom subsets ``T`` joining to ``p`` of ``lcm{x(b) : b in T}``."""
-    acc = None
-    for T in lat.joining_sets(p):
-        term = lcm_all(x_of[b] for b in bits_of(T))
-        acc = term if acc is None else acc.gcd(term)
-        if acc.is_one:
-            break
-    return acc if acc is not None else ONE
-
-
 def weak_generator(lat: AtomicLattice, labeling: Labeling, atom: int) -> Monomial:
-    """The refined generator ``delta(a)``; always divides ``x(a)``."""
+    """The refined generator ``delta(a)``; always divides ``x(a)``.
+
+    One entry of :func:`weak_ideal`, which computes every atom's at once.
+    """
     if atom.bit_count() != 1 or atom not in lat:
         raise PreconditionError(f"{atoms_of(atom)} is not an atom of the lattice")
-    x_of = {a: atom_generator(lat, labeling, a) for a in lat.atoms}
-    acc = None
-    for p in lat.filter(atom):
-        term = _joining_gcd(lat, x_of, p)
-        acc = term if acc is None else acc.gcd(term)
-    return acc
+    return weak_ideal(lat, labeling).generators[atom.bit_length() - 1]
 
 
 def weak_ideal(lat: AtomicLattice, labeling: Labeling) -> MonomialIdeal:
     """The ideal generated by ``delta(a)`` over all atoms, in atom order.
 
-    Shares one pass over the lattice: the inner gcd is computed once per
-    element, then folded into every atom below it.
+    No atom subset is enumerated.  Joining sets below ``p`` are upward-closed
+    within ``p``'s atoms, so for each variable ``v`` the exponent of ``v`` in
+    the gcd over them of ``lcm{x(b) : b in T}`` is the least ``t`` such that
+    the atoms ``b <= p`` with ``e_v(x(b)) <= t`` already join to ``p``; and
+    ``e_v(delta(a))`` is the least such threshold over ``p >= a``.  With the
+    thresholds tried in increasing order this costs ``O(m*k*n)`` joins for
+    ``m`` elements, ``k`` variables and ``n`` atoms.
     """
     if labeling.lattice != lat:
         raise PreconditionError("labeling belongs to a different lattice")
-    x_of = {a: atom_generator(lat, labeling, a) for a in lat.atoms}
-    per_element = {p: _joining_gcd(lat, x_of, p) for p in lat.sets if p != 0}
-    deltas = []
-    for a in lat.atoms:
-        acc = None
-        for p, term in per_element.items():
-            if a & ~p == 0:
-                acc = term if acc is None else acc.gcd(term)
-        deltas.append(acc)
-    return MonomialIdeal(deltas)
+    x_exps = [dict(atom_generator(lat, labeling, a).items()) for a in lat.atoms]
+    deltas: list[dict[str, int]] = [{} for _ in lat.atoms]
+    for v in {v for exps in x_exps for v in exps}:
+        column = [exps.get(v, 0) for exps in x_exps]
+        levels: dict[int, int] = {}  # t -> mask of the atoms b with e_v(x(b)) <= t, t increasing
+        below = 0
+        for i, e in sorted(enumerate(column), key=lambda ie: ie[1]):
+            below |= 1 << i
+            levels[e] = below
+        best = column[:]  # the threshold at an atom is its own exponent
+        for p in lat.sets:
+            if p.bit_count() < 2:
+                continue
+            for t, below in levels.items():
+                part = below & p
+                if part == p or (part and lat.join_mask(part) == p):
+                    break
+            for b in bits_of(p):
+                i = b.bit_length() - 1
+                if t < best[i]:
+                    best[i] = t
+        for i, t in enumerate(best):
+            if t:
+                deltas[i][v] = t
+    return MonomialIdeal(Monomial(exps) for exps in deltas)
 
 
 # ---------------------------------------------------------------------------
@@ -380,13 +391,19 @@ class LcmLattice:
                 if g.divides(m):
                     mask |= 1 << i
             mask_table[m] = mask
-        assert len(set(mask_table.values())) == len(mask_table), "support map must be injective"
+        monomial_of: dict[int, Monomial] = {}
+        for m, mask in mask_table.items():
+            other = monomial_of.setdefault(mask, m)
+            if other != m:
+                raise ValidationError(
+                    f"lcm-lattice elements {other} and {m} share the support {list(atoms_of(mask))}"
+                )
 
         order = sorted(elements, key=lambda m: (mask_table[m].bit_count(), mask_table[m]))
         self.generators = gens
         self.monomials = tuple(order)
         self._mask_of = mask_table
-        self._monomial_of = {mask: m for m, mask in mask_table.items()}
+        self._monomial_of = monomial_of
         self._abstract = None
 
     def abstract(self) -> AtomicLattice:

@@ -195,10 +195,13 @@ class AtomicLattice:
         if j is None:
             if mask & ~self.top:
                 raise NotAnElementError(f"{_set_str(mask)} is not within the atom universe")
-            for s in self.sets:
-                if mask & ~s == 0:
-                    j = s
-                    break
+            if mask in self._index:
+                j = mask
+            else:
+                for s in self.sets:
+                    if mask & ~s == 0:
+                        j = s
+                        break
             self._join_cache[mask] = j
         return j
 
@@ -232,13 +235,18 @@ class AtomicLattice:
     def covers(self) -> tuple[tuple[int, int], ...]:
         """All cover pairs ``(p, q)`` with ``p`` covered by ``q``, canonically ordered."""
         if self._covers is None:
+            # Everything strictly above p lies above the join of p with some atom
+            # outside p, so q covers p exactly when each atom of q outside p
+            # already joins with p to q.
             out = []
-            for i, q in enumerate(self.sets):
-                below = [p for p in self.sets[:i] if p & ~q == 0 and p != q]
-                for p in below:
-                    if not any(p & ~r == 0 and r & ~q == 0 and r != p and r != q for r in below):
-                        out.append((p, q))
-            self._covers = tuple(sorted(out, key=lambda pq: (_canon_key(pq[1]), _canon_key(pq[0]))))
+            for p in self.sets:
+                joined_by: dict[int, int] = {}
+                for a in bits_of(self.top & ~p):
+                    q = self.join_mask(p | a)
+                    joined_by[q] = joined_by.get(q, 0) | a
+                out.extend((p, q) for q, atoms in joined_by.items() if atoms == q & ~p)
+            index = self._index
+            self._covers = tuple(sorted(out, key=lambda pq: (index[pq[1]], index[pq[0]])))
         return self._covers
 
     def upper_covers(self, p: int) -> tuple[int, ...]:

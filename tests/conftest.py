@@ -18,7 +18,16 @@ from itertools import permutations
 
 import pytest
 
-from lcmlattice import AtomicLattice, Labeling, Monomial, enumerate_all_lattices
+from lcmlattice import (
+    AtomicLattice,
+    Labeling,
+    Monomial,
+    atom_generator,
+    enumerate_all_lattices,
+    gcd_all,
+    lcm_all,
+)
+from lcmlattice.lattice import bits_of
 
 
 @lru_cache(maxsize=None)
@@ -46,6 +55,44 @@ def brute_force_isomorphic(p: AtomicLattice, q: AtomicLattice) -> bool:
         if image == targets:
             return True
     return False
+
+
+def cubic_covers(lat: AtomicLattice) -> tuple[tuple[int, int], ...]:
+    """Cover pairs by the literal definition: ``p < q`` with nothing strictly
+    between.  The cubic scan :meth:`AtomicLattice.covers` replaced, kept as its
+    oracle; same canonical order (by upper element, then lower)."""
+    out = []
+    for i, q in enumerate(lat.sets):
+        below = [p for p in lat.sets[:i] if p & ~q == 0 and p != q]
+        for p in below:
+            if not any(p & ~r == 0 and r & ~q == 0 and r != p and r != q for r in below):
+                out.append((p, q))
+    return tuple(sorted(out, key=lambda pq: (pq[1].bit_count(), pq[1], pq[0].bit_count(), pq[0])))
+
+
+def subset_weak_generators(lat: AtomicLattice, labeling: Labeling) -> tuple[Monomial, ...]:
+    """``delta(a)`` straight from the definition: the gcd, over every element
+    ``p >= a`` and every atom subset ``T`` joining to ``p``, of
+    ``lcm{x(b) : b in T}``.  Walks all 2^|p| subsets of each element, so it is
+    only sensible for small n; the oracle for :func:`lcmlattice.weak_ideal`."""
+    x_of = {a: atom_generator(lat, labeling, a) for a in lat.atoms}
+    per_element = {
+        p: gcd_all(lcm_all(x_of[b] for b in bits_of(T)) for T in lat.joining_sets(p))
+        for p in lat.sets
+        if p != 0
+    }
+    return tuple(
+        gcd_all(term for p, term in per_element.items() if a & ~p == 0) for a in lat.atoms
+    )
+
+
+def flat_lattice(n: int) -> AtomicLattice:
+    """The lattice {0, atoms, top} on n atoms."""
+    return AtomicLattice(n, [0, *(1 << i for i in range(n)), (1 << n) - 1])
+
+
+def boolean_lattice(n: int) -> AtomicLattice:
+    return AtomicLattice(n, range(1 << n))
 
 
 def random_lattice(rng: random.Random, n: int, extra: int | None = None) -> AtomicLattice:

@@ -156,6 +156,14 @@ def test_classify_fields(runner, files):
     assert doc["is_weak"] is True
 
 
+def test_classify_label_set_not_a_list(runner, files):
+    doc = {"lattice": BOOLEAN3_DOC, "labels": [{"set": 5, "monomial": "a"}]}
+    res = runner.invoke(main, ["classify", files("lab.json", doc)])
+    assert res.exit_code == 1
+    assert '"set" must be a list' in res.stderr
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
 # -- enumerate-superatomic -----------------------------------------------------------
 
 

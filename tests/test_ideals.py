@@ -16,6 +16,7 @@ from lcmlattice import (
     ValidationError,
     atom_generator,
     element_generator,
+    gcd_all,
     ideal_from_labeling,
     labeling_from_json_dict,
     lcm_all,
@@ -24,6 +25,7 @@ from lcmlattice import (
     parse_ideal_text,
     recovered_labeling,
     render_ideal_text,
+    support_labeling,
     weak_generator,
     weak_ideal,
 )
@@ -31,7 +33,15 @@ from lcmlattice import (
 from lcmlattice import PreconditionError, atoms_of
 from lcmlattice.lattice import bits_of
 
-from conftest import chain_condition_labeling, random_labeling, random_lattice
+from conftest import (
+    boolean_lattice,
+    chain_condition_labeling,
+    flat_lattice,
+    overlap_condition_labeling,
+    random_labeling,
+    random_lattice,
+    subset_weak_generators,
+)
 
 FIG2 = AtomicLattice.from_sets(3, [[], [1], [2], [3], [2, 3], [1, 2, 3]])
 FIG2_LABELS = Labeling.from_sets(FIG2, [([1], "a*b^2"), ([2], "e"), ([3], "a*c")])
@@ -92,6 +102,8 @@ class TestLabeling:
             {"lattice": {"n": 1, "sets": [[], [1]]}, "labels": [{"set": [1]}]},
             {"lattice": {"n": 1, "sets": [[], [1]]}, "labels": [{"set": [1], "monomial": 3}]},
             {"lattice": {"n": 1, "sets": [[], [1]]}, "labels": [{"set": [1], "monomial": "x^"}]},
+            {"lattice": {"n": 1, "sets": [[], [1]]}, "labels": [{"set": 5, "monomial": "x"}]},
+            {"lattice": {"n": 1, "sets": [[], [1]]}, "labels": [{"set": None, "monomial": "x"}]},
         ],
     )
     def test_json_rejects_malformed(self, doc):
@@ -165,6 +177,37 @@ def test_weak_generator_matches_weak_ideal(rng):
         )
 
 
+def test_weak_ideal_matches_subset_definition(rng):
+    """The per-variable thresholds against the literal gcd over joining sets."""
+    builders = (random_labeling, chain_condition_labeling, overlap_condition_labeling)
+    for i in range(510):
+        lat = random_lattice(rng, rng.randint(1, 5))
+        lab = builders[i % 3](rng, lat)
+        assert tuple(weak_ideal(lat, lab)) == subset_weak_generators(lat, lab)
+    for n in range(1, 11):
+        lat = flat_lattice(n)
+        for lab in (support_labeling(lat), random_labeling(rng, lat)):
+            assert tuple(weak_ideal(lat, lab)) == subset_weak_generators(lat, lab)
+
+
+def test_weak_ideal_never_enumerates_subsets(rng, monkeypatch):
+    def refuse(self, p):
+        raise AssertionError("weak_ideal enumerated joining sets")
+
+    monkeypatch.setattr(AtomicLattice, "joining_sets", refuse)
+    # Flat lattice: every set of two or more atoms joins to the top, so delta(a)
+    # is gcd(x(a), gcd over atom pairs of lcm(x(b), x(c))).
+    lat = flat_lattice(24)
+    lab = random_labeling(rng, lat, variables=["x", "y", "z", "w", "u", "v"])
+    x = list(ideal_from_labeling(lat, lab))
+    top = gcd_all(b.lcm(c) for i, b in enumerate(x) for c in x[i + 1 :])
+    assert tuple(weak_ideal(lat, lab)) == tuple(xa.gcd(top) for xa in x)
+    # Boolean lattice: each element is joined only by its own atoms, so delta = x.
+    lat = boolean_lattice(6)
+    for lab in (support_labeling(lat), random_labeling(rng, lat)):
+        assert tuple(weak_ideal(lat, lab)) == tuple(ideal_from_labeling(lat, lab))
+
+
 def test_refined_generator_divides_every_joining_term(rng):
     """delta(a) must divide lcm{x(b) : b in T} for every T joining to any
     element above a; spot-check the definition from the outside."""
@@ -231,6 +274,14 @@ def test_lcm_lattice_degenerate_inputs():
         lcm_lattice([ONE, Monomial.parse("a")])
     with pytest.raises(CapExceededError):
         LcmLattice(Monomial.parse(f"x{i}") for i in range(21))
+
+
+def test_lcm_lattice_support_collision_is_an_error(monkeypatch):
+    """The support map's injectivity is checked by an explicit test, not an
+    ``assert``; force a collision to see it fire."""
+    monkeypatch.setattr(Monomial, "divides", lambda self, other: True)
+    with pytest.raises(ValidationError, match=r"share the support \[1, 2\]"):
+        LcmLattice([Monomial.parse("a"), Monomial.parse("b")])
 
 
 def test_lcm_lattice_uses_minimal_generators():

@@ -16,7 +16,7 @@ from lcmlattice import (
 )
 from lcmlattice.lattice import bits_of
 
-from conftest import brute_force_isomorphic, lattices_with, random_lattice
+from conftest import boolean_lattice, brute_force_isomorphic, cubic_covers, lattices_with, random_lattice
 
 BOOLEAN3 = AtomicLattice.from_sets(3, [[], [1], [2], [3], [1, 2], [1, 3], [2, 3], [1, 2, 3]])
 DIAMOND3 = AtomicLattice.from_sets(3, [[], [1], [2], [3], [1, 2, 3]])
@@ -108,6 +108,14 @@ def test_covers_against_definition(rng):
                     ):
                         expected.add((p, q))
         assert set(lat.covers()) == expected
+
+
+def test_covers_match_cubic_scan(rng):
+    """Same pairs in the same canonical order as the literal cubic scan."""
+    lattices = [random_lattice(rng, rng.randint(1, 6)) for _ in range(200)]
+    lattices += [boolean_lattice(n) for n in range(1, 7)]
+    for lat in lattices:
+        assert lat.covers() == cubic_covers(lat)
 
 
 def test_meet_irreducibles():
