@@ -30,13 +30,13 @@ from .errors import DegenerateIdealError, PreconditionError
 from .ideals import (
     Labeling,
     MonomialIdeal,
-    atom_generator,
+    _refine,
     ideal_from_labeling,
     lcm_lattice,
     recovered_labeling,
     weak_ideal,
 )
-from .lattice import AtomicLattice, atoms_of, lattice_isomorphic
+from .lattice import AtomicLattice, _set_str, bits_of, lattice_isomorphic
 from .monomial import Monomial, lcm_all
 
 __all__ = [
@@ -49,10 +49,6 @@ __all__ = [
     "verify_labeling_recovery",
     "classify",
 ]
-
-
-def _set_str(mask: int) -> str:
-    return "{" + ",".join(str(a) for a in atoms_of(mask)) + "}"
 
 
 def _first_incomparable(masks) -> Optional[tuple[int, int]]:
@@ -119,8 +115,8 @@ def check_weak_conditions(lat: AtomicLattice, labeling: Labeling) -> tuple[bool,
     return True, None
 
 
-def _abstract_isomorphism(lat: AtomicLattice, labeling: Labeling) -> tuple[bool, Optional[str]]:
-    ll = lcm_lattice(ideal_from_labeling(lat, labeling))
+def _abstract_isomorphism(lat: AtomicLattice, ideal: MonomialIdeal) -> tuple[bool, Optional[str]]:
+    ll = lcm_lattice(ideal)
     if lattice_isomorphic(ll.abstract(), lat) is None:
         return False, (
             f"lcm-lattice of the generated ideal ({len(ll)} elements, {len(ll.generators)} atoms) "
@@ -129,17 +125,22 @@ def _abstract_isomorphism(lat: AtomicLattice, labeling: Labeling) -> tuple[bool,
     return True, None
 
 
+def _support_map(lat: AtomicLattice, atom_monomials: tuple[Monomial, ...]) -> dict[int, Monomial]:
+    """g(p): the lcm of the monomials of the atoms below p (given in atom order)."""
+    return {p: lcm_all(atom_monomials[b.bit_length() - 1] for b in bits_of(p)) for p in lat.sets}
+
+
 def _specific_map_isomorphism(
-    lat: AtomicLattice, atom_monomials: dict[int, Monomial]
+    lat: AtomicLattice, atom_monomials: tuple[Monomial, ...]
 ) -> tuple[bool, Optional[str]]:
     """Is g(p) = lcm of the atom monomials below p an isomorphism onto the
     lcm-lattice of those monomials?  Order is preserved upward by
     construction, so the checks are size, injectivity, membership, and order
     reflection."""
-    ll = lcm_lattice(MonomialIdeal(atom_monomials[a] for a in lat.atoms))
+    ll = lcm_lattice(atom_monomials)
     if len(ll) != len(lat):
         return False, f"lcm-lattice has {len(ll)} elements, the lattice has {len(lat)}"
-    g = {p: lcm_all(atom_monomials[a] for a in lat.atoms_below(p)) for p in lat.sets}
+    g = _support_map(lat, atom_monomials)
     seen: dict[Monomial, int] = {}
     for p in lat.sets:
         if g[p] in seen:
@@ -159,19 +160,17 @@ def _specific_map_isomorphism(
 
 def is_coordinatization(lat: AtomicLattice, labeling: Labeling) -> bool:
     """Is the lcm-lattice of the generated ideal isomorphic to the lattice?"""
-    return _abstract_isomorphism(lat, labeling)[0]
+    return _abstract_isomorphism(lat, ideal_from_labeling(lat, labeling))[0]
 
 
 def is_strong_coordinatization(lat: AtomicLattice, labeling: Labeling) -> bool:
     """Is atom -> x(atom), extended by lcm over supports, an isomorphism?"""
-    x_of = {a: atom_generator(lat, labeling, a) for a in lat.atoms}
-    return _specific_map_isomorphism(lat, x_of)[0]
+    return _specific_map_isomorphism(lat, ideal_from_labeling(lat, labeling).generators)[0]
 
 
 def is_weak_coordinatization(lat: AtomicLattice, labeling: Labeling) -> bool:
     """Is atom -> delta(atom), extended by lcm over supports, an isomorphism?"""
-    deltas = dict(zip(lat.atoms, weak_ideal(lat, labeling).generators))
-    return _specific_map_isomorphism(lat, deltas)[0]
+    return _specific_map_isomorphism(lat, weak_ideal(lat, labeling).generators)[0]
 
 
 def verify_labeling_recovery(lat: AtomicLattice, labeling: Labeling) -> bool:
@@ -184,8 +183,7 @@ def verify_labeling_recovery(lat: AtomicLattice, labeling: Labeling) -> bool:
     ok, wit = check_strong_conditions(lat, labeling)
     if not ok:
         raise PreconditionError(f"labeling does not satisfy the chain conditions: {wit}")
-    x_of = {a: atom_generator(lat, labeling, a) for a in lat.atoms}
-    monomial_of = {p: lcm_all(x_of[a] for a in lat.atoms_below(p)) for p in lat.sets}
+    monomial_of = _support_map(lat, ideal_from_labeling(lat, labeling).generators)
     return recovered_labeling(lat, monomial_of) == labeling
 
 
@@ -216,15 +214,14 @@ class LabelingClassification:
 
 
 def classify(lat: AtomicLattice, labeling: Labeling) -> LabelingClassification:
-    """Run all five checks; degenerate ideals classify as false, not errors."""
-    witness: dict[str, str] = {}
+    """Run all five checks on one shared set of generators.
 
-    a_ok, a_wit = check_strong_conditions(lat, labeling)
-    if not a_ok:
-        witness["satisfies_A1A2"] = a_wit
-    c_ok, c_wit = check_weak_conditions(lat, labeling)
-    if not c_ok:
-        witness["satisfies_C1C2"] = c_wit
+    A degenerate ideal (a unit generator) classifies as false with a witness,
+    not as an error.  An input over a documented cap, such as an ideal with
+    more than ``MAX_GENERATORS`` minimal generators, raises
+    :class:`CapExceededError`.
+    """
+    witness: dict[str, str] = {}
 
     def run(field, fn):
         try:
@@ -235,19 +232,12 @@ def classify(lat: AtomicLattice, labeling: Labeling) -> LabelingClassification:
             witness[field] = wit
         return ok
 
-    coord = run("is_coordinatization", lambda: _abstract_isomorphism(lat, labeling))
-    strong = run(
-        "is_strong",
-        lambda: _specific_map_isomorphism(
-            lat, {a: atom_generator(lat, labeling, a) for a in lat.atoms}
-        ),
-    )
-    weak = run(
-        "is_weak",
-        lambda: _specific_map_isomorphism(
-            lat, dict(zip(lat.atoms, weak_ideal(lat, labeling).generators))
-        ),
-    )
+    a_ok = run("satisfies_A1A2", lambda: check_strong_conditions(lat, labeling))
+    c_ok = run("satisfies_C1C2", lambda: check_weak_conditions(lat, labeling))
+    ideal = ideal_from_labeling(lat, labeling)
+    coord = run("is_coordinatization", lambda: _abstract_isomorphism(lat, ideal))
+    strong = run("is_strong", lambda: _specific_map_isomorphism(lat, ideal.generators))
+    weak = run("is_weak", lambda: _specific_map_isomorphism(lat, _refine(lat, ideal.generators)))
 
     return LabelingClassification(
         satisfies_A1A2=a_ok,

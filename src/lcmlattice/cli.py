@@ -11,23 +11,27 @@ import functools
 import json
 import sys
 from pathlib import Path
+from typing import Optional
 
 import click
 
 from .classify import classify as classify_labeling
-from .dot import hasse_dot
+from .dot import _default_label, hasse_dot
 from .errors import Error, FormatError
 from .fixtures import run_all
 from .ideals import (
+    Labeling,
     MonomialIdeal,
+    _read_json,
     ideal_from_labeling,
     labeling_from_json_dict,
     lcm_lattice,
+    load_labeling,
     parse_ideal_text,
     render_ideal_text,
     weak_ideal,
 )
-from .lattice import AtomicLattice, atoms_of
+from .lattice import AtomicLattice
 from .superatomic import (
     enumerate_super_atomic,
     is_super_atomic,
@@ -39,7 +43,6 @@ from .support_labeling import (
     check_cover_transfer,
     check_strong_interval_criterion,
     check_weak_interval_criterion,
-    support_labeling,
 )
 
 IO_ERROR_EXIT = 3
@@ -61,22 +64,19 @@ def _guarded(fn):
     return wrapper
 
 
-def _read_json(path: str) -> dict:
-    text = Path(path).read_text()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON: {exc}") from None
-
-
 def _load_lattice(path: str) -> AtomicLattice:
     return AtomicLattice.from_json_dict(_read_json(path))
 
 
-def _load_labeling(path: str):
+def _load_document(path: str) -> tuple[AtomicLattice, Optional[Labeling]]:
+    """A lattice file gives ``(lattice, None)``; a labeling file gives its lattice and itself."""
     doc = _read_json(path)
-    labeling = labeling_from_json_dict(doc, base_dir=Path(path).parent)
-    return labeling.lattice, labeling
+    if isinstance(doc, dict) and "labels" in doc:
+        labeling = labeling_from_json_dict(doc, base_dir=Path(path).parent)
+        return labeling.lattice, labeling
+    if isinstance(doc, dict) and "sets" in doc:
+        return AtomicLattice.from_json_dict(doc), None
+    raise FormatError(f'{path}: expected a lattice ("sets") or labeling ("labels") document')
 
 
 def _load_ideal(path: str) -> MonomialIdeal:
@@ -97,18 +97,11 @@ def main():
 @_guarded
 def validate(path):
     """Validate a lattice or labeling JSON file."""
-    doc = _read_json(path)
-    if isinstance(doc, dict) and "labels" in doc:
-        labeling = labeling_from_json_dict(doc, base_dir=Path(path).parent)
-        click.echo(
-            f"valid labeling: {len(labeling)} labeled of {len(labeling.lattice)} elements "
-            f"on {labeling.lattice.n} atoms"
-        )
-    elif isinstance(doc, dict) and "sets" in doc:
-        lat = AtomicLattice.from_json_dict(doc)
-        click.echo(f"valid lattice: {len(lat)} elements on {lat.n} atoms")
+    lat, labeling = _load_document(path)
+    if labeling is not None:
+        click.echo(f"valid labeling: {len(labeling)} labeled of {len(lat)} elements on {lat.n} atoms")
     else:
-        raise FormatError(f'{path}: expected a lattice ("sets") or labeling ("labels") document')
+        click.echo(f"valid lattice: {len(lat)} elements on {lat.n} atoms")
 
 
 @main.command("build-ideal")
@@ -118,7 +111,8 @@ def validate(path):
 @_guarded
 def build_ideal(labeling_file, mode):
     """Print the generated ideal, one generator per atom, in atom order."""
-    lat, labeling = _load_labeling(labeling_file)
+    labeling = load_labeling(labeling_file)
+    lat = labeling.lattice
     ideal = ideal_from_labeling(lat, labeling) if mode == "plain" else weak_ideal(lat, labeling)
     if ideal.has_unit_generator:
         click.echo("warning: some generators are the unit monomial (too few labels)", err=True)
@@ -145,8 +139,8 @@ def lcm_lattice_cmd(ideal_file, dot_file, with_bottom):
 @_guarded
 def classify(labeling_file):
     """Classify a labeling; prints the five booleans plus diagnostics."""
-    lat, labeling = _load_labeling(labeling_file)
-    _emit_json(classify_labeling(lat, labeling).to_json_dict())
+    labeling = load_labeling(labeling_file)
+    _emit_json(classify_labeling(labeling.lattice, labeling).to_json_dict())
 
 
 @main.command("enumerate-superatomic")
@@ -257,21 +251,9 @@ def paper_examples():
 @_guarded
 def export_dot(path, out_file, skip_bottom, name):
     """Render a lattice (or labeled lattice) file as a DOT Hasse diagram."""
-    doc = _read_json(path)
-    if isinstance(doc, dict) and "labels" in doc:
-        labeling = labeling_from_json_dict(doc, base_dir=Path(path).parent)
-        lat = labeling.lattice
-        labels = {}
-        for p in lat.sets:
-            base = "0" if p == 0 else "{" + ",".join(str(a) for a in atoms_of(p)) + "}"
-            m = labeling.label(p)
-            labels[p] = base if m.is_one else f"{base}: {m}"
-        text = hasse_dot(lat, labels=labels, name=name, skip_bottom=skip_bottom)
-    elif isinstance(doc, dict) and "sets" in doc:
-        lat = AtomicLattice.from_json_dict(doc)
-        text = hasse_dot(lat, name=name, skip_bottom=skip_bottom)
-    else:
-        raise FormatError(f'{path}: expected a lattice ("sets") or labeling ("labels") document')
+    lat, labeling = _load_document(path)
+    labels = None if labeling is None else {p: f"{_default_label(p)}: {m}" for p, m in labeling.items()}
+    text = hasse_dot(lat, labels=labels, name=name, skip_bottom=skip_bottom)
     if out_file:
         Path(out_file).write_text(text)
     else:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Mapping, Optional
 
-from .lattice import AtomicLattice, atoms_of
+from .lattice import AtomicLattice, _set_str
 
 __all__ = ["hasse_dot"]
 
@@ -20,9 +20,7 @@ def _quote(s: str) -> str:
 
 
 def _default_label(mask: int) -> str:
-    if mask == 0:
-        return "0"
-    return "{" + ",".join(str(a) for a in atoms_of(mask)) + "}"
+    return "0" if mask == 0 else _set_str(mask)
 
 
 def hasse_dot(
@@ -38,21 +36,11 @@ def hasse_dot(
     ``skip_bottom`` drops the bottom element and its edges, the way lattice
     diagrams are usually drawn.
     """
-    if labels is None:
-        get = _default_label
-    elif callable(labels):
-        fallback = labels
+    lookup = labels if callable(labels) else dict(labels or {}).get
 
-        def get(mask: int) -> str:
-            text = fallback(mask)
-            return _default_label(mask) if text is None else text
-
-    else:
-        table = dict(labels)
-
-        def get(mask: int) -> str:
-            text = table.get(mask)
-            return _default_label(mask) if text is None else text
+    def get(mask: int) -> str:
+        text = lookup(mask)
+        return _default_label(mask) if text is None else text
 
     lines = [f"digraph {_quote(name)} {{", "  rankdir=BT;", '  node [shape=plaintext, fontname="Helvetica"];']
     for m in lat.sets:

@@ -167,8 +167,7 @@ def labeling_from_json_dict(
         if isinstance(ref, str):
             if base_dir is None:
                 raise FormatError("labeling references a lattice file but no base directory was given")
-            ref_path = Path(base_dir) / ref
-            lattice = AtomicLattice.from_json(ref_path.read_text())
+            lattice = AtomicLattice.from_json_dict(_read_json(Path(base_dir) / ref))
         elif isinstance(ref, dict):
             lattice = AtomicLattice.from_json_dict(ref)
         else:
@@ -192,13 +191,17 @@ def labeling_from_json_dict(
     return Labeling(lattice, pairs)
 
 
-def load_labeling(path: Union[str, Path]) -> Labeling:
-    path = Path(path)
+def _read_json(path: Union[str, Path]):
+    """Parse a JSON file; malformed text is a :class:`FormatError` naming the file."""
+    text = Path(path).read_text()
     try:
-        doc = json.loads(path.read_text())
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON: {exc}") from None
-    return labeling_from_json_dict(doc, base_dir=path.parent)
+
+
+def load_labeling(path: Union[str, Path]) -> Labeling:
+    return labeling_from_json_dict(_read_json(path), base_dir=Path(path).parent)
 
 
 class MonomialIdeal:
@@ -288,10 +291,7 @@ def element_generator(lat: AtomicLattice, labeling: Labeling, p: int) -> Monomia
     """
     if labeling.lattice != lat:
         raise PreconditionError("labeling belongs to a different lattice")
-    prod = ONE
-    for q in lat.filter_complement(p):
-        prod = prod * labeling.label(q)
-    return prod
+    return Monomial(term for q in lat.filter_complement(p) for term in labeling.label(q).items())
 
 
 def atom_generator(lat: AtomicLattice, labeling: Labeling, atom: int) -> Monomial:
@@ -317,7 +317,12 @@ def weak_generator(lat: AtomicLattice, labeling: Labeling, atom: int) -> Monomia
 
 
 def weak_ideal(lat: AtomicLattice, labeling: Labeling) -> MonomialIdeal:
-    """The ideal generated by ``delta(a)`` over all atoms, in atom order.
+    """The ideal generated by ``delta(a)`` over all atoms, in atom order."""
+    return MonomialIdeal(_refine(lat, ideal_from_labeling(lat, labeling).generators))
+
+
+def _refine(lat: AtomicLattice, generators: tuple[Monomial, ...]) -> tuple[Monomial, ...]:
+    """``delta(a)`` for every atom, from the plain generators ``x(a)`` in atom order.
 
     No atom subset is enumerated.  Joining sets below ``p`` are upward-closed
     within ``p``'s atoms, so for each variable ``v`` the exponent of ``v`` in
@@ -327,10 +332,8 @@ def weak_ideal(lat: AtomicLattice, labeling: Labeling) -> MonomialIdeal:
     thresholds tried in increasing order this costs ``O(m*k*n)`` joins for
     ``m`` elements, ``k`` variables and ``n`` atoms.
     """
-    if labeling.lattice != lat:
-        raise PreconditionError("labeling belongs to a different lattice")
-    x_exps = [dict(atom_generator(lat, labeling, a).items()) for a in lat.atoms]
-    deltas: list[dict[str, int]] = [{} for _ in lat.atoms]
+    x_exps = [dict(g.items()) for g in generators]
+    deltas: list[dict[str, int]] = [{} for _ in generators]
     for v in {v for exps in x_exps for v in exps}:
         column = [exps.get(v, 0) for exps in x_exps]
         levels: dict[int, int] = {}  # t -> mask of the atoms b with e_v(x(b)) <= t, t increasing
@@ -353,7 +356,7 @@ def weak_ideal(lat: AtomicLattice, labeling: Labeling) -> MonomialIdeal:
         for i, t in enumerate(best):
             if t:
                 deltas[i][v] = t
-    return MonomialIdeal(Monomial(exps) for exps in deltas)
+    return tuple(Monomial(exps) for exps in deltas)
 
 
 # ---------------------------------------------------------------------------

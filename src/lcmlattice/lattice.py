@@ -23,6 +23,7 @@ from .errors import (
     FormatError,
     IncomparableError,
     NotAnElementError,
+    PreconditionError,
     ValidationError,
 )
 
@@ -35,6 +36,9 @@ __all__ = [
 ]
 
 MAX_ATOMS = 64
+# joining_sets walks and caches all 2^k atom subsets of a k-atom element
+# (65,536 at k = 16), so each further atom doubles its time and memory.
+MAX_JOINING_ATOMS = 16
 
 
 def mask_of(atoms: Iterable[int], n: Optional[int] = None) -> int:
@@ -276,9 +280,15 @@ class AtomicLattice:
         """All subsets of ``p``'s atoms whose join is ``p``, as masks.
 
         The empty subset joins to the bottom, so it appears exactly when
-        ``p`` is the bottom element.
+        ``p`` is the bottom element.  Raises :class:`CapExceededError` when
+        ``p`` has more than ``MAX_JOINING_ATOMS`` atoms.
         """
         self._require(p)
+        if p.bit_count() > MAX_JOINING_ATOMS:
+            raise CapExceededError(
+                f"joining sets of an element with {p.bit_count()} atoms exceed the supported maximum "
+                f"{MAX_JOINING_ATOMS}"
+            )
         if p == 0:
             return (0,)
         out = []
@@ -313,7 +323,7 @@ class AtomicLattice:
         if not isinstance(image, Mapping):
             image = {i + 1: v for i, v in enumerate(image)}
         if sorted(image) != list(range(1, self.n + 1)) or sorted(image.values()) != list(range(1, self.n + 1)):
-            raise ValueError(f"not a permutation of 1..{self.n}: {image!r}")
+            raise PreconditionError(f"not a permutation of 1..{self.n}: {image!r}")
         shift = {1 << (a - 1): 1 << (b - 1) for a, b in image.items()}
 
         def apply(mask: int) -> int:

@@ -87,7 +87,7 @@ def super_atomic_size(n: int) -> int:
     return comb(n, 2) + n + 1
 
 
-def iter_super_atomic_families(n: int, cap: int = MAX_ENUM_ATOMS) -> Iterator[frozenset[int]]:
+def iter_super_atomic_families(n: int) -> Iterator[frozenset[int]]:
     """Yield the set system of every super-atomic lattice on n atoms.
 
     Streams raw mask families without validating or ordering them, which is
@@ -95,12 +95,13 @@ def iter_super_atomic_families(n: int, cap: int = MAX_ENUM_ATOMS) -> Iterator[fr
     Each family is produced exactly once: within a level, choice combinations
     yielding the same child level are merged, and families from distinct
     levels can never coincide because a family determines its levels (the
-    sets of each cardinality).
+    sets of each cardinality).  More than ``MAX_ENUM_ATOMS`` atoms raise
+    :class:`CapExceededError`.
     """
     if n < 2:
         raise PreconditionError(f"need at least 2 atoms, got {n}")
-    if n > cap:
-        raise CapExceededError(f"enumeration on {n} atoms exceeds the cap of {cap}")
+    if n > MAX_ENUM_ATOMS:
+        raise CapExceededError(f"enumeration on {n} atoms exceeds the cap of {MAX_ENUM_ATOMS}")
     top = (1 << n) - 1
     base = frozenset((0, *(1 << i for i in range(n)), top))
     yield from _descend((top,), base)
@@ -134,30 +135,28 @@ def _family_key(family: frozenset[int]) -> tuple:
     return tuple(sorted((m.bit_count(), m) for m in family))
 
 
-def enumerate_super_atomic(n: int, cap: int = MAX_ENUM_ATOMS) -> list[AtomicLattice]:
+def enumerate_super_atomic(n: int) -> list[AtomicLattice]:
     """All super-atomic lattices on n atoms, validated and canonically ordered.
 
     Materializes everything; for n = 7 prefer :func:`iter_super_atomic_families`
     (the full list runs to millions of lattices).
     """
-    families = set(iter_super_atomic_families(n, cap=cap))
+    families = set(iter_super_atomic_families(n))
     return [AtomicLattice(n, fam) for fam in sorted(families, key=_family_key)]
 
 
-def enumerate_all_lattices(n: int, allow_large: bool = False) -> list[AtomicLattice]:
+def enumerate_all_lattices(n: int) -> list[AtomicLattice]:
     """Every finite atomic lattice on n atoms, canonically ordered.
 
     Ground-truth enumeration by brute force over subsets of the non-required
-    sets, keeping the intersection-closed ones.  Doubly exponential: n <= 3
-    is free, n = 4 (545 lattices, from 1024 candidate subsets) must be
-    requested with ``allow_large=True``, larger n is refused outright.
+    sets, keeping the intersection-closed ones.  Doubly exponential: n = 4
+    (545 lattices, from 1024 candidate subsets) is the largest n accepted;
+    n = 5 would walk 2^25 candidates and raises :class:`CapExceededError`.
     """
     if n < 1:
         raise PreconditionError(f"need at least 1 atom, got {n}")
     if n > 4:
         raise CapExceededError(f"enumerating all lattices on {n} atoms is not tractable here (max 4)")
-    if n == 4 and not allow_large:
-        raise CapExceededError("enumerating all lattices on 4 atoms is slow; pass allow_large=True")
     top = (1 << n) - 1
     required = (0, *(1 << i for i in range(n)), top)
     optional = [m for m in range(1, top) if m.bit_count() >= 2]

@@ -27,9 +27,9 @@ from typing import Optional
 from .classify import is_strong_coordinatization
 from .errors import PreconditionError
 from .ideals import Labeling, ideal_from_labeling, weak_ideal
-from .lattice import AtomicLattice, atoms_of, bits_of
+from .lattice import AtomicLattice, _set_str, atoms_of, bits_of
 from .monomial import Monomial
-from .superatomic import cover_witness, is_super_atomic
+from .superatomic import _pairs_within, cover_witness, is_super_atomic
 
 __all__ = [
     "support_labeling",
@@ -145,13 +145,7 @@ def check_weak_interval_criterion(lat: AtomicLattice) -> IntervalCriterionReport
 
 
 def _joining_pairs(lat: AtomicLattice, p: int) -> list[int]:
-    out = []
-    bits = list(bits_of(p))
-    for i, a in enumerate(bits):
-        for b in bits[i + 1 :]:
-            if lat.join_mask(a | b) == p:
-                out.append(a | b)
-    return out
+    return [pr for pr in _pairs_within(p) if lat.join_mask(pr) == p]
 
 
 def check_strong_interval_criterion(lat: AtomicLattice) -> tuple[bool, Optional[str]]:
@@ -176,7 +170,7 @@ def check_strong_interval_criterion(lat: AtomicLattice) -> tuple[bool, Optional[
                 n_rk = n_top[lat.join_mask(ar | ak)]
                 if n_ik > n_rk and n_jk > n_rk:
                     return False, (
-                        f"at element {{{','.join(map(str, atoms_of(p)))}}}: both members of the "
+                        f"at element {_set_str(p)}: both members of the "
                         f"generating pair ({_atom_index(ai)},{_atom_index(aj)}) give strictly larger "
                         f"intervals than atom {_atom_index(ar)} does, against atom {_atom_index(ak)}"
                     )

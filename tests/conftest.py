@@ -33,7 +33,7 @@ from lcmlattice.lattice import bits_of
 @lru_cache(maxsize=None)
 def lattices_with(n: int) -> tuple[AtomicLattice, ...]:
     """Every atomic lattice on n atoms (n <= 4), cached across tests."""
-    return tuple(enumerate_all_lattices(n, allow_large=(n == 4)))
+    return tuple(enumerate_all_lattices(n))
 
 
 def brute_force_isomorphic(p: AtomicLattice, q: AtomicLattice) -> bool:

@@ -3,6 +3,7 @@ import pytest
 from lcmlattice import (
     AtomicLattice,
     Labeling,
+    DegenerateIdealError,
     PreconditionError,
     atom_generator,
     check_strong_conditions,
@@ -193,6 +194,45 @@ def test_classification_invariant_under_variable_renaming(rng):
         assert classify(lat, lab).to_json_dict() | {"witness": None} == classify(
             lat, renamed
         ).to_json_dict() | {"witness": None}
+
+
+def _differential_corpus(rng):
+    for n in (1, 2, 3):
+        for lat in lattices_with(n):
+            for _ in range(4):
+                yield lat, random_labeling(rng, lat)
+            yield lat, chain_condition_labeling(rng, lat)
+            yield lat, overlap_condition_labeling(rng, lat)
+    for _ in range(120):
+        lat = random_lattice(rng, rng.randint(2, 5))
+        make = rng.choice((random_labeling, chain_condition_labeling, overlap_condition_labeling))
+        yield lat, make(rng, lat)
+
+
+def test_classify_matches_the_single_checks(rng):
+    # classify shares one set of generators between its checks; each single
+    # predicate builds its own, so any drift between the two paths shows here
+    for lat, lab in _differential_corpus(rng):
+        c = classify(lat, lab)
+        witness = c.witness or {}
+        for field, check in (
+            ("satisfies_A1A2", check_strong_conditions),
+            ("satisfies_C1C2", check_weak_conditions),
+        ):
+            ok, wit = check(lat, lab)
+            assert getattr(c, field) == ok and witness.get(field) == wit
+        for field, check in (
+            ("is_coordinatization", is_coordinatization),
+            ("is_strong", is_strong_coordinatization),
+            ("is_weak", is_weak_coordinatization),
+        ):
+            try:
+                expected = check(lat, lab)
+            except DegenerateIdealError:
+                expected = False
+                assert field in witness
+            assert getattr(c, field) == expected
+            assert (field in witness) == (not expected)
 
 
 # -- labeling recovery -----------------------------------------------------------

@@ -56,6 +56,13 @@ def test_validate_labeling(runner, files):
     assert "valid labeling: 6 labeled of 8 elements" in res.output
 
 
+def test_validate_labeling_without_labels(runner, files):
+    # a Labeling with no labels is falsy; it is still a labeling document
+    res = runner.invoke(main, ["validate", files("lab.json", {"lattice": BOOLEAN3_DOC, "labels": []})])
+    assert res.exit_code == 0
+    assert res.output == "valid labeling: 0 labeled of 8 elements on 3 atoms\n"
+
+
 def test_validate_invalid_lattice_lists_violations(runner, files):
     bad = {"n": 3, "sets": [[], [1], [2], [1, 2], [1, 3], [2, 3]]}
     res = runner.invoke(main, ["validate", files("bad.json", bad)])
@@ -211,6 +218,13 @@ def test_check_superatomic(runner, files):
     assert json.loads(res.output) == {"literal": False, "via_supp": False, "agree": True}
 
 
+def test_check_superatomic_over_joining_set_cap(runner, files):
+    flat17 = {"n": 17, "sets": [[], *([i] for i in range(1, 18)), list(range(1, 18))]}
+    res = runner.invoke(main, ["check-superatomic", files("flat17.json", flat17)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert "17 atoms exceed the supported maximum 16" in res.stderr
+
+
 # -- check-labeling-c ------------------------------------------------------------------
 
 
@@ -306,6 +320,14 @@ def test_export_dot_labeling_shows_monomials(runner, files):
     assert res.exit_code == 0
     assert 'label="{1,2}: a*c"' in res.output
     assert 'label="{1,2,3}"' in res.output  # unlabeled top keeps the bare set
+
+
+def test_export_dot_labeling_without_labels(runner, files):
+    lab = files("lab.json", {"lattice": BOOLEAN3_DOC, "labels": []})
+    res = runner.invoke(main, ["export-dot", lab])
+    assert res.exit_code == 0
+    lat = runner.invoke(main, ["export-dot", files("lat.json", BOOLEAN3_DOC)])
+    assert res.output == lat.output
 
 
 # -- determinism ----------------------------------------------------------------------------

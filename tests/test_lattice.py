@@ -6,6 +6,7 @@ import pytest
 from lcmlattice import (
     AtomicLattice,
     CapExceededError,
+    Error,
     FormatError,
     IncomparableError,
     NotAnElementError,
@@ -14,9 +15,16 @@ from lcmlattice import (
     lattice_isomorphic,
     mask_of,
 )
-from lcmlattice.lattice import bits_of
+from lcmlattice.lattice import MAX_JOINING_ATOMS, bits_of
 
-from conftest import boolean_lattice, brute_force_isomorphic, cubic_covers, lattices_with, random_lattice
+from conftest import (
+    boolean_lattice,
+    brute_force_isomorphic,
+    cubic_covers,
+    flat_lattice,
+    lattices_with,
+    random_lattice,
+)
 
 BOOLEAN3 = AtomicLattice.from_sets(3, [[], [1], [2], [3], [1, 2], [1, 3], [2, 3], [1, 2, 3]])
 DIAMOND3 = AtomicLattice.from_sets(3, [[], [1], [2], [3], [1, 2, 3]])
@@ -165,6 +173,16 @@ def test_joining_sets_definition(rng):
             assert got == expected
 
 
+def test_joining_sets_cap():
+    at_cap = flat_lattice(MAX_JOINING_ATOMS)
+    # every subset of two or more atoms joins to the top of a flat lattice
+    assert len(at_cap.joining_sets(at_cap.top)) == 2**MAX_JOINING_ATOMS - 1 - MAX_JOINING_ATOMS
+    over = flat_lattice(MAX_JOINING_ATOMS + 1)
+    with pytest.raises(CapExceededError, match=f"{MAX_JOINING_ATOMS + 1} atoms .* maximum {MAX_JOINING_ATOMS}"):
+        over.joining_sets(over.top)
+    assert over.joining_sets(0b1) == (0b1,)  # small elements stay within the cap
+
+
 def test_interval_count():
     lat = BOOLEAN3
     assert lat.interval_count(0, lat.top) == 8
@@ -185,8 +203,9 @@ def test_relabel():
     lat = AtomicLattice.from_sets(3, [[], [1], [2], [3], [1, 2], [1, 2, 3]])
     swapped = lat.relabel({1: 3, 2: 2, 3: 1})
     assert 0b110 in swapped and 0b011 not in swapped
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as excinfo:
         lat.relabel({1: 1, 2: 2, 3: 2})
+    assert isinstance(excinfo.value, Error)
 
 
 def test_json_roundtrip():

@@ -19,7 +19,7 @@ from lcmlattice import (
     verify_new_element_meet_irreducible,
 )
 
-from conftest import lattices_with, random_lattice
+from conftest import flat_lattice, lattices_with, random_lattice
 
 BOOLEAN3 = AtomicLattice.from_sets(3, [[], [1], [2], [3], [1, 2], [1, 3], [2, 3], [1, 2, 3]])
 
@@ -47,6 +47,13 @@ def test_detectors_on_known_lattices():
     assert not is_super_atomic_via_supp(BOOLEAN3)
     with pytest.raises(PreconditionError):
         check_superatomic_structure(BOOLEAN3)
+
+
+def test_literal_detector_refuses_elements_over_the_joining_set_cap():
+    flat17 = flat_lattice(17)
+    with pytest.raises(CapExceededError, match="17 atoms"):
+        is_super_atomic(flat17)
+    assert not is_super_atomic_via_supp(flat17)
 
 
 def test_detectors_agree_exhaustively_small():
@@ -147,9 +154,7 @@ def test_all_lattices_counts_frozen():
 
 def test_all_lattices_guard_rails():
     with pytest.raises(CapExceededError):
-        enumerate_all_lattices(4)  # needs allow_large=True
-    with pytest.raises(CapExceededError):
-        enumerate_all_lattices(5, allow_large=True)
+        enumerate_all_lattices(5)
     with pytest.raises(PreconditionError):
         enumerate_all_lattices(0)
 
