@@ -6,7 +6,11 @@ ideal is order-isomorphic to it.  The strong and weak variants pin the
 isomorphism down to the specific map sending each atom to its generator
 (``x(a)`` for strong, ``delta(a)`` for weak) and every other element to the
 lcm over its support; being a bijection that preserves order both ways is
-then a property, not a search.
+then a property, not a search.  It holds exactly when the map is injective and
+sends the join of each element ``p`` with each atom ``a`` outside it to
+``lcm(g(p), g(a))``: ``O(m*n)`` joins and lcms for ``m`` elements and ``n``
+atoms (the joins :meth:`AtomicLattice.covers` takes), with no lcm-lattice
+built.  The lcm-lattice is built only to explain a false verdict.
 
 Two checkable sufficient conditions come with the theory:
 
@@ -23,13 +27,15 @@ Two checkable sufficient conditions come with the theory:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import DegenerateIdealError, PreconditionError
 from .ideals import (
     Labeling,
-    MonomialIdeal,
+    LcmLattice,
+    _check_lcm_generators,
     _refine,
     ideal_from_labeling,
     lcm_lattice,
@@ -37,7 +43,7 @@ from .ideals import (
     weak_ideal,
 )
 from .lattice import AtomicLattice, _set_str, bits_of, lattice_isomorphic
-from .monomial import Monomial, lcm_all
+from .monomial import ONE, Monomial, lcm_all
 
 __all__ = [
     "LabelingClassification",
@@ -115,8 +121,7 @@ def check_weak_conditions(lat: AtomicLattice, labeling: Labeling) -> tuple[bool,
     return True, None
 
 
-def _abstract_isomorphism(lat: AtomicLattice, ideal: MonomialIdeal) -> tuple[bool, Optional[str]]:
-    ll = lcm_lattice(ideal)
+def _abstract_isomorphism(lat: AtomicLattice, ll: LcmLattice) -> tuple[bool, Optional[str]]:
     if lattice_isomorphic(ll.abstract(), lat) is None:
         return False, (
             f"lcm-lattice of the generated ideal ({len(ll)} elements, {len(ll.generators)} atoms) "
@@ -130,14 +135,53 @@ def _support_map(lat: AtomicLattice, atom_monomials: tuple[Monomial, ...]) -> di
     return {p: lcm_all(atom_monomials[b.bit_length() - 1] for b in bits_of(p)) for p in lat.sets}
 
 
+def _extends_to_isomorphism(lat: AtomicLattice, atom_monomials: tuple[Monomial, ...]) -> bool:
+    """Is g(p) = lcm of the atom monomials below p an isomorphism onto the
+    lcm-lattice of those monomials?  In ``O(m*n)`` joins and lcms.
+
+    It is exactly when g is injective and g(p v a) = lcm(g(p), g(a)) for
+    every element p and every atom a outside p.  An isomorphism onto a
+    lattice whose join is lcm satisfies both.  Conversely, the join rule gives
+    g(join of S) = lcm of the monomials of S for every atom set S, so the image
+    is closed under lcm; if g(a) divided g(b) for atoms a != b, then
+    g(a v b) = g(b) would break injectivity, so every atom monomial is a
+    minimal generator and the image is the whole lcm-lattice.  Order is
+    reflected: g(p) | g(q) gives g(p v q) = g(q), so p v q = q.  A unit
+    monomial collides with the bottom's image 1, so it is rejected too.
+
+    g is computed along those joins.  Every element above the bottom is the
+    join of a lower cover with an atom, and elements come in order of size,
+    so g(p) is complete before it is used; when every path to q agrees, the
+    value is the lcm over q's atoms, as defined.
+    """
+    g = {0: ONE}
+    for p in lat.sets:
+        gp = g[p]
+        for a in bits_of(lat.top & ~p):
+            m = gp.lcm(atom_monomials[a.bit_length() - 1])
+            if g.setdefault(lat.join_mask(p | a), m) != m:
+                return False
+    return len(set(g.values())) == len(g)
+
+
 def _specific_map_isomorphism(
-    lat: AtomicLattice, atom_monomials: tuple[Monomial, ...]
+    lat: AtomicLattice,
+    atom_monomials: tuple[Monomial, ...],
+    lcm_lattice_of: Callable[[tuple[Monomial, ...]], LcmLattice],
 ) -> tuple[bool, Optional[str]]:
     """Is g(p) = lcm of the atom monomials below p an isomorphism onto the
-    lcm-lattice of those monomials?  Order is preserved upward by
-    construction, so the checks are size, injectivity, membership, and order
-    reflection."""
-    ll = lcm_lattice(atom_monomials)
+    lcm-lattice of those monomials?
+
+    A true verdict comes from :func:`_extends_to_isomorphism`, with no
+    lcm-lattice built; its image has all n atom monomials as minimal
+    generators, so the inputs the build refuses are refused here too.  A false
+    verdict is explained on ``lcm_lattice_of(atom_monomials)``: order is
+    preserved upward by construction, so the checks are size, injectivity,
+    membership, and order reflection."""
+    if _extends_to_isomorphism(lat, atom_monomials):
+        _check_lcm_generators(atom_monomials)
+        return True, None
+    ll = lcm_lattice_of(atom_monomials)
     if len(ll) != len(lat):
         return False, f"lcm-lattice has {len(ll)} elements, the lattice has {len(lat)}"
     g = _support_map(lat, atom_monomials)
@@ -160,17 +204,17 @@ def _specific_map_isomorphism(
 
 def is_coordinatization(lat: AtomicLattice, labeling: Labeling) -> bool:
     """Is the lcm-lattice of the generated ideal isomorphic to the lattice?"""
-    return _abstract_isomorphism(lat, ideal_from_labeling(lat, labeling))[0]
+    return _abstract_isomorphism(lat, lcm_lattice(ideal_from_labeling(lat, labeling)))[0]
 
 
 def is_strong_coordinatization(lat: AtomicLattice, labeling: Labeling) -> bool:
     """Is atom -> x(atom), extended by lcm over supports, an isomorphism?"""
-    return _specific_map_isomorphism(lat, ideal_from_labeling(lat, labeling).generators)[0]
+    return _specific_map_isomorphism(lat, ideal_from_labeling(lat, labeling).generators, lcm_lattice)[0]
 
 
 def is_weak_coordinatization(lat: AtomicLattice, labeling: Labeling) -> bool:
     """Is atom -> delta(atom), extended by lcm over supports, an isomorphism?"""
-    return _specific_map_isomorphism(lat, weak_ideal(lat, labeling).generators)[0]
+    return _specific_map_isomorphism(lat, weak_ideal(lat, labeling).generators, lcm_lattice)[0]
 
 
 def verify_labeling_recovery(lat: AtomicLattice, labeling: Labeling) -> bool:
@@ -216,34 +260,45 @@ class LabelingClassification:
 def classify(lat: AtomicLattice, labeling: Labeling) -> LabelingClassification:
     """Run all five checks on one shared set of generators.
 
+    The strong and weak checks decide whether the map g is injective and
+    sends ``p v a`` to ``lcm(g(p), g(a))`` for every element ``p`` and atom
+    ``a`` outside it, in ``O(m*n)`` joins for ``m`` elements and ``n`` atoms,
+    without building an lcm-lattice.  A strong verdict makes the
+    coordinatization check true as well, and when ``delta(a) = x(a)`` for
+    every atom the weak verdict is the strong one.  Only a false verdict builds
+    an lcm-lattice, one per generator tuple, to explain itself.
+
     A degenerate ideal (a unit generator) classifies as false with a witness,
     not as an error.  An input over a documented cap, such as an ideal with
     more than ``MAX_GENERATORS`` minimal generators, raises
     :class:`CapExceededError`.
     """
-    witness: dict[str, str] = {}
 
-    def run(field, fn):
+    def guarded(fn) -> tuple[bool, Optional[str]]:
         try:
-            ok, wit = fn()
+            return fn()
         except DegenerateIdealError as exc:
-            ok, wit = False, str(exc)
-        if not ok:
-            witness[field] = wit
-        return ok
+            return False, str(exc)
 
-    a_ok = run("satisfies_A1A2", lambda: check_strong_conditions(lat, labeling))
-    c_ok = run("satisfies_C1C2", lambda: check_weak_conditions(lat, labeling))
-    ideal = ideal_from_labeling(lat, labeling)
-    coord = run("is_coordinatization", lambda: _abstract_isomorphism(lat, ideal))
-    strong = run("is_strong", lambda: _specific_map_isomorphism(lat, ideal.generators))
-    weak = run("is_weak", lambda: _specific_map_isomorphism(lat, _refine(lat, ideal.generators)))
+    a_ok = guarded(lambda: check_strong_conditions(lat, labeling))
+    c_ok = guarded(lambda: check_weak_conditions(lat, labeling))
+    x = ideal_from_labeling(lat, labeling).generators
+    # Local to this call: the coordinatization and strong witnesses share one build.
+    lcm_lattice_of = cache(lcm_lattice)
+    strong = guarded(lambda: _specific_map_isomorphism(lat, x, lcm_lattice_of))
+    coord = strong if strong[0] else guarded(lambda: _abstract_isomorphism(lat, lcm_lattice_of(x)))
+    delta = _refine(lat, x)
+    weak = strong if delta == x else guarded(lambda: _specific_map_isomorphism(lat, delta, lcm_lattice_of))
 
+    verdicts = {
+        "satisfies_A1A2": a_ok,
+        "satisfies_C1C2": c_ok,
+        "is_coordinatization": coord,
+        "is_strong": strong,
+        "is_weak": weak,
+    }
+    witness = {field: wit for field, (ok, wit) in verdicts.items() if not ok}
     return LabelingClassification(
-        satisfies_A1A2=a_ok,
-        satisfies_C1C2=c_ok,
-        is_coordinatization=coord,
-        is_strong=strong,
-        is_weak=weak,
+        **{field: ok for field, (ok, _) in verdicts.items()},
         witness=witness or None,
     )

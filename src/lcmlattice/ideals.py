@@ -39,7 +39,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .lattice import AtomicLattice, atoms_of, bits_of, mask_of
+from .lattice import AtomicLattice, _set_str, atoms_of, bits_of, mask_of
 from .monomial import ONE, Monomial, gcd_all
 
 __all__ = [
@@ -80,15 +80,15 @@ class Labeling:
         table: dict[int, Monomial] = {}
         for p, m in items:
             if p not in lattice:
-                raise NotAnElementError(f"labeled set {atoms_of(p) if isinstance(p, int) else p!r} is not in the lattice")
+                raise NotAnElementError(f"labeled set {_set_str(p) if isinstance(p, int) else repr(p)} is not in the lattice")
             if not isinstance(m, Monomial):
                 m = Monomial.parse(str(m))
             if m.is_one:
                 raise ValidationError(
-                    f"element {set(atoms_of(p)) or '{}'} labeled with the unit monomial; leave it unlabeled instead"
+                    f"element {_set_str(p)} labeled with the unit monomial; leave it unlabeled instead"
                 )
             if p in table and table[p] != m:
-                raise ValidationError(f"element {set(atoms_of(p))} labeled twice, with {table[p]} and {m}")
+                raise ValidationError(f"element {_set_str(p)} labeled twice, with {table[p]} and {m}")
             table[p] = m
         self.lattice = lattice
         self._table = {p: table[p] for p in sorted(table, key=lambda q: (q.bit_count(), q))}
@@ -105,7 +105,7 @@ class Labeling:
 
     def label(self, p: int) -> Monomial:
         if p not in self.lattice:
-            raise NotAnElementError(f"{atoms_of(p) if isinstance(p, int) else p!r} is not in the lattice")
+            raise NotAnElementError(f"{_set_str(p) if isinstance(p, int) else repr(p)} is not in the lattice")
         return self._table.get(p, ONE)
 
     @property
@@ -291,13 +291,19 @@ def element_generator(lat: AtomicLattice, labeling: Labeling, p: int) -> Monomia
     """
     if labeling.lattice != lat:
         raise PreconditionError("labeling belongs to a different lattice")
-    return Monomial(term for q in lat.filter_complement(p) for term in labeling.label(q).items())
+    lat._require(p)
+    acc: dict[str, int] = {}
+    for q, m in labeling.items():
+        if p & ~q:
+            for v, e in m._exps:
+                acc[v] = acc.get(v, 0) + e
+    return Monomial._trusted(acc)
 
 
 def atom_generator(lat: AtomicLattice, labeling: Labeling, atom: int) -> Monomial:
     """The generator ``x(a)`` contributed by one atom."""
     if atom.bit_count() != 1 or atom not in lat:
-        raise PreconditionError(f"{atoms_of(atom)} is not an atom of the lattice")
+        raise PreconditionError(f"{_set_str(atom)} is not an atom of the lattice")
     return element_generator(lat, labeling, atom)
 
 
@@ -309,11 +315,16 @@ def ideal_from_labeling(lat: AtomicLattice, labeling: Labeling) -> MonomialIdeal
 def weak_generator(lat: AtomicLattice, labeling: Labeling, atom: int) -> Monomial:
     """The refined generator ``delta(a)``; always divides ``x(a)``.
 
-    One entry of :func:`weak_ideal`, which computes every atom's at once.
+    Equal to the entry for ``a`` of :func:`weak_ideal`, but takes thresholds
+    only at the elements above ``a`` and only for the variables of ``x(a)``.
     """
     if atom.bit_count() != 1 or atom not in lat:
-        raise PreconditionError(f"{atoms_of(atom)} is not an atom of the lattice")
-    return weak_ideal(lat, labeling).generators[atom.bit_length() - 1]
+        raise PreconditionError(f"{_set_str(atom)} is not an atom of the lattice")
+    x_exps = [dict(g._exps) for g in ideal_from_labeling(lat, labeling).generators]
+    i = atom.bit_length() - 1
+    above = lat.filter(atom)
+    delta = {v: _least_thresholds(lat, [exps.get(v, 0) for exps in x_exps], above)[i] for v in x_exps[i]}
+    return Monomial._trusted({v: t for v, t in delta.items() if t})
 
 
 def weak_ideal(lat: AtomicLattice, labeling: Labeling) -> MonomialIdeal:
@@ -332,35 +343,52 @@ def _refine(lat: AtomicLattice, generators: tuple[Monomial, ...]) -> tuple[Monom
     thresholds tried in increasing order this costs ``O(m*k*n)`` joins for
     ``m`` elements, ``k`` variables and ``n`` atoms.
     """
-    x_exps = [dict(g.items()) for g in generators]
+    x_exps = [dict(g._exps) for g in generators]
     deltas: list[dict[str, int]] = [{} for _ in generators]
     for v in {v for exps in x_exps for v in exps}:
-        column = [exps.get(v, 0) for exps in x_exps]
-        levels: dict[int, int] = {}  # t -> mask of the atoms b with e_v(x(b)) <= t, t increasing
-        below = 0
-        for i, e in sorted(enumerate(column), key=lambda ie: ie[1]):
-            below |= 1 << i
-            levels[e] = below
-        best = column[:]  # the threshold at an atom is its own exponent
-        for p in lat.sets:
-            if p.bit_count() < 2:
-                continue
-            for t, below in levels.items():
-                part = below & p
-                if part == p or (part and lat.join_mask(part) == p):
-                    break
-            for b in bits_of(p):
-                i = b.bit_length() - 1
-                if t < best[i]:
-                    best[i] = t
-        for i, t in enumerate(best):
+        for i, t in enumerate(_least_thresholds(lat, [exps.get(v, 0) for exps in x_exps], lat.sets)):
             if t:
                 deltas[i][v] = t
-    return tuple(Monomial(exps) for exps in deltas)
+    return tuple(Monomial._trusted(exps) for exps in deltas)
+
+
+def _least_thresholds(lat: AtomicLattice, column: list[int], elements: Iterable[int]) -> list[int]:
+    """Per atom ``i``, the least of ``column[i]`` (the exponent of one variable
+    in ``x(a_i)``) and the join thresholds of those ``elements`` above ``a_i``;
+    see :func:`_refine`."""
+    levels: dict[int, int] = {}  # t -> mask of the atoms b with e_v(x(b)) <= t, t increasing
+    below = 0
+    for i, e in sorted(enumerate(column), key=lambda ie: ie[1]):
+        below |= 1 << i
+        levels[e] = below
+    best = column[:]  # the threshold at an atom is its own exponent
+    for p in elements:
+        if p.bit_count() < 2:
+            continue
+        for t, below in levels.items():
+            part = below & p
+            if part == p or (part and lat.join_mask(part) == p):
+                break
+        for b in bits_of(p):
+            i = b.bit_length() - 1
+            if t < best[i]:
+                best[i] = t
+    return best
 
 
 # ---------------------------------------------------------------------------
 # LCM lattices
+
+
+def _check_lcm_generators(gens: tuple[Monomial, ...]) -> None:
+    """Refuse the generators no lcm-lattice is built on: none, a unit, or more
+    than ``MAX_GENERATORS`` (a :class:`CapExceededError`)."""
+    if not gens:
+        raise DegenerateIdealError("the zero ideal has no lcm-lattice")
+    if any(g.is_one for g in gens):
+        raise DegenerateIdealError("the unit monomial is a generator; the lcm-lattice is undefined")
+    if len(gens) > MAX_GENERATORS:
+        raise CapExceededError(f"{len(gens)} generators exceed the supported maximum {MAX_GENERATORS}")
 
 
 class LcmLattice:
@@ -376,12 +404,7 @@ class LcmLattice:
 
     def __init__(self, generators: Iterable[Monomial]):
         gens = tuple(generators)
-        if not gens:
-            raise DegenerateIdealError("the zero ideal has no lcm-lattice")
-        if any(g.is_one for g in gens):
-            raise DegenerateIdealError("the unit monomial is a generator; the lcm-lattice is undefined")
-        if len(gens) > MAX_GENERATORS:
-            raise CapExceededError(f"{len(gens)} generators exceed the supported maximum {MAX_GENERATORS}")
+        _check_lcm_generators(gens)
 
         elements = {ONE}
         for g in gens:
@@ -399,7 +422,7 @@ class LcmLattice:
             other = monomial_of.setdefault(mask, m)
             if other != m:
                 raise ValidationError(
-                    f"lcm-lattice elements {other} and {m} share the support {list(atoms_of(mask))}"
+                    f"lcm-lattice elements {other} and {m} share the support {_set_str(mask)}"
                 )
 
         order = sorted(elements, key=lambda m: (mask_table[m].bit_count(), mask_table[m]))
@@ -419,7 +442,7 @@ class LcmLattice:
         try:
             return self._monomial_of[mask]
         except KeyError:
-            raise NotAnElementError(f"no element has support {atoms_of(mask)}") from None
+            raise NotAnElementError(f"no element has support {_set_str(mask)}") from None
 
     def mask_of(self, m: Monomial) -> int:
         try:

@@ -13,6 +13,12 @@ grammar is deliberately small::
 shaped like ``a<k>`` (the default names given to lattice atoms) come first in
 numeric order, every other variable follows lexicographically, so equal
 monomials always produce identical strings.
+
+Internally the exponents are kept in plain name order, and the render order is
+applied only where order is visible (``str``, :meth:`Monomial.items` and
+:attr:`Monomial.variables`).  Public construction and :meth:`Monomial.parse`
+validate every name and exponent; arithmetic results are built from exponents
+that are already valid, through a trusted constructor that checks nothing.
 """
 
 from __future__ import annotations
@@ -56,8 +62,20 @@ class Monomial:
             if not isinstance(exp, int) or isinstance(exp, bool) or exp <= 0:
                 raise ValueError(f"exponent of {name!r} must be a positive int, got {exp!r}")
             acc[name] = acc.get(name, 0) + exp
-        self._exps = tuple(sorted(acc.items(), key=lambda it: _variable_key(it[0])))
+        self._exps = tuple(sorted(acc.items()))
         self._hash = hash(self._exps)
+
+    @classmethod
+    def _trusted(cls, exps: dict[str, int]) -> "Monomial":
+        """Wrap exponents known to be valid: identifier names, positive ints.
+
+        The fast path for arithmetic results and generator builders; it skips
+        the checks of ``__init__``, so never hand it outside input.
+        """
+        m = object.__new__(cls)
+        m._exps = tuple(sorted(exps.items()))
+        m._hash = hash(m._exps)
+        return m
 
     # -- construction helpers ------------------------------------------------
 
@@ -111,7 +129,8 @@ class Monomial:
 
     @property
     def variables(self) -> tuple[str, ...]:
-        return tuple(v for v, _ in self._exps)
+        """Variable names in render order."""
+        return tuple(v for v, _ in self.items())
 
     def exponent(self, name: str) -> int:
         for v, e in self._exps:
@@ -120,7 +139,8 @@ class Monomial:
         return 0
 
     def items(self) -> Iterator[tuple[str, int]]:
-        return iter(self._exps)
+        """``(variable, exponent)`` pairs in render order."""
+        return iter(sorted(self._exps, key=lambda it: _variable_key(it[0])))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -130,18 +150,18 @@ class Monomial:
         acc = dict(self._exps)
         for v, e in other._exps:
             acc[v] = acc.get(v, 0) + e
-        return Monomial(acc)
+        return Monomial._trusted(acc)
 
     def lcm(self, other: "Monomial") -> "Monomial":
         acc = dict(self._exps)
         for v, e in other._exps:
             if e > acc.get(v, 0):
                 acc[v] = e
-        return Monomial(acc)
+        return Monomial._trusted(acc)
 
     def gcd(self, other: "Monomial") -> "Monomial":
         theirs = dict(other._exps)
-        return Monomial({v: min(e, theirs[v]) for v, e in self._exps if v in theirs and min(e, theirs[v]) > 0})
+        return Monomial._trusted({v: min(e, theirs[v]) for v, e in self._exps if v in theirs})
 
     def divides(self, other: "Monomial") -> bool:
         theirs = dict(other._exps)
@@ -154,7 +174,7 @@ class Monomial:
         if not other.divides(self):
             raise NotDivisibleError(f"{other} does not divide {self}")
         theirs = dict(other._exps)
-        return Monomial({v: e - theirs.get(v, 0) for v, e in self._exps if e - theirs.get(v, 0) > 0})
+        return Monomial._trusted({v: e - theirs.get(v, 0) for v, e in self._exps if e > theirs.get(v, 0)})
 
     # -- identity ------------------------------------------------------------
 
@@ -167,7 +187,7 @@ class Monomial:
     def __str__(self) -> str:
         if not self._exps:
             return "1"
-        return "*".join(v if e == 1 else f"{v}^{e}" for v, e in self._exps)
+        return "*".join(v if e == 1 else f"{v}^{e}" for v, e in self.items())
 
     def __repr__(self) -> str:
         return f"Monomial({str(self)!r})"

@@ -26,8 +26,9 @@ from lcmlattice import (
     enumerate_all_lattices,
     gcd_all,
     lcm_all,
+    lcm_lattice,
 )
-from lcmlattice.lattice import bits_of
+from lcmlattice.lattice import _set_str, bits_of
 
 
 @lru_cache(maxsize=None)
@@ -84,6 +85,34 @@ def subset_weak_generators(lat: AtomicLattice, labeling: Labeling) -> tuple[Mono
     return tuple(
         gcd_all(term for p, term in per_element.items() if a & ~p == 0) for a in lat.atoms
     )
+
+
+def specific_map_oracle(lat: AtomicLattice, atom_monomials: tuple[Monomial, ...]):
+    """Is g(p) = lcm of the atom monomials below p an isomorphism onto the
+    lcm-lattice of those monomials?  By the definition: build the lcm-lattice,
+    then check size, injectivity, membership and order reflection (order is
+    preserved upward by construction), with an O(m^2) divisibility scan.
+    Returns ``(verdict, witness)``; the oracle for the join-rule decision in
+    :mod:`lcmlattice.classify`, whose false verdicts carry this same witness."""
+    ll = lcm_lattice(atom_monomials)
+    if len(ll) != len(lat):
+        return False, f"lcm-lattice has {len(ll)} elements, the lattice has {len(lat)}"
+    g = {p: lcm_all(atom_monomials[b.bit_length() - 1] for b in bits_of(p)) for p in lat.sets}
+    seen: dict[Monomial, int] = {}
+    for p in lat.sets:
+        if g[p] in seen:
+            return False, f"map collision: {_set_str(seen[g[p]])} and {_set_str(p)} both map to {g[p]}"
+        if g[p] not in ll:
+            return False, f"{_set_str(p)} maps to {g[p]}, which is not in the lcm-lattice"
+        seen[g[p]] = p
+    for p in lat.sets:
+        for q in lat.sets:
+            if g[p].divides(g[q]) and p & ~q:
+                return False, (
+                    f"order not reflected: image of {_set_str(p)} divides image of {_set_str(q)} "
+                    f"but {_set_str(p)} is not below {_set_str(q)}"
+                )
+    return True, None
 
 
 def flat_lattice(n: int) -> AtomicLattice:

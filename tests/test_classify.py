@@ -2,7 +2,9 @@ import pytest
 
 from lcmlattice import (
     AtomicLattice,
+    CapExceededError,
     Labeling,
+    LcmLattice,
     DegenerateIdealError,
     PreconditionError,
     atom_generator,
@@ -13,16 +15,22 @@ from lcmlattice import (
     is_coordinatization,
     is_strong_coordinatization,
     is_weak_coordinatization,
+    lcm_lattice,
+    support_labeling,
     verify_labeling_recovery,
     weak_ideal,
 )
+from lcmlattice.classify import _specific_map_isomorphism
+from lcmlattice.ideals import _refine
 
 from conftest import (
     chain_condition_labeling,
+    flat_lattice,
     lattices_with,
     overlap_condition_labeling,
     random_labeling,
     random_lattice,
+    specific_map_oracle,
 )
 
 BOOLEAN3 = AtomicLattice.from_sets(3, [[], [1], [2], [3], [1, 2], [1, 3], [2, 3], [1, 2, 3]])
@@ -233,6 +241,63 @@ def test_classify_matches_the_single_checks(rng):
                 assert field in witness
             assert getattr(c, field) == expected
             assert (field in witness) == (not expected)
+
+
+# -- the join-rule decision against the lcm-lattice definition --------------------
+
+
+def _decision_corpus(rng):
+    makers = (random_labeling, chain_condition_labeling, overlap_condition_labeling)
+    for n in range(1, 5):
+        for lat in lattices_with(n):
+            for make in makers:
+                yield lat, make(rng, lat)
+    for _ in range(300):
+        lat = random_lattice(rng, rng.randint(2, 7))
+        yield lat, rng.choice(makers)(rng, lat)
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except DegenerateIdealError as exc:
+        return False, str(exc)
+
+
+def test_specific_map_decision_matches_the_oracle(rng):
+    """Injective plus g(p v a) = lcm(g(p), g(a)) decides what the lcm-lattice
+    build decides; false verdicts keep the oracle's witness, in the single
+    check and in ``classify``."""
+    counts = {True: 0, False: 0}
+    for lat, lab in _decision_corpus(rng):
+        c = classify(lat, lab)
+        x = ideal_from_labeling(lat, lab).generators
+        for field, gens in (("is_strong", x), ("is_weak", _refine(lat, x))):
+            expected = _outcome(specific_map_oracle, lat, gens)
+            assert _outcome(_specific_map_isomorphism, lat, gens, lcm_lattice) == expected
+            assert (getattr(c, field), (c.witness or {}).get(field)) == expected
+            counts[expected[0]] += 1
+        if c.is_strong:
+            assert c.is_coordinatization
+    assert min(counts.values()) >= 1000  # both verdicts well exercised
+
+
+def test_classify_builds_no_lcm_lattice_when_strong_holds(rng, monkeypatch):
+    def refuse(self, generators):
+        raise AssertionError("classify built an lcm-lattice")
+
+    monkeypatch.setattr(LcmLattice, "__init__", refuse)
+    cases = [(lat, chain_condition_labeling(rng, lat)) for lat in lattices_with(4)[::5]]
+    # 2^20 subsets would be far too many to build: the decision takes O(m*n) joins
+    lat = flat_lattice(20)
+    cases.append((lat, support_labeling(lat)))
+    for lat, lab in cases:
+        c = classify(lat, lab)
+        assert c.is_strong and c.is_coordinatization and c.is_weak and c.witness is None
+    # the cap still applies, with the message the lcm-lattice build would give
+    lat = flat_lattice(21)
+    with pytest.raises(CapExceededError, match="^21 generators exceed the supported maximum 20$"):
+        classify(lat, support_labeling(lat))
 
 
 # -- labeling recovery -----------------------------------------------------------

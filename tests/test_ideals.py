@@ -169,12 +169,42 @@ def test_refined_generator_divides_plain(rng):
 
 
 def test_weak_generator_matches_weak_ideal(rng):
-    for _ in range(15):
-        lat = random_lattice(rng, rng.randint(2, 4))
-        lab = random_labeling(rng, lat)
+    builders = (random_labeling, chain_condition_labeling, overlap_condition_labeling)
+    cases = []
+    for i in range(90):
+        lat = random_lattice(rng, rng.randint(1, 6))
+        cases.append((lat, builders[i % 3](rng, lat)))
+    for lat in (flat_lattice(9), boolean_lattice(5)):
+        cases += [(lat, support_labeling(lat)), (lat, random_labeling(rng, lat))]
+    for lat, lab in cases:
         assert tuple(weak_ideal(lat, lab)) == tuple(
             weak_generator(lat, lab, a) for a in lat.atoms
         )
+
+
+def test_generator_builders_never_reach_the_name_regex(rng, monkeypatch):
+    """x(a) and delta(a) are built from exponents the labeling already
+    validated, through the trusted constructor."""
+    from lcmlattice import monomial
+
+    lat = boolean_lattice(4)
+    lab = random_labeling(rng, lat, variables=["a1", "a12", "x", "y_2"])
+    plain = ideal_from_labeling(lat, lab).generators
+    weak = weak_ideal(lat, lab).generators
+    below_pair = element_generator(lat, lab, 0b0011)
+
+    class Refuse:
+        def fullmatch(self, *args):
+            raise AssertionError("a generator builder reached the name regex")
+
+        match = fullmatch
+
+    monkeypatch.setattr(monomial, "_IDENT", Refuse())
+    monkeypatch.setattr(monomial, "_ATOM_NAME", Refuse())
+    assert ideal_from_labeling(lat, lab).generators == plain
+    assert weak_ideal(lat, lab).generators == weak
+    assert tuple(weak_generator(lat, lab, a) for a in lat.atoms) == weak
+    assert element_generator(lat, lab, 0b0011) == below_pair
 
 
 def test_weak_ideal_matches_subset_definition(rng):
@@ -280,7 +310,7 @@ def test_lcm_lattice_support_collision_is_an_error(monkeypatch):
     """The support map's injectivity is checked by an explicit test, not an
     ``assert``; force a collision to see it fire."""
     monkeypatch.setattr(Monomial, "divides", lambda self, other: True)
-    with pytest.raises(ValidationError, match=r"share the support \[1, 2\]"):
+    with pytest.raises(ValidationError, match=r"share the support \{1,2\}"):
         LcmLattice([Monomial.parse("a"), Monomial.parse("b")])
 
 

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lcmlattice import ONE, Monomial, MonomialParseError, NotDivisibleError, gcd_all, lcm_all
+from lcmlattice import monomial as monomial_module
 
 # -- parsing and rendering ----------------------------------------------------
 
@@ -62,6 +63,55 @@ def test_render_canonical_order():
 def test_parse_render_roundtrip(exps):
     m = Monomial(exps)
     assert Monomial.parse(str(m)) == m
+
+
+def _render_key(name):
+    """``a<k>`` names first by k, then the rest by name; ``a``, ``a0`` and ``a01`` are not atom names."""
+    if name[0] == "a" and name[1:].isdigit() and name[1] != "0":
+        return (0, int(name[1:]), name)
+    return (1, 0, name)
+
+
+names = st.one_of(
+    st.integers(min_value=1, max_value=30).map(lambda k: f"a{k}"),
+    st.sampled_from(["a", "a0", "a01", "ab", "b", "_t", "Z"]),
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True),
+)
+exponent_maps = st.dictionaries(names, st.integers(min_value=1, max_value=5), max_size=6)
+
+
+@given(exponent_maps, exponent_maps)
+def test_render_order_where_order_is_visible(left, right):
+    """Arithmetic keeps exponents in plain name order; ``str``, ``items()`` and
+    ``variables`` still show the ``a<k>``-first order."""
+    product = {v: left.get(v, 0) + right.get(v, 0) for v in left.keys() | right.keys()}
+    lcm = {v: max(left.get(v, 0), right.get(v, 0)) for v in left.keys() | right.keys()}
+    a, b = Monomial(left), Monomial(right)
+    for m, exps in ((a, left), (a * b, product), (a.lcm(b), lcm), ((a * b) / b, left)):
+        ordered = sorted(exps.items(), key=lambda it: _render_key(it[0]))
+        assert list(m.items()) == ordered
+        assert m.variables == tuple(v for v, _ in ordered)
+        assert str(m) == ("*".join(v if e == 1 else f"{v}^{e}" for v, e in ordered) or "1")
+        assert m == Monomial(exps) and hash(m) == hash(Monomial(exps))
+
+
+class _RefusedRegex:
+    def fullmatch(self, *args):
+        raise AssertionError("arithmetic reached the name regex")
+
+    match = fullmatch
+
+
+def test_arithmetic_never_reaches_the_name_regex(monkeypatch):
+    a = Monomial.parse("a2^3*x*y_1^2")
+    b = Monomial.parse("a10*x^4*z")
+    expected = [Monomial.parse(t) for t in ("a2^3*a10*x^5*y_1^2*z", "a2^3*a10*x^4*y_1^2*z", "x")]
+    monkeypatch.setattr(monomial_module, "_IDENT", _RefusedRegex())
+    monkeypatch.setattr(monomial_module, "_ATOM_NAME", _RefusedRegex())
+    assert [a * b, a.lcm(b), a.gcd(b)] == expected
+    assert (a * b) / b == a and a.divides(a * b)
+    assert lcm_all([a, b]) == expected[1] and gcd_all([a, b, a * b]) == expected[2]
+    assert len({a * b, expected[0]}) == 1
 
 
 # -- arithmetic ---------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Repository-wide rules that are cheaper to check than to remember."""
 
 import ast
+import re
 from pathlib import Path
 
 import lcmlattice
 
 PACKAGE = Path(lcmlattice.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_no_assert_statements_in_package():
@@ -56,3 +58,21 @@ def test_no_unused_imports_in_package():
             if name not in used
         ]
     assert found == []
+
+
+def test_every_cap_is_in_the_readme_limits_table():
+    """Each module-level ``MAX_*`` cap is documented as ``module.NAME`` in
+    the README "Limits" table, so a new cap cannot go undocumented."""
+    caps = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        caps += [
+            f"{path.stem}.{target.id}"
+            for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name) and re.fullmatch(r"MAX_[A-Z0-9_]+", target.id)
+        ]
+    limits = README.read_text().split("## Limits", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"^\| `([\w.]+)` \|", limits, flags=re.MULTILINE))
+    assert caps and [cap for cap in caps if cap not in documented] == []
