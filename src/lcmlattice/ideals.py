@@ -315,16 +315,11 @@ def ideal_from_labeling(lat: AtomicLattice, labeling: Labeling) -> MonomialIdeal
 def weak_generator(lat: AtomicLattice, labeling: Labeling, atom: int) -> Monomial:
     """The refined generator ``delta(a)``; always divides ``x(a)``.
 
-    Equal to the entry for ``a`` of :func:`weak_ideal`, but takes thresholds
-    only at the elements above ``a`` and only for the variables of ``x(a)``.
+    One entry of :func:`weak_ideal`, which computes every atom's at once.
     """
     if atom.bit_count() != 1 or atom not in lat:
         raise PreconditionError(f"{_set_str(atom)} is not an atom of the lattice")
-    x_exps = [dict(g._exps) for g in ideal_from_labeling(lat, labeling).generators]
-    i = atom.bit_length() - 1
-    above = lat.filter(atom)
-    delta = {v: _least_thresholds(lat, [exps.get(v, 0) for exps in x_exps], above)[i] for v in x_exps[i]}
-    return Monomial._trusted({v: t for v, t in delta.items() if t})
+    return weak_ideal(lat, labeling).generators[atom.bit_length() - 1]
 
 
 def weak_ideal(lat: AtomicLattice, labeling: Labeling) -> MonomialIdeal:
@@ -346,34 +341,28 @@ def _refine(lat: AtomicLattice, generators: tuple[Monomial, ...]) -> tuple[Monom
     x_exps = [dict(g._exps) for g in generators]
     deltas: list[dict[str, int]] = [{} for _ in generators]
     for v in {v for exps in x_exps for v in exps}:
-        for i, t in enumerate(_least_thresholds(lat, [exps.get(v, 0) for exps in x_exps], lat.sets)):
+        column = [exps.get(v, 0) for exps in x_exps]
+        levels: dict[int, int] = {}  # t -> mask of the atoms b with e_v(x(b)) <= t, t increasing
+        below = 0
+        for i, e in sorted(enumerate(column), key=lambda ie: ie[1]):
+            below |= 1 << i
+            levels[e] = below
+        best = column[:]  # the threshold at an atom is its own exponent
+        for p in lat.sets:
+            if p.bit_count() < 2:
+                continue
+            for t, below in levels.items():
+                part = below & p
+                if part == p or (part and lat.join_mask(part) == p):
+                    break
+            for b in bits_of(p):
+                i = b.bit_length() - 1
+                if t < best[i]:
+                    best[i] = t
+        for i, t in enumerate(best):
             if t:
                 deltas[i][v] = t
     return tuple(Monomial._trusted(exps) for exps in deltas)
-
-
-def _least_thresholds(lat: AtomicLattice, column: list[int], elements: Iterable[int]) -> list[int]:
-    """Per atom ``i``, the least of ``column[i]`` (the exponent of one variable
-    in ``x(a_i)``) and the join thresholds of those ``elements`` above ``a_i``;
-    see :func:`_refine`."""
-    levels: dict[int, int] = {}  # t -> mask of the atoms b with e_v(x(b)) <= t, t increasing
-    below = 0
-    for i, e in sorted(enumerate(column), key=lambda ie: ie[1]):
-        below |= 1 << i
-        levels[e] = below
-    best = column[:]  # the threshold at an atom is its own exponent
-    for p in elements:
-        if p.bit_count() < 2:
-            continue
-        for t, below in levels.items():
-            part = below & p
-            if part == p or (part and lat.join_mask(part) == p):
-                break
-        for b in bits_of(p):
-            i = b.bit_length() - 1
-            if t < best[i]:
-                best[i] = t
-    return best
 
 
 # ---------------------------------------------------------------------------
