@@ -39,7 +39,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .lattice import AtomicLattice, _set_str, atoms_of, bits_of, mask_of
+from .lattice import AtomicLattice, _canon_key, _set_str, atoms_of, bits_of, mask_of
 from .monomial import ONE, Monomial, gcd_all
 
 __all__ = [
@@ -91,7 +91,7 @@ class Labeling:
                 raise ValidationError(f"element {_set_str(p)} labeled twice, with {table[p]} and {m}")
             table[p] = m
         self.lattice = lattice
-        self._table = {p: table[p] for p in sorted(table, key=lambda q: (q.bit_count(), q))}
+        self._table = {p: table[p] for p in sorted(table, key=_canon_key)}
 
     @classmethod
     def from_sets(
@@ -414,7 +414,7 @@ class LcmLattice:
                     f"lcm-lattice elements {other} and {m} share the support {_set_str(mask)}"
                 )
 
-        order = sorted(elements, key=lambda m: (mask_table[m].bit_count(), mask_table[m]))
+        order = sorted(elements, key=lambda m: _canon_key(mask_table[m]))
         self.generators = gens
         self.monomials = tuple(order)
         self._mask_of = mask_table

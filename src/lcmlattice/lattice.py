@@ -36,8 +36,8 @@ __all__ = [
 ]
 
 MAX_ATOMS = 64
-# joining_sets walks and caches all 2^k atom subsets of a k-atom element
-# (65,536 at k = 16), so each further atom doubles its time and memory.
+# joining_sets, the one function under this cap, walks all 2^k atom subsets
+# of a k-atom element (65,536 at k = 16); no other package function calls it.
 MAX_JOINING_ATOMS = 16
 
 
@@ -55,18 +55,14 @@ def mask_of(atoms: Iterable[int], n: Optional[int] = None) -> int:
 
 def atoms_of(mask: int) -> tuple[int, ...]:
     """Sorted 1-based atom indices of a bitmask."""
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+    return tuple(b.bit_length() for b in bits_of(mask))
 
 
 def bits_of(mask: int) -> Iterator[int]:
-    """Iterate the single-bit masks of ``mask``, lowest first."""
+    """Iterate the single-bit masks of ``mask``, lowest first.  A negative
+    int has infinitely many set bits, so it raises :class:`NotAnElementError`."""
+    if mask < 0:
+        raise NotAnElementError(f"{mask} is not a set of atoms")
     while mask:
         b = mask & -mask
         yield b

@@ -29,7 +29,7 @@ from .errors import PreconditionError
 from .ideals import Labeling, ideal_from_labeling, weak_ideal
 from .lattice import AtomicLattice, _set_str, atoms_of, bits_of
 from .monomial import Monomial
-from .superatomic import _pairs_within, cover_witness, is_super_atomic
+from .superatomic import _joining_pairs, cover_witness, is_super_atomic
 
 __all__ = [
     "support_labeling",
@@ -142,10 +142,6 @@ def check_weak_interval_criterion(lat: AtomicLattice) -> IntervalCriterionReport
         hypothesis_holds=all(w.satisfied for w in witnesses),
         witnesses=tuple(witnesses),
     )
-
-
-def _joining_pairs(lat: AtomicLattice, p: int) -> list[int]:
-    return [pr for pr in _pairs_within(p) if lat.join_mask(pr) == p]
 
 
 def check_strong_interval_criterion(lat: AtomicLattice) -> tuple[bool, Optional[str]]:

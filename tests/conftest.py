@@ -29,6 +29,7 @@ from lcmlattice import (
     lcm_lattice,
 )
 from lcmlattice.lattice import _set_str, bits_of
+from lcmlattice.superatomic import _pairs_within
 
 
 @lru_cache(maxsize=None)
@@ -115,9 +116,35 @@ def specific_map_oracle(lat: AtomicLattice, atom_monomials: tuple[Monomial, ...]
     return True, None
 
 
+def literal_super_atomic_oracle(lat: AtomicLattice) -> bool:
+    """Super-atomic by the literal definition: every atom set joining to an
+    element of two or more atoms holds exactly one pair that already joins
+    to it.  Walks all 2^|p| atom subsets of each element, so it is only
+    sensible for small n; the oracle for :func:`lcmlattice.is_super_atomic`."""
+    for p in lat.sets:
+        if p == 0 or p.bit_count() == 1:
+            continue
+        for T in lat.joining_sets(p):
+            pairs = 0
+            for pr in _pairs_within(T):
+                if lat.join_mask(pr) == p:
+                    pairs += 1
+                    if pairs > 1:
+                        break
+            if pairs != 1:
+                return False
+    return True
+
+
 def flat_lattice(n: int) -> AtomicLattice:
     """The lattice {0, atoms, top} on n atoms."""
     return AtomicLattice(n, [0, *(1 << i for i in range(n)), (1 << n) - 1])
+
+
+def interval_lattice(n: int) -> AtomicLattice:
+    """The intervals [i..j] of atoms 1..n, with the empty set: super-atomic,
+    and its top has all n atoms."""
+    return AtomicLattice(n, [0, *((2 << j) - (1 << i) for i in range(n) for j in range(i, n))])
 
 
 def boolean_lattice(n: int) -> AtomicLattice:

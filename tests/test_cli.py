@@ -6,6 +6,8 @@ from click.testing import CliRunner
 from lcmlattice import AtomicLattice
 from lcmlattice.cli import main
 
+from conftest import flat_lattice, interval_lattice
+
 BOOLEAN3_DOC = {"n": 3, "sets": [[], [1], [2], [3], [1, 2], [1, 3], [2, 3], [1, 2, 3]]}
 
 FIG6_DOC = {
@@ -218,11 +220,21 @@ def test_check_superatomic(runner, files):
     assert json.loads(res.output) == {"literal": False, "via_supp": False, "agree": True}
 
 
-def test_check_superatomic_over_joining_set_cap(runner, files):
-    flat17 = {"n": 17, "sets": [[], *([i] for i in range(1, 18)), list(range(1, 18))]}
-    res = runner.invoke(main, ["check-superatomic", files("flat17.json", flat17)])
-    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
-    assert "17 atoms exceed the supported maximum 16" in res.stderr
+def test_check_superatomic_answers_beyond_the_joining_set_cap(runner, files, monkeypatch):
+    def refuse(self, p):
+        raise AssertionError("a super-atomic check enumerated joining sets")
+
+    monkeypatch.setattr(AtomicLattice, "joining_sets", refuse)
+    intervals20 = files("intervals20.json", interval_lattice(20).to_json_dict())
+    res = runner.invoke(main, ["check-superatomic", intervals20])
+    assert res.exit_code == 0
+    assert json.loads(res.output) == {"literal": True, "via_supp": True, "agree": True}
+    res = runner.invoke(main, ["check-labeling-c", intervals20, "--thm52"])
+    assert res.exit_code == 0
+    assert json.loads(res.output) == {"condition_holds": True, "witness": None}
+    res = runner.invoke(main, ["check-superatomic", files("flat17.json", flat_lattice(17).to_json_dict())])
+    assert res.exit_code == 0
+    assert json.loads(res.output) == {"literal": False, "via_supp": False, "agree": True}
 
 
 # -- check-labeling-c ------------------------------------------------------------------

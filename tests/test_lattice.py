@@ -1,8 +1,14 @@
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import lcmlattice
 from lcmlattice import (
     AtomicLattice,
     CapExceededError,
@@ -81,6 +87,34 @@ def test_order_and_operations():
         DIAMOND3.leq(0b011, 0b111)  # {1,2} not an element of the diamond
     with pytest.raises(NotAnElementError):
         DIAMOND3.join_mask(0b11000)
+
+
+def test_negative_masks_are_refused_at_once():
+    """A negative int has infinitely many set bits, so rendering or walking it
+    must raise instead of looping.  The calls run in a child process, so a
+    hang fails the test at the timeout instead of stalling the suite."""
+    code = textwrap.dedent(
+        """
+        from lcmlattice import AtomicLattice, Labeling, Monomial, NotAnElementError
+        lat = AtomicLattice(2, [0, 1, 2, 3])
+        calls = [
+            lambda: lat.leq(-1, 0),
+            lambda: lat.join_mask(-1),
+            lambda: lat.filter(-2),
+            lambda: Labeling(lat, {-1: Monomial.parse("x")}),
+        ]
+        for call in calls:
+            try:
+                call()
+            except NotAnElementError:
+                print("refused")
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(lcmlattice.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30)
+    assert done.stdout.split() == ["refused"] * 4, done.stderr
+    with pytest.raises(NotAnElementError):
+        atoms_of(-1)
 
 
 def test_join_is_least_upper_bound(rng):

@@ -1,3 +1,4 @@
+import random
 from math import factorial
 
 import pytest
@@ -19,7 +20,13 @@ from lcmlattice import (
     verify_new_element_meet_irreducible,
 )
 
-from conftest import flat_lattice, lattices_with, random_lattice
+from conftest import (
+    flat_lattice,
+    interval_lattice,
+    lattices_with,
+    literal_super_atomic_oracle,
+    random_lattice,
+)
 
 BOOLEAN3 = AtomicLattice.from_sets(3, [[], [1], [2], [3], [1, 2], [1, 3], [2, 3], [1, 2, 3]])
 
@@ -49,11 +56,48 @@ def test_detectors_on_known_lattices():
         check_superatomic_structure(BOOLEAN3)
 
 
-def test_literal_detector_refuses_elements_over_the_joining_set_cap():
+def test_detectors_answer_beyond_the_joining_set_cap(monkeypatch):
+    def refuse(self, p):
+        raise AssertionError("a super-atomic check enumerated joining sets")
+
+    monkeypatch.setattr(AtomicLattice, "joining_sets", refuse)
+    intervals20 = interval_lattice(20)
+    assert is_super_atomic(intervals20)
+    assert is_super_atomic_via_supp(intervals20)
+    assert check_superatomic_structure(intervals20)
     flat17 = flat_lattice(17)
-    with pytest.raises(CapExceededError, match="17 atoms"):
-        is_super_atomic(flat17)
+    assert not is_super_atomic(flat17)
     assert not is_super_atomic_via_supp(flat17)
+
+
+def _super_atomic_and_near_misses(n):
+    """Each super-atomic lattice on n atoms, then each copy of it with one
+    non-required meet-irreducible removed (still a lattice, never super-atomic)."""
+    for lat in enumerate_super_atomic(n):
+        yield lat
+        for m in lat.meet_irreducibles():
+            if m.bit_count() >= 2 and m != lat.top:
+                yield AtomicLattice(n, [s for s in lat.sets if s != m])
+
+
+def _seeded_random_lattices(count, seed=5):
+    rng = random.Random(seed)
+    return [random_lattice(rng, rng.randint(2, 7)) for _ in range(count)]
+
+
+DETECTOR_CORPORA = {
+    "every lattice with n <= 4": lambda: [lat for n in (1, 2, 3, 4) for lat in lattices_with(n)],
+    "300 random lattices with n <= 7": lambda: _seeded_random_lattices(300),
+    "super-atomic n = 5 and near misses": lambda: list(_super_atomic_and_near_misses(5)),
+    "intervals with n <= 12": lambda: [interval_lattice(n) for n in range(1, 13)],
+}
+
+
+@pytest.mark.parametrize("corpus", DETECTOR_CORPORA)
+def test_is_super_atomic_matches_the_literal_definition(corpus):
+    lats = DETECTOR_CORPORA[corpus]()
+    verdicts = [is_super_atomic(lat) for lat in lats]
+    assert verdicts == [literal_super_atomic_oracle(lat) for lat in lats]
 
 
 def test_detectors_agree_exhaustively_small():
