@@ -315,7 +315,10 @@ def ideal_from_labeling(lat: AtomicLattice, labeling: Labeling) -> MonomialIdeal
 def weak_generator(lat: AtomicLattice, labeling: Labeling, atom: int) -> Monomial:
     """The refined generator ``delta(a)``; always divides ``x(a)``.
 
-    One entry of :func:`weak_ideal`, which computes every atom's at once.
+    The single-atom API.  It computes the whole :func:`weak_ideal` (every
+    ``x(a)`` and every per-variable threshold) and returns one entry, so a
+    caller that wants ``delta`` of several atoms should call
+    :func:`weak_ideal` once instead.
     """
     if atom.bit_count() != 1 or atom not in lat:
         raise PreconditionError(f"{_set_str(atom)} is not an atom of the lattice")
@@ -422,9 +425,24 @@ class LcmLattice:
         self._abstract = None
 
     def abstract(self) -> AtomicLattice:
-        """The underlying atomic lattice, with generator ``i`` as atom ``i``."""
+        """The underlying atomic lattice, with generator ``i`` as atom ``i``.
+
+        The supports are intersection-closed by construction: if ``m1`` and
+        ``m2`` have supports ``S1`` and ``S2``, the element ``lcm{g_j : j in
+        S1 & S2}`` divides both, so every generator dividing it lies in
+        ``S1 & S2``, and its support is exactly ``S1 & S2``.  The unit has
+        support {} and the lcm of all generators the full set.  Only the
+        singletons can be missing, when a generator divides another (as in a
+        direct ``LcmLattice([a, a*b])``); that case goes through the
+        validating constructor, which names the missing sets.
+        """
         if self._abstract is None:
-            self._abstract = AtomicLattice(len(self.generators), self._mask_of.values())
+            n = len(self.generators)
+            masks = tuple(self._mask_of[m] for m in self.monomials)
+            if all(self._mask_of[g] == 1 << i for i, g in enumerate(self.generators)):
+                self._abstract = AtomicLattice._trusted(n, masks)
+            else:
+                self._abstract = AtomicLattice(n, masks)
         return self._abstract
 
     def monomial_of(self, mask: int) -> Monomial:

@@ -6,7 +6,12 @@ contains the empty set, every singleton and the full set, and is closed under
 pairwise intersection; conversely every such family, ordered by inclusion, is
 a finite atomic lattice.  This module works directly with that encoding:
 an *element* is an ``int`` bitmask over atoms (atom ``i`` is bit ``i-1``),
-and a lattice is a validated, canonically ordered tuple of masks.
+and a lattice is a validated, canonically ordered tuple of masks.  Families
+that are closed by construction skip the validation through the trusted
+constructor :meth:`AtomicLattice._trusted`; its only callers are
+:meth:`AtomicLattice.relabel`, :meth:`LcmLattice.abstract
+<lcmlattice.ideals.LcmLattice.abstract>`, and the enumerations
+``enumerate_super_atomic`` and ``enumerate_all_lattices``.
 
 Canonical order is (cardinality, mask value); it is the order used for
 iteration, serialization and DOT export, which keeps all output byte-stable.
@@ -82,7 +87,9 @@ class AtomicLattice:
 
     Construct with :meth:`from_sets` (iterables of 1-based indices) or pass
     bitmasks directly.  Construction validates the axioms and raises
-    :class:`ValidationError` carrying *all* violations at once.
+    :class:`ValidationError` carrying *all* violations at once.  Package code
+    holding a family that is valid by construction uses :meth:`_trusted`
+    instead (see the module docstring for its callers).
     """
 
     __slots__ = ("n", "sets", "_index", "_join_cache", "_covers", "_upper_covers", "_mi")
@@ -122,9 +129,24 @@ class AtomicLattice:
                 non_closed_pairs=[(atoms_of(a), atoms_of(b)) for a, b in non_closed],
             )
 
+        self._fill(n, tuple(ordered))
+
+    @classmethod
+    def _trusted(cls, n: int, sets: tuple[int, ...]) -> "AtomicLattice":
+        """Wrap masks known to form a lattice on ``n`` atoms, in canonical order.
+
+        Checks nothing: no types, no order, no required sets, no closure.
+        Only for families that are valid by construction, each caller's
+        docstring giving the reason; never hand it outside input.
+        """
+        lat = object.__new__(cls)
+        lat._fill(n, sets)
+        return lat
+
+    def _fill(self, n: int, sets: tuple[int, ...]) -> None:
         self.n = n
-        self.sets = tuple(ordered)
-        self._index = {m: i for i, m in enumerate(self.sets)}
+        self.sets = sets
+        self._index = {m: i for i, m in enumerate(sets)}
         self._join_cache: dict[int, int] = {}
         self._covers = None
         self._upper_covers = None
@@ -315,7 +337,11 @@ class AtomicLattice:
         return all(a & ~b == 0 for a, b in zip(ordered, ordered[1:]))
 
     def relabel(self, image: Mapping[int, int] | Iterable[int]) -> "AtomicLattice":
-        """Apply an atom permutation; ``image`` maps each 1-based index to its new index."""
+        """Apply an atom permutation; ``image`` maps each 1-based index to its new index.
+
+        A permutation keeps the required sets and commutes with intersection,
+        so the image of a valid family is valid and only needs re-sorting.
+        """
         if not isinstance(image, Mapping):
             image = {i + 1: v for i, v in enumerate(image)}
         if sorted(image) != list(range(1, self.n + 1)) or sorted(image.values()) != list(range(1, self.n + 1)):
@@ -328,7 +354,7 @@ class AtomicLattice:
                 out |= shift[b]
             return out
 
-        return AtomicLattice(self.n, (apply(m) for m in self.sets))
+        return AtomicLattice._trusted(self.n, tuple(sorted(map(apply, self.sets), key=_canon_key)))
 
     # -- serialization -------------------------------------------------------
 

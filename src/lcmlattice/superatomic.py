@@ -24,10 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import CapExceededError, PreconditionError
-from .lattice import AtomicLattice, _canon_key, atoms_of, bits_of
+from .lattice import AtomicLattice, atoms_of, bits_of
 
 __all__ = [
     "is_super_atomic",
@@ -140,18 +140,40 @@ def _descend(level: tuple[int, ...], family: frozenset[int]) -> Iterator[frozens
         yield from _descend(tuple(sorted(frozen)), family | frozen)
 
 
-def _family_key(family: frozenset[int]) -> tuple:
-    return tuple(sorted(map(_canon_key, family)))
+def _canonical_families(n: int, families: Iterable[frozenset[int]]) -> list[tuple[int, ...]]:
+    """Each family as a tuple in canonical order, the tuples in canonical order.
+
+    Sorting by ``|m| << n | m`` orders masks below ``2^n`` as the pairs
+    ``(|m|, m)`` do, so one sort of plain ints per family and one sort of the
+    resulting tuples give both orders.
+    """
+    top = (1 << n) - 1
+    keyed = sorted(tuple(sorted([m.bit_count() << n | m for m in fam])) for fam in families)
+    for i, keys in enumerate(keyed):
+        keyed[i] = tuple([k & top for k in keys])
+    return keyed
 
 
 def enumerate_super_atomic(n: int) -> list[AtomicLattice]:
-    """All super-atomic lattices on n atoms, validated and canonically ordered.
+    """All super-atomic lattices on n atoms, valid by construction and
+    canonically ordered.
 
-    Materializes everything; for n = 7 prefer :func:`iter_super_atomic_families`
-    (the full list runs to millions of lattices).
+    Each family of :func:`iter_super_atomic_families` comes out once, holds
+    the bottom, the atoms and the top, and is intersection-closed, so the
+    lattices are built without re-validation.  Closure, by induction on the
+    larger size of two sets U and V of two or more atoms: if both lie in one
+    level, delta(U) is in no other set of that level, so some x in delta(U)
+    is outside V and some y in delta(V) outside U, and U & V equals
+    (U - x) & (V - y), two sets of the next level down.  If U lies in a lower
+    level, it lies in some W of V's level, since each set comes from one of
+    the level above; then U & V is U when W = V, and U & (W & V) otherwise,
+    where W & V is a member smaller than V.
+
+    Materializes everything; for n = 7 prefer
+    :func:`iter_super_atomic_families` (the full list runs to millions of
+    lattices).
     """
-    families = set(iter_super_atomic_families(n))
-    return [AtomicLattice(n, fam) for fam in sorted(families, key=_family_key)]
+    return [AtomicLattice._trusted(n, sets) for sets in _canonical_families(n, iter_super_atomic_families(n))]
 
 
 def enumerate_all_lattices(n: int) -> list[AtomicLattice]:
@@ -175,7 +197,7 @@ def enumerate_all_lattices(n: int) -> list[AtomicLattice]:
         members = set(required).union(chosen)
         if all(a & b in members for a, b in combinations(chosen, 2)):
             out.append(frozenset(members))
-    return [AtomicLattice(n, fam) for fam in sorted(out, key=_family_key)]
+    return [AtomicLattice._trusted(n, sets) for sets in _canonical_families(n, out)]
 
 
 @dataclass(frozen=True)

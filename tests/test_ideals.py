@@ -36,10 +36,12 @@ from lcmlattice.lattice import bits_of
 from conftest import (
     boolean_lattice,
     chain_condition_labeling,
+    cubic_covers,
     flat_lattice,
     overlap_condition_labeling,
     random_labeling,
     random_lattice,
+    random_monomial,
     subset_weak_generators,
 )
 
@@ -350,6 +352,38 @@ def test_lcm_lattice_is_always_atomic_with_unique_supports(rng):
         for m in ll:
             mask = ll.mask_of(m)
             assert lcm_all(g for g, a in zip(ll.generators, ll.abstract().atoms) if a & mask) == m
+
+
+def test_abstract_matches_the_validating_constructor(rng):
+    """abstract() builds without re-validation; it must equal the validated
+    family of supports, also when the input has duplicates and multiples."""
+    for _ in range(60):
+        gens = [random_monomial(rng, list("abcde")) for _ in range(rng.randint(1, 6))]
+        gens += [gens[0], gens[-1] * Monomial.parse(rng.choice("abcdef"))]
+        rng.shuffle(gens)
+        ll = lcm_lattice(gens)
+        lat = ll.abstract()
+        assert lat == AtomicLattice(len(ll.generators), [ll.mask_of(m) for m in ll])
+        assert lat.covers() == cubic_covers(lat)
+
+
+def test_abstract_does_not_revalidate(monkeypatch):
+    ideals = [FIG1_IDEAL, parse_ideal_text("a\na*b\nb\n"), [Monomial.parse(f"x{i}") for i in range(8)]]
+    sizes = [len(lcm_lattice(ideal).abstract()) for ideal in ideals]
+
+    def refuse(self, n, masks):
+        raise AssertionError("abstract() re-validated the supports")
+
+    monkeypatch.setattr(AtomicLattice, "__init__", refuse)
+    assert [len(lcm_lattice(ideal).abstract()) for ideal in ideals] == sizes == [6, 4, 256]
+
+
+def test_abstract_of_non_minimal_generators_still_validates():
+    """A direct ``LcmLattice`` on non-minimal generators has no atom for the
+    generator divided by another; abstract() reports it as before."""
+    ll = LcmLattice([Monomial.parse("a"), Monomial.parse("a*b")])
+    with pytest.raises(ValidationError, match=r"^missing required sets: \{2\}$"):
+        ll.abstract()
 
 
 def test_monomial_lookup_errors():

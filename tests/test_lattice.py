@@ -242,6 +242,30 @@ def test_relabel():
     assert isinstance(excinfo.value, Error)
 
 
+def test_relabel_matches_the_validating_constructor(rng):
+    """relabel builds its result without re-validation; it must equal the
+    validated image family, with caches that start empty."""
+    for lat in [*lattices_with(3), *(random_lattice(rng, rng.randint(2, 6)) for _ in range(60))]:
+        lat.covers()
+        perm = list(range(1, lat.n + 1))
+        rng.shuffle(perm)
+        image = [mask_of((perm[a - 1] for a in atoms_of(m)), lat.n) for m in lat.sets]
+        got = lat.relabel(perm)
+        assert got == AtomicLattice(lat.n, image)
+        assert got.covers() == cubic_covers(got)
+
+
+def test_relabel_does_not_revalidate(monkeypatch):
+    lat = AtomicLattice.from_sets(4, [[], [1], [2], [3], [4], [1, 2], [2, 3], [1, 2, 3], [1, 2, 3, 4]])
+    expected = AtomicLattice.from_sets(4, [[], [1], [2], [3], [4], [2, 3], [3, 4], [2, 3, 4], [1, 2, 3, 4]])
+
+    def refuse(self, n, masks):
+        raise AssertionError("relabel re-validated a permuted family")
+
+    monkeypatch.setattr(AtomicLattice, "__init__", refuse)
+    assert lat.relabel([2, 3, 4, 1]) == expected
+
+
 def test_json_roundtrip():
     doc = BOOLEAN3.to_json_dict()
     assert doc == {

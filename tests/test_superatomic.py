@@ -8,6 +8,7 @@ from lcmlattice import (
     CapExceededError,
     CoverWitness,
     PreconditionError,
+    ValidationError,
     check_superatomic_structure,
     cover_witness,
     enumerate_all_lattices,
@@ -140,15 +141,35 @@ def test_enumeration_n3_exact():
     ]
 
 
+def canonical_order(lat: AtomicLattice) -> list[tuple[int, int]]:
+    return [(m.bit_count(), m) for m in lat.sets]
+
+
 def test_enumeration_outputs_validate(rng):
-    for n in (2, 3, 4, 5):
+    """The lattices are built without re-validation, so the validating
+    constructor, fed each family in reverse, must give each one back."""
+    for n in (2, 3, 4, 5, 6):
         lats = enumerate_super_atomic(n)
         assert len(set(lats)) == len(lats)  # no duplicate families
+        assert lats == sorted(lats, key=canonical_order)
         for lat in lats:
+            assert AtomicLattice(n, lat.sets[::-1]) == lat
             assert len(lat) == super_atomic_size(n)
-            assert is_super_atomic(lat)
-            assert is_super_atomic_via_supp(lat)
-            assert check_superatomic_structure(lat)
+            if n <= 5:
+                assert is_super_atomic(lat)
+                assert is_super_atomic_via_supp(lat)
+                assert check_superatomic_structure(lat)
+
+
+def test_enumerations_do_not_revalidate(monkeypatch):
+    def refuse(self, n, masks):
+        raise AssertionError("re-validated a family that is closed by construction")
+
+    monkeypatch.setattr(AtomicLattice, "__init__", refuse)
+    lats = enumerate_super_atomic(5)
+    assert len(lats) == 480 and lats[0].covers()
+    lats = enumerate_all_lattices(3)
+    assert len(lats) == 8 and lats[-1].meet_irreducibles()
 
 
 def test_enumeration_complete_against_filter():
@@ -194,6 +215,22 @@ def test_all_lattices_counts_frozen():
     assert len(enumerate_all_lattices(2)) == 1
     assert len(enumerate_all_lattices(3)) == 8
     assert len(lattices_with(4)) == 545
+
+
+def test_all_lattices_match_the_validating_constructor():
+    """Oracle: every candidate family the validating constructor accepts,
+    in canonical order."""
+    for n in (1, 2, 3, 4):
+        top = (1 << n) - 1
+        required = [0, *(1 << i for i in range(n)), top]
+        optional = [m for m in range(1, top) if m.bit_count() >= 2]
+        expected = []
+        for bits in range(1 << len(optional)):
+            try:
+                expected.append(AtomicLattice(n, required + [m for i, m in enumerate(optional) if bits >> i & 1]))
+            except ValidationError:
+                pass
+        assert enumerate_all_lattices(n) == sorted(expected, key=canonical_order)
 
 
 def test_all_lattices_guard_rails():

@@ -76,3 +76,42 @@ def test_every_cap_is_in_the_readme_limits_table():
     limits = README.read_text().split("## Limits", 1)[1].split("\n## ", 1)[0]
     documented = set(re.findall(r"^\| `([\w.]+)` \|", limits, flags=re.MULTILINE))
     assert caps and [cap for cap in caps if cap not in documented] == []
+
+
+# Every function that may skip AtomicLattice validation, with the private
+# name it uses.  Each builds a family that is valid by construction; the JSON
+# loaders, ``from_sets`` and the CLI must always validate.
+UNVALIDATED_LATTICE_BUILDERS = {
+    "lattice.AtomicLattice.__init__": "_fill",
+    "lattice.AtomicLattice._trusted": "_fill",
+    "lattice.AtomicLattice.relabel": "_trusted",
+    "ideals.LcmLattice.abstract": "_trusted",
+    "superatomic.enumerate_super_atomic": "_trusted",
+    "superatomic.enumerate_all_lattices": "_trusted",
+}
+
+
+def _unvalidated_lattice_uses(node: ast.AST, scope: str, found: dict[str, set[str]]) -> None:
+    """Record, per enclosing function, each ``._trusted`` (other than
+    ``Monomial._trusted``) or ``._fill`` the code mentions."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            _unvalidated_lattice_uses(child, f"{scope}.{child.name}", found)
+            continue
+        if (
+            isinstance(child, ast.Attribute)
+            and child.attr in ("_trusted", "_fill")
+            and not (isinstance(child.value, ast.Name) and child.value.id == "Monomial")
+        ):
+            found.setdefault(scope, set()).add(child.attr)
+        _unvalidated_lattice_uses(child, scope, found)
+
+
+def test_only_closed_by_construction_paths_skip_lattice_validation():
+    """``AtomicLattice._trusted`` checks nothing, so only the functions listed
+    above may reach it; a loader that used it would accept any family."""
+    found: dict[str, set[str]] = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
+        _unvalidated_lattice_uses(ast.parse(path.read_text()), module, found)
+    assert found == {scope: {attr} for scope, attr in UNVALIDATED_LATTICE_BUILDERS.items()}
