@@ -16,14 +16,14 @@ from importlib import resources
 from ..classify import classify
 from ..errors import FormatError
 from ..ideals import (
-    Labeling,
     MonomialIdeal,
     ideal_from_labeling,
+    labeling_from_json_dict,
     lcm_lattice,
     recovered_labeling,
     weak_ideal,
 )
-from ..lattice import AtomicLattice, atoms_of, lattice_isomorphic, mask_of
+from ..lattice import AtomicLattice, atoms_of, lattice_isomorphic
 from ..monomial import Monomial
 from ..superatomic import (
     check_superatomic_structure,
@@ -79,15 +79,6 @@ def load(fixture_id: str) -> dict:
     return json.loads(text)
 
 
-def _labeling_of(doc: dict, lat: AtomicLattice) -> Labeling:
-    if doc.get("support_labeling"):
-        return support_labeling(lat, doc.get("atom_names"))
-    return Labeling(
-        lat,
-        ((mask_of(e["set"], lat.n), Monomial.parse(e["monomial"])) for e in doc["labels"]),
-    )
-
-
 def _check(checks: list, name: str, expected, actual) -> None:
     checks.append(
         FixtureCheck(name=name, passed=expected == actual, expected=repr(expected), actual=repr(actual))
@@ -104,7 +95,11 @@ def run(fixture_id: str) -> FixtureResult:
     checks: list[FixtureCheck] = []
 
     lat = AtomicLattice.from_json_dict(doc["lattice"]) if "lattice" in doc else None
-    labeling = _labeling_of(doc, lat) if lat is not None and ("labels" in doc or doc.get("support_labeling")) else None
+    labeling = None
+    if lat is not None and doc.get("support_labeling"):
+        labeling = support_labeling(lat, doc.get("atom_names"))
+    elif lat is not None and "labels" in doc:
+        labeling = labeling_from_json_dict(doc, lattice=lat)
 
     if "ideal" in doc:
         ll = lcm_lattice(MonomialIdeal(Monomial.parse(s) for s in doc["ideal"]))

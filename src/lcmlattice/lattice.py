@@ -344,7 +344,12 @@ class AtomicLattice:
         """
         if not isinstance(image, Mapping):
             image = {i + 1: v for i, v in enumerate(image)}
-        if sorted(image) != list(range(1, self.n + 1)) or sorted(image.values()) != list(range(1, self.n + 1)):
+        indices = list(range(1, self.n + 1))
+        if (
+            not all(isinstance(i, int) and not isinstance(i, bool) for i in (*image, *image.values()))
+            or sorted(image) != indices
+            or sorted(image.values()) != indices
+        ):
             raise PreconditionError(f"not a permutation of 1..{self.n}: {image!r}")
         shift = {1 << (a - 1): 1 << (b - 1) for a, b in image.items()}
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Iterator, Mapping
 
-from .errors import MonomialParseError, NotDivisibleError
+from .errors import MonomialParseError, NotDivisibleError, PreconditionError
 
 __all__ = ["Monomial", "ONE", "lcm_all", "gcd_all"]
 
@@ -58,9 +58,9 @@ class Monomial:
         items = exponents.items() if isinstance(exponents, Mapping) else exponents
         for name, exp in items:
             if not isinstance(name, str) or not _IDENT.fullmatch(name):
-                raise ValueError(f"invalid variable name: {name!r}")
+                raise PreconditionError(f"invalid variable name: {name!r}")
             if not isinstance(exp, int) or isinstance(exp, bool) or exp <= 0:
-                raise ValueError(f"exponent of {name!r} must be a positive int, got {exp!r}")
+                raise PreconditionError(f"exponent of {name!r} must be a positive int, got {exp!r}")
             acc[name] = acc.get(name, 0) + exp
         self._exps = tuple(sorted(acc.items()))
         self._hash = hash(self._exps)

@@ -12,7 +12,9 @@ Construction works level by level, top down: each set S of the current level
 picks a pair delta(S) of its members not jointly contained in any other set
 of the level, and contributes the two sets S minus one chosen member to the
 next level.  Exhausting all valid choices enumerates every super-atomic
-lattice on n atoms exactly once.
+lattice on n atoms exactly once.  Each level is sorted and holds sets of one
+size, so a family assembled level by level, smallest sets first, is already
+in canonical order; the enumerations never re-sort a family.
 
 Lattices on the same n atoms are partially ordered by containment of their
 set systems; covers in that order add exactly one set, and the added set is
@@ -24,10 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .errors import CapExceededError, PreconditionError
-from .lattice import AtomicLattice, atoms_of, bits_of
+from .lattice import AtomicLattice, _canon_key, atoms_of, bits_of
 
 __all__ = [
     "is_super_atomic",
@@ -89,36 +91,48 @@ def is_super_atomic_via_supp(lat: AtomicLattice) -> bool:
     return True
 
 
+def _require_atom_count(n: int, least: int) -> None:
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise PreconditionError(f"the atom count must be an int, got {n!r}")
+    if n < least:
+        raise PreconditionError(f"need at least {least} atom{'s' if least > 1 else ''}, got {n}")
+
+
 def super_atomic_size(n: int) -> int:
     """Element count shared by every super-atomic lattice on n atoms."""
-    if n < 2:
-        raise PreconditionError(f"need at least 2 atoms, got {n}")
+    _require_atom_count(n, 2)
     return comb(n, 2) + n + 1
 
 
-def iter_super_atomic_families(n: int) -> Iterator[frozenset[int]]:
+def iter_super_atomic_families(n: int) -> Iterator[tuple[int, ...]]:
     """Yield the set system of every super-atomic lattice on n atoms.
 
-    Streams raw mask families without validating or ordering them, which is
-    what makes counting at n = 7 (about 2.6 million families) tolerable.
-    Each family is produced exactly once: within a level, choice combinations
-    yielding the same child level are merged, and families from distinct
-    levels can never coincide because a family determines its levels (the
-    sets of each cardinality).  More than ``MAX_ENUM_ATOMS`` atoms raise
+    Streams each family as a tuple of masks in canonical order (by size,
+    then by mask) without validating them, which is what makes counting at
+    n = 7 (about 2.6 million families) tolerable.  Each family is produced
+    exactly once: within a level, choice combinations yielding the same
+    child level are merged, and families from distinct levels can never
+    coincide because a family determines its levels (the sets of each
+    cardinality).  More than ``MAX_ENUM_ATOMS`` atoms raise
     :class:`CapExceededError`.
     """
-    if n < 2:
-        raise PreconditionError(f"need at least 2 atoms, got {n}")
+    _require_atom_count(n, 2)
     if n > MAX_ENUM_ATOMS:
         raise CapExceededError(f"enumeration on {n} atoms exceeds the cap of {MAX_ENUM_ATOMS}")
     top = (1 << n) - 1
-    base = frozenset((0, *(1 << i for i in range(n)), top))
-    yield from _descend((top,), base)
+    yield from _descend((top,), (), (0, *(1 << i for i in range(n))))
 
 
-def _descend(level: tuple[int, ...], family: frozenset[int]) -> Iterator[frozenset[int]]:
+def _descend(level: tuple[int, ...], above: tuple[int, ...], base: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Every family below ``level``, as ``base`` followed by the levels.
+
+    ``level`` is sorted and holds sets of one size, and ``above`` is the
+    concatenation of the levels above it, smallest size first, so each
+    family comes out in canonical order.
+    """
+    levels = level + above
     if level[0].bit_count() == 2:
-        yield family
+        yield base + levels
         return
     options = []
     for S in level:
@@ -133,47 +147,43 @@ def _descend(level: tuple[int, ...], family: frozenset[int]) -> Iterator[frozens
             lo = pr & -pr
             child.add(S ^ lo)
             child.add(S ^ (pr ^ lo))
-        frozen = frozenset(child)
-        if frozen in seen:
+        child = tuple(sorted(child))
+        if child in seen:
             continue
-        seen.add(frozen)
-        yield from _descend(tuple(sorted(frozen)), family | frozen)
-
-
-def _canonical_families(n: int, families: Iterable[frozenset[int]]) -> list[tuple[int, ...]]:
-    """Each family as a tuple in canonical order, the tuples in canonical order.
-
-    Sorting by ``|m| << n | m`` orders masks below ``2^n`` as the pairs
-    ``(|m|, m)`` do, so one sort of plain ints per family and one sort of the
-    resulting tuples give both orders.
-    """
-    top = (1 << n) - 1
-    keyed = sorted(tuple(sorted([m.bit_count() << n | m for m in fam])) for fam in families)
-    for i, keys in enumerate(keyed):
-        keyed[i] = tuple([k & top for k in keys])
-    return keyed
+        seen.add(child)
+        yield from _descend(child, levels, base)
 
 
 def enumerate_super_atomic(n: int) -> list[AtomicLattice]:
     """All super-atomic lattices on n atoms, valid by construction and
     canonically ordered.
 
-    Each family of :func:`iter_super_atomic_families` comes out once, holds
-    the bottom, the atoms and the top, and is intersection-closed, so the
-    lattices are built without re-validation.  Closure, by induction on the
-    larger size of two sets U and V of two or more atoms: if both lie in one
-    level, delta(U) is in no other set of that level, so some x in delta(U)
-    is outside V and some y in delta(V) outside U, and U & V equals
-    (U - x) & (V - y), two sets of the next level down.  If U lies in a lower
-    level, it lies in some W of V's level, since each set comes from one of
-    the level above; then U & V is U when W = V, and U & (W & V) otherwise,
-    where W & V is a member smaller than V.
+    Each family of :func:`iter_super_atomic_families` comes out once, in
+    canonical order, holds the bottom, the atoms and the top, and is
+    intersection-closed, so the lattices are built without re-validation.
+    Closure, by induction on the larger size of two sets U and V of two or
+    more atoms: if both lie in one level, delta(U) is in no other set of that
+    level, so some x in delta(U) is outside V and some y in delta(V) outside
+    U, and U & V equals (U - x) & (V - y), two sets of the next level down.
+    If U lies in a lower level, it lies in some W of V's level, since each
+    set comes from one of the level above; then U & V is U when W = V, and
+    U & (W & V) otherwise, where W & V is a member smaller than V.
+
+    A plain sort of the tuples puts the families in canonical order, because
+    every super-atomic lattice on n atoms has exactly n - j + 1 sets of size
+    j for 2 <= j <= n, so position i holds sets of one size in every family.
+    Proof, by induction on n: let {a, b} be the pair joining to the top.
+    Then U = top - a and V = top - b are the only elements of size n - 1, and
+    every other element misses a or b, so it lies in the down-set of U or of
+    V; the two down-sets meet in the down-set of U & V.  The down-set of an
+    element p is a super-atomic lattice on supp(p), so inclusion-exclusion
+    gives N_j(n) = [j = n] + 2·N_j(n - 1) - N_j(n - 2).
 
     Materializes everything; for n = 7 prefer
     :func:`iter_super_atomic_families` (the full list runs to millions of
     lattices).
     """
-    return [AtomicLattice._trusted(n, sets) for sets in _canonical_families(n, iter_super_atomic_families(n))]
+    return [AtomicLattice._trusted(n, sets) for sets in sorted(iter_super_atomic_families(n))]
 
 
 def enumerate_all_lattices(n: int) -> list[AtomicLattice]:
@@ -184,20 +194,20 @@ def enumerate_all_lattices(n: int) -> list[AtomicLattice]:
     (545 lattices, from 1024 candidate subsets) is the largest n accepted;
     n = 5 would walk 2^25 candidates and raises :class:`CapExceededError`.
     """
-    if n < 1:
-        raise PreconditionError(f"need at least 1 atom, got {n}")
+    _require_atom_count(n, 1)
     if n > 4:
         raise CapExceededError(f"enumerating all lattices on {n} atoms is not tractable here (max 4)")
     top = (1 << n) - 1
-    required = (0, *(1 << i for i in range(n)), top)
-    optional = [m for m in range(1, top) if m.bit_count() >= 2]
+    base = (0, *(1 << i for i in range(n)))
+    optional = sorted((m for m in range(1, top) if m.bit_count() >= 2), key=_canon_key)
     out = []
     for bits in range(1 << len(optional)):
         chosen = [m for i, m in enumerate(optional) if bits >> i & 1]
-        members = set(required).union(chosen)
+        members = set(base).union(chosen)
         if all(a & b in members for a, b in combinations(chosen, 2)):
-            out.append(frozenset(members))
-    return [AtomicLattice._trusted(n, sets) for sets in _canonical_families(n, out)]
+            out.append((*base, *chosen, top) if n > 1 else base)
+    out.sort(key=lambda sets: [_canon_key(m) for m in sets])
+    return [AtomicLattice._trusted(n, sets) for sets in out]
 
 
 @dataclass(frozen=True)

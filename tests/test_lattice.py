@@ -16,6 +16,7 @@ from lcmlattice import (
     FormatError,
     IncomparableError,
     NotAnElementError,
+    PreconditionError,
     ValidationError,
     atoms_of,
     lattice_isomorphic,
@@ -240,6 +241,13 @@ def test_relabel():
     with pytest.raises(ValueError) as excinfo:
         lat.relabel({1: 1, 2: 2, 3: 2})
     assert isinstance(excinfo.value, Error)
+
+
+@pytest.mark.parametrize("image", [{1: 2.0, 2: 1.0}, [2.0, 1.0], {1.0: 2, 2: 1}, {1: True, 2: 2}, {"1": 2, 2: 1}])
+def test_relabel_rejects_non_int_indices(image):
+    lat = AtomicLattice.from_sets(2, [[], [1], [2], [1, 2]])
+    with pytest.raises(PreconditionError):
+        lat.relabel(image)
 
 
 def test_relabel_matches_the_validating_constructor(rng):

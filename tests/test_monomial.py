@@ -2,7 +2,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lcmlattice import ONE, Monomial, MonomialParseError, NotDivisibleError, gcd_all, lcm_all
+from lcmlattice import (
+    ONE,
+    Error,
+    Monomial,
+    MonomialParseError,
+    NotDivisibleError,
+    PreconditionError,
+    gcd_all,
+    lcm_all,
+)
 from lcmlattice import monomial as monomial_module
 
 # -- parsing and rendering ----------------------------------------------------
@@ -158,6 +167,13 @@ def test_constructor_rejects_bad_input():
         Monomial({"9x": 1})
     with pytest.raises(ValueError):
         Monomial({"a": True})
+
+
+@pytest.mark.parametrize("exps", [{"x": 1.5}, {"9x": 1}])
+def test_constructor_errors_are_package_errors(exps):
+    with pytest.raises(PreconditionError) as excinfo:
+        Monomial(exps)
+    assert isinstance(excinfo.value, Error)
 
 
 def test_value_semantics():

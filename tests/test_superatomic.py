@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -20,6 +21,7 @@ from lcmlattice import (
     super_atomic_size,
     verify_new_element_meet_irreducible,
 )
+from lcmlattice.lattice import _canon_key
 
 from conftest import (
     flat_lattice,
@@ -199,6 +201,40 @@ def test_enumeration_refuses_oversized():
         enumerate_super_atomic(8)
     with pytest.raises(PreconditionError):
         enumerate_super_atomic(1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_streamed_families_are_canonical_tuples(n):
+    for fam in iter_super_atomic_families(n):
+        assert type(fam) is tuple
+        assert fam == tuple(sorted(fam, key=_canon_key))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_every_family_has_n_minus_j_plus_one_sets_of_size_j(n):
+    """The lemma that lets ``enumerate_super_atomic`` order families by a
+    plain tuple sort: the sizes sit at the same positions in every family."""
+    expected = {0: 1, 1: n, **{j: n - j + 1 for j in range(2, n + 1)}}
+    for fam in iter_super_atomic_families(n):
+        assert Counter(m.bit_count() for m in fam) == expected
+
+
+@pytest.mark.parametrize(
+    "call,bad",
+    [
+        (lambda n: next(iter_super_atomic_families(n)), 2.5),
+        (lambda n: next(iter_super_atomic_families(n)), "3"),
+        (enumerate_super_atomic, 3.0),
+        (enumerate_super_atomic, True),
+        (super_atomic_size, 2.5),
+        (super_atomic_size, None),
+        (enumerate_all_lattices, "3"),
+        (enumerate_all_lattices, 2.0),
+    ],
+)
+def test_enumeration_entry_points_reject_a_non_int_atom_count(call, bad):
+    with pytest.raises(PreconditionError):
+        call(bad)
 
 
 def test_iteration_streams_without_materializing():

@@ -62,6 +62,8 @@ def test_support_labeling_custom_names():
         support_labeling(BOOLEAN3, atom_names=["x", "y"])
     with pytest.raises(PreconditionError):
         support_labeling(BOOLEAN3, atom_names=["x", "x", "y"])
+    with pytest.raises(PreconditionError):
+        support_labeling(AtomicLattice.from_sets(2, [[], [1], [2], [1, 2]]), ["a", "1b"])
 
 
 def test_generator_exponents_count_intervals(rng):

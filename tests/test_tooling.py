@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 import lcmlattice
+from lcmlattice import errors
 
 PACKAGE = Path(lcmlattice.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -115,3 +116,27 @@ def test_only_closed_by_construction_paths_skip_lattice_validation():
         module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
         _unvalidated_lattice_uses(ast.parse(path.read_text()), module, found)
     assert found == {scope: {attr} for scope, attr in UNVALIDATED_LATTICE_BUILDERS.items()}
+
+
+def _raised_name(exc: ast.expr) -> str:
+    """The dotted name of what a ``raise`` statement raises."""
+    target = exc.func if isinstance(exc, ast.Call) else exc
+    return ast.unparse(target)
+
+
+def test_package_raises_only_package_errors():
+    """Every ``raise`` names a class from ``lcmlattice.errors`` (so callers
+    can catch ``lcmlattice.Error``) or a ``click`` exception in the CLI."""
+    package_errors = {
+        name for name, obj in vars(errors).items() if isinstance(obj, type) and issubclass(obj, errors.Error)
+    }
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            name = _raised_name(node.exc)
+            if name not in package_errors and not name.startswith("click."):
+                found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}: {name}")
+    assert found == []
