@@ -39,7 +39,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .lattice import AtomicLattice, _canon_key, _set_str, atoms_of, bits_of, mask_of
+from .lattice import AtomicLattice, _canon_key, _is_int, _set_str, atoms_of, bits_of, mask_of
 from .monomial import ONE, Monomial, gcd_all
 
 __all__ = [
@@ -79,8 +79,8 @@ class Labeling:
         items = assignments.items() if isinstance(assignments, Mapping) else assignments
         table: dict[int, Monomial] = {}
         for p, m in items:
-            if p not in lattice:
-                raise NotAnElementError(f"labeled set {_set_str(p) if isinstance(p, int) else repr(p)} is not in the lattice")
+            if not _is_int(p) or p not in lattice:
+                raise NotAnElementError(f"labeled set {_set_str(p) if _is_int(p) else repr(p)} is not in the lattice")
             if not isinstance(m, Monomial):
                 m = Monomial.parse(str(m))
             if m.is_one:
@@ -104,8 +104,8 @@ class Labeling:
         return cls(lattice, ((mask_of(s, lattice.n), m) for s, m in items))
 
     def label(self, p: int) -> Monomial:
-        if p not in self.lattice:
-            raise NotAnElementError(f"{_set_str(p) if isinstance(p, int) else repr(p)} is not in the lattice")
+        if not _is_int(p) or p not in self.lattice:
+            raise NotAnElementError(f"{_set_str(p) if _is_int(p) else repr(p)} is not in the lattice")
         return self._table.get(p, ONE)
 
     @property

@@ -50,7 +50,7 @@ def mask_of(atoms: Iterable[int], n: Optional[int] = None) -> int:
     """Bitmask for a collection of 1-based atom indices."""
     mask = 0
     for a in atoms:
-        if not isinstance(a, int) or isinstance(a, bool) or a < 1:
+        if not _is_int(a) or a < 1:
             raise FormatError(f"atom indices must be integers >= 1, got {a!r}")
         if n is not None and a > n:
             raise FormatError(f"atom index {a} out of range 1..{n}")
@@ -74,6 +74,11 @@ def bits_of(mask: int) -> Iterator[int]:
         mask ^= b
 
 
+def _is_int(x) -> bool:
+    """An ``int`` that is not a ``bool``: the only values usable as masks or indices."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _canon_key(mask: int) -> tuple[int, int]:
     return (mask.bit_count(), mask)
 
@@ -95,14 +100,14 @@ class AtomicLattice:
     __slots__ = ("n", "sets", "_index", "_join_cache", "_covers", "_upper_covers", "_mi")
 
     def __init__(self, n: int, masks: Iterable[int]):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        if not _is_int(n) or n < 1:
             raise ValidationError(f"atom count must be a positive integer, got {n!r}")
         if n > MAX_ATOMS:
             raise CapExceededError(f"atom count {n} exceeds the supported maximum {MAX_ATOMS}")
         top = (1 << n) - 1
         seen = set()
         for m in masks:
-            if not isinstance(m, int) or isinstance(m, bool) or m < 0 or m > top:
+            if not _is_int(m) or m < 0 or m > top:
                 raise ValidationError(f"element {m!r} is not a bitmask over {n} atoms")
             seen.add(m)
 
@@ -189,8 +194,8 @@ class AtomicLattice:
         return f"AtomicLattice(n={self.n}, elements={len(self.sets)})"
 
     def _require(self, p: int) -> int:
-        if p not in self._index:
-            raise NotAnElementError(f"{_set_str(p) if isinstance(p, int) else p!r} is not an element of this lattice")
+        if not _is_int(p) or p not in self._index:
+            raise NotAnElementError(f"{_set_str(p) if _is_int(p) else repr(p)} is not an element of this lattice")
         return p
 
     # -- order and lattice operations ------------------------------------
@@ -215,6 +220,8 @@ class AtomicLattice:
         """Least element containing ``mask`` (``mask`` need not be an element)."""
         j = self._join_cache.get(mask)
         if j is None:
+            if not _is_int(mask):
+                raise NotAnElementError(f"{mask!r} is not a set of atoms")
             if mask & ~self.top:
                 raise NotAnElementError(f"{_set_str(mask)} is not within the atom universe")
             if mask in self._index:
@@ -346,7 +353,7 @@ class AtomicLattice:
             image = {i + 1: v for i, v in enumerate(image)}
         indices = list(range(1, self.n + 1))
         if (
-            not all(isinstance(i, int) and not isinstance(i, bool) for i in (*image, *image.values()))
+            not all(_is_int(i) for i in (*image, *image.values()))
             or sorted(image) != indices
             or sorted(image.values()) != indices
         ):
@@ -375,7 +382,7 @@ class AtomicLattice:
             raise FormatError('a lattice document needs "n" and "sets" keys')
         n = doc["n"]
         sets = doc["sets"]
-        if not isinstance(n, int) or isinstance(n, bool):
+        if not _is_int(n):
             raise FormatError(f'"n" must be an integer, got {n!r}')
         if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
             raise FormatError('"sets" must be a list of lists of atom indices')

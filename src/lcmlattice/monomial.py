@@ -90,6 +90,8 @@ class Monomial:
     @classmethod
     def parse(cls, text: str) -> "Monomial":
         """Parse the strict grammar above; raise :class:`MonomialParseError` otherwise."""
+        if not isinstance(text, str):
+            raise MonomialParseError(f"expected a string, got {text!r}", 0)
         if text == "1":
             return ONE
         pairs = []

@@ -65,6 +65,26 @@ def _atom_index(atom_mask: int) -> int:
     return atom_mask.bit_length()
 
 
+def _filter_sizes(lat: AtomicLattice) -> dict[int, int]:
+    """N([q, top]) for every element q, in O(m·n) operations on m-bit ints.
+
+    Bit i of ``holders[a]`` is set when the i-th element contains atom a, so
+    the elements above q are the AND of the bitsets of q's atoms.
+    """
+    holders = [0] * lat.n
+    for i, s in enumerate(lat.sets):
+        for b in bits_of(s):
+            holders[b.bit_length() - 1] |= 1 << i
+    everything = (1 << len(lat.sets)) - 1
+    sizes = {}
+    for q in lat.sets:
+        above = everything
+        for b in bits_of(q):
+            above &= holders[b.bit_length() - 1]
+        sizes[q] = above.bit_count()
+    return sizes
+
+
 @dataclass(frozen=True)
 class IntervalWitness:
     """Outcome of the weak criterion at one element.
@@ -109,7 +129,8 @@ def check_weak_interval_criterion(lat: AtomicLattice) -> IntervalCriterionReport
     Sufficient, not necessary: when it holds, the support labeling is a weak
     coordinatization.
     """
-    n_top = {q: lat.interval_count(q, lat.top) for q in lat.sets}
+    n_top = _filter_sizes(lat)
+    joining = _joining_pairs(lat)
     witnesses = []
     for p in lat.sets:
         if p == 0 or p.bit_count() == 1:
@@ -117,7 +138,7 @@ def check_weak_interval_criterion(lat: AtomicLattice) -> IntervalCriterionReport
         outside = [a for a in lat.atoms if not a & p]
         last: Optional[IntervalWitness] = None
         satisfied = None
-        for pr in _joining_pairs(lat, p):
+        for pr in joining[p]:
             lo = pr & -pr
             for r in (lo, pr ^ lo):
                 bad = next(
@@ -152,11 +173,12 @@ def check_strong_interval_criterion(lat: AtomicLattice) -> tuple[bool, Optional[
     """
     if not is_super_atomic(lat):
         raise PreconditionError("lattice is not super-atomic")
-    n_top = {q: lat.interval_count(q, lat.top) for q in lat.sets}
+    n_top = _filter_sizes(lat)
+    joining = _joining_pairs(lat)
     for p in lat.sets:
         if p == 0 or p.bit_count() == 1:
             continue
-        pair = _joining_pairs(lat, p)[0]
+        pair = joining[p][0]
         ai = pair & -pair
         aj = pair ^ ai
         for ak in bits_of(p):

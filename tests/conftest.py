@@ -136,6 +136,13 @@ def literal_super_atomic_oracle(lat: AtomicLattice) -> bool:
     return True
 
 
+def joining_pairs_oracle(lat: AtomicLattice) -> dict[int, list[int]]:
+    """Each element's atom pairs that join to it, found element by element
+    by joining every pair of its own atoms.  The oracle for
+    ``superatomic._joining_pairs``, which joins each atom pair once."""
+    return {p: [pr for pr in _pairs_within(p) if lat.join_mask(pr) == p] for p in lat.sets}
+
+
 def flat_lattice(n: int) -> AtomicLattice:
     """The lattice {0, atoms, top} on n atoms."""
     return AtomicLattice(n, [0, *(1 << i for i in range(n)), (1 << n) - 1])
@@ -169,6 +176,12 @@ def random_lattice(rng: random.Random, n: int, extra: int | None = None) -> Atom
                     sets.add(a & b)
                     changed = True
     return AtomicLattice(n, sets)
+
+
+def seeded_random_lattices(count: int, seed: int) -> list[AtomicLattice]:
+    """``count`` random lattices on 2 to 7 atoms, the same for a given seed."""
+    rng = random.Random(seed)
+    return [random_lattice(rng, rng.randint(2, 7)) for _ in range(count)]
 
 
 def random_monomial(rng: random.Random, variables: list[str], max_exp: int = 3) -> Monomial:

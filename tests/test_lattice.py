@@ -15,6 +15,8 @@ from lcmlattice import (
     Error,
     FormatError,
     IncomparableError,
+    Labeling,
+    Monomial,
     NotAnElementError,
     PreconditionError,
     ValidationError,
@@ -116,6 +118,26 @@ def test_negative_masks_are_refused_at_once():
     assert done.stdout.split() == ["refused"] * 4, done.stderr
     with pytest.raises(NotAnElementError):
         atoms_of(-1)
+
+
+NON_INT_ELEMENT_CALLS = {
+    "meet(1.0, 2)": lambda lat: lat.meet(1.0, 2),
+    "leq(True, 3)": lambda lat: lat.leq(True, 3),
+    "filter(3.0)": lambda lat: lat.filter(3.0),
+    "join_mask(1.5)": lambda lat: lat.join_mask(1.5),
+    "join_mask(3.0)": lambda lat: lat.join_mask(3.0),
+    "Labeling({1.0: a})": lambda lat: Labeling(lat, {1.0: Monomial.parse("a")}),
+    "Labeling({True: a})": lambda lat: Labeling(lat, {True: Monomial.parse("a")}),
+    "label(2.0)": lambda lat: Labeling(lat).label(2.0),
+}
+
+
+@pytest.mark.parametrize("call", NON_INT_ELEMENT_CALLS)
+def test_non_int_elements_are_refused(call):
+    """A float or bool equal to a member mask is still not an element: it
+    raises the package error, not a bare ``TypeError`` further in."""
+    with pytest.raises(NotAnElementError):
+        NON_INT_ELEMENT_CALLS[call](AtomicLattice(2, [0, 1, 2, 3]))
 
 
 def test_join_is_least_upper_bound(rng):

@@ -54,6 +54,13 @@ def test_parse_rejects(text, pos):
     assert exc.value.position == pos
 
 
+@pytest.mark.parametrize("value", [5, None, 1.0, b"a", ["a"]])
+def test_parse_rejects_non_strings(value):
+    with pytest.raises(MonomialParseError) as exc:
+        Monomial.parse(value)
+    assert exc.value.position == 0
+
+
 def test_render_canonical_order():
     # atom-style names numerically first, others after, lexicographically
     m = Monomial({"b": 1, "a10": 2, "a2": 1, "_t": 3})

@@ -1,4 +1,3 @@
-import random
 from collections import Counter
 from math import factorial
 
@@ -22,13 +21,17 @@ from lcmlattice import (
     verify_new_element_meet_irreducible,
 )
 from lcmlattice.lattice import _canon_key
+from lcmlattice.superatomic import _joining_pairs
 
 from conftest import (
+    boolean_lattice,
     flat_lattice,
     interval_lattice,
+    joining_pairs_oracle,
     lattices_with,
     literal_super_atomic_oracle,
     random_lattice,
+    seeded_random_lattices,
 )
 
 BOOLEAN3 = AtomicLattice.from_sets(3, [[], [1], [2], [3], [1, 2], [1, 3], [2, 3], [1, 2, 3]])
@@ -83,14 +86,9 @@ def _super_atomic_and_near_misses(n):
                 yield AtomicLattice(n, [s for s in lat.sets if s != m])
 
 
-def _seeded_random_lattices(count, seed=5):
-    rng = random.Random(seed)
-    return [random_lattice(rng, rng.randint(2, 7)) for _ in range(count)]
-
-
 DETECTOR_CORPORA = {
     "every lattice with n <= 4": lambda: [lat for n in (1, 2, 3, 4) for lat in lattices_with(n)],
-    "300 random lattices with n <= 7": lambda: _seeded_random_lattices(300),
+    "300 random lattices with n <= 7": lambda: seeded_random_lattices(300, seed=5),
     "super-atomic n = 5 and near misses": lambda: list(_super_atomic_and_near_misses(5)),
     "intervals with n <= 12": lambda: [interval_lattice(n) for n in range(1, 13)],
 }
@@ -103,10 +101,29 @@ def test_is_super_atomic_matches_the_literal_definition(corpus):
     assert verdicts == [literal_super_atomic_oracle(lat) for lat in lats]
 
 
+JOINING_PAIR_CORPORA = {
+    **DETECTOR_CORPORA,
+    "Boolean with n <= 8 and flat with n <= 12": lambda: [boolean_lattice(n) for n in range(1, 9)]
+    + [flat_lattice(n) for n in range(1, 13)],
+}
+
+
+@pytest.mark.parametrize("corpus", JOINING_PAIR_CORPORA)
+def test_joining_pairs_match_the_per_element_oracle(corpus):
+    """Same pairs for every element, in the same order."""
+    for lat in JOINING_PAIR_CORPORA[corpus]():
+        assert _joining_pairs(lat) == joining_pairs_oracle(lat)
+
+
 def test_detectors_agree_exhaustively_small():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         for lat in lattices_with(n):
             assert is_super_atomic(lat) == is_super_atomic_via_supp(lat)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_supp_detector_accepts_every_enumerated_lattice(n):
+    assert all(is_super_atomic_via_supp(lat) for lat in enumerate_super_atomic(n))
 
 
 def test_detectors_agree_on_random_lattices(rng):

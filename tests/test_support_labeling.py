@@ -17,7 +17,9 @@ from lcmlattice import (
     weak_ideal,
 )
 
-from conftest import lattices_with, random_lattice
+from lcmlattice.support_labeling import _filter_sizes
+
+from conftest import boolean_lattice, flat_lattice, lattices_with, random_lattice, seeded_random_lattices
 
 BOOLEAN3 = AtomicLattice.from_sets(3, [[], [1], [2], [3], [1, 2], [1, 3], [2, 3], [1, 2, 3]])
 
@@ -41,6 +43,20 @@ STRONG_FAILS = AtomicLattice.from_sets(
         [1, 3, 4, 5, 6], [2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6],
     ],
 )
+
+
+FILTER_SIZE_CORPORA = {
+    "every lattice with n <= 4": lambda: [lat for n in (1, 2, 3, 4) for lat in lattices_with(n)],
+    "Boolean with n <= 8": lambda: [boolean_lattice(n) for n in range(1, 9)],
+    "flat with n <= 12": lambda: [flat_lattice(n) for n in range(1, 13)],
+    "200 random lattices with n <= 7": lambda: seeded_random_lattices(200, seed=11),
+}
+
+
+@pytest.mark.parametrize("corpus", FILTER_SIZE_CORPORA)
+def test_filter_sizes_match_interval_count(corpus):
+    for lat in FILTER_SIZE_CORPORA[corpus]():
+        assert _filter_sizes(lat) == {q: lat.interval_count(q, lat.top) for q in lat.sets}
 
 
 # -- the labeling itself ---------------------------------------------------------

@@ -1,11 +1,13 @@
 """Repository-wide rules that are cheaper to check than to remember."""
 
 import ast
+import importlib
 import re
+import types
 from pathlib import Path
 
 import lcmlattice
-from lcmlattice import errors
+from lcmlattice import errors, superatomic
 
 PACKAGE = Path(lcmlattice.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -140,3 +142,46 @@ def test_package_raises_only_package_errors():
             if name not in package_errors and not name.startswith("click."):
                 found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}: {name}")
     assert found == []
+
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _tracer_targets() -> list[tuple[str, str]]:
+    """``(module, qualified name)`` of each ``TARGETS`` entry, read from the
+    tracer's source without importing it."""
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
+            return [(entry.elts[1].value, entry.elts[2].value) for entry in node.value.elts]
+    raise LookupError("no TARGETS list in the tracer")
+
+
+def test_every_tracer_target_resolves():
+    """The benchmark tracer looks these names up to wrap them; a renamed or
+    moved function would make every traced benchmark run fail."""
+    missing = []
+    targets = _tracer_targets()
+    for modname, qualname in targets:
+        module = importlib.import_module(modname)
+        cls_name, _, attr = qualname.rpartition(".")
+        owner = vars(module).get(cls_name) if cls_name else module
+        if owner is None or attr not in vars(owner):
+            missing.append(f"{modname}:{qualname}")
+    assert targets and missing == []
+
+
+def _names_used(code: types.CodeType) -> set[str]:
+    """Global and attribute names a function's code refers to, nested
+    comprehensions and generator expressions included."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _names_used(const)
+    return names
+
+
+def test_supp_detector_stays_independent_of_the_literal_one():
+    """The two super-atomic detectors serve as each other's oracle, so the
+    support characterization must not reach the literal detector's tables."""
+    names = _names_used(superatomic.is_super_atomic_via_supp.__code__)
+    assert names & {"_joining_pairs", "is_super_atomic"} == set()
