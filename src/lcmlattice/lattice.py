@@ -182,7 +182,8 @@ class AtomicLattice:
         return iter(self.sets)
 
     def __contains__(self, mask: int) -> bool:
-        return mask in self._index
+        """A float or bool equal to a member mask is not a member."""
+        return _is_int(mask) and mask in self._index
 
     def __eq__(self, other) -> bool:
         return isinstance(other, AtomicLattice) and self.n == other.n and self.sets == other.sets
@@ -218,7 +219,8 @@ class AtomicLattice:
 
     def join_mask(self, mask: int) -> int:
         """Least element containing ``mask`` (``mask`` need not be an element)."""
-        j = self._join_cache.get(mask)
+        # Only an exact int may hit the cache: 3.0 and True hash like 3 and 1.
+        j = self._join_cache.get(mask) if type(mask) is int else None
         if j is None:
             if not _is_int(mask):
                 raise NotAnElementError(f"{mask!r} is not a set of atoms")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -133,6 +133,20 @@ def literal_super_atomic_oracle(lat: AtomicLattice) -> bool:
                         break
             if pairs != 1:
                 return False
+    return True
+
+
+def supp_characterization_oracle(lat: AtomicLattice) -> bool:
+    """The support characterization decided with joins: every element p of
+    two or more atoms has a pair {a, b} of atoms joining to p with both
+    supp(p) - {a} and supp(p) - {b} in the family.  The join-based version
+    of :func:`lcmlattice.is_super_atomic_via_supp`, kept as its oracle."""
+    for p in lat.sets:
+        if p.bit_count() < 2:
+            continue
+        removable = [b for b in bits_of(p) if (p ^ b) in lat]
+        if not any(lat.join_mask(a | b) == p for a, b in combinations(removable, 2)):
+            return False
     return True
 
 

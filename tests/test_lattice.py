@@ -126,6 +126,7 @@ NON_INT_ELEMENT_CALLS = {
     "filter(3.0)": lambda lat: lat.filter(3.0),
     "join_mask(1.5)": lambda lat: lat.join_mask(1.5),
     "join_mask(3.0)": lambda lat: lat.join_mask(3.0),
+    "join_mask(True)": lambda lat: lat.join_mask(True),
     "Labeling({1.0: a})": lambda lat: Labeling(lat, {1.0: Monomial.parse("a")}),
     "Labeling({True: a})": lambda lat: Labeling(lat, {True: Monomial.parse("a")}),
     "label(2.0)": lambda lat: Labeling(lat).label(2.0),
@@ -135,9 +136,23 @@ NON_INT_ELEMENT_CALLS = {
 @pytest.mark.parametrize("call", NON_INT_ELEMENT_CALLS)
 def test_non_int_elements_are_refused(call):
     """A float or bool equal to a member mask is still not an element: it
-    raises the package error, not a bare ``TypeError`` further in."""
-    with pytest.raises(NotAnElementError):
-        NON_INT_ELEMENT_CALLS[call](AtomicLattice(2, [0, 1, 2, 3]))
+    raises the package error, not a bare ``TypeError`` further in, and it
+    does so whether or not the int it equals has been joined before."""
+    fresh = AtomicLattice(2, [0, 1, 2, 3])
+    warmed = AtomicLattice(2, [0, 1, 2, 3])
+    for m in warmed.sets:
+        warmed.join_mask(m)
+    for lat in (fresh, warmed):
+        with pytest.raises(NotAnElementError):
+            NON_INT_ELEMENT_CALLS[call](lat)
+
+
+def test_non_int_values_are_not_members():
+    lat = AtomicLattice(2, [0, 1, 2, 3])
+    for m in lat.sets:
+        lat.join_mask(m)
+    assert all(m in lat for m in lat.sets)
+    assert 1.0 not in lat and 3.0 not in lat and True not in lat and False not in lat
 
 
 def test_join_is_least_upper_bound(rng):

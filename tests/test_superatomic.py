@@ -32,6 +32,7 @@ from conftest import (
     literal_super_atomic_oracle,
     random_lattice,
     seeded_random_lattices,
+    supp_characterization_oracle,
 )
 
 BOOLEAN3 = AtomicLattice.from_sets(3, [[], [1], [2], [3], [1, 2], [1, 3], [2, 3], [1, 2, 3]])
@@ -113,6 +114,41 @@ def test_joining_pairs_match_the_per_element_oracle(corpus):
     """Same pairs for every element, in the same order."""
     for lat in JOINING_PAIR_CORPORA[corpus]():
         assert _joining_pairs(lat) == joining_pairs_oracle(lat)
+
+
+@pytest.mark.parametrize("corpus", JOINING_PAIR_CORPORA)
+def test_supp_detector_matches_both_oracles(corpus):
+    """The join-free scan gives the join-based characterization's verdicts,
+    and both give the literal definition's."""
+    lats = JOINING_PAIR_CORPORA[corpus]()
+    verdicts = [is_super_atomic_via_supp(lat) for lat in lats]
+    assert verdicts == [supp_characterization_oracle(lat) for lat in lats]
+    assert verdicts == [literal_super_atomic_oracle(lat) for lat in lats]
+
+
+def test_supp_detector_takes_no_joins_and_writes_nothing(monkeypatch):
+    def refuse(self, mask):
+        raise AssertionError("the support characterization took a join")
+
+    lats = [lat for n in (2, 3, 4, 5) for lat in enumerate_super_atomic(n)] + [interval_lattice(20)]
+    monkeypatch.setattr(AtomicLattice, "join_mask", refuse)
+    for lat in lats:
+        assert is_super_atomic_via_supp(lat)
+        assert lat._join_cache == {}
+        assert lat._covers is None and lat._mi is None
+
+
+def test_detectors_at_the_atom_cap():
+    """interval_lattice(64) is the largest input MAX_ATOMS admits.  Its
+    interval {1, 2} is meet-irreducible, with the single upper cover
+    {1, 2, 3}; without it, {1, 2} and {1, 3} both join to {1, 2, 3}."""
+    intervals64 = interval_lattice(64)
+    assert len(intervals64) == 2081
+    assert is_super_atomic(intervals64)
+    assert is_super_atomic_via_supp(intervals64)
+    near_miss = AtomicLattice(64, [m for m in intervals64.sets if m != 0b11])
+    assert not is_super_atomic(near_miss)
+    assert not is_super_atomic_via_supp(near_miss)
 
 
 def test_detectors_agree_exhaustively_small():
