@@ -10,7 +10,10 @@ then a property, not a search.  It holds exactly when the map is injective and
 sends the join of each element ``p`` with each atom ``a`` outside it to
 ``lcm(g(p), g(a))``: ``O(m*n)`` joins and lcms for ``m`` elements and ``n``
 atoms (the joins :meth:`AtomicLattice.covers` takes), with no lcm-lattice
-built.  The lcm-lattice is built only to explain a false verdict.
+built.  The predicates build none for either verdict;
+:func:`is_coordinatization` builds one only when the strong map fails, for
+the isomorphism search, and :func:`classify` builds one per generator tuple
+only to word a false verdict.
 
 Two checkable sufficient conditions come with the theory:
 
@@ -26,15 +29,17 @@ Two checkable sufficient conditions come with the theory:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache
 from itertools import combinations
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import DegenerateIdealError, PreconditionError
 from .ideals import (
+    MAX_GENERATORS,
     Labeling,
     LcmLattice,
+    MonomialIdeal,
     _check_lcm_generators,
     _refine,
     ideal_from_labeling,
@@ -57,10 +62,20 @@ __all__ = [
 ]
 
 
-def _first_incomparable(masks) -> Optional[tuple[int, int]]:
+def _first_incomparable(masks) -> Optional[str]:
+    """The first incomparable pair, rendered "{a} and {b}"; None exactly on a chain."""
     for a, b in combinations(masks, 2):
         if a & ~b and b & ~a:
-            return a, b
+            return f"{_set_str(a)} and {_set_str(b)}"
+    return None
+
+
+def _unlabeled_meet_irreducible(lat: AtomicLattice, labeling: Labeling) -> Optional[str]:
+    """The first requirement of both condition checks: every meet-irreducible
+    element below the top is labeled.  The witness of a violation, or None."""
+    for p in lat.meet_irreducibles():
+        if p != lat.top and labeling.label(p).is_one:
+            return f"meet-irreducible element {_set_str(p)} is unlabeled"
     return None
 
 
@@ -72,18 +87,17 @@ def check_strong_conditions(lat: AtomicLattice, labeling: Labeling) -> tuple[boo
     generator (every filter contains it), and recovered labelings always
     leave it unlabeled.
     """
-    for p in lat.meet_irreducibles():
-        if p != lat.top and labeling.label(p).is_one:
-            return False, f"meet-irreducible element {_set_str(p)} is unlabeled"
+    unlabeled = _unlabeled_meet_irreducible(lat, labeling)
+    if unlabeled:
+        return False, unlabeled
     by_var: dict[str, list[int]] = {}
     for p, m in labeling.items():
         for v in m.variables:
             by_var.setdefault(v, []).append(p)
     for v in sorted(by_var):
-        members = by_var[v]
-        if not AtomicLattice.is_chain(members):
-            p, q = _first_incomparable(members)
-            return False, f"variable {v} labels incomparable elements {_set_str(p)} and {_set_str(q)}"
+        pair = _first_incomparable(by_var[v])
+        if pair:
+            return False, f"variable {v} labels incomparable elements {pair}"
     return True, None
 
 
@@ -96,9 +110,9 @@ def check_weak_conditions(lat: AtomicLattice, labeling: Labeling) -> tuple[bool,
     the two, the elements whose labels it is entangled with (sharing any
     variable, the partner element excluded) form a chain.
     """
-    for p in lat.meet_irreducibles():
-        if p != lat.top and labeling.label(p).is_one:
-            return False, f"meet-irreducible element {_set_str(p)} is unlabeled"
+    unlabeled = _unlabeled_meet_irreducible(lat, labeling)
+    if unlabeled:
+        return False, unlabeled
     labeled = list(labeling.items())
     for (p, mp), (q, mq) in combinations(labeled, 2):
         if p & ~q == 0 or q & ~p == 0:
@@ -111,13 +125,9 @@ def check_weak_conditions(lat: AtomicLattice, labeling: Labeling) -> tuple[bool,
                 return False, (
                     f"label of {_set_str(hi)} is contained in its overlap with the label of {_set_str(lo)}"
                 )
-            tangled = [s for s, ms in labeled if s != lo and not m_hi.gcd(ms).is_one]
-            if not AtomicLattice.is_chain(tangled):
-                a, b = _first_incomparable(tangled)
-                return False, (
-                    f"elements entangled with the label of {_set_str(hi)} are not a chain: "
-                    f"{_set_str(a)} and {_set_str(b)}"
-                )
+            pair = _first_incomparable([s for s, ms in labeled if s != lo and not m_hi.gcd(ms).is_one])
+            if pair:
+                return False, f"elements entangled with the label of {_set_str(hi)} are not a chain: {pair}"
     return True, None
 
 
@@ -137,7 +147,15 @@ def _support_map(lat: AtomicLattice, atom_monomials: tuple[Monomial, ...]) -> di
 
 def _extends_to_isomorphism(lat: AtomicLattice, atom_monomials: tuple[Monomial, ...]) -> bool:
     """Is g(p) = lcm of the atom monomials below p an isomorphism onto the
-    lcm-lattice of those monomials?  In ``O(m*n)`` joins and lcms.
+    lcm-lattice of those monomials?  In ``O(m*n)`` joins and lcms, with no
+    lcm-lattice built.
+
+    The tuples the lcm-lattice build refuses are refused first, with the same
+    error: a unit monomial raises :class:`DegenerateIdealError`, and more than
+    ``MAX_GENERATORS`` minimal generators raise :class:`CapExceededError`.  A
+    unit divides every monomial, so the minimal generators hold one exactly
+    when the tuple does, and up to ``MAX_GENERATORS`` monomials only a unit
+    can be refused; the minimal generators are computed only above that count.
 
     It is exactly when g is injective and g(p v a) = lcm(g(p), g(a)) for
     every element p and every atom a outside p.  An isomorphism onto a
@@ -146,14 +164,15 @@ def _extends_to_isomorphism(lat: AtomicLattice, atom_monomials: tuple[Monomial, 
     is closed under lcm; if g(a) divided g(b) for atoms a != b, then
     g(a v b) = g(b) would break injectivity, so every atom monomial is a
     minimal generator and the image is the whole lcm-lattice.  Order is
-    reflected: g(p) | g(q) gives g(p v q) = g(q), so p v q = q.  A unit
-    monomial collides with the bottom's image 1, so it is rejected too.
+    reflected: g(p) | g(q) gives g(p v q) = g(q), so p v q = q.
 
     g is computed along those joins.  Every element above the bottom is the
     join of a lower cover with an atom, and elements come in order of size,
     so g(p) is complete before it is used; when every path to q agrees, the
     value is the lcm over q's atoms, as defined.
     """
+    over_cap = len(atom_monomials) > MAX_GENERATORS
+    _check_lcm_generators(MonomialIdeal(atom_monomials).minimal_generators if over_cap else atom_monomials)
     g = {0: ONE}
     for p in lat.sets:
         gp = g[p]
@@ -164,57 +183,49 @@ def _extends_to_isomorphism(lat: AtomicLattice, atom_monomials: tuple[Monomial, 
     return len(set(g.values())) == len(g)
 
 
-def _specific_map_isomorphism(
-    lat: AtomicLattice,
-    atom_monomials: tuple[Monomial, ...],
-    lcm_lattice_of: Callable[[tuple[Monomial, ...]], LcmLattice],
-) -> tuple[bool, Optional[str]]:
-    """Is g(p) = lcm of the atom monomials below p an isomorphism onto the
-    lcm-lattice of those monomials?
+def _specific_map_witness(lat: AtomicLattice, atom_monomials: tuple[Monomial, ...], ll: LcmLattice) -> str:
+    """Why g (see :func:`_extends_to_isomorphism`) is not an isomorphism onto
+    ``ll``, the lcm-lattice of ``atom_monomials``, once that decision is false.
 
-    A true verdict comes from :func:`_extends_to_isomorphism`, with no
-    lcm-lattice built; its image has all n atom monomials as minimal
-    generators, so the inputs the build refuses are refused here too.  A false
-    verdict is explained on ``lcm_lattice_of(atom_monomials)``: order is
-    preserved upward by construction, so the checks are size, injectivity,
-    membership, and order reflection."""
-    if _extends_to_isomorphism(lat, atom_monomials):
-        _check_lcm_generators(atom_monomials)
-        return True, None
-    ll = lcm_lattice_of(atom_monomials)
+    Order is preserved upward by construction, so the checks are size,
+    injectivity, membership and order reflection, in that order, and one of
+    them fails."""
     if len(ll) != len(lat):
-        return False, f"lcm-lattice has {len(ll)} elements, the lattice has {len(lat)}"
+        return f"lcm-lattice has {len(ll)} elements, the lattice has {len(lat)}"
     g = _support_map(lat, atom_monomials)
     seen: dict[Monomial, int] = {}
     for p in lat.sets:
         if g[p] in seen:
-            return False, f"map collision: {_set_str(seen[g[p]])} and {_set_str(p)} both map to {g[p]}"
+            return f"map collision: {_set_str(seen[g[p]])} and {_set_str(p)} both map to {g[p]}"
         if g[p] not in ll:
-            return False, f"{_set_str(p)} maps to {g[p]}, which is not in the lcm-lattice"
+            return f"{_set_str(p)} maps to {g[p]}, which is not in the lcm-lattice"
         seen[g[p]] = p
-    for p in lat.sets:
-        for q in lat.sets:
-            if g[p].divides(g[q]) and p & ~q:
-                return False, (
-                    f"order not reflected: image of {_set_str(p)} divides image of {_set_str(q)} "
-                    f"but {_set_str(p)} is not below {_set_str(q)}"
-                )
-    return True, None
+    return next(
+        f"order not reflected: image of {_set_str(p)} divides image of {_set_str(q)} "
+        f"but {_set_str(p)} is not below {_set_str(q)}"
+        for p in lat.sets
+        for q in lat.sets
+        if g[p].divides(g[q]) and p & ~q
+    )
 
 
 def is_coordinatization(lat: AtomicLattice, labeling: Labeling) -> bool:
-    """Is the lcm-lattice of the generated ideal isomorphic to the lattice?"""
-    return _abstract_isomorphism(lat, lcm_lattice(ideal_from_labeling(lat, labeling)))[0]
+    """Is the lcm-lattice of the generated ideal isomorphic to the lattice?
+
+    A strong coordinatization is one, so the lcm-lattice is built, for the
+    isomorphism search, only when the strong map fails."""
+    x = ideal_from_labeling(lat, labeling).generators
+    return _extends_to_isomorphism(lat, x) or _abstract_isomorphism(lat, lcm_lattice(x))[0]
 
 
 def is_strong_coordinatization(lat: AtomicLattice, labeling: Labeling) -> bool:
     """Is atom -> x(atom), extended by lcm over supports, an isomorphism?"""
-    return _specific_map_isomorphism(lat, ideal_from_labeling(lat, labeling).generators, lcm_lattice)[0]
+    return _extends_to_isomorphism(lat, ideal_from_labeling(lat, labeling).generators)
 
 
 def is_weak_coordinatization(lat: AtomicLattice, labeling: Labeling) -> bool:
     """Is atom -> delta(atom), extended by lcm over supports, an isomorphism?"""
-    return _specific_map_isomorphism(lat, weak_ideal(lat, labeling).generators, lcm_lattice)[0]
+    return _extends_to_isomorphism(lat, weak_ideal(lat, labeling).generators)
 
 
 def verify_labeling_recovery(lat: AtomicLattice, labeling: Labeling) -> bool:
@@ -247,14 +258,7 @@ class LabelingClassification:
     witness: Optional[dict[str, str]] = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "satisfies_A1A2": self.satisfies_A1A2,
-            "satisfies_C1C2": self.satisfies_C1C2,
-            "is_coordinatization": self.is_coordinatization,
-            "is_strong": self.is_strong,
-            "is_weak": self.is_weak,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 def classify(lat: AtomicLattice, labeling: Labeling) -> LabelingClassification:
@@ -263,10 +267,12 @@ def classify(lat: AtomicLattice, labeling: Labeling) -> LabelingClassification:
     The strong and weak checks decide whether the map g is injective and
     sends ``p v a`` to ``lcm(g(p), g(a))`` for every element ``p`` and atom
     ``a`` outside it, in ``O(m*n)`` joins for ``m`` elements and ``n`` atoms,
-    without building an lcm-lattice.  A strong verdict makes the
-    coordinatization check true as well, and when ``delta(a) = x(a)`` for
-    every atom the weak verdict is the strong one.  Only a false verdict builds
-    an lcm-lattice, one per generator tuple, to explain itself.
+    without building an lcm-lattice; the single predicates take the same
+    decision.  A strong verdict makes the coordinatization check true as well,
+    and when ``delta(a) = x(a)`` for every atom the weak verdict is the strong
+    one.  Only a false verdict builds an lcm-lattice, one per generator tuple
+    and call, to word its witness (and, for coordinatization, to run the
+    isomorphism search).
 
     A degenerate ideal (a unit generator) classifies as false with a witness,
     not as an error.  An input over a documented cap, such as an ideal with
@@ -280,15 +286,20 @@ def classify(lat: AtomicLattice, labeling: Labeling) -> LabelingClassification:
         except DegenerateIdealError as exc:
             return False, str(exc)
 
-    a_ok = guarded(lambda: check_strong_conditions(lat, labeling))
-    c_ok = guarded(lambda: check_weak_conditions(lat, labeling))
+    def specific_map(gens: tuple[Monomial, ...]) -> tuple[bool, Optional[str]]:
+        if _extends_to_isomorphism(lat, gens):
+            return True, None
+        return False, _specific_map_witness(lat, gens, lcm_lattice_of(gens))
+
+    a_ok = check_strong_conditions(lat, labeling)
+    c_ok = check_weak_conditions(lat, labeling)
     x = ideal_from_labeling(lat, labeling).generators
     # Local to this call: the coordinatization and strong witnesses share one build.
     lcm_lattice_of = cache(lcm_lattice)
-    strong = guarded(lambda: _specific_map_isomorphism(lat, x, lcm_lattice_of))
+    strong = guarded(lambda: specific_map(x))
     coord = strong if strong[0] else guarded(lambda: _abstract_isomorphism(lat, lcm_lattice_of(x)))
     delta = _refine(lat, x)
-    weak = strong if delta == x else guarded(lambda: _specific_map_isomorphism(lat, delta, lcm_lattice_of))
+    weak = strong if delta == x else guarded(lambda: specific_map(delta))
 
     verdicts = {
         "satisfies_A1A2": a_ok,

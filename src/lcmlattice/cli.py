@@ -23,6 +23,7 @@ from .ideals import (
     Labeling,
     MonomialIdeal,
     _read_json,
+    _read_text,
     ideal_from_labeling,
     labeling_from_json_dict,
     lcm_lattice,
@@ -80,7 +81,7 @@ def _load_document(path: str) -> tuple[AtomicLattice, Optional[Labeling]]:
 
 
 def _load_ideal(path: str) -> MonomialIdeal:
-    return parse_ideal_text(Path(path).read_text())
+    return parse_ideal_text(_read_text(path))
 
 
 def _emit_json(doc) -> None:

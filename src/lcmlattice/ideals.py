@@ -39,7 +39,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .lattice import AtomicLattice, _canon_key, _is_int, _set_str, atoms_of, bits_of, mask_of
+from .lattice import AtomicLattice, _canon_key, _is_int, _parse_json, _set_str, atoms_of, bits_of, mask_of
 from .monomial import ONE, Monomial, gcd_all
 
 __all__ = [
@@ -191,13 +191,19 @@ def labeling_from_json_dict(
     return Labeling(lattice, pairs)
 
 
+def _read_text(path: Union[str, Path]) -> str:
+    """The one reader of input files.  Bytes that are not UTF-8 are a
+    :class:`FormatError` naming the file; an unreadable file stays an
+    ``OSError``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def _read_json(path: Union[str, Path]):
     """Parse a JSON file; malformed text is a :class:`FormatError` naming the file."""
-    text = Path(path).read_text()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON: {exc}") from None
+    return _parse_json(_read_text(path), path)
 
 
 def load_labeling(path: Union[str, Path]) -> Labeling:

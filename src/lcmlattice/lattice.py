@@ -87,6 +87,17 @@ def _set_str(mask: int) -> str:
     return "{" + ",".join(str(a) for a in atoms_of(mask)) + "}"
 
 
+def _parse_json(text: str, source: object = None):
+    """The one parser of input JSON.  Whatever ``json`` refuses (malformed
+    text, nesting deeper than the recursion limit, an integer over Python's
+    digit limit) is a :class:`FormatError`, naming ``source`` when given."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        where = "" if source is None else f"{source}: "
+        raise FormatError(f"{where}invalid JSON: {exc}") from None
+
+
 class AtomicLattice:
     """A validated finite atomic lattice over atoms ``1..n``.
 
@@ -392,11 +403,7 @@ class AtomicLattice:
 
     @classmethod
     def from_json(cls, text: str) -> "AtomicLattice":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON: {exc}") from None
-        return cls.from_json_dict(doc)
+        return cls.from_json_dict(_parse_json(text))
 
 
 def _atom_signature(lat: AtomicLattice, atom: int) -> tuple:

@@ -109,7 +109,10 @@ class Monomial:
                 m = _UINT.match(text, pos)
                 if not m:
                     raise MonomialParseError("expected a positive exponent after '^'", pos)
-                exp = int(m.group())
+                try:
+                    exp = int(m.group())
+                except ValueError:  # more digits than Python's int() conversion allows
+                    raise MonomialParseError("exponent has too many digits", pos) from None
                 pos = m.end()
             pairs.append((name, exp))
             if pos == n:

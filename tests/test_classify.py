@@ -6,6 +6,7 @@ from lcmlattice import (
     Labeling,
     LcmLattice,
     DegenerateIdealError,
+    Monomial,
     PreconditionError,
     atom_generator,
     check_strong_conditions,
@@ -20,12 +21,13 @@ from lcmlattice import (
     verify_labeling_recovery,
     weak_ideal,
 )
-from lcmlattice.classify import _specific_map_isomorphism
+from lcmlattice.classify import _extends_to_isomorphism, _specific_map_witness
 from lcmlattice.ideals import _refine
 
 from conftest import (
     chain_condition_labeling,
     flat_lattice,
+    interval_lattice,
     lattices_with,
     overlap_condition_labeling,
     random_labeling,
@@ -264,17 +266,24 @@ def _outcome(check, *args):
         return False, str(exc)
 
 
+def _decided_and_explained(lat, gens):
+    """The join-rule decision, with the explanation's witness when false."""
+    if _extends_to_isomorphism(lat, gens):
+        return True, None
+    return False, _specific_map_witness(lat, gens, lcm_lattice(gens))
+
+
 def test_specific_map_decision_matches_the_oracle(rng):
     """Injective plus g(p v a) = lcm(g(p), g(a)) decides what the lcm-lattice
-    build decides; false verdicts keep the oracle's witness, in the single
-    check and in ``classify``."""
+    build decides, refusing what it refuses; false verdicts keep the oracle's
+    witness, in the explanation and in ``classify``."""
     counts = {True: 0, False: 0}
     for lat, lab in _decision_corpus(rng):
         c = classify(lat, lab)
         x = ideal_from_labeling(lat, lab).generators
         for field, gens in (("is_strong", x), ("is_weak", _refine(lat, x))):
             expected = _outcome(specific_map_oracle, lat, gens)
-            assert _outcome(_specific_map_isomorphism, lat, gens, lcm_lattice) == expected
+            assert _outcome(_decided_and_explained, lat, gens) == expected
             assert (getattr(c, field), (c.witness or {}).get(field)) == expected
             counts[expected[0]] += 1
         if c.is_strong:
@@ -298,6 +307,58 @@ def test_classify_builds_no_lcm_lattice_when_strong_holds(rng, monkeypatch):
     lat = flat_lattice(21)
     with pytest.raises(CapExceededError, match="^21 generators exceed the supported maximum 20$"):
         classify(lat, support_labeling(lat))
+
+
+def _flat_product_labeling(n):
+    """The flat lattice with atom i labeled by the product of every v_j with
+    j != i.  Its lcm-lattice is Boolean (2^n elements), so the strong map
+    fails on a lattice of n + 2 elements."""
+    lat = flat_lattice(n)
+    return lat, Labeling(lat, {1 << i: Monomial({f"v{j}": 1 for j in range(n) if j != i}) for i in range(n)})
+
+
+def test_predicates_build_no_lcm_lattice(rng, monkeypatch):
+    """The strong and weak predicates decide both verdicts, and
+    ``is_coordinatization`` a strong one, without an lcm-lattice."""
+
+    def refuse(self, generators):
+        raise AssertionError("a predicate built an lcm-lattice")
+
+    monkeypatch.setattr(LcmLattice, "__init__", refuse)
+    lat, lab = _flat_product_labeling(16)
+    assert not is_strong_coordinatization(lat, lab) and not is_weak_coordinatization(lat, lab)
+    verdicts = set()
+    for n in (1, 2, 3, 4):
+        for lat in lattices_with(n):
+            for make in (random_labeling, chain_condition_labeling):
+                lab = make(rng, lat)
+                for check in (is_strong_coordinatization, is_weak_coordinatization):
+                    try:
+                        verdicts.add(check(lat, lab))
+                    except DegenerateIdealError:  # refused before any build, as the build would
+                        verdicts.add("degenerate")
+            lab = chain_condition_labeling(rng, lat)
+            assert is_coordinatization(lat, lab)
+    assert verdicts == {True, False, "degenerate"}
+    lat = interval_lattice(20)
+    assert is_coordinatization(lat, support_labeling(lat))
+
+
+def test_predicates_apply_the_generator_cap():
+    """21 minimal generators are refused with the build's message, whether
+    the specific map is an isomorphism (support labeling) or not (the flat
+    product labeling).  The cap counts minimal generators: the 21 weak
+    generators of the flat product labeling coincide, so ``is_weak`` answers."""
+    lat = flat_lattice(21)
+    lab = support_labeling(lat)
+    for check in (is_coordinatization, is_strong_coordinatization, is_weak_coordinatization):
+        with pytest.raises(CapExceededError, match="^21 generators exceed the supported maximum 20$"):
+            check(lat, lab)
+    lat, lab = _flat_product_labeling(21)
+    for check in (is_coordinatization, is_strong_coordinatization):
+        with pytest.raises(CapExceededError, match="^21 generators exceed the supported maximum 20$"):
+            check(lat, lab)
+    assert len(set(weak_ideal(lat, lab).generators)) == 1 and not is_weak_coordinatization(lat, lab)
 
 
 # -- labeling recovery -----------------------------------------------------------

@@ -78,6 +78,42 @@ def test_validate_malformed_json(runner, files):
     assert res.exit_code == 1 and "invalid JSON" in res.stderr
 
 
+# Each command form that reads a file, with how many file arguments it takes.
+FILE_COMMANDS = [
+    (["validate"], 1),
+    (["classify"], 1),
+    (["build-ideal"], 1),
+    (["lcm-lattice"], 1),
+    (["export-dot"], 1),
+    (["check-superatomic"], 1),
+    (["check-labeling-c"], 1),
+    (["check-labeling-c", "--thm53"], 3),
+]
+
+
+@pytest.mark.parametrize("command,count", FILE_COMMANDS, ids=[" ".join(c) for c, _ in FILE_COMMANDS])
+def test_non_utf8_file_is_a_format_error(runner, tmp_path, command, count):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe")
+    res = runner.invoke(main, [*command, *[str(path)] * count])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert res.stderr == f"Error: {path}: not UTF-8 text: invalid start byte at byte 0\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("[" * 100_000 + "]" * 100_000, id="deep-nesting"),
+        pytest.param('{"n": ' + "9" * 5000 + ', "sets": []}', id="long-integer"),
+    ],
+)
+def test_json_the_parser_refuses_is_a_format_error(runner, files, text):
+    path = files("odd.json", text)
+    res = runner.invoke(main, ["validate", path])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert res.stderr.startswith(f"Error: {path}: invalid JSON: ") and res.stderr.count("\n") == 1
+
+
 def test_validate_unrecognized_document(runner, files):
     res = runner.invoke(main, ["validate", files("odd.json", {"foo": 1})])
     assert res.exit_code == 1
@@ -143,6 +179,12 @@ def test_lcm_lattice_degenerate(runner, files):
     assert res.exit_code == 1 and "zero ideal" in res.stderr
     res = runner.invoke(main, ["lcm-lattice", files("bad.txt", "a\nb^\n")])
     assert res.exit_code == 1 and "line 2" in res.stderr
+
+
+def test_lcm_lattice_overlong_exponent(runner, files):
+    res = runner.invoke(main, ["lcm-lattice", files("ideal.txt", "x^" + "9" * 5000 + "\n")])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert res.stderr == "Error: line 1: exponent has too many digits (at position 2)\n"
 
 
 # -- classify ---------------------------------------------------------------------

@@ -112,6 +112,21 @@ class TestLabeling:
         with pytest.raises(FormatError):
             labeling_from_json_dict(doc)
 
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            pytest.param(b"\xff\xfe", "not UTF-8 text: invalid start byte at byte 0", id="not-utf8"),
+            pytest.param(b"[" * 100_000 + b"]" * 100_000, "invalid JSON: maximum recursion depth", id="deep-nesting"),
+            pytest.param(b'{"labels": ' + b"9" * 5000 + b"}", "invalid JSON: Exceeds the limit", id="long-integer"),
+        ],
+    )
+    def test_load_rejects_unreadable_files(self, tmp_path, content, message):
+        path = tmp_path / "labeling.json"
+        path.write_bytes(content)
+        with pytest.raises(FormatError) as exc:
+            load_labeling(path)
+        assert str(exc.value).startswith(f"{path}: {message}")
+
 
 # -- ideal text ---------------------------------------------------------------
 
@@ -127,6 +142,9 @@ def test_ideal_text_roundtrip():
 def test_ideal_text_error_carries_line_number():
     with pytest.raises(FormatError, match="line 3"):
         parse_ideal_text("a\nb\nc^\n")
+    # an exponent past Python's int() digit limit is a parse error too
+    with pytest.raises(FormatError, match=r"^line 2: exponent has too many digits \(at position 2\)$"):
+        parse_ideal_text("a\nx^" + "9" * 5000 + "\n")
 
 
 def test_minimal_generators():

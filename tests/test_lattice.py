@@ -331,6 +331,8 @@ def test_json_roundtrip():
         '{"n": "3", "sets": []}',
         '{"n": 2, "sets": [0, 1]}',
         '{"n": 2, "sets": [[], [1], [2], [1, 2], [0]]}',
+        pytest.param("[" * 100_000 + "]" * 100_000, id="deep-nesting"),
+        pytest.param('{"n": ' + "9" * 5000 + ', "sets": []}', id="long-integer"),
     ],
 )
 def test_json_rejects_malformed(doc):

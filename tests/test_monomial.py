@@ -46,6 +46,7 @@ def test_parse(text, exps):
         ("a*", 2),
         ("a b", 1),
         ("a^01", 2),  # no leading zeros
+        pytest.param("a*x^" + "9" * 5000, 4, id="exponent-past-the-int-digit-limit"),
     ],
 )
 def test_parse_rejects(text, pos):

@@ -185,3 +185,30 @@ def test_supp_detector_stays_independent_of_the_literal_one():
     support characterization must not reach the literal detector's tables."""
     names = _names_used(superatomic.is_super_atomic_via_supp.__code__)
     assert names & {"_joining_pairs", "is_super_atomic"} == set()
+
+
+def _top_level_scopes_mentioning(name: str) -> set[str]:
+    """``module.function`` (or ``module.Class``, or ``module`` for module-level
+    code) of each top-level definition whose code names ``name``, as a bare
+    name or as an attribute."""
+    found = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts).removesuffix(".__init__")
+        for node in ast.parse(path.read_text()).body:
+            if any(getattr(n, "id", None) == name or getattr(n, "attr", None) == name for n in ast.walk(node)):
+                found.add(f"{module}.{node.name}" if hasattr(node, "name") else module)
+    return found
+
+
+def test_only_classify_words_a_false_specific_map():
+    """The predicates take the join-rule decision alone; building an
+    lcm-lattice to word the verdict is for ``classify`` only."""
+    assert _top_level_scopes_mentioning("_specific_map_witness") == {"classify.classify"}
+
+
+def test_one_json_parser_and_one_text_reader():
+    """Input text reaches ``json.loads`` and ``read_text`` only through the
+    two readers that turn their failures into a ``FormatError`` naming the
+    file; ``fixtures.load`` reads the package's own data."""
+    assert _top_level_scopes_mentioning("loads") == {"lattice._parse_json", "fixtures.load"}
+    assert _top_level_scopes_mentioning("read_text") == {"ideals._read_text", "fixtures.load"}
