@@ -28,7 +28,6 @@ from .errors import (
     DegenerateIdealError,
     Error,
     FormatError,
-    IncomparableError,
     MonomialParseError,
     NotAnElementError,
     NotDivisibleError,
@@ -85,7 +84,6 @@ __all__ = [
     "DegenerateIdealError",
     "Error",
     "FormatError",
-    "IncomparableError",
     "IntervalCriterionReport",
     "IntervalWitness",
     "Labeling",

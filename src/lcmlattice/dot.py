@@ -8,7 +8,7 @@ cover order.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .lattice import AtomicLattice, _set_str
 
@@ -25,28 +25,23 @@ def _default_label(mask: int) -> str:
 
 def hasse_dot(
     lat: AtomicLattice,
-    labels: Optional[Mapping[int, str] | Callable[[int], str]] = None,
+    labels: Optional[Mapping[int, str]] = None,
     name: str = "lattice",
     skip_bottom: bool = False,
 ) -> str:
     """Render the Hasse diagram of ``lat`` as DOT text.
 
-    ``labels`` may supply display text per element mask (a mapping or a
-    callable); elements it does not cover fall back to their atom-set form.
-    ``skip_bottom`` drops the bottom element and its edges, the way lattice
-    diagrams are usually drawn.
+    ``labels`` may map element masks to display text; elements it does not
+    cover fall back to their atom-set form.  ``skip_bottom`` drops the bottom
+    element and its edges, the way lattice diagrams are usually drawn.
     """
-    lookup = labels if callable(labels) else dict(labels or {}).get
-
-    def get(mask: int) -> str:
-        text = lookup(mask)
-        return _default_label(mask) if text is None else text
-
+    labels = labels or {}
     lines = [f"digraph {_quote(name)} {{", "  rankdir=BT;", '  node [shape=plaintext, fontname="Helvetica"];']
     for m in lat.sets:
         if skip_bottom and m == 0:
             continue
-        lines.append(f"  n{m} [label={_quote(get(m))}];")
+        text = labels.get(m)
+        lines.append(f"  n{m} [label={_quote(_default_label(m) if text is None else text)}];")
     for lo, hi in lat.covers():
         if skip_bottom and lo == 0:
             continue

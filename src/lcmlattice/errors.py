@@ -1,6 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and :func:`shown`, the one
+renderer of a caller's value inside their messages."""
 
 from __future__ import annotations
+
+ECHO_LIMIT = 60  # characters
+
+
+def shown(value: object, render=repr) -> str:
+    """``render(value)`` cut to ``ECHO_LIMIT`` characters, ending in ``...``
+    when cut.  A value ``render`` refuses (an ``int`` past Python's digit
+    limit, nesting past the recursion limit) names only its type."""
+    try:
+        text = render(value)
+    except (ValueError, RecursionError):
+        return f"<{type(value).__name__} too large to show>"
+    return text if len(text) <= ECHO_LIMIT else text[: ECHO_LIMIT - 3] + "..."
 
 
 class Error(Exception):
@@ -43,10 +57,6 @@ class ValidationError(Error, ValueError):
 
 class NotAnElementError(Error, KeyError):
     """An atom set was used with a lattice it does not belong to."""
-
-
-class IncomparableError(Error, ValueError):
-    """Interval endpoints are not ordered (the lower set is not contained in the upper)."""
 
 
 class DegenerateIdealError(Error, ValueError):

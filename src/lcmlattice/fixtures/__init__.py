@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from ..classify import classify
-from ..errors import FormatError
+from ..errors import FormatError, shown
 from ..ideals import (
     MonomialIdeal,
     ideal_from_labeling,
@@ -74,7 +74,7 @@ class FixtureResult:
 
 def load(fixture_id: str) -> dict:
     if fixture_id not in FIXTURE_IDS:
-        raise FormatError(f"unknown fixture {fixture_id!r}; known: {', '.join(FIXTURE_IDS)}")
+        raise FormatError(f"unknown fixture {shown(fixture_id)}; known: {', '.join(FIXTURE_IDS)}")
     text = (resources.files(__name__) / "data" / f"{fixture_id}.json").read_text()
     return json.loads(text)
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import (
     CapExceededError,
@@ -38,8 +38,9 @@ from .errors import (
     NotAnElementError,
     PreconditionError,
     ValidationError,
+    shown,
 )
-from .lattice import AtomicLattice, _canon_key, _is_int, _parse_json, _set_str, atoms_of, bits_of, mask_of
+from .lattice import AtomicLattice, _canon_key, _element_str, _parse_json, _set_str, atoms_of, bits_of, mask_of
 from .monomial import ONE, Monomial, gcd_all
 
 __all__ = [
@@ -79,8 +80,8 @@ class Labeling:
         items = assignments.items() if isinstance(assignments, Mapping) else assignments
         table: dict[int, Monomial] = {}
         for p, m in items:
-            if not _is_int(p) or p not in lattice:
-                raise NotAnElementError(f"labeled set {_set_str(p) if _is_int(p) else repr(p)} is not in the lattice")
+            if p not in lattice:
+                raise NotAnElementError(f"labeled set {_element_str(p)} is not in the lattice")
             if not isinstance(m, Monomial):
                 m = Monomial.parse(str(m))
             if m.is_one:
@@ -104,20 +105,12 @@ class Labeling:
         return cls(lattice, ((mask_of(s, lattice.n), m) for s, m in items))
 
     def label(self, p: int) -> Monomial:
-        if not _is_int(p) or p not in self.lattice:
-            raise NotAnElementError(f"{_set_str(p) if _is_int(p) else repr(p)} is not in the lattice")
+        if p not in self.lattice:
+            raise NotAnElementError(f"{_element_str(p)} is not in the lattice")
         return self._table.get(p, ONE)
-
-    @property
-    def labeled_elements(self) -> tuple[int, ...]:
-        return tuple(self._table)
 
     def items(self) -> Iterator[tuple[int, Monomial]]:
         return iter(self._table.items())
-
-    def map_monomials(self, fn: Callable[[Monomial], Monomial]) -> "Labeling":
-        """A new labeling with every label replaced by ``fn(label)``."""
-        return Labeling(self.lattice, ((p, fn(m)) for p, m in self._table.items()))
 
     def __len__(self) -> int:
         return len(self._table)
@@ -180,13 +173,13 @@ def labeling_from_json_dict(
         if not isinstance(entry, dict) or "set" not in entry or "monomial" not in entry:
             raise FormatError('each label entry needs "set" and "monomial" keys')
         if not isinstance(entry["set"], list):
-            raise FormatError(f'"set" must be a list of atom indices, got {entry["set"]!r}')
+            raise FormatError(f'"set" must be a list of atom indices, got {shown(entry["set"])}')
         if not isinstance(entry["monomial"], str):
-            raise FormatError(f'"monomial" must be a string, got {entry["monomial"]!r}')
+            raise FormatError(f'"monomial" must be a string, got {shown(entry["monomial"])}')
         try:
             m = Monomial.parse(entry["monomial"])
         except MonomialParseError as exc:
-            raise FormatError(f"bad monomial for set {entry['set']}: {exc}") from None
+            raise FormatError(f"bad monomial for set {shown(entry['set'])}: {exc}") from None
         pairs.append((mask_of(entry["set"], lattice.n), m))
     return Labeling(lattice, pairs)
 
@@ -221,12 +214,7 @@ class MonomialIdeal:
     __slots__ = ("generators", "_minimal")
 
     def __init__(self, generators: Iterable[Monomial]):
-        gens = []
-        for g in generators:
-            if not isinstance(g, Monomial):
-                g = Monomial.parse(str(g))
-            gens.append(g)
-        self.generators = tuple(gens)
+        self.generators = tuple(g if isinstance(g, Monomial) else Monomial.parse(str(g)) for g in generators)
         self._minimal = None
 
     @property
@@ -306,10 +294,16 @@ def element_generator(lat: AtomicLattice, labeling: Labeling, p: int) -> Monomia
     return Monomial._trusted(acc)
 
 
+def _require_atom(lat: AtomicLattice, atom: int) -> None:
+    """:class:`NotAnElementError` for a non-element, :class:`PreconditionError` for a non-atom."""
+    lat._require(atom)
+    if atom.bit_count() != 1:
+        raise PreconditionError(f"{_set_str(atom)} is not an atom of the lattice")
+
+
 def atom_generator(lat: AtomicLattice, labeling: Labeling, atom: int) -> Monomial:
     """The generator ``x(a)`` contributed by one atom."""
-    if atom.bit_count() != 1 or atom not in lat:
-        raise PreconditionError(f"{_set_str(atom)} is not an atom of the lattice")
+    _require_atom(lat, atom)
     return element_generator(lat, labeling, atom)
 
 
@@ -326,8 +320,7 @@ def weak_generator(lat: AtomicLattice, labeling: Labeling, atom: int) -> Monomia
     caller that wants ``delta`` of several atoms should call
     :func:`weak_ideal` once instead.
     """
-    if atom.bit_count() != 1 or atom not in lat:
-        raise PreconditionError(f"{_set_str(atom)} is not an atom of the lattice")
+    _require_atom(lat, atom)
     return weak_ideal(lat, labeling).generators[atom.bit_length() - 1]
 
 
@@ -455,7 +448,7 @@ class LcmLattice:
         try:
             return self._monomial_of[mask]
         except KeyError:
-            raise NotAnElementError(f"no element has support {_set_str(mask)}") from None
+            raise NotAnElementError(f"no element has support {_element_str(mask)}") from None
 
     def mask_of(self, m: Monomial) -> int:
         try:

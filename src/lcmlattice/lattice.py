@@ -26,10 +26,10 @@ from typing import Iterable, Iterator, Mapping, Optional
 from .errors import (
     CapExceededError,
     FormatError,
-    IncomparableError,
     NotAnElementError,
     PreconditionError,
     ValidationError,
+    shown,
 )
 
 __all__ = [
@@ -51,9 +51,9 @@ def mask_of(atoms: Iterable[int], n: Optional[int] = None) -> int:
     mask = 0
     for a in atoms:
         if not _is_int(a) or a < 1:
-            raise FormatError(f"atom indices must be integers >= 1, got {a!r}")
+            raise FormatError(f"atom indices must be integers >= 1, got {shown(a)}")
         if n is not None and a > n:
-            raise FormatError(f"atom index {a} out of range 1..{n}")
+            raise FormatError(f"atom index {shown(a)} out of range 1..{shown(n)}")
         mask |= 1 << (a - 1)
     return mask
 
@@ -67,7 +67,7 @@ def bits_of(mask: int) -> Iterator[int]:
     """Iterate the single-bit masks of ``mask``, lowest first.  A negative
     int has infinitely many set bits, so it raises :class:`NotAnElementError`."""
     if mask < 0:
-        raise NotAnElementError(f"{mask} is not a set of atoms")
+        raise NotAnElementError(f"{shown(mask)} is not a set of atoms")
     while mask:
         b = mask & -mask
         yield b
@@ -85,6 +85,12 @@ def _canon_key(mask: int) -> tuple[int, int]:
 
 def _set_str(mask: int) -> str:
     return "{" + ",".join(str(a) for a in atoms_of(mask)) + "}"
+
+
+def _element_str(p: object) -> str:
+    """A caller's element for an error message: as an atom set if it is a
+    mask over at most ``MAX_ATOMS`` atoms, else as its ``repr``."""
+    return shown(p, _set_str if _is_int(p) and 0 <= p < 1 << MAX_ATOMS else repr)
 
 
 def _parse_json(text: str, source: object = None):
@@ -112,14 +118,14 @@ class AtomicLattice:
 
     def __init__(self, n: int, masks: Iterable[int]):
         if not _is_int(n) or n < 1:
-            raise ValidationError(f"atom count must be a positive integer, got {n!r}")
+            raise ValidationError(f"atom count must be a positive integer, got {shown(n)}")
         if n > MAX_ATOMS:
-            raise CapExceededError(f"atom count {n} exceeds the supported maximum {MAX_ATOMS}")
+            raise CapExceededError(f"atom count {shown(n)} exceeds the supported maximum {MAX_ATOMS}")
         top = (1 << n) - 1
         seen = set()
         for m in masks:
             if not _is_int(m) or m < 0 or m > top:
-                raise ValidationError(f"element {m!r} is not a bitmask over {n} atoms")
+                raise ValidationError(f"element {shown(m)} is not a bitmask over {n} atoms")
             seen.add(m)
 
         missing = [m for m in (0, *(1 << i for i in range(n)), top) if m not in seen]
@@ -136,9 +142,9 @@ class AtomicLattice:
                     "missing required sets: " + ", ".join(_set_str(m) for m in sorted(set(missing), key=_canon_key))
                 )
             if non_closed:
-                shown = ", ".join(f"{_set_str(a)} & {_set_str(b)}" for a, b in non_closed[:5])
+                listed = ", ".join(f"{_set_str(a)} & {_set_str(b)}" for a, b in non_closed[:5])
                 more = "" if len(non_closed) <= 5 else f" (+{len(non_closed) - 5} more)"
-                parts.append("intersections not in family: " + shown + more)
+                parts.append("intersections not in family: " + listed + more)
             raise ValidationError(
                 "; ".join(parts),
                 missing_required=[atoms_of(m) for m in sorted(set(missing), key=_canon_key)],
@@ -207,15 +213,10 @@ class AtomicLattice:
 
     def _require(self, p: int) -> int:
         if not _is_int(p) or p not in self._index:
-            raise NotAnElementError(f"{_set_str(p) if _is_int(p) else repr(p)} is not an element of this lattice")
+            raise NotAnElementError(f"{_element_str(p)} is not an element of this lattice")
         return p
 
     # -- order and lattice operations ------------------------------------
-
-    def leq(self, p: int, q: int) -> bool:
-        self._require(p)
-        self._require(q)
-        return p & ~q == 0
 
     def meet(self, p: int, q: int) -> int:
         """Greatest lower bound; equals the set intersection by closure."""
@@ -234,9 +235,9 @@ class AtomicLattice:
         j = self._join_cache.get(mask) if type(mask) is int else None
         if j is None:
             if not _is_int(mask):
-                raise NotAnElementError(f"{mask!r} is not a set of atoms")
+                raise NotAnElementError(f"{shown(mask)} is not a set of atoms")
             if mask & ~self.top:
-                raise NotAnElementError(f"{_set_str(mask)} is not within the atom universe")
+                raise NotAnElementError(f"{_element_str(mask)} is not within the atom universe")
             if mask in self._index:
                 j = mask
             else:
@@ -247,30 +248,10 @@ class AtomicLattice:
             self._join_cache[mask] = j
         return j
 
-    def join_atoms(self, masks: Iterable[int]) -> int:
-        acc = 0
-        for m in masks:
-            acc |= m
-        return self.join_mask(acc)
-
     def filter(self, p: int) -> tuple[int, ...]:
         """All elements above (and including) ``p``, canonically ordered."""
         self._require(p)
         return tuple(q for q in self.sets if p & ~q == 0)
-
-    def order_ideal(self, p: int) -> tuple[int, ...]:
-        """All elements below (and including) ``p``, canonically ordered."""
-        self._require(p)
-        return tuple(q for q in self.sets if q & ~p == 0)
-
-    def filter_complement(self, p: int) -> tuple[int, ...]:
-        """All elements *not* above ``p``; the index set of Eq.-style label products."""
-        self._require(p)
-        return tuple(q for q in self.sets if p & ~q != 0)
-
-    def atoms_below(self, p: int) -> tuple[int, ...]:
-        self._require(p)
-        return tuple(bits_of(p))
 
     # -- covers and meet-irreducibility -----------------------------------
 
@@ -338,23 +319,7 @@ class AtomicLattice:
         out.reverse()
         return tuple(out)
 
-    # -- intervals ---------------------------------------------------------
-
-    def interval_count(self, lo: int, hi: int) -> int:
-        """Number of elements in the closed interval ``[lo, hi]``."""
-        self._require(lo)
-        self._require(hi)
-        if lo & ~hi:
-            raise IncomparableError(f"{_set_str(lo)} is not below {_set_str(hi)}")
-        return sum(1 for q in self.sets if lo & ~q == 0 and q & ~hi == 0)
-
     # -- helpers -------------------------------------------------------------
-
-    @staticmethod
-    def is_chain(masks: Iterable[int]) -> bool:
-        """True when the given masks are pairwise comparable under inclusion."""
-        ordered = sorted(set(masks), key=_canon_key)
-        return all(a & ~b == 0 for a, b in zip(ordered, ordered[1:]))
 
     def relabel(self, image: Mapping[int, int] | Iterable[int]) -> "AtomicLattice":
         """Apply an atom permutation; ``image`` maps each 1-based index to its new index.
@@ -370,7 +335,7 @@ class AtomicLattice:
             or sorted(image) != indices
             or sorted(image.values()) != indices
         ):
-            raise PreconditionError(f"not a permutation of 1..{self.n}: {image!r}")
+            raise PreconditionError(f"not a permutation of 1..{self.n}: {shown(image)}")
         shift = {1 << (a - 1): 1 << (b - 1) for a, b in image.items()}
 
         def apply(mask: int) -> int:
@@ -396,7 +361,7 @@ class AtomicLattice:
         n = doc["n"]
         sets = doc["sets"]
         if not _is_int(n):
-            raise FormatError(f'"n" must be an integer, got {n!r}')
+            raise FormatError(f'"n" must be an integer, got {shown(n)}')
         if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
             raise FormatError('"sets" must be a list of lists of atom indices')
         return cls.from_sets(n, sets)

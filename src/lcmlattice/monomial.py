@@ -7,7 +7,7 @@ grammar is deliberately small::
     monomial := "1" | term ("*" term)*
     term     := ident ("^" uint)?
     ident    := [A-Za-z_][A-Za-z0-9_]*
-    uint     := positive decimal integer (no leading zeros)
+    uint     := positive decimal integer, no leading zeros, <= MAX_EXPONENT_DIGITS digits
 
 ``a^1`` parses but always renders as ``a``.  Rendering is canonical: variables
 shaped like ``a<k>`` (the default names given to lattice atoms) come first in
@@ -26,9 +26,16 @@ from __future__ import annotations
 import re
 from typing import Iterable, Iterator, Mapping
 
-from .errors import MonomialParseError, NotDivisibleError, PreconditionError
+from .errors import MonomialParseError, NotDivisibleError, PreconditionError, shown
 
 __all__ = ["Monomial", "ONE", "lcm_all", "gcd_all"]
+
+# Most digits in one exponent.  ``x(a)`` adds the exponents of fewer than 2^64
+# labels (a lattice on MAX_ATOMS = 64 atoms has at most 2^64 elements), so its
+# exponents stay below 2^64 * 10^1000 < 10^1020, and lcm, gcd and exact division
+# never raise one: every exponent renders within Python's 4,300-digit str limit.
+MAX_EXPONENT_DIGITS = 1000
+_EXPONENT_BOUND = 10**MAX_EXPONENT_DIGITS
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _UINT = re.compile(r"[1-9][0-9]*")
@@ -48,7 +55,8 @@ class Monomial:
     Construct from a mapping or an iterable of ``(variable, exponent)`` pairs;
     repeated variables accumulate.  All exponents must be positive integers
     (zero-exponent entries are rejected rather than silently dropped, except
-    when they arise internally from exact division).
+    when they arise internally from exact division), and each accumulated
+    exponent has at most ``MAX_EXPONENT_DIGITS`` digits.
     """
 
     __slots__ = ("_exps", "_hash")
@@ -58,10 +66,12 @@ class Monomial:
         items = exponents.items() if isinstance(exponents, Mapping) else exponents
         for name, exp in items:
             if not isinstance(name, str) or not _IDENT.fullmatch(name):
-                raise PreconditionError(f"invalid variable name: {name!r}")
+                raise PreconditionError(f"invalid variable name: {shown(name)}")
             if not isinstance(exp, int) or isinstance(exp, bool) or exp <= 0:
-                raise PreconditionError(f"exponent of {name!r} must be a positive int, got {exp!r}")
-            acc[name] = acc.get(name, 0) + exp
+                raise PreconditionError(f"exponent of {shown(name)} must be a positive int, got {shown(exp)}")
+            acc[name] = total = acc.get(name, 0) + exp
+            if total >= _EXPONENT_BOUND:
+                raise PreconditionError(f"exponent of {shown(name)} has more than {MAX_EXPONENT_DIGITS} digits")
         self._exps = tuple(sorted(acc.items()))
         self._hash = hash(self._exps)
 
@@ -77,21 +87,11 @@ class Monomial:
         m._hash = hash(m._exps)
         return m
 
-    # -- construction helpers ------------------------------------------------
-
-    @classmethod
-    def variable(cls, name: str, exp: int = 1) -> "Monomial":
-        return cls(((name, exp),))
-
-    @classmethod
-    def one(cls) -> "Monomial":
-        return ONE
-
     @classmethod
     def parse(cls, text: str) -> "Monomial":
         """Parse the strict grammar above; raise :class:`MonomialParseError` otherwise."""
         if not isinstance(text, str):
-            raise MonomialParseError(f"expected a string, got {text!r}", 0)
+            raise MonomialParseError(f"expected a string, got {shown(text)}", 0)
         if text == "1":
             return ONE
         pairs = []
@@ -109,16 +109,15 @@ class Monomial:
                 m = _UINT.match(text, pos)
                 if not m:
                     raise MonomialParseError("expected a positive exponent after '^'", pos)
-                try:
-                    exp = int(m.group())
-                except ValueError:  # more digits than Python's int() conversion allows
-                    raise MonomialParseError("exponent has too many digits", pos) from None
+                if m.end() - pos > MAX_EXPONENT_DIGITS:
+                    raise MonomialParseError(f"exponent has more than {MAX_EXPONENT_DIGITS} digits", pos)
+                exp = int(m.group())
                 pos = m.end()
             pairs.append((name, exp))
             if pos == n:
                 break
             if text[pos] != "*":
-                raise MonomialParseError(f"unexpected character {text[pos]!r}", pos)
+                raise MonomialParseError(f"unexpected character {shown(text[pos])}", pos)
             pos += 1
         return cls(pairs)
 
@@ -129,19 +128,9 @@ class Monomial:
         return not self._exps
 
     @property
-    def degree(self) -> int:
-        return sum(e for _, e in self._exps)
-
-    @property
     def variables(self) -> tuple[str, ...]:
         """Variable names in render order."""
         return tuple(v for v, _ in self.items())
-
-    def exponent(self, name: str) -> int:
-        for v, e in self._exps:
-            if v == name:
-                return e
-        return 0
 
     def items(self) -> Iterator[tuple[str, int]]:
         """``(variable, exponent)`` pairs in render order."""

@@ -28,7 +28,7 @@ from itertools import combinations, product
 from math import comb
 from typing import Iterator, Optional
 
-from .errors import CapExceededError, PreconditionError
+from .errors import CapExceededError, PreconditionError, shown
 from .lattice import AtomicLattice, _canon_key, _is_int, atoms_of, bits_of
 
 __all__ = [
@@ -127,9 +127,9 @@ def is_super_atomic_via_supp(lat: AtomicLattice) -> bool:
 
 def _require_atom_count(n: int, least: int) -> None:
     if not _is_int(n):
-        raise PreconditionError(f"the atom count must be an int, got {n!r}")
+        raise PreconditionError(f"the atom count must be an int, got {shown(n)}")
     if n < least:
-        raise PreconditionError(f"need at least {least} atom{'s' if least > 1 else ''}, got {n}")
+        raise PreconditionError(f"need at least {least} atom{'s' if least > 1 else ''}, got {shown(n)}")
 
 
 def super_atomic_size(n: int) -> int:
@@ -152,7 +152,7 @@ def iter_super_atomic_families(n: int) -> Iterator[tuple[int, ...]]:
     """
     _require_atom_count(n, 2)
     if n > MAX_ENUM_ATOMS:
-        raise CapExceededError(f"enumeration on {n} atoms exceeds the cap of {MAX_ENUM_ATOMS}")
+        raise CapExceededError(f"enumeration on {shown(n)} atoms exceeds the cap of {MAX_ENUM_ATOMS}")
     top = (1 << n) - 1
     yield from _descend((top,), (), (0, *(1 << i for i in range(n))))
 
@@ -230,7 +230,7 @@ def enumerate_all_lattices(n: int) -> list[AtomicLattice]:
     """
     _require_atom_count(n, 1)
     if n > 4:
-        raise CapExceededError(f"enumerating all lattices on {n} atoms is not tractable here (max 4)")
+        raise CapExceededError(f"enumerating all lattices on {shown(n)} atoms is not tractable here (max 4)")
     top = (1 << n) - 1
     base = (0, *(1 << i for i in range(n)))
     optional = sorted((m for m in range(1, top) if m.bit_count() >= 2), key=_canon_key)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .classify import is_strong_coordinatization
-from .errors import PreconditionError
+from .errors import PreconditionError, shown
 from .ideals import Labeling, ideal_from_labeling, weak_ideal
 from .lattice import AtomicLattice, _set_str, atoms_of, bits_of
 from .monomial import Monomial
@@ -53,7 +53,7 @@ def support_labeling(lat: AtomicLattice, atom_names: Optional[list[str]] = None)
     else:
         names = list(atom_names)
         if len(names) != lat.n or len(set(names)) != lat.n:
-            raise PreconditionError(f"need {lat.n} distinct atom names, got {names!r}")
+            raise PreconditionError(f"need {lat.n} distinct atom names, got {shown(names)}")
     by_bit = {1 << i: name for i, name in enumerate(names)}
     return Labeling(
         lat,

@@ -157,6 +157,12 @@ def joining_pairs_oracle(lat: AtomicLattice) -> dict[int, list[int]]:
     return {p: [pr for pr in _pairs_within(p) if lat.join_mask(pr) == p] for p in lat.sets}
 
 
+def interval_count(lat: AtomicLattice, lo: int, hi: int) -> int:
+    """N([lo, hi]) by scanning every element: the oracle for
+    ``support_labeling._filter_sizes``."""
+    return sum(1 for q in lat.sets if lo & ~q == 0 and q & ~hi == 0)
+
+
 def flat_lattice(n: int) -> AtomicLattice:
     """The lattice {0, atoms, top} on n atoms."""
     return AtomicLattice(n, [0, *(1 << i for i in range(n)), (1 << n) - 1])
@@ -233,7 +239,7 @@ def chain_condition_labeling(rng: random.Random, lat: AtomicLattice) -> Labeling
         rng.shuffle(order)
         chain: list[int] = []
         for p in order:
-            if all(lat.leq(p, q) or lat.leq(q, p) for q in chain):
+            if all(p & ~q == 0 or q & ~p == 0 for q in chain):
                 chain.append(p)
         if len(chain) >= 2:
             for p in chain:
@@ -256,7 +262,7 @@ def overlap_condition_labeling(rng: random.Random, lat: AtomicLattice) -> Labeli
         (p, q)
         for i, p in enumerate(mi)
         for q in mi[i + 1 :]
-        if not lat.leq(p, q) and not lat.leq(q, p)
+        if p & ~q and q & ~p
     ]
     if incomparable:
         p, q = rng.choice(incomparable)

@@ -198,9 +198,7 @@ def test_classification_invariant_under_variable_renaming(rng):
     for _ in range(20):
         lat = random_lattice(rng, rng.randint(2, 4))
         lab = random_labeling(rng, lat)
-        renamed = lab.map_monomials(
-            lambda m: type(m)({f"r_{v}": e for v, e in m.items()})
-        )
+        renamed = Labeling(lat, ((p, Monomial({f"r_{v}": e for v, e in m.items()})) for p, m in lab.items()))
         assert classify(lat, lab).to_json_dict() | {"witness": None} == classify(
             lat, renamed
         ).to_json_dict() | {"witness": None}
@@ -412,7 +410,7 @@ def test_classification_json_fields():
         "is_weak",
         "witness",
     ]
-    clean = classify(BOOLEAN3, FIG6_LABELS.map_monomials(lambda m: m))
+    clean = classify(BOOLEAN3, FIG6_LABELS)
     assert set(clean.witness) <= {"satisfies_A1A2", "satisfies_C1C2"}
 
 

@@ -184,7 +184,53 @@ def test_lcm_lattice_degenerate(runner, files):
 def test_lcm_lattice_overlong_exponent(runner, files):
     res = runner.invoke(main, ["lcm-lattice", files("ideal.txt", "x^" + "9" * 5000 + "\n")])
     assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
-    assert res.stderr == "Error: line 1: exponent has too many digits (at position 2)\n"
+    assert res.stderr == "Error: line 1: exponent has more than 1000 digits (at position 2)\n"
+
+
+NINES_4300 = "9" * 4300
+BOOLEAN2_DOC = {"n": 2, "sets": [[], [1], [2], [1, 2]]}
+
+# Each input once ended in a traceback or in an error line as long as the input.
+OVERSIZED_INPUTS = {
+    "build-ideal on two 4,300-digit exponents": (
+        "build-ideal",
+        "lab.json",
+        json.dumps(
+            {
+                "lattice": BOOLEAN2_DOC,
+                "labels": [{"set": [], "monomial": f"x^{NINES_4300}"}, {"set": [2], "monomial": f"x^{NINES_4300}"}],
+            }
+        ),
+    ),
+    "classify on a set nested 900 deep": (
+        "classify",
+        "lab.json",
+        '{"lattice": %s, "labels": [{"set": %s, "monomial": "a"}]}'
+        % (json.dumps(BOOLEAN3_DOC), "[" * 900 + "]" * 900),
+    ),
+    "validate on a 4,001-digit n": ("validate", "lat.json", '{"n": 1%s, "sets": []}' % ("0" * 4000)),
+    "lcm-lattice on an exponent past the cap": ("lcm-lattice", "ideal.txt", "a*b\nx^1" + "0" * 1000 + "\n"),
+}
+
+
+@pytest.mark.parametrize("case", OVERSIZED_INPUTS)
+def test_oversized_input_values_give_one_short_error_line(runner, files, case):
+    command, name, text = OVERSIZED_INPUTS[case]
+    res = runner.invoke(main, [command, files(name, text)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.stderr and res.stdout == ""
+    assert res.stderr.endswith("\n") and res.stderr.count("\n") == 1
+    assert res.stderr.startswith("Error: ") and len(res.stderr.encode()) <= 200
+
+
+def test_label_exponent_at_the_cap_round_trips(runner, files):
+    """A label exponent of MAX_EXPONENT_DIGITS digits on the bottom is a
+    factor of every generator, so build-ideal prints it back unchanged."""
+    label = "x^" + "9" * 1000
+    doc = {"lattice": BOOLEAN2_DOC, "labels": [{"set": [], "monomial": label}]}
+    res = runner.invoke(main, ["build-ideal", files("lab.json", doc)])
+    assert res.exit_code == 0 and res.stderr == ""
+    assert res.stdout == f"{label}\n{label}\n"
 
 
 # -- classify ---------------------------------------------------------------------

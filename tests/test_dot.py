@@ -20,12 +20,6 @@ def test_label_mapping_with_fallback():
     assert 'n1 [label="{1}"];' in text
 
 
-def test_label_callable():
-    text = hasse_dot(DIAMOND, labels=lambda m: f"e{m}" if m else None)
-    assert 'n2 [label="e2"];' in text
-    assert 'n0 [label="0"];' in text  # None falls back
-
-
 def test_skip_bottom():
     text = hasse_dot(DIAMOND, skip_bottom=True)
     assert "n0" not in text

@@ -58,7 +58,7 @@ class TestLabeling:
         assert lab.label(0b001) == Monomial.parse("a*b^2")
         assert lab.label(0b110) == ONE  # unlabeled
         assert len(lab) == 3
-        assert lab.labeled_elements == (0b001, 0b010, 0b100)
+        assert tuple(p for p, _ in lab.items()) == (0b001, 0b010, 0b100)
 
     def test_rejects_unit_label(self):
         with pytest.raises(ValidationError):
@@ -74,10 +74,6 @@ class TestLabeling:
         # agreeing duplicates are fine
         lab = Labeling.from_sets(FIG2, [([1], "x"), ([1], "x")])
         assert len(lab) == 1
-
-    def test_map_monomials(self):
-        doubled = FIG2_LABELS.map_monomials(lambda m: m * m)
-        assert doubled.label(0b010) == Monomial.parse("e^2")
 
     def test_json_roundtrip(self):
         doc = FIG2_LABELS.to_json_dict()
@@ -142,8 +138,8 @@ def test_ideal_text_roundtrip():
 def test_ideal_text_error_carries_line_number():
     with pytest.raises(FormatError, match="line 3"):
         parse_ideal_text("a\nb\nc^\n")
-    # an exponent past Python's int() digit limit is a parse error too
-    with pytest.raises(FormatError, match=r"^line 2: exponent has too many digits \(at position 2\)$"):
+    # an exponent past MAX_EXPONENT_DIGITS (here also past Python's int() digit limit) is a parse error too
+    with pytest.raises(FormatError, match=r"^line 2: exponent has more than 1000 digits \(at position 2\)$"):
         parse_ideal_text("a\nx^" + "9" * 5000 + "\n")
 
 
@@ -349,7 +345,7 @@ def test_lcm_lattice_order_is_divisibility(rng):
         lat = ll.abstract()
         for p in lat.sets:
             for q in lat.sets:
-                assert lat.leq(p, q) == ll.monomial_of(p).divides(ll.monomial_of(q))
+                assert (p & ~q == 0) == ll.monomial_of(p).divides(ll.monomial_of(q))
         # supports really are the sets of dividing minimal generators
         for p in lat.sets:
             m = ll.monomial_of(p)
@@ -436,7 +432,7 @@ def test_recovery_roundtrip_under_chain_conditions(rng):
         lat = random_lattice(rng, rng.randint(2, 4))
         lab = chain_condition_labeling(rng, lat)
         x = {a: atom_generator(lat, lab, a) for a in lat.atoms}
-        monomial_of = {p: lcm_all(x[a] for a in lat.atoms_below(p)) for p in lat.sets}
+        monomial_of = {p: lcm_all(x[a] for a in bits_of(p)) for p in lat.sets}
         assert recovered_labeling(lat, monomial_of) == lab
 
 
@@ -445,5 +441,5 @@ def test_recovered_labeling_never_labels_top(rng):
         lat = random_lattice(rng, rng.randint(2, 4))
         lab = chain_condition_labeling(rng, lat)
         x = {a: atom_generator(lat, lab, a) for a in lat.atoms}
-        monomial_of = {p: lcm_all(x[a] for a in lat.atoms_below(p)) for p in lat.sets}
-        assert lat.top not in recovered_labeling(lat, monomial_of).labeled_elements
+        monomial_of = {p: lcm_all(x[a] for a in bits_of(p)) for p in lat.sets}
+        assert lat.top not in dict(recovered_labeling(lat, monomial_of).items())

@@ -14,17 +14,20 @@ from lcmlattice import (
     CapExceededError,
     Error,
     FormatError,
-    IncomparableError,
     Labeling,
     Monomial,
     NotAnElementError,
     PreconditionError,
     ValidationError,
+    atom_generator,
     atoms_of,
+    enumerate_super_atomic,
     lattice_isomorphic,
     mask_of,
+    weak_generator,
 )
-from lcmlattice.lattice import MAX_JOINING_ATOMS, bits_of
+from lcmlattice.errors import ECHO_LIMIT, shown
+from lcmlattice.lattice import MAX_JOINING_ATOMS, _set_str, bits_of
 
 from conftest import (
     boolean_lattice,
@@ -81,13 +84,12 @@ class TestValidation:
 def test_order_and_operations():
     lat = BOOLEAN3
     a, b, ab = 0b001, 0b010, 0b011
-    assert lat.leq(a, ab) and not lat.leq(ab, a)
     assert lat.meet(ab, 0b110) == b
     assert lat.join(a, b) == ab
-    assert lat.join_atoms([a, b, 0b100]) == 0b111
-    assert lat.join_atoms([]) == 0
+    assert lat.join_mask(a | b | 0b100) == 0b111
+    assert lat.join_mask(0) == 0
     with pytest.raises(NotAnElementError):
-        DIAMOND3.leq(0b011, 0b111)  # {1,2} not an element of the diamond
+        DIAMOND3.meet(0b011, 0b111)  # {1,2} not an element of the diamond
     with pytest.raises(NotAnElementError):
         DIAMOND3.join_mask(0b11000)
 
@@ -101,7 +103,7 @@ def test_negative_masks_are_refused_at_once():
         from lcmlattice import AtomicLattice, Labeling, Monomial, NotAnElementError
         lat = AtomicLattice(2, [0, 1, 2, 3])
         calls = [
-            lambda: lat.leq(-1, 0),
+            lambda: lat.meet(-1, 0),
             lambda: lat.join_mask(-1),
             lambda: lat.filter(-2),
             lambda: Labeling(lat, {-1: Monomial.parse("x")}),
@@ -122,7 +124,6 @@ def test_negative_masks_are_refused_at_once():
 
 NON_INT_ELEMENT_CALLS = {
     "meet(1.0, 2)": lambda lat: lat.meet(1.0, 2),
-    "leq(True, 3)": lambda lat: lat.leq(True, 3),
     "filter(3.0)": lambda lat: lat.filter(3.0),
     "join_mask(1.5)": lambda lat: lat.join_mask(1.5),
     "join_mask(3.0)": lambda lat: lat.join_mask(3.0),
@@ -130,6 +131,8 @@ NON_INT_ELEMENT_CALLS = {
     "Labeling({1.0: a})": lambda lat: Labeling(lat, {1.0: Monomial.parse("a")}),
     "Labeling({True: a})": lambda lat: Labeling(lat, {True: Monomial.parse("a")}),
     "label(2.0)": lambda lat: Labeling(lat).label(2.0),
+    "atom_generator(1.0)": lambda lat: atom_generator(lat, Labeling(lat), 1.0),
+    "weak_generator(2.0)": lambda lat: weak_generator(lat, Labeling(lat), 2.0),
 }
 
 
@@ -145,6 +148,40 @@ def test_non_int_elements_are_refused(call):
     for lat in (fresh, warmed):
         with pytest.raises(NotAnElementError):
             NON_INT_ELEMENT_CALLS[call](lat)
+
+
+def test_shown_renders_repr_up_to_the_limit():
+    for value in (None, 3, -7, 1.5, "set", [1, [2, 3]], {"n": 2}, "x" * (ECHO_LIMIT - 2)):
+        assert shown(value) == repr(value)
+    long = shown("x" * 5000)
+    assert len(long) == ECHO_LIMIT and long == repr("x" * 5000)[: ECHO_LIMIT - 3] + "..."
+    assert shown(10**5000) == "<int too large to show>"
+    assert shown([10**5000]) == "<list too large to show>"
+    assert shown(0b101, _set_str) == "{1,3}"
+
+
+ECHOING_CALLS = {
+    "4,001-digit n in a file": lambda: AtomicLattice.from_json_dict({"n": 10**4000, "sets": []}),
+    "long string n in a file": lambda: AtomicLattice.from_json_dict({"n": "n" * 5000, "sets": []}),
+    "5,001-digit atom count": lambda: AtomicLattice(-(10**5000), []),
+    "long string atom index": lambda: mask_of(["a" * 5000]),
+    "5,001-digit index range": lambda: mask_of([3], n=-(10**5000)),
+    "huge element": lambda: BOOLEAN3.meet(10**5000, 0),
+    "negative huge mask": lambda: list(bits_of(-(10**5000))),
+    "mask past the universe": lambda: BOOLEAN3.join_mask(1 << 5000),
+    "long permutation": lambda: BOOLEAN3.relabel(range(5000)),
+    "5,001-digit enumeration size": lambda: enumerate_super_atomic(10**5000),
+    "long labeled value": lambda: Labeling(BOOLEAN3, {"x" * 5000: Monomial.parse("a")}),
+}
+
+
+@pytest.mark.parametrize("call", ECHOING_CALLS)
+def test_error_messages_echo_a_bounded_value(call):
+    """A caller's value in an error message is cut to ``ECHO_LIMIT``
+    characters, so the message stays short and is always built."""
+    with pytest.raises(Error) as excinfo:
+        ECHOING_CALLS[call]()
+    assert len(str(excinfo.value)) <= ECHO_LIMIT + 80
 
 
 def test_non_int_values_are_not_members():
@@ -170,10 +207,7 @@ def test_join_is_least_upper_bound(rng):
 def test_filters_partition():
     lat = DIAMOND3
     for p in lat.sets:
-        up = set(lat.filter(p))
-        rest = set(lat.filter_complement(p))
-        assert up | rest == set(lat.sets) and not up & rest
-        assert set(lat.order_ideal(p)) == {q for q in lat.sets if lat.leq(q, p)}
+        assert lat.filter(p) == tuple(q for q in lat.sets if p & ~q == 0)
 
 
 def test_covers_against_definition(rng):
@@ -182,10 +216,8 @@ def test_covers_against_definition(rng):
         expected = set()
         for q in lat.sets:
             for p in lat.sets:
-                if p != q and lat.leq(p, q):
-                    if not any(
-                        r not in (p, q) and lat.leq(p, r) and lat.leq(r, q) for r in lat.sets
-                    ):
+                if p != q and p & ~q == 0:
+                    if not any(r not in (p, q) and p & ~r == 0 and r & ~q == 0 for r in lat.sets):
                         expected.add((p, q))
         assert set(lat.covers()) == expected
 
@@ -239,7 +271,7 @@ def test_joining_sets_definition(rng):
                 if sub == 0:
                     break
                 sub = (sub - 1) & p
-            expected = {T for T in all_subs if (T or p == 0) and lat.join_atoms(bits_of(T)) == p}
+            expected = {T for T in all_subs if (T or p == 0) and lat.join_mask(T) == p}
             if p == 0:
                 expected = {0}
             assert got == expected
@@ -253,22 +285,6 @@ def test_joining_sets_cap():
     with pytest.raises(CapExceededError, match=f"{MAX_JOINING_ATOMS + 1} atoms .* maximum {MAX_JOINING_ATOMS}"):
         over.joining_sets(over.top)
     assert over.joining_sets(0b1) == (0b1,)  # small elements stay within the cap
-
-
-def test_interval_count():
-    lat = BOOLEAN3
-    assert lat.interval_count(0, lat.top) == 8
-    assert lat.interval_count(0b001, lat.top) == 4
-    assert lat.interval_count(0b011, 0b011) == 1
-    with pytest.raises(IncomparableError):
-        lat.interval_count(0b011, 0b101)
-
-
-def test_is_chain():
-    assert AtomicLattice.is_chain([0b001, 0b011, 0b111])
-    assert AtomicLattice.is_chain([])
-    assert AtomicLattice.is_chain([0b10])
-    assert not AtomicLattice.is_chain([0b001, 0b010])
 
 
 def test_relabel():

@@ -177,6 +177,35 @@ def test_constructor_rejects_bad_input():
         Monomial({"a": True})
 
 
+CAP = monomial_module.MAX_EXPONENT_DIGITS
+
+
+def test_exponent_digit_cap():
+    """An exponent of ``MAX_EXPONENT_DIGITS`` digits parses and renders;
+    one more digit is refused, by the parser at the exponent and by the
+    constructor, also when repeated variables add up past the cap."""
+    at_cap = "9" * CAP
+    assert str(Monomial.parse(f"a*x^{at_cap}")) == f"a*x^{at_cap}"
+    with pytest.raises(MonomialParseError, match=f"more than {CAP} digits") as exc:
+        Monomial.parse(f"a*x^1{at_cap}")
+    assert exc.value.position == 4
+    assert str(Monomial({"x": 10**CAP - 1})) == f"x^{at_cap}"
+    for exps in ({"x": 10**CAP}, [("x", 10**CAP - 1), ("x", 1)]):
+        with pytest.raises(PreconditionError, match=f"^exponent of 'x' has more than {CAP} digits$"):
+            Monomial(exps)
+
+
+@pytest.mark.parametrize(
+    "exps",
+    [{"x": -(10**5000)}, {"x": "9" * 5000}, {"9" + "y" * 5000: 1}],
+    ids=["5,001-digit exponent", "long string exponent", "long bad name"],
+)
+def test_constructor_errors_echo_a_bounded_value(exps):
+    with pytest.raises(PreconditionError) as excinfo:
+        Monomial(exps)
+    assert len(str(excinfo.value)) <= 200
+
+
 @pytest.mark.parametrize("exps", [{"x": 1.5}, {"9x": 1}])
 def test_constructor_errors_are_package_errors(exps):
     with pytest.raises(PreconditionError) as excinfo:

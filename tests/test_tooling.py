@@ -144,6 +144,28 @@ def test_package_raises_only_package_errors():
     assert found == []
 
 
+def _echoes_repr(node: ast.AST) -> bool:
+    """An f-string field with ``!r``, or a ``repr(...)`` call."""
+    if isinstance(node, ast.FormattedValue):
+        return node.conversion == ord("r")
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "repr"
+
+
+def test_raise_messages_echo_values_through_the_renderer():
+    """An error message echoes a caller's value through ``errors.shown``,
+    which cuts it to a fixed length; ``!r`` or ``repr`` would echo the
+    whole value, however long, or raise on an int past the digit limit."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                found += [
+                    f"{path.relative_to(PACKAGE)}:{sub.lineno}" for sub in ast.walk(node.exc) if _echoes_repr(sub)
+                ]
+    assert found == []
+
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
