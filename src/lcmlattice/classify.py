@@ -6,11 +6,12 @@ ideal is order-isomorphic to it.  The strong and weak variants pin the
 isomorphism down to the specific map sending each atom to its generator
 (``x(a)`` for strong, ``delta(a)`` for weak) and every other element to the
 lcm over its support; being a bijection that preserves order both ways is
-then a property, not a search.  It holds exactly when the map is injective and
-sends the join of each element ``p`` with each atom ``a`` outside it to
-``lcm(g(p), g(a))``: ``O(m*n)`` joins and lcms for ``m`` elements and ``n``
-atoms (the joins :meth:`AtomicLattice.covers` takes), with no lcm-lattice
-built.  The predicates build none for either verdict;
+then a property, not a search.  It holds exactly when every level mask
+``D(v, t)`` (the atoms whose generator has ``e_v <= t``) is an element and the
+level masks, with the empty set, separate the elements.  That takes ``O(k*n)``
+level masks for ``k`` variables and ``n`` atoms, and ``O(m*c)`` mask tests for
+``m`` elements and ``c`` distinct masks, with no join, no lcm and no
+lcm-lattice built.  The predicates build none for either verdict;
 :func:`is_coordinatization` builds one only when the strong map fails, for
 the isomorphism search, and :func:`classify` builds one per generator tuple
 only to word a false verdict.
@@ -41,6 +42,8 @@ from .ideals import (
     LcmLattice,
     MonomialIdeal,
     _check_lcm_generators,
+    _intersection_closure,
+    _level_masks,
     _refine,
     ideal_from_labeling,
     lcm_lattice,
@@ -48,7 +51,7 @@ from .ideals import (
     weak_ideal,
 )
 from .lattice import AtomicLattice, _set_str, bits_of, lattice_isomorphic
-from .monomial import ONE, Monomial, lcm_all
+from .monomial import Monomial, lcm_all
 
 __all__ = [
     "LabelingClassification",
@@ -147,8 +150,8 @@ def _support_map(lat: AtomicLattice, atom_monomials: tuple[Monomial, ...]) -> di
 
 def _extends_to_isomorphism(lat: AtomicLattice, atom_monomials: tuple[Monomial, ...]) -> bool:
     """Is g(p) = lcm of the atom monomials below p an isomorphism onto the
-    lcm-lattice of those monomials?  In ``O(m*n)`` joins and lcms, with no
-    lcm-lattice built.
+    lcm-lattice of those monomials?  Decided on their level masks, with no
+    join, no lcm and no lcm-lattice built.
 
     The tuples the lcm-lattice build refuses are refused first, with the same
     error: a unit monomial raises :class:`DegenerateIdealError`, and more than
@@ -157,30 +160,50 @@ def _extends_to_isomorphism(lat: AtomicLattice, atom_monomials: tuple[Monomial, 
     when the tuple does, and up to ``MAX_GENERATORS`` monomials only a unit
     can be refused; the minimal generators are computed only above that count.
 
-    It is exactly when g is injective and g(p v a) = lcm(g(p), g(a)) for
-    every element p and every atom a outside p.  An isomorphism onto a
-    lattice whose join is lcm satisfies both.  Conversely, the join rule gives
-    g(join of S) = lcm of the monomials of S for every atom set S, so the image
-    is closed under lcm; if g(a) divided g(b) for atoms a != b, then
-    g(a v b) = g(b) would break injectivity, so every atom monomial is a
-    minimal generator and the image is the whole lcm-lattice.  Order is
-    reflected: g(p) | g(q) gives g(p v q) = g(q), so p v q = q.
+    The *cuts* are the empty set and the level masks D(v, t) = {a : e_v(m_a)
+    <= t} of :func:`~lcmlattice.ideals._exponent_levels`; K(S) is the set of
+    cuts containing an atom set S.  First, g(S) | g(T) exactly when K(T) is
+    in K(S).  For nonempty T the largest exponent t of v over T is a level
+    of v, T lies in D(v, t') exactly when t <= t', and so K(T) in K(S) says
+    that no exponent over S exceeds the one over T, variable by variable.
+    For empty T, K(T) holds every cut, the cut {} included, so it lies in
+    K(S) only for empty S; and only g({}) = 1 divides 1, no monomial being
+    a unit.  The {} cut is needed: on one atom,
+    the only level is the atom itself.
 
-    g is computed along those joins.  Every element above the bottom is the
-    join of a lower cover with an atom, and elements come in order of size,
-    so g(p) is complete before it is used; when every path to q agrees, the
-    value is the lcm over q's atoms, as defined.
+    Then g is an isomorphism exactly when (i) every cut is an element and
+    (ii) p -> K(p) is injective on the elements.  Write cl(S) for the
+    intersection of K(S); K(cl(S)) = K(S), so g(cl(S)) = g(S).
+
+    * Necessary: (ii) is the injectivity of g, as g(p) = g(q) exactly when
+      K(p) = K(q).  The atom monomials are the atoms of the lcm-lattice, so
+      for a cut c, g(c) is in it and equals g(p) for an element p.  Then p
+      lies in c, as c is in K(c) = K(p), and each atom a of c has
+      g(a) | g(p), so a <= p; thus c = p is an element.
+    * Sufficient: by (i) each cl(p) is an element with K(cl(p)) = K(p), so
+      by (ii) p = cl(p), and g(p) | g(q) exactly when p <= q.  So g is an
+      order embedding, and its image holds every g(S) = g(cl(S)), that is,
+      every lcm of atom monomials.  Atoms are incomparable, so no atom
+      monomial divides another; they are the minimal generators, and the
+      image is their lcm-lattice.
+
+    In terms of joins, (i) is the rule g(p v a) = lcm(g(p), g(a)) read one
+    level at a time: the rule holds exactly when every atom set S has
+    g(join of S) = g(S), that is, when each cut holding S holds its join,
+    that is, when each cut is an element.
+
+    Given (i), every intersection of cuts is an element, and (ii) holds
+    exactly when every element p is one (p = cl(p)).  So the check is that
+    the intersection-closure of the cuts, which is the support family of the
+    lcm-lattice (see :class:`~lcmlattice.ideals.LcmLattice`), has as many
+    members as the lattice.  That costs O(k*n) level masks for k variables
+    and n atoms, and O(m*|cuts|) mask operations for m elements: given (i),
+    the closure never outgrows the lattice.
     """
     over_cap = len(atom_monomials) > MAX_GENERATORS
     _check_lcm_generators(MonomialIdeal(atom_monomials).minimal_generators if over_cap else atom_monomials)
-    g = {0: ONE}
-    for p in lat.sets:
-        gp = g[p]
-        for a in bits_of(lat.top & ~p):
-            m = gp.lcm(atom_monomials[a.bit_length() - 1])
-            if g.setdefault(lat.join_mask(p | a), m) != m:
-                return False
-    return len(set(g.values())) == len(g)
+    cuts = _level_masks(atom_monomials)
+    return all(c in lat for c in cuts) and len(_intersection_closure(cuts, lat.top)) == len(lat)
 
 
 def _specific_map_witness(lat: AtomicLattice, atom_monomials: tuple[Monomial, ...], ll: LcmLattice) -> str:
@@ -264,15 +287,14 @@ class LabelingClassification:
 def classify(lat: AtomicLattice, labeling: Labeling) -> LabelingClassification:
     """Run all five checks on one shared set of generators.
 
-    The strong and weak checks decide whether the map g is injective and
-    sends ``p v a`` to ``lcm(g(p), g(a))`` for every element ``p`` and atom
-    ``a`` outside it, in ``O(m*n)`` joins for ``m`` elements and ``n`` atoms,
-    without building an lcm-lattice; the single predicates take the same
-    decision.  A strong verdict makes the coordinatization check true as well,
-    and when ``delta(a) = x(a)`` for every atom the weak verdict is the strong
-    one.  Only a false verdict builds an lcm-lattice, one per generator tuple
-    and call, to word its witness (and, for coordinatization, to run the
-    isomorphism search).
+    The strong and weak checks decide whether the map g is an isomorphism
+    from the level masks of its atom monomials (see
+    :func:`_extends_to_isomorphism`), with no join and no lcm-lattice built;
+    the single predicates take the same decision.  A strong verdict makes
+    the coordinatization check true as well, and when ``delta(a) = x(a)``
+    for every atom the weak verdict is the strong one.  Only a false verdict
+    builds an lcm-lattice, one per generator tuple and call, to word its
+    witness (and, for coordinatization, to run the isomorphism search).
 
     A degenerate ideal (a unit generator) classifies as false with a witness,
     not as an error.  An input over a documented cap, such as an ideal with

@@ -40,8 +40,8 @@ from .errors import (
     ValidationError,
     shown,
 )
-from .lattice import AtomicLattice, _canon_key, _element_str, _parse_json, _set_str, atoms_of, bits_of, mask_of
-from .monomial import ONE, Monomial, gcd_all
+from .lattice import AtomicLattice, _canon_key, _element_str, _is_int, _parse_json, _set_str, atoms_of, bits_of, mask_of
+from .monomial import ONE, Monomial, _check_exponent_digits, gcd_all, lcm_all
 
 __all__ = [
     "Labeling",
@@ -281,7 +281,8 @@ def element_generator(lat: AtomicLattice, labeling: Labeling, p: int) -> Monomia
 
     On atoms this is the ideal generator ``x(a)``; on general elements it is
     the comparison map whose injectivity makes chain-per-variable labelings
-    work.
+    work.  A sum of label exponents can pass the ``MAX_EXPONENT_DIGITS``
+    cap; that is a :class:`PreconditionError`, with the constructor's text.
     """
     if labeling.lattice != lat:
         raise PreconditionError("labeling belongs to a different lattice")
@@ -291,6 +292,8 @@ def element_generator(lat: AtomicLattice, labeling: Labeling, p: int) -> Monomia
         if p & ~q:
             for v, e in m._exps:
                 acc[v] = acc.get(v, 0) + e
+    for v, e in acc.items():
+        _check_exponent_digits(v, e)
     return Monomial._trusted(acc)
 
 
@@ -329,26 +332,52 @@ def weak_ideal(lat: AtomicLattice, labeling: Labeling) -> MonomialIdeal:
     return MonomialIdeal(_refine(lat, ideal_from_labeling(lat, labeling).generators))
 
 
+def _exponent_levels(generators: tuple[Monomial, ...]) -> dict[str, tuple[list[int], dict[int, int]]]:
+    """Per variable ``v`` of the generators: its exponent column ``[e_v(g_i)]``
+    and, for each exponent ``t`` in the column in increasing order, the level
+    mask ``D(v, t)`` of the generators ``i`` with ``e_v(g_i) <= t``.  The
+    last level of every variable holds all generators.  The one source of
+    level masks for :func:`_refine`, :class:`LcmLattice` and the specific-map
+    decision in :mod:`lcmlattice.classify`."""
+    exps = [dict(g._exps) for g in generators]
+    table = {}
+    for v in {v for e in exps for v in e}:
+        column = [e.get(v, 0) for e in exps]
+        levels: dict[int, int] = {}
+        below = 0
+        for i, e in sorted(enumerate(column), key=lambda ie: ie[1]):
+            below |= 1 << i
+            levels[e] = below
+        table[v] = column, levels
+    return table
+
+
+def _level_masks(generators: tuple[Monomial, ...]) -> set[int]:
+    """The empty set and every level mask of :func:`_exponent_levels`."""
+    return {0}.union(*(levels.values() for _, levels in _exponent_levels(generators).values()))
+
+
+def _intersection_closure(masks: Iterable[int], top: int) -> set[int]:
+    """All intersections of ``masks``, with ``top`` as the empty one."""
+    closed = {top}
+    for m in masks:
+        closed |= {s & m for s in closed}
+    return closed
+
+
 def _refine(lat: AtomicLattice, generators: tuple[Monomial, ...]) -> tuple[Monomial, ...]:
     """``delta(a)`` for every atom, from the plain generators ``x(a)`` in atom order.
 
     No atom subset is enumerated.  Joining sets below ``p`` are upward-closed
     within ``p``'s atoms, so for each variable ``v`` the exponent of ``v`` in
     the gcd over them of ``lcm{x(b) : b in T}`` is the least ``t`` such that
-    the atoms ``b <= p`` with ``e_v(x(b)) <= t`` already join to ``p``; and
+    the atoms ``b <= p`` in the level ``D(v, t)`` already join to ``p``; and
     ``e_v(delta(a))`` is the least such threshold over ``p >= a``.  With the
     thresholds tried in increasing order this costs ``O(m*k*n)`` joins for
     ``m`` elements, ``k`` variables and ``n`` atoms.
     """
-    x_exps = [dict(g._exps) for g in generators]
     deltas: list[dict[str, int]] = [{} for _ in generators]
-    for v in {v for exps in x_exps for v in exps}:
-        column = [exps.get(v, 0) for exps in x_exps]
-        levels: dict[int, int] = {}  # t -> mask of the atoms b with e_v(x(b)) <= t, t increasing
-        below = 0
-        for i, e in sorted(enumerate(column), key=lambda ie: ie[1]):
-            below |= 1 << i
-            levels[e] = below
+    for v, (column, levels) in _exponent_levels(generators).items():
         best = column[:]  # the threshold at an atom is its own exponent
         for p in lat.sets:
             if p.bit_count() < 2:
@@ -389,6 +418,27 @@ class LcmLattice:
     generators (generator ``i`` is atom ``i``): the support of an element is
     the set of generators dividing it, supports are distinct, and the family
     of supports is intersection-closed.  :meth:`abstract` returns that view.
+
+    The build takes no lcm of monomial pairs and no divisibility test.  Its
+    supports are the intersections of the empty set and the level masks
+    ``D(v, t) = {i : e_v(g_i) <= t}`` of :func:`_exponent_levels` (the full
+    set being the empty intersection), and each element is the lcm of the
+    generators in its support.  This holds for any tuple without a unit,
+    non-minimal or repeated generators included:
+
+    * If ``S`` is such an intersection and ``M = lcm{g_i : i in S}``, then
+      ``supp(M) = S``.  Each ``i`` in ``S`` has ``g_i | M``.  If ``S`` is
+      the intersection of the ``D(v_j, t_j)``, then ``e_{v_j}(M) <= t_j``,
+      so a generator dividing ``M`` lies in every ``D(v_j, t_j)``, that is,
+      in ``S``.  For ``S = {}``, ``M = 1`` and no generator divides it.
+    * Every lcm of generators is one of these.  For a nonempty ``T`` let
+      ``S`` be the intersection of the levels ``D(v, t_v)``, where ``t_v`` is
+      the largest exponent of ``v`` over ``T``.  Then ``T`` lies in ``S``,
+      and no generator in ``S`` raises any ``t_v``, so
+      ``lcm{g_i : i in T} = lcm{g_i : i in S}``.  The empty ``T`` gives 1.
+
+    So a support determines its monomial, and the family has one member per
+    element.
     """
 
     __slots__ = ("generators", "monomials", "_mask_of", "_monomial_of", "_abstract")
@@ -396,59 +446,38 @@ class LcmLattice:
     def __init__(self, generators: Iterable[Monomial]):
         gens = tuple(generators)
         _check_lcm_generators(gens)
-
-        elements = {ONE}
-        for g in gens:
-            elements.update(e.lcm(g) for e in tuple(elements))
-
-        mask_table = {}
-        for m in elements:
-            mask = 0
-            for i, g in enumerate(gens):
-                if g.divides(m):
-                    mask |= 1 << i
-            mask_table[m] = mask
-        monomial_of: dict[int, Monomial] = {}
-        for m, mask in mask_table.items():
-            other = monomial_of.setdefault(mask, m)
-            if other != m:
-                raise ValidationError(
-                    f"lcm-lattice elements {other} and {m} share the support {_set_str(mask)}"
-                )
-
-        order = sorted(elements, key=lambda m: _canon_key(mask_table[m]))
+        supports = sorted(_intersection_closure(_level_masks(gens), (1 << len(gens)) - 1), key=_canon_key)
         self.generators = gens
-        self.monomials = tuple(order)
-        self._mask_of = mask_table
-        self._monomial_of = monomial_of
+        self.monomials = tuple(lcm_all(gens[b.bit_length() - 1] for b in bits_of(s)) for s in supports)
+        self._mask_of = dict(zip(self.monomials, supports))
+        self._monomial_of = dict(zip(supports, self.monomials))
         self._abstract = None
 
     def abstract(self) -> AtomicLattice:
         """The underlying atomic lattice, with generator ``i`` as atom ``i``.
 
-        The supports are intersection-closed by construction: if ``m1`` and
-        ``m2`` have supports ``S1`` and ``S2``, the element ``lcm{g_j : j in
-        S1 & S2}`` divides both, so every generator dividing it lies in
-        ``S1 & S2``, and its support is exactly ``S1 & S2``.  The unit has
-        support {} and the lcm of all generators the full set.  Only the
-        singletons can be missing, when a generator divides another (as in a
-        direct ``LcmLattice([a, a*b])``); that case goes through the
-        validating constructor, which names the missing sets.
+        The supports are intersection-closed and hold {} and the full set by
+        construction (see the class docstring).  Only the singletons can be
+        missing, when a generator divides or repeats another (as in a direct
+        ``LcmLattice([a, a*b])``); that case goes through the validating
+        constructor, which names the missing sets.
         """
         if self._abstract is None:
             n = len(self.generators)
-            masks = tuple(self._mask_of[m] for m in self.monomials)
-            if all(self._mask_of[g] == 1 << i for i, g in enumerate(self.generators)):
+            masks = tuple(self._monomial_of)
+            if all(1 << i in self._monomial_of for i in range(n)):
                 self._abstract = AtomicLattice._trusted(n, masks)
             else:
                 self._abstract = AtomicLattice(n, masks)
         return self._abstract
 
     def monomial_of(self, mask: int) -> Monomial:
-        try:
-            return self._monomial_of[mask]
-        except KeyError:
-            raise NotAnElementError(f"no element has support {_element_str(mask)}") from None
+        """The element with support ``mask``; a float or bool equal to a
+        support is not one, as for :class:`AtomicLattice`."""
+        m = self._monomial_of.get(mask) if _is_int(mask) else None
+        if m is None:
+            raise NotAnElementError(f"no element has support {_element_str(mask)}")
+        return m
 
     def mask_of(self, m: Monomial) -> int:
         try:

@@ -30,12 +30,20 @@ from .errors import MonomialParseError, NotDivisibleError, PreconditionError, sh
 
 __all__ = ["Monomial", "ONE", "lcm_all", "gcd_all"]
 
-# Most digits in one exponent.  ``x(a)`` adds the exponents of fewer than 2^64
-# labels (a lattice on MAX_ATOMS = 64 atoms has at most 2^64 elements), so its
-# exponents stay below 2^64 * 10^1000 < 10^1020, and lcm, gcd and exact division
-# never raise one: every exponent renders within Python's 4,300-digit str limit.
+# Most digits in one exponent.  Parsing, the constructor and
+# ``ideals.element_generator`` (which adds label exponents) refuse more, and lcm,
+# gcd and exact division never raise an exponent, so every monomial the package
+# builds renders within Python's 4,300-digit int-to-str limit.  Only ``*`` is
+# unchecked; a product of two monomials within the cap has at most 1,001 digits.
 MAX_EXPONENT_DIGITS = 1000
 _EXPONENT_BOUND = 10**MAX_EXPONENT_DIGITS
+
+
+def _check_exponent_digits(name: str, exp: int) -> None:
+    """Refuse an exponent of more than ``MAX_EXPONENT_DIGITS`` digits."""
+    if exp >= _EXPONENT_BOUND:
+        raise PreconditionError(f"exponent of {shown(name)} has more than {MAX_EXPONENT_DIGITS} digits")
+
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _UINT = re.compile(r"[1-9][0-9]*")
@@ -70,8 +78,7 @@ class Monomial:
             if not isinstance(exp, int) or isinstance(exp, bool) or exp <= 0:
                 raise PreconditionError(f"exponent of {shown(name)} must be a positive int, got {shown(exp)}")
             acc[name] = total = acc.get(name, 0) + exp
-            if total >= _EXPONENT_BOUND:
-                raise PreconditionError(f"exponent of {shown(name)} has more than {MAX_EXPONENT_DIGITS} digits")
+            _check_exponent_digits(name, total)
         self._exps = tuple(sorted(acc.items()))
         self._hash = hash(self._exps)
 

@@ -22,13 +22,14 @@ from lcmlattice import (
     AtomicLattice,
     Labeling,
     Monomial,
+    ONE,
     atom_generator,
     enumerate_all_lattices,
     gcd_all,
     lcm_all,
     lcm_lattice,
 )
-from lcmlattice.lattice import _set_str, bits_of
+from lcmlattice.lattice import _canon_key, _set_str, bits_of
 from lcmlattice.superatomic import _pairs_within
 
 
@@ -93,7 +94,7 @@ def specific_map_oracle(lat: AtomicLattice, atom_monomials: tuple[Monomial, ...]
     lcm-lattice of those monomials?  By the definition: build the lcm-lattice,
     then check size, injectivity, membership and order reflection (order is
     preserved upward by construction), with an O(m^2) divisibility scan.
-    Returns ``(verdict, witness)``; the oracle for the join-rule decision in
+    Returns ``(verdict, witness)``; the oracle for the level-mask decision in
     :mod:`lcmlattice.classify`, whose false verdicts carry this same witness."""
     ll = lcm_lattice(atom_monomials)
     if len(ll) != len(lat):
@@ -114,6 +115,31 @@ def specific_map_oracle(lat: AtomicLattice, atom_monomials: tuple[Monomial, ...]
                     f"but {_set_str(p)} is not below {_set_str(q)}"
                 )
     return True, None
+
+
+def subset_lcm_lattice(generators: tuple[Monomial, ...]) -> tuple[tuple[Monomial, ...], dict[Monomial, int]]:
+    """The lcm-lattice of a generator tuple by its definition: every lcm of a
+    subset (the closure of {1} under lcm with each generator), with each
+    element's support the mask of the generators dividing it.  Returns the
+    elements in canonical support order and the support of each.  The build
+    :class:`lcmlattice.LcmLattice` replaced, kept as its oracle."""
+    elements = {ONE}
+    for g in generators:
+        elements.update(e.lcm(g) for e in tuple(elements))
+    support = {m: sum(1 << i for i, g in enumerate(generators) if g.divides(m)) for m in elements}
+    return tuple(sorted(elements, key=lambda m: _canon_key(support[m]))), support
+
+
+def divisibility_covers(monomials: tuple[Monomial, ...]) -> tuple[tuple[Monomial, Monomial], ...]:
+    """Cover pairs ``(lo, hi)`` of divisibility on distinct ``monomials``:
+    ``lo`` properly divides ``hi`` with no element strictly between.  Ordered
+    by upper element, then lower, in the given order of ``monomials``."""
+    idx = range(len(monomials))
+    above = [sum(1 << j for j in idx if j != i and monomials[i].divides(monomials[j])) for i in idx]
+    below = [sum(1 << i for i in idx if above[i] >> j & 1) for j in idx]
+    return tuple(
+        (monomials[i], monomials[j]) for j in idx for i in idx if above[i] >> j & 1 and not above[i] & below[j]
+    )
 
 
 def literal_super_atomic_oracle(lat: AtomicLattice) -> bool:

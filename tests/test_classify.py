@@ -243,7 +243,7 @@ def test_classify_matches_the_single_checks(rng):
             assert (field in witness) == (not expected)
 
 
-# -- the join-rule decision against the lcm-lattice definition --------------------
+# -- the level-mask decision against the lcm-lattice definition -------------------
 
 
 def _decision_corpus(rng):
@@ -265,16 +265,16 @@ def _outcome(check, *args):
 
 
 def _decided_and_explained(lat, gens):
-    """The join-rule decision, with the explanation's witness when false."""
+    """The level-mask decision, with the explanation's witness when false."""
     if _extends_to_isomorphism(lat, gens):
         return True, None
     return False, _specific_map_witness(lat, gens, lcm_lattice(gens))
 
 
 def test_specific_map_decision_matches_the_oracle(rng):
-    """Injective plus g(p v a) = lcm(g(p), g(a)) decides what the lcm-lattice
-    build decides, refusing what it refuses; false verdicts keep the oracle's
-    witness, in the explanation and in ``classify``."""
+    """Level masks that are elements and separate the elements decide what
+    the lcm-lattice build decides, refusing what it refuses; false verdicts
+    keep the oracle's witness, in the explanation and in ``classify``."""
     counts = {True: 0, False: 0}
     for lat, lab in _decision_corpus(rng):
         c = classify(lat, lab)
@@ -295,7 +295,7 @@ def test_classify_builds_no_lcm_lattice_when_strong_holds(rng, monkeypatch):
 
     monkeypatch.setattr(LcmLattice, "__init__", refuse)
     cases = [(lat, chain_condition_labeling(rng, lat)) for lat in lattices_with(4)[::5]]
-    # 2^20 subsets would be far too many to build: the decision takes O(m*n) joins
+    # 2^20 subsets would be far too many to build: the decision reads O(k*n) level masks, no joins
     lat = flat_lattice(20)
     cases.append((lat, support_labeling(lat)))
     for lat, lab in cases:

@@ -210,6 +210,16 @@ OVERSIZED_INPUTS = {
     ),
     "validate on a 4,001-digit n": ("validate", "lat.json", '{"n": 1%s, "sets": []}' % ("0" * 4000)),
     "lcm-lattice on an exponent past the cap": ("lcm-lattice", "ideal.txt", "a*b\nx^1" + "0" * 1000 + "\n"),
+    "build-ideal summing two exponents at the cap": (
+        "build-ideal",
+        "lab.json",
+        json.dumps(
+            {
+                "lattice": BOOLEAN2_DOC,
+                "labels": [{"set": [], "monomial": "x^" + "9" * 1000}, {"set": [2], "monomial": "x^" + "9" * 1000}],
+            }
+        ),
+    ),
 }
 
 

@@ -7,7 +7,8 @@ import types
 from pathlib import Path
 
 import lcmlattice
-from lcmlattice import errors, superatomic
+from lcmlattice import LcmLattice, errors, superatomic
+from lcmlattice.classify import _extends_to_isomorphism
 
 PACKAGE = Path(lcmlattice.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -209,6 +210,13 @@ def test_supp_detector_stays_independent_of_the_literal_one():
     assert names & {"_joining_pairs", "is_super_atomic"} == set()
 
 
+def test_level_mask_readers_take_no_join_and_no_monomial_closure():
+    """The specific-map decision reads level masks alone; the lcm-lattice
+    build closes them under intersection and takes one lcm per element."""
+    assert _names_used(_extends_to_isomorphism.__code__) & {"join_mask", "lcm", "lcm_all"} == set()
+    assert _names_used(LcmLattice.__init__.__code__) & {"divides", "join_mask"} == set()
+
+
 def _top_level_scopes_mentioning(name: str) -> set[str]:
     """``module.function`` (or ``module.Class``, or ``module`` for module-level
     code) of each top-level definition whose code names ``name``, as a bare
@@ -223,7 +231,7 @@ def _top_level_scopes_mentioning(name: str) -> set[str]:
 
 
 def test_only_classify_words_a_false_specific_map():
-    """The predicates take the join-rule decision alone; building an
+    """The predicates take the level-mask decision alone; building an
     lcm-lattice to word the verdict is for ``classify`` only."""
     assert _top_level_scopes_mentioning("_specific_map_witness") == {"classify.classify"}
 
