@@ -10,8 +10,10 @@ The constructions here connect the two worlds of the package:
 * each atom also yields a refined generator ``delta(a)``: the gcd, over all
   elements ``p >= a`` and all atom subsets ``T`` joining to ``p``, of
   ``lcm{x(b) : b in T}``; collecting these gives the weak generated ideal.
-  It is computed per variable from join thresholds (see :func:`weak_ideal`),
-  in polynomial time, without enumerating atom subsets;
+  The exponent of each variable ``v`` in ``delta(a)`` is the least level
+  ``t`` of ``v`` whose level mask (the atoms ``b`` with ``e_v(x(b)) <= t``)
+  joins to an element above ``a`` (see :func:`_refine`): at most one join
+  per level, with no atom subset and no element walked;
 * the *lcm-lattice* of a monomial ideal is the set of lcms of subsets of its
   minimal generators ordered by divisibility, and forgetting the monomials
   leaves a finite atomic lattice whose atoms are the minimal generators;
@@ -319,7 +321,7 @@ def weak_generator(lat: AtomicLattice, labeling: Labeling, atom: int) -> Monomia
     """The refined generator ``delta(a)``; always divides ``x(a)``.
 
     The single-atom API.  It computes the whole :func:`weak_ideal` (every
-    ``x(a)`` and every per-variable threshold) and returns one entry, so a
+    ``x(a)`` and one join per exponent level) and returns one entry, so a
     caller that wants ``delta`` of several atoms should call
     :func:`weak_ideal` once instead.
     """
@@ -332,13 +334,13 @@ def weak_ideal(lat: AtomicLattice, labeling: Labeling) -> MonomialIdeal:
     return MonomialIdeal(_refine(lat, ideal_from_labeling(lat, labeling).generators))
 
 
-def _exponent_levels(generators: tuple[Monomial, ...]) -> dict[str, tuple[list[int], dict[int, int]]]:
-    """Per variable ``v`` of the generators: its exponent column ``[e_v(g_i)]``
-    and, for each exponent ``t`` in the column in increasing order, the level
-    mask ``D(v, t)`` of the generators ``i`` with ``e_v(g_i) <= t``.  The
-    last level of every variable holds all generators.  The one source of
-    level masks for :func:`_refine`, :class:`LcmLattice` and the specific-map
-    decision in :mod:`lcmlattice.classify`."""
+def _exponent_levels(generators: tuple[Monomial, ...]) -> dict[str, dict[int, int]]:
+    """Per variable ``v`` of the generators, and for each exponent ``t`` of
+    ``v`` over them in increasing order, the level mask ``D(v, t)`` of the
+    generators ``i`` with ``e_v(g_i) <= t``.  The last level of every
+    variable holds all generators.  The one source of level masks for
+    :func:`_refine`, :class:`LcmLattice` and the specific-map decision in
+    :mod:`lcmlattice.classify`."""
     exps = [dict(g._exps) for g in generators]
     table = {}
     for v in {v for e in exps for v in e}:
@@ -348,13 +350,13 @@ def _exponent_levels(generators: tuple[Monomial, ...]) -> dict[str, tuple[list[i
         for i, e in sorted(enumerate(column), key=lambda ie: ie[1]):
             below |= 1 << i
             levels[e] = below
-        table[v] = column, levels
+        table[v] = levels
     return table
 
 
 def _level_masks(generators: tuple[Monomial, ...]) -> set[int]:
     """The empty set and every level mask of :func:`_exponent_levels`."""
-    return {0}.union(*(levels.values() for _, levels in _exponent_levels(generators).values()))
+    return {0}.union(*(levels.values() for levels in _exponent_levels(generators).values()))
 
 
 def _intersection_closure(masks: Iterable[int], top: int) -> set[int]:
@@ -368,31 +370,38 @@ def _intersection_closure(masks: Iterable[int], top: int) -> set[int]:
 def _refine(lat: AtomicLattice, generators: tuple[Monomial, ...]) -> tuple[Monomial, ...]:
     """``delta(a)`` for every atom, from the plain generators ``x(a)`` in atom order.
 
-    No atom subset is enumerated.  Joining sets below ``p`` are upward-closed
-    within ``p``'s atoms, so for each variable ``v`` the exponent of ``v`` in
-    the gcd over them of ``lcm{x(b) : b in T}`` is the least ``t`` such that
-    the atoms ``b <= p`` in the level ``D(v, t)`` already join to ``p``; and
-    ``e_v(delta(a))`` is the least such threshold over ``p >= a``.  With the
-    thresholds tried in increasing order this costs ``O(m*k*n)`` joins for
-    ``m`` elements, ``k`` variables and ``n`` atoms.
+    No atom subset and no element is walked: ``e_v(delta(a))`` is the least
+    level ``t`` of ``v`` with ``a <= J(v, t)``, the join of the level mask
+    ``D(v, t)`` of :func:`_exponent_levels`.  For an element ``p`` and an
+    atom set ``T`` joining to it, ``e_v(lcm{x(b) : b in T})`` is the largest
+    exponent of ``v`` over ``T``, and the gcd takes the least of these, so
+    ``e_v(delta(a))`` is the least ``t`` such that some ``p >= a`` is the
+    join of an atom set inside ``D(v, t)``.  Joining sets within ``p`` are
+    upward-closed, so that set may be taken to be ``D(v, t) & p``.
+
+    * If ``D(v, t) & p`` joins to ``p`` for some ``p >= a``, then
+      ``p <= J(v, t)``, so ``a <= J(v, t)``.
+    * If ``a <= J(v, t)``, then ``p = J(v, t)`` works, because
+      ``D(v, t) & p = D(v, t)`` joins to ``p``.  The atom's own term,
+      ``T = {a}`` at ``p = a``, is the case of ``a`` in ``D(v, t)``.
+
+    So the levels of each variable are walked in increasing order with at most
+    one join each, and the atoms newly below the join get that level (level 0
+    leaves ``v`` out).  That is at most ``k*n`` joins for ``k`` variables and
+    ``n`` atoms.  As a corollary, the level masks of the ``delta(a)`` are
+    exactly the joins of the level masks of the ``x(a)``: for every level
+    ``t`` of ``v`` over the ``x(a)``, ``D_delta(v, t) = J(v, t)``.
     """
     deltas: list[dict[str, int]] = [{} for _ in generators]
-    for v, (column, levels) in _exponent_levels(generators).items():
-        best = column[:]  # the threshold at an atom is its own exponent
-        for p in lat.sets:
-            if p.bit_count() < 2:
-                continue
-            for t, below in levels.items():
-                part = below & p
-                if part == p or (part and lat.join_mask(part) == p):
-                    break
-            for b in bits_of(p):
-                i = b.bit_length() - 1
-                if t < best[i]:
-                    best[i] = t
-        for i, t in enumerate(best):
-            if t:
-                deltas[i][v] = t
+    for v, levels in _exponent_levels(generators).items():
+        reached = 0
+        for t, below in levels.items():
+            if below & ~reached:  # else J(v, t) is the join already reached
+                joined = lat.join_mask(below)
+                if t:
+                    for b in bits_of(joined & ~reached):
+                        deltas[b.bit_length() - 1][v] = t
+                reached = joined
     return tuple(Monomial._trusted(exps) for exps in deltas)
 
 
@@ -479,11 +488,13 @@ class LcmLattice:
             raise NotAnElementError(f"no element has support {_element_str(mask)}")
         return m
 
-    def mask_of(self, m: Monomial) -> int:
-        try:
-            return self._mask_of[m]
-        except KeyError:
-            raise NotAnElementError(f"{m} is not an element of the lcm-lattice") from None
+    def mask_of(self, m: object) -> int:
+        """The support of the element ``m``; a value that is not a
+        :class:`Monomial` is not an element."""
+        mask = self._mask_of.get(m) if isinstance(m, Monomial) else None
+        if mask is None:
+            raise NotAnElementError(f"{shown(m, str)} is not an element of the lcm-lattice")
+        return mask
 
     @property
     def top_monomial(self) -> Monomial:
@@ -504,8 +515,8 @@ class LcmLattice:
     def __iter__(self) -> Iterator[Monomial]:
         return iter(self.monomials)
 
-    def __contains__(self, m: Monomial) -> bool:
-        return m in self._mask_of
+    def __contains__(self, m: object) -> bool:
+        return isinstance(m, Monomial) and m in self._mask_of
 
     def __repr__(self) -> str:
         return f"LcmLattice({len(self.generators)} generators, {len(self.monomials)} elements)"

@@ -22,13 +22,14 @@ from lcmlattice import (
     AtomicLattice,
     Labeling,
     Monomial,
+    MonomialIdeal,
     ONE,
     atom_generator,
     enumerate_all_lattices,
     gcd_all,
     lcm_all,
-    lcm_lattice,
 )
+from lcmlattice.ideals import _check_lcm_generators
 from lcmlattice.lattice import _canon_key, _set_str, bits_of
 from lcmlattice.superatomic import _pairs_within
 
@@ -91,12 +92,16 @@ def subset_weak_generators(lat: AtomicLattice, labeling: Labeling) -> tuple[Mono
 
 def specific_map_oracle(lat: AtomicLattice, atom_monomials: tuple[Monomial, ...]):
     """Is g(p) = lcm of the atom monomials below p an isomorphism onto the
-    lcm-lattice of those monomials?  By the definition: build the lcm-lattice,
-    then check size, injectivity, membership and order reflection (order is
+    lcm-lattice of those monomials?  By the definition: refuse what the
+    lcm-lattice build refuses, build the lcm-lattice of the minimal
+    generators by :func:`subset_lcm_lattice` (no level mask is read), then
+    check size, injectivity, membership and order reflection (order is
     preserved upward by construction), with an O(m^2) divisibility scan.
     Returns ``(verdict, witness)``; the oracle for the level-mask decision in
     :mod:`lcmlattice.classify`, whose false verdicts carry this same witness."""
-    ll = lcm_lattice(atom_monomials)
+    gens = MonomialIdeal(atom_monomials).minimal_generators
+    _check_lcm_generators(gens)
+    ll = set(subset_lcm_lattice(gens)[0])
     if len(ll) != len(lat):
         return False, f"lcm-lattice has {len(ll)} elements, the lattice has {len(lat)}"
     g = {p: lcm_all(atom_monomials[b.bit_length() - 1] for b in bits_of(p)) for p in lat.sets}

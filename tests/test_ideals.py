@@ -32,7 +32,8 @@ from lcmlattice import (
 )
 
 from lcmlattice import PreconditionError, atoms_of
-from lcmlattice.ideals import _refine
+from lcmlattice.errors import ECHO_LIMIT
+from lcmlattice.ideals import _exponent_levels, _level_masks, _refine
 from lcmlattice.lattice import bits_of
 
 from conftest import (
@@ -41,6 +42,7 @@ from conftest import (
     cubic_covers,
     divisibility_covers,
     flat_lattice,
+    interval_lattice,
     lattices_with,
     overlap_condition_labeling,
     random_labeling,
@@ -229,16 +231,49 @@ def test_generator_builders_never_reach_the_name_regex(rng, monkeypatch):
 
 
 def test_weak_ideal_matches_subset_definition(rng):
-    """The per-variable thresholds against the literal gcd over joining sets."""
+    """``e_v(delta(a))`` as the least level of ``v`` whose join reaches ``a``,
+    against the literal gcd over joining sets."""
     builders = (random_labeling, chain_condition_labeling, overlap_condition_labeling)
     for i in range(510):
         lat = random_lattice(rng, rng.randint(1, 5))
         lab = builders[i % 3](rng, lat)
         assert tuple(weak_ideal(lat, lab)) == subset_weak_generators(lat, lab)
+    for i in range(150):
+        lat = random_lattice(rng, rng.randint(6, 7), extra=rng.randint(0, 12))
+        lab = builders[i % 3](rng, lat)
+        assert tuple(weak_ideal(lat, lab)) == subset_weak_generators(lat, lab)
     for n in range(1, 11):
-        lat = flat_lattice(n)
-        for lab in (support_labeling(lat), random_labeling(rng, lat)):
-            assert tuple(weak_ideal(lat, lab)) == subset_weak_generators(lat, lab)
+        lats = [flat_lattice(n), interval_lattice(n)]
+        if 2 <= n <= 6:
+            lats.append(boolean_lattice(n))
+        for lat in lats:
+            for lab in (support_labeling(lat), random_labeling(rng, lat)):
+                assert tuple(weak_ideal(lat, lab)) == subset_weak_generators(lat, lab)
+
+
+def test_refine_takes_at_most_one_join_per_level(rng, monkeypatch):
+    """``_refine`` joins each level mask ``D(v, t)`` at most once and walks
+    no element: on B8 the element walk took thousands of joins."""
+    lat = boolean_lattice(8)
+    x = ideal_from_labeling(lat, random_labeling(rng, lat, variables=list("uvwxyz"))).generators
+    levels = sum(len(per_var) for per_var in _exponent_levels(x).values())
+    joins = []
+    join_mask = AtomicLattice.join_mask
+    monkeypatch.setattr(AtomicLattice, "join_mask", lambda self, mask: joins.append(mask) or join_mask(self, mask))
+    assert _refine(lat, x) == x  # each element of B8 is joined only by its own atoms
+    assert 0 < len(joins) <= levels
+
+
+def test_delta_level_masks_are_the_joins_of_the_x_level_masks(rng):
+    """The corollary in :func:`_refine`: ``D_delta(v, t)`` is the join of
+    ``D_x(v, t)``; a variable gone from every ``delta(a)`` has only the top
+    as its joins."""
+    builders = (random_labeling, chain_condition_labeling, overlap_condition_labeling)
+    for i in range(3000):
+        lat = random_lattice(rng, rng.randint(1, 6), extra=rng.randint(0, 8))
+        x = ideal_from_labeling(lat, builders[i % 3](rng, lat)).generators
+        joins = {lat.join_mask(d) for levels in _exponent_levels(x).values() for d in levels.values()}
+        assert _level_masks(_refine(lat, x)) | {lat.top} == {0, lat.top} | joins
 
 
 def test_weak_ideal_never_enumerates_subsets(rng, monkeypatch):
@@ -458,6 +493,18 @@ def test_monomial_lookup_errors():
     for bad in (1.0, True, [1]):
         with pytest.raises(NotAnElementError):
             ll.monomial_of(bad)
+
+
+def test_a_value_that_is_not_a_monomial_is_no_element():
+    """A list, a long string, and the spelling of an element are not
+    elements: ``in`` says False and ``mask_of`` raises, echoing the value
+    cut to ``ECHO_LIMIT``."""
+    ll = lcm_lattice([Monomial.parse("a"), Monomial.parse("b")])
+    for bad in ([1], "a" * 200, "a"):
+        assert bad not in ll
+        with pytest.raises(NotAnElementError) as excinfo:
+            ll.mask_of(bad)
+        assert len(excinfo.value.args[0]) <= ECHO_LIMIT + len(" is not an element of the lcm-lattice")
 
 
 # -- labeling recovery ----------------------------------------------------------

@@ -9,6 +9,7 @@ from pathlib import Path
 import lcmlattice
 from lcmlattice import LcmLattice, errors, superatomic
 from lcmlattice.classify import _extends_to_isomorphism
+from lcmlattice.ideals import _refine
 
 PACKAGE = Path(lcmlattice.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -212,9 +213,11 @@ def test_supp_detector_stays_independent_of_the_literal_one():
 
 def test_level_mask_readers_take_no_join_and_no_monomial_closure():
     """The specific-map decision reads level masks alone; the lcm-lattice
-    build closes them under intersection and takes one lcm per element."""
+    build closes them under intersection and takes one lcm per element;
+    ``delta`` joins each level mask and walks no element."""
     assert _names_used(_extends_to_isomorphism.__code__) & {"join_mask", "lcm", "lcm_all"} == set()
     assert _names_used(LcmLattice.__init__.__code__) & {"divides", "join_mask"} == set()
+    assert _names_used(_refine.__code__) & {"sets", "bit_count"} == set()
 
 
 def _top_level_scopes_mentioning(name: str) -> set[str]:
