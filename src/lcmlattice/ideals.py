@@ -65,6 +65,19 @@ __all__ = [
 MAX_GENERATORS = 20
 
 
+def _as_monomial(value: object) -> Monomial:
+    """The one coercion of caller-given monomials: a :class:`Monomial` as is,
+    anything else parsed from its ``str`` (so ``"a*b"`` works and ``5`` is a
+    :class:`MonomialParseError`)."""
+    if isinstance(value, Monomial):
+        return value
+    try:
+        text = str(value)
+    except ValueError:  # an int past Python's int-to-str digit limit
+        raise MonomialParseError(f"expected a monomial, got {shown(value)}", 0) from None
+    return Monomial.parse(text)
+
+
 class Labeling:
     """A partial assignment of non-unit monomials to lattice elements.
 
@@ -84,8 +97,7 @@ class Labeling:
         for p, m in items:
             if p not in lattice:
                 raise NotAnElementError(f"labeled set {_element_str(p)} is not in the lattice")
-            if not isinstance(m, Monomial):
-                m = Monomial.parse(str(m))
+            m = _as_monomial(m)
             if m.is_one:
                 raise ValidationError(
                     f"element {_set_str(p)} labeled with the unit monomial; leave it unlabeled instead"
@@ -216,7 +228,7 @@ class MonomialIdeal:
     __slots__ = ("generators", "_minimal")
 
     def __init__(self, generators: Iterable[Monomial]):
-        self.generators = tuple(g if isinstance(g, Monomial) else Monomial.parse(str(g)) for g in generators)
+        self.generators = tuple(map(_as_monomial, generators))
         self._minimal = None
 
     @property
@@ -258,6 +270,8 @@ class MonomialIdeal:
 
 def parse_ideal_text(text: str) -> MonomialIdeal:
     """Parse ideal text: one monomial per line, ``#`` starts a comment."""
+    if not isinstance(text, str):
+        raise FormatError(f"expected a string, got {shown(text)}")
     gens = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -453,7 +467,7 @@ class LcmLattice:
     __slots__ = ("generators", "monomials", "_mask_of", "_monomial_of", "_abstract")
 
     def __init__(self, generators: Iterable[Monomial]):
-        gens = tuple(generators)
+        gens = tuple(map(_as_monomial, generators))
         _check_lcm_generators(gens)
         supports = sorted(_intersection_closure(_level_masks(gens), (1 << len(gens)) - 1), key=_canon_key)
         self.generators = gens
@@ -536,8 +550,12 @@ def recovered_labeling(lat: AtomicLattice, monomial_of: Mapping[int, Monomial]) 
     its image under an order-isomorphism onto some lcm-lattice.  Each element
     gets ``gcd{monomial_of[t] : t > p} / monomial_of[p]`` (the empty gcd at
     the top is the top's own monomial, so the top always ends up unlabeled);
-    unit labels are dropped.
+    unit labels are dropped.  An element with no monomial is a
+    :class:`PreconditionError` naming the first such element.
     """
+    absent = next((p for p in lat.sets if p not in monomial_of), None)
+    if absent is not None:
+        raise PreconditionError(f"no monomial given for element {_set_str(absent)}")
     assignments = {}
     for p in lat.sets:
         above = [monomial_of[q] for q in lat.filter(p) if q != p]

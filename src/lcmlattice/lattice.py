@@ -15,6 +15,17 @@ constructor :meth:`AtomicLattice._trusted`; its only callers are
 
 Canonical order is (cardinality, mask value); it is the order used for
 iteration, serialization and DOT export, which keeps all output byte-stable.
+
+Each lattice has one atom-incidence table: for atom ``a``, an m-bit int
+with bit ``i`` set when the i-th element (in canonical order) contains
+``a``.  The AND of the rows of a mask's atoms is the set of elements above
+the mask.  The validating constructor builds the table and decides closure
+from it in O(m·n) ANDs on m-bit ints for m elements and n atoms; only a
+family that fails runs the quadratic pair scan, which lists every
+violation.  A trusted lattice builds the table on its first join miss.  A
+join that is not already an element (the cache and the membership test come
+first) takes |mask| ANDs and the lowest set bit, and
+``support_labeling._filter_sizes`` reads the same table.
 """
 
 from __future__ import annotations
@@ -114,7 +125,7 @@ class AtomicLattice:
     instead (see the module docstring for its callers).
     """
 
-    __slots__ = ("n", "sets", "_index", "_join_cache", "_covers", "_upper_covers", "_mi")
+    __slots__ = ("n", "sets", "_index", "_rows", "_join_cache", "_covers", "_upper_covers", "_mi")
 
     def __init__(self, n: int, masks: Iterable[int]):
         if not _is_int(n) or n < 1:
@@ -129,13 +140,9 @@ class AtomicLattice:
             seen.add(m)
 
         missing = [m for m in (0, *(1 << i for i in range(n)), top) if m not in seen]
-        ordered = sorted(seen, key=_canon_key)
-        non_closed = [
-            (a, b)
-            for a, b in combinations(ordered, 2)
-            if a & b not in seen
-        ]
-        if missing or non_closed:
+        self._fill(n, tuple(sorted(seen, key=_canon_key)))
+        if missing or not self._is_closed():
+            non_closed = [(a, b) for a, b in combinations(self.sets, 2) if a & b not in seen]
             parts = []
             if missing:
                 parts.append(
@@ -151,7 +158,38 @@ class AtomicLattice:
                 non_closed_pairs=[(atoms_of(a), atoms_of(b)) for a, b in non_closed],
             )
 
-        self._fill(n, tuple(ordered))
+    def _is_closed(self) -> bool:
+        """Is the family, which holds the empty and the full set, closed under
+        intersection?  O(m·n) ANDs on m-bit ints.
+
+        Let up(X) be the members containing X (the AND of X's rows) and cl(X)
+        their intersection.  The family is closed exactly when cl(r | a) is a
+        member for every member r and atom a outside r.  Necessary, as
+        cl(r | a) is an intersection of members.  Sufficient, as
+        cl(cl(Y) | a) = cl(Y | a): adding atoms one at a time to the empty
+        set, a member, puts every cl(X) in the family, and members p and q
+        have p & q = cl(p & q).
+
+        For one (r, a), up(r | a) = up(r) & rows[a], which holds the top.  Let
+        s be its first member in canonical order.  If cl(r | a) is a member,
+        it lies inside every member of up(r | a), so it is s.  So the test is
+        up(s) == up(r | a); as s contains r | a, up(s) lies inside up(r | a),
+        and it is enough that both have equally many members.  The walk goes
+        from the top down, so the count of up(s), which comes after r, is
+        known when r is reached.
+        """
+        rows = self._atom_rows()
+        counts = [0] * len(self.sets)
+        for i in range(len(self.sets) - 1, -1, -1):
+            r = self.sets[i]
+            up = self._above(r)
+            counts[i] = up.bit_count()
+            for a, row in enumerate(rows):
+                if not r >> a & 1:
+                    up_ra = up & row
+                    if not up_ra or counts[(up_ra & -up_ra).bit_length() - 1] != up_ra.bit_count():
+                        return False
+        return True
 
     @classmethod
     def _trusted(cls, n: int, sets: tuple[int, ...]) -> "AtomicLattice":
@@ -169,6 +207,7 @@ class AtomicLattice:
         self.n = n
         self.sets = sets
         self._index = {m: i for i, m in enumerate(sets)}
+        self._rows: Optional[list[int]] = None
         self._join_cache: dict[int, int] = {}
         self._covers = None
         self._upper_covers = None
@@ -211,6 +250,32 @@ class AtomicLattice:
     def __repr__(self) -> str:
         return f"AtomicLattice(n={self.n}, elements={len(self.sets)})"
 
+    def _atom_rows(self) -> list[int]:
+        """The incidence table: bit i of ``rows[a]`` is set when the i-th
+        element contains atom ``a + 1``.  Built on first use, in O(m·n)."""
+        if self._rows is None:
+            rows = [0] * self.n
+            for i, s in enumerate(self.sets):
+                bit = 1 << i
+                while s:
+                    low = s & -s
+                    rows[low.bit_length() - 1] |= bit
+                    s ^= low
+            self._rows = rows
+        return self._rows
+
+    def _above(self, mask: int) -> int:
+        """The elements containing ``mask``, a set of atoms within the
+        universe, as a bitset over canonical positions: the AND of the rows
+        of its atoms, |mask| ANDs."""
+        rows = self._atom_rows()
+        above = (1 << len(self.sets)) - 1
+        while mask:
+            low = mask & -mask
+            above &= rows[low.bit_length() - 1]
+            mask ^= low
+        return above
+
     def _require(self, p: int) -> int:
         if not _is_int(p) or p not in self._index:
             raise NotAnElementError(f"{_element_str(p)} is not an element of this lattice")
@@ -241,10 +306,8 @@ class AtomicLattice:
             if mask in self._index:
                 j = mask
             else:
-                for s in self.sets:
-                    if mask & ~s == 0:
-                        j = s
-                        break
+                above = self._above(mask)
+                j = self.sets[(above & -above).bit_length() - 1]
             self._join_cache[mask] = j
         return j
 

@@ -66,23 +66,10 @@ def _atom_index(atom_mask: int) -> int:
 
 
 def _filter_sizes(lat: AtomicLattice) -> dict[int, int]:
-    """N([q, top]) for every element q, in O(m·n) operations on m-bit ints.
-
-    Bit i of ``holders[a]`` is set when the i-th element contains atom a, so
-    the elements above q are the AND of the bitsets of q's atoms.
-    """
-    holders = [0] * lat.n
-    for i, s in enumerate(lat.sets):
-        for b in bits_of(s):
-            holders[b.bit_length() - 1] |= 1 << i
-    everything = (1 << len(lat.sets)) - 1
-    sizes = {}
-    for q in lat.sets:
-        above = everything
-        for b in bits_of(q):
-            above &= holders[b.bit_length() - 1]
-        sizes[q] = above.bit_count()
-    return sizes
+    """N([q, top]) for every element q, in O(m·n) operations on m-bit ints:
+    the elements above q are the AND of the lattice's incidence rows of q's
+    atoms (:meth:`AtomicLattice._above`)."""
+    return {q: lat._above(q).bit_count() for q in lat.sets}
 
 
 @dataclass(frozen=True)

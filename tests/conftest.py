@@ -24,13 +24,14 @@ from lcmlattice import (
     Monomial,
     MonomialIdeal,
     ONE,
+    ValidationError,
     atom_generator,
     enumerate_all_lattices,
     gcd_all,
     lcm_all,
 )
 from lcmlattice.ideals import _check_lcm_generators
-from lcmlattice.lattice import _canon_key, _set_str, bits_of
+from lcmlattice.lattice import _canon_key, _set_str, atoms_of, bits_of
 from lcmlattice.superatomic import _pairs_within
 
 
@@ -59,6 +60,41 @@ def brute_force_isomorphic(p: AtomicLattice, q: AtomicLattice) -> bool:
         if image == targets:
             return True
     return False
+
+
+def pair_scan_validation(n: int, masks) -> ValidationError | None:
+    """The validation of a family of masks over ``n`` atoms by its
+    definition: every required set (empty, singletons, full) that is missing
+    and every pair of members whose intersection is missing, scanned over
+    all C(m, 2) pairs in canonical order.  Returns the
+    :class:`ValidationError` the constructor must raise, with its text and
+    payload, or ``None`` for a lattice.  The quadratic check
+    :class:`AtomicLattice` replaced with its incidence-table test, kept as
+    its oracle."""
+    seen = set(masks)
+    top = (1 << n) - 1
+    missing = sorted({m for m in (0, *(1 << i for i in range(n)), top) if m not in seen}, key=_canon_key)
+    non_closed = [(a, b) for a, b in combinations(sorted(seen, key=_canon_key), 2) if a & b not in seen]
+    if not missing and not non_closed:
+        return None
+    parts = []
+    if missing:
+        parts.append("missing required sets: " + ", ".join(_set_str(m) for m in missing))
+    if non_closed:
+        listed = ", ".join(f"{_set_str(a)} & {_set_str(b)}" for a, b in non_closed[:5])
+        more = "" if len(non_closed) <= 5 else f" (+{len(non_closed) - 5} more)"
+        parts.append("intersections not in family: " + listed + more)
+    return ValidationError(
+        "; ".join(parts),
+        missing_required=[atoms_of(m) for m in missing],
+        non_closed_pairs=[(atoms_of(a), atoms_of(b)) for a, b in non_closed],
+    )
+
+
+def join_oracle(lat: AtomicLattice, mask: int) -> int:
+    """The least element containing ``mask``, by scanning every element:
+    the oracle for :meth:`AtomicLattice.join_mask`."""
+    return min((s for s in lat.sets if mask & ~s == 0), key=_canon_key)
 
 
 def cubic_covers(lat: AtomicLattice) -> tuple[tuple[int, int], ...]:

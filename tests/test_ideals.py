@@ -12,6 +12,7 @@ from lcmlattice import (
     LcmLattice,
     Monomial,
     MonomialIdeal,
+    MonomialParseError,
     NotAnElementError,
     ONE,
     ValidationError,
@@ -148,6 +149,14 @@ def test_ideal_text_error_carries_line_number():
     # an exponent past MAX_EXPONENT_DIGITS (here also past Python's int() digit limit) is a parse error too
     with pytest.raises(FormatError, match=r"^line 2: exponent has more than 1000 digits \(at position 2\)$"):
         parse_ideal_text("a\nx^" + "9" * 5000 + "\n")
+
+
+@pytest.mark.parametrize("value", [5, None, b"a\n", ["a"] * 5000])
+def test_ideal_text_must_be_a_string(value):
+    """A non-string is a package error, with the value cut by ``shown``."""
+    with pytest.raises(FormatError, match=r"^expected a string, got ") as excinfo:
+        parse_ideal_text(value)
+    assert len(str(excinfo.value)) <= ECHO_LIMIT + len("expected a string, got ")
 
 
 def test_minimal_generators():
@@ -362,6 +371,19 @@ def test_lcm_lattice_degenerate_inputs():
         LcmLattice(Monomial.parse(f"x{i}") for i in range(21))
 
 
+def test_lcm_lattice_constructor_coerces_generators_like_the_ideal():
+    """``LcmLattice`` parses non-``Monomial`` generators as ``MonomialIdeal``
+    does, so strings work and a value that is no monomial is a package error."""
+    direct = LcmLattice(["a", "b"])
+    assert direct.monomials == lcm_lattice(["a", "b"]).monomials == LcmLattice(Monomial.parse(g) for g in "ab").monomials
+    assert [str(m) for m in direct] == ["1", "a", "b", "a*b"]
+    for bad in ([5], [10**5000], ["a", "b^"]):
+        with pytest.raises(MonomialParseError):
+            LcmLattice(bad)
+        with pytest.raises(MonomialParseError):
+            MonomialIdeal(bad)
+
+
 def _assert_matches_subset_lcm_oracle(gens: tuple[Monomial, ...]) -> None:
     """``LcmLattice(gens)`` against :func:`conftest.subset_lcm_lattice`:
     elements in order, supports both ways, the abstract lattice (or the same
@@ -522,6 +544,15 @@ def test_recovered_labeling_fig1_frozen():
         (3,): "d",
         (2, 3): "a",
     }
+
+
+def test_recovered_labeling_names_the_first_element_without_a_monomial():
+    lat = boolean_lattice(2)
+    with pytest.raises(PreconditionError, match=r"^no monomial given for element \{\}$"):
+        recovered_labeling(lat, {})
+    partial = {0: ONE, 0b01: Monomial.parse("a"), 0b11: Monomial.parse("a*b")}
+    with pytest.raises(PreconditionError, match=r"^no monomial given for element \{2\}$"):
+        recovered_labeling(lat, partial)
 
 
 def test_recovery_roundtrip_under_chain_conditions(rng):

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -23,18 +24,22 @@ from lcmlattice import (
     atoms_of,
     enumerate_super_atomic,
     lattice_isomorphic,
+    lcm_lattice,
     mask_of,
     weak_generator,
 )
 from lcmlattice.errors import ECHO_LIMIT, shown
-from lcmlattice.lattice import MAX_JOINING_ATOMS, _set_str, bits_of
+from lcmlattice.lattice import MAX_JOINING_ATOMS, _canon_key, _set_str, bits_of
 
 from conftest import (
     boolean_lattice,
     brute_force_isomorphic,
     cubic_covers,
     flat_lattice,
+    interval_lattice,
+    join_oracle,
     lattices_with,
+    pair_scan_validation,
     random_lattice,
 )
 
@@ -79,6 +84,67 @@ class TestValidation:
     def test_canonical_order_and_dedup(self):
         lat = AtomicLattice(2, [3, 0, 1, 2, 3, 0])
         assert lat.sets == (0, 1, 2, 3)
+
+
+def _validation_corpus(rng: random.Random, count: int):
+    """``count`` families on at most 6 atoms: closed ones, closed ones with
+    one set added or one set that is not required removed (on 4 to 6 atoms,
+    as every such change on 3 atoms stays closed), closed ones without one
+    required set, and arbitrary ones, each as a shuffled list with a
+    repeat."""
+    for i in range(count):
+        kind = i % 5
+        n = rng.randint(4, 6) if kind in (1, 2) else rng.randint(1, 6)
+        full = (1 << n) - 1
+        required = {0, full, *(1 << a for a in range(n))}
+        family = set(random_lattice(rng, n).sets)
+        if kind == 1 and len(family) <= full:
+            family.add(rng.choice([m for m in range(full + 1) if m not in family]))
+        elif kind == 2 and family - required:
+            family.discard(rng.choice(sorted(family - required)))
+        elif kind == 3:
+            family.discard(rng.choice(sorted(required)))
+        elif kind == 4:
+            family = {rng.randint(0, full) for _ in range(rng.randint(0, 1 << n))}
+        masks = sorted(family)
+        rng.shuffle(masks)
+        yield n, masks + masks[:1]
+
+
+def test_closure_decision_matches_the_pair_scan():
+    """The incidence-table closure test accepts exactly the families the
+    pair scan accepts, and a refused family gets the pair scan's text,
+    ``missing_required`` and every entry of ``non_closed_pairs``."""
+    rng = random.Random(20)
+    outcomes = {"valid": 0, "missing": 0, "only non-closed": 0}
+    for n, masks in _validation_corpus(rng, 2500):
+        expected = pair_scan_validation(n, masks)
+        if expected is None:
+            outcomes["valid"] += 1
+            assert AtomicLattice(n, masks).sets == tuple(sorted(set(masks), key=_canon_key))
+            continue
+        outcomes["missing" if expected.missing_required else "only non-closed"] += 1
+        with pytest.raises(ValidationError) as excinfo:
+            AtomicLattice(n, masks)
+        got = excinfo.value
+        assert (str(got), got.missing_required, got.non_closed_pairs) == (
+            str(expected),
+            expected.missing_required,
+            expected.non_closed_pairs,
+        )
+    assert min(outcomes.values()) >= 250, outcomes
+
+
+def test_validating_and_covering_b12_fits_the_budget():
+    """Validation takes O(m·n) ANDs, not C(m, 2) pair tests: B12 (4,096
+    sets) is validated and its covers taken in under 0.3 s."""
+    masks = list(range(1 << 12))
+    start = time.perf_counter()
+    lat = AtomicLattice(12, masks)
+    covers = lat.covers()
+    elapsed = time.perf_counter() - start
+    assert len(covers) == 12 * 2**11
+    assert elapsed < 0.3, f"{elapsed:.3f} s"
 
 
 def test_order_and_operations():
@@ -193,8 +259,18 @@ def test_non_int_values_are_not_members():
 
 
 def test_join_is_least_upper_bound(rng):
-    for _ in range(30):
-        lat = random_lattice(rng, rng.randint(2, 5))
+    """Every mask joins to the first element above it.  A join miss reads
+    the incidence table: validated lattices build it at construction, the
+    trusted ones (relabelings, enumerations, lcm-lattices) on their first
+    miss."""
+    validated = [random_lattice(rng, rng.randint(2, 5)) for _ in range(30)]
+    validated += [random_lattice(rng, 7) for _ in range(5)] + [flat_lattice(6), interval_lattice(6)]
+    trusted = [lat.relabel(rng.sample(range(1, lat.n + 1), lat.n)) for lat in validated[:20]]
+    trusted += rng.sample(enumerate_super_atomic(5), 20)
+    trusted.append(lcm_lattice(["a*b", "b*c", "c*d", "a*d", "a*c^2"]).abstract())
+    assert all(lat._rows is not None for lat in validated)
+    assert all(lat._rows is None for lat in trusted)
+    for lat in validated + trusted:
         for _ in range(20):
             p, q = rng.choice(lat.sets), rng.choice(lat.sets)
             j = lat.join(p, q)
@@ -202,6 +278,9 @@ def test_join_is_least_upper_bound(rng):
             uppers = [r for r in lat.sets if (p | q) & ~r == 0]
             assert all(j & ~r == 0 for r in uppers)
             assert lat.meet(p, q) in lat
+        masks = range(1 << lat.n) if lat.n <= 6 else [rng.randint(0, lat.top) for _ in range(200)]
+        for mask in masks:
+            assert lat.join_mask(mask) == join_oracle(lat, mask)
 
 
 def test_filters_partition():
