@@ -551,11 +551,13 @@ def recovered_labeling(lat: AtomicLattice, monomial_of: Mapping[int, Monomial]) 
     gets ``gcd{monomial_of[t] : t > p} / monomial_of[p]`` (the empty gcd at
     the top is the top's own monomial, so the top always ends up unlabeled);
     unit labels are dropped.  An element with no monomial is a
-    :class:`PreconditionError` naming the first such element.
+    :class:`PreconditionError` naming the first such element; a value that
+    is not a :class:`Monomial` is parsed as :class:`MonomialIdeal` does.
     """
     absent = next((p for p in lat.sets if p not in monomial_of), None)
     if absent is not None:
         raise PreconditionError(f"no monomial given for element {_set_str(absent)}")
+    monomial_of = {p: _as_monomial(monomial_of[p]) for p in lat.sets}
     assignments = {}
     for p in lat.sets:
         above = [monomial_of[q] for q in lat.filter(p) if q != p]

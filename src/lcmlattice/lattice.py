@@ -176,19 +176,28 @@ class AtomicLattice:
         up(s) == up(r | a); as s contains r | a, up(s) lies inside up(r | a),
         and it is enough that both have equally many members.  The walk goes
         from the top down, so the count of up(s), which comes after r, is
-        known when r is reached.
+        known when r is reached.  (up(r) is :meth:`_above` inlined: this loop
+        runs on every validated lattice, most of them small.)
         """
         rows = self._atom_rows()
-        counts = [0] * len(self.sets)
-        for i in range(len(self.sets) - 1, -1, -1):
-            r = self.sets[i]
-            up = self._above(r)
+        sets = self.sets
+        everything = (1 << len(sets)) - 1
+        counts = [0] * len(sets)
+        for i in range(len(sets) - 1, -1, -1):
+            r = sets[i]
+            up = everything
+            outside = []
+            for row in rows:
+                if r & 1:
+                    up &= row
+                else:
+                    outside.append(row)
+                r >>= 1
             counts[i] = up.bit_count()
-            for a, row in enumerate(rows):
-                if not r >> a & 1:
-                    up_ra = up & row
-                    if not up_ra or counts[(up_ra & -up_ra).bit_length() - 1] != up_ra.bit_count():
-                        return False
+            for row in outside:
+                up_ra = up & row
+                if counts[(up_ra & -up_ra).bit_length() - 1] != up_ra.bit_count():
+                    return False
         return True
 
     @classmethod

@@ -546,13 +546,17 @@ def test_recovered_labeling_fig1_frozen():
     }
 
 
-def test_recovered_labeling_names_the_first_element_without_a_monomial():
+def test_recovered_labeling_refuses_a_missing_or_malformed_monomial():
     lat = boolean_lattice(2)
     with pytest.raises(PreconditionError, match=r"^no monomial given for element \{\}$"):
         recovered_labeling(lat, {})
     partial = {0: ONE, 0b01: Monomial.parse("a"), 0b11: Monomial.parse("a*b")}
     with pytest.raises(PreconditionError, match=r"^no monomial given for element \{2\}$"):
         recovered_labeling(lat, partial)
+    as_text = {0: "1", 0b01: "a", 0b10: "b", 0b11: "a*b"}
+    assert recovered_labeling(lat, as_text) == recovered_labeling(lat, {p: Monomial.parse(m) for p, m in as_text.items()})
+    with pytest.raises(MonomialParseError):
+        recovered_labeling(lat, {**as_text, 0b11: 5})
 
 
 def test_recovery_roundtrip_under_chain_conditions(rng):
