@@ -22,10 +22,10 @@ with bit ``i`` set when the i-th element (in canonical order) contains
 the mask.  The validating constructor builds the table and decides closure
 from it in O(m·n) ANDs on m-bit ints for m elements and n atoms; only a
 family that fails runs the quadratic pair scan, which lists every
-violation.  A trusted lattice builds the table on its first join miss.  A
-join that is not already an element (the cache and the membership test come
-first) takes |mask| ANDs and the lowest set bit, and
-``support_labeling._filter_sizes`` reads the same table.
+violation.  A trusted lattice builds the table on first use, its first
+join miss or interval count.  A join that is not already an element (the
+cache and the membership test come first) takes |mask| ANDs and the lowest
+set bit, and ``support_labeling._filter_sizes`` reads the same table.
 """
 
 from __future__ import annotations
