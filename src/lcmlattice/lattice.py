@@ -16,16 +16,22 @@ constructor :meth:`AtomicLattice._trusted`; its only callers are
 Canonical order is (cardinality, mask value); it is the order used for
 iteration, serialization and DOT export, which keeps all output byte-stable.
 
-Each lattice has one atom-incidence table: for atom ``a``, an m-bit int
-with bit ``i`` set when the i-th element (in canonical order) contains
-``a``.  The AND of the rows of a mask's atoms is the set of elements above
-the mask.  The validating constructor builds the table and decides closure
-from it in O(m·n) ANDs on m-bit ints for m elements and n atoms; only a
-family that fails runs the quadratic pair scan, which lists every
-violation.  A trusted lattice builds the table on first use, its first
-join miss or interval count.  A join that is not already an element (the
-cache and the membership test come first) takes |mask| ANDs and the lowest
-set bit, and ``support_labeling._filter_sizes`` reads the same table.
+A lattice keeps exactly two derived structures: one atom-incidence table
+and one join cache.  The table holds, for atom ``a``, an m-bit int with bit
+``i`` set when the i-th element (in canonical order) contains ``a``.  The
+AND of the rows of a mask's atoms is the set of elements above the mask.
+The validating constructor builds the table and decides closure from it in
+O(m·n) ANDs on m-bit ints for m elements and n atoms; only a family that
+fails runs the quadratic pair scan, which lists every violation.  A trusted
+lattice builds the table on first use, its first join miss, filter or
+interval count.  A join that is not already an element (the cache and the
+membership test come first) takes |mask| ANDs and the lowest set bit;
+``filter`` and ``support_labeling._filter_sizes`` read the same table.
+
+Every order query above an element is answered from joins alone:
+``upper_covers(p)`` takes the n − |p| joins of p with the atoms outside it,
+``meet_irreducibles`` O(m·n) cached joins, and ``covers`` O(m·n) joins; none
+of them is cached.
 """
 
 from __future__ import annotations
@@ -125,7 +131,7 @@ class AtomicLattice:
     instead (see the module docstring for its callers).
     """
 
-    __slots__ = ("n", "sets", "_index", "_rows", "_join_cache", "_covers", "_upper_covers", "_mi")
+    __slots__ = ("n", "sets", "_index", "_rows", "_join_cache")
 
     def __init__(self, n: int, masks: Iterable[int]):
         if not _is_int(n) or n < 1:
@@ -218,9 +224,6 @@ class AtomicLattice:
         self._index = {m: i for i, m in enumerate(sets)}
         self._rows: Optional[list[int]] = None
         self._join_cache: dict[int, int] = {}
-        self._covers = None
-        self._upper_covers = None
-        self._mi = None
 
     @classmethod
     def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "AtomicLattice":
@@ -323,47 +326,56 @@ class AtomicLattice:
     def filter(self, p: int) -> tuple[int, ...]:
         """All elements above (and including) ``p``, canonically ordered."""
         self._require(p)
-        return tuple(q for q in self.sets if p & ~q == 0)
+        return tuple(self.sets[b.bit_length() - 1] for b in bits_of(self._above(p)))
 
     # -- covers and meet-irreducibility -----------------------------------
 
+    def _upper_covers_of(self, p: int) -> list[int]:
+        """The upper covers of the element ``p``, in no particular order.
+        Everything strictly above p lies above the join of p with some atom
+        outside p, so q covers p exactly when each atom of q outside p
+        already joins with p to q.  n - |p| joins."""
+        joined_by: dict[int, int] = {}
+        for a in bits_of(self.top & ~p):
+            q = self.join_mask(p | a)
+            joined_by[q] = joined_by.get(q, 0) | a
+        return [q for q, atoms in joined_by.items() if atoms == q & ~p]
+
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """All cover pairs ``(p, q)`` with ``p`` covered by ``q``, canonically ordered."""
-        if self._covers is None:
-            # Everything strictly above p lies above the join of p with some atom
-            # outside p, so q covers p exactly when each atom of q outside p
-            # already joins with p to q.
-            out = []
-            for p in self.sets:
-                joined_by: dict[int, int] = {}
-                for a in bits_of(self.top & ~p):
-                    q = self.join_mask(p | a)
-                    joined_by[q] = joined_by.get(q, 0) | a
-                out.extend((p, q) for q, atoms in joined_by.items() if atoms == q & ~p)
-            index = self._index
-            self._covers = tuple(sorted(out, key=lambda pq: (index[pq[1]], index[pq[0]])))
-        return self._covers
+        """All cover pairs ``(p, q)`` with ``p`` covered by ``q``, canonically
+        ordered (by upper element, then lower).  O(m·n) joins, not cached."""
+        index = self._index
+        out = [(p, q) for p in self.sets for q in self._upper_covers_of(p)]
+        return tuple(sorted(out, key=lambda pq: (index[pq[1]], index[pq[0]])))
 
     def upper_covers(self, p: int) -> tuple[int, ...]:
-        if self._upper_covers is None:
-            table: dict[int, list[int]] = {m: [] for m in self.sets}
-            for lo, hi in self.covers():
-                table[lo].append(hi)
-            self._upper_covers = {m: tuple(v) for m, v in table.items()}
+        """The elements covering ``p``, canonically ordered.  n - |p| joins."""
         self._require(p)
-        return self._upper_covers[p]
+        return tuple(sorted(self._upper_covers_of(p), key=_canon_key))
 
     def meet_irreducibles(self) -> tuple[int, ...]:
-        """Elements that are not the meet of two strictly larger ones.
+        """Elements that are not the meet of strictly larger ones, canonically
+        ordered; the top is one (the defining condition is vacuous).
 
-        Equivalently the elements with exactly one upper cover, together with
-        the top element (for which the defining condition is vacuous).
+        p is kept when it is the top, or when the AND of its joins p | a over
+        the atoms a outside p is not p.  Every q strictly above p contains
+        the join of p with some atom of q outside p, and each such join is
+        strictly above p.  So the elements strictly above p meet in the
+        intersection of these joins, and p is a meet of strictly larger
+        elements exactly when that intersection is p.  O(m·n) cached joins;
+        the walk over p's joins stops once the intersection reaches p.
         """
-        if self._mi is None:
-            self._mi = tuple(
-                p for p in self.sets if p == self.top or len(self.upper_covers(p)) == 1
-            )
-        return self._mi
+        top = self.top
+        out = []
+        for p in self.sets:
+            meet = top
+            for a in bits_of(top & ~p):
+                meet &= self.join_mask(p | a)
+                if meet == p:
+                    break
+            else:
+                out.append(p)
+        return tuple(out)
 
     # -- atom subsets joining to an element --------------------------------
 

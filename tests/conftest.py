@@ -110,6 +110,19 @@ def cubic_covers(lat: AtomicLattice) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(out, key=lambda pq: (pq[1].bit_count(), pq[1], pq[0].bit_count(), pq[0])))
 
 
+def meet_irreducibles_oracle(lat: AtomicLattice) -> tuple[int, ...]:
+    """Meet-irreducibles by the literal definition: p is the top, or no two
+    elements strictly above p intersect in p.  Scans every pair above every
+    element; the oracle for :meth:`AtomicLattice.meet_irreducibles`, in the
+    same canonical order."""
+    out = []
+    for p in lat.sets:
+        above = [q for q in lat.sets if p & ~q == 0 and q != p]
+        if p == lat.top or not any(q & r == p for q, r in combinations(above, 2)):
+            out.append(p)
+    return tuple(out)
+
+
 def subset_weak_generators(lat: AtomicLattice, labeling: Labeling) -> tuple[Monomial, ...]:
     """``delta(a)`` straight from the definition: the gcd, over every element
     ``p >= a`` and every atom subset ``T`` joining to ``p``, of

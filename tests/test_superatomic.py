@@ -131,11 +131,15 @@ def test_supp_detector_takes_no_joins_and_writes_nothing(monkeypatch):
         raise AssertionError("the support characterization took a join")
 
     lats = [lat for n in (2, 3, 4, 5) for lat in enumerate_super_atomic(n)] + [interval_lattice(20)]
+    # The trusted enumerated lattices have no incidence table yet; the
+    # validated interval lattice built its table at construction.
+    rows = [None if lat._rows is None else list(lat._rows) for lat in lats]
+    assert rows[-1] is not None and all(r is None for r in rows[:-1])
     monkeypatch.setattr(AtomicLattice, "join_mask", refuse)
-    for lat in lats:
+    for lat, before in zip(lats, rows):
         assert is_super_atomic_via_supp(lat)
         assert lat._join_cache == {}
-        assert lat._covers is None and lat._mi is None
+        assert lat._rows == before
 
 
 def test_detectors_at_the_atom_cap():

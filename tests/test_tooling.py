@@ -220,6 +220,13 @@ def test_level_mask_readers_take_no_join_and_no_monomial_closure():
     assert _names_used(_refine.__code__) & {"sets", "bit_count"} == set()
 
 
+def test_meet_irreducibles_read_joins_not_covers():
+    """Meet-irreducibility is decided from the joins above each element; it
+    builds no cover relation and asks for no element's upper covers."""
+    names = _names_used(lcmlattice.AtomicLattice.meet_irreducibles.__code__)
+    assert names & {"covers", "upper_covers", "_upper_covers_of"} == set()
+
+
 def _top_level_scopes_mentioning(name: str) -> set[str]:
     """``module.function`` (or ``module.Class``, or ``module`` for module-level
     code) of each top-level definition whose code names ``name``, as a bare
