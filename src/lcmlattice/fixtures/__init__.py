@@ -2,15 +2,27 @@
 
 Each fixture is a JSON document pairing input data (a lattice with a
 labeling, an ideal, or an enumeration request) with frozen expected values.
-The runner recomputes everything through the public API and reports one
-outcome per expectation; the ``paper-examples`` CLI command and the test
-suite both drive it.
+The expectations name rows of one ordered table, ``_CHECKS``, which maps
+each expectation to the public call that recomputes it.  Nested blocks of
+the ``expect`` object give dotted names (``classification.is_weak``,
+``superatomic.literal``, ``cover.smaller_strong``); ``cover.smaller`` is an
+input, not an expectation.  A name the table does not hold is a
+:class:`FormatError`, so a misspelt expectation fails instead of going
+unchecked.  The runner walks the table in order and reports one outcome per
+expectation the fixture holds; the inputs (the lattice, its labeling, the
+ideal's lcm-lattice, the ``classify`` result, the smaller lattice of a
+cover and its cover witness) are each built once, on first use.  The
+``paper-examples`` CLI command and the test suite both drive it.
+
+Rows call package functions by their global names at call time, so whatever
+rebinds those names (a profiler's wrapper, say) sees the calls.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 from ..classify import classify
@@ -79,148 +91,120 @@ def load(fixture_id: str) -> dict:
     return json.loads(text)
 
 
-def _check(checks: list, name: str, expected, actual) -> None:
-    checks.append(
-        FixtureCheck(name=name, passed=expected == actual, expected=repr(expected), actual=repr(actual))
-    )
+class _Inputs:
+    """The inputs of one fixture document, each built on first use."""
+
+    def __init__(self, doc: dict):
+        self.doc = doc
+
+    @cached_property
+    def lattice(self) -> AtomicLattice:
+        return AtomicLattice.from_json_dict(self.doc["lattice"])
+
+    @cached_property
+    def labeling(self):
+        if self.doc.get("support_labeling"):
+            return support_labeling(self.lattice, self.doc.get("atom_names"))
+        return labeling_from_json_dict(self.doc, lattice=self.lattice)
+
+    @cached_property
+    def lcm(self):
+        return lcm_lattice(MonomialIdeal(Monomial.parse(s) for s in self.doc["ideal"]))
+
+    @cached_property
+    def classified(self):
+        return classify(self.lattice, self.labeling)
+
+    @cached_property
+    def smaller(self) -> AtomicLattice:
+        return AtomicLattice.from_json_dict(self.doc["expect"]["cover"]["smaller"])
+
+    @cached_property
+    def small_labeling(self):
+        return support_labeling(self.smaller)
+
+    @cached_property
+    def witness(self):
+        return cover_witness(self.lattice, self.smaller)
+
+
+def _check(name: str, expected, actual) -> FixtureCheck:
+    return FixtureCheck(name=name, passed=expected == actual, expected=repr(expected), actual=repr(actual))
 
 
 def _gens(ideal) -> list[str]:
     return [str(g) for g in ideal.generators]
 
 
+def _recovered_labels(f: _Inputs) -> list:
+    abstract = f.lcm.abstract()
+    return recovered_labeling(abstract, {p: f.lcm.monomial_of(p) for p in abstract.sets}).to_json_dict()["labels"]
+
+
+def _enumeration_exact(f: _Inputs) -> bool:
+    spec = f.doc["enumeration"]
+    expected = sorted(sorted(tuple(sorted(s)) for s in fam) for fam in spec["families"])
+    return expected == sorted(sorted(atoms_of(m) for m in lat.sets) for lat in enumerate_super_atomic(spec["n"]))
+
+
+# Each expectation and the call that recomputes it, in replay order.  A row
+# whose cover witness is missing (the lattices are not a cover) yields None.
+_CHECKS = {
+    "lcm_elements": lambda f: [str(m) for m in f.lcm.monomials],
+    "lcm_covers": lambda f: [[str(lo), str(hi)] for lo, hi in f.lcm.covers_monomials()],
+    "recovered_labels": _recovered_labels,
+    "plain_ideal": lambda f: _gens(ideal_from_labeling(f.lattice, f.labeling)),
+    "weak_ideal": lambda f: _gens(weak_ideal(f.lattice, f.labeling)),
+    "lcm_plain_size": lambda f: len(lcm_lattice(ideal_from_labeling(f.lattice, f.labeling))),
+    "classification.satisfies_A1A2": lambda f: f.classified.satisfies_A1A2,
+    "classification.satisfies_C1C2": lambda f: f.classified.satisfies_C1C2,
+    "classification.is_coordinatization": lambda f: f.classified.is_coordinatization,
+    "classification.is_strong": lambda f: f.classified.is_strong,
+    "classification.is_weak": lambda f: f.classified.is_weak,
+    "superatomic.literal": lambda f: is_super_atomic(f.lattice),
+    "superatomic.via_supp": lambda f: is_super_atomic_via_supp(f.lattice),
+    "superatomic.structure": lambda f: check_superatomic_structure(f.lattice),
+    "weak_interval_criterion": lambda f: check_weak_interval_criterion(f.lattice).hypothesis_holds,
+    "strong_interval_criterion": lambda f: check_strong_interval_criterion(f.lattice)[0],
+    "enumeration_exact": _enumeration_exact,
+    "cover.new_element": lambda f: f.witness and list(atoms_of(f.witness.new_element)),
+    "cover.new_element_meet_irreducible": lambda f: f.witness and verify_new_element_meet_irreducible(f.witness),
+    "cover.smaller_plain_ideal": lambda f: _gens(ideal_from_labeling(f.smaller, f.small_labeling)),
+    "cover.smaller_deltas_equal_plain": lambda f: (
+        weak_ideal(f.smaller, f.small_labeling).generators
+        == ideal_from_labeling(f.smaller, f.small_labeling).generators
+    ),
+    "cover.smaller_lcm_isomorphic": lambda f: (
+        lattice_isomorphic(lcm_lattice(ideal_from_labeling(f.smaller, f.small_labeling)).abstract(), f.smaller)
+        is not None
+    ),
+    "cover.smaller_strong": lambda f: classify(f.smaller, f.small_labeling).is_strong,
+    "cover.cover_transfer_agrees": lambda f: check_cover_transfer(f.lattice, f.lattice, f.smaller).agree,
+}
+
+
+def _expectations(expect: dict) -> dict:
+    """``expect`` with each nested block flattened to dotted names, less the
+    one input it holds (``cover.smaller``)."""
+    flat = {}
+    for key, value in expect.items():
+        if isinstance(value, dict):
+            flat.update((f"{key}.{name}", want) for name, want in value.items())
+        else:
+            flat[key] = value
+    flat.pop("cover.smaller", None)
+    return flat
+
+
 def run(fixture_id: str) -> FixtureResult:
     doc = load(fixture_id)
-    expect = doc["expect"]
-    checks: list[FixtureCheck] = []
-
-    lat = AtomicLattice.from_json_dict(doc["lattice"]) if "lattice" in doc else None
-    labeling = None
-    if lat is not None and doc.get("support_labeling"):
-        labeling = support_labeling(lat, doc.get("atom_names"))
-    elif lat is not None and "labels" in doc:
-        labeling = labeling_from_json_dict(doc, lattice=lat)
-
-    if "ideal" in doc:
-        ll = lcm_lattice(MonomialIdeal(Monomial.parse(s) for s in doc["ideal"]))
-        if "lcm_elements" in expect:
-            _check(checks, "lcm_elements", expect["lcm_elements"], [str(m) for m in ll.monomials])
-        if "lcm_covers" in expect:
-            expected = {(a, b) for a, b in expect["lcm_covers"]}
-            actual = {(str(lo), str(hi)) for lo, hi in ll.covers_monomials()}
-            _check(checks, "lcm_covers", sorted(expected), sorted(actual))
-        if "recovered_labels" in expect:
-            abstract = ll.abstract()
-            rec = recovered_labeling(abstract, {p: ll.monomial_of(p) for p in abstract.sets})
-            expected = {tuple(e["set"]): e["monomial"] for e in expect["recovered_labels"]}
-            actual = {atoms_of(p): str(m) for p, m in rec.items()}
-            _check(checks, "recovered_labels", expected, actual)
-
-    if labeling is not None:
-        if "plain_ideal" in expect:
-            _check(checks, "plain_ideal", expect["plain_ideal"], _gens(ideal_from_labeling(lat, labeling)))
-        if "weak_ideal" in expect:
-            _check(checks, "weak_ideal", expect["weak_ideal"], _gens(weak_ideal(lat, labeling)))
-        if "lcm_plain_size" in expect:
-            _check(
-                checks,
-                "lcm_plain_size",
-                expect["lcm_plain_size"],
-                len(lcm_lattice(ideal_from_labeling(lat, labeling))),
-            )
-        if "classification" in expect:
-            got = classify(lat, labeling)
-            for field, want in expect["classification"].items():
-                _check(checks, f"classification.{field}", want, getattr(got, field))
-
-    if lat is not None and "superatomic" in expect:
-        want = expect["superatomic"]
-        if "literal" in want:
-            _check(checks, "superatomic.literal", want["literal"], is_super_atomic(lat))
-        if "via_supp" in want:
-            _check(checks, "superatomic.via_supp", want["via_supp"], is_super_atomic_via_supp(lat))
-        if "structure" in want:
-            _check(checks, "superatomic.structure", want["structure"], check_superatomic_structure(lat))
-
-    if lat is not None and "weak_interval_criterion" in expect:
-        _check(
-            checks,
-            "weak_interval_criterion",
-            expect["weak_interval_criterion"],
-            check_weak_interval_criterion(lat).hypothesis_holds,
-        )
-    if lat is not None and "strong_interval_criterion" in expect:
-        _check(
-            checks,
-            "strong_interval_criterion",
-            expect["strong_interval_criterion"],
-            check_strong_interval_criterion(lat)[0],
-        )
-
-    if "enumeration" in doc and expect.get("enumeration_exact"):
-        spec = doc["enumeration"]
-        n = spec["n"]
-        expected = sorted(
-            sorted(tuple(sorted(s)) for s in fam) for fam in spec["families"]
-        )
-        actual = sorted(
-            sorted(atoms_of(m) for m in found.sets) for found in enumerate_super_atomic(n)
-        )
-        _check(checks, "enumeration_exact", expected, actual)
-
-    if lat is not None and "cover" in expect:
-        want = expect["cover"]
-        smaller = AtomicLattice.from_json_dict(want["smaller"])
-        witness = cover_witness(lat, smaller)
-        _check(
-            checks,
-            "cover.new_element",
-            tuple(want["new_element"]),
-            atoms_of(witness.new_element) if witness else None,
-        )
-        if witness and "new_element_meet_irreducible" in want:
-            _check(
-                checks,
-                "cover.new_element_meet_irreducible",
-                want["new_element_meet_irreducible"],
-                verify_new_element_meet_irreducible(witness),
-            )
-        small_labeling = support_labeling(smaller)
-        if "smaller_plain_ideal" in want:
-            _check(
-                checks,
-                "cover.smaller_plain_ideal",
-                want["smaller_plain_ideal"],
-                _gens(ideal_from_labeling(smaller, small_labeling)),
-            )
-        if "smaller_deltas_equal_plain" in want:
-            _check(
-                checks,
-                "cover.smaller_deltas_equal_plain",
-                want["smaller_deltas_equal_plain"],
-                weak_ideal(smaller, small_labeling).generators
-                == ideal_from_labeling(smaller, small_labeling).generators,
-            )
-        if "smaller_lcm_isomorphic" in want:
-            ll = lcm_lattice(ideal_from_labeling(smaller, small_labeling))
-            _check(
-                checks,
-                "cover.smaller_lcm_isomorphic",
-                want["smaller_lcm_isomorphic"],
-                lattice_isomorphic(ll.abstract(), smaller) is not None,
-            )
-        if "smaller_strong" in want:
-            _check(
-                checks,
-                "cover.smaller_strong",
-                want["smaller_strong"],
-                classify(smaller, small_labeling).is_strong,
-            )
-        if "cover_transfer_agrees" in want:
-            report = check_cover_transfer(lat, lat, smaller)
-            _check(checks, "cover.cover_transfer_agrees", want["cover_transfer_agrees"], report.agree)
-
-    return FixtureResult(fixture_id=fixture_id, checks=tuple(checks))
+    want = _expectations(doc["expect"])
+    unknown = [name for name in want if name not in _CHECKS]
+    if unknown:
+        raise FormatError(f"fixture {shown(fixture_id)} expects unknown checks: {', '.join(map(shown, unknown))}")
+    inputs = _Inputs(doc)
+    checks = tuple(_check(name, want[name], compute(inputs)) for name, compute in _CHECKS.items() if name in want)
+    return FixtureResult(fixture_id=fixture_id, checks=checks)
 
 
 def run_all() -> list[FixtureResult]:

@@ -32,6 +32,13 @@ Every order query above an element is answered from joins alone:
 ``upper_covers(p)`` takes the n − |p| joins of p with the atoms outside it,
 ``meet_irreducibles`` O(m·n) cached joins, and ``covers`` O(m·n) joins; none
 of them is cached.
+
+``lattice_isomorphic`` searches atom permutations depth-first and looks at
+the meet-irreducibles alone: a finite lattice is the intersection-closure of
+its meet-irreducibles, so a permutation that maps one lattice's
+meet-irreducibles onto the other's maps the whole family.  An atom's
+candidate images are the atoms that lie in meet-irreducibles of the same
+sizes.
 """
 
 from __future__ import annotations
@@ -455,49 +462,58 @@ class AtomicLattice:
         return cls.from_json_dict(_parse_json(text))
 
 
-def _atom_signature(lat: AtomicLattice, atom: int) -> tuple:
-    member_sizes = tuple(sorted(m.bit_count() for m in lat.sets if m & atom))
-    return (member_sizes, len(lat.upper_covers(atom)))
-
-
 def lattice_isomorphic(P: AtomicLattice, Q: AtomicLattice) -> Optional[dict[int, int]]:
     """Search for an order-isomorphism; return it as an element map or ``None``.
 
     A lattice isomorphism must send atoms to atoms and commutes with taking
     supports, so it is induced by an atom permutation whose set-wise image of
-    one family equals the other.  The search assigns atom images depth-first,
-    pruning with per-atom invariants (sizes of incident members and atom cover
-    degree) and rejecting any partial assignment that already maps a fully
-    assigned member set outside the target family.
+    one family equals the other.  It is enough to match the meet-irreducibles:
+    a permutation s maps P's family onto Q's exactly when it maps
+    ``P.meet_irreducibles()`` onto ``Q.meet_irreducibles()``.  If s maps the
+    families onto each other it is an order-isomorphism, so it keeps
+    meet-irreducibility.  Conversely, every element of a finite lattice is the
+    meet of the meet-irreducibles above it (the top, the empty meet, is one
+    itself), so each family is the intersection-closure of its
+    meet-irreducibles, and s, which commutes with intersection, carries one
+    closure onto the other.
+
+    The search assigns atom images depth-first.  An atom may only go to an
+    atom that lies in meet-irreducibles of the same sizes, so a complete
+    assignment leaves both sides with equally many nonempty meet-irreducibles
+    of each size (the empty set is one only on a single atom, where both
+    lattices are the same).  Each nonempty meet-irreducible of P is checked
+    against Q's once its last atom is placed; an assignment that passes every
+    check maps P's meet-irreducibles into Q's and, by the count, onto them.
     """
     if P.n != Q.n or len(P) != len(Q):
         return None
-    if [m.bit_count() for m in P.sets] != [m.bit_count() for m in Q.sets]:
-        return None
-
     n = P.n
+    mi_p, mi_q = P.meet_irreducibles(), Q.meet_irreducibles()
+
+    def signature(mi: tuple[int, ...], i: int) -> tuple[int, ...]:
+        return tuple(m.bit_count() for m in mi if m >> i & 1)
+
     sig_q: dict[tuple, list[int]] = {}
     for j in range(n):
-        sig_q.setdefault(_atom_signature(Q, 1 << j), []).append(j)
+        sig_q.setdefault(signature(mi_q, j), []).append(j)
 
     candidates = []
     for i in range(n):
-        sig = _atom_signature(P, 1 << i)
-        pool = sig_q.get(sig)
+        pool = sig_q.get(signature(mi_p, i))
         if not pool:
             return None
         candidates.append(pool)
 
     order = sorted(range(n), key=lambda i: (len(candidates[i]), i))
     position = {atom_index: rank for rank, atom_index in enumerate(order)}
-    # Member sets become checkable once their last atom (in assignment order)
-    # is placed; group them by that moment.
+    # Meet-irreducibles become checkable once their last atom (in assignment
+    # order) is placed; group them by that moment.
     closes_at: list[list[int]] = [[] for _ in range(n)]
-    for m in P.sets:
+    for m in mi_p:
         if m:
             closes_at[max(position[i] for i in range(n) if m >> i & 1)].append(m)
 
-    q_members = set(Q.sets)
+    q_members = set(mi_q)
     image = [0] * n  # image[i] = 0-based target atom for source atom i
     used = [False] * n
 

@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from lcmlattice import AtomicLattice
+from lcmlattice import AtomicLattice, fixtures
 from lcmlattice.cli import main
 
 from conftest import flat_lattice, interval_lattice
@@ -401,6 +401,15 @@ def test_paper_examples_all_pass(runner):
     assert lines[-1].endswith("fixtures")
     checks = len(lines) - 1
     assert lines[-1].startswith(f"{checks}/{checks} checks passed")
+
+
+def test_paper_examples_unknown_expectation_exits_1(runner, monkeypatch):
+    doc = fixtures.load("fig2")
+    doc["expect"]["plain_idea"] = doc["expect"]["plain_ideal"]
+    monkeypatch.setattr(fixtures, "load", lambda fid: doc)
+    res = runner.invoke(main, ["paper-examples"])
+    assert res.exit_code == 1
+    assert "plain_idea" in res.output and "Traceback" not in res.output
 
 
 # -- export-dot ---------------------------------------------------------------------------

@@ -1,7 +1,51 @@
 import pytest
 
+from lcmlattice import fixtures
 from lcmlattice.errors import FormatError
 from lcmlattice.fixtures import FIXTURE_IDS, load, run, run_all
+
+# The checks each bundled fixture replays, in replay order.
+REPLAYED = {
+    "fig1": ["lcm_elements", "lcm_covers", "recovered_labels"],
+    "fig2": ["plain_ideal", "classification.is_coordinatization", "classification.is_strong"],
+    "fig3": [
+        "plain_ideal",
+        "weak_ideal",
+        "lcm_plain_size",
+        "classification.is_coordinatization",
+        "classification.is_weak",
+    ],
+    "fig6": [
+        "plain_ideal",
+        "weak_ideal",
+        "classification.satisfies_A1A2",
+        "classification.satisfies_C1C2",
+        "classification.is_weak",
+    ],
+    "fig8": ["superatomic.literal", "superatomic.via_supp", "superatomic.structure"],
+    "fig9": [
+        "plain_ideal",
+        "weak_ideal",
+        "classification.satisfies_C1C2",
+        "classification.is_weak",
+        "weak_interval_criterion",
+    ],
+    "example-4-3": ["enumeration_exact"],
+    "example-5-2": [
+        "plain_ideal",
+        "classification.is_strong",
+        "superatomic.literal",
+        "superatomic.via_supp",
+        "strong_interval_criterion",
+        "cover.new_element",
+        "cover.new_element_meet_irreducible",
+        "cover.smaller_plain_ideal",
+        "cover.smaller_deltas_equal_plain",
+        "cover.smaller_lcm_isomorphic",
+        "cover.smaller_strong",
+        "cover.cover_transfer_agrees",
+    ],
+}
 
 
 def test_fixture_ids_are_pinned():
@@ -27,10 +71,44 @@ def test_each_fixture_passes(fixture_id):
     assert result.passed
 
 
+@pytest.mark.parametrize("fixture_id", FIXTURE_IDS)
+def test_replay_reports_the_pinned_checks_in_order(fixture_id):
+    assert [c.name for c in run(fixture_id).checks] == REPLAYED[fixture_id]
+
+
 def test_run_all_covers_everything():
     results = run_all()
     assert [r.fixture_id for r in results] == list(FIXTURE_IDS)
     assert sum(len(r.checks) for r in results) >= 30
+
+
+def test_every_table_row_is_used_by_a_bundled_fixture():
+    assert {c.name for r in run_all() for c in r.checks} == set(fixtures._CHECKS)
+
+
+def _replay_edited(monkeypatch, fixture_id, edit):
+    """Replay ``fixture_id`` with ``edit`` applied to its expect block."""
+    doc = load(fixture_id)
+    edit(doc["expect"])
+    monkeypatch.setattr(fixtures, "load", lambda fid: doc)
+    return run(fixture_id)
+
+
+@pytest.mark.parametrize("misspelt", ["plain_idea", "classification.is_strnog"])
+def test_unknown_expectation_is_a_format_error(monkeypatch, misspelt):
+    def edit(expect):
+        *block, name = misspelt.split(".")
+        (expect[block[0]] if block else expect)[name] = False
+
+    with pytest.raises(FormatError, match=misspelt):
+        _replay_edited(monkeypatch, "fig2", edit)
+
+
+def test_wrong_expectation_fails_its_check_only(monkeypatch):
+    result = _replay_edited(monkeypatch, "fig2", lambda expect: expect["classification"].update(is_strong=True))
+    assert [c.name for c in result.checks] == REPLAYED["fig2"]
+    assert [c.passed for c in result.checks] == [True, True, False]
+    assert (result.checks[-1].expected, result.checks[-1].actual) == ("True", "False")
 
 
 def test_unknown_fixture_rejected():

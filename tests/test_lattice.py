@@ -531,3 +531,23 @@ def test_isomorphic_to_own_relabeling(rng):
         perm = list(range(1, n + 1))
         rng.shuffle(perm)
         assert lattice_isomorphic(lat, lat.relabel(perm)) is not None
+
+
+def test_isomorphism_matches_brute_force_on_super_atomic_lattices(rng):
+    """Every super-atomic lattice on 2-5 atoms against a random relabeling of
+    itself and against the next super-atomic lattice on as many atoms.  They
+    all have C(n, 2) + n + 1 elements, so no count rejects a pair and every
+    answer comes from the search over meet-irreducibles."""
+    for n in range(2, 6):
+        lats = enumerate_super_atomic(n)
+        for k, lat in enumerate(lats):
+            perm = list(range(1, n + 1))
+            rng.shuffle(perm)
+            others = [lat.relabel(perm)] + ([lats[(k + 1) % len(lats)]] if len(lats) > 1 else [])
+            for other in others:
+                iso = lattice_isomorphic(lat, other)
+                assert (iso is not None) == brute_force_isomorphic(lat, other)
+                if iso is not None:
+                    assert sorted(iso) == sorted(lat.sets)
+                    assert sorted(iso.values()) == sorted(other.sets)
+                    assert all((p & ~q == 0) == (iso[p] & ~iso[q] == 0) for p in lat.sets for q in lat.sets)

@@ -227,6 +227,14 @@ def test_meet_irreducibles_read_joins_not_covers():
     assert names & {"covers", "upper_covers", "_upper_covers_of"} == set()
 
 
+def test_isomorphism_search_reads_meet_irreducibles_not_covers():
+    """The search prunes with the meet-irreducibles alone; it asks for no
+    cover relation and no atom's upper covers."""
+    names = _names_used(lcmlattice.lattice_isomorphic.__code__)
+    assert "meet_irreducibles" in names
+    assert names & {"covers", "upper_covers", "_upper_covers_of", "_atom_signature"} == set()
+
+
 def _top_level_scopes_mentioning(name: str) -> set[str]:
     """``module.function`` (or ``module.Class``, or ``module`` for module-level
     code) of each top-level definition whose code names ``name``, as a bare
