@@ -6,11 +6,12 @@ ideal is order-isomorphic to it.  The strong and weak variants pin the
 isomorphism down to the specific map sending each atom to its generator
 (``x(a)`` for strong, ``delta(a)`` for weak) and every other element to the
 lcm over its support; being a bijection that preserves order both ways is
-then a property, not a search.  It holds exactly when every level mask
-``D(v, t)`` (the atoms whose generator has ``e_v <= t``) is an element and the
-level masks, with the empty set, separate the elements.  That takes ``O(k*n)``
-level masks for ``k`` variables and ``n`` atoms, and ``O(m*c)`` mask tests for
-``m`` elements and ``c`` distinct masks, with no join, no lcm and no
+then a property, not a search.  It holds exactly when MI(L) ⊆ cuts ⊆ L:
+every *cut* (the empty set, or a level mask ``D(v, t)``, the atoms whose
+generator has ``e_v <= t``) is an element, and every meet-irreducible element
+is a cut.  That takes ``O(k*n)`` level masks for ``k`` variables and ``n``
+atoms, and the ``O(m*n)`` cached joins of the meet-irreducibles for ``m``
+elements, which the condition checks read too; no lcm is taken and no
 lcm-lattice built.  The predicates build none for either verdict;
 :func:`is_coordinatization` builds one only when the strong map fails, for
 the isomorphism search, and :func:`classify` builds one per generator tuple
@@ -42,7 +43,6 @@ from .ideals import (
     LcmLattice,
     MonomialIdeal,
     _check_lcm_generators,
-    _intersection_closure,
     _level_masks,
     _refine,
     ideal_from_labeling,
@@ -76,8 +76,8 @@ def _first_incomparable(masks) -> Optional[str]:
 def _unlabeled_meet_irreducible(lat: AtomicLattice, labeling: Labeling) -> Optional[str]:
     """The first requirement of both condition checks: every meet-irreducible
     element below the top is labeled.  The witness of a violation, or None."""
-    for p in lat.meet_irreducibles():
-        if p != lat.top and labeling.label(p).is_one:
+    for p in lat.meet_irreducibles()[:-1]:  # the top is last
+        if labeling.label(p).is_one:
             return f"meet-irreducible element {_set_str(p)} is unlabeled"
     return None
 
@@ -150,8 +150,8 @@ def _support_map(lat: AtomicLattice, atom_monomials: tuple[Monomial, ...]) -> di
 
 def _extends_to_isomorphism(lat: AtomicLattice, atom_monomials: tuple[Monomial, ...]) -> bool:
     """Is g(p) = lcm of the atom monomials below p an isomorphism onto the
-    lcm-lattice of those monomials?  Decided on their level masks, with no
-    join, no lcm and no lcm-lattice built.
+    lcm-lattice of those monomials?  Decided on their level masks and the
+    lattice's meet-irreducibles, with no lcm and no lcm-lattice built.
 
     The tuples the lcm-lattice build refuses are refused first, with the same
     error: a unit monomial raises :class:`DegenerateIdealError`, and more than
@@ -193,17 +193,24 @@ def _extends_to_isomorphism(lat: AtomicLattice, atom_monomials: tuple[Monomial, 
     that is, when each cut is an element.
 
     Given (i), every intersection of cuts is an element, and (ii) holds
-    exactly when every element p is one (p = cl(p)).  So the check is that
-    the intersection-closure of the cuts, which is the support family of the
-    lcm-lattice (see :class:`~lcmlattice.ideals.LcmLattice`), has as many
-    members as the lattice.  That costs O(k*n) level masks for k variables
-    and n atoms, and O(m*|cuts|) mask operations for m elements: given (i),
-    the closure never outgrows the lattice.
+    exactly when every element p is one (p = cl(p)).  That holds exactly
+    when every meet-irreducible of the lattice is a cut.  Every element p is
+    the meet of the meet-irreducibles above it, so if these are cuts, cl(p)
+    lies below p.  Conversely, a meet-irreducible p below the top is not the
+    meet of elements strictly above it, so if p = cl(p), the meet of the
+    cuts above p, then one of those cuts is p.  The top is always a cut (the
+    last level of every variable), and the {} cut is the bottom of the
+    one-atom lattice, the one lattice whose bottom is meet-irreducible.  So
+    the decision is MI(L) ⊆ cuts ⊆ L, and the meet-irreducibles are read
+    only once every cut is an element.  That costs O(k*n) level masks for k
+    variables and n atoms, and the O(m*n) cached joins of
+    :meth:`~lcmlattice.lattice.AtomicLattice.meet_irreducibles` for m
+    elements, which the condition checks of :func:`classify` read too.
     """
     over_cap = len(atom_monomials) > MAX_GENERATORS
     _check_lcm_generators(MonomialIdeal(atom_monomials).minimal_generators if over_cap else atom_monomials)
     cuts = _level_masks(atom_monomials)
-    return all(c in lat for c in cuts) and len(_intersection_closure(cuts, lat.top)) == len(lat)
+    return all(c in lat for c in cuts) and cuts.issuperset(lat.meet_irreducibles())
 
 
 def _specific_map_witness(lat: AtomicLattice, atom_monomials: tuple[Monomial, ...], ll: LcmLattice) -> str:
@@ -288,9 +295,11 @@ def classify(lat: AtomicLattice, labeling: Labeling) -> LabelingClassification:
     """Run all five checks on one shared set of generators.
 
     The strong and weak checks decide whether the map g is an isomorphism
-    from the level masks of its atom monomials (see
-    :func:`_extends_to_isomorphism`), with no join and no lcm-lattice built;
-    the single predicates take the same decision.  A strong verdict makes
+    as MI(L) ⊆ cuts ⊆ L, from the level masks of its atom monomials and the
+    lattice's meet-irreducibles (see :func:`_extends_to_isomorphism`), with
+    no lcm-lattice built; the meet-irreducibles cost O(m·n) cached joins,
+    shared with the two condition checks.  The single predicates take the
+    same decision.  A strong verdict makes
     the coordinatization check true as well, and when ``delta(a) = x(a)``
     for every atom the weak verdict is the strong one.  Only a false verdict
     builds an lcm-lattice, one per generator tuple and call, to word its

@@ -7,7 +7,6 @@ failure (invalid input data, or a result contradicting an asserted truth),
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 from pathlib import Path
@@ -49,20 +48,18 @@ from .support_labeling import (
 IO_ERROR_EXIT = 3
 
 
-def _guarded(fn):
-    """Map package errors to exit 1 and I/O errors to exit 3."""
+class _Main(click.Group):
+    """The one error boundary of every command: package errors exit 1 and
+    I/O errors exit 3.  Each command keeps its own callback."""
 
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except Error as exc:
             raise click.ClickException(str(exc))
         except OSError as exc:
             click.echo(f"i/o error: {exc}", err=True)
             sys.exit(IO_ERROR_EXIT)
-
-    return wrapper
 
 
 def _load_lattice(path: str) -> AtomicLattice:
@@ -88,14 +85,13 @@ def _emit_json(doc) -> None:
     click.echo(json.dumps(doc, indent=2))
 
 
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Monomial ideals from labeled atomic lattices, and back."""
 
 
 @main.command()
 @click.argument("path", type=click.Path())
-@_guarded
 def validate(path):
     """Validate a lattice or labeling JSON file."""
     lat, labeling = _load_document(path)
@@ -109,7 +105,6 @@ def validate(path):
 @click.argument("labeling_file", type=click.Path())
 @click.option("--plain", "mode", flag_value="plain", default=True, help="Generators x(a) (default).")
 @click.option("--weak", "mode", flag_value="weak", help="Refined generators delta(a).")
-@_guarded
 def build_ideal(labeling_file, mode):
     """Print the generated ideal, one generator per atom, in atom order."""
     labeling = load_labeling(labeling_file)
@@ -124,7 +119,6 @@ def build_ideal(labeling_file, mode):
 @click.argument("ideal_file", type=click.Path())
 @click.option("--dot", "dot_file", type=click.Path(), help="Also write a DOT Hasse diagram here.")
 @click.option("--with-bottom", is_flag=True, help="Keep the bottom element in the DOT output.")
-@_guarded
 def lcm_lattice_cmd(ideal_file, dot_file, with_bottom):
     """Print the (abstract) lcm-lattice of an ideal as lattice JSON."""
     ll = lcm_lattice(_load_ideal(ideal_file))
@@ -137,7 +131,6 @@ def lcm_lattice_cmd(ideal_file, dot_file, with_bottom):
 
 @main.command()
 @click.argument("labeling_file", type=click.Path())
-@_guarded
 def classify(labeling_file):
     """Classify a labeling; prints the five booleans plus diagnostics."""
     labeling = load_labeling(labeling_file)
@@ -148,7 +141,6 @@ def classify(labeling_file):
 @click.option("--n", "n", type=int, required=True, help="Atom count (2..7).")
 @click.option("--count-only", is_flag=True, help="Stream and count without materializing.")
 @click.option("--out", "out_dir", type=click.Path(), help="Write one lattice JSON per output plus an index file.")
-@_guarded
 def enumerate_superatomic(n, count_only, out_dir):
     """Enumerate all super-atomic lattices on n atoms."""
     if count_only:
@@ -176,7 +168,6 @@ def enumerate_superatomic(n, count_only, out_dir):
 
 @main.command("check-superatomic")
 @click.argument("lattice_file", type=click.Path())
-@_guarded
 def check_superatomic(lattice_file):
     """Run both super-atomic detectors; nonzero exit if they disagree."""
     lat = _load_lattice(lattice_file)
@@ -198,7 +189,6 @@ def check_superatomic(lattice_file):
     metavar="R_FILE P_FILE Q_FILE",
     help="Cover-transfer criterion for root R, middle P covering Q.",
 )
-@_guarded
 def check_labeling_c(lattice_file, thm51, thm52, thm53):
     """Interval-count criteria for the canonical support labeling."""
     if sum((thm51, thm52, bool(thm53))) > 1:
@@ -223,7 +213,6 @@ def check_labeling_c(lattice_file, thm51, thm52, thm53):
 
 
 @main.command("paper-examples")
-@_guarded
 def paper_examples():
     """Replay every bundled fixture; nonzero exit on any mismatch."""
     results = run_all()
@@ -249,7 +238,6 @@ def paper_examples():
 @click.option("-o", "--out", "out_file", type=click.Path(), help="Write here instead of stdout.")
 @click.option("--skip-bottom", is_flag=True, help="Drop the bottom element from the diagram.")
 @click.option("--name", default="lattice", show_default=True, help="DOT graph name.")
-@_guarded
 def export_dot(path, out_file, skip_bottom, name):
     """Render a lattice (or labeled lattice) file as a DOT Hasse diagram."""
     lat, labeling = _load_document(path)

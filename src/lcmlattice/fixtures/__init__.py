@@ -179,7 +179,7 @@ _CHECKS = {
         is not None
     ),
     "cover.smaller_strong": lambda f: classify(f.smaller, f.small_labeling).is_strong,
-    "cover.cover_transfer_agrees": lambda f: check_cover_transfer(f.lattice, f.lattice, f.smaller).agree,
+    "cover.cover_transfer_agrees": lambda f: f.witness and check_cover_transfer(f.lattice, f.lattice, f.smaller).agree,
 }
 
 

@@ -373,14 +373,6 @@ def _level_masks(generators: tuple[Monomial, ...]) -> set[int]:
     return {0}.union(*(levels.values() for levels in _exponent_levels(generators).values()))
 
 
-def _intersection_closure(masks: Iterable[int], top: int) -> set[int]:
-    """All intersections of ``masks``, with ``top`` as the empty one."""
-    closed = {top}
-    for m in masks:
-        closed |= {s & m for s in closed}
-    return closed
-
-
 def _refine(lat: AtomicLattice, generators: tuple[Monomial, ...]) -> tuple[Monomial, ...]:
     """``delta(a)`` for every atom, from the plain generators ``x(a)`` in atom order.
 
@@ -469,7 +461,10 @@ class LcmLattice:
     def __init__(self, generators: Iterable[Monomial]):
         gens = tuple(map(_as_monomial, generators))
         _check_lcm_generators(gens)
-        supports = sorted(_intersection_closure(_level_masks(gens), (1 << len(gens)) - 1), key=_canon_key)
+        closed = {(1 << len(gens)) - 1}
+        for cut in _level_masks(gens):
+            closed |= {s & cut for s in closed}
+        supports = sorted(closed, key=_canon_key)
         self.generators = gens
         self.monomials = tuple(lcm_all(gens[b.bit_length() - 1] for b in bits_of(s)) for s in supports)
         self._mask_of = dict(zip(self.monomials, supports))

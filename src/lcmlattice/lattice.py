@@ -23,10 +23,11 @@ AND of the rows of a mask's atoms is the set of elements above the mask.
 The validating constructor builds the table and decides closure from it in
 O(m·n) ANDs on m-bit ints for m elements and n atoms; only a family that
 fails runs the quadratic pair scan, which lists every violation.  A trusted
-lattice builds the table on first use, its first join miss, filter or
-interval count.  A join that is not already an element (the cache and the
-membership test come first) takes |mask| ANDs and the lowest set bit;
-``filter`` and ``support_labeling._filter_sizes`` read the same table.
+lattice builds the table on first use: its first join miss, ``filter`` or
+``support_labeling._filter_sizes``.  A join that is not already an element
+(the cache and the membership test come first) takes |mask| ANDs and the
+lowest set bit; ``filter`` and ``support_labeling._filter_sizes`` read the
+same table.
 
 Every order query above an element is answered from joins alone:
 ``upper_covers(p)`` takes the n − |p| joins of p with the atoms outside it,

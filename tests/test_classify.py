@@ -295,7 +295,7 @@ def test_classify_builds_no_lcm_lattice_when_strong_holds(rng, monkeypatch):
 
     monkeypatch.setattr(LcmLattice, "__init__", refuse)
     cases = [(lat, chain_condition_labeling(rng, lat)) for lat in lattices_with(4)[::5]]
-    # 2^20 subsets would be far too many to build: the decision reads O(k*n) level masks, no joins
+    # 2^20 subsets would be far too many to build: the decision reads O(k*n) level masks and O(m*n) joins
     lat = flat_lattice(20)
     cases.append((lat, support_labeling(lat)))
     for lat, lab in cases:

@@ -1,10 +1,12 @@
 import json
 
+import click
 import pytest
 from click.testing import CliRunner
 
 from lcmlattice import AtomicLattice, fixtures
 from lcmlattice.cli import main
+from lcmlattice.errors import FormatError
 
 from conftest import flat_lattice, interval_lattice
 
@@ -123,6 +125,26 @@ def test_missing_file_is_io_error(runner, tmp_path):
     res = runner.invoke(main, ["validate", str(tmp_path / "nope.json")])
     assert res.exit_code == 3
     assert "i/o error" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "exc, code, stderr",
+    [(FormatError("bad input"), 1, "Error: bad input\n"), (OSError("disk gone"), 3, "i/o error: disk gone\n")],
+)
+def test_the_group_maps_errors_of_any_command(runner, exc, code, stderr):
+    """The error boundary is the command group, not each command: a command
+    added to ``main`` gets the same exit codes and one-line messages."""
+
+    def fail():
+        raise exc
+
+    main.add_command(click.Command("fail", callback=fail))
+    try:
+        res = runner.invoke(main, ["fail"])
+    finally:
+        del main.commands["fail"]
+    assert res.exit_code == code and isinstance(res.exception, SystemExit)
+    assert res.stderr == stderr
 
 
 # -- build-ideal ---------------------------------------------------------------

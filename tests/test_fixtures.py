@@ -1,6 +1,8 @@
 import pytest
+from click.testing import CliRunner
 
 from lcmlattice import fixtures
+from lcmlattice.cli import main
 from lcmlattice.errors import FormatError
 from lcmlattice.fixtures import FIXTURE_IDS, load, run, run_all
 
@@ -109,6 +111,28 @@ def test_wrong_expectation_fails_its_check_only(monkeypatch):
     assert [c.name for c in result.checks] == REPLAYED["fig2"]
     assert [c.passed for c in result.checks] == [True, True, False]
     assert (result.checks[-1].expected, result.checks[-1].actual) == ("True", "False")
+
+
+def test_a_smaller_lattice_that_is_not_covered_fails_the_cover_rows(monkeypatch):
+    """With the lattice itself as ``cover.smaller`` there is no cover
+    witness: the three rows that need one report None and fail, and
+    ``paper-examples`` prints their FAIL lines and exits 1, not an error."""
+    real_load = fixtures.load
+
+    def load_edited(fixture_id):
+        doc = real_load(fixture_id)
+        if fixture_id == "example-5-2":
+            doc["expect"]["cover"]["smaller"] = doc["lattice"]
+        return doc
+
+    monkeypatch.setattr(fixtures, "load", load_edited)
+    checks = {c.name: c for c in run("example-5-2").checks}
+    needs_witness = ["cover.new_element", "cover.new_element_meet_irreducible", "cover.cover_transfer_agrees"]
+    assert [(checks[n].passed, checks[n].actual) for n in needs_witness] == [(False, "None")] * 3
+    res = CliRunner().invoke(main, ["paper-examples"])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit) and res.stderr == ""
+    for name in needs_witness:
+        assert f"example-5-2: {name}: FAIL (expected {checks[name].expected}, got None)" in res.output
 
 
 def test_unknown_fixture_rejected():

@@ -2,12 +2,14 @@
 
 import ast
 import importlib
+import io
 import re
+import tokenize
 import types
 from pathlib import Path
 
 import lcmlattice
-from lcmlattice import LcmLattice, errors, superatomic
+from lcmlattice import LcmLattice, errors, ideals, superatomic
 from lcmlattice.classify import _extends_to_isomorphism
 from lcmlattice.ideals import _refine
 
@@ -212,12 +214,21 @@ def test_supp_detector_stays_independent_of_the_literal_one():
 
 
 def test_level_mask_readers_take_no_join_and_no_monomial_closure():
-    """The specific-map decision reads level masks alone; the lcm-lattice
-    build closes them under intersection and takes one lcm per element;
-    ``delta`` joins each level mask and walks no element."""
+    """The specific-map decision reads level masks and the
+    meet-irreducibles; the lcm-lattice build closes the level masks under
+    intersection and takes one lcm per element; ``delta`` joins each level
+    mask and walks no element."""
     assert _names_used(_extends_to_isomorphism.__code__) & {"join_mask", "lcm", "lcm_all"} == set()
     assert _names_used(LcmLattice.__init__.__code__) & {"divides", "join_mask"} == set()
     assert _names_used(_refine.__code__) & {"sets", "bit_count"} == set()
+
+
+def test_specific_map_decision_reads_meet_irreducibles_not_a_closure():
+    """Strong and weak are decided as MI(L) ⊆ cuts ⊆ L; the one closure of
+    the cuts is the lcm-lattice build's."""
+    names = _names_used(_extends_to_isomorphism.__code__)
+    assert "meet_irreducibles" in names and "_intersection_closure" not in names
+    assert not hasattr(ideals, "_intersection_closure")
 
 
 def test_meet_irreducibles_read_joins_not_covers():
@@ -260,3 +271,58 @@ def test_one_json_parser_and_one_text_reader():
     file; ``fixtures.load`` reads the package's own data."""
     assert _top_level_scopes_mentioning("loads") == {"lattice._parse_json", "fixtures.load"}
     assert _top_level_scopes_mentioning("read_text") == {"ideals._read_text", "fixtures.load"}
+
+
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def code_lines(path: Path) -> int:
+    """Code lines of a Python file, or of every ``*.py`` under a directory:
+    lines that hold a token other than a comment or a newline, leaving out
+    module, class and function docstrings.  A token over several lines (a
+    multi-line string that is not a docstring) counts on each of them."""
+    if path.is_dir():
+        return sum(code_lines(p) for p in path.rglob("*.py"))
+    text = path.read_text()
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(getattr(first.value, "value", None), str):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in _NOT_CODE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstrings)
+
+
+CODE_LINES_SAMPLE = '''"""Module docstring,
+over two lines."""
+
+import os  # a comment
+
+# a comment line
+
+
+class A:
+    """Class docstring."""
+
+    def f(self):
+        """Function
+        docstring."""
+        text = """a multi-line
+string that is code"""
+        return text
+'''
+
+
+def test_code_lines_counts_code_not_docstrings_comments_or_blanks(tmp_path):
+    """The one line counter behind the code-size figures: here ``import os``,
+    ``class A:``, ``def f(self):``, the two lines of the string assigned to
+    ``text`` and ``return text``."""
+    (tmp_path / "sample.py").write_text(CODE_LINES_SAMPLE)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "more.py").write_text("x = 1\n\n# done\n")
+    assert code_lines(tmp_path / "sample.py") == 6
+    assert code_lines(tmp_path) == 7
