@@ -95,7 +95,7 @@ def check_strong_conditions(lat: AtomicLattice, labeling: Labeling) -> tuple[boo
         return False, unlabeled
     by_var: dict[str, list[int]] = {}
     for p, m in labeling.items():
-        for v in m.variables:
+        for v, _ in m._exps:
             by_var.setdefault(v, []).append(p)
     for v in sorted(by_var):
         pair = _first_incomparable(by_var[v])
@@ -112,23 +112,33 @@ def check_weak_conditions(lat: AtomicLattice, labeling: Labeling) -> tuple[bool,
     as long as neither label is swallowed by the common part and, for each of
     the two, the elements whose labels it is entangled with (sharing any
     variable, the partner element excluded) form a chain.
+
+    No gcd is taken.  Each label gets an int mask of its variables, and two
+    labels share a variable exactly when their masks meet, that is, when
+    their gcd is not 1.  A label ``m`` is swallowed by its overlap with ``m'``
+    when ``m / gcd(m, m') = 1``, that is, when ``m = gcd(m, m')``, which holds
+    exactly when ``m`` divides ``m'``.  The elements entangled with a label
+    are listed once, from the masks, the first time a pair needs them.
     """
     unlabeled = _unlabeled_meet_irreducible(lat, labeling)
     if unlabeled:
         return False, unlabeled
-    labeled = list(labeling.items())
-    for (p, mp), (q, mq) in combinations(labeled, 2):
-        if p & ~q == 0 or q & ~p == 0:
+    bit_of: dict[str, int] = {}  # one bit per variable, in order of first use
+    labeled = [
+        (p, m, sum(bit_of.setdefault(v, 1 << len(bit_of)) for v, _ in m._exps)) for p, m in labeling.items()
+    ]
+    entangled: dict[int, list[int]] = {}
+    for (p, mp, vp), (q, mq, vq) in combinations(labeled, 2):
+        if p & ~q == 0 or q & ~p == 0 or not vp & vq:
             continue
-        shared = mp.gcd(mq)
-        if shared.is_one:
-            continue
-        for hi, lo, m_hi in ((p, q, mp), (q, p, mq)):
-            if (m_hi / shared).is_one:
+        for hi, lo, m_hi, m_lo, v_hi in ((p, q, mp, mq, vp), (q, p, mq, mp, vq)):
+            if m_hi.divides(m_lo):
                 return False, (
                     f"label of {_set_str(hi)} is contained in its overlap with the label of {_set_str(lo)}"
                 )
-            pair = _first_incomparable([s for s, ms in labeled if s != lo and not m_hi.gcd(ms).is_one])
+            if hi not in entangled:
+                entangled[hi] = [s for s, _, vs in labeled if vs & v_hi]
+            pair = _first_incomparable([s for s in entangled[hi] if s != lo])
             if pair:
                 return False, f"elements entangled with the label of {_set_str(hi)} are not a chain: {pair}"
     return True, None

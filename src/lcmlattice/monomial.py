@@ -16,9 +16,12 @@ monomials always produce identical strings.
 
 Internally the exponents are kept in plain name order, and the render order is
 applied only where order is visible (``str``, :meth:`Monomial.items` and
-:attr:`Monomial.variables`).  Public construction and :meth:`Monomial.parse`
-validate every name and exponent; arithmetic results are built from exponents
-that are already valid, through a trusted constructor that checks nothing.
+:attr:`Monomial.variables`).  Public construction validates every name and
+exponent.  :meth:`Monomial.parse` validates each one once, in its grammar loop,
+and wraps the summed exponents through a trusted constructor that checks
+nothing.  Arithmetic results and the generator builders of
+:mod:`lcmlattice.ideals` go through it too, as their exponents are already
+valid.
 """
 
 from __future__ import annotations
@@ -84,10 +87,13 @@ class Monomial:
 
     @classmethod
     def _trusted(cls, exps: dict[str, int]) -> "Monomial":
-        """Wrap exponents known to be valid: identifier names, positive ints.
+        """Wrap exponents known to be valid: identifier names, positive ints
+        of at most ``MAX_EXPONENT_DIGITS`` digits.
 
-        The fast path for arithmetic results and generator builders; it skips
-        the checks of ``__init__``, so never hand it outside input.
+        The fast path for arithmetic results, generator builders and
+        :meth:`parse`, which has validated every name and exponent once in its
+        grammar loop; it skips the checks of ``__init__``, so never hand it
+        unchecked input.
         """
         m = object.__new__(cls)
         m._exps = tuple(sorted(exps.items()))
@@ -96,12 +102,21 @@ class Monomial:
 
     @classmethod
     def parse(cls, text: str) -> "Monomial":
-        """Parse the strict grammar above; raise :class:`MonomialParseError` otherwise."""
+        """Parse the strict grammar above; raise :class:`MonomialParseError` otherwise.
+
+        The grammar admits only identifier names and positive exponents of at
+        most ``MAX_EXPONENT_DIGITS`` digits, so the loop sums the exponents
+        and the sums are wrapped as they are.  A sum past the cap is the
+        constructor's :class:`PreconditionError`, named for the first
+        variable to pass it, and is raised only once the whole text parses,
+        so a grammar error wins.
+        """
         if not isinstance(text, str):
             raise MonomialParseError(f"expected a string, got {shown(text)}", 0)
         if text == "1":
             return ONE
-        pairs = []
+        acc: dict[str, int] = {}
+        over = None  # the first variable whose sum passes the cap
         pos = 0
         n = len(text)
         while True:
@@ -120,13 +135,17 @@ class Monomial:
                     raise MonomialParseError(f"exponent has more than {MAX_EXPONENT_DIGITS} digits", pos)
                 exp = int(m.group())
                 pos = m.end()
-            pairs.append((name, exp))
+            acc[name] = total = acc.get(name, 0) + exp
+            if over is None and total >= _EXPONENT_BOUND:
+                over = name
             if pos == n:
                 break
             if text[pos] != "*":
                 raise MonomialParseError(f"unexpected character {shown(text[pos])}", pos)
             pos += 1
-        return cls(pairs)
+        if over is not None:
+            _check_exponent_digits(over, acc[over])
+        return Monomial._trusted(acc)
 
     # -- inspection ----------------------------------------------------------
 

@@ -114,38 +114,38 @@ def check_weak_interval_criterion(lat: AtomicLattice) -> IntervalCriterionReport
     """Evaluate the weak criterion, reporting per-element evidence.
 
     Sufficient, not necessary: when it holds, the support labeling is a weak
-    coordinatization.
+    coordinatization.  Each element's witness is built once, for the
+    candidate kept: the first that works, or else the last one tried.
     """
     n_top = _filter_sizes(lat)
     joining = _joining_pairs(lat)
+    atoms = lat.atoms
     witnesses = []
     for p in lat.sets:
         if p == 0 or p.bit_count() == 1:
             continue
-        outside = [a for a in lat.atoms if not a & p]
-        last: Optional[IntervalWitness] = None
-        satisfied = None
-        for pr in joining[p]:
-            lo = pr & -pr
-            for r in (lo, pr ^ lo):
-                bad = next(
-                    (k for k in outside if n_top[lat.join_mask(r | k)] >= n_top[p]),
-                    None,
-                )
-                w = IntervalWitness(
-                    element=atoms_of(p),
-                    satisfied=bad is None,
-                    pair=(_atom_index(lo), _atom_index(pr ^ lo)),
-                    chosen=_atom_index(r),
-                    violating=None if bad is None else _atom_index(bad),
-                )
-                if bad is None:
-                    satisfied = w
-                    break
-                last = w
-            if satisfied:
+        element = atoms_of(p)
+        outside = [a for a in atoms if not a & p]
+        candidates = ((pr, r) for pr in joining[p] for r in (pr & -pr, pr & (pr - 1)))
+        tried = None  # (pair, chosen, violating) of the last candidate tried
+        for pr, r in candidates:
+            bad = next((k for k in outside if n_top[lat.join_mask(r | k)] >= n_top[p]), None)
+            tried = (pr, r, bad)
+            if bad is None:
                 break
-        witnesses.append(satisfied or last or IntervalWitness(element=atoms_of(p), satisfied=False))
+        if tried is None:
+            witnesses.append(IntervalWitness(element=element, satisfied=False))
+            continue
+        pr, r, bad = tried
+        witnesses.append(
+            IntervalWitness(
+                element=element,
+                satisfied=bad is None,
+                pair=(_atom_index(pr & -pr), _atom_index(pr & (pr - 1))),
+                chosen=_atom_index(r),
+                violating=None if bad is None else _atom_index(bad),
+            )
+        )
     return IntervalCriterionReport(
         hypothesis_holds=all(w.satisfied for w in witnesses),
         witnesses=tuple(witnesses),

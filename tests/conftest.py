@@ -20,6 +20,8 @@ import pytest
 
 from lcmlattice import (
     AtomicLattice,
+    IntervalCriterionReport,
+    IntervalWitness,
     Labeling,
     Monomial,
     MonomialIdeal,
@@ -30,6 +32,7 @@ from lcmlattice import (
     gcd_all,
     lcm_all,
 )
+from lcmlattice.classify import _first_incomparable, _unlabeled_meet_irreducible
 from lcmlattice.ideals import _check_lcm_generators
 from lcmlattice.lattice import _canon_key, _set_str, atoms_of, bits_of
 from lcmlattice.superatomic import _pairs_within
@@ -241,6 +244,90 @@ def interval_count(lat: AtomicLattice, lo: int, hi: int) -> int:
     """N([lo, hi]) by scanning every element: the oracle for
     ``support_labeling._filter_sizes``."""
     return sum(1 for q in lat.sets if lo & ~q == 0 and q & ~hi == 0)
+
+
+def chain_conditions_oracle(lat: AtomicLattice, labeling: Labeling):
+    """The chain conditions read through :attr:`Monomial.variables`, each
+    label's variables in render order.  The check
+    :func:`lcmlattice.check_strong_conditions` replaced with one that reads
+    the stored exponents, kept as its oracle: ``(verdict, witness)``."""
+    unlabeled = _unlabeled_meet_irreducible(lat, labeling)
+    if unlabeled:
+        return False, unlabeled
+    by_var: dict[str, list[int]] = {}
+    for p, m in labeling.items():
+        for v in m.variables:
+            by_var.setdefault(v, []).append(p)
+    for v in sorted(by_var):
+        pair = _first_incomparable(by_var[v])
+        if pair:
+            return False, f"variable {v} labels incomparable elements {pair}"
+    return True, None
+
+
+def overlap_conditions_oracle(lat: AtomicLattice, labeling: Labeling):
+    """The overlap conditions by gcd and exact quotient: each incomparable
+    pair with a non-unit gcd, then each label divided by that gcd, then a gcd
+    against every label to list the entangled elements.  The check
+    :func:`lcmlattice.check_weak_conditions` replaced with variable masks
+    and ``divides``, kept as its oracle: ``(verdict, witness)``."""
+    unlabeled = _unlabeled_meet_irreducible(lat, labeling)
+    if unlabeled:
+        return False, unlabeled
+    labeled = list(labeling.items())
+    for (p, mp), (q, mq) in combinations(labeled, 2):
+        if p & ~q == 0 or q & ~p == 0:
+            continue
+        shared = mp.gcd(mq)
+        if shared.is_one:
+            continue
+        for hi, lo, m_hi in ((p, q, mp), (q, p, mq)):
+            if (m_hi / shared).is_one:
+                return False, (
+                    f"label of {_set_str(hi)} is contained in its overlap with the label of {_set_str(lo)}"
+                )
+            pair = _first_incomparable([s for s, ms in labeled if s != lo and not m_hi.gcd(ms).is_one])
+            if pair:
+                return False, f"elements entangled with the label of {_set_str(hi)} are not a chain: {pair}"
+    return True, None
+
+
+def weak_interval_criterion_oracle(lat: AtomicLattice) -> IntervalCriterionReport:
+    """The weak interval criterion with an :class:`IntervalWitness` built for
+    every candidate tried, keeping the one that works or else the last.  The
+    loop :func:`lcmlattice.check_weak_interval_criterion` replaced with one
+    that builds only the kept witness, kept as its oracle."""
+    n_top = {q: interval_count(lat, q, lat.top) for q in lat.sets}
+    joining = joining_pairs_oracle(lat)
+    witnesses = []
+    for p in lat.sets:
+        if p == 0 or p.bit_count() == 1:
+            continue
+        outside = [a for a in lat.atoms if not a & p]
+        last = None
+        satisfied = None
+        for pr in joining[p]:
+            lo = pr & -pr
+            for r in (lo, pr ^ lo):
+                bad = next((k for k in outside if n_top[lat.join_mask(r | k)] >= n_top[p]), None)
+                w = IntervalWitness(
+                    element=atoms_of(p),
+                    satisfied=bad is None,
+                    pair=(lo.bit_length(), (pr ^ lo).bit_length()),
+                    chosen=r.bit_length(),
+                    violating=None if bad is None else bad.bit_length(),
+                )
+                if bad is None:
+                    satisfied = w
+                    break
+                last = w
+            if satisfied:
+                break
+        witnesses.append(satisfied or last or IntervalWitness(element=atoms_of(p), satisfied=False))
+    return IntervalCriterionReport(
+        hypothesis_holds=all(w.satisfied for w in witnesses),
+        witnesses=tuple(witnesses),
+    )
 
 
 def flat_lattice(n: int) -> AtomicLattice:

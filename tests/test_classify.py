@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from lcmlattice import (
@@ -25,11 +28,14 @@ from lcmlattice.classify import _extends_to_isomorphism, _specific_map_witness
 from lcmlattice.ideals import _refine
 
 from conftest import (
+    boolean_lattice,
     chain_condition_labeling,
+    chain_conditions_oracle,
     flat_lattice,
     interval_lattice,
     lattices_with,
     overlap_condition_labeling,
+    overlap_conditions_oracle,
     random_labeling,
     random_lattice,
     specific_map_oracle,
@@ -135,6 +141,61 @@ def test_overlap_conditions_entangled_non_chain():
     )
     ok, witness = check_weak_conditions(BOOLEAN3, lab)
     assert not ok and "chain" in witness
+
+
+def _seeded_labelings(seed: int, count: int = 150):
+    """A random, a chain-condition and an overlap-condition labeling of each
+    of ``count`` random lattices on 2 to 6 atoms."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        lat = random_lattice(rng, rng.randint(2, 6))
+        for build in (random_labeling, chain_condition_labeling, overlap_condition_labeling):
+            yield lat, build(rng, lat)
+
+
+def _support_labelings():
+    for lat in [*map(flat_lattice, range(1, 13)), *map(boolean_lattice, range(1, 8))]:
+        yield lat, support_labeling(lat)
+
+
+def _swallowing_labelings(seed: int, count: int = 150):
+    """Overlap-condition labelings in which one label is multiplied into the
+    label of an incomparable element, so that it divides that label."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        lat = random_lattice(rng, rng.randint(3, 6))
+        table = dict(overlap_condition_labeling(rng, lat).items())
+        incomparable = [pq for pq in combinations(table, 2) if pq[0] & ~pq[1] and pq[1] & ~pq[0]]
+        if incomparable:
+            small, big = rng.sample(rng.choice(incomparable), 2)
+            table[big] = table[big] * table[small]
+            yield lat, Labeling(lat, table)
+
+
+# Each corpus, with the opening words of the overlap witnesses it must reach
+# (None for a true verdict).
+CONDITION_CORPORA = {
+    "random, chain and overlap labelings, n <= 6": (
+        lambda: _seeded_labelings(18),
+        {None, "meet-irreducible", "label", "elements"},
+    ),
+    "support labelings, flat n <= 12 and Boolean n <= 7": (_support_labelings, {None, "elements"}),
+    "a label dividing an incomparable one": (lambda: _swallowing_labelings(19), {"label"}),
+}
+
+
+@pytest.mark.parametrize("corpus", CONDITION_CORPORA)
+def test_condition_checks_match_their_oracles(corpus):
+    """The mask-based checks give the verdict and the first witness of the
+    gcd-and-quotient ones, on every labeling of the corpus."""
+    build, kinds = CONDITION_CORPORA[corpus]
+    reached = set()
+    for lat, lab in build():
+        assert check_strong_conditions(lat, lab) == chain_conditions_oracle(lat, lab)
+        ok, witness = check_weak_conditions(lat, lab)
+        assert (ok, witness) == overlap_conditions_oracle(lat, lab)
+        reached.add(None if ok else witness.split(" ", 1)[0])
+    assert kinds <= reached
 
 
 # -- implications over random corpora -------------------------------------------

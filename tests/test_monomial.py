@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -131,6 +133,44 @@ def test_arithmetic_never_reaches_the_name_regex(monkeypatch):
     assert len({a * b, expected[0]}) == 1
 
 
+PARSE_NAMES = ["x", "y", "x_1", "Z9", "_t", "a", "a0", "a1", "a2", "a10", "a11"]
+
+
+def _seeded_terms(rng: random.Random) -> list[tuple[str, int]]:
+    """A few ``(name, exponent)`` terms, names often repeated."""
+    names = rng.sample(PARSE_NAMES, rng.randint(1, 4))
+    return [(rng.choice(names), rng.choice([1, 1, 2, 3, 10, 99])) for _ in range(rng.randint(1, 8))]
+
+
+def test_parse_equals_the_constructor_on_seeded_texts():
+    """Summing in the grammar loop builds the monomial the constructor
+    builds from the same terms, repeats and ``a<k>`` names included, and
+    ``x^1`` reads as ``x``."""
+    rng = random.Random(18)
+    for _ in range(500):
+        terms = _seeded_terms(rng)
+        text = "*".join(v if e == 1 and rng.random() < 0.7 else f"{v}^{e}" for v, e in terms)
+        m = Monomial.parse(text)
+        assert m == Monomial(terms) and hash(m) == hash(Monomial(terms))
+        assert str(m) == str(Monomial(terms)) and list(m.items()) == list(Monomial(terms).items())
+
+
+class _MatchOnlyRegex:
+    """The name regex, for the grammar loop's ``match`` only."""
+
+    def __init__(self, regex):
+        self.match = regex.match
+
+    def fullmatch(self, *args):
+        raise AssertionError("a name was checked a second time")
+
+
+def test_parse_checks_each_name_once(monkeypatch):
+    expected = Monomial({"a2": 3, "x": 5, "y_1": 2})
+    monkeypatch.setattr(monomial_module, "_IDENT", _MatchOnlyRegex(monomial_module._IDENT))
+    assert Monomial.parse("a2^3*x*y_1^2*x^4") == expected
+
+
 # -- arithmetic ---------------------------------------------------------------
 
 
@@ -193,6 +233,28 @@ def test_exponent_digit_cap():
     for exps in ({"x": 10**CAP}, [("x", 10**CAP - 1), ("x", 1)]):
         with pytest.raises(PreconditionError, match=f"^exponent of 'x' has more than {CAP} digits$"):
             Monomial(exps)
+
+
+def test_parse_sum_past_the_cap():
+    """Repeated exponents may add up past ``MAX_EXPONENT_DIGITS`` digits.  A
+    grammar error later in the text still wins; without one, the error is the
+    constructor's, with its text, naming the first variable whose sum passes
+    the cap."""
+    nines = "9" * CAP
+    text = f"x^{nines}*x^{nines}"
+    with pytest.raises(MonomialParseError, match="expected a variable name") as exc:
+        Monomial.parse(text + "*!")
+    assert exc.value.position == len(text) + 1
+    with pytest.raises(PreconditionError, match=f"^exponent of 'x' has more than {CAP} digits$"):
+        Monomial.parse(text)
+    big = 10**CAP - 1
+    for terms in ([("x", big), ("x", big)], [("y", big), ("x", big), ("x", big), ("y", big)]):
+        text = "*".join(f"{v}^{e}" for v, e in terms)
+        with pytest.raises(PreconditionError) as parsed:
+            Monomial.parse(text)
+        with pytest.raises(PreconditionError) as built:
+            Monomial(terms)
+        assert str(parsed.value) == str(built.value) == f"exponent of 'x' has more than {CAP} digits"
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,7 @@ from conftest import (
     lattices_with,
     random_lattice,
     seeded_random_lattices,
+    weak_interval_criterion_oracle,
 )
 
 BOOLEAN3 = AtomicLattice.from_sets(3, [[], [1], [2], [3], [1, 2], [1, 3], [2, 3], [1, 2, 3]])
@@ -164,6 +165,25 @@ def test_weak_criterion_report_shape():
             assert w["violating"] is not None
     ok = check_weak_interval_criterion(WEAK_EXAMPLE).witnesses
     assert all(w.satisfied and w.pair and w.chosen in w.pair for w in ok)
+
+
+WEAK_CRITERION_CORPORA = {
+    "every lattice with n <= 4": lambda: [lat for n in (1, 2, 3, 4) for lat in lattices_with(n)],
+    "Boolean with n <= 7": lambda: [boolean_lattice(n) for n in range(1, 8)],
+    "200 random lattices with n <= 7": lambda: seeded_random_lattices(200, seed=18),
+}
+
+
+@pytest.mark.parametrize("corpus", WEAK_CRITERION_CORPORA)
+def test_weak_criterion_matches_its_oracle(corpus):
+    """One witness built per element gives the report of one built per
+    candidate tried, witness for witness, satisfied or not."""
+    outcomes = set()
+    for lat in WEAK_CRITERION_CORPORA[corpus]():
+        doc = check_weak_interval_criterion(lat).to_json_dict()
+        assert doc == weak_interval_criterion_oracle(lat).to_json_dict()
+        outcomes.update((w["satisfied"], w["pair"] is None) for w in doc["witnesses"])
+    assert {(True, False), (False, False)} <= outcomes
 
 
 # -- strong criterion ---------------------------------------------------------------

@@ -98,30 +98,59 @@ UNVALIDATED_LATTICE_BUILDERS = {
 }
 
 
-def _unvalidated_lattice_uses(node: ast.AST, scope: str, found: dict[str, set[str]]) -> None:
-    """Record, per enclosing function, each ``._trusted`` (other than
-    ``Monomial._trusted``) or ``._fill`` the code mentions."""
+# Every function that may call ``Monomial._trusted``, which checks no name
+# and no exponent.  The arithmetic and the generator builders combine
+# exponents that are already valid; ``parse`` is the one that reads outside
+# text, and it validates every name and exponent in its grammar loop first.
+# The constructor and any new loader must always validate.
+TRUSTED_MONOMIAL_BUILDERS = {
+    "monomial.Monomial.__mul__",
+    "monomial.Monomial.lcm",
+    "monomial.Monomial.gcd",
+    "monomial.Monomial.__truediv__",
+    "monomial.Monomial.parse",
+    "ideals.element_generator",
+    "ideals._refine",
+}
+
+
+def _unchecked_builder_uses(node: ast.AST, scope: str, found: dict[str, set[str]]) -> None:
+    """Record, per enclosing function, each ``._trusted`` or ``._fill`` the
+    code mentions: as ``Monomial._trusted`` when it is read off the name
+    ``Monomial``, as the bare attribute (a lattice builder) otherwise."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            _unvalidated_lattice_uses(child, f"{scope}.{child.name}", found)
+            _unchecked_builder_uses(child, f"{scope}.{child.name}", found)
             continue
-        if (
-            isinstance(child, ast.Attribute)
-            and child.attr in ("_trusted", "_fill")
-            and not (isinstance(child.value, ast.Name) and child.value.id == "Monomial")
-        ):
-            found.setdefault(scope, set()).add(child.attr)
-        _unvalidated_lattice_uses(child, scope, found)
+        if isinstance(child, ast.Attribute) and child.attr in ("_trusted", "_fill"):
+            on_monomial = isinstance(child.value, ast.Name) and child.value.id == "Monomial"
+            found.setdefault(scope, set()).add(f"Monomial.{child.attr}" if on_monomial else child.attr)
+        _unchecked_builder_uses(child, scope, found)
+
+
+def _unchecked_builders() -> dict[str, set[str]]:
+    found: dict[str, set[str]] = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
+        _unchecked_builder_uses(ast.parse(path.read_text()), module, found)
+    return found
 
 
 def test_only_closed_by_construction_paths_skip_lattice_validation():
     """``AtomicLattice._trusted`` checks nothing, so only the functions listed
     above may reach it; a loader that used it would accept any family."""
-    found: dict[str, set[str]] = {}
-    for path in sorted(PACKAGE.rglob("*.py")):
-        module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
-        _unvalidated_lattice_uses(ast.parse(path.read_text()), module, found)
-    assert found == {scope: {attr} for scope, attr in UNVALIDATED_LATTICE_BUILDERS.items()}
+    lattice_uses = {scope: attrs - {"Monomial._trusted"} for scope, attrs in _unchecked_builders().items()}
+    assert {scope: attrs for scope, attrs in lattice_uses.items() if attrs} == {
+        scope: {attr} for scope, attr in UNVALIDATED_LATTICE_BUILDERS.items()
+    }
+
+
+def test_only_listed_builders_skip_monomial_validation():
+    """``Monomial._trusted`` checks nothing, so only the functions listed
+    above may reach it; a loader that used it without parsing first would
+    accept any name and exponent."""
+    found = _unchecked_builders()
+    assert {scope for scope, attrs in found.items() if "Monomial._trusted" in attrs} == TRUSTED_MONOMIAL_BUILDERS
 
 
 def _raised_name(exc: ast.expr) -> str:
