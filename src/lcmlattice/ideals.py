@@ -192,7 +192,7 @@ def labeling_from_json_dict(
             raise FormatError(f'"monomial" must be a string, got {shown(entry["monomial"])}')
         try:
             m = Monomial.parse(entry["monomial"])
-        except MonomialParseError as exc:
+        except (MonomialParseError, PreconditionError) as exc:
             raise FormatError(f"bad monomial for set {shown(entry['set'])}: {exc}") from None
         pairs.append((mask_of(entry["set"], lattice.n), m))
     return Labeling(lattice, pairs)
@@ -279,7 +279,7 @@ def parse_ideal_text(text: str) -> MonomialIdeal:
             continue
         try:
             gens.append(Monomial.parse(line))
-        except MonomialParseError as exc:
+        except (MonomialParseError, PreconditionError) as exc:
             raise FormatError(f"line {lineno}: {exc}") from None
     return MonomialIdeal(gens)
 

@@ -16,18 +16,22 @@ constructor :meth:`AtomicLattice._trusted`; its only callers are
 Canonical order is (cardinality, mask value); it is the order used for
 iteration, serialization and DOT export, which keeps all output byte-stable.
 
-A lattice keeps exactly two derived structures: one atom-incidence table
-and one join cache.  The table holds, for atom ``a``, an m-bit int with bit
+A lattice keeps three derived structures: an element index, one
+atom-incidence table and one join cache.  The index maps each element to
+its canonical position; membership tests, element checks, join misses and
+``covers`` read it.  Every lattice builds it on first use, so a lattice that
+is only walked, as the enumerated ones are by the support detector, holds
+no m-entry dict.  The table holds, for atom ``a``, an m-bit int with bit
 ``i`` set when the i-th element (in canonical order) contains ``a``.  The
 AND of the rows of a mask's atoms is the set of elements above the mask.
 The validating constructor builds the table and decides closure from it in
 O(m·n) ANDs on m-bit ints for m elements and n atoms; only a family that
 fails runs the quadratic pair scan, which lists every violation.  A trusted
 lattice builds the table on first use: its first join miss, ``filter`` or
-``support_labeling._filter_sizes``.  A join that is not already an element
-(the cache and the membership test come first) takes |mask| ANDs and the
-lowest set bit; ``filter`` and ``support_labeling._filter_sizes`` read the
-same table.
+interval count in ``support_labeling``.  A join that is not already an
+element (the cache and the membership test come first) takes |mask| ANDs
+and the lowest set bit; ``filter`` and the interval counts of
+``support_labeling`` read the same table.
 
 Every order query above an element is answered from joins alone:
 ``upper_covers(p)`` takes the n − |p| joins of p with the atoms outside it,
@@ -229,7 +233,7 @@ class AtomicLattice:
     def _fill(self, n: int, sets: tuple[int, ...]) -> None:
         self.n = n
         self.sets = sets
-        self._index = {m: i for i, m in enumerate(sets)}
+        self._index: Optional[dict[int, int]] = None
         self._rows: Optional[list[int]] = None
         self._join_cache: dict[int, int] = {}
 
@@ -259,7 +263,7 @@ class AtomicLattice:
 
     def __contains__(self, mask: int) -> bool:
         """A float or bool equal to a member mask is not a member."""
-        return _is_int(mask) and mask in self._index
+        return _is_int(mask) and mask in self._element_index()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, AtomicLattice) and self.n == other.n and self.sets == other.sets
@@ -269,6 +273,13 @@ class AtomicLattice:
 
     def __repr__(self) -> str:
         return f"AtomicLattice(n={self.n}, elements={len(self.sets)})"
+
+    def _element_index(self) -> dict[int, int]:
+        """Each element's position in canonical order.  Built on first use,
+        in O(m)."""
+        if self._index is None:
+            self._index = {m: i for i, m in enumerate(self.sets)}
+        return self._index
 
     def _atom_rows(self) -> list[int]:
         """The incidence table: bit i of ``rows[a]`` is set when the i-th
@@ -297,7 +308,7 @@ class AtomicLattice:
         return above
 
     def _require(self, p: int) -> int:
-        if not _is_int(p) or p not in self._index:
+        if not _is_int(p) or p not in self._element_index():
             raise NotAnElementError(f"{_element_str(p)} is not an element of this lattice")
         return p
 
@@ -323,7 +334,7 @@ class AtomicLattice:
                 raise NotAnElementError(f"{shown(mask)} is not a set of atoms")
             if mask & ~self.top:
                 raise NotAnElementError(f"{_element_str(mask)} is not within the atom universe")
-            if mask in self._index:
+            if mask in self._element_index():
                 j = mask
             else:
                 above = self._above(mask)
@@ -352,7 +363,7 @@ class AtomicLattice:
     def covers(self) -> tuple[tuple[int, int], ...]:
         """All cover pairs ``(p, q)`` with ``p`` covered by ``q``, canonically
         ordered (by upper element, then lower).  O(m·n) joins, not cached."""
-        index = self._index
+        index = self._element_index()
         out = [(p, q) for p in self.sets for q in self._upper_covers_of(p)]
         return tuple(sorted(out, key=lambda pq: (index[pq[1]], index[pq[0]])))
 

@@ -100,28 +100,41 @@ def is_super_atomic_via_supp(lat: AtomicLattice) -> bool:
     contains {a, b}, then q & p is an element (the family is
     intersection-closed) between {a, b} and p, and it is not p, since p ⊆ q
     with q no larger than p would make q = p.  So {a, b} joins to p exactly
-    when no element before p contains both atoms.  No join is taken and
-    nothing is cached on the lattice.
+    when no element before p contains both atoms.
 
-    On a super-atomic lattice each element has exactly two removable atoms,
-    so there is one scan of the earlier elements per element: O(m²) set
-    tests for m elements.  The first failing element ends the check.
+    One walk in canonical order keeps, per atom, an int column with bit i
+    set when the i-th element contains that atom, and the set of the
+    elements seen so far.  At the i-th element p the columns of p's atoms
+    take bit i; supp(p) - {b}, smaller than p, is in the family exactly when
+    it was seen; and a pair {a, b} of such atoms joins to p exactly when the
+    AND of their columns is bit i alone.  So the walk costs O(Σ|p|) ORs and
+    ANDs on m-bit ints for m elements (an element of a super-atomic lattice
+    has exactly two removable atoms, so one pair to AND).  No join is taken,
+    no table of the lattice is read and nothing is cached on it.  The first
+    failing element ends the check.
     """
-    sets = lat.sets
-    members = lat._index
-    for i, p in enumerate(sets):
-        if p.bit_count() < 2:
-            continue
-        removable = [b for b in bits_of(p) if (p ^ b) in members]
-        for a, b in combinations(removable, 2):
-            pr = a | b
-            for q in sets[:i]:
-                if pr & ~q == 0:
-                    break  # a and b join below p
-            else:
-                break  # a and b join to p
-        else:
+    cols = [0] * lat.n
+    seen = set()
+    bit = 1
+    for p in lat.sets:
+        joined = p & (p - 1) == 0  # the bottom and the atoms have no pair to find
+        removable = []  # the columns of the atoms b of p with p - {b} seen
+        rest = p
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            a = b.bit_length() - 1
+            col = cols[a] | bit
+            cols[a] = col
+            if (p ^ b) in seen:
+                for other in removable:
+                    if other & col == bit:
+                        joined = True
+                removable.append(col)
+        if not joined:
             return False
+        seen.add(p)
+        bit <<= 1
     return True
 
 

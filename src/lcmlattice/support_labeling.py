@@ -157,10 +157,21 @@ def check_strong_interval_criterion(lat: AtomicLattice) -> tuple[bool, Optional[
 
     Equivalent to the support labeling being a strong coordinatization (the
     equivalence itself is exercised by the test suite, not assumed here).
+
+    N([a_r v a_k, top]) depends on the two atoms alone, so one table over
+    the atom pairs (a_r = a_k included) holds every value the criterion
+    reads: n(n + 1)/2 entries, each the count of the elements above
+    {a_r, a_k} (the elements above a join are those above its atoms), in at
+    most two ANDs of the incidence table and no join.  At each element p with
+    generating pair {a_i, a_j}, the check fails at the first a_r in p whose
+    entry with a_k is below both N([a_i v a_k, top]) and N([a_j v a_k, top]);
+    atoms are tried in increasing order, a_k outer, so the first witness is
+    the one the triple loop over p's atoms finds.
     """
     if not is_super_atomic(lat):
         raise PreconditionError("lattice is not super-atomic")
-    n_top = _filter_sizes(lat)
+    atoms = lat.atoms
+    n_pair = {a | b: lat._above(a | b).bit_count() for i, a in enumerate(atoms) for b in atoms[i:]}
     joining = _joining_pairs(lat)
     for p in lat.sets:
         if p == 0 or p.bit_count() == 1:
@@ -168,12 +179,11 @@ def check_strong_interval_criterion(lat: AtomicLattice) -> tuple[bool, Optional[
         pair = joining[p][0]
         ai = pair & -pair
         aj = pair ^ ai
-        for ak in bits_of(p):
-            n_ik = n_top[lat.join_mask(ai | ak)]
-            n_jk = n_top[lat.join_mask(aj | ak)]
-            for ar in bits_of(p):
-                n_rk = n_top[lat.join_mask(ar | ak)]
-                if n_ik > n_rk and n_jk > n_rk:
+        members = tuple(bits_of(p))
+        for ak in members:
+            bound = min(n_pair[ai | ak], n_pair[aj | ak])
+            for ar in members:
+                if n_pair[ar | ak] < bound:
                     return False, (
                         f"at element {_set_str(p)}: both members of the "
                         f"generating pair ({_atom_index(ai)},{_atom_index(aj)}) give strictly larger "

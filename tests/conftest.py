@@ -233,6 +233,31 @@ def supp_characterization_oracle(lat: AtomicLattice) -> bool:
     return True
 
 
+def supp_scan_oracle(lat: AtomicLattice) -> bool:
+    """The support characterization with one scan of the earlier elements per
+    pair: at each element p of two or more atoms, a pair {a, b} of the atoms
+    b with supp(p) - {b} in the family joins to p when no element before p
+    contains both.  O(m^2) set tests; the scan
+    :func:`lcmlattice.is_super_atomic_via_supp` replaced with one walk over
+    incidence columns, kept as its oracle."""
+    sets = lat.sets
+    members = set(sets)
+    for i, p in enumerate(sets):
+        if p.bit_count() < 2:
+            continue
+        removable = [b for b in bits_of(p) if (p ^ b) in members]
+        for a, b in combinations(removable, 2):
+            pr = a | b
+            for q in sets[:i]:
+                if pr & ~q == 0:
+                    break  # a and b join below p
+            else:
+                break  # a and b join to p
+        else:
+            return False
+    return True
+
+
 def joining_pairs_oracle(lat: AtomicLattice) -> dict[int, list[int]]:
     """Each element's atom pairs that join to it, found element by element
     by joining every pair of its own atoms.  The oracle for
@@ -244,6 +269,35 @@ def interval_count(lat: AtomicLattice, lo: int, hi: int) -> int:
     """N([lo, hi]) by scanning every element: the oracle for
     ``support_labeling._filter_sizes``."""
     return sum(1 for q in lat.sets if lo & ~q == 0 and q & ~hi == 0)
+
+
+def strong_interval_criterion_oracle(lat: AtomicLattice) -> tuple[bool, str | None]:
+    """The strong interval criterion on a super-atomic lattice by its triple
+    loop: at each element p with generating pair {a_i, a_j}, for every atom
+    a_k and then every atom a_r of p, three joins and three interval counts.
+    The loop :func:`lcmlattice.check_strong_interval_criterion` replaced
+    with one table over atom pairs, kept as its oracle: ``(verdict,
+    witness)``, with the same witness text."""
+    n_top = {q: interval_count(lat, q, lat.top) for q in lat.sets}
+    joining = joining_pairs_oracle(lat)
+    for p in lat.sets:
+        if p.bit_count() < 2:
+            continue
+        pair = joining[p][0]
+        ai = pair & -pair
+        aj = pair ^ ai
+        for ak in bits_of(p):
+            n_ik = n_top[lat.join_mask(ai | ak)]
+            n_jk = n_top[lat.join_mask(aj | ak)]
+            for ar in bits_of(p):
+                n_rk = n_top[lat.join_mask(ar | ak)]
+                if n_ik > n_rk and n_jk > n_rk:
+                    return False, (
+                        f"at element {_set_str(p)}: both members of the "
+                        f"generating pair ({ai.bit_length()},{aj.bit_length()}) give strictly larger "
+                        f"intervals than atom {ar.bit_length()} does, against atom {ak.bit_length()}"
+                    )
+    return True, None
 
 
 def chain_conditions_oracle(lat: AtomicLattice, labeling: Labeling):

@@ -209,6 +209,24 @@ def test_lcm_lattice_overlong_exponent(runner, files):
     assert res.stderr == "Error: line 1: exponent has more than 1000 digits (at position 2)\n"
 
 
+NINES_SUM = "x^" + "9" * 1000 + "*x^" + "9" * 1000
+
+
+def test_label_summing_past_the_cap_names_its_set(runner, files):
+    """Each exponent is within the cap and their sum is not: the error names
+    the label's set, as a grammar error in that label would."""
+    doc = {"lattice": {"n": 1, "sets": [[], [1]]}, "labels": [{"set": [1], "monomial": NINES_SUM}]}
+    res = runner.invoke(main, ["validate", files("lab.json", doc)])
+    assert res.exit_code == 1 and res.stdout == ""
+    assert res.stderr == "Error: bad monomial for set [1]: exponent of 'x' has more than 1000 digits\n"
+
+
+def test_generator_summing_past_the_cap_names_its_line(runner, files):
+    res = runner.invoke(main, ["lcm-lattice", files("ideal.txt", f"a*b\n{NINES_SUM}\n")])
+    assert res.exit_code == 1 and res.stdout == ""
+    assert res.stderr == "Error: line 2: exponent of 'x' has more than 1000 digits\n"
+
+
 NINES_4300 = "9" * 4300
 BOOLEAN2_DOC = {"n": 2, "sets": [[], [1], [2], [1, 2]]}
 

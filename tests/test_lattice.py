@@ -22,6 +22,7 @@ from lcmlattice import (
     ValidationError,
     atom_generator,
     atoms_of,
+    enumerate_all_lattices,
     enumerate_super_atomic,
     lattice_isomorphic,
     lcm_lattice,
@@ -286,6 +287,49 @@ def test_join_is_least_upper_bound(rng):
         masks = range(1 << lat.n) if lat.n <= 6 else [rng.randint(0, lat.top) for _ in range(200)]
         for mask in masks:
             assert lat.join_mask(mask) == join_oracle(lat, mask)
+
+
+def _fresh_trusted_lattices() -> dict[str, AtomicLattice]:
+    """A new lattice from each caller of ``AtomicLattice._trusted``, nothing
+    read from it yet."""
+    return {
+        "relabel": random_lattice(random.Random(7), 5).relabel([3, 5, 1, 2, 4]),
+        "LcmLattice.abstract": lcm_lattice(["a*b", "b*c", "c*d", "a*d", "a*c^2"]).abstract(),
+        "enumerate_super_atomic": enumerate_super_atomic(5)[123],
+        "enumerate_all_lattices": enumerate_all_lattices(4)[300],
+    }
+
+
+def _error_texts(lat: AtomicLattice) -> list[str]:
+    """The text of the NotAnElementError each refused query raises."""
+    queries = [(lat.filter, m) for m in range(1 << lat.n) if m not in lat.sets]
+    queries += [(lat.upper_covers, -1), (lat.filter, 1.0), (lat.join_mask, 1 << lat.n), (lat.join_mask, "x")]
+    texts = []
+    for query, arg in queries:
+        with pytest.raises(NotAnElementError) as excinfo:
+            query(arg)
+        texts.append(str(excinfo.value))
+    return texts
+
+
+INDEX_READERS = {
+    "in": lambda lat: [m in lat for m in (*range(-1, 2 << lat.n), 1.0, True)],
+    "join_mask": lambda lat: [lat.join_mask(m) for m in range(1 << lat.n)],
+    "filter": lambda lat: [lat.filter(p) for p in lat.sets],
+    "covers": lambda lat: lat.covers(),
+    "NotAnElementError": _error_texts,
+}
+
+
+@pytest.mark.parametrize("reader", INDEX_READERS)
+def test_trusted_lattices_build_their_index_on_first_use(reader):
+    """A trusted lattice starts with no element index; whichever reader
+    comes first builds it, and answers as the validated lattice does."""
+    read = INDEX_READERS[reader]
+    for caller, lat in _fresh_trusted_lattices().items():
+        assert lat._index is None, caller
+        assert read(lat) == read(AtomicLattice(lat.n, lat.sets)), caller
+        assert lat._index == {m: i for i, m in enumerate(lat.sets)}, caller
 
 
 def test_filters_partition():

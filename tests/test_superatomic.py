@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from math import factorial
 
@@ -33,6 +34,7 @@ from conftest import (
     random_lattice,
     seeded_random_lattices,
     supp_characterization_oracle,
+    supp_scan_oracle,
 )
 
 BOOLEAN3 = AtomicLattice.from_sets(3, [[], [1], [2], [3], [1, 2], [1, 3], [2, 3], [1, 2, 3]])
@@ -126,13 +128,51 @@ def test_supp_detector_matches_both_oracles(corpus):
     assert verdicts == [literal_super_atomic_oracle(lat) for lat in lats]
 
 
+def _closed_families(count, seed):
+    """``count`` seeded random lattices on 3 to 8 atoms."""
+    rng = random.Random(seed)
+    return [random_lattice(rng, rng.randint(3, 8)) for _ in range(count)]
+
+
+def _intervals64_and_near_miss():
+    intervals64 = interval_lattice(64)
+    return [intervals64, AtomicLattice(64, [m for m in intervals64.sets if m != 0b11])]
+
+
+# Each corpus with the verdicts it must reach.
+SUPP_SCAN_CORPORA = {
+    "every lattice with n <= 4": (lambda: [lat for n in (1, 2, 3, 4) for lat in lattices_with(n)], {True, False}),
+    "super-atomic with n <= 6": (lambda: [lat for n in range(2, 7) for lat in enumerate_super_atomic(n)], {True}),
+    "super-atomic with n <= 5 and near misses": (
+        lambda: [lat for n in range(2, 6) for lat in _super_atomic_and_near_misses(n)],
+        {True, False},
+    ),
+    "300 closed families on 3-8 atoms": (lambda: _closed_families(300, seed=19), {True, False}),
+    "intervals64 and its near miss": (_intervals64_and_near_miss, {True, False}),
+}
+
+
+@pytest.mark.parametrize("corpus", SUPP_SCAN_CORPORA)
+def test_supp_detector_matches_the_scan_it_replaced(corpus):
+    """The walk over incidence columns gives the verdicts of the scan of
+    the earlier elements per pair."""
+    build, reached = SUPP_SCAN_CORPORA[corpus]
+    lats = build()
+    verdicts = [is_super_atomic_via_supp(lat) for lat in lats]
+    assert verdicts == [supp_scan_oracle(lat) for lat in lats]
+    assert set(verdicts) == reached
+
+
 def test_supp_detector_takes_no_joins_and_writes_nothing(monkeypatch):
     def refuse(self, mask):
         raise AssertionError("the support characterization took a join")
 
     lats = [lat for n in (2, 3, 4, 5) for lat in enumerate_super_atomic(n)] + [interval_lattice(20)]
     # The trusted enumerated lattices have no incidence table yet; the
-    # validated interval lattice built its table at construction.
+    # validated interval lattice built its table at construction.  No
+    # lattice builds its element index before a reader asks for it, and
+    # the detector asks for none, so a pass over an enumeration holds no
+    # index dict.
     rows = [None if lat._rows is None else list(lat._rows) for lat in lats]
     assert rows[-1] is not None and all(r is None for r in rows[:-1])
     monkeypatch.setattr(AtomicLattice, "join_mask", refuse)
@@ -140,6 +180,7 @@ def test_supp_detector_takes_no_joins_and_writes_nothing(monkeypatch):
         assert is_super_atomic_via_supp(lat)
         assert lat._join_cache == {}
         assert lat._rows == before
+        assert lat._index is None
 
 
 def test_detectors_at_the_atom_cap():

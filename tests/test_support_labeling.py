@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from lcmlattice import (
@@ -26,6 +28,7 @@ from conftest import (
     lattices_with,
     random_lattice,
     seeded_random_lattices,
+    strong_interval_criterion_oracle,
     weak_interval_criterion_oracle,
 )
 
@@ -199,6 +202,17 @@ def test_strong_criterion_frozen_examples():
     assert ok and witness is None
     ok, witness = check_strong_interval_criterion(STRONG_FAILS)
     assert not ok and "generating pair" in witness
+
+
+def test_strong_criterion_matches_its_oracle():
+    """The table over atom pairs gives the triple loop's verdict and first
+    witness, text for text, on every super-atomic lattice with n <= 5 and a
+    seeded 500 of those with n = 6 (the smallest n where it can fail)."""
+    lats = [lat for n in range(2, 6) for lat in enumerate_super_atomic(n)]
+    lats += random.Random(19).sample(enumerate_super_atomic(6), 500)
+    outcomes = [check_strong_interval_criterion(lat) for lat in lats]
+    assert outcomes == [strong_interval_criterion_oracle(lat) for lat in lats]
+    assert {ok for ok, _ in outcomes} == {True, False}
 
 
 def test_strong_criterion_negative_example_is_weak_not_strong():

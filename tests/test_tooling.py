@@ -237,9 +237,13 @@ def _names_used(code: types.CodeType) -> set[str]:
 
 def test_supp_detector_stays_independent_of_the_literal_one():
     """The two super-atomic detectors serve as each other's oracle, so the
-    support characterization must not reach the literal detector's tables."""
+    support characterization must not reach the literal detector's tables.
+    It keeps its own incidence columns: it takes no join and reads neither
+    the lattice's incidence table nor its element index."""
     names = _names_used(superatomic.is_super_atomic_via_supp.__code__)
-    assert names & {"_joining_pairs", "is_super_atomic"} == set()
+    literal = {"_joining_pairs", "is_super_atomic"}
+    lattice = {"join_mask", "_above", "_atom_rows", "_rows", "_element_index", "_index", "_join_cache"}
+    assert names & (literal | lattice) == set()
 
 
 def test_level_mask_readers_take_no_join_and_no_monomial_closure():
