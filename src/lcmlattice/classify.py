@@ -14,8 +14,11 @@ atoms, and the ``O(m*n)`` cached joins of the meet-irreducibles for ``m``
 elements, which the condition checks read too; no lcm is taken and no
 lcm-lattice built.  The predicates build none for either verdict;
 :func:`is_coordinatization` builds one only when the strong map fails, for
-the isomorphism search, and :func:`classify` builds one per generator tuple
-only to word a false verdict.
+the isomorphism search.  :func:`classify` builds one per tuple of minimal
+generators, only to word a false verdict; the lattice takes its lcms only
+if the witness reads a monomial, and a size mismatch, the usual witness,
+reads none.  Each generator tuple's exponent-level table is computed once
+per call and read by every check on that tuple.
 
 Two checkable sufficient conditions come with the theory:
 
@@ -158,10 +161,12 @@ def _support_map(lat: AtomicLattice, atom_monomials: tuple[Monomial, ...]) -> di
     return {p: lcm_all(atom_monomials[b.bit_length() - 1] for b in bits_of(p)) for p in lat.sets}
 
 
-def _extends_to_isomorphism(lat: AtomicLattice, atom_monomials: tuple[Monomial, ...]) -> bool:
+def _extends_to_isomorphism(lat: AtomicLattice, ideal: MonomialIdeal) -> bool:
     """Is g(p) = lcm of the atom monomials below p an isomorphism onto the
-    lcm-lattice of those monomials?  Decided on their level masks and the
-    lattice's meet-irreducibles, with no lcm and no lcm-lattice built.
+    lcm-lattice of those monomials?  The atom monomials are ``ideal``'s
+    generators, in atom order.  Decided on their level masks (the ideal's
+    level table) and the lattice's meet-irreducibles, with no lcm and no
+    lcm-lattice built.
 
     The tuples the lcm-lattice build refuses are refused first, with the same
     error: a unit monomial raises :class:`DegenerateIdealError`, and more than
@@ -217,9 +222,9 @@ def _extends_to_isomorphism(lat: AtomicLattice, atom_monomials: tuple[Monomial, 
     :meth:`~lcmlattice.lattice.AtomicLattice.meet_irreducibles` for m
     elements, which the condition checks of :func:`classify` read too.
     """
-    over_cap = len(atom_monomials) > MAX_GENERATORS
-    _check_lcm_generators(MonomialIdeal(atom_monomials).minimal_generators if over_cap else atom_monomials)
-    cuts = _level_masks(atom_monomials)
+    over_cap = len(ideal) > MAX_GENERATORS
+    _check_lcm_generators(ideal.minimal_generators if over_cap else ideal.generators)
+    cuts = _level_masks(ideal._level_table())
     return all(c in lat for c in cuts) and cuts.issuperset(lat.meet_irreducibles())
 
 
@@ -254,18 +259,18 @@ def is_coordinatization(lat: AtomicLattice, labeling: Labeling) -> bool:
 
     A strong coordinatization is one, so the lcm-lattice is built, for the
     isomorphism search, only when the strong map fails."""
-    x = ideal_from_labeling(lat, labeling).generators
+    x = ideal_from_labeling(lat, labeling)
     return _extends_to_isomorphism(lat, x) or _abstract_isomorphism(lat, lcm_lattice(x))[0]
 
 
 def is_strong_coordinatization(lat: AtomicLattice, labeling: Labeling) -> bool:
     """Is atom -> x(atom), extended by lcm over supports, an isomorphism?"""
-    return _extends_to_isomorphism(lat, ideal_from_labeling(lat, labeling).generators)
+    return _extends_to_isomorphism(lat, ideal_from_labeling(lat, labeling))
 
 
 def is_weak_coordinatization(lat: AtomicLattice, labeling: Labeling) -> bool:
     """Is atom -> delta(atom), extended by lcm over supports, an isomorphism?"""
-    return _extends_to_isomorphism(lat, weak_ideal(lat, labeling).generators)
+    return _extends_to_isomorphism(lat, weak_ideal(lat, labeling))
 
 
 def verify_labeling_recovery(lat: AtomicLattice, labeling: Labeling) -> bool:
@@ -312,8 +317,19 @@ def classify(lat: AtomicLattice, labeling: Labeling) -> LabelingClassification:
     same decision.  A strong verdict makes
     the coordinatization check true as well, and when ``delta(a) = x(a)``
     for every atom the weak verdict is the strong one.  Only a false verdict
-    builds an lcm-lattice, one per generator tuple and call, to word its
-    witness (and, for coordinatization, to run the isomorphism search).
+    builds an lcm-lattice, one per tuple of minimal generators and call, to
+    word its witness (and, for coordinatization, to run the isomorphism
+    search); its monomials are taken only if the witness reads one, so a
+    size mismatch or a failed isomorphism search takes no lcm.
+
+    Each generator tuple's exponent-level table is computed once per call:
+    ``x(a)`` and ``delta(a)`` are each held as a :class:`MonomialIdeal`,
+    which keeps its table for the specific-map decision, for ``delta``
+    (from the table of ``x``), for the minimal generators and for the
+    lcm-lattice build.  Minimal generators that differ from their tuple get
+    an ideal, and a table, of their own, once, since ``x`` and ``delta``
+    share the build when their minimal generators coincide.  Every ideal is
+    made by this call and goes with it, so no table outlives it.
 
     A degenerate ideal (a unit generator) classifies as false with a witness,
     not as an error.  An input over a documented cap, such as an ideal with
@@ -327,19 +343,24 @@ def classify(lat: AtomicLattice, labeling: Labeling) -> LabelingClassification:
         except DegenerateIdealError as exc:
             return False, str(exc)
 
-    def specific_map(gens: tuple[Monomial, ...]) -> tuple[bool, Optional[str]]:
-        if _extends_to_isomorphism(lat, gens):
+    def specific_map(ideal: MonomialIdeal) -> tuple[bool, Optional[str]]:
+        if _extends_to_isomorphism(lat, ideal):
             return True, None
-        return False, _specific_map_witness(lat, gens, lcm_lattice_of(gens))
+        return False, _specific_map_witness(lat, ideal.generators, lcm_lattice_of(ideal))
 
+    def lcm_lattice_of(ideal: MonomialIdeal) -> LcmLattice:
+        return build(ideal._minimal_ideal())
+
+    # Local to this call: one build per tuple of minimal generators, which
+    # the coordinatization, strong and weak witnesses may share.
+    build = cache(lcm_lattice)
     a_ok = check_strong_conditions(lat, labeling)
     c_ok = check_weak_conditions(lat, labeling)
-    x = ideal_from_labeling(lat, labeling).generators
-    # Local to this call: the coordinatization and strong witnesses share one build.
-    lcm_lattice_of = cache(lcm_lattice)
+    # Each ideal keeps its level table, and both live only as long as this call.
+    x = ideal_from_labeling(lat, labeling)
     strong = guarded(lambda: specific_map(x))
     coord = strong if strong[0] else guarded(lambda: _abstract_isomorphism(lat, lcm_lattice_of(x)))
-    delta = _refine(lat, x)
+    delta = MonomialIdeal(_refine(lat, x))
     weak = strong if delta == x else guarded(lambda: specific_map(delta))
 
     verdicts = {

@@ -225,28 +225,74 @@ class MonomialIdeal:
     :attr:`minimal_generators` for the canonical minimal generating set.
     """
 
-    __slots__ = ("generators", "_minimal")
+    __slots__ = ("generators", "_levels", "_minimal")
 
     def __init__(self, generators: Iterable[Monomial]):
         self.generators = tuple(map(_as_monomial, generators))
+        self._levels = None
         self._minimal = None
+
+    def _level_table(self) -> dict[str, dict[int, int]]:
+        """The :func:`_exponent_levels` table of the generators, computed the
+        first time it is read and kept with this ideal.  The minimal
+        generators, :func:`lcm_lattice`, ``delta`` (:func:`_refine`) and the
+        specific-map decision of :mod:`lcmlattice.classify` all read it, so
+        one ideal's exponent arithmetic is done once."""
+        if self._levels is None:
+            self._levels = _exponent_levels(self.generators)
+        return self._levels
 
     @property
     def minimal_generators(self) -> tuple[Monomial, ...]:
-        """Generators with duplicates and multiples removed, input order kept."""
+        """Generators with duplicates and multiples removed, input order kept.
+
+        Decided on the level masks ``D(v, t) = {i : e_v(g_i) <= t}`` of
+        :meth:`_level_table`, with no :class:`Monomial` compared: ``g_i``
+        divides ``g_j`` exactly when every level mask holding ``j`` holds
+        ``i``.  If ``g_i | g_j`` and ``D(v, t)`` holds ``j``, then
+        ``e_v(g_i) <= e_v(g_j) <= t``, so it holds ``i``.  Conversely,
+        ``e_v(g_j)`` is itself a level of ``v`` for every variable ``v`` of
+        the generators, so ``D(v, e_v(g_j))`` holds ``j``; if it holds ``i``,
+        then ``e_v(g_i) <= e_v(g_j)``, and a variable of no generator is 0 in
+        both.  (This is the first fact of
+        :func:`lcmlattice.classify._extends_to_isomorphism`, for one-element
+        sets.)
+
+        The least level of ``v`` that holds ``j`` is ``D(v, e_v(g_j))``, and
+        the others contain it, so the divisors of ``g_j`` are the AND, over
+        the variables, of those least levels; walking each variable's levels
+        in increasing order, the generators new at a level get it.  Two
+        generators are equal exactly when each divides the other.  So ``g_j``
+        is dropped exactly when another generator in its divisor mask comes
+        before it (an equal one or a proper divisor) or comes after it
+        without ``g_j`` dividing it (a proper divisor).  That is ``O(k*m)``
+        int operations for ``k`` variables and ``m`` generators, plus one
+        pass over each divisor mask.
+        """
         if self._minimal is None:
             gens = self.generators
+            divisors = [(1 << len(gens)) - 1] * len(gens)
+            for levels in self._level_table().values():
+                reached = 0
+                for below in levels.values():
+                    for b in bits_of(below & ~reached):
+                        divisors[b.bit_length() - 1] &= below
+                    reached = below
             keep = []
-            for i, g in enumerate(gens):
-                redundant = any(
-                    (h != g and h.divides(g)) or (h == g and j < i)
-                    for j, h in enumerate(gens)
-                    if j != i
-                )
-                if not redundant:
+            for j, g in enumerate(gens):
+                others = divisors[j] & ~(1 << j)
+                if others & ((1 << j) - 1):
+                    continue  # an equal generator or a proper divisor comes first
+                if all(divisors[b.bit_length() - 1] >> j & 1 for b in bits_of(others)):
                     keep.append(g)
             self._minimal = tuple(keep)
         return self._minimal
+
+    def _minimal_ideal(self) -> "MonomialIdeal":
+        """This ideal when no generator is redundant, else the ideal of its
+        minimal generators (which computes a level table of its own)."""
+        gens = self.minimal_generators
+        return self if len(gens) == len(self.generators) else MonomialIdeal(gens)
 
     @property
     def has_unit_generator(self) -> bool:
@@ -345,15 +391,17 @@ def weak_generator(lat: AtomicLattice, labeling: Labeling, atom: int) -> Monomia
 
 def weak_ideal(lat: AtomicLattice, labeling: Labeling) -> MonomialIdeal:
     """The ideal generated by ``delta(a)`` over all atoms, in atom order."""
-    return MonomialIdeal(_refine(lat, ideal_from_labeling(lat, labeling).generators))
+    return MonomialIdeal(_refine(lat, ideal_from_labeling(lat, labeling)))
 
 
 def _exponent_levels(generators: tuple[Monomial, ...]) -> dict[str, dict[int, int]]:
     """Per variable ``v`` of the generators, and for each exponent ``t`` of
     ``v`` over them in increasing order, the level mask ``D(v, t)`` of the
     generators ``i`` with ``e_v(g_i) <= t``.  The last level of every
-    variable holds all generators.  The one source of level masks for
-    :func:`_refine`, :class:`LcmLattice` and the specific-map decision in
+    variable holds all generators.  The one place the table is computed;
+    :meth:`MonomialIdeal._level_table` keeps it with its ideal for
+    :attr:`MonomialIdeal.minimal_generators`, :func:`_refine`,
+    :class:`LcmLattice` and the specific-map decision in
     :mod:`lcmlattice.classify`."""
     exps = [dict(g._exps) for g in generators]
     table = {}
@@ -368,13 +416,14 @@ def _exponent_levels(generators: tuple[Monomial, ...]) -> dict[str, dict[int, in
     return table
 
 
-def _level_masks(generators: tuple[Monomial, ...]) -> set[int]:
-    """The empty set and every level mask of :func:`_exponent_levels`."""
-    return {0}.union(*(levels.values() for levels in _exponent_levels(generators).values()))
+def _level_masks(table: dict[str, dict[int, int]]) -> set[int]:
+    """The empty set and every level mask of an :func:`_exponent_levels` table."""
+    return {0}.union(*(levels.values() for levels in table.values()))
 
 
-def _refine(lat: AtomicLattice, generators: tuple[Monomial, ...]) -> tuple[Monomial, ...]:
-    """``delta(a)`` for every atom, from the plain generators ``x(a)`` in atom order.
+def _refine(lat: AtomicLattice, ideal: MonomialIdeal) -> tuple[Monomial, ...]:
+    """``delta(a)`` for every atom, from the ideal of the plain generators
+    ``x(a)`` in atom order, read through its level table.
 
     No atom subset and no element is walked: ``e_v(delta(a))`` is the least
     level ``t`` of ``v`` with ``a <= J(v, t)``, the join of the level mask
@@ -398,8 +447,8 @@ def _refine(lat: AtomicLattice, generators: tuple[Monomial, ...]) -> tuple[Monom
     exactly the joins of the level masks of the ``x(a)``: for every level
     ``t`` of ``v`` over the ``x(a)``, ``D_delta(v, t) = J(v, t)``.
     """
-    deltas: list[dict[str, int]] = [{} for _ in generators]
-    for v, levels in _exponent_levels(generators).items():
+    deltas: list[dict[str, int]] = [{} for _ in ideal.generators]
+    for v, levels in ideal._level_table().items():
         reached = 0
         for t, below in levels.items():
             if below & ~reached:  # else J(v, t) is the join already reached
@@ -453,23 +502,46 @@ class LcmLattice:
       ``lcm{g_i : i in T} = lcm{g_i : i in S}``.  The empty ``T`` gives 1.
 
     So a support determines its monomial, and the family has one member per
-    element.
+    element.  The supports are built with the lattice; the monomials, and the
+    lookups between monomials and supports, are built the first time a
+    monomial is read.  ``len``, :attr:`generators` and :meth:`abstract` read
+    the supports alone, so a caller that needs only the shape of the
+    lattice takes no lcm.
     """
 
-    __slots__ = ("generators", "monomials", "_mask_of", "_monomial_of", "_abstract")
+    __slots__ = ("generators", "_supports", "_monomials", "_mask_of", "_monomial_of", "_abstract")
 
-    def __init__(self, generators: Iterable[Monomial]):
-        gens = tuple(map(_as_monomial, generators))
+    def __init__(self, generators: Union[MonomialIdeal, Iterable[Monomial]]):
+        """The lcm-lattice on the generators as given; a :class:`MonomialIdeal`
+        lends its own level table (see :meth:`MonomialIdeal._level_table`)."""
+        ideal = generators if isinstance(generators, MonomialIdeal) else MonomialIdeal(generators)
+        gens = ideal.generators
         _check_lcm_generators(gens)
         closed = {(1 << len(gens)) - 1}
-        for cut in _level_masks(gens):
+        for cut in _level_masks(ideal._level_table()):
             closed |= {s & cut for s in closed}
-        supports = sorted(closed, key=_canon_key)
         self.generators = gens
-        self.monomials = tuple(lcm_all(gens[b.bit_length() - 1] for b in bits_of(s)) for s in supports)
-        self._mask_of = dict(zip(self.monomials, supports))
-        self._monomial_of = dict(zip(supports, self.monomials))
+        self._supports = tuple(sorted(closed, key=_canon_key))
+        self._monomials = None
         self._abstract = None
+
+    def _lookups(self) -> tuple[dict[Monomial, int], dict[int, Monomial]]:
+        """``_mask_of`` and ``_monomial_of``, built with :attr:`monomials` the
+        first time a monomial is read: each element is the lcm of the
+        generators in its support."""
+        if self._monomials is None:
+            gens = self.generators
+            supports = self._supports
+            self._monomials = tuple(lcm_all(gens[b.bit_length() - 1] for b in bits_of(s)) for s in supports)
+            self._mask_of = dict(zip(self._monomials, supports))
+            self._monomial_of = dict(zip(supports, self._monomials))
+        return self._mask_of, self._monomial_of
+
+    @property
+    def monomials(self) -> tuple[Monomial, ...]:
+        """The elements, in canonical support order."""
+        self._lookups()
+        return self._monomials
 
     def abstract(self) -> AtomicLattice:
         """The underlying atomic lattice, with generator ``i`` as atom ``i``.
@@ -478,12 +550,13 @@ class LcmLattice:
         construction (see the class docstring).  Only the singletons can be
         missing, when a generator divides or repeats another (as in a direct
         ``LcmLattice([a, a*b])``); that case goes through the validating
-        constructor, which names the missing sets.
+        constructor, which names the missing sets.  In canonical order the
+        singletons, when all present, come right after {}.
         """
         if self._abstract is None:
             n = len(self.generators)
-            masks = tuple(self._monomial_of)
-            if all(1 << i in self._monomial_of for i in range(n)):
+            masks = self._supports
+            if masks[1 : n + 1] == tuple(1 << i for i in range(n)):
                 self._abstract = AtomicLattice._trusted(n, masks)
             else:
                 self._abstract = AtomicLattice(n, masks)
@@ -492,7 +565,7 @@ class LcmLattice:
     def monomial_of(self, mask: int) -> Monomial:
         """The element with support ``mask``; a float or bool equal to a
         support is not one, as for :class:`AtomicLattice`."""
-        m = self._monomial_of.get(mask) if _is_int(mask) else None
+        m = self._lookups()[1].get(mask) if _is_int(mask) else None
         if m is None:
             raise NotAnElementError(f"no element has support {_element_str(mask)}")
         return m
@@ -500,7 +573,7 @@ class LcmLattice:
     def mask_of(self, m: object) -> int:
         """The support of the element ``m``; a value that is not a
         :class:`Monomial` is not an element."""
-        mask = self._mask_of.get(m) if isinstance(m, Monomial) else None
+        mask = self._lookups()[0].get(m) if isinstance(m, Monomial) else None
         if mask is None:
             raise NotAnElementError(f"{shown(m, str)} is not an element of the lcm-lattice")
         return mask
@@ -511,31 +584,34 @@ class LcmLattice:
 
     def hasse_labels(self) -> dict[int, str]:
         """Display labels (monomial strings) keyed by abstract element, for DOT."""
-        return {mask: str(m) for m, mask in self._mask_of.items()}
+        return {mask: str(m) for mask, m in self._lookups()[1].items()}
 
     def covers_monomials(self) -> tuple[tuple[Monomial, Monomial], ...]:
-        return tuple(
-            (self._monomial_of[lo], self._monomial_of[hi]) for lo, hi in self.abstract().covers()
-        )
+        monomial_of = self._lookups()[1]
+        return tuple((monomial_of[lo], monomial_of[hi]) for lo, hi in self.abstract().covers())
 
     def __len__(self) -> int:
-        return len(self.monomials)
+        return len(self._supports)
 
     def __iter__(self) -> Iterator[Monomial]:
         return iter(self.monomials)
 
     def __contains__(self, m: object) -> bool:
-        return isinstance(m, Monomial) and m in self._mask_of
+        return isinstance(m, Monomial) and m in self._lookups()[0]
 
     def __repr__(self) -> str:
-        return f"LcmLattice({len(self.generators)} generators, {len(self.monomials)} elements)"
+        return f"LcmLattice({len(self.generators)} generators, {len(self)} elements)"
 
 
 def lcm_lattice(ideal: Union[MonomialIdeal, Iterable[Monomial]]) -> LcmLattice:
-    """The lcm-lattice of an ideal's minimal generators."""
+    """The lcm-lattice of an ideal's minimal generators.
+
+    When no generator is dropped, the lattice is built on the ideal's own
+    level table, so an ideal that has already decided its minimal generators
+    (or a specific map, or ``delta``) computes no second table."""
     if not isinstance(ideal, MonomialIdeal):
         ideal = MonomialIdeal(ideal)
-    return LcmLattice(ideal.minimal_generators)
+    return LcmLattice(ideal._minimal_ideal())
 
 
 def recovered_labeling(lat: AtomicLattice, monomial_of: Mapping[int, Monomial]) -> Labeling:

@@ -65,8 +65,9 @@ def _joining_pairs(lat: AtomicLattice) -> dict[int, list[int]]:
     return pairs
 
 
-def is_super_atomic(lat: AtomicLattice) -> bool:
-    """The definition, decided per element in C(n, 2) + O(m) joins.
+def _super_atomic_joining_pairs(lat: AtomicLattice) -> Optional[dict[int, list[int]]]:
+    """:func:`_joining_pairs` when the lattice is super-atomic, else None:
+    the definition, decided per element in C(n, 2) + O(m) joins.
 
     An element p of two or more atoms passes when exactly one pair {a, b} of
     its atoms joins to p and neither supp(p) - {a} nor supp(p) - {b} does.
@@ -82,8 +83,13 @@ def is_super_atomic(lat: AtomicLattice) -> bool:
             continue
         pairs = joining[p]
         if len(pairs) != 1 or any(lat.join_mask(p ^ b) == p for b in bits_of(pairs[0])):
-            return False
-    return True
+            return None
+    return joining
+
+
+def is_super_atomic(lat: AtomicLattice) -> bool:
+    """The definition, decided per element (see :func:`_super_atomic_joining_pairs`)."""
+    return _super_atomic_joining_pairs(lat) is not None
 
 
 def is_super_atomic_via_supp(lat: AtomicLattice) -> bool:

@@ -29,7 +29,7 @@ from .errors import PreconditionError, shown
 from .ideals import Labeling, ideal_from_labeling, weak_ideal
 from .lattice import AtomicLattice, _set_str, atoms_of, bits_of
 from .monomial import Monomial
-from .superatomic import _joining_pairs, cover_witness, is_super_atomic
+from .superatomic import _joining_pairs, _super_atomic_joining_pairs, cover_witness, is_super_atomic
 
 __all__ = [
     "support_labeling",
@@ -166,13 +166,14 @@ def check_strong_interval_criterion(lat: AtomicLattice) -> tuple[bool, Optional[
     generating pair {a_i, a_j}, the check fails at the first a_r in p whose
     entry with a_k is below both N([a_i v a_k, top]) and N([a_j v a_k, top]);
     atoms are tried in increasing order, a_k outer, so the first witness is
-    the one the triple loop over p's atoms finds.
+    the one the triple loop over p's atoms finds.  The joining pairs that
+    decide the super-atomic precondition give each generating pair.
     """
-    if not is_super_atomic(lat):
+    joining = _super_atomic_joining_pairs(lat)
+    if joining is None:
         raise PreconditionError("lattice is not super-atomic")
     atoms = lat.atoms
     n_pair = {a | b: lat._above(a | b).bit_count() for i, a in enumerate(atoms) for b in atoms[i:]}
-    joining = _joining_pairs(lat)
     for p in lat.sets:
         if p == 0 or p.bit_count() == 1:
             continue

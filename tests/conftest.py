@@ -24,7 +24,6 @@ from lcmlattice import (
     IntervalWitness,
     Labeling,
     Monomial,
-    MonomialIdeal,
     ONE,
     ValidationError,
     atom_generator,
@@ -146,12 +145,13 @@ def specific_map_oracle(lat: AtomicLattice, atom_monomials: tuple[Monomial, ...]
     """Is g(p) = lcm of the atom monomials below p an isomorphism onto the
     lcm-lattice of those monomials?  By the definition: refuse what the
     lcm-lattice build refuses, build the lcm-lattice of the minimal
-    generators by :func:`subset_lcm_lattice` (no level mask is read), then
+    generators (:func:`pairwise_minimal_generators`) by
+    :func:`subset_lcm_lattice` (no level mask is read), then
     check size, injectivity, membership and order reflection (order is
     preserved upward by construction), with an O(m^2) divisibility scan.
     Returns ``(verdict, witness)``; the oracle for the level-mask decision in
     :mod:`lcmlattice.classify`, whose false verdicts carry this same witness."""
-    gens = MonomialIdeal(atom_monomials).minimal_generators
+    gens = pairwise_minimal_generators(atom_monomials)
     _check_lcm_generators(gens)
     ll = set(subset_lcm_lattice(gens)[0])
     if len(ll) != len(lat):
@@ -172,6 +172,42 @@ def specific_map_oracle(lat: AtomicLattice, atom_monomials: tuple[Monomial, ...]
                     f"but {_set_str(p)} is not below {_set_str(q)}"
                 )
     return True, None
+
+
+def pairwise_minimal_generators(generators: tuple[Monomial, ...]) -> tuple[Monomial, ...]:
+    """Generators with duplicates and multiples removed, input order kept, by
+    the pairwise divisibility scan that
+    :attr:`lcmlattice.MonomialIdeal.minimal_generators` replaced: a
+    generator goes when another one properly divides it or equals it and
+    comes first.  O(k^2) ``Monomial.divides``; kept as the oracle."""
+    return tuple(
+        g
+        for i, g in enumerate(generators)
+        if not any((h != g and h.divides(g)) or (h == g and j < i) for j, h in enumerate(generators) if j != i)
+    )
+
+
+def eager_lcm_lattice(generators: tuple[Monomial, ...]) -> dict:
+    """Everything an :class:`lcmlattice.LcmLattice` on ``generators`` answers,
+    built at once: the supports of :func:`subset_lcm_lattice`, each element
+    the ``lcm_all`` of the generators in its support, the lookups both ways,
+    the display labels, the abstract lattice through the validating
+    constructor (or the :class:`ValidationError` it raises) and, when that
+    validates, the divisibility covers.  The oracle of the lazy accessors."""
+    supports = sorted(set(subset_lcm_lattice(generators)[1].values()), key=_canon_key)
+    monomials = tuple(lcm_all(generators[b.bit_length() - 1] for b in bits_of(s)) for s in supports)
+    try:
+        abstract = AtomicLattice(len(generators), supports)
+    except ValidationError as exc:
+        abstract = exc
+    return {
+        "monomials": monomials,
+        "mask_of": dict(zip(monomials, supports)),
+        "monomial_of": dict(zip(supports, monomials)),
+        "hasse_labels": {s: str(m) for s, m in zip(supports, monomials)},
+        "abstract": abstract,
+        "covers": None if isinstance(abstract, ValidationError) else divisibility_covers(monomials),
+    }
 
 
 def subset_lcm_lattice(generators: tuple[Monomial, ...]) -> tuple[tuple[Monomial, ...], dict[Monomial, int]]:

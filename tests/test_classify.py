@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -10,6 +11,7 @@ from lcmlattice import (
     LcmLattice,
     DegenerateIdealError,
     Monomial,
+    MonomialIdeal,
     PreconditionError,
     atom_generator,
     check_strong_conditions,
@@ -24,8 +26,9 @@ from lcmlattice import (
     verify_labeling_recovery,
     weak_ideal,
 )
+from lcmlattice import fixtures, ideals
 from lcmlattice.classify import _extends_to_isomorphism, _specific_map_witness
-from lcmlattice.ideals import _refine
+from lcmlattice.ideals import _refine, labeling_from_json_dict
 
 from conftest import (
     boolean_lattice,
@@ -327,7 +330,7 @@ def _outcome(check, *args):
 
 def _decided_and_explained(lat, gens):
     """The level-mask decision, with the explanation's witness when false."""
-    if _extends_to_isomorphism(lat, gens):
+    if _extends_to_isomorphism(lat, MonomialIdeal(gens)):
         return True, None
     return False, _specific_map_witness(lat, gens, lcm_lattice(gens))
 
@@ -339,8 +342,8 @@ def test_specific_map_decision_matches_the_oracle(rng):
     counts = {True: 0, False: 0}
     for lat, lab in _decision_corpus(rng):
         c = classify(lat, lab)
-        x = ideal_from_labeling(lat, lab).generators
-        for field, gens in (("is_strong", x), ("is_weak", _refine(lat, x))):
+        x = ideal_from_labeling(lat, lab)
+        for field, gens in (("is_strong", x.generators), ("is_weak", _refine(lat, x))):
             expected = _outcome(specific_map_oracle, lat, gens)
             assert _outcome(_decided_and_explained, lat, gens) == expected
             assert (getattr(c, field), (c.witness or {}).get(field)) == expected
@@ -401,6 +404,35 @@ def test_predicates_build_no_lcm_lattice(rng, monkeypatch):
     assert verdicts == {True, False, "degenerate"}
     lat = interval_lattice(20)
     assert is_coordinatization(lat, support_labeling(lat))
+
+
+def test_classify_computes_one_level_table_per_generator_tuple(rng, monkeypatch):
+    """Each tuple ``classify`` handles (``x(a)``, ``delta(a)``, and their
+    minimal generators when these differ) gets its exponent-level table once
+    per call, whichever checks read it."""
+    tables = []
+    exponent_levels = ideals._exponent_levels
+    monkeypatch.setattr(ideals, "_exponent_levels", lambda gens: tables.append(gens) or exponent_levels(gens))
+    most = 0
+    for lat, lab in _decision_corpus(rng):
+        tables.clear()
+        c = classify(lat, lab)
+        assert max(Counter(tables).values()) == 1
+        x = ideal_from_labeling(lat, lab).generators
+        assert x in tables and (c.is_weak == c.is_strong or len(set(tables)) >= 2)
+        most = max(most, len(tables))
+    assert most >= 3  # some calls build an lcm-lattice on minimal generators that differ
+
+
+def test_a_size_mismatch_witness_takes_no_lcm(monkeypatch):
+    """On ``fig3`` the strong verdict is false because the lcm-lattice has
+    one element more than the lattice, and coordinatization fails the
+    isomorphism search; neither witness reads a monomial, so none is built."""
+    monkeypatch.setattr(LcmLattice, "_lookups", lambda self: pytest.fail("an lcm-lattice monomial was built"))
+    lab = labeling_from_json_dict(fixtures.load("fig3"))
+    c = classify(lab.lattice, lab)
+    assert c.witness["is_strong"] == "lcm-lattice has 11 elements, the lattice has 10"
+    assert c.witness["is_coordinatization"].startswith("lcm-lattice of the generated ideal (11 elements")
 
 
 def test_predicates_apply_the_generator_cap():

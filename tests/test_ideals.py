@@ -42,10 +42,12 @@ from conftest import (
     chain_condition_labeling,
     cubic_covers,
     divisibility_covers,
+    eager_lcm_lattice,
     flat_lattice,
     interval_lattice,
     lattices_with,
     overlap_condition_labeling,
+    pairwise_minimal_generators,
     random_labeling,
     random_lattice,
     random_monomial,
@@ -165,6 +167,43 @@ def test_minimal_generators():
     assert MonomialIdeal([ONE]).has_unit_generator
 
 
+def _divisibility_chain(rng, variables):
+    """Three or four monomials, each a proper multiple of the one before, shuffled."""
+    chain = [random_monomial(rng, variables)]
+    for _ in range(rng.randint(2, 3)):
+        chain.append(chain[-1] * Monomial.parse(rng.choice(variables)))
+    rng.shuffle(chain)
+    return chain
+
+
+def test_minimal_generators_match_the_pairwise_oracle(rng):
+    """The level-mask containment test keeps what the pairwise divisibility
+    scan keeps, in the same order: on seeded random tuples with duplicates,
+    divisibility chains and units, on single generators, on the empty tuple
+    and on more than ``MAX_GENERATORS`` generators."""
+    variables = list("abcde")
+    shapes = {"duplicate": 0, "chain": 0, "unit": 0, "single": 0, "over cap": 0}
+    for i in range(3000):
+        shape = list(shapes)[i % len(shapes)]
+        if shape == "single":
+            gens = [rng.choice([ONE, random_monomial(rng, variables)])]
+        else:
+            size = rng.randint(21, 30) if shape == "over cap" else rng.randint(1, 6)
+            gens = [random_monomial(rng, variables) for _ in range(size)]
+            if shape == "duplicate":
+                gens += rng.sample(gens, rng.randint(1, len(gens)))
+            elif shape == "chain":
+                gens += _divisibility_chain(rng, variables)
+            elif shape == "unit":
+                gens.insert(rng.randint(0, len(gens)), ONE)
+            rng.shuffle(gens)
+        expected = pairwise_minimal_generators(tuple(gens))
+        assert MonomialIdeal(gens).minimal_generators == expected
+        shapes[shape] += len(expected) < len(gens) or shape == "single"
+    assert MonomialIdeal([]).minimal_generators == ()
+    assert min(shapes.values()) >= 300  # every shape often drops a generator (or is a single one)
+
+
 # -- generators from labelings -------------------------------------------------
 
 
@@ -264,12 +303,12 @@ def test_refine_takes_at_most_one_join_per_level(rng, monkeypatch):
     """``_refine`` joins each level mask ``D(v, t)`` at most once and walks
     no element: on B8 the element walk took thousands of joins."""
     lat = boolean_lattice(8)
-    x = ideal_from_labeling(lat, random_labeling(rng, lat, variables=list("uvwxyz"))).generators
-    levels = sum(len(per_var) for per_var in _exponent_levels(x).values())
+    x = ideal_from_labeling(lat, random_labeling(rng, lat, variables=list("uvwxyz")))
+    levels = sum(len(per_var) for per_var in _exponent_levels(x.generators).values())
     joins = []
     join_mask = AtomicLattice.join_mask
     monkeypatch.setattr(AtomicLattice, "join_mask", lambda self, mask: joins.append(mask) or join_mask(self, mask))
-    assert _refine(lat, x) == x  # each element of B8 is joined only by its own atoms
+    assert _refine(lat, x) == x.generators  # each element of B8 is joined only by its own atoms
     assert 0 < len(joins) <= levels
 
 
@@ -280,9 +319,9 @@ def test_delta_level_masks_are_the_joins_of_the_x_level_masks(rng):
     builders = (random_labeling, chain_condition_labeling, overlap_condition_labeling)
     for i in range(3000):
         lat = random_lattice(rng, rng.randint(1, 6), extra=rng.randint(0, 8))
-        x = ideal_from_labeling(lat, builders[i % 3](rng, lat)).generators
-        joins = {lat.join_mask(d) for levels in _exponent_levels(x).values() for d in levels.values()}
-        assert _level_masks(_refine(lat, x)) | {lat.top} == {0, lat.top} | joins
+        x = ideal_from_labeling(lat, builders[i % 3](rng, lat))
+        joins = {lat.join_mask(d) for levels in _exponent_levels(x.generators).values() for d in levels.values()}
+        assert _level_masks(_exponent_levels(_refine(lat, x))) | {lat.top} == {0, lat.top} | joins
 
 
 def test_weak_ideal_never_enumerates_subsets(rng, monkeypatch):
@@ -419,8 +458,8 @@ def test_lcm_lattice_matches_the_subset_lcm_oracle(rng):
     for n in range(1, 5):
         for lat in lattices_with(n):
             for make in (random_labeling, chain_condition_labeling):
-                x = ideal_from_labeling(lat, make(rng, lat)).generators
-                for tup in dict.fromkeys((x, _refine(lat, x))):
+                x = ideal_from_labeling(lat, make(rng, lat))
+                for tup in dict.fromkeys((x.generators, _refine(lat, x))):
                     if any(g.is_one for g in tup):
                         with pytest.raises(DegenerateIdealError):
                             LcmLattice(tup)
@@ -430,6 +469,50 @@ def test_lcm_lattice_matches_the_subset_lcm_oracle(rng):
     for n in range(1, 11):
         _assert_matches_subset_lcm_oracle(tuple(Monomial.parse(f"x{i}") for i in range(n)))
     assert checked >= 6000
+
+
+LCM_ACCESSORS = {
+    "monomials": lambda ll, want: ll.monomials == want["monomials"],
+    "iter": lambda ll, want: tuple(ll) == want["monomials"],
+    "in": lambda ll, want: all(m in ll for m in want["monomials"])
+    and want["monomials"][-1] * Monomial.parse("z") not in ll,
+    "mask_of": lambda ll, want: {m: ll.mask_of(m) for m in want["monomials"]} == want["mask_of"],
+    "monomial_of": lambda ll, want: {s: ll.monomial_of(s) for s in want["monomial_of"]} == want["monomial_of"],
+    "top_monomial": lambda ll, want: ll.top_monomial == want["monomials"][-1],
+    "hasse_labels": lambda ll, want: ll.hasse_labels() == want["hasse_labels"],
+    "covers_monomials": lambda ll, want: want["covers"] is None or ll.covers_monomials() == want["covers"],
+    "len": lambda ll, want: len(ll) == len(want["monomials"]),
+    "abstract": lambda ll, want: _same_abstract(ll, want["abstract"]),
+}
+
+
+def _same_abstract(ll, want) -> bool:
+    if isinstance(want, ValidationError):
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(want))}$"):
+            ll.abstract()
+        return True
+    return ll.abstract().sets == want.sets
+
+
+def test_lcm_lattice_accessors_match_an_eager_oracle_whichever_is_read_first(rng):
+    """The monomials are built on first read; whichever accessor comes first,
+    every accessor then answers what :func:`conftest.eager_lcm_lattice`
+    answers.  ``len``, ``generators`` and ``abstract`` read the supports
+    alone, so after them no monomial has been built."""
+    tuples = [tuple(Monomial.parse(g) for g in "ab"), (Monomial.parse("a"), Monomial.parse("a*b"))]
+    for _ in range(200):
+        gens = [random_monomial(rng, list("abcd")) for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.3:
+            gens.append(rng.choice(gens) * Monomial.parse(rng.choice("ae")))
+        tuples.append(tuple(gens))
+    for gens in tuples:
+        want = eager_lcm_lattice(gens)
+        for first in LCM_ACCESSORS:
+            ll = LcmLattice(gens)
+            if first in ("len", "abstract"):
+                assert LCM_ACCESSORS[first](ll, want) and ll.generators == gens
+                assert ll._monomials is None  # the shape of the lattice took no lcm
+            assert all(check(ll, want) for check in LCM_ACCESSORS.values()), first
 
 
 def test_lcm_lattice_uses_minimal_generators():

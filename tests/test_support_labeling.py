@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -19,6 +20,7 @@ from lcmlattice import (
     weak_ideal,
 )
 
+from lcmlattice import superatomic
 from lcmlattice.support_labeling import _filter_sizes
 
 from conftest import (
@@ -213,6 +215,22 @@ def test_strong_criterion_matches_its_oracle():
     outcomes = [check_strong_interval_criterion(lat) for lat in lats]
     assert outcomes == [strong_interval_criterion_oracle(lat) for lat in lats]
     assert {ok for ok, _ in outcomes} == {True, False}
+
+
+def test_strong_criterion_lists_the_joining_pairs_once(monkeypatch):
+    """The super-atomic precondition and the criterion read one table of
+    joining pairs, whether the lattice passes, fails the criterion or is
+    not super-atomic."""
+    calls = []
+    joining_pairs = superatomic._joining_pairs
+    # The package re-exports the function ``support_labeling`` under its module's name.
+    for module in (superatomic, sys.modules["lcmlattice.support_labeling"]):
+        monkeypatch.setattr(module, "_joining_pairs", lambda lat: calls.append(lat) or joining_pairs(lat))
+    assert check_strong_interval_criterion(SUPER_EXAMPLE) == strong_interval_criterion_oracle(SUPER_EXAMPLE)
+    assert check_strong_interval_criterion(STRONG_FAILS) == strong_interval_criterion_oracle(STRONG_FAILS)
+    with pytest.raises(PreconditionError, match="^lattice is not super-atomic$"):
+        check_strong_interval_criterion(BOOLEAN3)
+    assert calls == [SUPER_EXAMPLE, STRONG_FAILS, BOOLEAN3]
 
 
 def test_strong_criterion_negative_example_is_weak_not_strong():

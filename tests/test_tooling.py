@@ -9,7 +9,7 @@ import types
 from pathlib import Path
 
 import lcmlattice
-from lcmlattice import LcmLattice, errors, ideals, superatomic
+from lcmlattice import LcmLattice, MonomialIdeal, errors, ideals, superatomic
 from lcmlattice.classify import _extends_to_isomorphism
 from lcmlattice.ideals import _refine
 
@@ -241,7 +241,7 @@ def test_supp_detector_stays_independent_of_the_literal_one():
     It keeps its own incidence columns: it takes no join and reads neither
     the lattice's incidence table nor its element index."""
     names = _names_used(superatomic.is_super_atomic_via_supp.__code__)
-    literal = {"_joining_pairs", "is_super_atomic"}
+    literal = {"_joining_pairs", "_super_atomic_joining_pairs", "is_super_atomic"}
     lattice = {"join_mask", "_above", "_atom_rows", "_rows", "_element_index", "_index", "_join_cache"}
     assert names & (literal | lattice) == set()
 
@@ -249,11 +249,39 @@ def test_supp_detector_stays_independent_of_the_literal_one():
 def test_level_mask_readers_take_no_join_and_no_monomial_closure():
     """The specific-map decision reads level masks and the
     meet-irreducibles; the lcm-lattice build closes the level masks under
-    intersection and takes one lcm per element; ``delta`` joins each level
-    mask and walks no element."""
+    intersection and takes no lcm (the monomials come on first read, one
+    lcm per element); the minimal generators compare no monomial; ``delta``
+    joins each level mask and walks no element."""
     assert _names_used(_extends_to_isomorphism.__code__) & {"join_mask", "lcm", "lcm_all"} == set()
-    assert _names_used(LcmLattice.__init__.__code__) & {"divides", "join_mask"} == set()
+    assert _names_used(LcmLattice.__init__.__code__) & {"divides", "join_mask", "lcm", "lcm_all"} == set()
+    minimal = _names_used(MonomialIdeal.minimal_generators.fget.__code__)
+    assert "_level_table" in minimal and minimal & {"divides", "lcm", "gcd"} == set()
     assert _names_used(_refine.__code__) & {"sets", "bit_count"} == set()
+
+
+def _is_cache(node: ast.expr) -> bool:
+    """``cache``, ``lru_cache`` or ``functools.<either>``, called or not."""
+    target = node.func if isinstance(node, ast.Call) else node
+    return (getattr(target, "id", None) or getattr(target, "attr", None)) in ("cache", "lru_cache")
+
+
+def test_no_memo_outlives_a_call():
+    """No package function is decorated with ``functools.cache`` or
+    ``lru_cache``, and no module-level assignment wraps one: the benchmark
+    rebuilds its inputs for every operation, so a memo that survived the
+    call would time a different program.  A ``cache(...)`` made inside a
+    function body, as ``classify`` makes one per call, is allowed."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        decorated = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(map(_is_cache, node.decorator_list))
+        ]
+        wrapped = [node for node in tree.body if isinstance(node, ast.Assign) and _is_cache(node.value)]
+        found += [f"{path.relative_to(PACKAGE)}:{node.lineno}" for node in decorated + wrapped]
+    assert found == []
 
 
 def test_specific_map_decision_reads_meet_irreducibles_not_a_closure():
