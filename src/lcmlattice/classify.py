@@ -41,7 +41,6 @@ from typing import Optional
 
 from .errors import DegenerateIdealError, PreconditionError
 from .ideals import (
-    MAX_GENERATORS,
     Labeling,
     LcmLattice,
     MonomialIdeal,
@@ -166,14 +165,8 @@ def _extends_to_isomorphism(lat: AtomicLattice, ideal: MonomialIdeal) -> bool:
     lcm-lattice of those monomials?  The atom monomials are ``ideal``'s
     generators, in atom order.  Decided on their level masks (the ideal's
     level table) and the lattice's meet-irreducibles, with no lcm and no
-    lcm-lattice built.
-
-    The tuples the lcm-lattice build refuses are refused first, with the same
-    error: a unit monomial raises :class:`DegenerateIdealError`, and more than
-    ``MAX_GENERATORS`` minimal generators raise :class:`CapExceededError`.  A
-    unit divides every monomial, so the minimal generators hold one exactly
-    when the tuple does, and up to ``MAX_GENERATORS`` monomials only a unit
-    can be refused; the minimal generators are computed only above that count.
+    lcm-lattice built.  A unit monomial, on which no lcm-lattice is defined,
+    raises :class:`DegenerateIdealError`, as the build would.
 
     The *cuts* are the empty set and the level masks D(v, t) = {a : e_v(m_a)
     <= t} of :func:`~lcmlattice.ideals._exponent_levels`; K(S) is the set of
@@ -222,8 +215,7 @@ def _extends_to_isomorphism(lat: AtomicLattice, ideal: MonomialIdeal) -> bool:
     :meth:`~lcmlattice.lattice.AtomicLattice.meet_irreducibles` for m
     elements, which the condition checks of :func:`classify` read too.
     """
-    over_cap = len(ideal) > MAX_GENERATORS
-    _check_lcm_generators(ideal.minimal_generators if over_cap else ideal.generators)
+    _check_lcm_generators(ideal.generators)
     cuts = _level_masks(ideal._level_table())
     return all(c in lat for c in cuts) and cuts.issuperset(lat.meet_irreducibles())
 
@@ -332,9 +324,8 @@ def classify(lat: AtomicLattice, labeling: Labeling) -> LabelingClassification:
     made by this call and goes with it, so no table outlives it.
 
     A degenerate ideal (a unit generator) classifies as false with a witness,
-    not as an error.  An input over a documented cap, such as an ideal with
-    more than ``MAX_GENERATORS`` minimal generators, raises
-    :class:`CapExceededError`.
+    not as an error.  The witness build of a false verdict raises what
+    :class:`~lcmlattice.ideals.LcmLattice` raises.
     """
 
     def guarded(fn) -> tuple[bool, Optional[str]]:

@@ -138,11 +138,13 @@ def classify(labeling_file):
 
 
 @main.command("enumerate-superatomic")
-@click.option("--n", "n", type=int, required=True, help="Atom count (2..7).")
+@click.option("--n", "n", type=int, required=True, help="Atom count (2..6, or 2..7 with --count-only).")
 @click.option("--count-only", is_flag=True, help="Stream and count without materializing.")
 @click.option("--out", "out_dir", type=click.Path(), help="Write one lattice JSON per output plus an index file.")
 def enumerate_superatomic(n, count_only, out_dir):
     """Enumerate all super-atomic lattices on n atoms."""
+    if count_only and out_dir:
+        raise click.UsageError("--count-only writes no lattices; drop --out")
     if count_only:
         count = sum(1 for _ in iter_super_atomic_families(n))
         _emit_json({"n": n, "count": count, "size": super_atomic_size(n)})

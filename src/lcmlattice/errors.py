@@ -68,4 +68,4 @@ class PreconditionError(Error, ValueError):
 
 
 class CapExceededError(Error, ValueError):
-    """Input size exceeds a documented safety cap (atom count, generator count, ...)."""
+    """Input size exceeds a documented safety cap (atom count, lcm-lattice elements, ...)."""

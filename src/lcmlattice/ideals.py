@@ -62,7 +62,7 @@ __all__ = [
     "load_labeling",
 ]
 
-MAX_GENERATORS = 20
+MAX_LCM_ELEMENTS = 1 << 20
 
 
 def _as_monomial(value: object) -> Monomial:
@@ -465,14 +465,11 @@ def _refine(lat: AtomicLattice, ideal: MonomialIdeal) -> tuple[Monomial, ...]:
 
 
 def _check_lcm_generators(gens: tuple[Monomial, ...]) -> None:
-    """Refuse the generators no lcm-lattice is built on: none, a unit, or more
-    than ``MAX_GENERATORS`` (a :class:`CapExceededError`)."""
+    """Refuse the generators no lcm-lattice is defined on: none, or a unit."""
     if not gens:
         raise DegenerateIdealError("the zero ideal has no lcm-lattice")
     if any(g.is_one for g in gens):
         raise DegenerateIdealError("the unit monomial is a generator; the lcm-lattice is undefined")
-    if len(gens) > MAX_GENERATORS:
-        raise CapExceededError(f"{len(gens)} generators exceed the supported maximum {MAX_GENERATORS}")
 
 
 class LcmLattice:
@@ -513,13 +510,20 @@ class LcmLattice:
 
     def __init__(self, generators: Union[MonomialIdeal, Iterable[Monomial]]):
         """The lcm-lattice on the generators as given; a :class:`MonomialIdeal`
-        lends its own level table (see :meth:`MonomialIdeal._level_table`)."""
+        lends its own level table (see :meth:`MonomialIdeal._level_table`).
+
+        The closure only grows, so it stops, with a :class:`CapExceededError`
+        naming the count reached, as soon as it holds more than
+        ``MAX_LCM_ELEMENTS`` supports.  ``k`` generators give at most ``2^k``
+        elements, so up to 20 generators always build."""
         ideal = generators if isinstance(generators, MonomialIdeal) else MonomialIdeal(generators)
         gens = ideal.generators
         _check_lcm_generators(gens)
         closed = {(1 << len(gens)) - 1}
         for cut in _level_masks(ideal._level_table()):
             closed |= {s & cut for s in closed}
+            if len(closed) > MAX_LCM_ELEMENTS:
+                raise CapExceededError(f"lcm-lattice reached {len(closed)} elements, over the cap {MAX_LCM_ELEMENTS}")
         self.generators = gens
         self._supports = tuple(sorted(closed, key=_canon_key))
         self._monomials = None

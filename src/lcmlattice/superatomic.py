@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 MAX_ENUM_ATOMS = 7
+# Listing holds every lattice at once: 23,040 on 6 atoms, 2,580,480 on 7.
+MAX_LIST_ATOMS = 6
 
 
 def _pairs_within(mask: int) -> list[int]:
@@ -232,10 +234,13 @@ def enumerate_super_atomic(n: int) -> list[AtomicLattice]:
     element p is a super-atomic lattice on supp(p), so inclusion-exclusion
     gives N_j(n) = [j = n] + 2·N_j(n - 1) - N_j(n - 2).
 
-    Materializes everything; for n = 7 prefer
-    :func:`iter_super_atomic_families` (the full list runs to millions of
-    lattices).
+    Materializes everything, so more than ``MAX_LIST_ATOMS`` atoms raise
+    :class:`CapExceededError` before any work; for n = 7 stream
+    :func:`iter_super_atomic_families` (2,580,480 families) instead.
     """
+    _require_atom_count(n, 2)
+    if n > MAX_LIST_ATOMS:
+        raise CapExceededError(f"listing the lattices on {shown(n)} atoms exceeds the cap of {MAX_LIST_ATOMS}")
     return [AtomicLattice._trusted(n, sets) for sets in sorted(iter_super_atomic_families(n))]
 
 

@@ -61,10 +61,6 @@ def support_labeling(lat: AtomicLattice, atom_names: Optional[list[str]] = None)
     )
 
 
-def _atom_index(atom_mask: int) -> int:
-    return atom_mask.bit_length()
-
-
 def _filter_sizes(lat: AtomicLattice) -> dict[int, int]:
     """N([q, top]) for every element q, in O(m·n) operations on m-bit ints:
     the elements above q are the AND of the lattice's incidence rows of q's
@@ -141,9 +137,9 @@ def check_weak_interval_criterion(lat: AtomicLattice) -> IntervalCriterionReport
             IntervalWitness(
                 element=element,
                 satisfied=bad is None,
-                pair=(_atom_index(pr & -pr), _atom_index(pr & (pr - 1))),
-                chosen=_atom_index(r),
-                violating=None if bad is None else _atom_index(bad),
+                pair=((pr & -pr).bit_length(), (pr & (pr - 1)).bit_length()),
+                chosen=r.bit_length(),
+                violating=None if bad is None else bad.bit_length(),
             )
         )
     return IntervalCriterionReport(
@@ -187,8 +183,8 @@ def check_strong_interval_criterion(lat: AtomicLattice) -> tuple[bool, Optional[
                 if n_pair[ar | ak] < bound:
                     return False, (
                         f"at element {_set_str(p)}: both members of the "
-                        f"generating pair ({_atom_index(ai)},{_atom_index(aj)}) give strictly larger "
-                        f"intervals than atom {_atom_index(ar)} does, against atom {_atom_index(ak)}"
+                        f"generating pair ({ai.bit_length()},{aj.bit_length()}) give strictly larger "
+                        f"intervals than atom {ar.bit_length()} does, against atom {ak.bit_length()}"
                     )
     return True, None
 

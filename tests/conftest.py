@@ -143,8 +143,9 @@ def subset_weak_generators(lat: AtomicLattice, labeling: Labeling) -> tuple[Mono
 
 def specific_map_oracle(lat: AtomicLattice, atom_monomials: tuple[Monomial, ...]):
     """Is g(p) = lcm of the atom monomials below p an isomorphism onto the
-    lcm-lattice of those monomials?  By the definition: refuse what the
-    lcm-lattice build refuses, build the lcm-lattice of the minimal
+    lcm-lattice of those monomials?  By the definition: refuse the
+    degenerate tuples the lcm-lattice build refuses (a unit generator),
+    build the lcm-lattice of the minimal
     generators (:func:`pairwise_minimal_generators`) by
     :func:`subset_lcm_lattice` (no level mask is read), then
     check size, injectivity, membership and order reflection (order is

@@ -277,19 +277,23 @@ def test_criterion_12_new_cover_element_is_meet_irreducible():
 
 
 def test_criterion_13_strong_criterion_matches_strong_coordinatization():
+    """Every super-atomic lattice with n <= 5, where both sides are always
+    true, and a seeded 1,000 of the 23,040 with n = 6, the smallest n where
+    the criterion can fail, so both directions are compared."""
     start = time.perf_counter()
+    lats = [lat for n in (2, 3, 4, 5) for lat in enumerate_super_atomic(n)]
+    lats += random.Random(13).sample(enumerate_super_atomic(6), 1000)
     mismatches = 0
-    total = 0
-    for n in (2, 3, 4, 5):
-        for lat in enumerate_super_atomic(n):
-            total += 1
-            criterion = check_strong_interval_criterion(lat)[0]
-            actual = is_strong_coordinatization(lat, support_labeling(lat))
-            if criterion != actual:
-                mismatches += 1
+    not_strong = 0
+    for lat in lats:
+        criterion = check_strong_interval_criterion(lat)[0]
+        actual = is_strong_coordinatization(lat, support_labeling(lat))
+        mismatches += criterion != actual
+        not_strong += not actual
     elapsed = time.perf_counter() - start
-    ok = mismatches == 0 and elapsed < 300.0
-    _verdict(13, "interval criterion equals strength of the support labeling", ok, f"{total} lattices, {elapsed:.1f}s")
+    ok = mismatches == 0 and not_strong >= 1 and elapsed < 300.0
+    detail = f"{len(lats)} lattices, {not_strong} not strong, {elapsed:.1f}s"
+    _verdict(13, "interval criterion equals strength of the support labeling", ok, detail)
 
 
 def test_criterion_14_worked_super_atomic_example_regression():

@@ -359,16 +359,15 @@ def test_classify_builds_no_lcm_lattice_when_strong_holds(rng, monkeypatch):
 
     monkeypatch.setattr(LcmLattice, "__init__", refuse)
     cases = [(lat, chain_condition_labeling(rng, lat)) for lat in lattices_with(4)[::5]]
-    # 2^20 subsets would be far too many to build: the decision reads O(k*n) level masks and O(m*n) joins
-    lat = flat_lattice(20)
-    cases.append((lat, support_labeling(lat)))
+    # 2^n subsets would be far too many to build: the decision reads O(k*n) level masks and O(m*n) joins,
+    # and no generator count is refused, up to the 64 atoms of MAX_ATOMS
+    cases += [(lat, support_labeling(lat)) for lat in map(flat_lattice, (20, 21, 64))]
     for lat, lab in cases:
         c = classify(lat, lab)
+        assert c.satisfies_A1A2 and c.satisfies_C1C2
         assert c.is_strong and c.is_coordinatization and c.is_weak and c.witness is None
-    # the cap still applies, with the message the lcm-lattice build would give
-    lat = flat_lattice(21)
-    with pytest.raises(CapExceededError, match="^21 generators exceed the supported maximum 20$"):
-        classify(lat, support_labeling(lat))
+        for check in (is_strong_coordinatization, is_weak_coordinatization, is_coordinatization):
+            assert check(lat, lab)
 
 
 def _flat_product_labeling(n):
@@ -435,21 +434,17 @@ def test_a_size_mismatch_witness_takes_no_lcm(monkeypatch):
     assert c.witness["is_coordinatization"].startswith("lcm-lattice of the generated ideal (11 elements")
 
 
-def test_predicates_apply_the_generator_cap():
-    """21 minimal generators are refused with the build's message, whether
-    the specific map is an isomorphism (support labeling) or not (the flat
-    product labeling).  The cap counts minimal generators: the 21 weak
-    generators of the flat product labeling coincide, so ``is_weak`` answers."""
-    lat = flat_lattice(21)
-    lab = support_labeling(lat)
-    for check in (is_coordinatization, is_strong_coordinatization, is_weak_coordinatization):
-        with pytest.raises(CapExceededError, match="^21 generators exceed the supported maximum 20$"):
-            check(lat, lab)
+def test_the_lcm_lattice_build_owns_the_size_refusal():
+    """On the flat product labeling with 21 atoms the strong and weak maps
+    are decided false with no lcm-lattice built (the 21 weak generators
+    coincide); whatever needs the Boolean lcm-lattice of 2^21 elements stops
+    in the build's element cap, which names the count it reached."""
     lat, lab = _flat_product_labeling(21)
-    for check in (is_coordinatization, is_strong_coordinatization):
-        with pytest.raises(CapExceededError, match="^21 generators exceed the supported maximum 20$"):
-            check(lat, lab)
+    assert not is_strong_coordinatization(lat, lab)
     assert len(set(weak_ideal(lat, lab).generators)) == 1 and not is_weak_coordinatization(lat, lab)
+    for check in (is_coordinatization, classify):
+        with pytest.raises(CapExceededError, match=r"^lcm-lattice reached \d+ elements, over the cap 1048576$"):
+            check(lat, lab)
 
 
 # -- labeling recovery -----------------------------------------------------------

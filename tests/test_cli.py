@@ -1,4 +1,5 @@
 import json
+import re
 
 import click
 import pytest
@@ -203,6 +204,14 @@ def test_lcm_lattice_degenerate(runner, files):
     assert res.exit_code == 1 and "line 2" in res.stderr
 
 
+def test_lcm_lattice_over_the_element_cap(runner, files):
+    """21 independent variables would give 2^21 elements; the build stops
+    past ``MAX_LCM_ELEMENTS`` with one line naming the count and the cap."""
+    res = runner.invoke(main, ["lcm-lattice", files("ideal.txt", "".join(f"x{i}\n" for i in range(21)))])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit) and res.stdout == ""
+    assert re.fullmatch(r"Error: lcm-lattice reached \d+ elements, over the cap 1048576\n", res.stderr)
+
+
 def test_lcm_lattice_overlong_exponent(runner, files):
     res = runner.invoke(main, ["lcm-lattice", files("ideal.txt", "x^" + "9" * 5000 + "\n")])
     assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
@@ -344,6 +353,25 @@ def test_enumerate_bad_n(runner):
     assert runner.invoke(main, ["enumerate-superatomic", "--n", "1"]).exit_code == 1
     assert runner.invoke(main, ["enumerate-superatomic", "--n", "8"]).exit_code == 1
     assert runner.invoke(main, ["enumerate-superatomic"]).exit_code == 2  # --n required
+
+
+def test_enumerate_refuses_to_list_seven_atoms(runner, tmp_path):
+    """Listing n = 7 would hold 2,580,480 lattices at once, so it is refused
+    before any work, with or without ``--out``; ``--count-only`` streams
+    and still counts them."""
+    out = tmp_path / "fams"
+    for extra in ([], ["--out", str(out)]):
+        res = runner.invoke(main, ["enumerate-superatomic", "--n", "7", *extra])
+        assert res.exit_code == 1 and res.stdout == ""
+        assert res.stderr == "Error: listing the lattices on 7 atoms exceeds the cap of 6\n"
+    assert not out.exists()
+
+
+def test_enumerate_count_only_takes_no_out(runner, tmp_path):
+    out = tmp_path / "fams"
+    res = runner.invoke(main, ["enumerate-superatomic", "--n", "3", "--count-only", "--out", str(out)])
+    assert res.exit_code == 2 and "--count-only writes no lattices; drop --out" in res.stderr
+    assert not out.exists()
 
 
 # -- check-superatomic ----------------------------------------------------------------

@@ -32,7 +32,7 @@ from lcmlattice import (
     weak_ideal,
 )
 
-from lcmlattice import PreconditionError, atoms_of
+from lcmlattice import PreconditionError, atoms_of, ideals
 from lcmlattice.errors import ECHO_LIMIT
 from lcmlattice.ideals import _exponent_levels, _level_masks, _refine
 from lcmlattice.lattice import bits_of
@@ -180,15 +180,15 @@ def test_minimal_generators_match_the_pairwise_oracle(rng):
     """The level-mask containment test keeps what the pairwise divisibility
     scan keeps, in the same order: on seeded random tuples with duplicates,
     divisibility chains and units, on single generators, on the empty tuple
-    and on more than ``MAX_GENERATORS`` generators."""
+    and on 21 to 30 generators."""
     variables = list("abcde")
-    shapes = {"duplicate": 0, "chain": 0, "unit": 0, "single": 0, "over cap": 0}
+    shapes = {"duplicate": 0, "chain": 0, "unit": 0, "single": 0, "over 20": 0}
     for i in range(3000):
         shape = list(shapes)[i % len(shapes)]
         if shape == "single":
             gens = [rng.choice([ONE, random_monomial(rng, variables)])]
         else:
-            size = rng.randint(21, 30) if shape == "over cap" else rng.randint(1, 6)
+            size = rng.randint(21, 30) if shape == "over 20" else rng.randint(1, 6)
             gens = [random_monomial(rng, variables) for _ in range(size)]
             if shape == "duplicate":
                 gens += rng.sample(gens, rng.randint(1, len(gens)))
@@ -401,13 +401,24 @@ def test_lcm_lattice_covers_frozen():
     }
 
 
-def test_lcm_lattice_degenerate_inputs():
+def test_lcm_lattice_degenerate_inputs(monkeypatch):
+    """No generator and a unit generator are refused.  The one size refusal
+    counts the elements the closure builds, not the generators: the 31
+    generators ``x^i*y^(30-i)`` give 497 elements, while 21 independent
+    variables pass ``MAX_LCM_ELEMENTS``, and the error names the count."""
     with pytest.raises(DegenerateIdealError):
         lcm_lattice([])
     with pytest.raises(DegenerateIdealError):
         lcm_lattice([ONE, Monomial.parse("a")])
-    with pytest.raises(CapExceededError):
+    staircase = [Monomial({v: e for v, e in (("x", i), ("y", 30 - i)) if e}) for i in range(31)]
+    assert len(lcm_lattice(staircase)) == 497
+    with pytest.raises(CapExceededError, match=r"^lcm-lattice reached \d+ elements, over the cap 1048576$"):
         LcmLattice(Monomial.parse(f"x{i}") for i in range(21))
+    # at the cap a lattice builds; one element past it is refused
+    monkeypatch.setattr(ideals, "MAX_LCM_ELEMENTS", 16)
+    assert len(LcmLattice(Monomial.parse(f"x{i}") for i in range(4))) == 16
+    with pytest.raises(CapExceededError, match=r"^lcm-lattice reached (17|32) elements, over the cap 16$"):
+        LcmLattice(Monomial.parse(f"x{i}") for i in range(5))
 
 
 def test_lcm_lattice_constructor_coerces_generators_like_the_ideal():

@@ -297,6 +297,10 @@ def test_enumeration_closed_under_relabeling(rng):
 def test_enumeration_refuses_oversized():
     with pytest.raises(CapExceededError):
         enumerate_super_atomic(8)
+    # listing 7 atoms would hold 2,580,480 lattices; streaming them is allowed
+    with pytest.raises(CapExceededError, match="^listing the lattices on 7 atoms exceeds the cap of 6$"):
+        enumerate_super_atomic(7)
+    assert len(next(iter_super_atomic_families(7))) == super_atomic_size(7)
     with pytest.raises(PreconditionError):
         enumerate_super_atomic(1)
 

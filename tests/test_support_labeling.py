@@ -11,10 +11,13 @@ from lcmlattice import (
     check_cover_transfer,
     check_strong_interval_criterion,
     check_weak_interval_criterion,
+    classify,
     enumerate_all_lattices,
     enumerate_super_atomic,
     ideal_from_labeling,
     is_strong_coordinatization,
+    is_super_atomic,
+    is_super_atomic_via_supp,
     is_weak_coordinatization,
     support_labeling,
     weak_ideal,
@@ -27,6 +30,7 @@ from conftest import (
     boolean_lattice,
     flat_lattice,
     interval_count,
+    interval_lattice,
     lattices_with,
     random_lattice,
     seeded_random_lattices,
@@ -215,6 +219,22 @@ def test_strong_criterion_matches_its_oracle():
     outcomes = [check_strong_interval_criterion(lat) for lat in lats]
     assert outcomes == [strong_interval_criterion_oracle(lat) for lat in lats]
     assert {ok for ok, _ in outcomes} == {True, False}
+
+
+@pytest.mark.parametrize("n", [21, 32])
+def test_strong_criterion_past_twenty_atoms(n):
+    """The interval lattices on more than 20 atoms, which no generator count
+    refuses: the criterion equals the strong decision, the two super-atomic
+    detectors agree, and the support labeling classifies as a strong, weak
+    and plain coordinatization.  Only the sufficient conditions fail: a
+    variable labels the incomparable intervals holding its atom."""
+    lat = interval_lattice(n)
+    lab = support_labeling(lat)
+    assert check_strong_interval_criterion(lat)[0] == is_strong_coordinatization(lat, lab)
+    assert is_super_atomic(lat) == is_super_atomic_via_supp(lat)
+    c = classify(lat, lab)
+    assert c.is_coordinatization and c.is_strong and c.is_weak
+    assert set(c.witness) == {"satisfies_A1A2", "satisfies_C1C2"}
 
 
 def test_strong_criterion_lists_the_joining_pairs_once(monkeypatch):

@@ -251,9 +251,14 @@ def test_level_mask_readers_take_no_join_and_no_monomial_closure():
     meet-irreducibles; the lcm-lattice build closes the level masks under
     intersection and takes no lcm (the monomials come on first read, one
     lcm per element); the minimal generators compare no monomial; ``delta``
-    joins each level mask and walks no element."""
-    assert _names_used(_extends_to_isomorphism.__code__) & {"join_mask", "lcm", "lcm_all"} == set()
-    assert _names_used(LcmLattice.__init__.__code__) & {"divides", "join_mask", "lcm", "lcm_all"} == set()
+    joins each level mask and walks no element.  The decision builds no
+    lcm-lattice, so it neither counts minimal generators nor reads a cap:
+    the size refusal belongs to the build."""
+    decision = _names_used(_extends_to_isomorphism.__code__)
+    assert decision & {"join_mask", "lcm", "lcm_all", "minimal_generators"} == set()
+    assert [name for name in decision if name.startswith("MAX_")] == []
+    build = _names_used(LcmLattice.__init__.__code__)
+    assert build & {"divides", "join_mask", "lcm", "lcm_all"} == set() and "MAX_LCM_ELEMENTS" in build
     minimal = _names_used(MonomialIdeal.minimal_generators.fget.__code__)
     assert "_level_table" in minimal and minimal & {"divides", "lcm", "gcd"} == set()
     assert _names_used(_refine.__code__) & {"sets", "bit_count"} == set()
