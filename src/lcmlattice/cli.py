@@ -16,7 +16,7 @@ import click
 
 from .classify import classify as classify_labeling
 from .dot import _default_label, hasse_dot
-from .errors import Error, FormatError
+from .errors import CapExceededError, Error, FormatError
 from .fixtures import run_all
 from .ideals import (
     Labeling,
@@ -31,7 +31,7 @@ from .ideals import (
     render_ideal_text,
     weak_ideal,
 )
-from .lattice import AtomicLattice
+from .lattice import MAX_ATOMS, AtomicLattice
 from .superatomic import (
     enumerate_super_atomic,
     is_super_atomic,
@@ -121,7 +121,11 @@ def build_ideal(labeling_file, mode):
 @click.option("--with-bottom", is_flag=True, help="Keep the bottom element in the DOT output.")
 def lcm_lattice_cmd(ideal_file, dot_file, with_bottom):
     """Print the (abstract) lcm-lattice of an ideal as lattice JSON."""
-    ll = lcm_lattice(_load_ideal(ideal_file))
+    ideal = _load_ideal(ideal_file)
+    k = len(ideal.minimal_generators)
+    if k > MAX_ATOMS:  # each minimal generator is an atom of the printed lattice
+        raise CapExceededError(f"{k} minimal generators exceed the supported maximum {MAX_ATOMS} atoms")
+    ll = lcm_lattice(ideal)
     abstract = ll.abstract()
     _emit_json(abstract.to_json_dict())
     if dot_file:

@@ -42,7 +42,7 @@ from .errors import (
     ValidationError,
     shown,
 )
-from .lattice import AtomicLattice, _canon_key, _element_str, _is_int, _parse_json, _set_str, atoms_of, bits_of, mask_of
+from .lattice import MAX_ATOMS, AtomicLattice, _canon_key, _element_str, _is_int, _parse_json, _set_str, atoms_of, bits_of, mask_of
 from .monomial import ONE, Monomial, _check_exponent_digits, gcd_all, lcm_all
 
 __all__ = [
@@ -512,9 +512,10 @@ class LcmLattice:
         """The lcm-lattice on the generators as given; a :class:`MonomialIdeal`
         lends its own level table (see :meth:`MonomialIdeal._level_table`).
 
-        The closure only grows, so it stops, with a :class:`CapExceededError`
-        naming the count reached, as soon as it holds more than
-        ``MAX_LCM_ELEMENTS`` supports.  ``k`` generators give at most ``2^k``
+        The closure only grows.  Its count is checked after each level mask's
+        union, so it stops with a :class:`CapExceededError` naming the count
+        reached once it holds more than ``MAX_LCM_ELEMENTS`` supports, which
+        can be up to twice the cap.  ``k`` generators give at most ``2^k``
         elements, so up to 20 generators always build."""
         ideal = generators if isinstance(generators, MonomialIdeal) else MonomialIdeal(generators)
         gens = ideal.generators
@@ -554,13 +555,15 @@ class LcmLattice:
         construction (see the class docstring).  Only the singletons can be
         missing, when a generator divides or repeats another (as in a direct
         ``LcmLattice([a, a*b])``); that case goes through the validating
-        constructor, which names the missing sets.  In canonical order the
-        singletons, when all present, come right after {}.
+        constructor, which names the missing sets.  So does a lattice on more
+        than ``MAX_ATOMS`` generators, which the constructor refuses with a
+        :class:`CapExceededError`.  In canonical order the singletons, when
+        all present, come right after {}.
         """
         if self._abstract is None:
             n = len(self.generators)
             masks = self._supports
-            if masks[1 : n + 1] == tuple(1 << i for i in range(n)):
+            if n <= MAX_ATOMS and masks[1 : n + 1] == tuple(1 << i for i in range(n)):
                 self._abstract = AtomicLattice._trusted(n, masks)
             else:
                 self._abstract = AtomicLattice(n, masks)

@@ -212,6 +212,16 @@ def test_lcm_lattice_over_the_element_cap(runner, files):
     assert re.fullmatch(r"Error: lcm-lattice reached \d+ elements, over the cap 1048576\n", res.stderr)
 
 
+def test_lcm_lattice_over_the_atom_cap(runner, files):
+    """The staircase ``x^i*y^(64-i)`` has 65 minimal generators and only
+    2,146 elements, but the printed lattice would have 65 atoms, which the
+    lattice loader refuses; the command refuses it before the build."""
+    text = "y^64\n" + "".join(f"x^{i}*y^{64 - i}\n" for i in range(1, 64)) + "x^64\n"
+    res = runner.invoke(main, ["lcm-lattice", files("ideal.txt", text)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit) and res.stdout == ""
+    assert res.stderr == "Error: 65 minimal generators exceed the supported maximum 64 atoms\n"
+
+
 def test_lcm_lattice_overlong_exponent(runner, files):
     res = runner.invoke(main, ["lcm-lattice", files("ideal.txt", "x^" + "9" * 5000 + "\n")])
     assert res.exit_code == 1 and isinstance(res.exception, SystemExit)

@@ -412,6 +412,11 @@ def test_lcm_lattice_degenerate_inputs(monkeypatch):
         lcm_lattice([ONE, Monomial.parse("a")])
     staircase = [Monomial({v: e for v, e in (("x", i), ("y", 30 - i)) if e}) for i in range(31)]
     assert len(lcm_lattice(staircase)) == 497
+    # past MAX_ATOMS generators the monomials build, the abstract lattice is refused
+    wide = lcm_lattice(Monomial({v: e for v, e in (("x", i), ("y", 64 - i)) if e}) for i in range(65))
+    assert len(wide) == 2146 and wide.top_monomial == Monomial.parse("x^64*y^64")
+    with pytest.raises(CapExceededError, match=r"^atom count 65 exceeds the supported maximum 64$"):
+        wide.abstract()
     with pytest.raises(CapExceededError, match=r"^lcm-lattice reached \d+ elements, over the cap 1048576$"):
         LcmLattice(Monomial.parse(f"x{i}") for i in range(21))
     # at the cap a lattice builds; one element past it is refused
