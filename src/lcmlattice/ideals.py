@@ -6,7 +6,10 @@ The constructions here connect the two worlds of the package:
   atomic lattice (absent = label 1);
 * each atom ``a`` yields a generator ``x(a)``, the product of the labels of
   all elements that are **not** above ``a``; collecting these over all atoms
-  gives the plain generated ideal;
+  gives the plain generated ideal.  The labels are grouped once by
+  ``(variable, exponent)`` into bitsets over element positions, so the
+  exponent of ``v`` in ``x(a)`` is a sum of popcounts against ``a``'s row of
+  the incidence table (see :func:`_product_outside`), with no label walked;
 * each atom also yields a refined generator ``delta(a)``: the gcd, over all
   elements ``p >= a`` and all atom subsets ``T`` joining to ``p``, of
   ``lcm{x(b) : b in T}``; collecting these gives the weak generated ideal.
@@ -338,6 +341,46 @@ def render_ideal_text(ideal: MonomialIdeal) -> str:
 # Generators from a labeling
 
 
+def _label_groups(lat: AtomicLattice, labeling: Labeling) -> dict[str, dict[int, int]]:
+    """The labels grouped by variable ``v`` and exponent ``e``: the bitset,
+    over canonical element positions, of the elements whose label has
+    exponent ``e`` in ``v``.  Read by :func:`_product_outside`."""
+    if labeling.lattice != lat:
+        raise PreconditionError("labeling belongs to a different lattice")
+    index = lat._element_index()
+    groups: dict[str, dict[int, int]] = {}
+    for q, m in labeling.items():
+        bit = 1 << index[q]
+        for v, e in m._exps:
+            by_exp = groups.get(v)
+            if by_exp is None:
+                by_exp = groups[v] = {}
+            by_exp[e] = by_exp.get(e, 0) | bit
+    return groups
+
+
+def _product_outside(groups: dict[str, dict[int, int]], above: int) -> Monomial:
+    """The product of the labels of the elements outside ``above``, a bitset
+    over canonical positions, from the :func:`_label_groups` of the labeling.
+
+    The exponent of ``v`` is the sum, over the exponents ``e`` of ``v``, of
+    ``e`` times the number of elements of that group outside ``above``: one
+    AND and one popcount per group, with no label walked.  A sum past
+    ``MAX_EXPONENT_DIGITS`` is a :class:`PreconditionError`, with the
+    constructor's text.
+    """
+    outside = ~above
+    acc: dict[str, int] = {}
+    for v, by_exp in groups.items():
+        total = 0
+        for e, group in by_exp.items():
+            total += e * (group & outside).bit_count()
+        if total:
+            _check_exponent_digits(v, total)
+            acc[v] = total
+    return Monomial._trusted(acc)
+
+
 def element_generator(lat: AtomicLattice, labeling: Labeling, p: int) -> Monomial:
     """Product of the labels of all elements not above ``p``.
 
@@ -346,17 +389,8 @@ def element_generator(lat: AtomicLattice, labeling: Labeling, p: int) -> Monomia
     work.  A sum of label exponents can pass the ``MAX_EXPONENT_DIGITS``
     cap; that is a :class:`PreconditionError`, with the constructor's text.
     """
-    if labeling.lattice != lat:
-        raise PreconditionError("labeling belongs to a different lattice")
-    lat._require(p)
-    acc: dict[str, int] = {}
-    for q, m in labeling.items():
-        if p & ~q:
-            for v, e in m._exps:
-                acc[v] = acc.get(v, 0) + e
-    for v, e in acc.items():
-        _check_exponent_digits(v, e)
-    return Monomial._trusted(acc)
+    groups = _label_groups(lat, labeling)
+    return _product_outside(groups, lat._above(lat._require(p)))
 
 
 def _require_atom(lat: AtomicLattice, atom: int) -> None:
@@ -373,8 +407,10 @@ def atom_generator(lat: AtomicLattice, labeling: Labeling, atom: int) -> Monomia
 
 
 def ideal_from_labeling(lat: AtomicLattice, labeling: Labeling) -> MonomialIdeal:
-    """The ideal generated by ``x(a)`` over all atoms, in atom order."""
-    return MonomialIdeal(atom_generator(lat, labeling, a) for a in lat.atoms)
+    """The ideal generated by ``x(a)`` over all atoms, in atom order: the
+    elements above atom ``a`` are its row of the incidence table."""
+    groups = _label_groups(lat, labeling)
+    return MonomialIdeal(_product_outside(groups, row) for row in lat._atom_rows())
 
 
 def weak_generator(lat: AtomicLattice, labeling: Labeling, atom: int) -> Monomial:
@@ -512,19 +548,20 @@ class LcmLattice:
         """The lcm-lattice on the generators as given; a :class:`MonomialIdeal`
         lends its own level table (see :meth:`MonomialIdeal._level_table`).
 
-        The closure only grows.  Its count is checked after each level mask's
-        union, so it stops with a :class:`CapExceededError` naming the count
-        reached once it holds more than ``MAX_LCM_ELEMENTS`` supports, which
-        can be up to twice the cap.  ``k`` generators give at most ``2^k``
-        elements, so up to 20 generators always build."""
+        The closure only grows, one support at a time, so the build stops
+        with a :class:`CapExceededError` the moment it holds one support more
+        than ``MAX_LCM_ELEMENTS``, and the error names that count.  ``k``
+        generators give at most ``2^k`` elements, so up to 20 generators
+        always build."""
         ideal = generators if isinstance(generators, MonomialIdeal) else MonomialIdeal(generators)
         gens = ideal.generators
         _check_lcm_generators(gens)
         closed = {(1 << len(gens)) - 1}
         for cut in _level_masks(ideal._level_table()):
-            closed |= {s & cut for s in closed}
-            if len(closed) > MAX_LCM_ELEMENTS:
-                raise CapExceededError(f"lcm-lattice reached {len(closed)} elements, over the cap {MAX_LCM_ELEMENTS}")
+            for s in tuple(closed):
+                closed.add(s & cut)
+                if len(closed) > MAX_LCM_ELEMENTS:
+                    raise CapExceededError(f"lcm-lattice reached {len(closed)} elements, over the cap {MAX_LCM_ELEMENTS}")
         self.generators = gens
         self._supports = tuple(sorted(closed, key=_canon_key))
         self._monomials = None

@@ -27,10 +27,11 @@ AND of the rows of a mask's atoms is the set of elements above the mask.
 The validating constructor builds the table and decides closure from it in
 O(m·n) ANDs on m-bit ints for m elements and n atoms; only a family that
 fails runs the quadratic pair scan, which lists every violation.  A trusted
-lattice builds the table on first use: its first join miss, ``filter`` or
-interval count in ``support_labeling``.  A join that is not already an
-element (the cache and the membership test come first) takes |mask| ANDs
-and the lowest set bit; ``filter`` and the interval counts of
+lattice builds the table on first use: its first join miss, ``filter``,
+plain generator ``x(p)`` or interval count in ``support_labeling``.  A join
+that is not already an element (the cache and the membership test come
+first) takes |mask| ANDs and the lowest set bit; ``filter``, the plain
+generators of :mod:`lcmlattice.ideals` and the interval counts of
 ``support_labeling`` read the same table.
 
 Every order query above an element is answered from joins alone:
@@ -88,15 +89,28 @@ def mask_of(atoms: Iterable[int], n: Optional[int] = None) -> int:
 
 
 def atoms_of(mask: int) -> tuple[int, ...]:
-    """Sorted 1-based atom indices of a bitmask."""
-    return tuple(b.bit_length() for b in bits_of(mask))
+    """Sorted 1-based atom indices of a bitmask, built in a plain loop (every
+    witness and serialized set goes through here); a negative int raises as
+    in :func:`bits_of`."""
+    _require_set(mask)
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return tuple(out)
+
+
+def _require_set(mask: int) -> None:
+    """A negative int has infinitely many set bits: :class:`NotAnElementError`."""
+    if mask < 0:
+        raise NotAnElementError(f"{shown(mask)} is not a set of atoms")
 
 
 def bits_of(mask: int) -> Iterator[int]:
     """Iterate the single-bit masks of ``mask``, lowest first.  A negative
-    int has infinitely many set bits, so it raises :class:`NotAnElementError`."""
-    if mask < 0:
-        raise NotAnElementError(f"{shown(mask)} is not a set of atoms")
+    int raises :class:`NotAnElementError`."""
+    _require_set(mask)
     while mask:
         b = mask & -mask
         yield b
@@ -382,14 +396,20 @@ class AtomicLattice:
         strictly above p.  So the elements strictly above p meet in the
         intersection of these joins, and p is a meet of strictly larger
         elements exactly when that intersection is p.  O(m·n) cached joins;
-        the walk over p's joins stops once the intersection reaches p.
+        the walk over p's joins stops once the intersection reaches p.  The
+        join cache is read directly, and only a miss calls :meth:`join_mask`.
         """
         top = self.top
+        cache = self._join_cache
         out = []
         for p in self.sets:
             meet = top
-            for a in bits_of(top & ~p):
-                meet &= self.join_mask(p | a)
+            rest = top & ~p
+            while rest:
+                a = rest & -rest
+                rest ^= a
+                j = cache.get(p | a)
+                meet &= self.join_mask(p | a) if j is None else j
                 if meet == p:
                     break
             else:

@@ -61,11 +61,14 @@ def support_labeling(lat: AtomicLattice, atom_names: Optional[list[str]] = None)
     )
 
 
-def _filter_sizes(lat: AtomicLattice) -> dict[int, int]:
-    """N([q, top]) for every element q, in O(m·n) operations on m-bit ints:
-    the elements above q are the AND of the lattice's incidence rows of q's
-    atoms (:meth:`AtomicLattice._above`)."""
-    return {q: lat._above(q).bit_count() for q in lat.sets}
+def _pair_sizes(lat: AtomicLattice) -> dict[int, int]:
+    """N([a v b, top]) for every atom pair {a, b} (a = b included), keyed by
+    ``a | b``.  The elements above a join are those above its atoms, so each
+    entry is the count of the AND of at most two rows of the incidence table
+    (:meth:`AtomicLattice._above`): n(n + 1)/2 entries and no join.  Both
+    interval criteria read N([q, top]) only at such joins."""
+    atoms = lat.atoms
+    return {a | b: lat._above(a | b).bit_count() for i, a in enumerate(atoms) for b in atoms[i:]}
 
 
 @dataclass(frozen=True)
@@ -110,32 +113,37 @@ def check_weak_interval_criterion(lat: AtomicLattice) -> IntervalCriterionReport
     """Evaluate the weak criterion, reporting per-element evidence.
 
     Sufficient, not necessary: when it holds, the support labeling is a weak
-    coordinatization.  Each element's witness is built once, for the
-    candidate kept: the first that works, or else the last one tried.
+    coordinatization.  N([a_r v a_k, top]) is read from the atom-pair table
+    of :func:`_pair_sizes`, so no join is taken per candidate.  N([p, top])
+    and the atoms outside p are found only at elements with a joining pair,
+    and each chosen atom a_r is tested once per element (its result does
+    not depend on the pair it came from).  Each element's witness is built
+    once, for the candidate kept: the first that works, or else the last one
+    tried.
     """
-    n_top = _filter_sizes(lat)
+    n_pair = _pair_sizes(lat)
     joining = _joining_pairs(lat)
     atoms = lat.atoms
     witnesses = []
     for p in lat.sets:
         if p == 0 or p.bit_count() == 1:
             continue
-        element = atoms_of(p)
-        outside = [a for a in atoms if not a & p]
-        candidates = ((pr, r) for pr in joining[p] for r in (pr & -pr, pr & (pr - 1)))
-        tried = None  # (pair, chosen, violating) of the last candidate tried
-        for pr, r in candidates:
-            bad = next((k for k in outside if n_top[lat.join_mask(r | k)] >= n_top[p]), None)
-            tried = (pr, r, bad)
-            if bad is None:
-                break
-        if tried is None:
-            witnesses.append(IntervalWitness(element=element, satisfied=False))
+        pairs = joining[p]
+        if not pairs:
+            witnesses.append(IntervalWitness(element=atoms_of(p), satisfied=False))
             continue
-        pr, r, bad = tried
+        outside = [a for a in atoms if not a & p]
+        n_p = lat._above(p).bit_count()
+        first_bad: dict[int, Optional[int]] = {}  # chosen atom -> first outside atom defeating it
+        for pr, r in ((pr, r) for pr in pairs for r in (pr & -pr, pr & (pr - 1))):
+            if r not in first_bad:
+                first_bad[r] = next((k for k in outside if n_pair[r | k] >= n_p), None)
+            if first_bad[r] is None:
+                break
+        bad = first_bad[r]
         witnesses.append(
             IntervalWitness(
-                element=element,
+                element=atoms_of(p),
                 satisfied=bad is None,
                 pair=((pr & -pr).bit_length(), (pr & (pr - 1)).bit_length()),
                 chosen=r.bit_length(),
@@ -154,13 +162,11 @@ def check_strong_interval_criterion(lat: AtomicLattice) -> tuple[bool, Optional[
     Equivalent to the support labeling being a strong coordinatization (the
     equivalence itself is exercised by the test suite, not assumed here).
 
-    N([a_r v a_k, top]) depends on the two atoms alone, so one table over
-    the atom pairs (a_r = a_k included) holds every value the criterion
-    reads: n(n + 1)/2 entries, each the count of the elements above
-    {a_r, a_k} (the elements above a join are those above its atoms), in at
-    most two ANDs of the incidence table and no join.  At each element p with
-    generating pair {a_i, a_j}, the check fails at the first a_r in p whose
-    entry with a_k is below both N([a_i v a_k, top]) and N([a_j v a_k, top]);
+    N([a_r v a_k, top]) depends on the two atoms alone, so the atom-pair
+    table of :func:`_pair_sizes` holds every value the criterion reads, with
+    no join.  At each element p with generating pair {a_i, a_j}, the check
+    fails at the first a_r in p whose entry with a_k is below both
+    N([a_i v a_k, top]) and N([a_j v a_k, top]);
     atoms are tried in increasing order, a_k outer, so the first witness is
     the one the triple loop over p's atoms finds.  The joining pairs that
     decide the super-atomic precondition give each generating pair.
@@ -168,8 +174,7 @@ def check_strong_interval_criterion(lat: AtomicLattice) -> tuple[bool, Optional[
     joining = _super_atomic_joining_pairs(lat)
     if joining is None:
         raise PreconditionError("lattice is not super-atomic")
-    atoms = lat.atoms
-    n_pair = {a | b: lat._above(a | b).bit_count() for i, a in enumerate(atoms) for b in atoms[i:]}
+    n_pair = _pair_sizes(lat)
     for p in lat.sets:
         if p == 0 or p.bit_count() == 1:
             continue

@@ -125,6 +125,20 @@ def meet_irreducibles_oracle(lat: AtomicLattice) -> tuple[int, ...]:
     return tuple(out)
 
 
+def element_generator_oracle(lat: AtomicLattice, labeling: Labeling, p: int) -> Monomial:
+    """The product of the labels of the elements not above ``p``, by walking
+    every label and adding its exponents.  The loop
+    :func:`lcmlattice.element_generator` replaced with per-group popcounts
+    on the incidence table, kept as its oracle; a sum past
+    ``MAX_EXPONENT_DIGITS`` raises the constructor's ``PreconditionError``."""
+    acc: dict[str, int] = {}
+    for q, m in labeling.items():
+        if p & ~q:
+            for v, e in m.items():
+                acc[v] = acc.get(v, 0) + e
+    return Monomial(acc)
+
+
 def subset_weak_generators(lat: AtomicLattice, labeling: Labeling) -> tuple[Monomial, ...]:
     """``delta(a)`` straight from the definition: the gcd, over every element
     ``p >= a`` and every atom subset ``T`` joining to ``p``, of
@@ -304,7 +318,7 @@ def joining_pairs_oracle(lat: AtomicLattice) -> dict[int, list[int]]:
 
 def interval_count(lat: AtomicLattice, lo: int, hi: int) -> int:
     """N([lo, hi]) by scanning every element: the oracle for
-    ``support_labeling._filter_sizes``."""
+    ``support_labeling._pair_sizes``."""
     return sum(1 for q in lat.sets if lo & ~q == 0 and q & ~hi == 0)
 
 

@@ -24,13 +24,14 @@ from lcmlattice import (
 )
 
 from lcmlattice import superatomic
-from lcmlattice.support_labeling import _filter_sizes
+from lcmlattice.support_labeling import _pair_sizes
 
 from conftest import (
     boolean_lattice,
     flat_lattice,
     interval_count,
     interval_lattice,
+    join_oracle,
     lattices_with,
     random_lattice,
     seeded_random_lattices,
@@ -71,9 +72,16 @@ FILTER_SIZE_CORPORA = {
 
 
 @pytest.mark.parametrize("corpus", FILTER_SIZE_CORPORA)
-def test_filter_sizes_match_interval_count(corpus):
+def test_pair_sizes_match_interval_count(corpus):
+    """The atom-pair table of both interval criteria holds N([a v b, top])
+    for every atom pair, a = b included, and nothing else."""
     for lat in FILTER_SIZE_CORPORA[corpus]():
-        assert _filter_sizes(lat) == {q: interval_count(lat, q, lat.top) for q in lat.sets}
+        want = {
+            a | b: interval_count(lat, join_oracle(lat, a | b), lat.top)
+            for a in lat.atoms
+            for b in lat.atoms
+        }
+        assert _pair_sizes(lat) == want
 
 
 # -- the labeling itself ---------------------------------------------------------

@@ -102,14 +102,16 @@ UNVALIDATED_LATTICE_BUILDERS = {
 # and no exponent.  The arithmetic and the generator builders combine
 # exponents that are already valid; ``parse`` is the one that reads outside
 # text, and it validates every name and exponent in its grammar loop first.
-# The constructor and any new loader must always validate.
+# ``ideals._product_outside`` is the one place summed label exponents are
+# wrapped, each sum checked against the digit cap first.  The constructor and
+# any new loader must always validate.
 TRUSTED_MONOMIAL_BUILDERS = {
     "monomial.Monomial.__mul__",
     "monomial.Monomial.lcm",
     "monomial.Monomial.gcd",
     "monomial.Monomial.__truediv__",
     "monomial.Monomial.parse",
-    "ideals.element_generator",
+    "ideals._product_outside",
     "ideals._refine",
 }
 
