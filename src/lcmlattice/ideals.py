@@ -520,8 +520,7 @@ class LcmLattice:
     supports are the intersections of the empty set and the level masks
     ``D(v, t) = {i : e_v(g_i) <= t}`` of :func:`_exponent_levels` (the full
     set being the empty intersection), and each element is the lcm of the
-    generators in its support.  This holds for any tuple without a unit,
-    non-minimal or repeated generators included:
+    generators in its support:
 
     * If ``S`` is such an intersection and ``M = lcm{g_i : i in S}``, then
       ``supp(M) = S``.  Each ``i`` in ``S`` has ``g_i | M``.  If ``S`` is
@@ -542,30 +541,40 @@ class LcmLattice:
     lattice takes no lcm.
     """
 
-    __slots__ = ("generators", "_supports", "_monomials", "_mask_of", "_monomial_of", "_abstract")
+    __slots__ = ("generators", "_abstract", "_monomials", "_mask_of", "_monomial_of")
 
     def __init__(self, generators: Union[MonomialIdeal, Iterable[Monomial]]):
-        """The lcm-lattice on the generators as given; a :class:`MonomialIdeal`
-        lends its own level table (see :meth:`MonomialIdeal._level_table`).
+        """The lcm-lattice of the ideal the generators span, built on its
+        minimal generators; a :class:`MonomialIdeal` lends its own level table
+        (see :meth:`MonomialIdeal._minimal_ideal`).
 
-        The closure only grows, one support at a time, so the build stops
-        with a :class:`CapExceededError` the moment it holds one support more
-        than ``MAX_LCM_ELEMENTS``, and the error names that count.  ``k``
-        generators give at most ``2^k`` elements, so up to 20 generators
-        always build."""
+        Each minimal generator is an atom, so more than ``MAX_ATOMS`` of them
+        are refused with a :class:`CapExceededError` before any closure.  The
+        closure only grows, one support at a time, so the build stops the
+        moment it holds one support more than ``MAX_LCM_ELEMENTS``, and the
+        error names that count.  ``k`` generators give at most ``2^k``
+        elements, so up to 20 generators always build.
+
+        The abstract lattice wraps the supports unchecked: they are
+        intersection-closed and hold {} and the full set (see the class
+        docstring), and each singleton ``{i}`` is the support of ``g_i``, as
+        no other minimal generator divides it."""
         ideal = generators if isinstance(generators, MonomialIdeal) else MonomialIdeal(generators)
+        _check_lcm_generators(ideal.generators)
+        ideal = ideal._minimal_ideal()
         gens = ideal.generators
-        _check_lcm_generators(gens)
-        closed = {(1 << len(gens)) - 1}
+        n = len(gens)
+        if n > MAX_ATOMS:
+            raise CapExceededError(f"{n} minimal generators exceed the supported maximum {MAX_ATOMS} atoms")
+        closed = {(1 << n) - 1}
         for cut in _level_masks(ideal._level_table()):
             for s in tuple(closed):
                 closed.add(s & cut)
                 if len(closed) > MAX_LCM_ELEMENTS:
                     raise CapExceededError(f"lcm-lattice reached {len(closed)} elements, over the cap {MAX_LCM_ELEMENTS}")
         self.generators = gens
-        self._supports = tuple(sorted(closed, key=_canon_key))
+        self._abstract = AtomicLattice._trusted(n, tuple(sorted(closed, key=_canon_key)))
         self._monomials = None
-        self._abstract = None
 
     def _lookups(self) -> tuple[dict[Monomial, int], dict[int, Monomial]]:
         """``_mask_of`` and ``_monomial_of``, built with :attr:`monomials` the
@@ -573,7 +582,7 @@ class LcmLattice:
         generators in its support."""
         if self._monomials is None:
             gens = self.generators
-            supports = self._supports
+            supports = self._abstract.sets
             self._monomials = tuple(lcm_all(gens[b.bit_length() - 1] for b in bits_of(s)) for s in supports)
             self._mask_of = dict(zip(self._monomials, supports))
             self._monomial_of = dict(zip(supports, self._monomials))
@@ -586,24 +595,8 @@ class LcmLattice:
         return self._monomials
 
     def abstract(self) -> AtomicLattice:
-        """The underlying atomic lattice, with generator ``i`` as atom ``i``.
-
-        The supports are intersection-closed and hold {} and the full set by
-        construction (see the class docstring).  Only the singletons can be
-        missing, when a generator divides or repeats another (as in a direct
-        ``LcmLattice([a, a*b])``); that case goes through the validating
-        constructor, which names the missing sets.  So does a lattice on more
-        than ``MAX_ATOMS`` generators, which the constructor refuses with a
-        :class:`CapExceededError`.  In canonical order the singletons, when
-        all present, come right after {}.
-        """
-        if self._abstract is None:
-            n = len(self.generators)
-            masks = self._supports
-            if n <= MAX_ATOMS and masks[1 : n + 1] == tuple(1 << i for i in range(n)):
-                self._abstract = AtomicLattice._trusted(n, masks)
-            else:
-                self._abstract = AtomicLattice(n, masks)
+        """The underlying atomic lattice, with generator ``i`` as atom ``i``;
+        its elements are the supports in canonical order."""
         return self._abstract
 
     def monomial_of(self, mask: int) -> Monomial:
@@ -635,7 +628,7 @@ class LcmLattice:
         return tuple((monomial_of[lo], monomial_of[hi]) for lo, hi in self.abstract().covers())
 
     def __len__(self) -> int:
-        return len(self._supports)
+        return len(self._abstract)
 
     def __iter__(self) -> Iterator[Monomial]:
         return iter(self.monomials)
@@ -648,14 +641,12 @@ class LcmLattice:
 
 
 def lcm_lattice(ideal: Union[MonomialIdeal, Iterable[Monomial]]) -> LcmLattice:
-    """The lcm-lattice of an ideal's minimal generators.
+    """The lcm-lattice of an ideal's minimal generators (see :class:`LcmLattice`).
 
     When no generator is dropped, the lattice is built on the ideal's own
     level table, so an ideal that has already decided its minimal generators
     (or a specific map, or ``delta``) computes no second table."""
-    if not isinstance(ideal, MonomialIdeal):
-        ideal = MonomialIdeal(ideal)
-    return LcmLattice(ideal._minimal_ideal())
+    return LcmLattice(ideal)
 
 
 def recovered_labeling(lat: AtomicLattice, monomial_of: Mapping[int, Monomial]) -> Labeling:

@@ -9,8 +9,8 @@ an *element* is an ``int`` bitmask over atoms (atom ``i`` is bit ``i-1``),
 and a lattice is a validated, canonically ordered tuple of masks.  Families
 that are closed by construction skip the validation through the trusted
 constructor :meth:`AtomicLattice._trusted`; its only callers are
-:meth:`AtomicLattice.relabel`, :meth:`LcmLattice.abstract
-<lcmlattice.ideals.LcmLattice.abstract>`, and the enumerations
+:meth:`AtomicLattice.relabel`, the :class:`LcmLattice
+<lcmlattice.ideals.LcmLattice>` constructor, and the enumerations
 ``enumerate_super_atomic`` and ``enumerate_all_lattices``.
 
 Canonical order is (cardinality, mask value); it is the order used for

@@ -203,25 +203,21 @@ def pairwise_minimal_generators(generators: tuple[Monomial, ...]) -> tuple[Monom
 
 
 def eager_lcm_lattice(generators: tuple[Monomial, ...]) -> dict:
-    """Everything an :class:`lcmlattice.LcmLattice` on ``generators`` answers,
-    built at once: the supports of :func:`subset_lcm_lattice`, each element
-    the ``lcm_all`` of the generators in its support, the lookups both ways,
-    the display labels, the abstract lattice through the validating
-    constructor (or the :class:`ValidationError` it raises) and, when that
-    validates, the divisibility covers.  The oracle of the lazy accessors."""
+    """Everything an :class:`lcmlattice.LcmLattice` on the minimal
+    ``generators`` answers, built at once: the supports of
+    :func:`subset_lcm_lattice`, each element the ``lcm_all`` of the
+    generators in its support, the lookups both ways, the display labels, the
+    abstract lattice through the validating constructor and the divisibility
+    covers.  The oracle of the lazy accessors."""
     supports = sorted(set(subset_lcm_lattice(generators)[1].values()), key=_canon_key)
     monomials = tuple(lcm_all(generators[b.bit_length() - 1] for b in bits_of(s)) for s in supports)
-    try:
-        abstract = AtomicLattice(len(generators), supports)
-    except ValidationError as exc:
-        abstract = exc
     return {
         "monomials": monomials,
         "mask_of": dict(zip(monomials, supports)),
         "monomial_of": dict(zip(supports, monomials)),
         "hasse_labels": {s: str(m) for s, m in zip(supports, monomials)},
-        "abstract": abstract,
-        "covers": None if isinstance(abstract, ValidationError) else divisibility_covers(monomials),
+        "abstract": AtomicLattice(len(generators), supports),
+        "covers": divisibility_covers(monomials),
     }
 
 

@@ -197,6 +197,14 @@ def test_lcm_lattice_dot_output(runner, files, tmp_path):
     assert "n0" in dot.read_text()
 
 
+def test_lcm_lattice_failed_dot_write_prints_no_lattice(runner, files, tmp_path):
+    """The DOT file is written before the lattice JSON is printed, so a
+    write that fails exits 3 with nothing on stdout."""
+    path = files("ideal.txt", "a^2*c*d\na*b*d\na*b*c\n")
+    res = runner.invoke(main, ["lcm-lattice", path, "--dot", str(tmp_path / "missing" / "out.dot")])
+    assert res.exit_code == 3 and res.stdout == "" and res.stderr.startswith("i/o error: ")
+
+
 def test_lcm_lattice_degenerate(runner, files):
     res = runner.invoke(main, ["lcm-lattice", files("empty.txt", "# nothing\n")])
     assert res.exit_code == 1 and "zero ideal" in res.stderr

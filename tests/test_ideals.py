@@ -1,6 +1,5 @@
 import json
 import random
-import re
 
 import pytest
 
@@ -451,22 +450,21 @@ def test_lcm_lattice_covers_frozen():
 
 
 def test_lcm_lattice_degenerate_inputs(monkeypatch):
-    """No generator and a unit generator are refused.  The one size refusal
-    counts the elements the closure builds, not the generators: the 31
-    generators ``x^i*y^(30-i)`` give 497 elements, while 21 independent
-    variables pass ``MAX_LCM_ELEMENTS``; the build refuses at the cap itself,
-    one support past it, and the error names that count."""
+    """No generator and a unit generator are refused.  The element cap
+    counts the elements the closure builds: the 31 generators
+    ``x^i*y^(30-i)`` give 497 elements, while 21 independent variables pass
+    ``MAX_LCM_ELEMENTS``; the build refuses at the cap itself, one support
+    past it, and the error names that count.  Past ``MAX_ATOMS`` minimal
+    generators the build refuses before any closure."""
     with pytest.raises(DegenerateIdealError):
         lcm_lattice([])
     with pytest.raises(DegenerateIdealError):
         lcm_lattice([ONE, Monomial.parse("a")])
     staircase = [Monomial({v: e for v, e in (("x", i), ("y", 30 - i)) if e}) for i in range(31)]
     assert len(lcm_lattice(staircase)) == 497
-    # past MAX_ATOMS generators the monomials build, the abstract lattice is refused
-    wide = lcm_lattice(Monomial({v: e for v, e in (("x", i), ("y", 64 - i)) if e}) for i in range(65))
-    assert len(wide) == 2146 and wide.top_monomial == Monomial.parse("x^64*y^64")
-    with pytest.raises(CapExceededError, match=r"^atom count 65 exceeds the supported maximum 64$"):
-        wide.abstract()
+    # 65 minimal generators (2,146 elements, under the element cap) are refused at the build
+    with pytest.raises(CapExceededError, match=r"^65 minimal generators exceed the supported maximum 64 atoms$"):
+        lcm_lattice(Monomial({v: e for v, e in (("x", i), ("y", 64 - i)) if e}) for i in range(65))
     with pytest.raises(CapExceededError, match=r"^lcm-lattice reached 1048577 elements, over the cap 1048576$"):
         LcmLattice(Monomial.parse(f"x{i}") for i in range(21))
     # at the cap a lattice builds; one element past it is refused
@@ -490,28 +488,26 @@ def test_lcm_lattice_constructor_coerces_generators_like_the_ideal():
 
 
 def _assert_matches_subset_lcm_oracle(gens: tuple[Monomial, ...]) -> None:
-    """``LcmLattice(gens)`` against :func:`conftest.subset_lcm_lattice`:
-    elements in order, supports both ways, the abstract lattice (or the same
-    refusal), and, up to 64 elements, the divisibility covers."""
+    """``LcmLattice(gens)`` against :func:`conftest.subset_lcm_lattice` of
+    the :func:`conftest.pairwise_minimal_generators` of ``gens``: the
+    generators, elements in order, supports both ways, the validated
+    abstract lattice, and, up to 64 elements, the divisibility covers."""
     ll = LcmLattice(gens)
-    monomials, support = subset_lcm_lattice(gens)
+    minimal = pairwise_minimal_generators(gens)
+    monomials, support = subset_lcm_lattice(minimal)
+    assert ll.generators == minimal
     assert ll.monomials == monomials
     assert [ll.mask_of(m) for m in monomials] == [support[m] for m in monomials]
     assert [ll.monomial_of(support[m]) for m in monomials] == list(monomials)
-    try:
-        expected = AtomicLattice(len(gens), support.values())
-    except ValidationError as exc:
-        with pytest.raises(ValidationError, match=f"^{re.escape(str(exc))}$"):
-            ll.abstract()
-        return
-    assert ll.abstract().sets == expected.sets
+    assert ll.abstract().sets == AtomicLattice(len(minimal), support.values()).sets
     if len(monomials) <= 64:
         assert ll.covers_monomials() == divisibility_covers(monomials)
 
 
 def test_lcm_lattice_matches_the_subset_lcm_oracle(rng):
     """The level-mask build gives the lcm-lattice of its definition, on raw
-    tuples (repeats and multiples included) and on minimal generators."""
+    tuples (repeats and multiples included, which the build drops) and on
+    minimal generators."""
     checked = 0
     for _ in range(3000):
         gens = [random_monomial(rng, list("abcde")) for _ in range(rng.randint(1, 5))]
@@ -546,25 +542,18 @@ LCM_ACCESSORS = {
     "monomial_of": lambda ll, want: {s: ll.monomial_of(s) for s in want["monomial_of"]} == want["monomial_of"],
     "top_monomial": lambda ll, want: ll.top_monomial == want["monomials"][-1],
     "hasse_labels": lambda ll, want: ll.hasse_labels() == want["hasse_labels"],
-    "covers_monomials": lambda ll, want: want["covers"] is None or ll.covers_monomials() == want["covers"],
+    "covers_monomials": lambda ll, want: ll.covers_monomials() == want["covers"],
     "len": lambda ll, want: len(ll) == len(want["monomials"]),
-    "abstract": lambda ll, want: _same_abstract(ll, want["abstract"]),
+    "abstract": lambda ll, want: ll.abstract().sets == want["abstract"].sets,
 }
-
-
-def _same_abstract(ll, want) -> bool:
-    if isinstance(want, ValidationError):
-        with pytest.raises(ValidationError, match=f"^{re.escape(str(want))}$"):
-            ll.abstract()
-        return True
-    return ll.abstract().sets == want.sets
 
 
 def test_lcm_lattice_accessors_match_an_eager_oracle_whichever_is_read_first(rng):
     """The monomials are built on first read; whichever accessor comes first,
     every accessor then answers what :func:`conftest.eager_lcm_lattice`
-    answers.  ``len``, ``generators`` and ``abstract`` read the supports
-    alone, so after them no monomial has been built."""
+    answers on the minimal generators of the raw tuple.  ``len``,
+    ``generators`` and ``abstract`` read the supports alone, so after them no
+    monomial has been built."""
     tuples = [tuple(Monomial.parse(g) for g in "ab"), (Monomial.parse("a"), Monomial.parse("a*b"))]
     for _ in range(200):
         gens = [random_monomial(rng, list("abcd")) for _ in range(rng.randint(1, 5))]
@@ -572,11 +561,12 @@ def test_lcm_lattice_accessors_match_an_eager_oracle_whichever_is_read_first(rng
             gens.append(rng.choice(gens) * Monomial.parse(rng.choice("ae")))
         tuples.append(tuple(gens))
     for gens in tuples:
-        want = eager_lcm_lattice(gens)
+        minimal = pairwise_minimal_generators(gens)
+        want = eager_lcm_lattice(minimal)
         for first in LCM_ACCESSORS:
             ll = LcmLattice(gens)
             if first in ("len", "abstract"):
-                assert LCM_ACCESSORS[first](ll, want) and ll.generators == gens
+                assert LCM_ACCESSORS[first](ll, want) and ll.generators == minimal
                 assert ll._monomials is None  # the shape of the lattice took no lcm
             assert all(check(ll, want) for check in LCM_ACCESSORS.values()), first
 
@@ -643,12 +633,32 @@ def test_abstract_does_not_revalidate(monkeypatch):
     assert [len(lcm_lattice(ideal).abstract()) for ideal in ideals] == sizes == [6, 4, 256]
 
 
-def test_abstract_of_non_minimal_generators_still_validates():
-    """A direct ``LcmLattice`` on non-minimal generators has no atom for the
-    generator divided by another; abstract() reports it as before."""
-    ll = LcmLattice([Monomial.parse("a"), Monomial.parse("a*b")])
-    with pytest.raises(ValidationError, match=r"^missing required sets: \{2\}$"):
-        ll.abstract()
+def test_lcm_lattice_of_non_minimal_generators_lives_on_the_minimal_ones():
+    """``LcmLattice`` on a generator and its multiple is the lcm-lattice of
+    the ideal they span, ``(a)``: one atom, two elements, as ``lcm_lattice``
+    gives."""
+    raw = [Monomial.parse("a"), Monomial.parse("a*b")]
+    direct, via = LcmLattice(raw), lcm_lattice(raw)
+    assert direct.generators == via.generators == (Monomial.parse("a"),)
+    assert direct.monomials == via.monomials == (ONE, Monomial.parse("a"))
+    assert direct.abstract() == via.abstract() == AtomicLattice(1, [0, 1])
+
+
+@pytest.mark.parametrize("k", [65, 300])
+def test_the_build_refuses_past_max_atoms_minimal_generators_before_the_closure(k, monkeypatch):
+    """The staircase ``x^i*y^(k-1-i)`` has ``k`` minimal generators; past
+    ``MAX_ATOMS`` of them ``lcm_lattice`` and ``LcmLattice`` refuse with the
+    text ``lcmlat lcm-lattice`` prints, and no level mask is closed.  A
+    repeat and a multiple do not count."""
+    staircase = [Monomial({v: e for v, e in (("x", i), ("y", k - 1 - i)) if e}) for i in range(k)]
+    raw = staircase + [staircase[0], staircase[1] * Monomial.parse("z")]
+    monkeypatch.setattr(ideals, "_level_masks", None)  # reaching the closure would fail here
+    text = rf"^{k} minimal generators exceed the supported maximum 64 atoms$"
+    for build in (lcm_lattice, LcmLattice):
+        with pytest.raises(CapExceededError, match=text):
+            build(raw)
+        with pytest.raises(CapExceededError, match=text):
+            build(MonomialIdeal(raw))
 
 
 def test_monomial_lookup_errors():

@@ -9,7 +9,7 @@ import types
 from pathlib import Path
 
 import lcmlattice
-from lcmlattice import LcmLattice, MonomialIdeal, errors, ideals, superatomic
+from lcmlattice import LcmLattice, MonomialIdeal, cli, errors, ideals, superatomic
 from lcmlattice.classify import _extends_to_isomorphism
 from lcmlattice.ideals import _refine
 
@@ -92,7 +92,7 @@ UNVALIDATED_LATTICE_BUILDERS = {
     "lattice.AtomicLattice.__init__": "_fill",
     "lattice.AtomicLattice._trusted": "_fill",
     "lattice.AtomicLattice.relabel": "_trusted",
-    "ideals.LcmLattice.abstract": "_trusted",
+    "ideals.LcmLattice.__init__": "_trusted",
     "superatomic.enumerate_super_atomic": "_trusted",
     "superatomic.enumerate_all_lattices": "_trusted",
 }
@@ -255,15 +255,25 @@ def test_level_mask_readers_take_no_join_and_no_monomial_closure():
     lcm per element); the minimal generators compare no monomial; ``delta``
     joins each level mask and walks no element.  The decision builds no
     lcm-lattice, so it neither counts minimal generators nor reads a cap:
-    the size refusal belongs to the build."""
+    both size refusals, atoms and elements, belong to the build."""
     decision = _names_used(_extends_to_isomorphism.__code__)
     assert decision & {"join_mask", "lcm", "lcm_all", "minimal_generators"} == set()
     assert [name for name in decision if name.startswith("MAX_")] == []
     build = _names_used(LcmLattice.__init__.__code__)
-    assert build & {"divides", "join_mask", "lcm", "lcm_all"} == set() and "MAX_LCM_ELEMENTS" in build
+    assert build & {"divides", "join_mask", "lcm", "lcm_all"} == set()
+    assert {"MAX_ATOMS", "MAX_LCM_ELEMENTS"} <= build
     minimal = _names_used(MonomialIdeal.minimal_generators.fget.__code__)
     assert "_level_table" in minimal and minimal & {"divides", "lcm", "gcd"} == set()
     assert _names_used(_refine.__code__) & {"sets", "bit_count"} == set()
+
+
+def test_the_lcm_lattice_command_reads_no_cap():
+    """``lcmlat lcm-lattice`` refuses what the build refuses, with its text:
+    the command names no ``MAX_*`` and the CLI module imports none, so the
+    API and the CLI cannot apply a cap differently."""
+    names = _names_used(cli.lcm_lattice_cmd.callback.__code__)
+    assert [name for name in names if name.startswith("MAX_")] == []
+    assert [name for name in vars(cli) if name.startswith("MAX_")] == []
 
 
 def _is_cache(node: ast.expr) -> bool:
