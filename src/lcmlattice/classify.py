@@ -47,13 +47,14 @@ from .ideals import (
     _check_lcm_generators,
     _level_masks,
     _refine,
+    _support_lcms,
     ideal_from_labeling,
     lcm_lattice,
     recovered_labeling,
     weak_ideal,
 )
-from .lattice import AtomicLattice, _set_str, bits_of, lattice_isomorphic
-from .monomial import Monomial, lcm_all
+from .lattice import AtomicLattice, _set_str, lattice_isomorphic
+from .monomial import Monomial
 
 __all__ = [
     "LabelingClassification",
@@ -155,11 +156,6 @@ def _abstract_isomorphism(lat: AtomicLattice, ll: LcmLattice) -> tuple[bool, Opt
     return True, None
 
 
-def _support_map(lat: AtomicLattice, atom_monomials: tuple[Monomial, ...]) -> dict[int, Monomial]:
-    """g(p): the lcm of the monomials of the atoms below p (given in atom order)."""
-    return {p: lcm_all(atom_monomials[b.bit_length() - 1] for b in bits_of(p)) for p in lat.sets}
-
-
 def _extends_to_isomorphism(lat: AtomicLattice, ideal: MonomialIdeal) -> bool:
     """Is g(p) = lcm of the atom monomials below p an isomorphism onto the
     lcm-lattice of those monomials?  The atom monomials are ``ideal``'s
@@ -229,7 +225,7 @@ def _specific_map_witness(lat: AtomicLattice, atom_monomials: tuple[Monomial, ..
     them fails."""
     if len(ll) != len(lat):
         return f"lcm-lattice has {len(ll)} elements, the lattice has {len(lat)}"
-    g = _support_map(lat, atom_monomials)
+    g = _support_lcms(atom_monomials, lat.sets)
     seen: dict[Monomial, int] = {}
     for p in lat.sets:
         if g[p] in seen:
@@ -275,7 +271,7 @@ def verify_labeling_recovery(lat: AtomicLattice, labeling: Labeling) -> bool:
     ok, wit = check_strong_conditions(lat, labeling)
     if not ok:
         raise PreconditionError(f"labeling does not satisfy the chain conditions: {wit}")
-    monomial_of = _support_map(lat, ideal_from_labeling(lat, labeling).generators)
+    monomial_of = _support_lcms(ideal_from_labeling(lat, labeling).generators, lat.sets)
     return recovered_labeling(lat, monomial_of) == labeling
 
 

@@ -508,6 +508,13 @@ def _check_lcm_generators(gens: tuple[Monomial, ...]) -> None:
         raise DegenerateIdealError("the unit monomial is a generator; the lcm-lattice is undefined")
 
 
+def _support_lcms(generators: tuple[Monomial, ...], supports: Iterable[int]) -> dict[int, Monomial]:
+    """Each support mapped to the lcm of the generators in it, generator
+    ``i`` standing for atom ``i``: the elements of an lcm-lattice, and the
+    map g of the specific-map checks in :mod:`lcmlattice.classify`."""
+    return {s: lcm_all(generators[b.bit_length() - 1] for b in bits_of(s)) for s in supports}
+
+
 class LcmLattice:
     """All lcms of subsets of an ideal's minimal generators, by divisibility.
 
@@ -581,11 +588,9 @@ class LcmLattice:
         first time a monomial is read: each element is the lcm of the
         generators in its support."""
         if self._monomials is None:
-            gens = self.generators
-            supports = self._abstract.sets
-            self._monomials = tuple(lcm_all(gens[b.bit_length() - 1] for b in bits_of(s)) for s in supports)
-            self._mask_of = dict(zip(self._monomials, supports))
-            self._monomial_of = dict(zip(supports, self._monomials))
+            self._monomial_of = _support_lcms(self.generators, self._abstract.sets)
+            self._monomials = tuple(self._monomial_of.values())
+            self._mask_of = dict(zip(self._monomials, self._abstract.sets))
         return self._mask_of, self._monomial_of
 
     @property

@@ -24,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .classify import is_strong_coordinatization
+from .classify import _extends_to_isomorphism, is_strong_coordinatization
 from .errors import PreconditionError, shown
-from .ideals import Labeling, ideal_from_labeling, weak_ideal
+from .ideals import Labeling, _refine, ideal_from_labeling
 from .lattice import AtomicLattice, _set_str, atoms_of, bits_of
 from .monomial import Monomial
 from .superatomic import _joining_pairs, _super_atomic_joining_pairs, cover_witness, is_super_atomic
@@ -222,6 +222,10 @@ def check_cover_transfer(
     lattices share the atom set; ``larger``'s family is contained in
     ``root``'s; ``larger`` covers ``smaller``; and the support labeling of
     ``larger`` is a strong coordinatization.
+
+    The generators ``x(a)`` of ``smaller`` are built once: ``delta(a)`` is
+    refined from them, and the strong verdict reads their level table, as
+    in :func:`~lcmlattice.classify.classify`.
     """
     if root.n != larger.n or root.n != smaller.n:
         raise PreconditionError("all three lattices must share the same atoms")
@@ -234,10 +238,8 @@ def check_cover_transfer(
     if not is_strong_coordinatization(larger, support_labeling(larger)):
         raise PreconditionError("the support labeling of the middle lattice is not a strong coordinatization")
 
-    labeling = support_labeling(smaller)
-    plain = ideal_from_labeling(smaller, labeling).generators
-    refined = weak_ideal(smaller, labeling).generators
+    plain = ideal_from_labeling(smaller, support_labeling(smaller))
     return CoverTransferReport(
-        deltas_equal_generators=refined == plain,
-        strong_on_smaller=is_strong_coordinatization(smaller, labeling),
+        deltas_equal_generators=_refine(smaller, plain) == plain.generators,
+        strong_on_smaller=_extends_to_isomorphism(smaller, plain),
     )

@@ -1,18 +1,34 @@
-"""Shared corpus builders and slow independent oracles.
+"""The one home of the test corpora, the slow independent oracles and the
+differential check that compares each fast path with its oracle.
 
-Random generators here are deterministic per-test (seeded ``random.Random``)
-so failures reproduce.  The labeling builders come in three flavours:
+* Oracles restate a definition, or keep the code a fast path replaced; the
+  ROADMAP keeps every one.  :func:`worked_example` reads the paper's
+  examples from the package fixtures.
+* Builders make lattices and labelings.  Random ones draw from a seeded
+  ``random.Random``, so failures reproduce.  The labeling builders come in
+  three flavours:
 
-* :func:`random_labeling` — arbitrary labels, no structural guarantee;
-* :func:`chain_condition_labeling` — guaranteed to satisfy the chain
-  conditions (all non-top meet-irreducibles labeled, per-variable chains);
-* :func:`overlap_condition_labeling` — guaranteed to satisfy the overlap
-  conditions while usually *violating* the chain conditions.
+  * :func:`random_labeling` — arbitrary labels, no structural guarantee;
+  * :func:`chain_condition_labeling` — guaranteed to satisfy the chain
+    conditions (all non-top meet-irreducibles labeled, per-variable chains);
+  * :func:`overlap_condition_labeling` — guaranteed to satisfy the overlap
+    conditions while usually *violating* the chain conditions.
+
+* Named corpora: the ``*_CORPORA`` tables, keyed by the test ids they give,
+  and the item streams below them.  Each call builds its items fresh, since
+  some tests check that a lattice has not built its lazy tables yet; only
+  :func:`lattices_with` is cached.  Test modules define no corpus of their
+  own (``tests/test_tooling.py`` checks this).
+* :func:`assert_matches_oracle` is the one differential check: the fast
+  path and the oracle on every item, a package error counting as an
+  outcome, and the outcome kinds the corpus must reach.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -20,6 +36,7 @@ import pytest
 
 from lcmlattice import (
     AtomicLattice,
+    Error,
     IntervalCriterionReport,
     IntervalWitness,
     Labeling,
@@ -28,8 +45,12 @@ from lcmlattice import (
     ValidationError,
     atom_generator,
     enumerate_all_lattices,
+    enumerate_super_atomic,
+    fixtures,
     gcd_all,
+    labeling_from_json_dict,
     lcm_all,
+    support_labeling,
 )
 from lcmlattice.classify import _first_incomparable, _unlabeled_meet_irreducible
 from lcmlattice.ideals import _check_lcm_generators
@@ -64,21 +85,21 @@ def brute_force_isomorphic(p: AtomicLattice, q: AtomicLattice) -> bool:
     return False
 
 
-def pair_scan_validation(n: int, masks) -> ValidationError | None:
+def pair_scan_validation(n: int, masks) -> tuple[int, ...]:
     """The validation of a family of masks over ``n`` atoms by its
     definition: every required set (empty, singletons, full) that is missing
     and every pair of members whose intersection is missing, scanned over
-    all C(m, 2) pairs in canonical order.  Returns the
+    all C(m, 2) pairs in canonical order.  Raises the
     :class:`ValidationError` the constructor must raise, with its text and
-    payload, or ``None`` for a lattice.  The quadratic check
-    :class:`AtomicLattice` replaced with its incidence-table test, kept as
-    its oracle."""
+    payload, or returns the lattice's sets in canonical order.  The
+    quadratic check :class:`AtomicLattice` replaced with its incidence-table
+    test, kept as its oracle."""
     seen = set(masks)
     top = (1 << n) - 1
     missing = sorted({m for m in (0, *(1 << i for i in range(n)), top) if m not in seen}, key=_canon_key)
     non_closed = [(a, b) for a, b in combinations(sorted(seen, key=_canon_key), 2) if a & b not in seen]
     if not missing and not non_closed:
-        return None
+        return tuple(sorted(seen, key=_canon_key))
     parts = []
     if missing:
         parts.append("missing required sets: " + ", ".join(_set_str(m) for m in missing))
@@ -86,7 +107,7 @@ def pair_scan_validation(n: int, masks) -> ValidationError | None:
         listed = ", ".join(f"{_set_str(a)} & {_set_str(b)}" for a, b in non_closed[:5])
         more = "" if len(non_closed) <= 5 else f" (+{len(non_closed) - 5} more)"
         parts.append("intersections not in family: " + listed + more)
-    return ValidationError(
+    raise ValidationError(
         "; ".join(parts),
         missing_required=[atoms_of(m) for m in missing],
         non_closed_pairs=[(atoms_of(a), atoms_of(b)) for a, b in non_closed],
@@ -431,6 +452,13 @@ def weak_interval_criterion_oracle(lat: AtomicLattice) -> IntervalCriterionRepor
     )
 
 
+def worked_example(name: str) -> Labeling:
+    """The labeling of one of the paper's worked examples, read fresh from
+    the package's fixture ``name`` (``"fig2"``, ``"fig3"``, ...); its
+    lattice is ``.lattice``."""
+    return labeling_from_json_dict(fixtures.load(name))
+
+
 def flat_lattice(n: int) -> AtomicLattice:
     """The lattice {0, atoms, top} on n atoms."""
     return AtomicLattice(n, [0, *(1 << i for i in range(n)), (1 << n) - 1])
@@ -466,10 +494,17 @@ def random_lattice(rng: random.Random, n: int, extra: int | None = None) -> Atom
     return AtomicLattice(n, sets)
 
 
-def seeded_random_lattices(count: int, seed: int) -> list[AtomicLattice]:
-    """``count`` random lattices on 2 to 7 atoms, the same for a given seed."""
-    rng = random.Random(seed)
-    return [random_lattice(rng, rng.randint(2, 7)) for _ in range(count)]
+def random_lattices(rng: random.Random, count: int, atoms: tuple[int, int] = (2, 7)):
+    """``count`` random lattices on ``atoms[0]`` to ``atoms[1]`` atoms, each
+    drawn from ``rng`` when it is reached."""
+    for _ in range(count):
+        yield random_lattice(rng, rng.randint(*atoms))
+
+
+def seeded_random_lattices(count: int, seed: int, atoms: tuple[int, int] = (2, 7)) -> list[AtomicLattice]:
+    """:func:`random_lattices` from a fresh ``random.Random(seed)``: the same
+    for a given seed."""
+    return list(random_lattices(random.Random(seed), count, atoms))
 
 
 def random_monomial(rng: random.Random, variables: list[str], max_exp: int = 3) -> Monomial:
@@ -543,3 +578,269 @@ def overlap_condition_labeling(rng: random.Random, lat: AtomicLattice) -> Labeli
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)
+
+
+# -- named corpora ---------------------------------------------------------------
+
+
+def up_to(make, top: int) -> list[AtomicLattice]:
+    """``make(n)`` for n = 1 to ``top``: the Boolean, flat or interval
+    lattices up to ``top`` atoms."""
+    return [make(n) for n in range(1, top + 1)]
+
+
+def small_lattices() -> list[AtomicLattice]:
+    """Every atomic lattice with n <= 4 (555 of them), from the cache."""
+    return [lat for n in (1, 2, 3, 4) for lat in lattices_with(n)]
+
+
+def super_atomic_and_near_misses(*sizes: int):
+    """Each super-atomic lattice on n atoms, for each n of ``sizes``, then
+    each copy of it with one non-required meet-irreducible removed (still a
+    lattice, never super-atomic)."""
+    for lat in (lat for n in sizes for lat in enumerate_super_atomic(n)):
+        yield lat
+        for m in lat.meet_irreducibles():
+            if m.bit_count() >= 2 and m != lat.top:
+                yield AtomicLattice(lat.n, [s for s in lat.sets if s != m])
+
+
+def intervals64_and_near_miss() -> list[AtomicLattice]:
+    """The interval lattice at the atom cap, and its copy without {1, 2}."""
+    intervals64 = interval_lattice(64)
+    return [intervals64, AtomicLattice(64, [m for m in intervals64.sets if m != 0b11])]
+
+
+def order_lattices() -> list[AtomicLattice]:
+    """Fresh lattices for the order queries.  Validated: 200 random ones on
+    1 to 6 atoms, and the Boolean, flat and interval lattices on 1 to 6
+    atoms.  Trusted: a random relabeling of each random one, and every
+    super-atomic lattice on 2 to 5 atoms (the enumeration starts at 2)."""
+    rng = random.Random(15)
+    randoms = [random_lattice(rng, rng.randint(1, 6)) for _ in range(200)]
+    shapes = [lat for make in (boolean_lattice, flat_lattice, interval_lattice) for lat in up_to(make, 6)]
+    relabeled = [lat.relabel(rng.sample(range(1, lat.n + 1), lat.n)) for lat in randoms]
+    super_atomic = [lat for n in range(2, 6) for lat in enumerate_super_atomic(n)]
+    return randoms + shapes + relabeled + super_atomic
+
+
+def validation_families(rng: random.Random, count: int):
+    """``(n, masks)`` for ``count`` families on at most 6 atoms: closed ones,
+    closed ones with one set added or one set that is not required removed
+    (on 4 to 6 atoms, as every such change on 3 atoms stays closed), closed
+    ones without one required set, and arbitrary ones, each as a shuffled
+    list with a repeat."""
+    for i in range(count):
+        kind = i % 5
+        n = rng.randint(4, 6) if kind in (1, 2) else rng.randint(1, 6)
+        full = (1 << n) - 1
+        required = {0, full, *(1 << a for a in range(n))}
+        family = set(random_lattice(rng, n).sets)
+        if kind == 1 and len(family) <= full:
+            family.add(rng.choice([m for m in range(full + 1) if m not in family]))
+        elif kind == 2 and family - required:
+            family.discard(rng.choice(sorted(family - required)))
+        elif kind == 3:
+            family.discard(rng.choice(sorted(required)))
+        elif kind == 4:
+            family = {rng.randint(0, full) for _ in range(rng.randint(0, 1 << n))}
+        masks = sorted(family)
+        rng.shuffle(masks)
+        yield n, masks + masks[:1]
+
+
+LABELING_BUILDERS = (random_labeling, chain_condition_labeling, overlap_condition_labeling)
+
+
+def labeled_lattices(rng: random.Random, count: int, make=random_labeling, atoms: tuple[int, int] = (2, 4)):
+    """``count`` random lattices, each with a labeling from ``make``, both
+    drawn from ``rng`` in turn."""
+    for lat in random_lattices(rng, count, atoms):
+        yield lat, make(rng, lat)
+
+
+def seeded_labelings(seed: int, count: int = 150):
+    """A random, a chain-condition and an overlap-condition labeling of each
+    of ``count`` random lattices on 2 to 6 atoms."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        lat = random_lattice(rng, rng.randint(2, 6))
+        for build in LABELING_BUILDERS:
+            yield lat, build(rng, lat)
+
+
+def support_labelings():
+    """The support labeling of the flat lattices with n <= 12 and the
+    Boolean ones with n <= 7."""
+    for lat in up_to(flat_lattice, 12) + up_to(boolean_lattice, 7):
+        yield lat, support_labeling(lat)
+
+
+def swallowing_labelings(seed: int, count: int = 150):
+    """Overlap-condition labelings in which one label is multiplied into the
+    label of an incomparable element, so that it divides that label."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        lat = random_lattice(rng, rng.randint(3, 6))
+        table = dict(overlap_condition_labeling(rng, lat).items())
+        incomparable = [pq for pq in combinations(table, 2) if pq[0] & ~pq[1] and pq[1] & ~pq[0]]
+        if incomparable:
+            small, big = rng.sample(rng.choice(incomparable), 2)
+            table[big] = table[big] * table[small]
+            yield lat, Labeling(lat, table)
+
+
+def mixed_labelings(rng: random.Random, rounds: int = 60):
+    """``rounds`` random lattices on 2 to 4 atoms, each with a chain-condition
+    (35%), an overlap-condition (25%) or a random labeling."""
+    for _ in range(rounds):
+        lat = random_lattice(rng, rng.randint(2, 4))
+        kind = rng.random()
+        make = (
+            chain_condition_labeling if kind < 0.35 else overlap_condition_labeling if kind < 0.6 else random_labeling
+        )
+        yield lat, make(rng, lat)
+
+
+def differential_labelings(rng: random.Random):
+    """Every lattice with n <= 3 with four random labelings, a chain-condition
+    and an overlap-condition one; then 120 random lattices on 2 to 5 atoms
+    with a labeling of a random flavour."""
+    for lat in (lat for n in (1, 2, 3) for lat in lattices_with(n)):
+        for make in (random_labeling,) * 4 + LABELING_BUILDERS[1:]:
+            yield lat, make(rng, lat)
+    for _ in range(120):
+        lat = random_lattice(rng, rng.randint(2, 5))
+        yield lat, rng.choice(LABELING_BUILDERS)(rng, lat)
+
+
+def decision_labelings(rng: random.Random):
+    """Every lattice with n <= 4 with one labeling of each flavour; then 300
+    random lattices on 2 to 7 atoms with a labeling of a random flavour."""
+    for lat in small_lattices():
+        for make in LABELING_BUILDERS:
+            yield lat, make(rng, lat)
+    for _ in range(300):
+        lat = random_lattice(rng, rng.randint(2, 7))
+        yield lat, rng.choice(LABELING_BUILDERS)(rng, lat)
+
+
+def shared_variable_labelings(rng: random.Random, lattices):
+    """Each lattice with its support labeling, then two random labelings
+    whose labels share the variables x, y, z, with exponents up to 5."""
+    for lat in lattices:
+        yield lat, support_labeling(lat)
+        for _ in range(2):
+            yield lat, Labeling(
+                lat, {p: random_monomial(rng, ["x", "y", "z"], max_exp=5) for p in lat.sets if rng.random() < 0.6}
+            )
+
+
+# Each corpus with the opening words of the overlap witnesses it must reach
+# (None for a true verdict).
+CONDITION_CORPORA = {
+    "random, chain and overlap labelings, n <= 6": (
+        lambda: seeded_labelings(18),
+        {None, "meet-irreducible", "label", "elements"},
+    ),
+    "support labelings, flat n <= 12 and Boolean n <= 7": (support_labelings, {None, "elements"}),
+    "a label dividing an incomparable one": (lambda: swallowing_labelings(19), {"label"}),
+}
+
+DETECTOR_CORPORA = {
+    "every lattice with n <= 4": small_lattices,
+    "300 random lattices with n <= 7": lambda: seeded_random_lattices(300, seed=5),
+    "super-atomic n = 5 and near misses": lambda: list(super_atomic_and_near_misses(5)),
+    "intervals with n <= 12": lambda: up_to(interval_lattice, 12),
+}
+
+JOINING_PAIR_CORPORA = {
+    **DETECTOR_CORPORA,
+    "Boolean with n <= 8 and flat with n <= 12": lambda: up_to(boolean_lattice, 8) + up_to(flat_lattice, 12),
+}
+
+# Each corpus with the set of verdicts it gives.
+SUPP_SCAN_CORPORA = {
+    "every lattice with n <= 4": (small_lattices, {True, False}),
+    "super-atomic with n <= 6": (lambda: [lat for n in range(2, 7) for lat in enumerate_super_atomic(n)], {True}),
+    "super-atomic with n <= 5 and near misses": (lambda: list(super_atomic_and_near_misses(2, 3, 4, 5)), {True, False}),
+    "300 closed families on 3-8 atoms": (lambda: seeded_random_lattices(300, seed=19, atoms=(3, 8)), {True, False}),
+    "intervals64 and its near miss": (intervals64_and_near_miss, {True, False}),
+}
+
+FILTER_SIZE_CORPORA = {
+    "every lattice with n <= 4": small_lattices,
+    "Boolean with n <= 8": lambda: up_to(boolean_lattice, 8),
+    "flat with n <= 12": lambda: up_to(flat_lattice, 12),
+    "200 random lattices with n <= 7": lambda: seeded_random_lattices(200, seed=11),
+}
+
+WEAK_CRITERION_CORPORA = {
+    "every lattice with n <= 4": small_lattices,
+    "Boolean with n <= 7": lambda: up_to(boolean_lattice, 7),
+    "200 random lattices with n <= 7": lambda: seeded_random_lattices(200, seed=18),
+}
+
+# (lattice, labeling) pairs from shared_variable_labelings, seeded with the
+# corpus name.
+X_ORACLE_CORPORA = {
+    name: lambda name=name, lattices=lattices: shared_variable_labelings(random.Random(name), lattices())
+    for name, lattices in {
+        "every lattice with n <= 4": small_lattices,
+        "Boolean with n <= 6": lambda: up_to(boolean_lattice, 6),
+        "flat with n <= 10": lambda: up_to(flat_lattice, 10),
+        "100 random lattices with n <= 6": lambda: [random_lattice(random.Random(i), 2 + i % 5) for i in range(100)],
+    }.items()
+}
+
+
+# -- the differential check --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Raised:
+    """A package error as an outcome: its type's name, its text and its
+    attributes (such as a ``ValidationError``'s ``missing_required``)."""
+
+    kind: str
+    text: str
+    payload: dict = field(hash=False)
+
+
+def outcome(call, *args):
+    """``call(*args)``, or the :class:`Raised` record of the package error it
+    raises.  Any other exception propagates."""
+    try:
+        return call(*args)
+    except Error as exc:
+        return Raised(type(exc).__name__, str(exc), dict(vars(exc)))
+
+
+def outcome_kinds(out) -> list:
+    """The default kinds of an outcome: the error's type name, or the
+    outcome itself."""
+    return [out.kind if isinstance(out, Raised) else out]
+
+
+def assert_matches_oracle(fast, oracle, corpus, reach=(), kinds=outcome_kinds) -> list:
+    """The one differential check: ``fast`` and ``oracle`` give the same
+    :func:`outcome` on every item of ``corpus``, in order.  An item that is a
+    tuple is the argument list; any other item is the one argument.
+
+    Then every kind in ``reach`` is reached: ``kinds(outcome)`` lists the
+    kinds of one oracle outcome (by default the outcome itself, or the
+    error's type name), and ``reach`` is a set of kinds, each needed once,
+    or a dict from a kind to the least number of times it is needed.
+    Returns the oracle's outcomes, in corpus order."""
+    outcomes = []
+    for i, item in enumerate(corpus):
+        args = item if type(item) is tuple else (item,)
+        got = outcome(fast, *args)
+        expected = outcome(oracle, *args)
+        assert got == expected, f"corpus item {i}"
+        outcomes.append(expected)
+    least = reach if isinstance(reach, dict) else dict.fromkeys(reach, 1)
+    if least:
+        counts = Counter(kind for out in outcomes for kind in kinds(out))
+        assert all(counts[kind] >= n for kind, n in least.items()), f"outcome kinds reached: {dict(counts)}"
+    return outcomes

@@ -1,6 +1,4 @@
-import random
 from collections import Counter
-from itertools import combinations
 
 import pytest
 
@@ -13,7 +11,6 @@ from lcmlattice import (
     Monomial,
     MonomialIdeal,
     PreconditionError,
-    atom_generator,
     check_strong_conditions,
     check_weak_conditions,
     classify,
@@ -26,57 +23,37 @@ from lcmlattice import (
     verify_labeling_recovery,
     weak_ideal,
 )
-from lcmlattice import fixtures, ideals
+from lcmlattice import ideals
 from lcmlattice.classify import _extends_to_isomorphism, _specific_map_witness
-from lcmlattice.ideals import _refine, labeling_from_json_dict
+from lcmlattice.ideals import _refine
 
 from conftest import (
-    boolean_lattice,
+    CONDITION_CORPORA,
+    Raised,
+    assert_matches_oracle,
     chain_condition_labeling,
     chain_conditions_oracle,
+    decision_labelings,
+    differential_labelings,
     flat_lattice,
     interval_lattice,
+    labeled_lattices,
     lattices_with,
-    overlap_condition_labeling,
+    mixed_labelings,
+    outcome,
+    outcome_kinds,
     overlap_conditions_oracle,
     random_labeling,
-    random_lattice,
+    small_lattices,
     specific_map_oracle,
+    worked_example,
 )
 
 BOOLEAN3 = AtomicLattice.from_sets(3, [[], [1], [2], [3], [1, 2], [1, 3], [2, 3], [1, 2, 3]])
 
-FIG2 = AtomicLattice.from_sets(3, [[], [1], [2], [3], [2, 3], [1, 2, 3]])
-FIG2_LABELS = Labeling.from_sets(FIG2, [([1], "a*b^2"), ([2], "e"), ([3], "a*c")])
-
-FIG3 = AtomicLattice.from_sets(
-    5, [[], [1], [2], [3], [4], [5], [1, 2], [2, 3], [4, 5], [1, 2, 3, 4, 5]]
-)
-FIG3_LABELS = Labeling.from_sets(
-    FIG3,
-    [
-        ([1], "a"),
-        ([2], "b"),
-        ([3], "c"),
-        ([4], "d"),
-        ([5], "e"),
-        ([1, 2], "a*b"),
-        ([2, 3], "b*c"),
-        ([4, 5], "d*e"),
-    ],
-)
-
-FIG6_LABELS = Labeling.from_sets(
-    BOOLEAN3,
-    [
-        ([1], "a"),
-        ([2], "e"),
-        ([3], "m"),
-        ([1, 2], "a*c"),
-        ([1, 3], "c*m"),
-        ([2, 3], "e"),
-    ],
-)
+# The fig6 lattice is BOOLEAN3.
+FIG2_LABELS, FIG3_LABELS, FIG6_LABELS = map(worked_example, ("fig2", "fig3", "fig6"))
+FIG2, FIG3 = FIG2_LABELS.lattice, FIG3_LABELS.lattice
 
 
 # -- the worked examples, frozen ------------------------------------------------
@@ -146,86 +123,33 @@ def test_overlap_conditions_entangled_non_chain():
     assert not ok and "chain" in witness
 
 
-def _seeded_labelings(seed: int, count: int = 150):
-    """A random, a chain-condition and an overlap-condition labeling of each
-    of ``count`` random lattices on 2 to 6 atoms."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        lat = random_lattice(rng, rng.randint(2, 6))
-        for build in (random_labeling, chain_condition_labeling, overlap_condition_labeling):
-            yield lat, build(rng, lat)
-
-
-def _support_labelings():
-    for lat in [*map(flat_lattice, range(1, 13)), *map(boolean_lattice, range(1, 8))]:
-        yield lat, support_labeling(lat)
-
-
-def _swallowing_labelings(seed: int, count: int = 150):
-    """Overlap-condition labelings in which one label is multiplied into the
-    label of an incomparable element, so that it divides that label."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        lat = random_lattice(rng, rng.randint(3, 6))
-        table = dict(overlap_condition_labeling(rng, lat).items())
-        incomparable = [pq for pq in combinations(table, 2) if pq[0] & ~pq[1] and pq[1] & ~pq[0]]
-        if incomparable:
-            small, big = rng.sample(rng.choice(incomparable), 2)
-            table[big] = table[big] * table[small]
-            yield lat, Labeling(lat, table)
-
-
-# Each corpus, with the opening words of the overlap witnesses it must reach
-# (None for a true verdict).
-CONDITION_CORPORA = {
-    "random, chain and overlap labelings, n <= 6": (
-        lambda: _seeded_labelings(18),
-        {None, "meet-irreducible", "label", "elements"},
-    ),
-    "support labelings, flat n <= 12 and Boolean n <= 7": (_support_labelings, {None, "elements"}),
-    "a label dividing an incomparable one": (lambda: _swallowing_labelings(19), {"label"}),
-}
-
-
 @pytest.mark.parametrize("corpus", CONDITION_CORPORA)
 def test_condition_checks_match_their_oracles(corpus):
     """The mask-based checks give the verdict and the first witness of the
     gcd-and-quotient ones, on every labeling of the corpus."""
     build, kinds = CONDITION_CORPORA[corpus]
-    reached = set()
-    for lat, lab in build():
-        assert check_strong_conditions(lat, lab) == chain_conditions_oracle(lat, lab)
-        ok, witness = check_weak_conditions(lat, lab)
-        assert (ok, witness) == overlap_conditions_oracle(lat, lab)
-        reached.add(None if ok else witness.split(" ", 1)[0])
-    assert kinds <= reached
+    assert_matches_oracle(
+        lambda lat, lab: (check_strong_conditions(lat, lab), check_weak_conditions(lat, lab)),
+        lambda lat, lab: (chain_conditions_oracle(lat, lab), overlap_conditions_oracle(lat, lab)),
+        build(),
+        reach=kinds,
+        kinds=lambda out: [None if out[1][0] else out[1][1].split(" ", 1)[0]],
+    )
 
 
 # -- implications over random corpora -------------------------------------------
 
 
-def _corpus(rng, rounds=60):
-    for _ in range(rounds):
-        lat = random_lattice(rng, rng.randint(2, 4))
-        kind = rng.random()
-        if kind < 0.35:
-            yield lat, chain_condition_labeling(rng, lat)
-        elif kind < 0.6:
-            yield lat, overlap_condition_labeling(rng, lat)
-        else:
-            yield lat, random_labeling(rng, lat)
-
-
 def test_chain_conditions_imply_overlap_conditions(rng):
     # chains per variable leave incomparable labels with unit gcd
-    for lat, lab in _corpus(rng):
+    for lat, lab in mixed_labelings(rng):
         if check_strong_conditions(lat, lab)[0]:
             assert check_weak_conditions(lat, lab)[0]
 
 
 def test_chain_conditions_imply_strong(rng):
     hits = 0
-    for lat, lab in _corpus(rng):
+    for lat, lab in mixed_labelings(rng):
         if check_strong_conditions(lat, lab)[0]:
             hits += 1
             assert is_strong_coordinatization(lat, lab)
@@ -234,7 +158,7 @@ def test_chain_conditions_imply_strong(rng):
 
 def test_overlap_conditions_imply_weak(rng):
     hits = 0
-    for lat, lab in _corpus(rng):
+    for lat, lab in mixed_labelings(rng):
         if check_weak_conditions(lat, lab)[0]:
             hits += 1
             assert is_weak_coordinatization(lat, lab)
@@ -242,7 +166,7 @@ def test_overlap_conditions_imply_weak(rng):
 
 
 def test_strong_iff_weak_with_equal_generators(rng):
-    for lat, lab in _corpus(rng, rounds=80):
+    for lat, lab in mixed_labelings(rng, rounds=80):
         c = classify(lat, lab)
         if c.is_weak:
             same = tuple(ideal_from_labeling(lat, lab)) == tuple(weak_ideal(lat, lab))
@@ -252,80 +176,46 @@ def test_strong_iff_weak_with_equal_generators(rng):
 
 
 def test_strong_implies_coordinatization(rng):
-    for lat, lab in _corpus(rng):
+    for lat, lab in mixed_labelings(rng):
         c = classify(lat, lab)
         if c.is_strong:
             assert c.is_coordinatization
 
 
 def test_classification_invariant_under_variable_renaming(rng):
-    for _ in range(20):
-        lat = random_lattice(rng, rng.randint(2, 4))
-        lab = random_labeling(rng, lat)
+    for lat, lab in labeled_lattices(rng, 20):
         renamed = Labeling(lat, ((p, Monomial({f"r_{v}": e for v, e in m.items()})) for p, m in lab.items()))
         assert classify(lat, lab).to_json_dict() | {"witness": None} == classify(
             lat, renamed
         ).to_json_dict() | {"witness": None}
 
 
-def _differential_corpus(rng):
-    for n in (1, 2, 3):
-        for lat in lattices_with(n):
-            for _ in range(4):
-                yield lat, random_labeling(rng, lat)
-            yield lat, chain_condition_labeling(rng, lat)
-            yield lat, overlap_condition_labeling(rng, lat)
-    for _ in range(120):
-        lat = random_lattice(rng, rng.randint(2, 5))
-        make = rng.choice((random_labeling, chain_condition_labeling, overlap_condition_labeling))
-        yield lat, make(rng, lat)
+def _classified(lat, lab):
+    """Each ``classify`` field: the conditions' verdicts and witnesses, and
+    for the predicates whether the verdict comes with a witness."""
+    c = classify(lat, lab)
+    witness = c.witness or {}
+    predicates = [(getattr(c, field), field in witness) for field in ("is_coordinatization", "is_strong", "is_weak")]
+    return [(getattr(c, field), witness.get(field)) for field in ("satisfies_A1A2", "satisfies_C1C2")] + predicates
+
+
+def _single_checks(lat, lab):
+    """What :func:`_classified` must give, from the single checks.  A
+    degenerate ideal classifies as false, with a witness."""
+    verdicts = [check_strong_conditions(lat, lab), check_weak_conditions(lat, lab)]
+    for check in (is_coordinatization, is_strong_coordinatization, is_weak_coordinatization):
+        ok = outcome(check, lat, lab) is True
+        verdicts.append((ok, not ok))
+    return verdicts
 
 
 def test_classify_matches_the_single_checks(rng):
     # classify shares one set of generators between its checks; each single
     # predicate builds its own, so any drift between the two paths shows here
-    for lat, lab in _differential_corpus(rng):
-        c = classify(lat, lab)
-        witness = c.witness or {}
-        for field, check in (
-            ("satisfies_A1A2", check_strong_conditions),
-            ("satisfies_C1C2", check_weak_conditions),
-        ):
-            ok, wit = check(lat, lab)
-            assert getattr(c, field) == ok and witness.get(field) == wit
-        for field, check in (
-            ("is_coordinatization", is_coordinatization),
-            ("is_strong", is_strong_coordinatization),
-            ("is_weak", is_weak_coordinatization),
-        ):
-            try:
-                expected = check(lat, lab)
-            except DegenerateIdealError:
-                expected = False
-                assert field in witness
-            assert getattr(c, field) == expected
-            assert (field in witness) == (not expected)
+    assert_matches_oracle(_classified, _single_checks, differential_labelings(rng))
 
 
 # -- the level-mask decision against the lcm-lattice definition -------------------
-
-
-def _decision_corpus(rng):
-    makers = (random_labeling, chain_condition_labeling, overlap_condition_labeling)
-    for n in range(1, 5):
-        for lat in lattices_with(n):
-            for make in makers:
-                yield lat, make(rng, lat)
-    for _ in range(300):
-        lat = random_lattice(rng, rng.randint(2, 7))
-        yield lat, rng.choice(makers)(rng, lat)
-
-
-def _outcome(check, *args):
-    try:
-        return check(*args)
-    except DegenerateIdealError as exc:
-        return False, str(exc)
 
 
 def _decided_and_explained(lat, gens):
@@ -339,18 +229,26 @@ def test_specific_map_decision_matches_the_oracle(rng):
     """Level masks that are elements and separate the elements decide what
     the lcm-lattice build decides, refusing what it refuses; false verdicts
     keep the oracle's witness, in the explanation and in ``classify``."""
-    counts = {True: 0, False: 0}
-    for lat, lab in _decision_corpus(rng):
-        c = classify(lat, lab)
-        x = ideal_from_labeling(lat, lab)
-        for field, gens in (("is_strong", x.generators), ("is_weak", _refine(lat, x))):
-            expected = _outcome(specific_map_oracle, lat, gens)
-            assert _outcome(_decided_and_explained, lat, gens) == expected
-            assert (getattr(c, field), (c.witness or {}).get(field)) == expected
-            counts[expected[0]] += 1
-        if c.is_strong:
-            assert c.is_coordinatization
-    assert min(counts.values()) >= 1000  # both verdicts well exercised
+    classified = []
+
+    def specific_maps():
+        for lat, lab in decision_labelings(rng):
+            c = classify(lat, lab)
+            assert c.is_coordinatization or not c.is_strong
+            x = ideal_from_labeling(lat, lab)
+            for field, gens in (("is_strong", x.generators), ("is_weak", _refine(lat, x))):
+                classified.append((getattr(c, field), (c.witness or {}).get(field)))
+                yield lat, gens
+
+    expected = assert_matches_oracle(
+        _decided_and_explained,
+        specific_map_oracle,
+        specific_maps(),
+        reach={True: 1000, False: 1000},  # both verdicts well exercised
+        kinds=lambda out: [not isinstance(out, Raised) and out[0]],
+    )
+    # classify words a refused tuple as a false verdict
+    assert classified == [(False, out.text) if isinstance(out, Raised) else out for out in expected]
 
 
 def test_classify_builds_no_lcm_lattice_when_strong_holds(rng, monkeypatch):
@@ -389,18 +287,15 @@ def test_predicates_build_no_lcm_lattice(rng, monkeypatch):
     lat, lab = _flat_product_labeling(16)
     assert not is_strong_coordinatization(lat, lab) and not is_weak_coordinatization(lat, lab)
     verdicts = set()
-    for n in (1, 2, 3, 4):
-        for lat in lattices_with(n):
-            for make in (random_labeling, chain_condition_labeling):
-                lab = make(rng, lat)
-                for check in (is_strong_coordinatization, is_weak_coordinatization):
-                    try:
-                        verdicts.add(check(lat, lab))
-                    except DegenerateIdealError:  # refused before any build, as the build would
-                        verdicts.add("degenerate")
-            lab = chain_condition_labeling(rng, lat)
-            assert is_coordinatization(lat, lab)
-    assert verdicts == {True, False, "degenerate"}
+    for lat in small_lattices():
+        for make in (random_labeling, chain_condition_labeling):
+            lab = make(rng, lat)
+            for check in (is_strong_coordinatization, is_weak_coordinatization):
+                # a unit is refused before any build, as the build would refuse it
+                verdicts.update(outcome_kinds(outcome(check, lat, lab)))
+        lab = chain_condition_labeling(rng, lat)
+        assert is_coordinatization(lat, lab)
+    assert verdicts == {True, False, "DegenerateIdealError"}
     lat = interval_lattice(20)
     assert is_coordinatization(lat, support_labeling(lat))
 
@@ -413,7 +308,7 @@ def test_classify_computes_one_level_table_per_generator_tuple(rng, monkeypatch)
     exponent_levels = ideals._exponent_levels
     monkeypatch.setattr(ideals, "_exponent_levels", lambda gens: tables.append(gens) or exponent_levels(gens))
     most = 0
-    for lat, lab in _decision_corpus(rng):
+    for lat, lab in decision_labelings(rng):
         tables.clear()
         c = classify(lat, lab)
         assert max(Counter(tables).values()) == 1
@@ -428,7 +323,7 @@ def test_a_size_mismatch_witness_takes_no_lcm(monkeypatch):
     one element more than the lattice, and coordinatization fails the
     isomorphism search; neither witness reads a monomial, so none is built."""
     monkeypatch.setattr(LcmLattice, "_lookups", lambda self: pytest.fail("an lcm-lattice monomial was built"))
-    lab = labeling_from_json_dict(fixtures.load("fig3"))
+    lab = worked_example("fig3")
     c = classify(lab.lattice, lab)
     assert c.witness["is_strong"] == "lcm-lattice has 11 elements, the lattice has 10"
     assert c.witness["is_coordinatization"].startswith("lcm-lattice of the generated ideal (11 elements")
@@ -456,9 +351,7 @@ def test_recovery_requires_chain_conditions():
 
 
 def test_recovery_roundtrip(rng):
-    for _ in range(40):
-        lat = random_lattice(rng, rng.randint(2, 4))
-        lab = chain_condition_labeling(rng, lat)
+    for lat, lab in labeled_lattices(rng, 40, chain_condition_labeling):
         assert verify_labeling_recovery(lat, lab)
 
 
@@ -503,7 +396,7 @@ def test_classification_json_fields():
 
 
 def test_witness_only_for_false_fields(rng):
-    for lat, lab in _corpus(rng, rounds=30):
+    for lat, lab in mixed_labelings(rng, rounds=30):
         c = classify(lat, lab)
         doc = c.to_json_dict()
         for field, reason in (c.witness or {}).items():

@@ -1,5 +1,4 @@
 import json
-import random
 
 import pytest
 
@@ -34,10 +33,14 @@ from lcmlattice import (
 
 from lcmlattice import PreconditionError, atoms_of, ideals
 from lcmlattice.errors import ECHO_LIMIT
-from lcmlattice.ideals import _exponent_levels, _level_masks, _refine
+from lcmlattice.ideals import _check_lcm_generators, _exponent_levels, _level_masks, _refine
 from lcmlattice.lattice import bits_of
 
 from conftest import (
+    LABELING_BUILDERS,
+    Raised,
+    X_ORACLE_CORPORA,
+    assert_matches_oracle,
     boolean_lattice,
     chain_condition_labeling,
     cubic_covers,
@@ -46,18 +49,19 @@ from conftest import (
     element_generator_oracle,
     flat_lattice,
     interval_lattice,
-    lattices_with,
-    overlap_condition_labeling,
+    labeled_lattices,
     pairwise_minimal_generators,
     random_labeling,
     random_lattice,
     random_monomial,
+    small_lattices,
     subset_lcm_lattice,
     subset_weak_generators,
+    worked_example,
 )
 
-FIG2 = AtomicLattice.from_sets(3, [[], [1], [2], [3], [2, 3], [1, 2, 3]])
-FIG2_LABELS = Labeling.from_sets(FIG2, [([1], "a*b^2"), ([2], "e"), ([3], "a*c")])
+FIG2_LABELS = worked_example("fig2")
+FIG2 = FIG2_LABELS.lattice
 
 
 # -- labelings ---------------------------------------------------------------
@@ -183,26 +187,35 @@ def test_minimal_generators_match_the_pairwise_oracle(rng):
     divisibility chains and units, on single generators, on the empty tuple
     and on 21 to 30 generators."""
     variables = list("abcde")
-    shapes = {"duplicate": 0, "chain": 0, "unit": 0, "single": 0, "over 20": 0}
-    for i in range(3000):
-        shape = list(shapes)[i % len(shapes)]
-        if shape == "single":
-            gens = [rng.choice([ONE, random_monomial(rng, variables)])]
-        else:
-            size = rng.randint(21, 30) if shape == "over 20" else rng.randint(1, 6)
-            gens = [random_monomial(rng, variables) for _ in range(size)]
-            if shape == "duplicate":
-                gens += rng.sample(gens, rng.randint(1, len(gens)))
-            elif shape == "chain":
-                gens += _divisibility_chain(rng, variables)
-            elif shape == "unit":
-                gens.insert(rng.randint(0, len(gens)), ONE)
-            rng.shuffle(gens)
-        expected = pairwise_minimal_generators(tuple(gens))
-        assert MonomialIdeal(gens).minimal_generators == expected
-        shapes[shape] += len(expected) < len(gens) or shape == "single"
+    shapes = ("duplicate", "chain", "unit", "single", "over 20")
+
+    def tuples():
+        for i in range(3000):
+            shape = shapes[i % len(shapes)]
+            if shape == "single":
+                gens = [rng.choice([ONE, random_monomial(rng, variables)])]
+            else:
+                size = rng.randint(21, 30) if shape == "over 20" else rng.randint(1, 6)
+                gens = [random_monomial(rng, variables) for _ in range(size)]
+                if shape == "duplicate":
+                    gens += rng.sample(gens, rng.randint(1, len(gens)))
+                elif shape == "chain":
+                    gens += _divisibility_chain(rng, variables)
+                elif shape == "unit":
+                    gens.insert(rng.randint(0, len(gens)), ONE)
+                rng.shuffle(gens)
+            yield shape, tuple(gens)
+
+    # Each outcome carries its shape and input size, so that the kinds show
+    # every shape often dropping a generator (or being a single one).
+    assert_matches_oracle(
+        lambda shape, gens: (shape, len(gens), MonomialIdeal(gens).minimal_generators),
+        lambda shape, gens: (shape, len(gens), pairwise_minimal_generators(gens)),
+        tuples(),
+        reach=dict.fromkeys(shapes, 300),
+        kinds=lambda out: [out[0]] if len(out[2]) < out[1] or out[0] == "single" else [],
+    )
     assert MonomialIdeal([]).minimal_generators == ()
-    assert min(shapes.values()) >= 300  # every shape often drops a generator (or is a single one)
 
 
 # -- generators from labelings -------------------------------------------------
@@ -225,14 +238,6 @@ def test_generator_wrong_lattice_rejected():
         element_generator(other, FIG2_LABELS, 0b001)
 
 
-X_ORACLE_CORPORA = {
-    "every lattice with n <= 4": lambda: [lat for n in (1, 2, 3, 4) for lat in lattices_with(n)],
-    "Boolean with n <= 6": lambda: [boolean_lattice(n) for n in range(1, 7)],
-    "flat with n <= 10": lambda: [flat_lattice(n) for n in range(1, 11)],
-    "100 random lattices with n <= 6": lambda: [random_lattice(random.Random(i), 2 + i % 5) for i in range(100)],
-}
-
-
 @pytest.mark.parametrize("corpus", X_ORACLE_CORPORA)
 def test_element_generator_matches_the_per_label_oracle(corpus):
     """``x(p)`` from the label groups and the incidence table equals the
@@ -240,17 +245,17 @@ def test_element_generator_matches_the_per_label_oracle(corpus):
     it on every atom.  Each lattice takes its support labeling and two
     random labelings whose labels share the variables and have exponents up
     to 5."""
-    rng = random.Random(corpus)
-    for lat in X_ORACLE_CORPORA[corpus]():
-        labelings = [support_labeling(lat)]
-        labelings += [
-            Labeling(lat, {p: random_monomial(rng, ["x", "y", "z"], max_exp=5) for p in lat.sets if rng.random() < 0.6})
-            for _ in range(2)
-        ]
-        for lab in labelings:
-            want = {p: element_generator_oracle(lat, lab, p) for p in lat.sets}
-            assert {p: element_generator(lat, lab, p) for p in lat.sets} == want
-            assert ideal_from_labeling(lat, lab).generators == tuple(want[a] for a in lat.atoms)
+    assert_matches_oracle(
+        lambda lat, lab: (
+            {p: element_generator(lat, lab, p) for p in lat.sets},
+            ideal_from_labeling(lat, lab).generators,
+        ),
+        lambda lat, lab: (
+            {p: element_generator_oracle(lat, lab, p) for p in lat.sets},
+            tuple(element_generator_oracle(lat, lab, a) for a in lat.atoms),
+        ),
+        X_ORACLE_CORPORA[corpus](),
+    )
 
 
 def test_element_generator_refuses_a_label_sum_past_the_digit_cap():
@@ -278,9 +283,7 @@ def test_atom_generator_requires_atom():
 
 
 def test_refined_generator_divides_plain(rng):
-    for _ in range(40):
-        lat = random_lattice(rng, rng.randint(2, 4))
-        lab = random_labeling(rng, lat)
+    for lat, lab in labeled_lattices(rng, 40):
         plain = ideal_from_labeling(lat, lab)
         refined = weak_ideal(lat, lab)
         for d, x in zip(refined, plain):
@@ -288,17 +291,17 @@ def test_refined_generator_divides_plain(rng):
 
 
 def test_weak_generator_matches_weak_ideal(rng):
-    builders = (random_labeling, chain_condition_labeling, overlap_condition_labeling)
     cases = []
     for i in range(90):
         lat = random_lattice(rng, rng.randint(1, 6))
-        cases.append((lat, builders[i % 3](rng, lat)))
+        cases.append((lat, LABELING_BUILDERS[i % 3](rng, lat)))
     for lat in (flat_lattice(9), boolean_lattice(5)):
         cases += [(lat, support_labeling(lat)), (lat, random_labeling(rng, lat))]
-    for lat, lab in cases:
-        assert tuple(weak_ideal(lat, lab)) == tuple(
-            weak_generator(lat, lab, a) for a in lat.atoms
-        )
+    assert_matches_oracle(
+        lambda lat, lab: tuple(weak_generator(lat, lab, a) for a in lat.atoms),
+        lambda lat, lab: weak_ideal(lat, lab).generators,
+        cases,
+    )
 
 
 def test_generator_builders_never_reach_the_name_regex(rng, monkeypatch):
@@ -329,22 +332,20 @@ def test_generator_builders_never_reach_the_name_regex(rng, monkeypatch):
 def test_weak_ideal_matches_subset_definition(rng):
     """``e_v(delta(a))`` as the least level of ``v`` whose join reaches ``a``,
     against the literal gcd over joining sets."""
-    builders = (random_labeling, chain_condition_labeling, overlap_condition_labeling)
-    for i in range(510):
-        lat = random_lattice(rng, rng.randint(1, 5))
-        lab = builders[i % 3](rng, lat)
-        assert tuple(weak_ideal(lat, lab)) == subset_weak_generators(lat, lab)
-    for i in range(150):
-        lat = random_lattice(rng, rng.randint(6, 7), extra=rng.randint(0, 12))
-        lab = builders[i % 3](rng, lat)
-        assert tuple(weak_ideal(lat, lab)) == subset_weak_generators(lat, lab)
-    for n in range(1, 11):
-        lats = [flat_lattice(n), interval_lattice(n)]
-        if 2 <= n <= 6:
-            lats.append(boolean_lattice(n))
-        for lat in lats:
-            for lab in (support_labeling(lat), random_labeling(rng, lat)):
-                assert tuple(weak_ideal(lat, lab)) == subset_weak_generators(lat, lab)
+
+    def cases():
+        for i in range(510):
+            lat = random_lattice(rng, rng.randint(1, 5))
+            yield lat, LABELING_BUILDERS[i % 3](rng, lat)
+        for i in range(150):
+            lat = random_lattice(rng, rng.randint(6, 7), extra=rng.randint(0, 12))
+            yield lat, LABELING_BUILDERS[i % 3](rng, lat)
+        for n in range(1, 11):
+            for lat in [flat_lattice(n), interval_lattice(n)] + ([boolean_lattice(n)] if 2 <= n <= 6 else []):
+                for lab in (support_labeling(lat), random_labeling(rng, lat)):
+                    yield lat, lab
+
+    assert_matches_oracle(lambda lat, lab: weak_ideal(lat, lab).generators, subset_weak_generators, cases())
 
 
 def test_refine_takes_at_most_one_join_per_level(rng, monkeypatch):
@@ -364,10 +365,9 @@ def test_delta_level_masks_are_the_joins_of_the_x_level_masks(rng):
     """The corollary in :func:`_refine`: ``D_delta(v, t)`` is the join of
     ``D_x(v, t)``; a variable gone from every ``delta(a)`` has only the top
     as its joins."""
-    builders = (random_labeling, chain_condition_labeling, overlap_condition_labeling)
     for i in range(3000):
         lat = random_lattice(rng, rng.randint(1, 6), extra=rng.randint(0, 8))
-        x = ideal_from_labeling(lat, builders[i % 3](rng, lat))
+        x = ideal_from_labeling(lat, LABELING_BUILDERS[i % 3](rng, lat))
         joins = {lat.join_mask(d) for levels in _exponent_levels(x.generators).values() for d in levels.values()}
         assert _level_masks(_exponent_levels(_refine(lat, x))) | {lat.top} == {0, lat.top} | joins
 
@@ -393,9 +393,7 @@ def test_weak_ideal_never_enumerates_subsets(rng, monkeypatch):
 def test_refined_generator_divides_every_joining_term(rng):
     """delta(a) must divide lcm{x(b) : b in T} for every T joining to any
     element above a; spot-check the definition from the outside."""
-    for _ in range(15):
-        lat = random_lattice(rng, rng.randint(2, 4))
-        lab = random_labeling(rng, lat)
+    for lat, lab in labeled_lattices(rng, 15):
         x = {a: atom_generator(lat, lab, a) for a in lat.atoms}
         deltas = dict(zip(lat.atoms, weak_ideal(lat, lab)))
         for a in lat.atoms:
@@ -408,9 +406,7 @@ def test_refined_generator_divides_every_joining_term(rng):
 def test_comparison_map_injective_under_chain_conditions(rng):
     """element_generator is injective on the whole lattice whenever the chain
     conditions hold; this is the engine behind labeling recovery."""
-    for _ in range(60):
-        lat = random_lattice(rng, rng.randint(2, 4))
-        lab = chain_condition_labeling(rng, lat)
+    for lat, lab in labeled_lattices(rng, 60, chain_condition_labeling):
         values = [element_generator(lat, lab, p) for p in lat.sets]
         assert len(set(values)) == len(values)
 
@@ -487,50 +483,56 @@ def test_lcm_lattice_constructor_coerces_generators_like_the_ideal():
             MonomialIdeal(bad)
 
 
-def _assert_matches_subset_lcm_oracle(gens: tuple[Monomial, ...]) -> None:
-    """``LcmLattice(gens)`` against :func:`conftest.subset_lcm_lattice` of
-    the :func:`conftest.pairwise_minimal_generators` of ``gens``: the
-    generators, elements in order, supports both ways, the validated
-    abstract lattice, and, up to 64 elements, the divisibility covers."""
+def _lcm_lattice_answers(gens: tuple[Monomial, ...]) -> tuple:
+    """What ``LcmLattice(gens)`` answers: the generators, elements in order,
+    supports both ways, the abstract lattice, and, up to 64 elements, the
+    divisibility covers."""
     ll = LcmLattice(gens)
+    sets = ll.abstract().sets
+    covers = len(ll) <= 64 and ll.covers_monomials()
+    masks = [ll.mask_of(m) for m in ll.monomials]
+    return ll.generators, ll.monomials, masks, [ll.monomial_of(s) for s in sets], sets, covers
+
+
+def _subset_lcm_answers(gens: tuple[Monomial, ...]) -> tuple:
+    """The same from :func:`conftest.subset_lcm_lattice` of the
+    :func:`conftest.pairwise_minimal_generators` of ``gens``, refusing what
+    the build refuses; the abstract lattice through the validating
+    constructor."""
+    _check_lcm_generators(gens)
     minimal = pairwise_minimal_generators(gens)
     monomials, support = subset_lcm_lattice(minimal)
-    assert ll.generators == minimal
-    assert ll.monomials == monomials
-    assert [ll.mask_of(m) for m in monomials] == [support[m] for m in monomials]
-    assert [ll.monomial_of(support[m]) for m in monomials] == list(monomials)
-    assert ll.abstract().sets == AtomicLattice(len(minimal), support.values()).sets
-    if len(monomials) <= 64:
-        assert ll.covers_monomials() == divisibility_covers(monomials)
+    sets = AtomicLattice(len(minimal), support.values()).sets
+    covers = len(monomials) <= 64 and divisibility_covers(monomials)
+    return minimal, monomials, [support[m] for m in monomials], list(monomials), sets, covers
 
 
 def test_lcm_lattice_matches_the_subset_lcm_oracle(rng):
     """The level-mask build gives the lcm-lattice of its definition, on raw
     tuples (repeats and multiples included, which the build drops) and on
-    minimal generators."""
-    checked = 0
-    for _ in range(3000):
-        gens = [random_monomial(rng, list("abcde")) for _ in range(rng.randint(1, 5))]
-        if rng.random() < 0.4:
-            gens.append(rng.choice(gens) * rng.choice([ONE, Monomial.parse(rng.choice("abf"))]))
-            rng.shuffle(gens)
-        for tup in dict.fromkeys((tuple(gens), MonomialIdeal(gens).minimal_generators)):
-            _assert_matches_subset_lcm_oracle(tup)
-            checked += 1
-    for n in range(1, 5):
-        for lat in lattices_with(n):
+    minimal generators, and refuses a unit generator as given."""
+
+    def tuples():
+        for _ in range(3000):
+            gens = [random_monomial(rng, list("abcde")) for _ in range(rng.randint(1, 5))]
+            if rng.random() < 0.4:
+                gens.append(rng.choice(gens) * rng.choice([ONE, Monomial.parse(rng.choice("abf"))]))
+                rng.shuffle(gens)
+            yield from ((tup,) for tup in dict.fromkeys((tuple(gens), MonomialIdeal(gens).minimal_generators)))
+        for lat in small_lattices():
             for make in (random_labeling, chain_condition_labeling):
                 x = ideal_from_labeling(lat, make(rng, lat))
-                for tup in dict.fromkeys((x.generators, _refine(lat, x))):
-                    if any(g.is_one for g in tup):
-                        with pytest.raises(DegenerateIdealError):
-                            LcmLattice(tup)
-                        continue
-                    _assert_matches_subset_lcm_oracle(tup)
-                    checked += 1
-    for n in range(1, 11):
-        _assert_matches_subset_lcm_oracle(tuple(Monomial.parse(f"x{i}") for i in range(n)))
-    assert checked >= 6000
+                yield from ((tup,) for tup in dict.fromkeys((x.generators, _refine(lat, x))))
+        for n in range(1, 11):
+            yield (tuple(Monomial.parse(f"x{i}") for i in range(n)),)
+
+    assert_matches_oracle(
+        _lcm_lattice_answers,
+        _subset_lcm_answers,
+        tuples(),
+        reach={"built": 6000, "DegenerateIdealError": 1},
+        kinds=lambda out: [out.kind if isinstance(out, Raised) else "built"],
+    )
 
 
 LCM_ACCESSORS = {
@@ -719,18 +721,14 @@ def test_recovered_labeling_refuses_a_missing_or_malformed_monomial():
 
 
 def test_recovery_roundtrip_under_chain_conditions(rng):
-    for _ in range(60):
-        lat = random_lattice(rng, rng.randint(2, 4))
-        lab = chain_condition_labeling(rng, lat)
+    for lat, lab in labeled_lattices(rng, 60, chain_condition_labeling):
         x = {a: atom_generator(lat, lab, a) for a in lat.atoms}
         monomial_of = {p: lcm_all(x[a] for a in bits_of(p)) for p in lat.sets}
         assert recovered_labeling(lat, monomial_of) == lab
 
 
 def test_recovered_labeling_never_labels_top(rng):
-    for _ in range(20):
-        lat = random_lattice(rng, rng.randint(2, 4))
-        lab = chain_condition_labeling(rng, lat)
+    for lat, lab in labeled_lattices(rng, 20, chain_condition_labeling):
         x = {a: atom_generator(lat, lab, a) for a in lat.atoms}
         monomial_of = {p: lcm_all(x[a] for a in bits_of(p)) for p in lat.sets}
         assert lat.top not in dict(recovered_labeling(lat, monomial_of).items())

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,8 @@ from lcmlattice.errors import ECHO_LIMIT, shown
 from lcmlattice.lattice import MAX_JOINING_ATOMS, _canon_key, _set_str, bits_of
 
 from conftest import (
+    Raised,
+    assert_matches_oracle,
     boolean_lattice,
     brute_force_isomorphic,
     cubic_covers,
@@ -41,8 +44,11 @@ from conftest import (
     join_oracle,
     lattices_with,
     meet_irreducibles_oracle,
+    order_lattices,
     pair_scan_validation,
     random_lattice,
+    random_lattices,
+    validation_families,
 )
 
 BOOLEAN3 = AtomicLattice.from_sets(3, [[], [1], [2], [3], [1, 2], [1, 3], [2, 3], [1, 2, 3]])
@@ -88,53 +94,23 @@ class TestValidation:
         assert lat.sets == (0, 1, 2, 3)
 
 
-def _validation_corpus(rng: random.Random, count: int):
-    """``count`` families on at most 6 atoms: closed ones, closed ones with
-    one set added or one set that is not required removed (on 4 to 6 atoms,
-    as every such change on 3 atoms stays closed), closed ones without one
-    required set, and arbitrary ones, each as a shuffled list with a
-    repeat."""
-    for i in range(count):
-        kind = i % 5
-        n = rng.randint(4, 6) if kind in (1, 2) else rng.randint(1, 6)
-        full = (1 << n) - 1
-        required = {0, full, *(1 << a for a in range(n))}
-        family = set(random_lattice(rng, n).sets)
-        if kind == 1 and len(family) <= full:
-            family.add(rng.choice([m for m in range(full + 1) if m not in family]))
-        elif kind == 2 and family - required:
-            family.discard(rng.choice(sorted(family - required)))
-        elif kind == 3:
-            family.discard(rng.choice(sorted(required)))
-        elif kind == 4:
-            family = {rng.randint(0, full) for _ in range(rng.randint(0, 1 << n))}
-        masks = sorted(family)
-        rng.shuffle(masks)
-        yield n, masks + masks[:1]
+def _closure_kind(out) -> list[str]:
+    if not isinstance(out, Raised):
+        return ["valid"]
+    return ["missing" if out.payload["missing_required"] else "only non-closed"]
 
 
 def test_closure_decision_matches_the_pair_scan():
     """The incidence-table closure test accepts exactly the families the
     pair scan accepts, and a refused family gets the pair scan's text,
     ``missing_required`` and every entry of ``non_closed_pairs``."""
-    rng = random.Random(20)
-    outcomes = {"valid": 0, "missing": 0, "only non-closed": 0}
-    for n, masks in _validation_corpus(rng, 2500):
-        expected = pair_scan_validation(n, masks)
-        if expected is None:
-            outcomes["valid"] += 1
-            assert AtomicLattice(n, masks).sets == tuple(sorted(set(masks), key=_canon_key))
-            continue
-        outcomes["missing" if expected.missing_required else "only non-closed"] += 1
-        with pytest.raises(ValidationError) as excinfo:
-            AtomicLattice(n, masks)
-        got = excinfo.value
-        assert (str(got), got.missing_required, got.non_closed_pairs) == (
-            str(expected),
-            expected.missing_required,
-            expected.non_closed_pairs,
-        )
-    assert min(outcomes.values()) >= 250, outcomes
+    assert_matches_oracle(
+        lambda n, masks: AtomicLattice(n, masks).sets,
+        pair_scan_validation,
+        validation_families(random.Random(20), 2500),
+        reach=dict.fromkeys(("valid", "missing", "only non-closed"), 250),
+        kinds=_closure_kind,
+    )
 
 
 def test_validating_and_covering_b12_fits_the_budget():
@@ -285,8 +261,7 @@ def test_join_is_least_upper_bound(rng):
             assert all(j & ~r == 0 for r in uppers)
             assert lat.meet(p, q) in lat
         masks = range(1 << lat.n) if lat.n <= 6 else [rng.randint(0, lat.top) for _ in range(200)]
-        for mask in masks:
-            assert lat.join_mask(mask) == join_oracle(lat, mask)
+        assert_matches_oracle(lat.join_mask, lambda mask: join_oracle(lat, mask), masks)
 
 
 def _fresh_trusted_lattices() -> dict[str, AtomicLattice]:
@@ -339,8 +314,7 @@ def test_filters_partition():
 
 
 def test_covers_against_definition(rng):
-    for _ in range(20):
-        lat = random_lattice(rng, rng.randint(2, 5))
+    for lat in random_lattices(rng, 20, (2, 5)):
         expected = set()
         for q in lat.sets:
             for p in lat.sets:
@@ -353,9 +327,7 @@ def test_covers_against_definition(rng):
 def test_covers_match_cubic_scan(rng):
     """Same pairs in the same canonical order as the literal cubic scan."""
     lattices = [random_lattice(rng, rng.randint(1, 6)) for _ in range(200)]
-    lattices += [boolean_lattice(n) for n in range(1, 7)]
-    for lat in lattices:
-        assert lat.covers() == cubic_covers(lat)
+    assert_matches_oracle(AtomicLattice.covers, cubic_covers, lattices + [boolean_lattice(n) for n in range(1, 7)])
 
 
 def test_meet_irreducibles():
@@ -367,8 +339,7 @@ def test_meet_irreducibles():
 
 def test_every_element_is_meet_of_irreducibles_above(rng):
     """Classic finite-lattice fact; exercises covers and meet together."""
-    for _ in range(20):
-        lat = random_lattice(rng, rng.randint(2, 5))
+    for lat in random_lattices(rng, 20, (2, 5)):
         mi = set(lat.meet_irreducibles())
         for p in lat.sets:
             above = [q for q in lat.filter(p) if q in mi]
@@ -378,33 +349,23 @@ def test_every_element_is_meet_of_irreducibles_above(rng):
             assert acc == p
 
 
-def _order_corpus() -> list[AtomicLattice]:
-    """Fresh lattices for the order queries.  Validated: 200 random ones on
-    1 to 6 atoms, and the Boolean, flat and interval lattices on 1 to 6
-    atoms.  Trusted: a random relabeling of each random one, and every
-    super-atomic lattice on 2 to 5 atoms (the enumeration starts at 2)."""
-    rng = random.Random(15)
-    randoms = [random_lattice(rng, rng.randint(1, 6)) for _ in range(200)]
-    shapes = [make(n) for make in (boolean_lattice, flat_lattice, interval_lattice) for n in range(1, 7)]
-    relabeled = [lat.relabel(rng.sample(range(1, lat.n + 1), lat.n)) for lat in randoms]
-    super_atomic = [lat for n in range(2, 6) for lat in enumerate_super_atomic(n)]
-    return randoms + shapes + relabeled + super_atomic
-
-
 def test_meet_irreducibles_match_the_definition():
     """Exactly the elements the literal definition keeps, in canonical order:
     a superset would still pass the meet-of-irreducibles test above."""
-    for lat in _order_corpus():
-        assert lat.meet_irreducibles() == meet_irreducibles_oracle(lat)
+    assert_matches_oracle(AtomicLattice.meet_irreducibles, meet_irreducibles_oracle, order_lattices())
+
+
+def _upper_covers_by_the_cubic_scan(lat: AtomicLattice) -> list[tuple[int, ...]]:
+    pairs = cubic_covers(lat)
+    return [tuple(hi for lo, hi in pairs if lo == p) for p in lat.sets]
 
 
 def test_upper_covers_match_the_cubic_scan():
     """Each element's upper covers are the upper elements of its pairs in
     the literal cover scan, in canonical order."""
-    for lat in _order_corpus():
-        pairs = cubic_covers(lat)
-        for p in lat.sets:
-            assert lat.upper_covers(p) == tuple(hi for lo, hi in pairs if lo == p)
+    assert_matches_oracle(
+        lambda lat: [lat.upper_covers(p) for p in lat.sets], _upper_covers_by_the_cubic_scan, order_lattices()
+    )
 
 
 def test_upper_covers_of_the_b14_atoms_fit_the_budget():
@@ -430,8 +391,7 @@ def test_joining_sets():
 
 
 def test_joining_sets_definition(rng):
-    for _ in range(20):
-        lat = random_lattice(rng, rng.randint(2, 5))
+    for lat in random_lattices(rng, 20, (2, 5)):
         for p in lat.sets:
             got = set(lat.joining_sets(p))
             sub, all_subs = p, set()
@@ -546,10 +506,8 @@ def test_isomorphism_known_pairs():
 
 
 def test_isomorphism_matches_brute_force_n3():
-    fams = lattices_with(3)
-    for p in fams:
-        for q in fams:
-            assert (lattice_isomorphic(p, q) is not None) == brute_force_isomorphic(p, q)
+    pairs = product(lattices_with(3), repeat=2)
+    assert_matches_oracle(lambda p, q: lattice_isomorphic(p, q) is not None, brute_force_isomorphic, pairs)
 
 
 def test_isomorphism_matches_brute_force_sampled_n4():
@@ -564,8 +522,7 @@ def test_isomorphism_matches_brute_force_sampled_n4():
         for _ in range(6):
             if len(group) >= 2:
                 pairs.append((rng.choice(group), rng.choice(group)))
-    for p, q in pairs:
-        assert (lattice_isomorphic(p, q) is not None) == brute_force_isomorphic(p, q)
+    assert_matches_oracle(lambda p, q: lattice_isomorphic(p, q) is not None, brute_force_isomorphic, pairs)
 
 
 def test_isomorphic_to_own_relabeling(rng):

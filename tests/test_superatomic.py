@@ -1,4 +1,3 @@
-import random
 from collections import Counter
 from math import factorial
 
@@ -25,14 +24,18 @@ from lcmlattice.lattice import _canon_key
 from lcmlattice.superatomic import _joining_pairs
 
 from conftest import (
-    boolean_lattice,
+    DETECTOR_CORPORA,
+    JOINING_PAIR_CORPORA,
+    SUPP_SCAN_CORPORA,
+    assert_matches_oracle,
     flat_lattice,
     interval_lattice,
+    intervals64_and_near_miss,
     joining_pairs_oracle,
     lattices_with,
     literal_super_atomic_oracle,
-    random_lattice,
-    seeded_random_lattices,
+    random_lattices,
+    small_lattices,
     supp_characterization_oracle,
     supp_scan_oracle,
 )
@@ -79,43 +82,15 @@ def test_detectors_answer_beyond_the_joining_set_cap(monkeypatch):
     assert not is_super_atomic_via_supp(flat17)
 
 
-def _super_atomic_and_near_misses(n):
-    """Each super-atomic lattice on n atoms, then each copy of it with one
-    non-required meet-irreducible removed (still a lattice, never super-atomic)."""
-    for lat in enumerate_super_atomic(n):
-        yield lat
-        for m in lat.meet_irreducibles():
-            if m.bit_count() >= 2 and m != lat.top:
-                yield AtomicLattice(n, [s for s in lat.sets if s != m])
-
-
-DETECTOR_CORPORA = {
-    "every lattice with n <= 4": lambda: [lat for n in (1, 2, 3, 4) for lat in lattices_with(n)],
-    "300 random lattices with n <= 7": lambda: seeded_random_lattices(300, seed=5),
-    "super-atomic n = 5 and near misses": lambda: list(_super_atomic_and_near_misses(5)),
-    "intervals with n <= 12": lambda: [interval_lattice(n) for n in range(1, 13)],
-}
-
-
 @pytest.mark.parametrize("corpus", DETECTOR_CORPORA)
 def test_is_super_atomic_matches_the_literal_definition(corpus):
-    lats = DETECTOR_CORPORA[corpus]()
-    verdicts = [is_super_atomic(lat) for lat in lats]
-    assert verdicts == [literal_super_atomic_oracle(lat) for lat in lats]
-
-
-JOINING_PAIR_CORPORA = {
-    **DETECTOR_CORPORA,
-    "Boolean with n <= 8 and flat with n <= 12": lambda: [boolean_lattice(n) for n in range(1, 9)]
-    + [flat_lattice(n) for n in range(1, 13)],
-}
+    assert_matches_oracle(is_super_atomic, literal_super_atomic_oracle, DETECTOR_CORPORA[corpus]())
 
 
 @pytest.mark.parametrize("corpus", JOINING_PAIR_CORPORA)
 def test_joining_pairs_match_the_per_element_oracle(corpus):
     """Same pairs for every element, in the same order."""
-    for lat in JOINING_PAIR_CORPORA[corpus]():
-        assert _joining_pairs(lat) == joining_pairs_oracle(lat)
+    assert_matches_oracle(_joining_pairs, joining_pairs_oracle, JOINING_PAIR_CORPORA[corpus]())
 
 
 @pytest.mark.parametrize("corpus", JOINING_PAIR_CORPORA)
@@ -123,44 +98,16 @@ def test_supp_detector_matches_both_oracles(corpus):
     """The join-free scan gives the join-based characterization's verdicts,
     and both give the literal definition's."""
     lats = JOINING_PAIR_CORPORA[corpus]()
-    verdicts = [is_super_atomic_via_supp(lat) for lat in lats]
-    assert verdicts == [supp_characterization_oracle(lat) for lat in lats]
-    assert verdicts == [literal_super_atomic_oracle(lat) for lat in lats]
-
-
-def _closed_families(count, seed):
-    """``count`` seeded random lattices on 3 to 8 atoms."""
-    rng = random.Random(seed)
-    return [random_lattice(rng, rng.randint(3, 8)) for _ in range(count)]
-
-
-def _intervals64_and_near_miss():
-    intervals64 = interval_lattice(64)
-    return [intervals64, AtomicLattice(64, [m for m in intervals64.sets if m != 0b11])]
-
-
-# Each corpus with the verdicts it must reach.
-SUPP_SCAN_CORPORA = {
-    "every lattice with n <= 4": (lambda: [lat for n in (1, 2, 3, 4) for lat in lattices_with(n)], {True, False}),
-    "super-atomic with n <= 6": (lambda: [lat for n in range(2, 7) for lat in enumerate_super_atomic(n)], {True}),
-    "super-atomic with n <= 5 and near misses": (
-        lambda: [lat for n in range(2, 6) for lat in _super_atomic_and_near_misses(n)],
-        {True, False},
-    ),
-    "300 closed families on 3-8 atoms": (lambda: _closed_families(300, seed=19), {True, False}),
-    "intervals64 and its near miss": (_intervals64_and_near_miss, {True, False}),
-}
+    assert_matches_oracle(is_super_atomic_via_supp, supp_characterization_oracle, lats)
+    assert_matches_oracle(is_super_atomic_via_supp, literal_super_atomic_oracle, lats)
 
 
 @pytest.mark.parametrize("corpus", SUPP_SCAN_CORPORA)
 def test_supp_detector_matches_the_scan_it_replaced(corpus):
     """The walk over incidence columns gives the verdicts of the scan of
     the earlier elements per pair."""
-    build, reached = SUPP_SCAN_CORPORA[corpus]
-    lats = build()
-    verdicts = [is_super_atomic_via_supp(lat) for lat in lats]
-    assert verdicts == [supp_scan_oracle(lat) for lat in lats]
-    assert set(verdicts) == reached
+    build, verdicts = SUPP_SCAN_CORPORA[corpus]
+    assert set(assert_matches_oracle(is_super_atomic_via_supp, supp_scan_oracle, build())) == verdicts
 
 
 def test_supp_detector_takes_no_joins_and_writes_nothing(monkeypatch):
@@ -187,19 +134,16 @@ def test_detectors_at_the_atom_cap():
     """interval_lattice(64) is the largest input MAX_ATOMS admits.  Its
     interval {1, 2} is meet-irreducible, with the single upper cover
     {1, 2, 3}; without it, {1, 2} and {1, 3} both join to {1, 2, 3}."""
-    intervals64 = interval_lattice(64)
+    intervals64, near_miss = intervals64_and_near_miss()
     assert len(intervals64) == 2081
     assert is_super_atomic(intervals64)
     assert is_super_atomic_via_supp(intervals64)
-    near_miss = AtomicLattice(64, [m for m in intervals64.sets if m != 0b11])
     assert not is_super_atomic(near_miss)
     assert not is_super_atomic_via_supp(near_miss)
 
 
 def test_detectors_agree_exhaustively_small():
-    for n in (1, 2, 3, 4):
-        for lat in lattices_with(n):
-            assert is_super_atomic(lat) == is_super_atomic_via_supp(lat)
+    assert_matches_oracle(is_super_atomic, is_super_atomic_via_supp, small_lattices())
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -208,9 +152,7 @@ def test_supp_detector_accepts_every_enumerated_lattice(n):
 
 
 def test_detectors_agree_on_random_lattices(rng):
-    for _ in range(150):
-        lat = random_lattice(rng, rng.randint(2, 6))
-        assert is_super_atomic(lat) == is_super_atomic_via_supp(lat)
+    assert_matches_oracle(is_super_atomic, is_super_atomic_via_supp, random_lattices(rng, 150, (2, 6)))
 
 
 def test_size_formula():

@@ -5,14 +5,11 @@ import pytest
 
 from lcmlattice import (
     AtomicLattice,
-    Monomial,
     PreconditionError,
-    atoms_of,
     check_cover_transfer,
     check_strong_interval_criterion,
     check_weak_interval_criterion,
     classify,
-    enumerate_all_lattices,
     enumerate_super_atomic,
     ideal_from_labeling,
     is_strong_coordinatization,
@@ -23,18 +20,18 @@ from lcmlattice import (
     weak_ideal,
 )
 
-from lcmlattice import superatomic
+from lcmlattice import fixtures, ideals, superatomic
 from lcmlattice.support_labeling import _pair_sizes
 
 from conftest import (
-    boolean_lattice,
-    flat_lattice,
+    FILTER_SIZE_CORPORA,
+    WEAK_CRITERION_CORPORA,
+    assert_matches_oracle,
     interval_count,
     interval_lattice,
     join_oracle,
     lattices_with,
-    random_lattice,
-    seeded_random_lattices,
+    random_lattices,
     strong_interval_criterion_oracle,
     weak_interval_criterion_oracle,
 )
@@ -63,25 +60,17 @@ STRONG_FAILS = AtomicLattice.from_sets(
 )
 
 
-FILTER_SIZE_CORPORA = {
-    "every lattice with n <= 4": lambda: [lat for n in (1, 2, 3, 4) for lat in lattices_with(n)],
-    "Boolean with n <= 8": lambda: [boolean_lattice(n) for n in range(1, 9)],
-    "flat with n <= 12": lambda: [flat_lattice(n) for n in range(1, 13)],
-    "200 random lattices with n <= 7": lambda: seeded_random_lattices(200, seed=11),
-}
-
-
 @pytest.mark.parametrize("corpus", FILTER_SIZE_CORPORA)
 def test_pair_sizes_match_interval_count(corpus):
     """The atom-pair table of both interval criteria holds N([a v b, top])
     for every atom pair, a = b included, and nothing else."""
-    for lat in FILTER_SIZE_CORPORA[corpus]():
-        want = {
-            a | b: interval_count(lat, join_oracle(lat, a | b), lat.top)
-            for a in lat.atoms
-            for b in lat.atoms
-        }
-        assert _pair_sizes(lat) == want
+    assert_matches_oracle(
+        _pair_sizes,
+        lambda lat: {
+            a | b: interval_count(lat, join_oracle(lat, a | b), lat.top) for a in lat.atoms for b in lat.atoms
+        },
+        FILTER_SIZE_CORPORA[corpus](),
+    )
 
 
 # -- the labeling itself ---------------------------------------------------------
@@ -112,8 +101,7 @@ def test_generator_exponents_count_intervals(rng):
     N([a_j, top]) - N([a_j v a_k, top]): the elements above a_j but not
     above a_k.  This identity is what turns the coordinatization questions
     into interval-count comparisons."""
-    for _ in range(25):
-        lat = random_lattice(rng, rng.randint(2, 5))
+    for lat in random_lattices(rng, 25, (2, 5)):
         lab = support_labeling(lat)
         gens = dict(zip(lat.atoms, ideal_from_labeling(lat, lab)))
         for k, ak in enumerate(lat.atoms):
@@ -160,8 +148,7 @@ def test_weak_criterion_implies_weak_coordinatization(rng):
     for lat in lattices_with(3):
         if check_weak_interval_criterion(lat).hypothesis_holds:
             assert is_weak_coordinatization(lat, support_labeling(lat))
-    for _ in range(40):
-        lat = random_lattice(rng, rng.randint(4, 5))
+    for lat in random_lattices(rng, 40, (4, 5)):
         if check_weak_interval_criterion(lat).hypothesis_holds:
             assert is_weak_coordinatization(lat, support_labeling(lat))
 
@@ -184,23 +171,17 @@ def test_weak_criterion_report_shape():
     assert all(w.satisfied and w.pair and w.chosen in w.pair for w in ok)
 
 
-WEAK_CRITERION_CORPORA = {
-    "every lattice with n <= 4": lambda: [lat for n in (1, 2, 3, 4) for lat in lattices_with(n)],
-    "Boolean with n <= 7": lambda: [boolean_lattice(n) for n in range(1, 8)],
-    "200 random lattices with n <= 7": lambda: seeded_random_lattices(200, seed=18),
-}
-
-
 @pytest.mark.parametrize("corpus", WEAK_CRITERION_CORPORA)
 def test_weak_criterion_matches_its_oracle(corpus):
     """One witness built per element gives the report of one built per
     candidate tried, witness for witness, satisfied or not."""
-    outcomes = set()
-    for lat in WEAK_CRITERION_CORPORA[corpus]():
-        doc = check_weak_interval_criterion(lat).to_json_dict()
-        assert doc == weak_interval_criterion_oracle(lat).to_json_dict()
-        outcomes.update((w["satisfied"], w["pair"] is None) for w in doc["witnesses"])
-    assert {(True, False), (False, False)} <= outcomes
+    assert_matches_oracle(
+        lambda lat: check_weak_interval_criterion(lat).to_json_dict(),
+        lambda lat: weak_interval_criterion_oracle(lat).to_json_dict(),
+        WEAK_CRITERION_CORPORA[corpus](),
+        reach={(True, False), (False, False)},
+        kinds=lambda doc: [(w["satisfied"], w["pair"] is None) for w in doc["witnesses"]],
+    )
 
 
 # -- strong criterion ---------------------------------------------------------------
@@ -224,9 +205,13 @@ def test_strong_criterion_matches_its_oracle():
     seeded 500 of those with n = 6 (the smallest n where it can fail)."""
     lats = [lat for n in range(2, 6) for lat in enumerate_super_atomic(n)]
     lats += random.Random(19).sample(enumerate_super_atomic(6), 500)
-    outcomes = [check_strong_interval_criterion(lat) for lat in lats]
-    assert outcomes == [strong_interval_criterion_oracle(lat) for lat in lats]
-    assert {ok for ok, _ in outcomes} == {True, False}
+    assert_matches_oracle(
+        check_strong_interval_criterion,
+        strong_interval_criterion_oracle,
+        lats,
+        reach={True, False},
+        kinds=lambda out: [out[0]],
+    )
 
 
 @pytest.mark.parametrize("n", [21, 32])
@@ -305,6 +290,19 @@ def test_cover_transfer_preconditions_each_named():
         check_cover_transfer(SUPER_EXAMPLE, staircase, _without(staircase, 0b0011))
     with pytest.raises(PreconditionError, match="does not cover"):
         check_cover_transfer(SUPER_EXAMPLE, SUPER_EXAMPLE, SUPER_EXAMPLE)
+
+
+def test_cover_transfer_groups_the_labels_once_per_lattice(monkeypatch):
+    """On ``example-5-2`` one call groups labels twice: for the middle
+    lattice's strong precondition, and once for the smaller lattice, whose
+    ``x(a)`` serve both ``delta(a)`` and its strong verdict."""
+    grouped = []
+    label_groups = ideals._label_groups
+    monkeypatch.setattr(ideals, "_label_groups", lambda lat, lab: grouped.append(lat) or label_groups(lat, lab))
+    doc = fixtures.load("example-5-2")
+    larger, smaller = (AtomicLattice.from_json_dict(d) for d in (doc["lattice"], doc["expect"]["cover"]["smaller"]))
+    assert check_cover_transfer(larger, larger, smaller).agree
+    assert grouped == [larger, smaller]
 
 
 def test_cover_transfer_requires_strong_middle():

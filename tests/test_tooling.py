@@ -14,6 +14,7 @@ from lcmlattice.classify import _extends_to_isomorphism
 from lcmlattice.ideals import _refine
 
 PACKAGE = Path(lcmlattice.__file__).parent
+TESTS = Path(__file__).resolve().parent
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -349,6 +350,23 @@ def test_one_json_parser_and_one_text_reader():
     file; ``fixtures.load`` reads the package's own data."""
     assert _top_level_scopes_mentioning("loads") == {"lattice._parse_json", "fixtures.load"}
     assert _top_level_scopes_mentioning("read_text") == {"ideals._read_text", "fixtures.load"}
+
+
+def test_corpora_live_in_conftest():
+    """No test module but ``conftest.py`` defines a module-level ``*_CORPORA``
+    table or a ``_*corpus`` builder: the corpora have one home, so they
+    cannot regrow file by file."""
+    found = []
+    for path in sorted(TESTS.glob("*.py")):
+        if path.name == "conftest.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                names = [node.name]
+            else:
+                names = [t.id for t in getattr(node, "targets", []) if isinstance(t, ast.Name)]
+            found += [f"{path.name}: {name}" for name in names if re.fullmatch(r"\w+_CORPORA|_\w*corpus", name)]
+    assert found == []
 
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
