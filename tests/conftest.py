@@ -20,14 +20,14 @@ differential check that compares each fast path with its oracle.
   :func:`lattices_with` is cached.  Test modules define no corpus of their
   own (``tests/test_tooling.py`` checks this).
 * :func:`assert_matches_oracle` is the one differential check: the fast
-  path and the oracle on every item, a package error counting as an
-  outcome, and the outcome kinds the corpus must reach.
+  path and the oracle on every argument tuple, a package error counting as
+  an outcome only where the test names its type, and the least counts of
+  the outcome kinds the cases must reach.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -171,9 +171,7 @@ def subset_weak_generators(lat: AtomicLattice, labeling: Labeling) -> tuple[Mono
         for p in lat.sets
         if p != 0
     }
-    return tuple(
-        gcd_all(term for p, term in per_element.items() if a & ~p == 0) for a in lat.atoms
-    )
+    return tuple(gcd_all(term for p, term in per_element.items() if a & ~p == 0) for a in lat.atoms)
 
 
 def specific_map_oracle(lat: AtomicLattice, atom_monomials: tuple[Monomial, ...]):
@@ -561,12 +559,7 @@ def overlap_condition_labeling(rng: random.Random, lat: AtomicLattice) -> Labeli
     for p in mi:
         fresh += 1
         table[p] = Monomial({f"v{fresh}": rng.randint(1, 3)})
-    incomparable = [
-        (p, q)
-        for i, p in enumerate(mi)
-        for q in mi[i + 1 :]
-        if p & ~q and q & ~p
-    ]
+    incomparable = [(p, q) for i, p in enumerate(mi) for q in mi[i + 1 :] if p & ~q and q & ~p]
     if incomparable:
         p, q = rng.choice(incomparable)
         shared = Monomial({"c": rng.randint(1, 2)})
@@ -725,9 +718,11 @@ def decision_labelings(rng: random.Random):
         yield lat, rng.choice(LABELING_BUILDERS)(rng, lat)
 
 
-def shared_variable_labelings(rng: random.Random, lattices):
+def shared_variable_labelings(seed: str, lattices):
     """Each lattice with its support labeling, then two random labelings
-    whose labels share the variables x, y, z, with exponents up to 5."""
+    whose labels share the variables x, y, z, with exponents up to 5, drawn
+    from ``random.Random(seed)``."""
+    rng = random.Random(seed)
     for lat in lattices:
         yield lat, support_labeling(lat)
         for _ in range(2):
@@ -784,13 +779,12 @@ WEAK_CRITERION_CORPORA = {
 # (lattice, labeling) pairs from shared_variable_labelings, seeded with the
 # corpus name.
 X_ORACLE_CORPORA = {
-    name: lambda name=name, lattices=lattices: shared_variable_labelings(random.Random(name), lattices())
-    for name, lattices in {
-        "every lattice with n <= 4": small_lattices,
-        "Boolean with n <= 6": lambda: up_to(boolean_lattice, 6),
-        "flat with n <= 10": lambda: up_to(flat_lattice, 10),
-        "100 random lattices with n <= 6": lambda: [random_lattice(random.Random(i), 2 + i % 5) for i in range(100)],
-    }.items()
+    "every lattice with n <= 4": lambda: shared_variable_labelings("every lattice with n <= 4", small_lattices()),
+    "Boolean with n <= 6": lambda: shared_variable_labelings("Boolean with n <= 6", up_to(boolean_lattice, 6)),
+    "flat with n <= 10": lambda: shared_variable_labelings("flat with n <= 10", up_to(flat_lattice, 10)),
+    "100 random lattices with n <= 6": lambda: shared_variable_labelings(
+        "100 random lattices with n <= 6", [random_lattice(random.Random(i), 2 + i % 5) for i in range(100)]
+    ),
 }
 
 
@@ -816,31 +810,24 @@ def outcome(call, *args):
         return Raised(type(exc).__name__, str(exc), dict(vars(exc)))
 
 
-def outcome_kinds(out) -> list:
-    """The default kinds of an outcome: the error's type name, or the
-    outcome itself."""
-    return [out.kind if isinstance(out, Raised) else out]
+def assert_matches_oracle(fast, oracle, cases, reach=None) -> list:
+    """The one differential check: ``fast(*args)`` and ``oracle(*args)``
+    give the same :func:`outcome` for every argument tuple ``args`` of
+    ``cases``, in order, and at least one of them is a value.
 
-
-def assert_matches_oracle(fast, oracle, corpus, reach=(), kinds=outcome_kinds) -> list:
-    """The one differential check: ``fast`` and ``oracle`` give the same
-    :func:`outcome` on every item of ``corpus``, in order.  An item that is a
-    tuple is the argument list; any other item is the one argument.
-
-    Then every kind in ``reach`` is reached: ``kinds(outcome)`` lists the
-    kinds of one oracle outcome (by default the outcome itself, or the
-    error's type name), and ``reach`` is a set of kinds, each needed once,
-    or a dict from a kind to the least number of times it is needed.
-    Returns the oracle's outcomes, in corpus order."""
+    ``reach`` maps an outcome kind (a value, or a package error's type
+    name) to the least number of oracle outcomes of that kind; a package
+    error whose kind it does not name fails the check.  Returns the
+    oracle's outcomes, in case order, for any other tally."""
+    reach = reach or {}
     outcomes = []
-    for i, item in enumerate(corpus):
-        args = item if type(item) is tuple else (item,)
+    for i, args in enumerate(cases):
         got = outcome(fast, *args)
         expected = outcome(oracle, *args)
-        assert got == expected, f"corpus item {i}"
+        assert got == expected, f"case {i}"
+        assert not isinstance(expected, Raised) or expected.kind in reach, f"case {i}: {expected}"
         outcomes.append(expected)
-    least = reach if isinstance(reach, dict) else dict.fromkeys(reach, 1)
-    if least:
-        counts = Counter(kind for out in outcomes for kind in kinds(out))
-        assert all(counts[kind] >= n for kind, n in least.items()), f"outcome kinds reached: {dict(counts)}"
+    assert not all(isinstance(out, Raised) for out in outcomes), "no case gave a value"
+    kinds = [out.kind if isinstance(out, Raised) else out for out in outcomes]
+    assert all(kinds.count(kind) >= least for kind, least in reach.items()), f"reach {reach} not met"
     return outcomes

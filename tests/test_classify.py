@@ -41,7 +41,6 @@ from conftest import (
     lattices_with,
     mixed_labelings,
     outcome,
-    outcome_kinds,
     overlap_conditions_oracle,
     random_labeling,
     small_lattices,
@@ -89,9 +88,7 @@ def test_chain_conditions_unlabeled_meet_irreducible():
 
 
 def test_chain_conditions_shared_variable_off_chain():
-    lab = Labeling.from_sets(
-        BOOLEAN3, [([1, 2], "x"), ([1, 3], "x"), ([2, 3], "y")]
-    )
+    lab = Labeling.from_sets(BOOLEAN3, [([1, 2], "x"), ([1, 3], "x"), ([2, 3], "y")])
     ok, witness = check_strong_conditions(BOOLEAN3, lab)
     assert not ok and "variable x" in witness
 
@@ -107,18 +104,14 @@ def test_chain_conditions_top_exempt():
 
 def test_overlap_conditions_swallowed_label():
     # label of {1,2} is exactly the overlap: first overlap condition fails
-    lab = Labeling.from_sets(
-        BOOLEAN3, [([1, 2], "x"), ([1, 3], "x*y"), ([2, 3], "z")]
-    )
+    lab = Labeling.from_sets(BOOLEAN3, [([1, 2], "x"), ([1, 3], "x*y"), ([2, 3], "z")])
     ok, witness = check_weak_conditions(BOOLEAN3, lab)
     assert not ok and "overlap" in witness
 
 
 def test_overlap_conditions_entangled_non_chain():
     # c ties {1,2} to both {1,3} and {2,3}, which are incomparable
-    lab = Labeling.from_sets(
-        BOOLEAN3, [([1, 2], "c*x"), ([1, 3], "c*y"), ([2, 3], "c*z")]
-    )
+    lab = Labeling.from_sets(BOOLEAN3, [([1, 2], "c*x"), ([1, 3], "c*y"), ([2, 3], "c*z")])
     ok, witness = check_weak_conditions(BOOLEAN3, lab)
     assert not ok and "chain" in witness
 
@@ -128,13 +121,12 @@ def test_condition_checks_match_their_oracles(corpus):
     """The mask-based checks give the verdict and the first witness of the
     gcd-and-quotient ones, on every labeling of the corpus."""
     build, kinds = CONDITION_CORPORA[corpus]
-    assert_matches_oracle(
+    outcomes = assert_matches_oracle(
         lambda lat, lab: (check_strong_conditions(lat, lab), check_weak_conditions(lat, lab)),
         lambda lat, lab: (chain_conditions_oracle(lat, lab), overlap_conditions_oracle(lat, lab)),
         build(),
-        reach=kinds,
-        kinds=lambda out: [None if out[1][0] else out[1][1].split(" ", 1)[0]],
     )
+    assert kinds <= {None if ok else witness.split(" ", 1)[0] for _, (ok, witness) in outcomes}
 
 
 # -- implications over random corpora -------------------------------------------
@@ -204,7 +196,10 @@ def _single_checks(lat, lab):
     degenerate ideal classifies as false, with a witness."""
     verdicts = [check_strong_conditions(lat, lab), check_weak_conditions(lat, lab)]
     for check in (is_coordinatization, is_strong_coordinatization, is_weak_coordinatization):
-        ok = outcome(check, lat, lab) is True
+        try:
+            ok = check(lat, lab)
+        except DegenerateIdealError:
+            ok = False
         verdicts.append((ok, not ok))
     return verdicts
 
@@ -229,26 +224,21 @@ def test_specific_map_decision_matches_the_oracle(rng):
     """Level masks that are elements and separate the elements decide what
     the lcm-lattice build decides, refusing what it refuses; false verdicts
     keep the oracle's witness, in the explanation and in ``classify``."""
-    classified = []
-
-    def specific_maps():
-        for lat, lab in decision_labelings(rng):
-            c = classify(lat, lab)
-            assert c.is_coordinatization or not c.is_strong
-            x = ideal_from_labeling(lat, lab)
-            for field, gens in (("is_strong", x.generators), ("is_weak", _refine(lat, x))):
-                classified.append((getattr(c, field), (c.witness or {}).get(field)))
-                yield lat, gens
-
+    cases, classified = [], []
+    for lat, lab in decision_labelings(rng):
+        c = classify(lat, lab)
+        assert c.is_coordinatization or not c.is_strong
+        x = ideal_from_labeling(lat, lab)
+        for field, gens in (("is_strong", x.generators), ("is_weak", _refine(lat, x))):
+            cases.append((lat, gens))
+            classified.append((getattr(c, field), (c.witness or {}).get(field)))
     expected = assert_matches_oracle(
-        _decided_and_explained,
-        specific_map_oracle,
-        specific_maps(),
-        reach={True: 1000, False: 1000},  # both verdicts well exercised
-        kinds=lambda out: [not isinstance(out, Raised) and out[0]],
+        _decided_and_explained, specific_map_oracle, cases, reach={"DegenerateIdealError": 1}
     )
     # classify words a refused tuple as a false verdict
     assert classified == [(False, out.text) if isinstance(out, Raised) else out for out in expected]
+    verdicts = Counter(out[0] for out in expected if not isinstance(out, Raised))
+    assert min(verdicts[True], verdicts[False]) >= 1000  # both verdicts well exercised
 
 
 def test_classify_builds_no_lcm_lattice_when_strong_holds(rng, monkeypatch):
@@ -292,7 +282,8 @@ def test_predicates_build_no_lcm_lattice(rng, monkeypatch):
             lab = make(rng, lat)
             for check in (is_strong_coordinatization, is_weak_coordinatization):
                 # a unit is refused before any build, as the build would refuse it
-                verdicts.update(outcome_kinds(outcome(check, lat, lab)))
+                out = outcome(check, lat, lab)
+                verdicts.add(out.kind if isinstance(out, Raised) else out)
         lab = chain_condition_labeling(rng, lat)
         assert is_coordinatization(lat, lab)
     assert verdicts == {True, False, "DegenerateIdealError"}

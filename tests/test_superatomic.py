@@ -84,22 +84,22 @@ def test_detectors_answer_beyond_the_joining_set_cap(monkeypatch):
 
 @pytest.mark.parametrize("corpus", DETECTOR_CORPORA)
 def test_is_super_atomic_matches_the_literal_definition(corpus):
-    assert_matches_oracle(is_super_atomic, literal_super_atomic_oracle, DETECTOR_CORPORA[corpus]())
+    assert_matches_oracle(is_super_atomic, literal_super_atomic_oracle, [(lat,) for lat in DETECTOR_CORPORA[corpus]()])
 
 
 @pytest.mark.parametrize("corpus", JOINING_PAIR_CORPORA)
 def test_joining_pairs_match_the_per_element_oracle(corpus):
     """Same pairs for every element, in the same order."""
-    assert_matches_oracle(_joining_pairs, joining_pairs_oracle, JOINING_PAIR_CORPORA[corpus]())
+    assert_matches_oracle(_joining_pairs, joining_pairs_oracle, [(lat,) for lat in JOINING_PAIR_CORPORA[corpus]()])
 
 
 @pytest.mark.parametrize("corpus", JOINING_PAIR_CORPORA)
 def test_supp_detector_matches_both_oracles(corpus):
     """The join-free scan gives the join-based characterization's verdicts,
     and both give the literal definition's."""
-    lats = JOINING_PAIR_CORPORA[corpus]()
-    assert_matches_oracle(is_super_atomic_via_supp, supp_characterization_oracle, lats)
-    assert_matches_oracle(is_super_atomic_via_supp, literal_super_atomic_oracle, lats)
+    cases = [(lat,) for lat in JOINING_PAIR_CORPORA[corpus]()]
+    assert_matches_oracle(is_super_atomic_via_supp, supp_characterization_oracle, cases)
+    assert_matches_oracle(is_super_atomic_via_supp, literal_super_atomic_oracle, cases)
 
 
 @pytest.mark.parametrize("corpus", SUPP_SCAN_CORPORA)
@@ -107,7 +107,8 @@ def test_supp_detector_matches_the_scan_it_replaced(corpus):
     """The walk over incidence columns gives the verdicts of the scan of
     the earlier elements per pair."""
     build, verdicts = SUPP_SCAN_CORPORA[corpus]
-    assert set(assert_matches_oracle(is_super_atomic_via_supp, supp_scan_oracle, build())) == verdicts
+    outcomes = assert_matches_oracle(is_super_atomic_via_supp, supp_scan_oracle, [(lat,) for lat in build()])
+    assert set(outcomes) == verdicts
 
 
 def test_supp_detector_takes_no_joins_and_writes_nothing(monkeypatch):
@@ -143,7 +144,7 @@ def test_detectors_at_the_atom_cap():
 
 
 def test_detectors_agree_exhaustively_small():
-    assert_matches_oracle(is_super_atomic, is_super_atomic_via_supp, small_lattices())
+    assert_matches_oracle(is_super_atomic, is_super_atomic_via_supp, [(lat,) for lat in small_lattices()])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -152,7 +153,8 @@ def test_supp_detector_accepts_every_enumerated_lattice(n):
 
 
 def test_detectors_agree_on_random_lattices(rng):
-    assert_matches_oracle(is_super_atomic, is_super_atomic_via_supp, random_lattices(rng, 150, (2, 6)))
+    cases = [(lat,) for lat in random_lattices(rng, 150, (2, 6))]
+    assert_matches_oracle(is_super_atomic, is_super_atomic_via_supp, cases)
 
 
 def test_size_formula():
@@ -218,11 +220,7 @@ def test_enumeration_complete_against_filter():
     """Independent ground truth: filter the brute-force list of *all* atomic
     lattices by the detector and compare families exactly."""
     for n in (2, 3, 4):
-        expected = {
-            frozenset(lat.sets)
-            for lat in lattices_with(n)
-            if is_super_atomic(lat)
-        }
+        expected = {frozenset(lat.sets) for lat in lattices_with(n) if is_super_atomic(lat)}
         got = {frozenset(lat.sets) for lat in enumerate_super_atomic(n)}
         assert got == expected
 

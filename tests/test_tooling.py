@@ -8,10 +8,14 @@ import tokenize
 import types
 from pathlib import Path
 
+import pytest
+
 import lcmlattice
 from lcmlattice import LcmLattice, MonomialIdeal, cli, errors, ideals, superatomic
 from lcmlattice.classify import _extends_to_isomorphism
 from lcmlattice.ideals import _refine
+
+from conftest import assert_matches_oracle
 
 PACKAGE = Path(lcmlattice.__file__).parent
 TESTS = Path(__file__).resolve().parent
@@ -352,21 +356,43 @@ def test_one_json_parser_and_one_text_reader():
     assert _top_level_scopes_mentioning("read_text") == {"ideals._read_text", "fixtures.load"}
 
 
+def _corpus_names(source: str) -> list[str]:
+    """The module-level ``*_CORPORA`` tables and ``_*corpus`` builders that
+    ``source`` defines, by a plain or annotated assignment or a ``def``."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in names if re.fullmatch(r"\w+_CORPORA|_\w*corpus", name)]
+
+
 def test_corpora_live_in_conftest():
     """No test module but ``conftest.py`` defines a module-level ``*_CORPORA``
     table or a ``_*corpus`` builder: the corpora have one home, so they
     cannot regrow file by file."""
-    found = []
-    for path in sorted(TESTS.glob("*.py")):
-        if path.name == "conftest.py":
-            continue
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, ast.FunctionDef):
-                names = [node.name]
-            else:
-                names = [t.id for t in getattr(node, "targets", []) if isinstance(t, ast.Name)]
-            found += [f"{path.name}: {name}" for name in names if re.fullmatch(r"\w+_CORPORA|_\w*corpus", name)]
-    assert found == []
+    sample = "A_CORPORA: dict = {}\nasync def _a_corpus(): pass\nB_CORPORA, b = {}, 1\ndef _helper(): pass\n"
+    assert _corpus_names(sample) == ["A_CORPORA", "_a_corpus", "B_CORPORA"]
+    modules = [path for path in sorted(TESTS.glob("*.py")) if path.name != "conftest.py"]
+    assert [f"{path.name}: {name}" for path in modules for name in _corpus_names(path.read_text())] == []
+
+
+def test_the_differential_check_counts_a_shared_error_only_where_named():
+    """Two sides that raise the same package error agree only on a kind
+    that ``reach`` names, and never on every case."""
+
+    def refuse(n):
+        raise errors.PreconditionError("refused")
+
+    with pytest.raises(AssertionError, match="case 0"):
+        assert_matches_oracle(refuse, refuse, [(1,)])
+    with pytest.raises(AssertionError, match="no case gave a value"):
+        assert_matches_oracle(refuse, refuse, [(1,)], reach={"PreconditionError": 1})
+    with pytest.raises(AssertionError, match="reach"):
+        assert_matches_oracle(abs, abs, [(1,)], reach={"PreconditionError": 1})
+    assert assert_matches_oracle(abs, abs, [(-1,), (2,)], reach={1: 1, 2: 1}) == [1, 2]
 
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
