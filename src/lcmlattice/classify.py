@@ -45,6 +45,7 @@ from .ideals import (
     LcmLattice,
     MonomialIdeal,
     _check_lcm_generators,
+    _label_groups,
     _level_masks,
     _refine,
     _support_lcms,
@@ -53,7 +54,7 @@ from .ideals import (
     recovered_labeling,
     weak_ideal,
 )
-from .lattice import AtomicLattice, _set_str, lattice_isomorphic
+from .lattice import AtomicLattice, _set_str, bits_of, lattice_isomorphic
 from .monomial import Monomial
 
 __all__ = [
@@ -91,17 +92,18 @@ def check_strong_conditions(lat: AtomicLattice, labeling: Labeling) -> tuple[boo
     These conditions guarantee a strong coordinatization.  The top element is
     exempt from the labeling requirement: it never contributes to any
     generator (every filter contains it), and recovered labelings always
-    leave it unlabeled.
+    leave it unlabeled.  The elements labeled with a variable, in canonical
+    order, are read off the label groups of
+    :func:`~lcmlattice.ideals._label_groups`, which refuse a labeling of
+    another lattice before any work.
     """
+    groups = _label_groups(lat, labeling)
     unlabeled = _unlabeled_meet_irreducible(lat, labeling)
     if unlabeled:
         return False, unlabeled
-    by_var: dict[str, list[int]] = {}
-    for p, m in labeling.items():
-        for v, _ in m._exps:
-            by_var.setdefault(v, []).append(p)
-    for v in sorted(by_var):
-        pair = _first_incomparable(by_var[v])
+    for v in sorted(groups):
+        labeled = sum(groups[v].values())  # a label has one exponent of v, so the groups are disjoint
+        pair = _first_incomparable([lat.sets[b.bit_length() - 1] for b in bits_of(labeled)])
         if pair:
             return False, f"variable {v} labels incomparable elements {pair}"
     return True, None
@@ -123,6 +125,7 @@ def check_weak_conditions(lat: AtomicLattice, labeling: Labeling) -> tuple[bool,
     exactly when ``m`` divides ``m'``.  The elements entangled with a label
     are listed once, from the masks, the first time a pair needs them.
     """
+    _label_groups(lat, labeling)  # refuses a labeling of another lattice
     unlabeled = _unlabeled_meet_irreducible(lat, labeling)
     if unlabeled:
         return False, unlabeled

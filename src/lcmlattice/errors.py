@@ -43,10 +43,13 @@ class FormatError(Error, ValueError):
 class ValidationError(Error, ValueError):
     """A family of atom sets is not a finite atomic lattice.
 
-    Carries the full diagnosis: ``missing_required`` lists absent mandatory
-    sets (empty set, singletons, full set) and ``non_closed_pairs`` lists
-    pairs of member sets whose intersection is missing from the family.
-    Both are given as sorted tuples of 1-based atom indices.
+    ``missing_required`` lists every absent mandatory set (empty set,
+    singletons, full set).  ``non_closed_pairs`` lists pairs of member sets
+    whose intersection is missing from the family, in canonical pair order:
+    one for each step of the closure walk that fails, at most m·n pairs for
+    m sets on n atoms, and at least one when the family with the empty and
+    the full set added is not closed under intersection; not every such
+    pair.  Both are given as sorted tuples of 1-based atom indices.
     """
 
     def __init__(self, message, missing_required=(), non_closed_pairs=()):

@@ -88,7 +88,7 @@ class Labeling:
     unit label is rejected rather than silently normalized away.
     """
 
-    __slots__ = ("lattice", "_table")
+    __slots__ = ("lattice", "_table", "_groups")
 
     def __init__(
         self,
@@ -110,6 +110,7 @@ class Labeling:
             table[p] = m
         self.lattice = lattice
         self._table = {p: table[p] for p in sorted(table, key=_canon_key)}
+        self._groups: Optional[dict[str, dict[int, int]]] = None
 
     @classmethod
     def from_sets(
@@ -344,19 +345,29 @@ def render_ideal_text(ideal: MonomialIdeal) -> str:
 def _label_groups(lat: AtomicLattice, labeling: Labeling) -> dict[str, dict[int, int]]:
     """The labels grouped by variable ``v`` and exponent ``e``: the bitset,
     over canonical element positions, of the elements whose label has
-    exponent ``e`` in ``v``.  Read by :func:`_product_outside`."""
+    exponent ``e`` in ``v``.  Read by :func:`_product_outside` and the strong
+    condition check of :mod:`lcmlattice.classify`.
+
+    Every function taking a lattice and a labeling reaches this refusal of
+    a labeling of another lattice before it reads a label.  The groups are
+    computed the first time they are read and kept with the labeling, as
+    :meth:`MonomialIdeal._level_table` keeps its table with its ideal; equal
+    lattices have the same canonical positions, so they serve any lattice
+    the labeling belongs to."""
     if labeling.lattice != lat:
         raise PreconditionError("labeling belongs to a different lattice")
-    index = lat._element_index()
-    groups: dict[str, dict[int, int]] = {}
-    for q, m in labeling.items():
-        bit = 1 << index[q]
-        for v, e in m._exps:
-            by_exp = groups.get(v)
-            if by_exp is None:
-                by_exp = groups[v] = {}
-            by_exp[e] = by_exp.get(e, 0) | bit
-    return groups
+    if labeling._groups is None:
+        index = lat._element_index()
+        groups: dict[str, dict[int, int]] = {}
+        for q, m in labeling.items():
+            bit = 1 << index[q]
+            for v, e in m._exps:
+                by_exp = groups.get(v)
+                if by_exp is None:
+                    by_exp = groups[v] = {}
+                by_exp[e] = by_exp.get(e, 0) | bit
+        labeling._groups = groups
+    return labeling._groups
 
 
 def _product_outside(groups: dict[str, dict[int, int]], above: int) -> Monomial:

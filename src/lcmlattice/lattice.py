@@ -25,8 +25,9 @@ no m-entry dict.  The table holds, for atom ``a``, an m-bit int with bit
 ``i`` set when the i-th element (in canonical order) contains ``a``.  The
 AND of the rows of a mask's atoms is the set of elements above the mask.
 The validating constructor builds the table and decides closure from it in
-O(m·n) ANDs on m-bit ints for m elements and n atoms; only a family that
-fails runs the quadratic pair scan, which lists every violation.  A trusted
+O(m·n) ANDs on m-bit ints for m elements and n atoms; the same walk names
+one pair of members with a missing intersection at each step where it
+fails, at most m·n pairs, not every such pair.  A trusted
 lattice builds the table on first use: its first join miss, ``filter``,
 plain generator ``x(p)`` or interval count in ``support_labeling``.  A join
 that is not already an element (the cache and the membership test come
@@ -50,7 +51,6 @@ sizes.
 from __future__ import annotations
 
 import json
-from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import (
@@ -152,7 +152,9 @@ class AtomicLattice:
 
     Construct with :meth:`from_sets` (iterables of 1-based indices) or pass
     bitmasks directly.  Construction validates the axioms and raises
-    :class:`ValidationError` carrying *all* violations at once.  Package code
+    :class:`ValidationError` carrying every missing required set and the
+    non-closed pairs its closure walk finds, at least one when the family is
+    not closed under intersection.  Package code
     holding a family that is valid by construction uses :meth:`_trusted`
     instead (see the module docstring for its callers).
     """
@@ -171,28 +173,30 @@ class AtomicLattice:
                 raise ValidationError(f"element {shown(m)} is not a bitmask over {n} atoms")
             seen.add(m)
 
-        missing = [m for m in (0, *(1 << i for i in range(n)), top) if m not in seen]
+        missing = sorted({m for m in (0, *(1 << i for i in range(n)), top) if m not in seen}, key=_canon_key)
+        seen.update((0, top))  # the walk needs both; a missing one stays reported
         self._fill(n, tuple(sorted(seen, key=_canon_key)))
-        if missing or not self._is_closed():
-            non_closed = [(a, b) for a, b in combinations(self.sets, 2) if a & b not in seen]
+        non_closed = [(self.sets[i], self.sets[j]) for i, j in sorted(set(self._unclosed_pairs()))]
+        if missing or non_closed:
             parts = []
             if missing:
-                parts.append(
-                    "missing required sets: " + ", ".join(_set_str(m) for m in sorted(set(missing), key=_canon_key))
-                )
+                parts.append("missing required sets: " + ", ".join(_set_str(m) for m in missing))
             if non_closed:
                 listed = ", ".join(f"{_set_str(a)} & {_set_str(b)}" for a, b in non_closed[:5])
                 more = "" if len(non_closed) <= 5 else f" (+{len(non_closed) - 5} more)"
                 parts.append("intersections not in family: " + listed + more)
             raise ValidationError(
                 "; ".join(parts),
-                missing_required=[atoms_of(m) for m in sorted(set(missing), key=_canon_key)],
+                missing_required=[atoms_of(m) for m in missing],
                 non_closed_pairs=[(atoms_of(a), atoms_of(b)) for a, b in non_closed],
             )
 
-    def _is_closed(self) -> bool:
-        """Is the family, which holds the empty and the full set, closed under
-        intersection?  O(m·n) ANDs on m-bit ints.
+    def _unclosed_pairs(self) -> Iterator[tuple[int, int]]:
+        """Positions ``(i, j)``, i < j, of members whose intersection is not a
+        member: one pair for each (r, a) below that fails, so none exactly
+        when the family, which holds the empty and the full set, is closed
+        under intersection.  O(m·n) ANDs on m-bit ints, plus |s| ANDs for
+        each pair.
 
         Let up(X) be the members containing X (the AND of X's rows) and cl(X)
         their intersection.  The family is closed exactly when cl(r | a) is a
@@ -210,6 +214,11 @@ class AtomicLattice:
         from the top down, so the count of up(s), which comes after r, is
         known when r is reached.  (up(r) is :meth:`_above` inlined: this loop
         runs on every validated lattice, most of them small.)
+
+        When the test fails, some member t of up(r | a) does not contain s;
+        the first one is the lowest bit of up(r | a) & ~up(s), and it comes
+        after s.  Then s & t is not a member: it contains r | a and is
+        smaller than s, while s is the least member containing r | a.
         """
         rows = self._atom_rows()
         sets = self.sets
@@ -229,8 +238,9 @@ class AtomicLattice:
             for row in outside:
                 up_ra = up & row
                 if counts[(up_ra & -up_ra).bit_length() - 1] != up_ra.bit_count():
-                    return False
-        return True
+                    s = (up_ra & -up_ra).bit_length() - 1
+                    t = up_ra & ~self._above(sets[s])
+                    yield s, (t & -t).bit_length() - 1
 
     @classmethod
     def _trusted(cls, n: int, sets: tuple[int, ...]) -> "AtomicLattice":

@@ -307,25 +307,20 @@ def verify_new_element_meet_irreducible(witness: CoverWitness) -> bool:
 def check_superatomic_structure(lat: AtomicLattice) -> bool:
     """Structural facts that hold in every super-atomic lattice.
 
-    (1) every element of size >= 2 has exactly two members whose removal
-    stays in the family, and they form the pair joining to it; (2) for
-    incomparable elements, neither one contains the other's generating pair.
-    Raises if the lattice is not super-atomic; returns the verdict of the two
-    checks.
+    (1) the members of an element S of size >= 2 whose removal stays in the
+    family are exactly the atoms of its generating pair, the one pair
+    joining to S (``joining[S][0]`` of
+    :func:`_super_atomic_joining_pairs`); (2) for incomparable elements,
+    neither one contains the other's generating pair.  Raises if the
+    lattice is not super-atomic; returns the verdict of the two checks.
     """
-    if not is_super_atomic(lat):
+    joining = _super_atomic_joining_pairs(lat)
+    if joining is None:
         raise PreconditionError("lattice is not super-atomic")
-    generating_pair = {}
-    for S in lat.sets:
-        if S.bit_count() < 2:
-            continue
-        removable = [b for b in bits_of(S) if (S ^ b) in lat]
-        if len(removable) != 2:
+    generating_pair = {S: pairs[0] for S, pairs in joining.items() if S.bit_count() >= 2}
+    for S, pr in generating_pair.items():
+        if sum(b for b in bits_of(S) if (S ^ b) in lat) != pr:  # the removable atoms, as a mask
             return False
-        pr = removable[0] | removable[1]
-        if lat.join_mask(pr) != S:
-            return False
-        generating_pair[S] = pr
     for S1, S2 in combinations(generating_pair, 2):
         if S1 & ~S2 and S2 & ~S1:
             if generating_pair[S1] & ~S2 == 0 or generating_pair[S2] & ~S1 == 0:

@@ -92,14 +92,21 @@ def pair_scan_validation(n: int, masks) -> tuple[int, ...]:
     all C(m, 2) pairs in canonical order.  Raises the
     :class:`ValidationError` the constructor must raise, with its text and
     payload, or returns the lattice's sets in canonical order.  The
-    quadratic check :class:`AtomicLattice` replaced with its incidence-table
-    test, kept as its oracle."""
+    quadratic check :class:`AtomicLattice` replaced with its closure walk,
+    kept as its oracle: the walk lists a subsequence of these pairs."""
     seen = set(masks)
     top = (1 << n) - 1
     missing = sorted({m for m in (0, *(1 << i for i in range(n)), top) if m not in seen}, key=_canon_key)
     non_closed = [(a, b) for a, b in combinations(sorted(seen, key=_canon_key), 2) if a & b not in seen]
     if not missing and not non_closed:
         return tuple(sorted(seen, key=_canon_key))
+    raise validation_error(missing, non_closed)
+
+
+def validation_error(missing: list[int], non_closed: list[tuple[int, int]]) -> ValidationError:
+    """The :class:`ValidationError` for these missing required sets and
+    non-closed pairs, masks in canonical order: the text names the missing
+    sets and the first five pairs, with a "(+K more)" count of the rest."""
     parts = []
     if missing:
         parts.append("missing required sets: " + ", ".join(_set_str(m) for m in missing))
@@ -107,7 +114,7 @@ def pair_scan_validation(n: int, masks) -> tuple[int, ...]:
         listed = ", ".join(f"{_set_str(a)} & {_set_str(b)}" for a, b in non_closed[:5])
         more = "" if len(non_closed) <= 5 else f" (+{len(non_closed) - 5} more)"
         parts.append("intersections not in family: " + listed + more)
-    raise ValidationError(
+    return ValidationError(
         "; ".join(parts),
         missing_required=[atoms_of(m) for m in missing],
         non_closed_pairs=[(atoms_of(a), atoms_of(b)) for a, b in non_closed],

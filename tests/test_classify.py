@@ -129,6 +129,18 @@ def test_condition_checks_match_their_oracles(corpus):
     assert kinds <= {None if ok else witness.split(" ", 1)[0] for _, (ok, witness) in outcomes}
 
 
+@pytest.mark.parametrize("check", [check_strong_conditions, check_weak_conditions, classify, verify_labeling_recovery])
+def test_a_labeling_of_another_lattice_is_refused(check):
+    """Each entry point refuses a labeling of another lattice before any
+    work, with the text of ``ideals._label_groups``: whether some labeled
+    elements are missing from the lattice given (B3's support labeling on
+    the flat lattice) or all lie in it (the flat lattice's on B3)."""
+    flat = flat_lattice(3)
+    for lat, other in ((flat, BOOLEAN3), (BOOLEAN3, flat)):
+        with pytest.raises(PreconditionError, match="^labeling belongs to a different lattice$"):
+            check(lat, support_labeling(other))
+
+
 # -- implications over random corpora -------------------------------------------
 
 

@@ -1,7 +1,9 @@
+import sys
+
 import pytest
 from click.testing import CliRunner
 
-from lcmlattice import fixtures
+from lcmlattice import fixtures, ideals
 from lcmlattice.cli import main
 from lcmlattice.errors import FormatError
 from lcmlattice.fixtures import FIXTURE_IDS, load, run, run_all
@@ -133,6 +135,28 @@ def test_a_smaller_lattice_that_is_not_covered_fails_the_cover_rows(monkeypatch)
     assert res.exit_code == 1 and isinstance(res.exception, SystemExit) and res.stderr == ""
     for name in needs_witness:
         assert f"example-5-2: {name}: FAIL (expected {checks[name].expected}, got None)" in res.output
+
+
+# Labelings each replay groups: the fixture's own, and for example-5-2 also
+# its smaller lattice's and the two that check_cover_transfer builds.
+GROUPED_LABELINGS = {"fig2": 1, "fig3": 1, "fig6": 1, "fig9": 1, "example-5-2": 4}
+
+
+@pytest.mark.parametrize("fixture_id", FIXTURE_IDS)
+def test_replay_groups_each_labeling_once(fixture_id, monkeypatch):
+    """Every row reading a labeling's label groups reads the ones kept on
+    the labeling, so a replay groups each labeling it uses once."""
+    computed = []
+    label_groups = ideals._label_groups
+
+    def counted(lat, lab):
+        computed.append(lab._groups is None)
+        return label_groups(lat, lab)
+
+    for module in (ideals, sys.modules["lcmlattice.classify"]):  # the package name is the function
+        monkeypatch.setattr(module, "_label_groups", counted)
+    assert run(fixture_id).passed
+    assert sum(computed) == GROUPED_LABELINGS.get(fixture_id, 0)
 
 
 def test_unknown_fixture_rejected():

@@ -46,9 +46,11 @@ from conftest import (
     lattices_with,
     meet_irreducibles_oracle,
     order_lattices,
+    outcome,
     pair_scan_validation,
     random_lattice,
     random_lattices,
+    validation_error,
     validation_families,
 )
 
@@ -95,24 +97,37 @@ class TestValidation:
         assert lat.sets == (0, 1, 2, 3)
 
 
-def _closure_kind(out) -> str:
-    if not isinstance(out, Raised):
-        return "valid"
-    return "missing" if out.payload["missing_required"] else "only non-closed"
+def _raise(error: Error):
+    raise error
 
 
 def test_closure_decision_matches_the_pair_scan():
-    """The incidence-table closure test accepts exactly the families the
-    pair scan accepts, and a refused family gets the pair scan's text,
-    ``missing_required`` and every entry of ``non_closed_pairs``."""
-    outcomes = assert_matches_oracle(
-        lambda n, masks: AtomicLattice(n, masks).sets,
-        pair_scan_validation,
-        validation_families(random.Random(20), 2500),
-        reach={"ValidationError": 1},
-    )
-    kinds = Counter(map(_closure_kind, outcomes))
-    assert min(kinds[kind] for kind in ("valid", "missing", "only non-closed")) >= 250
+    """The closure walk accepts exactly the families the pair scan accepts,
+    with the same sets, and refuses the others with the same
+    ``missing_required``.  The pairs it lists are pair-scan violations, in
+    the scan's order, and its text is built from them in the scan's format.
+    It lists none only where the scan lists none, or the empty set is
+    missing and every pair the scan lists is disjoint."""
+    kinds = Counter()
+    for i, (n, masks) in enumerate(validation_families(random.Random(20), 2500)):
+        got = outcome(lambda: AtomicLattice(n, masks).sets)
+        expected = outcome(pair_scan_validation, n, masks)
+        if not isinstance(expected, Raised):
+            assert got == expected, f"case {i}"
+            kinds["valid"] += 1
+            continue
+        scan = [(mask_of(a), mask_of(b)) for a, b in expected.payload["non_closed_pairs"]]
+        listed = [(mask_of(a), mask_of(b)) for a, b in got.payload["non_closed_pairs"]]
+        missing = [mask_of(s) for s in expected.payload["missing_required"]]
+        assert got == outcome(_raise, validation_error(missing, listed)), f"case {i}"
+        assert set(listed) <= set(scan), f"case {i}"
+        positions = [scan.index(pair) for pair in listed]
+        assert positions == sorted(set(positions)), f"case {i}"
+        disjoint = 0 not in masks and all(a & b == 0 for a, b in scan)
+        assert listed or not scan or disjoint, f"case {i}"
+        kinds["missing" if missing else "only non-closed"] += 1
+        kinds["fewer pairs" if len(listed) < len(scan) else "every pair"] += 1
+    assert min(kinds[kind] for kind in ("valid", "missing", "only non-closed", "fewer pairs", "every pair")) >= 250
 
 
 def test_validating_and_covering_b12_fits_the_budget():
@@ -125,6 +140,21 @@ def test_validating_and_covering_b12_fits_the_budget():
     elapsed = time.perf_counter() - start
     assert len(covers) == 12 * 2**11
     assert elapsed < 0.3, f"{elapsed:.3f} s"
+
+
+@pytest.mark.parametrize("n, budget", [(12, 0.3), (13, 0.5)])
+def test_refusing_a_boolean_family_without_a_singleton_fits_the_budget(n, budget):
+    """A refused family costs the closure walk and |s| ANDs per failing
+    (r, a), not C(m, 2) pair tests: the Boolean family without {1} fails at
+    r = {} and a = 1 alone, and is refused in time, with one pair."""
+    masks = [m for m in range(1 << n) if m != 1]
+    start = time.perf_counter()
+    with pytest.raises(ValidationError) as exc:
+        AtomicLattice(n, masks)
+    elapsed = time.perf_counter() - start
+    assert exc.value.missing_required == ((1,),)
+    assert exc.value.non_closed_pairs == (((1, 2), (1, 3)),)
+    assert elapsed < budget, f"{elapsed:.3f} s"
 
 
 def test_order_and_operations():

@@ -321,6 +321,16 @@ def test_meet_irreducibles_read_joins_not_covers():
     assert names & {"covers", "upper_covers", "_upper_covers_of"} == set()
 
 
+def test_lattice_module_names_no_pair_scan():
+    """Validation explains a refusal from its closure walk, one pair per
+    failing step; ``lattice.py`` names no ``combinations``, so the C(m, 2)
+    scan over every pair of members cannot come back."""
+    tree = ast.parse((PACKAGE / "lattice.py").read_text())
+    names = {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(tree)}
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "combinations" not in names | imported
+
+
 def test_isomorphism_search_reads_meet_irreducibles_not_covers():
     """The search prunes with the meet-irreducibles alone; it asks for no
     cover relation and no atom's upper covers."""
@@ -354,6 +364,18 @@ def test_one_json_parser_and_one_text_reader():
     file; ``fixtures.load`` reads the package's own data."""
     assert _top_level_scopes_mentioning("loads") == {"lattice._parse_json", "fixtures.load"}
     assert _top_level_scopes_mentioning("read_text") == {"ideals._read_text", "fixtures.load"}
+
+
+def test_the_other_lattice_refusal_has_one_home():
+    """Only ``ideals._label_groups`` words the refusal of a labeling of
+    another lattice; every entry point taking a lattice and a labeling
+    reaches it there."""
+    found = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if any(isinstance(n, ast.Constant) and "different lattice" in str(n.value) for n in ast.walk(node)):
+                found.add(f"{path.stem}.{node.name}" if hasattr(node, "name") else path.stem)
+    assert found == {"ideals._label_groups"}
 
 
 def _corpus_names(source: str) -> list[str]:
