@@ -30,12 +30,18 @@ Two checkable sufficient conditions come with the theory:
   labels, each label strictly exceeds the common part and the set of
   elements entangled with either label is a chain once the other element is
   dropped.
+
+Both read one per-variable index of the labels, the *carrier* of each
+variable (the elements whose label holds it, see :func:`_carriers`): the
+chain check asks that each carrier be a chain, and the overlap check visits
+only the labeled pairs that share a variable, read off the carriers, so a
+labeling whose labels share no variable costs no pair at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations
 from typing import Optional
 
@@ -77,6 +83,20 @@ def _first_incomparable(masks) -> Optional[str]:
     return None
 
 
+def _carriers(lat: AtomicLattice, labeling: Labeling) -> dict[str, int]:
+    """Per variable, its *carrier*: the bitset, over canonical positions, of
+    the elements whose label holds it.  That is the sum of its groups in
+    :func:`~lcmlattice.ideals._label_groups`, which are disjoint, as a label
+    has one exponent of each variable; the groups refuse a labeling of
+    another lattice before any work.  Both condition checks read it."""
+    return {v: sum(by_exp.values()) for v, by_exp in _label_groups(lat, labeling).items()}
+
+
+def _members(lat: AtomicLattice, bitset: int) -> list[int]:
+    """The elements at the positions of a bitset, in canonical order."""
+    return [lat.sets[b.bit_length() - 1] for b in bits_of(bitset)]
+
+
 def _unlabeled_meet_irreducible(lat: AtomicLattice, labeling: Labeling) -> Optional[str]:
     """The first requirement of both condition checks: every meet-irreducible
     element below the top is labeled.  The witness of a violation, or None."""
@@ -93,17 +113,14 @@ def check_strong_conditions(lat: AtomicLattice, labeling: Labeling) -> tuple[boo
     exempt from the labeling requirement: it never contributes to any
     generator (every filter contains it), and recovered labelings always
     leave it unlabeled.  The elements labeled with a variable, in canonical
-    order, are read off the label groups of
-    :func:`~lcmlattice.ideals._label_groups`, which refuse a labeling of
-    another lattice before any work.
+    order, are the members of its carrier (see :func:`_carriers`).
     """
-    groups = _label_groups(lat, labeling)
+    carriers = _carriers(lat, labeling)
     unlabeled = _unlabeled_meet_irreducible(lat, labeling)
     if unlabeled:
         return False, unlabeled
-    for v in sorted(groups):
-        labeled = sum(groups[v].values())  # a label has one exponent of v, so the groups are disjoint
-        pair = _first_incomparable([lat.sets[b.bit_length() - 1] for b in bits_of(labeled)])
+    for v in sorted(carriers):
+        pair = _first_incomparable(_members(lat, carriers[v]))
         if pair:
             return False, f"variable {v} labels incomparable elements {pair}"
     return True, None
@@ -118,35 +135,43 @@ def check_weak_conditions(lat: AtomicLattice, labeling: Labeling) -> tuple[bool,
     the two, the elements whose labels it is entangled with (sharing any
     variable, the partner element excluded) form a chain.
 
-    No gcd is taken.  Each label gets an int mask of its variables, and two
-    labels share a variable exactly when their masks meet, that is, when
-    their gcd is not 1.  A label ``m`` is swallowed by its overlap with ``m'``
-    when ``m / gcd(m, m') = 1``, that is, when ``m = gcd(m, m')``, which holds
-    exactly when ``m`` divides ``m'``.  The elements entangled with a label
-    are listed once, from the masks, the first time a pair needs them.
+    No gcd is taken.  Two labels share a variable exactly when their gcd is
+    not 1, so the elements whose labels share a variable with a label ``m``
+    are the OR of the carriers of ``m``'s variables (see :func:`_carriers`):
+    the bitset ``shares(m)``, which holds the elements labeled ``m``.  A
+    label ``m`` is swallowed by its overlap with ``m'`` when ``m / gcd(m,
+    m') = 1``, that is, when ``m = gcd(m, m')``, which holds exactly when
+    ``m`` divides ``m'``.
+
+    Each labeled ``p`` is taken in canonical order, with the members of
+    ``shares`` of its label at later positions, in increasing order: exactly
+    the pairs that share a variable, in the order of a scan over all labeled
+    pairs, so the first witness is that scan's.  A later element is not
+    below ``p``, so the two are comparable exactly when ``p`` lies in it.
+    The elements entangled with a label are the members of its ``shares``;
+    no label is scanned.
     """
-    _label_groups(lat, labeling)  # refuses a labeling of another lattice
+    carriers = _carriers(lat, labeling)
     unlabeled = _unlabeled_meet_irreducible(lat, labeling)
     if unlabeled:
         return False, unlabeled
-    bit_of: dict[str, int] = {}  # one bit per variable, in order of first use
-    labeled = [
-        (p, m, sum(bit_of.setdefault(v, 1 << len(bit_of)) for v, _ in m._exps)) for p, m in labeling.items()
-    ]
-    entangled: dict[int, list[int]] = {}
-    for (p, mp, vp), (q, mq, vq) in combinations(labeled, 2):
-        if p & ~q == 0 or q & ~p == 0 or not vp & vq:
-            continue
-        for hi, lo, m_hi, m_lo, v_hi in ((p, q, mp, mq, vp), (q, p, mq, mp, vq)):
-            if m_hi.divides(m_lo):
-                return False, (
-                    f"label of {_set_str(hi)} is contained in its overlap with the label of {_set_str(lo)}"
-                )
-            if hi not in entangled:
-                entangled[hi] = [s for s, _, vs in labeled if vs & v_hi]
-            pair = _first_incomparable([s for s in entangled[hi] if s != lo])
-            if pair:
-                return False, f"elements entangled with the label of {_set_str(hi)} are not a chain: {pair}"
+
+    def shares(m: Monomial) -> int:
+        return reduce(int.__or__, (carriers[v] for v, _ in m._exps))
+
+    for p, mp in labeling.items():
+        for q in _members(lat, shares(mp) & -(2 << lat._element_index()[p])):  # the positions after p's own
+            if p & ~q == 0:
+                continue
+            mq = labeling.label(q)
+            for hi, lo, m_hi, m_lo in ((p, q, mp, mq), (q, p, mq, mp)):
+                if m_hi.divides(m_lo):
+                    return False, (
+                        f"label of {_set_str(hi)} is contained in its overlap with the label of {_set_str(lo)}"
+                    )
+                pair = _first_incomparable([s for s in _members(lat, shares(m_hi)) if s != lo])
+                if pair:
+                    return False, f"elements entangled with the label of {_set_str(hi)} are not a chain: {pair}"
     return True, None
 
 

@@ -9,10 +9,13 @@ the ``expect`` object give dotted names (``classification.is_weak``,
 input, not an expectation.  A name the table does not hold is a
 :class:`FormatError`, so a misspelt expectation fails instead of going
 unchecked.  The runner walks the table in order and reports one outcome per
-expectation the fixture holds; the inputs (the lattice, its labeling, the
-ideal's lcm-lattice, the ``classify`` result, the smaller lattice of a
-cover and its cover witness) are each built once, on first use.  The
-``paper-examples`` CLI command and the test suite both drive it.
+expectation the fixture holds; the inputs (the lattice, its labeling and its
+plain ideal, the ideal's lcm-lattice, the ``classify`` result, the smaller
+lattice of a cover with its support labeling and plain ideal, and the cover
+witness) are each built once, on first use.  The ``weak_ideal`` and
+``classify`` rows call their public functions, which build the plain
+generators again.  The ``paper-examples`` CLI command and the test suite
+both drive it.
 
 Rows call package functions by their global names at call time, so whatever
 rebinds those names (a profiler's wrapper, say) sees the calls.
@@ -108,6 +111,10 @@ class _Inputs:
         return labeling_from_json_dict(self.doc, lattice=self.lattice)
 
     @cached_property
+    def plain(self) -> MonomialIdeal:
+        return ideal_from_labeling(self.lattice, self.labeling)
+
+    @cached_property
     def lcm(self):
         return lcm_lattice(MonomialIdeal(Monomial.parse(s) for s in self.doc["ideal"]))
 
@@ -122,6 +129,10 @@ class _Inputs:
     @cached_property
     def small_labeling(self):
         return support_labeling(self.smaller)
+
+    @cached_property
+    def small_plain(self) -> MonomialIdeal:
+        return ideal_from_labeling(self.smaller, self.small_labeling)
 
     @cached_property
     def witness(self):
@@ -153,9 +164,9 @@ _CHECKS = {
     "lcm_elements": lambda f: [str(m) for m in f.lcm.monomials],
     "lcm_covers": lambda f: [[str(lo), str(hi)] for lo, hi in f.lcm.covers_monomials()],
     "recovered_labels": _recovered_labels,
-    "plain_ideal": lambda f: _gens(ideal_from_labeling(f.lattice, f.labeling)),
+    "plain_ideal": lambda f: _gens(f.plain),
     "weak_ideal": lambda f: _gens(weak_ideal(f.lattice, f.labeling)),
-    "lcm_plain_size": lambda f: len(lcm_lattice(ideal_from_labeling(f.lattice, f.labeling))),
+    "lcm_plain_size": lambda f: len(lcm_lattice(f.plain)),
     "classification.satisfies_A1A2": lambda f: f.classified.satisfies_A1A2,
     "classification.satisfies_C1C2": lambda f: f.classified.satisfies_C1C2,
     "classification.is_coordinatization": lambda f: f.classified.is_coordinatization,
@@ -169,14 +180,12 @@ _CHECKS = {
     "enumeration_exact": _enumeration_exact,
     "cover.new_element": lambda f: f.witness and list(atoms_of(f.witness.new_element)),
     "cover.new_element_meet_irreducible": lambda f: f.witness and verify_new_element_meet_irreducible(f.witness),
-    "cover.smaller_plain_ideal": lambda f: _gens(ideal_from_labeling(f.smaller, f.small_labeling)),
+    "cover.smaller_plain_ideal": lambda f: _gens(f.small_plain),
     "cover.smaller_deltas_equal_plain": lambda f: (
-        weak_ideal(f.smaller, f.small_labeling).generators
-        == ideal_from_labeling(f.smaller, f.small_labeling).generators
+        weak_ideal(f.smaller, f.small_labeling).generators == f.small_plain.generators
     ),
     "cover.smaller_lcm_isomorphic": lambda f: (
-        lattice_isomorphic(lcm_lattice(ideal_from_labeling(f.smaller, f.small_labeling)).abstract(), f.smaller)
-        is not None
+        lattice_isomorphic(lcm_lattice(f.small_plain).abstract(), f.smaller) is not None
     ),
     "cover.smaller_strong": lambda f: classify(f.smaller, f.small_labeling).is_strong,
     "cover.cover_transfer_agrees": lambda f: f.witness and check_cover_transfer(f.lattice, f.lattice, f.smaller).agree,

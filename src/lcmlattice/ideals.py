@@ -345,8 +345,9 @@ def render_ideal_text(ideal: MonomialIdeal) -> str:
 def _label_groups(lat: AtomicLattice, labeling: Labeling) -> dict[str, dict[int, int]]:
     """The labels grouped by variable ``v`` and exponent ``e``: the bitset,
     over canonical element positions, of the elements whose label has
-    exponent ``e`` in ``v``.  Read by :func:`_product_outside` and the strong
-    condition check of :mod:`lcmlattice.classify`.
+    exponent ``e`` in ``v``.  Read by :func:`_product_outside` and, through
+    the per-variable carriers, by both condition checks of
+    :mod:`lcmlattice.classify`: the chain check and the overlap check.
 
     Every function taking a lattice and a labeling reaches this refusal of
     a labeling of another lattice before it reads a label.  The groups are
@@ -573,6 +574,20 @@ class LcmLattice:
         error names that count.  ``k`` generators give at most ``2^k``
         elements, so up to 20 generators always build.
 
+        The cuts (the empty set and the level masks) are closed in by
+        decreasing size, and a cut already in the closure is skipped.  When a
+        cut ``c`` is reached, the closure holds every intersection of the
+        cuts taken before it and is intersection-closed, so if ``c`` is a
+        member, ``s & c`` is one for every member ``s``: its pass adds
+        nothing.  No other cut of ``c``'s size contains ``c``, so ``c`` is a
+        member exactly when it is the intersection of the cuts strictly
+        containing it, that is, when it is not meet-irreducible in the
+        lcm-lattice (each element strictly above ``c`` is an intersection of
+        such cuts).  So one pass runs per meet-irreducible of the lcm-lattice
+        below the top, the family that generates the closure system.  The
+        closure is the same set in any order, so the cap refuses the same
+        ideals, at the same count.
+
         The abstract lattice wraps the supports unchecked: they are
         intersection-closed and hold {} and the full set (see the class
         docstring), and each singleton ``{i}`` is the support of ``g_i``, as
@@ -585,7 +600,9 @@ class LcmLattice:
         if n > MAX_ATOMS:
             raise CapExceededError(f"{n} minimal generators exceed the supported maximum {MAX_ATOMS} atoms")
         closed = {(1 << n) - 1}
-        for cut in _level_masks(ideal._level_table()):
+        for cut in sorted(_level_masks(ideal._level_table()), key=int.bit_count, reverse=True):
+            if cut in closed:
+                continue
             for s in tuple(closed):
                 closed.add(s & cut)
                 if len(closed) > MAX_LCM_ELEMENTS:

@@ -393,11 +393,13 @@ def chain_conditions_oracle(lat: AtomicLattice, labeling: Labeling):
 
 
 def overlap_conditions_oracle(lat: AtomicLattice, labeling: Labeling):
-    """The overlap conditions by gcd and exact quotient: each incomparable
-    pair with a non-unit gcd, then each label divided by that gcd, then a gcd
-    against every label to list the entangled elements.  The check
-    :func:`lcmlattice.check_weak_conditions` replaced with variable masks
-    and ``divides``, kept as its oracle: ``(verdict, witness)``."""
+    """The overlap conditions by gcd and exact quotient, over every labeled
+    pair: each incomparable pair with a non-unit gcd, then each label divided
+    by that gcd, then a gcd against every label to list the entangled
+    elements.  :func:`lcmlattice.check_weak_conditions` walks only the pairs
+    that share a variable, read off the per-variable carriers of the label
+    groups, and tests ``divides``; this is its oracle: ``(verdict,
+    witness)``."""
     unlabeled = _unlabeled_meet_irreducible(lat, labeling)
     if unlabeled:
         return False, unlabeled

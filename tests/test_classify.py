@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 
 import pytest
@@ -31,6 +32,7 @@ from conftest import (
     CONDITION_CORPORA,
     Raised,
     assert_matches_oracle,
+    boolean_lattice,
     chain_condition_labeling,
     chain_conditions_oracle,
     decision_labelings,
@@ -127,6 +129,21 @@ def test_condition_checks_match_their_oracles(corpus):
         build(),
     )
     assert kinds <= {None if ok else witness.split(" ", 1)[0] for _, (ok, witness) in outcomes}
+
+
+@pytest.mark.parametrize("n, budget", [(12, 0.05), (14, 0.3)])
+def test_overlap_conditions_on_a_fully_labeled_boolean_lattice_fit_the_budget(n, budget):
+    """The overlap check walks only the labeled pairs that share a variable,
+    not all C(L, 2) of them: on B_n with every element below the top labeled
+    by a variable of its own no pair shares one, and the check, the
+    meet-irreducibles included, takes under the budget."""
+    lat = boolean_lattice(n)
+    lab = Labeling(lat, {p: Monomial({f"v{i}": 1}) for i, p in enumerate(lat.sets[:-1])})
+    start = time.perf_counter()
+    verdict = check_weak_conditions(lat, lab)
+    elapsed = time.perf_counter() - start
+    assert verdict == (True, None)
+    assert elapsed < budget, f"{elapsed:.3f} s"
 
 
 @pytest.mark.parametrize("check", [check_strong_conditions, check_weak_conditions, classify, verify_labeling_recovery])

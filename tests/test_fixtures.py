@@ -159,6 +159,30 @@ def test_replay_groups_each_labeling_once(fixture_id, monkeypatch):
     assert sum(computed) == GROUPED_LABELINGS.get(fixture_id, 0)
 
 
+# Plain ideals x(a) each replay builds: one per labeling for the plain_ideal,
+# lcm_plain_size and cover.smaller_* rows, kept on the inputs, and one inside
+# each weak_ideal, classify and check_cover_transfer call.  Building afresh
+# in every row, the replays took fig3 4 and example-5-2 9.
+PLAIN_IDEALS_BUILT = {"fig2": 2, "fig3": 3, "fig6": 3, "fig9": 3, "example-5-2": 7}
+
+
+@pytest.mark.parametrize("fixture_id", FIXTURE_IDS)
+def test_replay_builds_each_plain_ideal_once_for_the_plain_rows(fixture_id, monkeypatch):
+    """The rows that read a labeling's plain generators share one ideal,
+    built on first use; only the public calls of the other rows build more."""
+    built = []
+    ideal_from_labeling = ideals.ideal_from_labeling
+
+    def counted(lat, lab):
+        built.append(lab)
+        return ideal_from_labeling(lat, lab)
+
+    for name in ("ideals", "classify", "fixtures", "support_labeling"):
+        monkeypatch.setattr(sys.modules[f"lcmlattice.{name}"], "ideal_from_labeling", counted)
+    assert run(fixture_id).passed
+    assert len(built) == PLAIN_IDEALS_BUILT.get(fixture_id, 0)
+
+
 def test_unknown_fixture_rejected():
     with pytest.raises(FormatError):
         load("fig99")

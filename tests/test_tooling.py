@@ -331,6 +331,16 @@ def test_lattice_module_names_no_pair_scan():
     assert "combinations" not in names | imported
 
 
+def test_overlap_check_names_no_pair_scan():
+    """The overlap check walks, for each labeled element, only the later
+    elements whose labels share a variable with its own, read off the
+    per-variable carriers the chain check reads too.  It names no
+    ``combinations``, so the C(L, 2) scan over every labeled pair cannot
+    come back."""
+    names = _names_used(lcmlattice.check_weak_conditions.__code__)
+    assert "combinations" not in names and "_carriers" in names
+
+
 def test_isomorphism_search_reads_meet_irreducibles_not_covers():
     """The search prunes with the meet-irreducibles alone; it asks for no
     cover relation and no atom's upper covers."""
