@@ -10,9 +10,10 @@ then a property, not a search.  It holds exactly when MI(L) ⊆ cuts ⊆ L:
 every *cut* (the empty set, or a level mask ``D(v, t)``, the atoms whose
 generator has ``e_v <= t``) is an element, and every meet-irreducible element
 is a cut.  That takes ``O(k*n)`` level masks for ``k`` variables and ``n``
-atoms, and the ``O(m*n)`` cached joins of the meet-irreducibles for ``m``
-elements, which the condition checks read too; no lcm is taken and no
-lcm-lattice built.  The predicates build none for either verdict;
+atoms, and the meet-irreducibles, which the condition checks read too: a
+validated lattice recorded them during its closure walk, and a trusted one
+takes ``O(m*n)`` cached joins for ``m`` elements on each call.  No lcm is
+taken and no lcm-lattice built.  The predicates build none for either verdict;
 :func:`is_coordinatization` builds one only when the strong map fails, for
 the isomorphism search.  :func:`classify` builds one per tuple of minimal
 generators, only to word a false verdict; the lattice takes its lcms only
@@ -99,9 +100,13 @@ def _members(lat: AtomicLattice, bitset: int) -> list[int]:
 
 def _unlabeled_meet_irreducible(lat: AtomicLattice, labeling: Labeling) -> Optional[str]:
     """The first requirement of both condition checks: every meet-irreducible
-    element below the top is labeled.  The witness of a violation, or None."""
+    element below the top is labeled.  The witness of a violation, or None.
+
+    Each meet-irreducible is an element, so its label is read off the table
+    with no membership check.  That needs a labeling of this lattice, which
+    both checks make sure of by calling :func:`_carriers` first."""
     for p in lat.meet_irreducibles()[:-1]:  # the top is last
-        if labeling.label(p).is_one:
+        if p not in labeling._table:
             return f"meet-irreducible element {_set_str(p)} is unlabeled"
     return None
 
@@ -235,9 +240,11 @@ def _extends_to_isomorphism(lat: AtomicLattice, ideal: MonomialIdeal) -> bool:
     one-atom lattice, the one lattice whose bottom is meet-irreducible.  So
     the decision is MI(L) ⊆ cuts ⊆ L, and the meet-irreducibles are read
     only once every cut is an element.  That costs O(k*n) level masks for k
-    variables and n atoms, and the O(m*n) cached joins of
-    :meth:`~lcmlattice.lattice.AtomicLattice.meet_irreducibles` for m
-    elements, which the condition checks of :func:`classify` read too.
+    variables and n atoms, and
+    :meth:`~lcmlattice.lattice.AtomicLattice.meet_irreducibles`, which the
+    condition checks of :func:`classify` read too: no join on a validated
+    lattice, which recorded them during its closure walk, and O(m*n) cached
+    joins for m elements on a trusted one.
     """
     _check_lcm_generators(ideal.generators)
     cuts = _level_masks(ideal._level_table())
@@ -328,9 +335,10 @@ def classify(lat: AtomicLattice, labeling: Labeling) -> LabelingClassification:
     The strong and weak checks decide whether the map g is an isomorphism
     as MI(L) ⊆ cuts ⊆ L, from the level masks of its atom monomials and the
     lattice's meet-irreducibles (see :func:`_extends_to_isomorphism`), with
-    no lcm-lattice built; the meet-irreducibles cost O(m·n) cached joins,
-    shared with the two condition checks.  The single predicates take the
-    same decision.  A strong verdict makes
+    no lcm-lattice built; the meet-irreducibles, shared with the two
+    condition checks, take no join on a validated lattice (its closure walk
+    recorded them) and O(m·n) cached joins per read on a trusted one.  The
+    single predicates take the same decision.  A strong verdict makes
     the coordinatization check true as well, and when ``delta(a) = x(a)``
     for every atom the weak verdict is the strong one.  Only a false verdict
     builds an lcm-lattice, one per tuple of minimal generators and call, to

@@ -38,7 +38,9 @@ generators of :mod:`lcmlattice.ideals` and the interval counts of
 Every order query above an element is answered from joins alone:
 ``upper_covers(p)`` takes the n − |p| joins of p with the atoms outside it,
 ``meet_irreducibles`` O(m·n) cached joins, and ``covers`` O(m·n) joins; none
-of them is cached.
+of them is cached.  The one exception: the validating constructor's closure
+walk meets each of those joins anyway, so it records the meet-irreducibles,
+and a validated lattice answers ``meet_irreducibles`` from that tuple.
 
 ``lattice_isomorphic`` searches atom permutations depth-first and looks at
 the meet-irreducibles alone: a finite lattice is the intersection-closure of
@@ -159,7 +161,7 @@ class AtomicLattice:
     instead (see the module docstring for its callers).
     """
 
-    __slots__ = ("n", "sets", "_index", "_rows", "_join_cache")
+    __slots__ = ("n", "sets", "_index", "_rows", "_join_cache", "_walk_mi")
 
     def __init__(self, n: int, masks: Iterable[int]):
         if not _is_int(n) or n < 1:
@@ -219,11 +221,19 @@ class AtomicLattice:
         the first one is the lowest bit of up(r | a) & ~up(s), and it comes
         after s.  Then s & t is not a member: it contains r | a and is
         smaller than s, while s is the least member containing r | a.
+
+        The same walk records the meet-irreducibles, one AND per (r, a).  In
+        a closed family s is cl(r | a), the join of r and a, so the AND of
+        these s over the atoms a outside r is the AND that
+        :meth:`meet_irreducibles` takes, and r is kept when it is the top or
+        that AND is not r.  The tuple is kept only when no pair fails, so
+        only a validated lattice holds one.
         """
         rows = self._atom_rows()
         sets = self.sets
         everything = (1 << len(sets)) - 1
         counts = [0] * len(sets)
+        mi: Optional[list[int]] = []
         for i in range(len(sets) - 1, -1, -1):
             r = sets[i]
             up = everything
@@ -235,12 +245,19 @@ class AtomicLattice:
                     outside.append(row)
                 r >>= 1
             counts[i] = up.bit_count()
+            meet = -1  # the AND over no atom, so the top, with none outside, is kept
             for row in outside:
                 up_ra = up & row
-                if counts[(up_ra & -up_ra).bit_length() - 1] != up_ra.bit_count():
-                    s = (up_ra & -up_ra).bit_length() - 1
+                s = (up_ra & -up_ra).bit_length() - 1
+                meet &= sets[s]
+                if counts[s] != up_ra.bit_count():
                     t = up_ra & ~self._above(sets[s])
+                    mi = None
                     yield s, (t & -t).bit_length() - 1
+            if mi is not None and meet != sets[i]:
+                mi.append(sets[i])
+        if mi is not None:
+            self._walk_mi = tuple(reversed(mi))
 
     @classmethod
     def _trusted(cls, n: int, sets: tuple[int, ...]) -> "AtomicLattice":
@@ -260,6 +277,7 @@ class AtomicLattice:
         self._index: Optional[dict[int, int]] = None
         self._rows: Optional[list[int]] = None
         self._join_cache: dict[int, int] = {}
+        self._walk_mi: Optional[tuple[int, ...]] = None
 
     @classmethod
     def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "AtomicLattice":
@@ -405,10 +423,17 @@ class AtomicLattice:
         the join of p with some atom of q outside p, and each such join is
         strictly above p.  So the elements strictly above p meet in the
         intersection of these joins, and p is a meet of strictly larger
-        elements exactly when that intersection is p.  O(m·n) cached joins;
-        the walk over p's joins stops once the intersection reaches p.  The
-        join cache is read directly, and only a miss calls :meth:`join_mask`.
+        elements exactly when that intersection is p.
+
+        A validated lattice returns the tuple its closure walk recorded (see
+        :meth:`_unclosed_pairs`), with no join taken.  A trusted lattice
+        walks its joins on every call and keeps nothing: O(m·n) cached
+        joins, the walk over p's joins stopping once the intersection
+        reaches p.  The join cache is read directly, and only a miss calls
+        :meth:`join_mask`.
         """
+        if self._walk_mi is not None:
+            return self._walk_mi
         top = self.top
         cache = self._join_cache
         out = []

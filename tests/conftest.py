@@ -626,6 +626,15 @@ def order_lattices() -> list[AtomicLattice]:
     return randoms + shapes + relabeled + super_atomic
 
 
+def wide_lattices() -> list[AtomicLattice]:
+    """Validated lattices of the shapes the ``wide-generators`` benchmark
+    walks: the Boolean ones on 7 to 9 atoms, the flat ones on 10 to 12, and
+    30 random ones on 8 to 10 atoms from a few random subsets each."""
+    rng = random.Random(27)
+    randoms = [random_lattice(rng, n, rng.randint(5, 40)) for n in (8, 9, 10) for _ in range(10)]
+    return [*map(boolean_lattice, (7, 8, 9)), *map(flat_lattice, (10, 11, 12)), *randoms]
+
+
 def validation_families(rng: random.Random, count: int):
     """``(n, masks)`` for ``count`` families on at most 6 atoms: closed ones,
     closed ones with one set added or one set that is not required removed

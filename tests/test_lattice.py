@@ -31,6 +31,7 @@ from lcmlattice import (
     mask_of,
     weak_generator,
 )
+from lcmlattice.classify import _unlabeled_meet_irreducible
 from lcmlattice.errors import ECHO_LIMIT, shown
 from lcmlattice.lattice import MAX_JOINING_ATOMS, _canon_key, _set_str, bits_of
 
@@ -52,6 +53,8 @@ from conftest import (
     random_lattices,
     validation_error,
     validation_families,
+    wide_lattices,
+    worked_example,
 )
 
 BOOLEAN3 = AtomicLattice.from_sets(3, [[], [1], [2], [3], [1, 2], [1, 3], [2, 3], [1, 2, 3]])
@@ -387,6 +390,60 @@ def test_meet_irreducibles_match_the_definition():
     a superset would still pass the meet-of-irreducibles test above."""
     cases = [(lat,) for lat in order_lattices()]
     assert_matches_oracle(AtomicLattice.meet_irreducibles, meet_irreducibles_oracle, cases)
+
+
+def test_the_closure_walk_and_the_join_walk_find_the_same_meet_irreducibles():
+    """A validated lattice answers from the tuple its closure walk recorded,
+    a trusted one walks its joins: the same tuple on every shape, the
+    benchmark's wide ones included, on n = 1 (whose bottom is one) and n = 2."""
+
+    def from_walk(lat: AtomicLattice) -> tuple[int, ...]:
+        return AtomicLattice(lat.n, lat.sets).meet_irreducibles()
+
+    def from_joins(lat: AtomicLattice) -> tuple[int, ...]:
+        return AtomicLattice._trusted(lat.n, lat.sets).meet_irreducibles()
+
+    assert_matches_oracle(from_walk, from_joins, [(lat,) for lat in order_lattices() + wide_lattices()])
+    assert from_walk(boolean_lattice(1)) == meet_irreducibles_oracle(boolean_lattice(1)) == (0, 1)
+    assert from_walk(flat_lattice(2)) == meet_irreducibles_oracle(flat_lattice(2)) == (1, 2, 3)
+
+
+def test_only_a_walk_that_proves_closure_records_the_meet_irreducibles():
+    """The closure walk keeps its tuple only when no pair fails; a trusted
+    lattice never runs the walk, so it keeps none."""
+    closed = AtomicLattice._trusted(3, BOOLEAN3.sets)
+    assert closed._walk_mi is None
+    assert list(closed._unclosed_pairs()) == []
+    assert closed._walk_mi == meet_irreducibles_oracle(BOOLEAN3)
+    unclosed = AtomicLattice._trusted(4, tuple(sorted([0, 1, 2, 4, 8, 0b0111, 0b1110, 0b1111], key=_canon_key)))
+    assert list(unclosed._unclosed_pairs()) != []
+    assert unclosed._walk_mi is None
+
+
+def test_a_validated_lattice_reads_its_meet_irreducibles_with_no_join(monkeypatch):
+    """Once built, a validated lattice takes no join, no incidence-table read
+    and no membership test for its meet-irreducibles, and neither does the
+    unlabeled meet-irreducible check of both condition checks; a trusted
+    copy still walks its joins."""
+    labeling = worked_example("fig3")
+    lat = labeling.lattice
+    expected = meet_irreducibles_oracle(lat), _unlabeled_meet_irreducible(lat, labeling)
+
+    def refuse(*args):
+        raise AssertionError("no join, table read or membership test expected")
+
+    for name in ("join_mask", "_above", "_element_index"):
+        monkeypatch.setattr(AtomicLattice, name, refuse)
+    assert (lat.meet_irreducibles(), _unlabeled_meet_irreducible(lat, labeling)) == expected
+    with pytest.raises(AssertionError):
+        AtomicLattice._trusted(lat.n, lat.sets).meet_irreducibles()
+
+
+def test_fill_sets_every_slot():
+    """A trusted lattice is made by ``_fill`` alone, so it sets every slot
+    and no query reads an unset one."""
+    lat = AtomicLattice._trusted(3, BOOLEAN3.sets)
+    assert [name for name in AtomicLattice.__slots__ if not hasattr(lat, name)] == []
 
 
 def _upper_covers_by_the_cubic_scan(lat: AtomicLattice) -> list[tuple[int, ...]]:

@@ -246,10 +246,11 @@ def test_supp_detector_stays_independent_of_the_literal_one():
     """The two super-atomic detectors serve as each other's oracle, so the
     support characterization must not reach the literal detector's tables.
     It keeps its own incidence columns: it takes no join and reads neither
-    the lattice's incidence table nor its element index."""
+    the lattice's incidence table, its element index nor the
+    meet-irreducibles its closure walk recorded."""
     names = _names_used(superatomic.is_super_atomic_via_supp.__code__)
     literal = {"_joining_pairs", "_super_atomic_joining_pairs", "is_super_atomic"}
-    lattice = {"join_mask", "_above", "_atom_rows", "_rows", "_element_index", "_index", "_join_cache"}
+    lattice = {"join_mask", "_above", "_atom_rows", "_rows", "_element_index", "_index", "_join_cache", "_walk_mi"}
     assert names & (literal | lattice) == set()
 
 
