@@ -16,10 +16,10 @@ takes ``O(m*n)`` cached joins for ``m`` elements on each call.  No lcm is
 taken and no lcm-lattice built.  The predicates build none for either verdict;
 :func:`is_coordinatization` builds one only when the strong map fails, for
 the isomorphism search.  :func:`classify` builds one per tuple of minimal
-generators, only to word a false verdict; the lattice takes its lcms only
-if the witness reads a monomial, and a size mismatch, the usual witness,
-reads none.  Each generator tuple's exponent-level table is computed once
-per call and read by every check on that tuple.
+generators, only to word a false verdict; the lattice keeps no monomial,
+so a witness takes an lcm only where it reads one, and a size mismatch,
+the usual witness, reads none.  Each generator tuple's exponent-level
+table is computed once per call and read by every check on that tuple.
 
 Two checkable sufficient conditions come with the theory:
 
@@ -61,7 +61,7 @@ from .ideals import (
     recovered_labeling,
     weak_ideal,
 )
-from .lattice import AtomicLattice, _set_str, bits_of, lattice_isomorphic
+from .lattice import AtomicLattice, _set_str, lattice_isomorphic
 from .monomial import Monomial
 
 __all__ = [
@@ -93,11 +93,6 @@ def _carriers(lat: AtomicLattice, labeling: Labeling) -> dict[str, int]:
     return {v: sum(by_exp.values()) for v, by_exp in _label_groups(lat, labeling).items()}
 
 
-def _members(lat: AtomicLattice, bitset: int) -> list[int]:
-    """The elements at the positions of a bitset, in canonical order."""
-    return [lat.sets[b.bit_length() - 1] for b in bits_of(bitset)]
-
-
 def _unlabeled_meet_irreducible(lat: AtomicLattice, labeling: Labeling) -> Optional[str]:
     """The first requirement of both condition checks: every meet-irreducible
     element below the top is labeled.  The witness of a violation, or None.
@@ -125,7 +120,7 @@ def check_strong_conditions(lat: AtomicLattice, labeling: Labeling) -> tuple[boo
     if unlabeled:
         return False, unlabeled
     for v in sorted(carriers):
-        pair = _first_incomparable(_members(lat, carriers[v]))
+        pair = _first_incomparable(lat._members(carriers[v]))
         if pair:
             return False, f"variable {v} labels incomparable elements {pair}"
     return True, None
@@ -165,7 +160,7 @@ def check_weak_conditions(lat: AtomicLattice, labeling: Labeling) -> tuple[bool,
         return reduce(int.__or__, (carriers[v] for v, _ in m._exps))
 
     for p, mp in labeling.items():
-        for q in _members(lat, shares(mp) & -(2 << lat._element_index()[p])):  # the positions after p's own
+        for q in lat._members(shares(mp) & -(2 << lat._element_index()[p])):  # the positions after p's own
             if p & ~q == 0:
                 continue
             mq = labeling.label(q)
@@ -174,7 +169,7 @@ def check_weak_conditions(lat: AtomicLattice, labeling: Labeling) -> tuple[bool,
                     return False, (
                         f"label of {_set_str(hi)} is contained in its overlap with the label of {_set_str(lo)}"
                     )
-                pair = _first_incomparable([s for s in _members(lat, shares(m_hi)) if s != lo])
+                pair = _first_incomparable([s for s in lat._members(shares(m_hi)) if s != lo])
                 if pair:
                     return False, f"elements entangled with the label of {_set_str(hi)} are not a chain: {pair}"
     return True, None
@@ -257,7 +252,10 @@ def _specific_map_witness(lat: AtomicLattice, atom_monomials: tuple[Monomial, ..
 
     Order is preserved upward by construction, so the checks are size,
     injectivity, membership and order reflection, in that order, and one of
-    them fails."""
+    them fails.  The size check reads no monomial.  After it, each element
+    costs the lcm of g and, for membership, one divisibility test per
+    generator and one lcm (see :meth:`LcmLattice._support
+    <lcmlattice.ideals.LcmLattice._support>`)."""
     if len(ll) != len(lat):
         return f"lcm-lattice has {len(ll)} elements, the lattice has {len(lat)}"
     g = _support_lcms(atom_monomials, lat.sets)
@@ -343,8 +341,9 @@ def classify(lat: AtomicLattice, labeling: Labeling) -> LabelingClassification:
     for every atom the weak verdict is the strong one.  Only a false verdict
     builds an lcm-lattice, one per tuple of minimal generators and call, to
     word its witness (and, for coordinatization, to run the isomorphism
-    search); its monomials are taken only if the witness reads one, so a
-    size mismatch or a failed isomorphism search takes no lcm.
+    search); the lattice keeps no monomial and takes an lcm only when the
+    witness reads one, so a size mismatch or a failed isomorphism search
+    takes none.
 
     Each generator tuple's exponent-level table is computed once per call:
     ``x(a)`` and ``delta(a)`` are each held as a :class:`MonomialIdeal`,

@@ -59,7 +59,12 @@ class ValidationError(Error, ValueError):
 
 
 class NotAnElementError(Error, KeyError):
-    """An atom set was used with a lattice it does not belong to."""
+    """An atom set was used with a lattice it does not belong to.
+
+    A ``KeyError`` for callers that catch one, with the plain text of any
+    other error: ``KeyError`` would print its message in quotes."""
+
+    __str__ = Exception.__str__
 
 
 class DegenerateIdealError(Error, ValueError):

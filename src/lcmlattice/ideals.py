@@ -45,7 +45,7 @@ from .errors import (
     ValidationError,
     shown,
 )
-from .lattice import MAX_ATOMS, AtomicLattice, _canon_key, _element_str, _is_int, _parse_json, _set_str, atoms_of, bits_of, mask_of
+from .lattice import MAX_ATOMS, AtomicLattice, _canon_key, _element_str, _parse_json, _set_str, atoms_of, bits_of, mask_of
 from .monomial import ONE, Monomial, _check_exponent_digits, gcd_all, lcm_all
 
 __all__ = [
@@ -553,14 +553,14 @@ class LcmLattice:
       ``lcm{g_i : i in T} = lcm{g_i : i in S}``.  The empty ``T`` gives 1.
 
     So a support determines its monomial, and the family has one member per
-    element.  The supports are built with the lattice; the monomials, and the
-    lookups between monomials and supports, are built the first time a
-    monomial is read.  ``len``, :attr:`generators` and :meth:`abstract` read
-    the supports alone, so a caller that needs only the shape of the
-    lattice takes no lcm.
+    element.  The lattice keeps only the generators and the supports, and
+    each accessor that reads a monomial takes the lcms it reads, on every
+    call.  ``len``, :attr:`generators` and :meth:`abstract` read the
+    supports alone, so a caller that needs only the shape of the lattice
+    takes no lcm.
     """
 
-    __slots__ = ("generators", "_abstract", "_monomials", "_mask_of", "_monomial_of")
+    __slots__ = ("generators", "_abstract")
 
     def __init__(self, generators: Union[MonomialIdeal, Iterable[Monomial]]):
         """The lcm-lattice of the ideal the generators span, built on its
@@ -609,23 +609,11 @@ class LcmLattice:
                     raise CapExceededError(f"lcm-lattice reached {len(closed)} elements, over the cap {MAX_LCM_ELEMENTS}")
         self.generators = gens
         self._abstract = AtomicLattice._trusted(n, tuple(sorted(closed, key=_canon_key)))
-        self._monomials = None
-
-    def _lookups(self) -> tuple[dict[Monomial, int], dict[int, Monomial]]:
-        """``_mask_of`` and ``_monomial_of``, built with :attr:`monomials` the
-        first time a monomial is read: each element is the lcm of the
-        generators in its support."""
-        if self._monomials is None:
-            self._monomial_of = _support_lcms(self.generators, self._abstract.sets)
-            self._monomials = tuple(self._monomial_of.values())
-            self._mask_of = dict(zip(self._monomials, self._abstract.sets))
-        return self._mask_of, self._monomial_of
 
     @property
     def monomials(self) -> tuple[Monomial, ...]:
-        """The elements, in canonical support order."""
-        self._lookups()
-        return self._monomials
+        """The elements, in canonical support order: one lcm each."""
+        return tuple(_support_lcms(self.generators, self._abstract.sets).values())
 
     def abstract(self) -> AtomicLattice:
         """The underlying atomic lattice, with generator ``i`` as atom ``i``;
@@ -633,32 +621,45 @@ class LcmLattice:
         return self._abstract
 
     def monomial_of(self, mask: int) -> Monomial:
-        """The element with support ``mask``; a float or bool equal to a
-        support is not one, as for :class:`AtomicLattice`."""
-        m = self._lookups()[1].get(mask) if _is_int(mask) else None
-        if m is None:
+        """The element with support ``mask``, one lcm; a float or bool equal
+        to a support is not one, as for :class:`AtomicLattice`."""
+        if mask not in self._abstract:
             raise NotAnElementError(f"no element has support {_element_str(mask)}")
-        return m
+        return _support_lcms(self.generators, (mask,))[mask]
+
+    def _support(self, m: object) -> Optional[int]:
+        """The support of ``m`` if it is an element, else None: one
+        divisibility test per generator and at most one lcm.
+
+        ``m`` is an element exactly when its support, the generators
+        dividing it, is an element whose lcm is ``m``.  An element ``M`` is
+        ``lcm{g_i : i in S}`` for a member ``S`` with ``supp(M) = S`` (the
+        first bullet of the class docstring), and an lcm of generators is
+        an element."""
+        if not isinstance(m, Monomial):
+            return None
+        s = sum(1 << i for i, g in enumerate(self.generators) if g.divides(m))
+        return s if s in self._abstract and _support_lcms(self.generators, (s,))[s] == m else None
 
     def mask_of(self, m: object) -> int:
         """The support of the element ``m``; a value that is not a
         :class:`Monomial` is not an element."""
-        mask = self._lookups()[0].get(m) if isinstance(m, Monomial) else None
+        mask = self._support(m)
         if mask is None:
             raise NotAnElementError(f"{shown(m, str)} is not an element of the lcm-lattice")
         return mask
 
     @property
     def top_monomial(self) -> Monomial:
-        return self.monomials[-1]
+        return lcm_all(self.generators)
 
     def hasse_labels(self) -> dict[int, str]:
         """Display labels (monomial strings) keyed by abstract element, for DOT."""
-        return {mask: str(m) for mask, m in self._lookups()[1].items()}
+        return {mask: str(m) for mask, m in _support_lcms(self.generators, self._abstract.sets).items()}
 
     def covers_monomials(self) -> tuple[tuple[Monomial, Monomial], ...]:
-        monomial_of = self._lookups()[1]
-        return tuple((monomial_of[lo], monomial_of[hi]) for lo, hi in self.abstract().covers())
+        monomial_of = _support_lcms(self.generators, self._abstract.sets)
+        return tuple((monomial_of[lo], monomial_of[hi]) for lo, hi in self._abstract.covers())
 
     def __len__(self) -> int:
         return len(self._abstract)
@@ -667,7 +668,7 @@ class LcmLattice:
         return iter(self.monomials)
 
     def __contains__(self, m: object) -> bool:
-        return isinstance(m, Monomial) and m in self._lookups()[0]
+        return self._support(m) is not None
 
     def __repr__(self) -> str:
         return f"LcmLattice({len(self.generators)} generators, {len(self)} elements)"

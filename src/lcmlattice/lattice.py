@@ -384,10 +384,15 @@ class AtomicLattice:
             self._join_cache[mask] = j
         return j
 
+    def _members(self, positions: int) -> list[int]:
+        """The elements at the set bits of a bitset over canonical
+        positions, in canonical order."""
+        return [self.sets[b.bit_length() - 1] for b in bits_of(positions)]
+
     def filter(self, p: int) -> tuple[int, ...]:
         """All elements above (and including) ``p``, canonically ordered."""
         self._require(p)
-        return tuple(self.sets[b.bit_length() - 1] for b in bits_of(self._above(p)))
+        return tuple(self._members(self._above(p)))
 
     # -- covers and meet-irreducibility -----------------------------------
 
@@ -494,15 +499,8 @@ class AtomicLattice:
             or sorted(image.values()) != indices
         ):
             raise PreconditionError(f"not a permutation of 1..{self.n}: {shown(image)}")
-        shift = {1 << (a - 1): 1 << (b - 1) for a, b in image.items()}
-
-        def apply(mask: int) -> int:
-            out = 0
-            for b in bits_of(mask):
-                out |= shift[b]
-            return out
-
-        return AtomicLattice._trusted(self.n, tuple(sorted(map(apply, self.sets), key=_canon_key)))
+        targets = [1 << (image[a] - 1) for a in indices]
+        return AtomicLattice._trusted(self.n, tuple(sorted((_permute(m, targets) for m in self.sets), key=_canon_key)))
 
     # -- serialization -------------------------------------------------------
 
@@ -527,6 +525,15 @@ class AtomicLattice:
     @classmethod
     def from_json(cls, text: str) -> "AtomicLattice":
         return cls.from_json_dict(_parse_json(text))
+
+
+def _permute(mask: int, targets: list[int]) -> int:
+    """The image of an atom set under an atom permutation, where
+    ``targets[i]`` is the image of atom ``i + 1`` as a mask."""
+    out = 0
+    for b in bits_of(mask):
+        out |= targets[b.bit_length() - 1]
+    return out
 
 
 def lattice_isomorphic(P: AtomicLattice, Q: AtomicLattice) -> Optional[dict[int, int]]:
@@ -581,15 +588,8 @@ def lattice_isomorphic(P: AtomicLattice, Q: AtomicLattice) -> Optional[dict[int,
             closes_at[max(position[i] for i in range(n) if m >> i & 1)].append(m)
 
     q_members = set(mi_q)
-    image = [0] * n  # image[i] = 0-based target atom for source atom i
+    image = [0] * n  # image[i] = the target atom of source atom i + 1, as a mask
     used = [False] * n
-
-    def apply(mask: int) -> int:
-        out = 0
-        for i in range(n):
-            if mask >> i & 1:
-                out |= 1 << image[i]
-        return out
 
     def dfs(rank: int) -> bool:
         if rank == n:
@@ -598,13 +598,13 @@ def lattice_isomorphic(P: AtomicLattice, Q: AtomicLattice) -> Optional[dict[int,
         for j in candidates[i]:
             if used[j]:
                 continue
-            image[i] = j
+            image[i] = 1 << j
             used[j] = True
-            if all(apply(m) in q_members for m in closes_at[rank]) and dfs(rank + 1):
+            if all(_permute(m, image) in q_members for m in closes_at[rank]) and dfs(rank + 1):
                 return True
             used[j] = False
         return False
 
     if not dfs(0):
         return None
-    return {m: apply(m) for m in P.sets}
+    return {m: _permute(m, image) for m in P.sets}

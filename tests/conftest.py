@@ -234,7 +234,7 @@ def eager_lcm_lattice(generators: tuple[Monomial, ...]) -> dict:
     :func:`subset_lcm_lattice`, each element the ``lcm_all`` of the
     generators in its support, the lookups both ways, the display labels, the
     abstract lattice through the validating constructor and the divisibility
-    covers.  The oracle of the lazy accessors."""
+    covers.  The oracle of the accessors, which take their lcms when read."""
     supports = sorted(set(subset_lcm_lattice(generators)[1].values()), key=_canon_key)
     monomials = tuple(lcm_all(generators[b.bit_length() - 1] for b in bits_of(s)) for s in supports)
     return {

@@ -341,8 +341,10 @@ def test_classify_computes_one_level_table_per_generator_tuple(rng, monkeypatch)
 def test_a_size_mismatch_witness_takes_no_lcm(monkeypatch):
     """On ``fig3`` the strong verdict is false because the lcm-lattice has
     one element more than the lattice, and coordinatization fails the
-    isomorphism search; neither witness reads a monomial, so none is built."""
-    monkeypatch.setattr(LcmLattice, "_lookups", lambda self: pytest.fail("an lcm-lattice monomial was built"))
+    isomorphism search; neither witness reads a monomial, so the lcm-lattice
+    takes no lcm: both lcm builders it reads fail the test when called."""
+    for builder in ("_support_lcms", "lcm_all"):
+        monkeypatch.setattr(ideals, builder, lambda *args: pytest.fail("an lcm-lattice monomial was built"))
     lab = worked_example("fig3")
     c = classify(lab.lattice, lab)
     assert c.witness["is_strong"] == "lcm-lattice has 11 elements, the lattice has 10"

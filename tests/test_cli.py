@@ -248,6 +248,15 @@ def test_label_summing_past_the_cap_names_its_set(runner, files):
     assert res.stderr == "Error: bad monomial for set [1]: exponent of 'x' has more than 1000 digits\n"
 
 
+def test_a_label_on_no_element_prints_the_plain_refusal(runner, files):
+    """``NotAnElementError`` is a ``KeyError``, whose ``str`` would quote
+    the message; the CLI prints the message itself."""
+    doc = {"lattice": {"n": 3, "sets": [[], [1], [2], [3], [1, 2, 3]]}, "labels": [{"set": [1, 2], "monomial": "a"}]}
+    res = runner.invoke(main, ["classify", files("lab.json", doc)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit) and res.stdout == ""
+    assert res.stderr == "Error: labeled set {1,2} is not in the lattice\n"
+
+
 def test_generator_summing_past_the_cap_names_its_line(runner, files):
     res = runner.invoke(main, ["lcm-lattice", files("ideal.txt", f"a*b\n{NINES_SUM}\n")])
     assert res.exit_code == 1 and res.stdout == ""

@@ -541,12 +541,12 @@ LCM_ACCESSORS = {
 }
 
 
-def test_lcm_lattice_accessors_match_an_eager_oracle_whichever_is_read_first(rng):
-    """The monomials are built on first read; whichever accessor comes first,
+def test_lcm_lattice_accessors_match_an_eager_oracle_whichever_is_read_first(rng, monkeypatch):
+    """The monomials are taken on each read; whichever accessor comes first,
     every accessor then answers what :func:`conftest.eager_lcm_lattice`
     answers on the minimal generators of the raw tuple.  ``len``,
-    ``generators`` and ``abstract`` read the supports alone, so after them no
-    monomial has been built."""
+    ``generators`` and ``abstract`` read the supports alone: they answer
+    while both lcm builders the lattice reads fail the test when called."""
     tuples = [tuple(Monomial.parse(g) for g in "ab"), (Monomial.parse("a"), Monomial.parse("a*b"))]
     for _ in range(200):
         gens = [random_monomial(rng, list("abcd")) for _ in range(rng.randint(1, 5))]
@@ -559,8 +559,10 @@ def test_lcm_lattice_accessors_match_an_eager_oracle_whichever_is_read_first(rng
         for first in LCM_ACCESSORS:
             ll = LcmLattice(gens)
             if first in ("len", "abstract"):
-                assert LCM_ACCESSORS[first](ll, want) and ll.generators == minimal
-                assert ll._monomials is None  # the shape of the lattice took no lcm
+                with monkeypatch.context() as patched:
+                    for builder in ("_support_lcms", "lcm_all"):
+                        patched.setattr(ideals, builder, lambda *args: pytest.fail("the shape took an lcm"))
+                    assert LCM_ACCESSORS[first](ll, want) and ll.generators == minimal
             assert all(check(ll, want) for check in LCM_ACCESSORS.values()), first
 
 
@@ -682,6 +684,24 @@ def test_monomial_lookup_errors():
     for bad in (1.0, True, [1]):
         with pytest.raises(NotAnElementError):
             ll.monomial_of(bad)
+
+
+def test_not_an_element_error_reads_as_its_plain_message():
+    """``NotAnElementError`` stays a ``KeyError``, for callers that catch
+    one, but its ``str`` is the message itself, which ``KeyError`` would
+    print in quotes."""
+    ll, lat = lcm_lattice(FIG1_IDEAL), flat_lattice(3)
+    refusals = [
+        (lambda: ll.monomial_of(0b011), "no element has support {1,2}"),
+        (lambda: ll.mask_of(Monomial.parse("z")), "z is not an element of the lcm-lattice"),
+        (lambda: lat.join(0b011, 0b001), "{1,2} is not an element of this lattice"),
+        (lambda: Labeling(lat).label(0b011), "{1,2} is not in the lattice"),
+        (lambda: Labeling(lat, {0b011: "a"}), "labeled set {1,2} is not in the lattice"),
+    ]
+    for refused, text in refusals:
+        with pytest.raises(KeyError) as excinfo:
+            refused()
+        assert isinstance(excinfo.value, NotAnElementError) and str(excinfo.value) == text
 
 
 def test_a_value_that_is_not_a_monomial_is_no_element():

@@ -257,7 +257,7 @@ def test_supp_detector_stays_independent_of_the_literal_one():
 def test_level_mask_readers_take_no_join_and_no_monomial_closure():
     """The specific-map decision reads level masks and the
     meet-irreducibles; the lcm-lattice build closes the level masks under
-    intersection and takes no lcm (the monomials come on first read, one
+    intersection and takes no lcm (the monomials are taken when read, one
     lcm per element); the minimal generators compare no monomial; ``delta``
     joins each level mask and walks no element.  The decision builds no
     lcm-lattice, so it neither counts minimal generators nor reads a cap:
@@ -271,6 +271,12 @@ def test_level_mask_readers_take_no_join_and_no_monomial_closure():
     minimal = _names_used(MonomialIdeal.minimal_generators.fget.__code__)
     assert "_level_table" in minimal and minimal & {"divides", "lcm", "gcd"} == set()
     assert _names_used(_refine.__code__) & {"sets", "bit_count"} == set()
+
+
+def test_an_lcm_lattice_keeps_only_its_generators_and_supports():
+    """Each element is stored once, as its support; its monomial is taken
+    when read, so the lattice holds no lookup to keep in step."""
+    assert LcmLattice.__slots__ == ("generators", "_abstract")
 
 
 def test_the_lcm_lattice_command_reads_no_cap():
