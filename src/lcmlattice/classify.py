@@ -10,15 +10,13 @@ then a property, not a search.  It holds exactly when MI(L) ⊆ cuts ⊆ L:
 every *cut* (the empty set, or a level mask ``D(v, t)``, the atoms whose
 generator has ``e_v <= t``) is an element, and every meet-irreducible element
 is a cut.  That takes ``O(k*n)`` level masks for ``k`` variables and ``n``
-atoms, and the meet-irreducibles, which the condition checks read too: a
-validated lattice recorded them during its closure walk, and a trusted one
-takes ``O(m*n)`` cached joins for ``m`` elements on each call.  No lcm is
-taken and no lcm-lattice built.  The predicates build none for either verdict;
-:func:`is_coordinatization` builds one only when the strong map fails, for
-the isomorphism search.  :func:`classify` builds one per tuple of minimal
-generators, only to word a false verdict; the lattice keeps no monomial,
-so a witness takes an lcm only where it reads one, and a size mismatch,
-the usual witness, reads none.  Each generator tuple's exponent-level
+atoms, and the lattice's meet-irreducible tuple, which the condition checks
+read too.  No lcm is taken and no lcm-lattice built.  The predicates build
+none for either verdict; :func:`is_coordinatization` builds one only when
+the strong map fails, for the isomorphism search.  :func:`classify` builds
+one per tuple of minimal generators, only to word a false verdict; the
+lattice keeps no monomial, so a witness takes an lcm only where it reads
+one, and a size mismatch, the usual witness, reads none.  Each generator tuple's exponent-level
 table is computed once per call and read by every check on that tuple.
 
 Two checkable sufficient conditions come with the theory:
@@ -237,9 +235,7 @@ def _extends_to_isomorphism(lat: AtomicLattice, ideal: MonomialIdeal) -> bool:
     only once every cut is an element.  That costs O(k*n) level masks for k
     variables and n atoms, and
     :meth:`~lcmlattice.lattice.AtomicLattice.meet_irreducibles`, which the
-    condition checks of :func:`classify` read too: no join on a validated
-    lattice, which recorded them during its closure walk, and O(m*n) cached
-    joins for m elements on a trusted one.
+    condition checks of :func:`classify` read too.
     """
     _check_lcm_generators(ideal.generators)
     cuts = _level_masks(ideal._level_table())
@@ -333,17 +329,15 @@ def classify(lat: AtomicLattice, labeling: Labeling) -> LabelingClassification:
     The strong and weak checks decide whether the map g is an isomorphism
     as MI(L) ⊆ cuts ⊆ L, from the level masks of its atom monomials and the
     lattice's meet-irreducibles (see :func:`_extends_to_isomorphism`), with
-    no lcm-lattice built; the meet-irreducibles, shared with the two
-    condition checks, take no join on a validated lattice (its closure walk
-    recorded them) and O(m·n) cached joins per read on a trusted one.  The
-    single predicates take the same decision.  A strong verdict makes
-    the coordinatization check true as well, and when ``delta(a) = x(a)``
-    for every atom the weak verdict is the strong one.  Only a false verdict
-    builds an lcm-lattice, one per tuple of minimal generators and call, to
-    word its witness (and, for coordinatization, to run the isomorphism
-    search); the lattice keeps no monomial and takes an lcm only when the
-    witness reads one, so a size mismatch or a failed isomorphism search
-    takes none.
+    no lcm-lattice built; the meet-irreducibles are shared with the two
+    condition checks.  The single predicates take the same decision.  A
+    strong verdict makes the coordinatization check true as well, and when
+    ``delta(a) = x(a)`` for every atom the weak verdict is the strong one.
+    Only a false verdict builds an lcm-lattice, one per tuple of minimal
+    generators and call, to word its witness (and, for coordinatization, to
+    run the isomorphism search); the lattice keeps no monomial and takes an
+    lcm only when the witness reads one, so a size mismatch or a failed
+    isomorphism search takes none.
 
     Each generator tuple's exponent-level table is computed once per call:
     ``x(a)`` and ``delta(a)`` are each held as a :class:`MonomialIdeal`,

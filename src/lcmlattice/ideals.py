@@ -583,7 +583,9 @@ class LcmLattice:
         member exactly when it is the intersection of the cuts strictly
         containing it, that is, when it is not meet-irreducible in the
         lcm-lattice (each element strictly above ``c`` is an intersection of
-        such cuts).  So one pass runs per meet-irreducible of the lcm-lattice
+        such cuts).  Every element is an intersection of cuts, so a
+        meet-irreducible below the top is a cut, and the kept cuts are
+        exactly these: one pass runs per meet-irreducible of the lcm-lattice
         below the top, the family that generates the closure system.  The
         closure is the same set in any order, so the cap refuses the same
         ideals, at the same count.
@@ -591,7 +593,8 @@ class LcmLattice:
         The abstract lattice wraps the supports unchecked: they are
         intersection-closed and hold {} and the full set (see the class
         docstring), and each singleton ``{i}`` is the support of ``g_i``, as
-        no other minimal generator divides it."""
+        no other minimal generator divides it.  Its meet-irreducibles are
+        the kept cuts and the top."""
         ideal = generators if isinstance(generators, MonomialIdeal) else MonomialIdeal(generators)
         _check_lcm_generators(ideal.generators)
         ideal = ideal._minimal_ideal()
@@ -599,16 +602,20 @@ class LcmLattice:
         n = len(gens)
         if n > MAX_ATOMS:
             raise CapExceededError(f"{n} minimal generators exceed the supported maximum {MAX_ATOMS} atoms")
-        closed = {(1 << n) - 1}
+        top = (1 << n) - 1
+        closed = {top}
+        kept = []
         for cut in sorted(_level_masks(ideal._level_table()), key=int.bit_count, reverse=True):
             if cut in closed:
                 continue
+            kept.append(cut)
             for s in tuple(closed):
                 closed.add(s & cut)
                 if len(closed) > MAX_LCM_ELEMENTS:
                     raise CapExceededError(f"lcm-lattice reached {len(closed)} elements, over the cap {MAX_LCM_ELEMENTS}")
         self.generators = gens
-        self._abstract = AtomicLattice._trusted(n, tuple(sorted(closed, key=_canon_key)))
+        mi = (*sorted(kept, key=_canon_key), top)
+        self._abstract = AtomicLattice._trusted(n, tuple(sorted(closed, key=_canon_key)), mi)
 
     @property
     def monomials(self) -> tuple[Monomial, ...]:

@@ -27,20 +27,21 @@ AND of the rows of a mask's atoms is the set of elements above the mask.
 The validating constructor builds the table and decides closure from it in
 O(m·n) ANDs on m-bit ints for m elements and n atoms; the same walk names
 one pair of members with a missing intersection at each step where it
-fails, at most m·n pairs, not every such pair.  A trusted
-lattice builds the table on first use: its first join miss, ``filter``,
-plain generator ``x(p)`` or interval count in ``support_labeling``.  A join
-that is not already an element (the cache and the membership test come
-first) takes |mask| ANDs and the lowest set bit; ``filter``, the plain
+fails, at most m·n pairs, not every such pair.  A trusted lattice builds
+the table on first use: its first join miss, ``filter``, meet-irreducibles
+walk, plain generator ``x(p)`` or interval count in ``support_labeling``.
+A join that is not already an element (the cache and the membership test
+come first) takes |mask| ANDs and the lowest set bit; ``filter``, the plain
 generators of :mod:`lcmlattice.ideals` and the interval counts of
 ``support_labeling`` read the same table.
 
-Every order query above an element is answered from joins alone:
-``upper_covers(p)`` takes the n − |p| joins of p with the atoms outside it,
-``meet_irreducibles`` O(m·n) cached joins, and ``covers`` O(m·n) joins; none
-of them is cached.  The one exception: the validating constructor's closure
-walk meets each of those joins anyway, so it records the meet-irreducibles,
-and a validated lattice answers ``meet_irreducibles`` from that tuple.
+The cover queries are answered from joins alone: ``upper_covers(p)`` takes
+the n − |p| joins of p with the atoms outside it, and ``covers`` O(m·n)
+joins; neither is cached.  The meet-irreducibles are one tuple per lattice,
+handed over by its constructor: the validating constructor's closure walk
+records them, the lcm-lattice build keeps them as its cuts, and ``relabel``
+permutes its source's.  A lattice built without one, an enumerated lattice,
+runs the same walk on its first ``meet_irreducibles`` call and keeps it.
 
 ``lattice_isomorphic`` searches atom permutations depth-first and looks at
 the meet-irreducibles alone: a finite lattice is the intersection-closure of
@@ -161,7 +162,7 @@ class AtomicLattice:
     instead (see the module docstring for its callers).
     """
 
-    __slots__ = ("n", "sets", "_index", "_rows", "_join_cache", "_walk_mi")
+    __slots__ = ("n", "sets", "_index", "_rows", "_join_cache", "_mi")
 
     def __init__(self, n: int, masks: Iterable[int]):
         if not _is_int(n) or n < 1:
@@ -178,7 +179,8 @@ class AtomicLattice:
         missing = sorted({m for m in (0, *(1 << i for i in range(n)), top) if m not in seen}, key=_canon_key)
         seen.update((0, top))  # the walk needs both; a missing one stays reported
         self._fill(n, tuple(sorted(seen, key=_canon_key)))
-        non_closed = [(self.sets[i], self.sets[j]) for i, j in sorted(set(self._unclosed_pairs()))]
+        pairs, self._mi = self._closure_walk()
+        non_closed = [(self.sets[i], self.sets[j]) for i, j in sorted(set(pairs))]
         if missing or non_closed:
             parts = []
             if missing:
@@ -193,12 +195,13 @@ class AtomicLattice:
                 non_closed_pairs=[(atoms_of(a), atoms_of(b)) for a, b in non_closed],
             )
 
-    def _unclosed_pairs(self) -> Iterator[tuple[int, int]]:
-        """Positions ``(i, j)``, i < j, of members whose intersection is not a
-        member: one pair for each (r, a) below that fails, so none exactly
-        when the family, which holds the empty and the full set, is closed
-        under intersection.  O(m·n) ANDs on m-bit ints, plus |s| ANDs for
-        each pair.
+    def _closure_walk(self) -> tuple[list[tuple[int, int]], Optional[tuple[int, ...]]]:
+        """``(pairs, mi)``.  ``pairs`` holds positions ``(i, j)``, i < j, of
+        members whose intersection is not a member: one pair for each (r, a)
+        below that fails, so none exactly when the family, which holds the
+        empty and the full set, is closed under intersection.  ``mi`` is the
+        meet-irreducibles in canonical order when no pair fails, else None.
+        O(m·n) ANDs on m-bit ints, plus |s| ANDs for each pair.
 
         Let up(X) be the members containing X (the AND of X's rows) and cl(X)
         their intersection.  The family is closed exactly when cl(r | a) is a
@@ -222,18 +225,17 @@ class AtomicLattice:
         after s.  Then s & t is not a member: it contains r | a and is
         smaller than s, while s is the least member containing r | a.
 
-        The same walk records the meet-irreducibles, one AND per (r, a).  In
-        a closed family s is cl(r | a), the join of r and a, so the AND of
-        these s over the atoms a outside r is the AND that
-        :meth:`meet_irreducibles` takes, and r is kept when it is the top or
-        that AND is not r.  The tuple is kept only when no pair fails, so
-        only a validated lattice holds one.
+        In a closed family s is cl(r | a), the join of r and a.  Every member
+        strictly above r contains one of these joins, each strictly above r,
+        so the members strictly above r meet in the AND of the joins, and r
+        is meet-irreducible exactly when it is the top or that AND is not r.
         """
         rows = self._atom_rows()
         sets = self.sets
         everything = (1 << len(sets)) - 1
         counts = [0] * len(sets)
-        mi: Optional[list[int]] = []
+        pairs = []
+        mi = []
         for i in range(len(sets) - 1, -1, -1):
             r = sets[i]
             up = everything
@@ -252,32 +254,33 @@ class AtomicLattice:
                 meet &= sets[s]
                 if counts[s] != up_ra.bit_count():
                     t = up_ra & ~self._above(sets[s])
-                    mi = None
-                    yield s, (t & -t).bit_length() - 1
-            if mi is not None and meet != sets[i]:
+                    pairs.append((s, (t & -t).bit_length() - 1))
+            if meet != sets[i]:
                 mi.append(sets[i])
-        if mi is not None:
-            self._walk_mi = tuple(reversed(mi))
+        return pairs, None if pairs else tuple(reversed(mi))
 
     @classmethod
-    def _trusted(cls, n: int, sets: tuple[int, ...]) -> "AtomicLattice":
-        """Wrap masks known to form a lattice on ``n`` atoms, in canonical order.
+    def _trusted(cls, n: int, sets: tuple[int, ...], mi: Optional[tuple[int, ...]] = None) -> "AtomicLattice":
+        """Wrap masks known to form a lattice on ``n`` atoms, in canonical
+        order, with its meet-irreducibles ``mi`` in canonical order (the top
+        last) when the caller knows them.
 
-        Checks nothing: no types, no order, no required sets, no closure.
-        Only for families that are valid by construction, each caller's
-        docstring giving the reason; never hand it outside input.
+        Checks nothing: no types, no order, no required sets, no closure, no
+        meet-irreducibles.  Only for families that are valid by
+        construction, each caller's docstring giving the reason; never hand
+        it outside input.
         """
         lat = object.__new__(cls)
-        lat._fill(n, sets)
+        lat._fill(n, sets, mi)
         return lat
 
-    def _fill(self, n: int, sets: tuple[int, ...]) -> None:
+    def _fill(self, n: int, sets: tuple[int, ...], mi: Optional[tuple[int, ...]] = None) -> None:
         self.n = n
         self.sets = sets
         self._index: Optional[dict[int, int]] = None
         self._rows: Optional[list[int]] = None
         self._join_cache: dict[int, int] = {}
-        self._walk_mi: Optional[tuple[int, ...]] = None
+        self._mi = mi
 
     @classmethod
     def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "AtomicLattice":
@@ -423,38 +426,13 @@ class AtomicLattice:
         """Elements that are not the meet of strictly larger ones, canonically
         ordered; the top is one (the defining condition is vacuous).
 
-        p is kept when it is the top, or when the AND of its joins p | a over
-        the atoms a outside p is not p.  Every q strictly above p contains
-        the join of p with some atom of q outside p, and each such join is
-        strictly above p.  So the elements strictly above p meet in the
-        intersection of these joins, and p is a meet of strictly larger
-        elements exactly when that intersection is p.
-
-        A validated lattice returns the tuple its closure walk recorded (see
-        :meth:`_unclosed_pairs`), with no join taken.  A trusted lattice
-        walks its joins on every call and keeps nothing: O(m·n) cached
-        joins, the walk over p's joins stopping once the intersection
-        reaches p.  The join cache is read directly, and only a miss calls
-        :meth:`join_mask`.
+        The tuple its constructor handed over (see the module docstring), or,
+        on a lattice built without one, the one :meth:`_closure_walk` finds on
+        the first call, O(m·n) ANDs on m-bit ints, kept for the next.
         """
-        if self._walk_mi is not None:
-            return self._walk_mi
-        top = self.top
-        cache = self._join_cache
-        out = []
-        for p in self.sets:
-            meet = top
-            rest = top & ~p
-            while rest:
-                a = rest & -rest
-                rest ^= a
-                j = cache.get(p | a)
-                meet &= self.join_mask(p | a) if j is None else j
-                if meet == p:
-                    break
-            else:
-                out.append(p)
-        return tuple(out)
+        if self._mi is None:
+            self._mi = self._closure_walk()[1]
+        return self._mi
 
     # -- atom subsets joining to an element --------------------------------
 
@@ -489,6 +467,8 @@ class AtomicLattice:
 
         A permutation keeps the required sets and commutes with intersection,
         so the image of a valid family is valid and only needs re-sorting.
+        It is an isomorphism onto the image, so the image of the source's
+        meet-irreducibles, when the source holds them, is the image's.
         """
         if not isinstance(image, Mapping):
             image = {i + 1: v for i, v in enumerate(image)}
@@ -500,7 +480,12 @@ class AtomicLattice:
         ):
             raise PreconditionError(f"not a permutation of 1..{self.n}: {shown(image)}")
         targets = [1 << (image[a] - 1) for a in indices]
-        return AtomicLattice._trusted(self.n, tuple(sorted((_permute(m, targets) for m in self.sets), key=_canon_key)))
+
+        def permuted(masks: tuple[int, ...]) -> tuple[int, ...]:
+            return tuple(sorted((_permute(m, targets) for m in masks), key=_canon_key))
+
+        mi = None if self._mi is None else permuted(self._mi)
+        return AtomicLattice._trusted(self.n, permuted(self.sets), mi)
 
     # -- serialization -------------------------------------------------------
 

@@ -614,16 +614,23 @@ def intervals64_and_near_miss() -> list[AtomicLattice]:
 
 
 def order_lattices() -> list[AtomicLattice]:
-    """Fresh lattices for the order queries.  Validated: 200 random ones on
-    1 to 6 atoms, and the Boolean, flat and interval lattices on 1 to 6
-    atoms.  Trusted: a random relabeling of each random one, and every
-    super-atomic lattice on 2 to 5 atoms (the enumeration starts at 2)."""
+    """Fresh lattices for the order queries, one from each way a lattice
+    gets its meet-irreducibles.  Validated: 200 random ones on 1 to 6 atoms,
+    and the Boolean, flat and interval lattices on 1 to 6 atoms.  Trusted: a
+    random relabeling of each random one, and a relabeling of that, which
+    carry the tuple; every super-atomic lattice on 2 to 5 atoms (the
+    enumeration starts at 2), which walks for its own; and a relabeling of
+    each of those, made before its source has a tuple to carry."""
     rng = random.Random(15)
+
+    def relabeled(lats: list[AtomicLattice]) -> list[AtomicLattice]:
+        return [lat.relabel(rng.sample(range(1, lat.n + 1), lat.n)) for lat in lats]
+
     randoms = [random_lattice(rng, rng.randint(1, 6)) for _ in range(200)]
     shapes = [lat for make in (boolean_lattice, flat_lattice, interval_lattice) for lat in up_to(make, 6)]
-    relabeled = [lat.relabel(rng.sample(range(1, lat.n + 1), lat.n)) for lat in randoms]
+    once = relabeled(randoms)
     super_atomic = [lat for n in range(2, 6) for lat in enumerate_super_atomic(n)]
-    return randoms + shapes + relabeled + super_atomic
+    return randoms + shapes + once + relabeled(once) + super_atomic + relabeled(super_atomic)
 
 
 def wide_lattices() -> list[AtomicLattice]:

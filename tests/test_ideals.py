@@ -476,35 +476,40 @@ def test_lcm_lattice_constructor_coerces_generators_like_the_ideal():
 
 def _lcm_lattice_answers(gens: tuple[Monomial, ...]) -> tuple:
     """What ``LcmLattice(gens)`` answers: the generators, elements in order,
-    supports both ways, the abstract lattice, and, up to 64 elements, the
-    divisibility covers."""
+    supports both ways, the abstract lattice and the meet-irreducibles the
+    build handed it, and, up to 64 elements, the divisibility covers."""
     ll = LcmLattice(gens)
     sets = ll.abstract().sets
     covers = len(ll) <= 64 and ll.covers_monomials()
     masks = [ll.mask_of(m) for m in ll.monomials]
-    return ll.generators, ll.monomials, masks, [ll.monomial_of(s) for s in sets], sets, covers
+    mi = ll.abstract().meet_irreducibles()
+    return ll.generators, ll.monomials, masks, [ll.monomial_of(s) for s in sets], sets, mi, covers
 
 
 def _subset_lcm_answers(gens: tuple[Monomial, ...]) -> tuple:
     """The same from :func:`conftest.subset_lcm_lattice` of the
     :func:`conftest.pairwise_minimal_generators` of ``gens``, refusing the
     tuples no lcm-lattice is defined on (none, or one with a unit); the
-    abstract lattice through the validating constructor."""
+    abstract lattice and its meet-irreducibles through the validating
+    constructor."""
     if not gens:
         raise DegenerateIdealError("the zero ideal has no lcm-lattice")
     if any(g.is_one for g in gens):
         raise DegenerateIdealError("the unit monomial is a generator; the lcm-lattice is undefined")
     minimal = pairwise_minimal_generators(gens)
     monomials, support = subset_lcm_lattice(minimal)
-    sets = AtomicLattice(len(minimal), support.values()).sets
+    lat = AtomicLattice(len(minimal), support.values())
     covers = len(monomials) <= 64 and divisibility_covers(monomials)
-    return minimal, monomials, [support[m] for m in monomials], list(monomials), sets, covers
+    masks = [support[m] for m in monomials]
+    return minimal, monomials, masks, list(monomials), lat.sets, lat.meet_irreducibles(), covers
 
 
 def test_lcm_lattice_matches_the_subset_lcm_oracle(rng):
     """The level-mask build gives the lcm-lattice of its definition, on raw
     tuples (repeats and multiples included, which the build drops) and on
-    minimal generators, and refuses a unit generator as given."""
+    minimal generators, and refuses a unit generator as given.  The
+    meet-irreducibles it hands over, its kept cuts and the top, are the
+    ones the validating walk finds, (0, 1) on one generator."""
 
     def tuples():
         for _ in range(3000):
@@ -524,6 +529,7 @@ def test_lcm_lattice_matches_the_subset_lcm_oracle(rng):
         _lcm_lattice_answers, _subset_lcm_answers, tuples(), reach={"DegenerateIdealError": 1}
     )
     assert sum(not isinstance(out, Raised) for out in outcomes) >= 6000
+    assert LcmLattice([Monomial.parse("x0")]).abstract().meet_irreducibles() == (0, 1)
 
 
 LCM_ACCESSORS = {

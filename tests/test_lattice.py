@@ -26,6 +26,7 @@ from lcmlattice import (
     atoms_of,
     enumerate_all_lattices,
     enumerate_super_atomic,
+    fixtures,
     lattice_isomorphic,
     lcm_lattice,
     mask_of,
@@ -371,6 +372,9 @@ def test_meet_irreducibles():
     assert set(BOOLEAN3.meet_irreducibles()) == {0b011, 0b101, 0b110, 0b111}
     # in the diamond everything except the bottom is meet-irreducible
     assert set(DIAMOND3.meet_irreducibles()) == {1, 2, 4, 7}
+    # on one atom the bottom is one too
+    assert boolean_lattice(1).meet_irreducibles() == meet_irreducibles_oracle(boolean_lattice(1)) == (0, 1)
+    assert flat_lattice(2).meet_irreducibles() == meet_irreducibles_oracle(flat_lattice(2)) == (1, 2, 3)
 
 
 def test_every_element_is_meet_of_irreducibles_above(rng):
@@ -387,56 +391,45 @@ def test_every_element_is_meet_of_irreducibles_above(rng):
 
 def test_meet_irreducibles_match_the_definition():
     """Exactly the elements the literal definition keeps, in canonical order:
-    a superset would still pass the meet-of-irreducibles test above."""
-    cases = [(lat,) for lat in order_lattices()]
+    a superset would still pass the meet-of-irreducibles test above.  Every
+    way a lattice gets its tuple is among the cases, ``enumerate_all_lattices``
+    too, and so are the shapes the ``wide-generators`` benchmark walks."""
+    cases = [(lat,) for lat in order_lattices() + enumerate_all_lattices(4) + wide_lattices()]
     assert_matches_oracle(AtomicLattice.meet_irreducibles, meet_irreducibles_oracle, cases)
 
 
-def test_the_closure_walk_and_the_join_walk_find_the_same_meet_irreducibles():
-    """A validated lattice answers from the tuple its closure walk recorded,
-    a trusted one walks its joins: the same tuple on every shape, the
-    benchmark's wide ones included, on n = 1 (whose bottom is one) and n = 2."""
-
-    def from_walk(lat: AtomicLattice) -> tuple[int, ...]:
-        return AtomicLattice(lat.n, lat.sets).meet_irreducibles()
-
-    def from_joins(lat: AtomicLattice) -> tuple[int, ...]:
-        return AtomicLattice._trusted(lat.n, lat.sets).meet_irreducibles()
-
-    assert_matches_oracle(from_walk, from_joins, [(lat,) for lat in order_lattices() + wide_lattices()])
-    assert from_walk(boolean_lattice(1)) == meet_irreducibles_oracle(boolean_lattice(1)) == (0, 1)
-    assert from_walk(flat_lattice(2)) == meet_irreducibles_oracle(flat_lattice(2)) == (1, 2, 3)
-
-
 def test_only_a_walk_that_proves_closure_records_the_meet_irreducibles():
-    """The closure walk keeps its tuple only when no pair fails; a trusted
-    lattice never runs the walk, so it keeps none."""
+    """The closure walk returns the meet-irreducibles with no failing pair,
+    and ``None`` in their place once a pair fails."""
     closed = AtomicLattice._trusted(3, BOOLEAN3.sets)
-    assert closed._walk_mi is None
-    assert list(closed._unclosed_pairs()) == []
-    assert closed._walk_mi == meet_irreducibles_oracle(BOOLEAN3)
+    assert closed._closure_walk() == ([], meet_irreducibles_oracle(BOOLEAN3))
     unclosed = AtomicLattice._trusted(4, tuple(sorted([0, 1, 2, 4, 8, 0b0111, 0b1110, 0b1111], key=_canon_key)))
-    assert list(unclosed._unclosed_pairs()) != []
-    assert unclosed._walk_mi is None
+    pairs, mi = unclosed._closure_walk()
+    assert pairs != [] and mi is None
 
 
 def test_a_validated_lattice_reads_its_meet_irreducibles_with_no_join(monkeypatch):
     """Once built, a validated lattice takes no join, no incidence-table read
     and no membership test for its meet-irreducibles, and neither does the
-    unlabeled meet-irreducible check of both condition checks; a trusted
-    copy still walks its joins."""
+    unlabeled meet-irreducible check of both condition checks.  Nor does a
+    lattice handed its tuple by its constructor (an lcm-lattice's abstract
+    lattice, a relabeling of a validated lattice), or an enumerated lattice
+    after its first call, which kept what its walk found."""
     labeling = worked_example("fig3")
     lat = labeling.lattice
     expected = meet_irreducibles_oracle(lat), _unlabeled_meet_irreducible(lat, labeling)
+    handed = [lcm_lattice(fixtures.load("fig1")["ideal"]).abstract(), lat.relabel([2, 3, 1, 5, 4])]
+    enumerated = enumerate_super_atomic(5)[123]
+    kept = enumerated.meet_irreducibles()
+    others = [(other, meet_irreducibles_oracle(other)) for other in handed] + [(enumerated, kept)]
 
     def refuse(*args):
         raise AssertionError("no join, table read or membership test expected")
 
-    for name in ("join_mask", "_above", "_element_index"):
+    for name in ("join_mask", "_above", "_element_index", "_atom_rows"):
         monkeypatch.setattr(AtomicLattice, name, refuse)
     assert (lat.meet_irreducibles(), _unlabeled_meet_irreducible(lat, labeling)) == expected
-    with pytest.raises(AssertionError):
-        AtomicLattice._trusted(lat.n, lat.sets).meet_irreducibles()
+    assert [other.meet_irreducibles() for other, _ in others] == [want for _, want in others]
 
 
 def test_fill_sets_every_slot():

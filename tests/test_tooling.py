@@ -247,10 +247,10 @@ def test_supp_detector_stays_independent_of_the_literal_one():
     support characterization must not reach the literal detector's tables.
     It keeps its own incidence columns: it takes no join and reads neither
     the lattice's incidence table, its element index nor the
-    meet-irreducibles its closure walk recorded."""
+    meet-irreducibles it holds."""
     names = _names_used(superatomic.is_super_atomic_via_supp.__code__)
     literal = {"_joining_pairs", "_super_atomic_joining_pairs", "is_super_atomic"}
-    lattice = {"join_mask", "_above", "_atom_rows", "_rows", "_element_index", "_index", "_join_cache", "_walk_mi"}
+    lattice = {"join_mask", "_above", "_atom_rows", "_rows", "_element_index", "_index", "_join_cache", "_mi"}
     assert names & (literal | lattice) == set()
 
 
@@ -321,11 +321,35 @@ def test_specific_map_decision_reads_meet_irreducibles_not_a_closure():
     assert not hasattr(ideals, "_intersection_closure")
 
 
-def test_meet_irreducibles_read_joins_not_covers():
-    """Meet-irreducibility is decided from the joins above each element; it
-    builds no cover relation and asks for no element's upper covers."""
+def test_meet_irreducibles_have_one_algorithm_the_closure_walk():
+    """A lattice answers with the tuple its constructor handed over, or the
+    one the closure walk finds; it takes no join, builds no cover relation
+    and asks for no element's upper covers, so a second algorithm cannot
+    come back."""
     names = _names_used(lcmlattice.AtomicLattice.meet_irreducibles.__code__)
-    assert names & {"covers", "upper_covers", "_upper_covers_of"} == set()
+    assert "_closure_walk" in names
+    assert names & {"join_mask", "covers", "upper_covers", "_upper_covers_of"} == set()
+
+
+def test_no_lattice_generator_sets_lattice_state():
+    """A generator runs only as far as its caller reads it, so state it
+    sets depends on how it was read: no generator in ``lattice.py``
+    assigns an attribute."""
+    tree = ast.parse((PACKAGE / "lattice.py").read_text())
+    generators = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in ast.walk(node))
+    ]
+    assigned = [
+        f"{gen.name}:{target.lineno}"
+        for gen in generators
+        for node in ast.walk(gen)
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Attribute)
+    ]
+    assert generators and assigned == []
 
 
 def test_lattice_module_names_no_pair_scan():
