@@ -10,8 +10,9 @@ then a property, not a search.  It holds exactly when MI(L) ⊆ cuts ⊆ L:
 every *cut* (the empty set, or a level mask ``D(v, t)``, the atoms whose
 generator has ``e_v <= t``) is an element, and every meet-irreducible element
 is a cut.  That takes ``O(k*n)`` level masks for ``k`` variables and ``n``
-atoms, and the lattice's meet-irreducible tuple, which the condition checks
-read too.  No lcm is taken and no lcm-lattice built.  The predicates build
+atoms, and the lattice's meet-irreducible tuple, which its constructor
+handed over (the validating closure's kept members, or the lcm-lattice
+build's kept cuts) and the condition checks read too.  No lcm is taken and no lcm-lattice built.  The predicates build
 none for either verdict; :func:`is_coordinatization` builds one only when
 the strong map fails, for the isomorphism search.  :func:`classify` builds
 one per tuple of minimal generators, only to word a false verdict; the

@@ -45,7 +45,7 @@ from .errors import (
     ValidationError,
     shown,
 )
-from .lattice import MAX_ATOMS, AtomicLattice, _canon_key, _element_str, _parse_json, _set_str, atoms_of, bits_of, mask_of
+from .lattice import MAX_ATOMS, AtomicLattice, _element_str, _irreducible_members, _parse_json, _set_str, atoms_of, bits_of, mask_of
 from .monomial import ONE, Monomial, _check_exponent_digits, gcd_all, lcm_all
 
 __all__ = [
@@ -109,7 +109,7 @@ class Labeling:
                 raise ValidationError(f"element {_set_str(p)} labeled twice, with {table[p]} and {m}")
             table[p] = m
         self.lattice = lattice
-        self._table = {p: table[p] for p in sorted(table, key=_canon_key)}
+        self._table = {p: table[p] for p in sorted(table, key=lattice._element_index().__getitem__)}
         self._groups: Optional[dict[str, dict[int, int]]] = None
 
     @classmethod
@@ -575,20 +575,13 @@ class LcmLattice:
         elements, so up to 20 generators always build.
 
         The cuts (the empty set and the level masks) are closed in by
-        decreasing size, and a cut already in the closure is skipped.  When a
-        cut ``c`` is reached, the closure holds every intersection of the
-        cuts taken before it and is intersection-closed, so if ``c`` is a
-        member, ``s & c`` is one for every member ``s``: its pass adds
-        nothing.  No other cut of ``c``'s size contains ``c``, so ``c`` is a
-        member exactly when it is the intersection of the cuts strictly
-        containing it, that is, when it is not meet-irreducible in the
-        lcm-lattice (each element strictly above ``c`` is an intersection of
-        such cuts).  Every element is an intersection of cuts, so a
-        meet-irreducible below the top is a cut, and the kept cuts are
-        exactly these: one pass runs per meet-irreducible of the lcm-lattice
-        below the top, the family that generates the closure system.  The
-        closure is the same set in any order, so the cap refuses the same
-        ideals, at the same count.
+        decreasing size through :func:`_irreducible_members
+        <lcmlattice.lattice._irreducible_members>`, which skips a cut already
+        in the closure; its docstring proves that the kept cuts are exactly
+        the meet-irreducibles of the lcm-lattice below the top, so one pass
+        runs per meet-irreducible, plus one lookup per cut.  The closure is
+        the same set in any order, so the cap refuses the same ideals, at
+        the same count.
 
         The abstract lattice wraps the supports unchecked: they are
         intersection-closed and hold {} and the full set (see the class
@@ -605,17 +598,16 @@ class LcmLattice:
         top = (1 << n) - 1
         closed = {top}
         kept = []
-        for cut in sorted(_level_masks(ideal._level_table()), key=int.bit_count, reverse=True):
-            if cut in closed:
-                continue
+        cuts = sorted(_level_masks(ideal._level_table()), key=int.bit_count, reverse=True)
+        for cut in _irreducible_members(cuts, closed):
             kept.append(cut)
             for s in tuple(closed):
                 closed.add(s & cut)
                 if len(closed) > MAX_LCM_ELEMENTS:
                     raise CapExceededError(f"lcm-lattice reached {len(closed)} elements, over the cap {MAX_LCM_ELEMENTS}")
         self.generators = gens
-        mi = (*sorted(kept, key=_canon_key), top)
-        self._abstract = AtomicLattice._trusted(n, tuple(sorted(closed, key=_canon_key)), mi)
+        mi = (*sorted(sorted(kept), key=int.bit_count), top)
+        self._abstract = AtomicLattice._trusted(n, tuple(sorted(sorted(closed), key=int.bit_count)), mi)
 
     @property
     def monomials(self) -> tuple[Monomial, ...]:

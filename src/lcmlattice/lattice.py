@@ -24,24 +24,34 @@ is only walked, as the enumerated ones are by the support detector, holds
 no m-entry dict.  The table holds, for atom ``a``, an m-bit int with bit
 ``i`` set when the i-th element (in canonical order) contains ``a``.  The
 AND of the rows of a mask's atoms is the set of elements above the mask.
-The validating constructor builds the table and decides closure from it in
-O(m·n) ANDs on m-bit ints for m elements and n atoms; the same walk names
-one pair of members with a missing intersection at each step where it
-fails, at most m·n pairs, not every such pair.  A trusted lattice builds
-the table on first use: its first join miss, ``filter``, meet-irreducibles
-walk, plain generator ``x(p)`` or interval count in ``support_labeling``.
-A join that is not already an element (the cache and the membership test
-come first) takes |mask| ANDs and the lowest set bit; ``filter``, the plain
-generators of :mod:`lcmlattice.ideals` and the interval counts of
-``support_labeling`` read the same table.
+Every lattice builds the table on first use, too: its first join miss,
+``filter``, plain generator ``x(p)``, interval count in
+``support_labeling``, or closure walk.  A join that is not already an
+element (the cache and the membership test come first) takes |mask| ANDs
+and the lowest set bit; ``filter``, the plain generators of
+:mod:`lcmlattice.ideals` and the interval counts of ``support_labeling``
+read the same table.
+
+The validating constructor closes the family from the top down: it walks
+the members by decreasing size, skips a member the running closure already
+holds, and checks that every intersection a kept member adds is a member.
+A valid family costs O(|MI|·m) intersections of masks for m elements and
+|MI| meet-irreducibles, builds no table, and its kept members, with the
+top, are its meet-irreducibles.  A family that misses a required set, fails
+a check, or would cost more than twice the closure walk's AND count goes to
+that walk, which decides from the table in O(m·n) ANDs on m-bit ints for n
+atoms and names one pair of members with a missing intersection at each
+step where it fails, at most m·n pairs, not every such pair.
 
 The cover queries are answered from joins alone: ``upper_covers(p)`` takes
 the n − |p| joins of p with the atoms outside it, and ``covers`` O(m·n)
 joins; neither is cached.  The meet-irreducibles are one tuple per lattice,
-handed over by its constructor: the validating constructor's closure walk
-records them, the lcm-lattice build keeps them as its cuts, and ``relabel``
-permutes its source's.  A lattice built without one, an enumerated lattice,
-runs the same walk on its first ``meet_irreducibles`` call and keeps it.
+handed over by its constructor: the validating constructor's closure keeps
+them (or its walk records them), the lcm-lattice build keeps them as its
+cuts, walked the same way, and ``relabel`` permutes its source's.  A
+lattice built without one, an enumerated lattice, decides them as the
+validating constructor does on its first ``meet_irreducibles`` call and
+keeps them.
 
 ``lattice_isomorphic`` searches atom permutations depth-first and looks at
 the meet-irreducibles alone: a finite lattice is the intersection-closure of
@@ -129,6 +139,42 @@ def _canon_key(mask: int) -> tuple[int, int]:
     return (mask.bit_count(), mask)
 
 
+# AtomicLattice._top_down_closure stops after this many intersections per
+# AND of the closure walk (m·n for m members on n atoms) and leaves the
+# family to the walk.  Its closure costs about |MI|·m intersections, which
+# passes m·n on families with many meet-irreducibles (all subsets of at most
+# 5 of 14 atoms and the full set: 2,003 among 3,474 members); with the cap
+# no family costs more than the walk and twice its AND count.
+_CLOSURE_BUDGET = 2
+
+
+def _irreducible_members(members: Iterable[int], closed: set[int]) -> Iterator[int]:
+    """Yield each of ``members``, which come by decreasing size, that
+    ``closed`` does not hold when it is reached.  ``closed`` starts as the
+    full set alone, and before taking the next member the caller adds
+    ``s & c`` to it for every ``s`` in it and the member ``c`` just yielded.
+    ``closed`` then ends as the intersection-closure L of the members and
+    the full set, and the members yielded are exactly the meet-irreducibles
+    of L below the top, each once.
+
+    When a member ``c`` is reached, ``closed`` holds every intersection of
+    the members yielded before it and is intersection-closed, and it holds
+    every member reached before (one not yielded was in it).  So if ``c``
+    is in ``closed``, ``s & c`` is in it for every ``s``: a pass would add
+    nothing.  No other member of ``c``'s size contains ``c``, and every
+    member strictly containing it came before, so ``c`` is in ``closed``
+    exactly when it is the intersection of the members strictly containing
+    it, that is, when it is not meet-irreducible in L (each element of L
+    strictly above ``c`` is an intersection of such members).  Every
+    element of L is an intersection of members, so a meet-irreducible below
+    the top is a member.  The closure is the same set in any order of the
+    yielded members.
+    """
+    for c in members:
+        if c not in closed:
+            yield c
+
+
 def _set_str(mask: int) -> str:
     return "{" + ",".join(str(a) for a in atoms_of(mask)) + "}"
 
@@ -154,12 +200,14 @@ class AtomicLattice:
     """A validated finite atomic lattice over atoms ``1..n``.
 
     Construct with :meth:`from_sets` (iterables of 1-based indices) or pass
-    bitmasks directly.  Construction validates the axioms and raises
+    bitmasks directly.  Construction validates the axioms, closing the
+    family from the top down (:meth:`_top_down_closure`), and otherwise
+    decides with the closure walk (:meth:`_closure_walk`), which raises
     :class:`ValidationError` carrying every missing required set and the
-    non-closed pairs its closure walk finds, at least one when the family is
-    not closed under intersection.  Package code
-    holding a family that is valid by construction uses :meth:`_trusted`
-    instead (see the module docstring for its callers).
+    non-closed pairs it finds, at least one when the family is not closed
+    under intersection.  Package code holding a family that is valid by
+    construction uses :meth:`_trusted` instead (see the module docstring for
+    its callers).
     """
 
     __slots__ = ("n", "sets", "_index", "_rows", "_join_cache", "_mi")
@@ -178,7 +226,11 @@ class AtomicLattice:
 
         missing = sorted({m for m in (0, *(1 << i for i in range(n)), top) if m not in seen}, key=_canon_key)
         seen.update((0, top))  # the walk needs both; a missing one stays reported
-        self._fill(n, tuple(sorted(seen, key=_canon_key)))
+        self._fill(n, tuple(sorted(sorted(seen), key=int.bit_count)))
+        if not missing:
+            self._mi = self._top_down_closure(seen)
+            if self._mi is not None:
+                return
         pairs, self._mi = self._closure_walk()
         non_closed = [(self.sets[i], self.sets[j]) for i, j in sorted(set(pairs))]
         if missing or non_closed:
@@ -195,11 +247,45 @@ class AtomicLattice:
                 non_closed_pairs=[(atoms_of(a), atoms_of(b)) for a, b in non_closed],
             )
 
+    def _top_down_closure(self, members: set[int]) -> Optional[tuple[int, ...]]:
+        """The meet-irreducibles in canonical order if the family, whose
+        members are ``members``, is closed under intersection and the
+        closure costs at most ``_CLOSURE_BUDGET`` intersections per AND of
+        :meth:`_closure_walk`; else None, and the walk decides.
+
+        The family holds the full set.  Walk it with
+        :func:`_irreducible_members`, in decreasing canonical order.  If
+        every intersection the walk adds is a member, the closure it ends
+        with lies inside the family and holds every member, so it is the
+        family, which is then closed, and the members the walk keeps, with
+        the top, are its meet-irreducibles.  Otherwise some intersection of
+        members is not one.  O(|MI|·m) intersections and membership tests of
+        masks, and no incidence table.
+        """
+        budget = _CLOSURE_BUDGET * len(self.sets) * self.n
+        closed = {self.top}
+        kept = []
+        for c in _irreducible_members(reversed(self.sets), closed):
+            budget -= len(closed)
+            if budget < 0:
+                return None
+            new = {s & c for s in closed}
+            if not new <= members:
+                return None
+            closed |= new
+            kept.append(c)
+        return (*reversed(kept), self.top)
+
     def _closure_walk(self) -> tuple[list[tuple[int, int]], Optional[tuple[int, ...]]]:
-        """``(pairs, mi)``.  ``pairs`` holds positions ``(i, j)``, i < j, of
-        members whose intersection is not a member: one pair for each (r, a)
-        below that fails, so none exactly when the family, which holds the
-        empty and the full set, is closed under intersection.  ``mi`` is the
+        """``(pairs, mi)``: the fallback decision of the validating
+        constructor, and its explanation of a refusal.  It runs where
+        :meth:`_top_down_closure` does not answer: on a family missing a
+        required set, failing a membership test, or over the budget.
+
+        ``pairs`` holds positions ``(i, j)``, i < j, of members whose
+        intersection is not a member: one pair for each (r, a) below that
+        fails, so none exactly when the family, which holds the empty and the
+        full set, is closed under intersection.  ``mi`` is the
         meet-irreducibles in canonical order when no pair fails, else None.
         O(m·n) ANDs on m-bit ints, plus |s| ANDs for each pair.
 
@@ -427,11 +513,12 @@ class AtomicLattice:
         ordered; the top is one (the defining condition is vacuous).
 
         The tuple its constructor handed over (see the module docstring), or,
-        on a lattice built without one, the one :meth:`_closure_walk` finds on
-        the first call, O(m·n) ANDs on m-bit ints, kept for the next.
+        on a lattice built without one, the one the validating constructor
+        would find, :meth:`_top_down_closure` or, over its budget,
+        :meth:`_closure_walk`, on the first call, kept for the next.
         """
         if self._mi is None:
-            self._mi = self._closure_walk()[1]
+            self._mi = self._top_down_closure(set(self.sets)) or self._closure_walk()[1]
         return self._mi
 
     # -- atom subsets joining to an element --------------------------------

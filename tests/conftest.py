@@ -667,6 +667,41 @@ def validation_families(rng: random.Random, count: int):
         yield n, masks + masks[:1]
 
 
+def small_subsets_family(n: int, k: int) -> list[int]:
+    """Every subset of at most ``k`` of ``n`` atoms, and the full set: a
+    lattice whose meet-irreducibles are its k-subsets and the top, many
+    for its size (m = 387 and 211 at n = 10, k = 4)."""
+    return [m for m in range(1 << n) if m.bit_count() <= k] + [(1 << n) - 1]
+
+
+def late_refusals(seed: int, count: int):
+    """``(n, masks)`` for ``count`` random lattices on 5 to 8 atoms, each
+    once without one member x and then whole.  x is not a required set, and
+    the only members strictly between x and the top are two, p and q, with
+    p & q = x, so (p, q) is the one pair of the family without x whose
+    intersection is missing.  At least three meet-irreducibles below the
+    top come no later than the later of p and q in decreasing canonical
+    order, so a closure from the top down keeps at least three members
+    before it meets the missing intersection."""
+    rng = random.Random(seed)
+    found = 0
+    while found < count:
+        n = rng.randint(5, 8)
+        lat = random_lattice(rng, n, rng.randint(4, 30))
+        top = lat.top
+        irreducible = [m for m in meet_irreducibles_oracle(lat) if m != top]
+        for x in lat.sets:
+            above = [q for q in lat.sets if x & ~q == 0 and q not in (x, top)]
+            if x.bit_count() < 2 or x == top or len(above) != 2 or above[0] & above[1] != x:
+                continue
+            later = min(above, key=_canon_key)
+            if sum(_canon_key(m) >= _canon_key(later) for m in irreducible) >= 3:
+                yield n, [m for m in lat.sets if m != x]
+                yield n, list(lat.sets)
+                found += 1
+                break
+
+
 LABELING_BUILDERS = (random_labeling, chain_condition_labeling, overlap_condition_labeling)
 
 

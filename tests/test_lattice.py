@@ -32,6 +32,7 @@ from lcmlattice import (
     mask_of,
     weak_generator,
 )
+from lcmlattice import lattice as lattice_module
 from lcmlattice.classify import _unlabeled_meet_irreducible
 from lcmlattice.errors import ECHO_LIMIT, shown
 from lcmlattice.lattice import MAX_JOINING_ATOMS, _canon_key, _set_str, bits_of
@@ -45,6 +46,7 @@ from conftest import (
     flat_lattice,
     interval_lattice,
     join_oracle,
+    late_refusals,
     lattices_with,
     meet_irreducibles_oracle,
     order_lattices,
@@ -52,6 +54,7 @@ from conftest import (
     pair_scan_validation,
     random_lattice,
     random_lattices,
+    small_subsets_family,
     validation_error,
     validation_families,
     wide_lattices,
@@ -159,6 +162,81 @@ def test_refusing_a_boolean_family_without_a_singleton_fits_the_budget(n, budget
     assert exc.value.missing_required == ((1,),)
     assert exc.value.non_closed_pairs == (((1, 2), (1, 3)),)
     assert elapsed < budget, f"{elapsed:.3f} s"
+
+
+def test_valid_families_are_decided_without_the_closure_walk(monkeypatch):
+    """B10, the flat lattice on 12 atoms, the ``wide-generators`` shapes and
+    every super-atomic lattice on 5 atoms, validated again, are accepted by
+    the top-down closure alone: no closure walk, no incidence table, and
+    the meet-irreducibles it hands over are the definition's."""
+    sources = [boolean_lattice(10), flat_lattice(12), *wide_lattices(), *enumerate_super_atomic(5)]
+
+    def refuse(self):
+        raise AssertionError("the closure walk ran on a valid family")
+
+    monkeypatch.setattr(AtomicLattice, "_closure_walk", refuse)
+    lats = [AtomicLattice(lat.n, lat.sets) for lat in sources]
+    assert [lat.sets for lat in lats] == [lat.sets for lat in sources]
+    assert all(lat._rows is None for lat in lats)
+    assert_matches_oracle(AtomicLattice.meet_irreducibles, meet_irreducibles_oracle, [(lat,) for lat in lats])
+
+
+def test_a_family_with_many_meet_irreducibles_is_left_to_the_walk(monkeypatch):
+    """All subsets of at most 4 of 10 atoms and the full set (387 members,
+    211 meet-irreducibles with the top) cost the top-down closure more than
+    its budget, twice the walk's m·n ANDs: the walk then decides, once, and
+    finds the meet-irreducibles."""
+    walk = AtomicLattice._closure_walk
+    walked = []
+
+    def counted(self):
+        walked.append(len(self))
+        return walk(self)
+
+    monkeypatch.setattr(AtomicLattice, "_closure_walk", counted)
+    lat = AtomicLattice(10, small_subsets_family(10, 4))
+    assert walked == [387]
+    assert lat.meet_irreducibles() == meet_irreducibles_oracle(lat)
+    assert len(lat.meet_irreducibles()) == 211 and walked == [387]
+
+
+def test_a_late_missing_intersection_is_refused_as_the_pair_scan_does(monkeypatch):
+    """Families whose one missing intersection the top-down closure meets
+    only after keeping at least three members are refused with the pair
+    scan's text and payload, and the same lattices whole are accepted."""
+    irreducible_members = lattice_module._irreducible_members
+    yielded = []
+
+    def counted(members, closed):
+        for c in irreducible_members(members, closed):
+            yielded.append(c)
+            yield c
+
+    monkeypatch.setattr(lattice_module, "_irreducible_members", counted)
+    kept_before_refusal = []
+
+    def validated(n, masks):
+        yielded.clear()
+        try:
+            return AtomicLattice(n, masks).sets
+        except ValidationError:
+            kept_before_refusal.append(len(yielded))
+            raise
+
+    cases = list(late_refusals(31, 40))
+    assert_matches_oracle(validated, pair_scan_validation, cases, reach={"ValidationError": 40})
+    assert len(kept_before_refusal) == 40 and min(kept_before_refusal) >= 3
+
+
+def test_validating_the_b16_an_lcm_lattice_prints_fits_the_budget():
+    """The Boolean lattice on 16 atoms (65,536 sets), as the lcm-lattice of
+    x1..x16 writes it, loads and validates from JSON in under 2 s."""
+    text = lcm_lattice([f"x{i}" for i in range(1, 17)]).abstract().to_json()
+    start = time.perf_counter()
+    lat = AtomicLattice.from_json(text)
+    elapsed = time.perf_counter() - start
+    assert len(lat) == 1 << 16 and lat.meet_irreducibles() == tuple(sorted(lat.top ^ a for a in lat.atoms)) + (lat.top,)
+    assert elapsed < 2, f"{elapsed:.3f} s"
 
 
 def test_order_and_operations():
@@ -278,16 +356,15 @@ def test_non_int_values_are_not_members():
 
 def test_join_is_least_upper_bound(rng):
     """Every mask joins to the first element above it.  A join miss reads
-    the incidence table: validated lattices build it at construction, the
-    trusted ones (relabelings, enumerations, lcm-lattices) on their first
-    miss."""
+    the incidence table, which no lattice builds at construction: validated
+    and trusted ones (relabelings, enumerations, lcm-lattices) alike build
+    it on their first miss."""
     validated = [random_lattice(rng, rng.randint(2, 5)) for _ in range(30)]
     validated += [random_lattice(rng, 7) for _ in range(5)] + [flat_lattice(6), interval_lattice(6)]
     trusted = [lat.relabel(rng.sample(range(1, lat.n + 1), lat.n)) for lat in validated[:20]]
     trusted += rng.sample(enumerate_super_atomic(5), 20)
     trusted.append(lcm_lattice(["a*b", "b*c", "c*d", "a*d", "a*c^2"]).abstract())
-    assert all(lat._rows is not None for lat in validated)
-    assert all(lat._rows is None for lat in trusted)
+    assert all(lat._rows is None for lat in validated + trusted)
     for lat in validated + trusted:
         for _ in range(20):
             p, q = rng.choice(lat.sets), rng.choice(lat.sets)

@@ -116,18 +116,16 @@ def test_supp_detector_takes_no_joins_and_writes_nothing(monkeypatch):
         raise AssertionError("the support characterization took a join")
 
     lats = [lat for n in (2, 3, 4, 5) for lat in enumerate_super_atomic(n)] + [interval_lattice(20)]
-    # The trusted enumerated lattices have no incidence table yet; the
-    # validated interval lattice built its table at construction.  No
-    # lattice builds its element index before a reader asks for it, and
-    # the detector asks for none, so a pass over an enumeration holds no
-    # index dict.
-    rows = [None if lat._rows is None else list(lat._rows) for lat in lats]
-    assert rows[-1] is not None and all(r is None for r in rows[:-1])
+    # No lattice, trusted or validated, builds its incidence table or its
+    # element index before a reader asks for it, and the detector asks for
+    # neither, so a pass over an enumeration holds no table and no index
+    # dict.
+    assert all(lat._rows is None for lat in lats)
     monkeypatch.setattr(AtomicLattice, "join_mask", refuse)
-    for lat, before in zip(lats, rows):
+    for lat in lats:
         assert is_super_atomic_via_supp(lat)
         assert lat._join_cache == {}
-        assert lat._rows == before
+        assert lat._rows is None
         assert lat._index is None
 
 

@@ -323,12 +323,22 @@ def test_specific_map_decision_reads_meet_irreducibles_not_a_closure():
 
 def test_meet_irreducibles_have_one_algorithm_the_closure_walk():
     """A lattice answers with the tuple its constructor handed over, or the
-    one the closure walk finds; it takes no join, builds no cover relation
-    and asks for no element's upper covers, so a second algorithm cannot
-    come back."""
+    one the validating constructor would find: the top-down closure, with
+    the closure walk over its budget.  It takes no join, builds no cover
+    relation and asks for no element's upper covers, so a second algorithm
+    cannot come back."""
     names = _names_used(lcmlattice.AtomicLattice.meet_irreducibles.__code__)
-    assert "_closure_walk" in names
+    assert {"_top_down_closure", "_closure_walk"} <= names
     assert names & {"join_mask", "covers", "upper_covers", "_upper_covers_of"} == set()
+
+
+def test_the_top_down_closure_reads_no_incidence_table():
+    """The closure that validates most families and finds their
+    meet-irreducibles works on masks alone: it reads no incidence row and
+    takes no join, so the m-bit rows stay off the path of a valid family."""
+    names = _names_used(lcmlattice.AtomicLattice._top_down_closure.__code__)
+    assert "_irreducible_members" in names
+    assert names & {"_atom_rows", "_rows", "_above", "join_mask"} == set()
 
 
 def test_no_lattice_generator_sets_lattice_state():
