@@ -12,13 +12,14 @@ generator has ``e_v <= t``) is an element, and every meet-irreducible element
 is a cut.  That takes ``O(k*n)`` level masks for ``k`` variables and ``n``
 atoms, and the lattice's meet-irreducible tuple, which its constructor
 handed over (the validating closure's kept members, or the lcm-lattice
-build's kept cuts) and the condition checks read too.  No lcm is taken and no lcm-lattice built.  The predicates build
-none for either verdict; :func:`is_coordinatization` builds one only when
-the strong map fails, for the isomorphism search.  :func:`classify` builds
-one per tuple of minimal generators, only to word a false verdict; the
-lattice keeps no monomial, so a witness takes an lcm only where it reads
-one, and a size mismatch, the usual witness, reads none.  Each generator tuple's exponent-level
-table is computed once per call and read by every check on that tuple.
+build's kept cuts) and the condition checks read too.  No lcm is taken and
+no lcm-lattice built.  The predicates build none for either verdict;
+:func:`is_coordinatization` builds one only when the strong map fails, for
+the isomorphism search.  :func:`classify` builds one per tuple of minimal
+generators, only to word a false verdict; the lattice keeps no monomial, so
+a witness takes an lcm only where it reads one, and a size mismatch, the
+usual witness, reads none.  Each generator tuple's exponent-level table is
+computed once per call and read by every check on that tuple.
 
 Two checkable sufficient conditions come with the theory:
 

@@ -7,7 +7,6 @@ failure (invalid input data, or a result contradicting an asserted truth),
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 from typing import Optional
@@ -31,7 +30,7 @@ from .ideals import (
     render_ideal_text,
     weak_ideal,
 )
-from .lattice import AtomicLattice
+from .lattice import AtomicLattice, _json_text
 from .superatomic import (
     enumerate_super_atomic,
     is_super_atomic,
@@ -82,7 +81,7 @@ def _load_ideal(path: str) -> MonomialIdeal:
 
 
 def _emit_json(doc) -> None:
-    click.echo(json.dumps(doc, indent=2))
+    click.echo(_json_text(doc), nl=False)
 
 
 @click.group(cls=_Main)
@@ -159,10 +158,8 @@ def enumerate_superatomic(n, count_only, out_dir):
             name = f"superatomic-n{n}-{i:0{width}d}.json"
             (out / name).write_text(lat.to_json())
             files.append(name)
-        (out / "index.json").write_text(
-            json.dumps({"n": n, "count": len(lats), "size": super_atomic_size(n), "files": files}, indent=2)
-            + "\n"
-        )
+        index = {"n": n, "count": len(lats), "size": super_atomic_size(n), "files": files}
+        (out / "index.json").write_text(_json_text(index))
         click.echo(f"wrote {len(lats)} lattices to {out}")
     else:
         _emit_json([lat.to_json_dict() for lat in lats])

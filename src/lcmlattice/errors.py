@@ -3,6 +3,18 @@ renderer of a caller's value inside their messages."""
 
 from __future__ import annotations
 
+__all__ = [
+    "Error",
+    "MonomialParseError",
+    "NotDivisibleError",
+    "FormatError",
+    "ValidationError",
+    "NotAnElementError",
+    "DegenerateIdealError",
+    "PreconditionError",
+    "CapExceededError",
+]
+
 ECHO_LIMIT = 60  # characters
 
 

@@ -31,7 +31,6 @@ comments.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
@@ -45,7 +44,10 @@ from .errors import (
     ValidationError,
     shown,
 )
-from .lattice import MAX_ATOMS, AtomicLattice, _element_str, _irreducible_members, _parse_json, _set_str, atoms_of, bits_of, mask_of
+from .lattice import (
+    MAX_ATOMS, AtomicLattice, _canonical, _element_str, _irreducible_members, _json_text, _parse_json, _set_str,
+    atoms_of, bits_of, mask_of,
+)
 from .monomial import ONE, Monomial, _check_exponent_digits, gcd_all, lcm_all
 
 __all__ = [
@@ -155,7 +157,7 @@ class Labeling:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        return _json_text(self.to_json_dict())
 
 
 def labeling_from_json_dict(
@@ -606,8 +608,8 @@ class LcmLattice:
                 if len(closed) > MAX_LCM_ELEMENTS:
                     raise CapExceededError(f"lcm-lattice reached {len(closed)} elements, over the cap {MAX_LCM_ELEMENTS}")
         self.generators = gens
-        mi = (*sorted(sorted(kept), key=int.bit_count), top)
-        self._abstract = AtomicLattice._trusted(n, tuple(sorted(sorted(closed), key=int.bit_count)), mi)
+        mi = (*_canonical(kept), top)
+        self._abstract = AtomicLattice._trusted(n, _canonical(closed), mi)
 
     @property
     def monomials(self) -> tuple[Monomial, ...]:

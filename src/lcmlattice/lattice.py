@@ -80,7 +80,6 @@ __all__ = [
     "lattice_isomorphic",
     "mask_of",
     "atoms_of",
-    "bits_of",
 ]
 
 MAX_ATOMS = 64
@@ -137,6 +136,12 @@ def _is_int(x) -> bool:
 
 def _canon_key(mask: int) -> tuple[int, int]:
     return (mask.bit_count(), mask)
+
+
+def _canonical(masks: Iterable[int]) -> tuple[int, ...]:
+    """``masks`` in canonical order, by size and then by value: a stable
+    sort by size of the sorted masks, which builds no key tuple."""
+    return tuple(sorted(sorted(masks), key=int.bit_count))
 
 
 # AtomicLattice._top_down_closure stops after this many intersections per
@@ -196,6 +201,11 @@ def _parse_json(text: str, source: object = None):
         raise FormatError(f"{where}invalid JSON: {exc}") from None
 
 
+def _json_text(doc) -> str:
+    """The one writer of output JSON: ``doc`` indented by two, ending in a newline."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
 class AtomicLattice:
     """A validated finite atomic lattice over atoms ``1..n``.
 
@@ -224,9 +234,9 @@ class AtomicLattice:
                 raise ValidationError(f"element {shown(m)} is not a bitmask over {n} atoms")
             seen.add(m)
 
-        missing = sorted({m for m in (0, *(1 << i for i in range(n)), top) if m not in seen}, key=_canon_key)
+        missing = _canonical({m for m in (0, *(1 << i for i in range(n)), top) if m not in seen})
         seen.update((0, top))  # the walk needs both; a missing one stays reported
-        self._fill(n, tuple(sorted(sorted(seen), key=int.bit_count)))
+        self._fill(n, _canonical(seen))
         if not missing:
             self._mi = self._top_down_closure(seen)
             if self._mi is not None:
@@ -506,7 +516,7 @@ class AtomicLattice:
     def upper_covers(self, p: int) -> tuple[int, ...]:
         """The elements covering ``p``, canonically ordered.  n - |p| joins."""
         self._require(p)
-        return tuple(sorted(self._upper_covers_of(p), key=_canon_key))
+        return _canonical(self._upper_covers_of(p))
 
     def meet_irreducibles(self) -> tuple[int, ...]:
         """Elements that are not the meet of strictly larger ones, canonically
@@ -569,7 +579,7 @@ class AtomicLattice:
         targets = [1 << (image[a] - 1) for a in indices]
 
         def permuted(masks: tuple[int, ...]) -> tuple[int, ...]:
-            return tuple(sorted((_permute(m, targets) for m in masks), key=_canon_key))
+            return _canonical(_permute(m, targets) for m in masks)
 
         mi = None if self._mi is None else permuted(self._mi)
         return AtomicLattice._trusted(self.n, permuted(self.sets), mi)
@@ -580,7 +590,7 @@ class AtomicLattice:
         return {"n": self.n, "sets": [list(atoms_of(m)) for m in self.sets]}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        return _json_text(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, doc) -> "AtomicLattice":

@@ -29,7 +29,7 @@ from math import comb
 from typing import Iterator, Optional
 
 from .errors import CapExceededError, PreconditionError, shown
-from .lattice import AtomicLattice, _canon_key, _is_int, atoms_of, bits_of
+from .lattice import AtomicLattice, _canon_key, _canonical, _is_int, atoms_of, bits_of
 
 __all__ = [
     "is_super_atomic",
@@ -257,7 +257,7 @@ def enumerate_all_lattices(n: int) -> list[AtomicLattice]:
         raise CapExceededError(f"enumerating all lattices on {shown(n)} atoms is not tractable here (max 4)")
     top = (1 << n) - 1
     base = (0, *(1 << i for i in range(n)))
-    optional = sorted((m for m in range(1, top) if m.bit_count() >= 2), key=_canon_key)
+    optional = _canonical(m for m in range(1, top) if m.bit_count() >= 2)
     out = []
     for bits in range(1 << len(optional)):
         chosen = [m for i, m in enumerate(optional) if bits >> i & 1]

@@ -46,12 +46,15 @@ def support_labeling(lat: AtomicLattice, atom_names: Optional[list[str]] = None)
     """Label every nonzero element with the product of its support variables.
 
     Atom i is written ``a<i>`` unless ``atom_names`` supplies n distinct
-    names (handy for matching hand-drawn figures that use a, b, c, ...).
+    string names (handy for matching hand-drawn figures that use a, b, c, ...).
     """
     if atom_names is None:
         names = [f"a{i}" for i in range(1, lat.n + 1)]
     else:
         names = list(atom_names)
+        for name in names:
+            if not isinstance(name, str):
+                raise PreconditionError(f"atom names must be strings, got {shown(name)}")
         if len(names) != lat.n or len(set(names)) != lat.n:
             raise PreconditionError(f"need {lat.n} distinct atom names, got {shown(names)}")
     by_bit = {1 << i: name for i, name in enumerate(names)}

@@ -361,18 +361,22 @@ def test_enumerate_stdout(runner):
 def test_enumerate_count_only(runner):
     res = runner.invoke(main, ["enumerate-superatomic", "--n", "4", "--count-only"])
     assert res.exit_code == 0
-    assert json.loads(res.output) == {"n": 4, "count": 24, "size": 11}
+    assert res.output == '{\n  "n": 4,\n  "count": 24,\n  "size": 11\n}\n'  # indented by two, one newline
 
 
 def test_enumerate_writes_directory(runner, tmp_path):
     out = tmp_path / "fams"
     res = runner.invoke(main, ["enumerate-superatomic", "--n", "3", "--out", str(out)])
     assert res.exit_code == 0
-    index = json.loads((out / "index.json").read_text())
+    text = (out / "index.json").read_text()
+    index = json.loads(text)
+    assert text == json.dumps(index, indent=2) + "\n"
     assert index["n"] == 3 and index["count"] == 3 and index["size"] == 7
     assert len(index["files"]) == 3
     for name in index["files"]:
-        doc = json.loads((out / name).read_text())
+        text = (out / name).read_text()
+        doc = json.loads(text)
+        assert text == json.dumps(doc, indent=2) + "\n"
         assert AtomicLattice.from_json_dict(doc)
 
 

@@ -96,6 +96,21 @@ def test_support_labeling_custom_names():
         support_labeling(AtomicLattice.from_sets(2, [[], [1], [2], [1, 2]]), ["a", "1b"])
 
 
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        ([[1], [2]], r"atom names must be strings, got \[1\]"),
+        (["a", 2], "atom names must be strings, got 2"),
+        (["a", "a"], r"need 2 distinct atom names, got \['a', 'a'\]"),
+    ],
+)
+def test_support_labeling_refuses_a_name_that_is_not_a_string(names, message):
+    """A list name is refused as a package error, not as the ``TypeError``
+    of hashing it for the distinctness check."""
+    with pytest.raises(PreconditionError, match=message):
+        support_labeling(AtomicLattice.from_sets(2, [[], [1], [2], [1, 2]]), names)
+
+
 def test_generator_exponents_count_intervals(rng):
     """The exponent of a_j in the generator of a_k equals
     N([a_j, top]) - N([a_j v a_k, top]): the elements above a_j but not

@@ -4,9 +4,11 @@ import ast
 import importlib
 import io
 import re
+import sys
 import tokenize
 import types
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -37,38 +39,137 @@ def test_no_assert_statements_in_package():
 
 
 def _module_level_imports(tree: ast.Module) -> dict[str, int]:
-    """Names bound by the module's own top-level imports, with their line."""
+    """Names bound by the module's own top-level imports, with their line.
+    A star import binds its module's literal ``__all__``, which
+    :func:`test_star_imports_only_in_the_package_init` checks, so it names
+    nothing here."""
     bound = {}
     for node in tree.body:
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
-                bound[(alias.asname or alias.name).split(".")[0]] = node.lineno
+                if alias.name != "*":
+                    bound[(alias.asname or alias.name).split(".")[0]] = node.lineno
     return bound
 
 
-def _exported(tree: ast.Module) -> set[str]:
+def _literal_all(tree: ast.Module) -> Optional[list[str]]:
+    """The module's ``__all__`` if it is assigned a list of string literals,
+    else None (no ``__all__``, or a computed one)."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            return {elt.value for elt in node.value.elts}
-    return set()
+            elts = getattr(node.value, "elts", None)
+            if elts is not None and all(isinstance(e, ast.Constant) and isinstance(e.value, str) for e in elts):
+                return [e.value for e in elts]
+    return None
 
 
 def test_no_unused_imports_in_package():
     """Every module-level import is used in its module or re-exported
-    through ``__all__``."""
+    through a literal ``__all__``; a computed one re-exports none."""
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _exported(tree)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | set(_literal_all(tree) or ())
         found += [
             f"{path.relative_to(PACKAGE)}:{line}: {name}"
             for name, line in _module_level_imports(tree).items()
             if name not in used
         ]
+    assert found == []
+
+
+# The package's public names at the time its ``__all__`` became the union of
+# its modules' own lists; a change to this set is a change of the public API.
+PUBLIC_NAMES = """
+    AtomicLattice CapExceededError CoverTransferReport CoverWitness DegenerateIdealError Error FormatError
+    IntervalCriterionReport IntervalWitness Labeling LabelingClassification LcmLattice Monomial MonomialIdeal
+    MonomialParseError NotAnElementError NotDivisibleError ONE PreconditionError ValidationError atom_generator
+    atoms_of check_cover_transfer check_strong_conditions check_strong_interval_criterion
+    check_superatomic_structure check_weak_conditions check_weak_interval_criterion classify cover_witness
+    element_generator enumerate_all_lattices enumerate_super_atomic gcd_all hasse_dot ideal_from_labeling
+    is_coordinatization is_strong_coordinatization is_super_atomic is_super_atomic_via_supp
+    is_weak_coordinatization iter_super_atomic_families labeling_from_json_dict lattice_isomorphic lcm_all
+    lcm_lattice load_labeling mask_of parse_ideal_text recovered_labeling render_ideal_text super_atomic_size
+    support_labeling verify_labeling_recovery verify_new_element_meet_irreducible weak_generator weak_ideal
+""".split()
+
+
+def _star_imported_modules() -> list[str]:
+    """The package modules ``__init__.py`` star-imports, in its order."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return [
+        node.module
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and [a.name for a in node.names] == ["*"]
+    ]
+
+
+def test_the_package_exports_the_union_of_its_modules_public_names():
+    """``lcmlattice.__all__`` is the sorted union of the star-imported
+    modules' own lists, which are every package module with a literal
+    ``__all__``; the set is the 57 names above, and no helper such as
+    ``bits_of``, ``shown`` or ``ECHO_LIMIT`` leaks into it."""
+    modules = [sys.modules[f"lcmlattice.{name}"] for name in _star_imported_modules()]
+    declaring = sorted(
+        path.stem for path in PACKAGE.glob("*.py") if _literal_all(ast.parse(path.read_text())) is not None
+    )
+    assert sorted(_star_imported_modules()) == declaring
+    assert lcmlattice.__all__ == sorted(name for module in modules for name in module.__all__)
+    assert len(PUBLIC_NAMES) == 57 and lcmlattice.__all__ == sorted(PUBLIC_NAMES)
+    assert {"bits_of", "shown", "ECHO_LIMIT"}.isdisjoint(vars(lcmlattice))
+
+
+def test_no_public_name_is_declared_twice():
+    """With star imports a name in two modules' ``__all__`` would be bound
+    by the later import alone, silently; each name has one home."""
+    homes: dict[str, list[str]] = {}
+    for name in _star_imported_modules():
+        for public in sys.modules[f"lcmlattice.{name}"].__all__:
+            homes.setdefault(public, []).append(name)
+    assert {public: where for public, where in homes.items() if len(where) > 1} == {}
+
+
+def test_every_exported_name_is_its_modules_own_object():
+    """The package binds each public name to the object its module
+    defines; a class or function is defined there, not re-exported from
+    another module.  ``from lcmlattice import *`` binds the same objects."""
+    star: dict[str, object] = {}
+    exec("from lcmlattice import *", star)
+    for name in _star_imported_modules():
+        module = sys.modules[f"lcmlattice.{name}"]
+        for public in module.__all__:
+            obj = vars(module)[public]
+            assert getattr(lcmlattice, public) is obj and star[public] is obj, public
+            if isinstance(obj, (type, types.FunctionType)):
+                assert obj.__module__ == module.__name__, public
+
+
+def test_the_package_name_classify_is_the_function():
+    """``lcmlattice.classify`` is the public function, kept under its
+    module's name on purpose; the module is reached through ``sys.modules``."""
+    module = sys.modules["lcmlattice.classify"]
+    assert isinstance(lcmlattice.classify, types.FunctionType)
+    assert lcmlattice.classify is module.classify
+
+
+def test_star_imports_only_in_the_package_init():
+    """A star import binds whatever its module exports, so only the
+    package's ``__init__.py`` uses one, and only from a sibling module whose
+    ``__all__`` is a literal list; every other module names its imports."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ImportFrom) or [a.name for a in node.names] != ["*"]:
+                continue
+            source = PACKAGE / f"{node.module}.py"
+            if path != PACKAGE / "__init__.py" or node.level != 1 or not source.exists():
+                found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+            elif _literal_all(ast.parse(source.read_text())) is None:
+                found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}: {node.module} has no literal __all__")
     assert found == []
 
 
@@ -412,9 +513,11 @@ def test_only_classify_words_a_false_specific_map():
 def test_one_json_parser_and_one_text_reader():
     """Input text reaches ``json.loads`` and ``read_text`` only through the
     two readers that turn their failures into a ``FormatError`` naming the
-    file; ``fixtures.load`` reads the package's own data."""
+    file; ``fixtures.load`` reads the package's own data.  Output JSON is
+    written by ``lattice._json_text`` alone."""
     assert _top_level_scopes_mentioning("loads") == {"lattice._parse_json", "fixtures.load"}
     assert _top_level_scopes_mentioning("read_text") == {"ideals._read_text", "fixtures.load"}
+    assert _top_level_scopes_mentioning("dumps") == {"lattice._json_text"}
 
 
 def test_the_other_lattice_refusal_has_one_home():
