@@ -25,12 +25,14 @@ no m-entry dict.  The table holds, for atom ``a``, an m-bit int with bit
 ``i`` set when the i-th element (in canonical order) contains ``a``.  The
 AND of the rows of a mask's atoms is the set of elements above the mask.
 Every lattice builds the table on first use, too: its first join miss,
-``filter``, plain generator ``x(p)``, interval count in
-``support_labeling``, or closure walk.  A join that is not already an
-element (the cache and the membership test come first) takes |mask| ANDs
-and the lowest set bit; ``filter``, the plain generators of
-:mod:`lcmlattice.ideals` and the interval counts of ``support_labeling``
-read the same table.
+``filter``, plain generator ``x(p)``, joining-pair table in
+``superatomic``, interval count in ``support_labeling``, or closure walk.
+A join that is not already an element (the cache and the membership test
+come first) takes |mask| ANDs and the lowest set bit; ``filter``, the plain
+generators of :mod:`lcmlattice.ideals`, the joining pairs of
+:mod:`lcmlattice.superatomic` (the lowest set bit of the AND of two rows,
+with no join) and the interval counts of ``support_labeling`` (its
+popcount) read the same table.
 
 The validating constructor closes the family from the top down: it walks
 the members by decreasing size, skips a member the running closure already

@@ -17,17 +17,18 @@ monomials always produce identical strings.
 Internally the exponents are kept in plain name order, and the render order is
 applied only where order is visible (``str``, :meth:`Monomial.items` and
 :attr:`Monomial.variables`).  Public construction validates every name and
-exponent.  :meth:`Monomial.parse` validates each one once, in its grammar loop,
-and wraps the summed exponents through a trusted constructor that checks
-nothing.  Arithmetic results and the generator builders of
-:mod:`lcmlattice.ideals` go through it too, as their exponents are already
-valid.
+exponent.  :meth:`Monomial.parse` validates a whole text with one match of a
+compiled pattern of the grammar, and wraps the summed exponents through a
+trusted constructor that checks nothing; the grammar loop runs only to word
+a refusal.  Arithmetic results and the generator builders of
+:mod:`lcmlattice.ideals` go through the trusted constructor too, as their
+exponents are already valid.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NoReturn
 
 from .errors import MonomialParseError, NotDivisibleError, PreconditionError, shown
 
@@ -50,6 +51,10 @@ def _check_exponent_digits(name: str, exp: int) -> None:
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _UINT = re.compile(r"[1-9][0-9]*")
+# The whole grammar but "1": terms of a name and an optional exponent of at
+# most MAX_EXPONENT_DIGITS digits, joined by "*".
+_TERM = rf"{_IDENT.pattern}(?:\^[1-9][0-9]{{0,{MAX_EXPONENT_DIGITS - 1}}})?"
+_MONOMIAL = re.compile(rf"{_TERM}(?:\*{_TERM})*")
 _ATOM_NAME = re.compile(r"a([1-9][0-9]*)")
 
 
@@ -58,6 +63,29 @@ def _variable_key(name: str):
     if m:
         return (0, int(m.group(1)), name)
     return (1, 0, name)
+
+
+def _refuse(text: str) -> NoReturn:
+    """The grammar loop, for a text ``_MONOMIAL`` refuses: raise the
+    :class:`MonomialParseError` of the first position where the text leaves
+    the grammar."""
+    pos = 0
+    while True:
+        m = _IDENT.match(text, pos)
+        if not m:
+            raise MonomialParseError("expected a variable name", pos)
+        pos = m.end()
+        if text.startswith("^", pos):
+            pos += 1
+            m = _UINT.match(text, pos)
+            if not m:
+                raise MonomialParseError("expected a positive exponent after '^'", pos)
+            if m.end() - pos > MAX_EXPONENT_DIGITS:
+                raise MonomialParseError(f"exponent has more than {MAX_EXPONENT_DIGITS} digits", pos)
+            pos = m.end()
+        if not text.startswith("*", pos):
+            raise MonomialParseError(f"unexpected character {shown(text[pos : pos + 1])}", pos)
+        pos += 1
 
 
 class Monomial:
@@ -91,9 +119,9 @@ class Monomial:
         of at most ``MAX_EXPONENT_DIGITS`` digits.
 
         The fast path for arithmetic results, generator builders and
-        :meth:`parse`, which has validated every name and exponent once in its
-        grammar loop; it skips the checks of ``__init__``, so never hand it
-        unchecked input.
+        :meth:`parse`, which has validated every name and exponent with one
+        match of the grammar; it skips the checks of ``__init__``, so never
+        hand it unchecked input.
         """
         m = object.__new__(cls)
         m._exps = tuple(sorted(exps.items()))
@@ -104,45 +132,29 @@ class Monomial:
     def parse(cls, text: str) -> "Monomial":
         """Parse the strict grammar above; raise :class:`MonomialParseError` otherwise.
 
-        The grammar admits only identifier names and positive exponents of at
-        most ``MAX_EXPONENT_DIGITS`` digits, so the loop sums the exponents
-        and the sums are wrapped as they are.  A sum past the cap is the
-        constructor's :class:`PreconditionError`, named for the first
-        variable to pass it, and is raised only once the whole text parses,
-        so a grammar error wins.
+        One ``fullmatch`` of the compiled grammar accepts the text, which
+        admits only identifier names and positive exponents of at most
+        ``MAX_EXPONENT_DIGITS`` digits; the terms are then split at ``*`` and
+        ``^`` and their exponents summed, and the sums are wrapped as they
+        are.  A text the pattern refuses goes to the grammar loop
+        (:func:`_refuse`), which names the first offending position.  A sum
+        past the cap is the constructor's :class:`PreconditionError`, named
+        for the first variable to pass it, and is raised only once the whole
+        text parses, so a grammar error wins.
         """
         if not isinstance(text, str):
             raise MonomialParseError(f"expected a string, got {shown(text)}", 0)
         if text == "1":
             return ONE
+        if _MONOMIAL.fullmatch(text) is None:
+            _refuse(text)
         acc: dict[str, int] = {}
         over = None  # the first variable whose sum passes the cap
-        pos = 0
-        n = len(text)
-        while True:
-            m = _IDENT.match(text, pos)
-            if not m:
-                raise MonomialParseError("expected a variable name", pos)
-            name = m.group()
-            pos = m.end()
-            exp = 1
-            if pos < n and text[pos] == "^":
-                pos += 1
-                m = _UINT.match(text, pos)
-                if not m:
-                    raise MonomialParseError("expected a positive exponent after '^'", pos)
-                if m.end() - pos > MAX_EXPONENT_DIGITS:
-                    raise MonomialParseError(f"exponent has more than {MAX_EXPONENT_DIGITS} digits", pos)
-                exp = int(m.group())
-                pos = m.end()
-            acc[name] = total = acc.get(name, 0) + exp
+        for term in text.split("*"):
+            name, _, exp = term.partition("^")
+            acc[name] = total = acc.get(name, 0) + (int(exp) if exp else 1)
             if over is None and total >= _EXPONENT_BOUND:
                 over = name
-            if pos == n:
-                break
-            if text[pos] != "*":
-                raise MonomialParseError(f"unexpected character {shown(text[pos])}", pos)
-            pos += 1
         if over is not None:
             _check_exponent_digits(over, acc[over])
         return Monomial._trusted(acc)

@@ -57,19 +57,25 @@ def _pairs_within(mask: int) -> list[int]:
 def _joining_pairs(lat: AtomicLattice) -> dict[int, list[int]]:
     """Each element's atom pairs whose join is that element, as masks.
 
-    One join per atom pair, C(n, 2) in all.  A pair joining to p lies
-    inside p, so walking the pairs of the top in ``_pairs_within`` order
-    lists each element's pairs in the order ``_pairs_within(p)`` gives.
+    No join is taken: the elements above atoms a and b are the AND of their
+    two rows of the incidence table, and the join is the first of them in
+    canonical order, its lowest set bit.  So C(n, 2) ANDs in all.  A pair
+    joining to p lies inside p, so walking the atom pairs in
+    ``_pairs_within`` order lists each element's pairs in the order
+    ``_pairs_within(p)`` gives.
     """
     pairs: dict[int, list[int]] = {p: [] for p in lat.sets}
-    for pr in _pairs_within(lat.top):
-        pairs[lat.join_mask(pr)].append(pr)
+    sets, rows = lat.sets, lat._atom_rows()
+    for (i, a), (j, b) in combinations(enumerate(lat.atoms), 2):
+        up = rows[i] & rows[j]
+        pairs[sets[(up & -up).bit_length() - 1]].append(a | b)
     return pairs
 
 
 def _super_atomic_joining_pairs(lat: AtomicLattice) -> Optional[dict[int, list[int]]]:
     """:func:`_joining_pairs` when the lattice is super-atomic, else None:
-    the definition, decided per element in C(n, 2) + O(m) joins.
+    the definition, decided per element in C(n, 2) ANDs of two incidence
+    rows and O(m) joins.
 
     An element p of two or more atoms passes when exactly one pair {a, b} of
     its atoms joins to p and neither supp(p) - {a} nor supp(p) - {b} does.

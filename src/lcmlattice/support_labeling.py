@@ -51,7 +51,10 @@ def support_labeling(lat: AtomicLattice, atom_names: Optional[list[str]] = None)
     if atom_names is None:
         names = [f"a{i}" for i in range(1, lat.n + 1)]
     else:
-        names = list(atom_names)
+        try:
+            names = list(atom_names)
+        except TypeError:
+            raise PreconditionError(f"atom names must be an iterable of strings, got {shown(atom_names)}") from None
         for name in names:
             if not isinstance(name, str):
                 raise PreconditionError(f"atom names must be strings, got {shown(name)}")
@@ -67,11 +70,13 @@ def support_labeling(lat: AtomicLattice, atom_names: Optional[list[str]] = None)
 def _pair_sizes(lat: AtomicLattice) -> dict[int, int]:
     """N([a v b, top]) for every atom pair {a, b} (a = b included), keyed by
     ``a | b``.  The elements above a join are those above its atoms, so each
-    entry is the count of the AND of at most two rows of the incidence table
-    (:meth:`AtomicLattice._above`): n(n + 1)/2 entries and no join.  Both
-    interval criteria read N([q, top]) only at such joins."""
-    atoms = lat.atoms
-    return {a | b: lat._above(a | b).bit_count() for i, a in enumerate(atoms) for b in atoms[i:]}
+    entry is the popcount of ``rows[i] & rows[j]``, the AND of the two atoms'
+    rows of the incidence table: n(n + 1)/2 entries, one AND each and no
+    join.  Both interval criteria read N([q, top]) only at such joins."""
+    rows = lat._atom_rows()
+    return {
+        1 << i | 1 << j: (row & rows[j]).bit_count() for i, row in enumerate(rows) for j in range(i, len(rows))
+    }
 
 
 @dataclass(frozen=True)
@@ -100,6 +105,17 @@ class IntervalWitness:
         }
 
 
+def _witness(element, satisfied, pair=None, chosen=None, violating=None) -> IntervalWitness:
+    """An :class:`IntervalWitness` with its five fields written straight into
+    the instance ``__dict__``, where the frozen ``__init__`` pays one
+    ``object.__setattr__`` per field.  Equality, hash, repr and
+    ``to_json_dict`` read the fields as they read a public one's, and the
+    fields stay frozen."""
+    w = object.__new__(IntervalWitness)
+    w.__dict__.update(element=element, satisfied=satisfied, pair=pair, chosen=chosen, violating=violating)
+    return w
+
+
 @dataclass(frozen=True)
 class IntervalCriterionReport:
     hypothesis_holds: bool
@@ -122,7 +138,7 @@ def check_weak_interval_criterion(lat: AtomicLattice) -> IntervalCriterionReport
     and each chosen atom a_r is tested once per element (its result does
     not depend on the pair it came from).  Each element's witness is built
     once, for the candidate kept: the first that works, or else the last one
-    tried.
+    tried, through :func:`_witness`.
     """
     n_pair = _pair_sizes(lat)
     joining = _joining_pairs(lat)
@@ -133,7 +149,7 @@ def check_weak_interval_criterion(lat: AtomicLattice) -> IntervalCriterionReport
             continue
         pairs = joining[p]
         if not pairs:
-            witnesses.append(IntervalWitness(element=atoms_of(p), satisfied=False))
+            witnesses.append(_witness(atoms_of(p), False))
             continue
         outside = [a for a in atoms if not a & p]
         n_p = lat._above(p).bit_count()
@@ -145,12 +161,12 @@ def check_weak_interval_criterion(lat: AtomicLattice) -> IntervalCriterionReport
                 break
         bad = first_bad[r]
         witnesses.append(
-            IntervalWitness(
-                element=atoms_of(p),
-                satisfied=bad is None,
-                pair=((pr & -pr).bit_length(), (pr & (pr - 1)).bit_length()),
-                chosen=r.bit_length(),
-                violating=None if bad is None else bad.bit_length(),
+            _witness(
+                atoms_of(p),
+                bad is None,
+                ((pr & -pr).bit_length(), (pr & (pr - 1)).bit_length()),
+                r.bit_length(),
+                None if bad is None else bad.bit_length(),
             )
         )
     return IntervalCriterionReport(

@@ -28,6 +28,7 @@ differential check that compares each fast path with its oracle.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -41,6 +42,7 @@ from lcmlattice import (
     IntervalWitness,
     Labeling,
     Monomial,
+    MonomialParseError,
     ONE,
     ValidationError,
     atom_generator,
@@ -53,8 +55,10 @@ from lcmlattice import (
     support_labeling,
 )
 from lcmlattice.classify import _first_incomparable, _unlabeled_meet_irreducible
+from lcmlattice.errors import shown
 from lcmlattice.ideals import _check_lcm_generators
 from lcmlattice.lattice import _canon_key, _set_str, atoms_of, bits_of
+from lcmlattice.monomial import MAX_EXPONENT_DIGITS
 from lcmlattice.superatomic import _pairs_within
 
 
@@ -334,8 +338,57 @@ def supp_scan_oracle(lat: AtomicLattice) -> bool:
 def joining_pairs_oracle(lat: AtomicLattice) -> dict[int, list[int]]:
     """Each element's atom pairs that join to it, found element by element
     by joining every pair of its own atoms.  The oracle for
-    ``superatomic._joining_pairs``, which joins each atom pair once."""
+    ``superatomic._joining_pairs``, which takes no join: one AND of two
+    incidence rows per atom pair."""
     return {p: [pr for pr in _pairs_within(p) if lat.join_mask(pr) == p] for p in lat.sets}
+
+
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_EXPONENT = re.compile(r"[1-9][0-9]*")
+
+
+def grammar_loop_parse(text: str) -> Monomial:
+    """:meth:`Monomial.parse` by its grammar loop: a name, then an optional
+    ``^`` and exponent, then ``*`` or the end, each exponent summed as it is
+    read.  The parser ``Monomial.parse`` replaced with one match of a
+    compiled pattern, kept as its oracle: the same monomial, or the same
+    error, text and position.  A sum past the cap is the constructor's
+    error for the first variable to pass it, raised once the whole text
+    parses."""
+    if not isinstance(text, str):
+        raise MonomialParseError(f"expected a string, got {shown(text)}", 0)
+    if text == "1":
+        return ONE
+    acc: dict[str, int] = {}
+    over = None
+    pos = 0
+    while True:
+        m = _NAME.match(text, pos)
+        if not m:
+            raise MonomialParseError("expected a variable name", pos)
+        name = m.group()
+        pos = m.end()
+        exp = 1
+        if pos < len(text) and text[pos] == "^":
+            pos += 1
+            m = _EXPONENT.match(text, pos)
+            if not m:
+                raise MonomialParseError("expected a positive exponent after '^'", pos)
+            if m.end() - pos > MAX_EXPONENT_DIGITS:
+                raise MonomialParseError(f"exponent has more than {MAX_EXPONENT_DIGITS} digits", pos)
+            exp = int(m.group())
+            pos = m.end()
+        acc[name] = acc.get(name, 0) + exp
+        if over is None and acc[name] >= 10**MAX_EXPONENT_DIGITS:
+            over = name
+        if pos == len(text):
+            break
+        if text[pos] != "*":
+            raise MonomialParseError(f"unexpected character {shown(text[pos])}", pos)
+        pos += 1
+    if over is not None:
+        Monomial({over: acc[over]})  # refused by the constructor, with its text
+    return Monomial(acc)
 
 
 def interval_count(lat: AtomicLattice, lo: int, hi: int) -> int:
@@ -791,6 +844,36 @@ def shared_variable_labelings(seed: str, lattices):
             )
 
 
+_LABEL_NAMES = ("x", "y", "x_1", "Z9", "_t", "a1", "a10")
+_LABEL_PIECES = _LABEL_NAMES + ("*", "^", "0", "1", "9", " ", "é", "\u0663", "\n")
+
+
+def parse_texts(seed: int, count: int) -> list:
+    """Texts for the parser's differential check: the grammar's edge cases
+    (dangling and doubled ``*`` and ``^``, zero and leading-zero exponents,
+    spaces and non-ASCII characters, exponents of ``MAX_EXPONENT_DIGITS``
+    and one more digits, two variables passing the cap in either order),
+    then ``count`` seeded labels, each valid or changed by one to three
+    pieces of ``_LABEL_PIECES`` inserted, replaced or deleted."""
+    rng = random.Random(seed)
+    cap = "9" * MAX_EXPONENT_DIGITS
+    texts = ["1", "x*", "**", "*x", "x^", "x^0", "x^01", "x^1^2", "x y", " x", "x ", "é", "x*é", "x^\u0663"]
+    texts += [5, None, "", "1*x", "x*1", "x\n", f"x^{cap}", f"x^1{cap}", f"x*y^{cap}0", f"x^{cap}*x"]
+    for first, second in (("x", "y"), ("y", "x")):
+        texts += [f"{first}^{cap}*{second}^{cap}*{first}^{cap}*{second}^{cap}", f"{first}^{cap}*{first}^{cap}*!"]
+    exponents = [1, 1, 2, 10, 99, int(cap)]
+    for _ in range(count):
+        terms = [(rng.choice(_LABEL_NAMES), rng.choice(exponents)) for _ in range(rng.randint(1, 5))]
+        text = "*".join(v if e == 1 and rng.random() < 0.7 else f"{v}^{e}" for v, e in terms)
+        for _ in range(rng.choice([0, 0, 1, 2, 3])):
+            at = rng.randint(0, len(text))
+            piece = rng.choice(_LABEL_PIECES)
+            head, tail = text[:at], text[at + 1 :]
+            text = rng.choice([head + piece + text[at:], head + piece + tail, head + tail])
+        texts.append(text)
+    return texts
+
+
 # Each corpus with the opening words of the overlap witnesses it must reach
 # (None for a true verdict).
 CONDITION_CORPORA = {
@@ -830,10 +913,15 @@ FILTER_SIZE_CORPORA = {
     "200 random lattices with n <= 7": lambda: seeded_random_lattices(200, seed=11),
 }
 
+# Each corpus with the kinds of witness it gives: (satisfied, without a
+# joining pair).  On a flat lattice only the top needs one, and with no atom
+# outside it, its first pair works.
+_EVERY_WITNESS_KIND = {(True, False), (False, False), (False, True)}
 WEAK_CRITERION_CORPORA = {
-    "every lattice with n <= 4": small_lattices,
-    "Boolean with n <= 7": lambda: up_to(boolean_lattice, 7),
-    "200 random lattices with n <= 7": lambda: seeded_random_lattices(200, seed=18),
+    "every lattice with n <= 4": (small_lattices, _EVERY_WITNESS_KIND),
+    "Boolean with n <= 7": (lambda: up_to(boolean_lattice, 7), _EVERY_WITNESS_KIND),
+    "200 random lattices with n <= 7": (lambda: seeded_random_lattices(200, seed=18), _EVERY_WITNESS_KIND),
+    "flat with 8 <= n <= 12": (lambda: [flat_lattice(n) for n in range(8, 13)], {(True, False)}),
 }
 
 # (lattice, labeling) pairs from shared_variable_labelings, seeded with the

@@ -16,6 +16,8 @@ from lcmlattice import (
 )
 from lcmlattice import monomial as monomial_module
 
+from conftest import Raised, assert_matches_oracle, grammar_loop_parse, parse_texts
+
 # -- parsing and rendering ----------------------------------------------------
 
 
@@ -153,6 +155,29 @@ def test_parse_equals_the_constructor_on_seeded_texts():
         m = Monomial.parse(text)
         assert m == Monomial(terms) and hash(m) == hash(Monomial(terms))
         assert str(m) == str(Monomial(terms)) and list(m.items()) == list(Monomial(terms).items())
+
+
+def test_parse_matches_the_grammar_loop():
+    """One match of the compiled grammar, then a split at ``*`` and ``^``,
+    gives the grammar loop's monomial, or its error with the same type, text
+    and position, on the grammar's edge cases and 3,000 seeded labels, valid
+    or mutated.  Every refusal the loop words is reached."""
+    outcomes = assert_matches_oracle(
+        Monomial.parse,
+        grammar_loop_parse,
+        [(text,) for text in parse_texts(31, 3000)],
+        reach={"MonomialParseError": 500, "PreconditionError": 20},
+    )
+    refusals = [out.text for out in outcomes if isinstance(out, Raised)]
+    for opening in (
+        "expected a string",
+        "expected a variable name",
+        "expected a positive exponent after '^'",
+        f"exponent has more than {monomial_module.MAX_EXPONENT_DIGITS} digits (at",
+        "unexpected character",
+        "exponent of 'y' has more than",
+    ):
+        assert any(text.startswith(opening) for text in refusals), opening
 
 
 class _MatchOnlyRegex:

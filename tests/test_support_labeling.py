@@ -1,10 +1,12 @@
 import random
 import sys
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
 from lcmlattice import (
     AtomicLattice,
+    IntervalWitness,
     PreconditionError,
     check_cover_transfer,
     check_strong_interval_criterion,
@@ -27,6 +29,8 @@ from conftest import (
     FILTER_SIZE_CORPORA,
     WEAK_CRITERION_CORPORA,
     assert_matches_oracle,
+    boolean_lattice,
+    flat_lattice,
     interval_count,
     interval_lattice,
     join_oracle,
@@ -111,6 +115,14 @@ def test_support_labeling_refuses_a_name_that_is_not_a_string(names, message):
         support_labeling(AtomicLattice.from_sets(2, [[], [1], [2], [1, 2]]), names)
 
 
+@pytest.mark.parametrize("names, shown_as", [(5, "5"), (1.5, "1.5"), (object, "<class 'object'>")])
+def test_support_labeling_refuses_names_that_are_not_iterable(names, shown_as):
+    """Names that cannot be listed are refused as a package error, not as
+    the ``TypeError`` of listing them."""
+    with pytest.raises(PreconditionError, match=f"^atom names must be an iterable of strings, got {shown_as}$"):
+        support_labeling(AtomicLattice.from_sets(2, [[], [1], [2], [1, 2]]), names)
+
+
 def test_generator_exponents_count_intervals(rng):
     """The exponent of a_j in the generator of a_k equals
     N([a_j, top]) - N([a_j v a_k, top]): the elements above a_j but not
@@ -188,14 +200,45 @@ def test_weak_criterion_report_shape():
 def test_weak_criterion_matches_its_oracle(corpus):
     """One witness built per element gives the report of one built per
     candidate tried, witness for witness, satisfied or not."""
+    make, kinds = WEAK_CRITERION_CORPORA[corpus]
     docs = assert_matches_oracle(
         lambda lat: check_weak_interval_criterion(lat).to_json_dict(),
         lambda lat: weak_interval_criterion_oracle(lat).to_json_dict(),
-        [(lat,) for lat in WEAK_CRITERION_CORPORA[corpus]()],
+        [(lat,) for lat in make()],
     )
-    # satisfied witnesses, and failed ones with a pair
-    reached = {(w["satisfied"], w["pair"] is None) for doc in docs for w in doc["witnesses"]}
-    assert {(True, False), (False, False)} <= reached
+    # (satisfied, without a joining pair)
+    assert {(w["satisfied"], w["pair"] is None) for doc in docs for w in doc["witnesses"]} == kinds
+
+
+@pytest.mark.parametrize("corpus", WEAK_CRITERION_CORPORA)
+def test_weak_criterion_witnesses_are_plain_interval_witnesses(corpus):
+    """Each witness the criterion builds equals, hashes and prints like the
+    publicly built :class:`IntervalWitness` with the same fields, holds no
+    other attribute, and refuses a field assignment."""
+    names = [f.name for f in fields(IntervalWitness)]
+    for lat in WEAK_CRITERION_CORPORA[corpus][0]():
+        for w in check_weak_interval_criterion(lat).witnesses:
+            public = IntervalWitness(**{name: getattr(w, name) for name in names})
+            assert w == public and hash(w) == hash(public) and repr(w) == repr(public)
+            assert vars(w) == vars(public) and w.to_json_dict() == public.to_json_dict()
+            for name in names:
+                with pytest.raises(FrozenInstanceError):
+                    setattr(w, name, None)
+
+
+@pytest.mark.parametrize("make, n", [(boolean_lattice, 7), (flat_lattice, 12)], ids=["B7", "flat12"])
+def test_joining_pairs_and_the_weak_criterion_take_no_join(make, n, monkeypatch):
+    """The joining pairs, and so the weak criterion, read each atom pair's
+    join off the AND of two incidence rows, with no ``join_mask`` call."""
+    lat = make(n)
+    calls = []
+    join_mask = AtomicLattice.join_mask
+    monkeypatch.setattr(AtomicLattice, "join_mask", lambda self, mask: calls.append(mask) or join_mask(self, mask))
+    assert superatomic._joining_pairs(lat)
+    assert check_weak_interval_criterion(lat).witnesses
+    assert calls == []
+    lat.join_mask(0b11)
+    assert calls == [0b11]  # the counter is live
 
 
 # -- strong criterion ---------------------------------------------------------------
