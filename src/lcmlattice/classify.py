@@ -19,7 +19,8 @@ the isomorphism search.  :func:`classify` builds one per tuple of minimal
 generators, only to word a false verdict; the lattice keeps no monomial, so
 a witness takes an lcm only where it reads one, and a size mismatch, the
 usual witness, reads none.  Each generator tuple's exponent-level table is
-computed once per call and read by every check on that tuple.
+made at most once per call and read by every check on that tuple; that of
+``delta(a)`` is handed over by the refinement that builds it, not computed.
 
 Two checkable sufficient conditions come with the theory:
 
@@ -241,7 +242,7 @@ def _extends_to_isomorphism(lat: AtomicLattice, ideal: MonomialIdeal) -> bool:
     """
     _check_lcm_generators(ideal.generators)
     cuts = _level_masks(ideal._level_table())
-    return all(c in lat for c in cuts) and cuts.issuperset(lat.meet_irreducibles())
+    return cuts <= lat._element_index().keys() and cuts.issuperset(lat.meet_irreducibles())
 
 
 def _specific_map_witness(lat: AtomicLattice, atom_monomials: tuple[Monomial, ...], ll: LcmLattice) -> str:
@@ -341,14 +342,17 @@ def classify(lat: AtomicLattice, labeling: Labeling) -> LabelingClassification:
     lcm only when the witness reads one, so a size mismatch or a failed
     isomorphism search takes none.
 
-    Each generator tuple's exponent-level table is computed once per call:
-    ``x(a)`` and ``delta(a)`` are each held as a :class:`MonomialIdeal`,
-    which keeps its table for the specific-map decision, for ``delta``
-    (from the table of ``x``), for the minimal generators and for the
-    lcm-lattice build.  Minimal generators that differ from their tuple get
-    an ideal, and a table, of their own, once, since ``x`` and ``delta``
-    share the build when their minimal generators coincide.  Every ideal is
-    made by this call and goes with it, so no table outlives it.
+    Each generator tuple's exponent-level table is made at most once per
+    call: ``x(a)`` and ``delta(a)`` are each held as a
+    :class:`MonomialIdeal`, which keeps its table for the specific-map
+    decision, for the minimal generators and for the lcm-lattice build.
+    The table of ``x`` is computed when first read, and ``delta`` is built
+    from it together with its own table, the joins of the levels of ``x``
+    (see :func:`~lcmlattice.ideals._refine`), so none is computed for
+    ``delta``.  Minimal generators that differ from their tuple get an
+    ideal, and a table, of their own, once, since ``x`` and ``delta`` share
+    the build when their minimal generators coincide.  Every ideal is made
+    by this call and goes with it, so no table outlives it.
 
     A degenerate ideal (a unit generator) classifies as false with a witness,
     not as an error.  The witness build of a false verdict raises what
@@ -374,11 +378,12 @@ def classify(lat: AtomicLattice, labeling: Labeling) -> LabelingClassification:
     build = cache(lcm_lattice)
     a_ok = check_strong_conditions(lat, labeling)
     c_ok = check_weak_conditions(lat, labeling)
-    # Each ideal keeps its level table, and both live only as long as this call.
+    # x computes its level table once, delta is handed its own by _refine,
+    # and both live only as long as this call.
     x = ideal_from_labeling(lat, labeling)
     strong = guarded(lambda: specific_map(x))
     coord = strong if strong[0] else guarded(lambda: _abstract_isomorphism(lat, lcm_lattice_of(x)))
-    delta = MonomialIdeal(_refine(lat, x))
+    delta = _refine(lat, x)
     weak = strong if delta == x else guarded(lambda: specific_map(delta))
 
     verdicts = {

@@ -72,15 +72,34 @@ MAX_LCM_ELEMENTS = 1 << 20
 
 def _as_monomial(value: object) -> Monomial:
     """The one coercion of caller-given monomials: a :class:`Monomial` as is,
-    anything else parsed from its ``str`` (so ``"a*b"`` works and ``5`` is a
-    :class:`MonomialParseError`)."""
+    a string parsed (so ``"a*b"`` works), anything else a
+    :class:`MonomialParseError`, so ``None`` or ``True`` names no variable."""
     if isinstance(value, Monomial):
         return value
+    if isinstance(value, str):
+        return Monomial.parse(value)
+    raise MonomialParseError(f"expected a monomial or a string, got {shown(value)}", 0)
+
+
+def _iterated(values: object, expected: str) -> Iterator:
+    """An iterator over caller-given ``values``; a value that is not
+    iterable is a :class:`PreconditionError` saying what was ``expected``."""
     try:
-        text = str(value)
-    except ValueError:  # an int past Python's int-to-str digit limit
-        raise MonomialParseError(f"expected a monomial, got {shown(value)}", 0) from None
-    return Monomial.parse(text)
+        return iter(values)
+    except TypeError:
+        raise PreconditionError(f"{expected}, got {shown(values)}") from None
+
+
+def _pairs(assignments: object, key: str) -> Iterator[tuple[object, object]]:
+    """The ``(key, monomial)`` pairs of a mapping or of an iterable of
+    pairs; anything else is a :class:`PreconditionError` echoing it."""
+    items = assignments.items() if isinstance(assignments, Mapping) else assignments
+    for pair in _iterated(items, f"assignments must be a mapping or an iterable of ({key}, monomial) pairs"):
+        try:
+            k, m = pair
+        except (TypeError, ValueError):
+            raise PreconditionError(f"assignments must be ({key}, monomial) pairs, got {shown(pair)}") from None
+        yield k, m
 
 
 class Labeling:
@@ -97,9 +116,8 @@ class Labeling:
         lattice: AtomicLattice,
         assignments: Union[Mapping[int, Monomial], Iterable[tuple[int, Monomial]]] = (),
     ):
-        items = assignments.items() if isinstance(assignments, Mapping) else assignments
         table: dict[int, Monomial] = {}
-        for p, m in items:
+        for p, m in _pairs(assignments, "element"):
             if p not in lattice:
                 raise NotAnElementError(f"labeled set {_element_str(p)} is not in the lattice")
             m = _as_monomial(m)
@@ -121,8 +139,7 @@ class Labeling:
         assignments: Union[Mapping[tuple, Union[str, Monomial]], Iterable[tuple[Iterable[int], Union[str, Monomial]]]],
     ) -> "Labeling":
         """Build from (atom-index iterable, monomial or string) pairs."""
-        items = assignments.items() if isinstance(assignments, Mapping) else assignments
-        return cls(lattice, ((mask_of(s, lattice.n), m) for s, m in items))
+        return cls(lattice, ((mask_of(s, lattice.n), m) for s, m in _pairs(assignments, "atom set")))
 
     def label(self, p: int) -> Monomial:
         if p not in self.lattice:
@@ -234,16 +251,27 @@ class MonomialIdeal:
     __slots__ = ("generators", "_levels", "_minimal")
 
     def __init__(self, generators: Iterable[Monomial]):
-        self.generators = tuple(map(_as_monomial, generators))
+        self.generators = tuple(map(_as_monomial, _iterated(generators, "generators must be an iterable of monomials")))
         self._levels = None
         self._minimal = None
 
+    @classmethod
+    def _with_levels(cls, generators: tuple[Monomial, ...], levels: Optional[dict]) -> "MonomialIdeal":
+        """The ideal of a tuple of monomials the package built, with no
+        coercion, and the :func:`_exponent_levels` table of ``generators`` its
+        builder already holds, or None to compute it when first read.  Never
+        hand it caller input or a table of other generators."""
+        ideal = object.__new__(cls)
+        ideal.generators, ideal._levels, ideal._minimal = generators, levels, None
+        return ideal
+
     def _level_table(self) -> dict[str, dict[int, int]]:
-        """The :func:`_exponent_levels` table of the generators, computed the
-        first time it is read and kept with this ideal.  The minimal
-        generators, :func:`lcm_lattice`, ``delta`` (:func:`_refine`) and the
-        specific-map decision of :mod:`lcmlattice.classify` all read it, so
-        one ideal's exponent arithmetic is done once."""
+        """The :func:`_exponent_levels` table of the generators, kept with
+        this ideal: handed over by its builder (``delta`` gets it from
+        :func:`_refine`) or computed the first time it is read.  The minimal
+        generators, :func:`lcm_lattice`, ``delta`` and the specific-map
+        decision of :mod:`lcmlattice.classify` all read it, so one ideal's
+        exponent arithmetic is done at most once."""
         if self._levels is None:
             self._levels = _exponent_levels(self.generators)
         return self._levels
@@ -296,9 +324,11 @@ class MonomialIdeal:
 
     def _minimal_ideal(self) -> "MonomialIdeal":
         """This ideal when no generator is redundant, else the ideal of its
-        minimal generators (which computes a level table of its own)."""
+        minimal generators, whose level table is computed when first read:
+        ``classify`` builds one lcm-lattice per minimal tuple, so equal
+        minimal tuples of ``x`` and ``delta`` compute one table."""
         gens = self.minimal_generators
-        return self if len(gens) == len(self.generators) else MonomialIdeal(gens)
+        return self if len(gens) == len(self.generators) else MonomialIdeal._with_levels(gens, None)
 
     @property
     def has_unit_generator(self) -> bool:
@@ -361,16 +391,23 @@ def _label_groups(lat: AtomicLattice, labeling: Labeling) -> dict[str, dict[int,
         raise PreconditionError("labeling belongs to a different lattice")
     if labeling._groups is None:
         index = lat._element_index()
-        groups: dict[str, dict[int, int]] = {}
-        for q, m in labeling.items():
-            bit = 1 << index[q]
-            for v, e in m._exps:
-                by_exp = groups.get(v)
-                if by_exp is None:
-                    by_exp = groups[v] = {}
-                by_exp[e] = by_exp.get(e, 0) | bit
-        labeling._groups = groups
+        labeling._groups = _exponent_groups((1 << index[q], m) for q, m in labeling.items())
     return labeling._groups
+
+
+def _exponent_groups(bits_and_monomials: Iterable[tuple[int, Monomial]]) -> dict[str, dict[int, int]]:
+    """Per variable ``v`` and exponent ``e > 0``, the OR of the bits of the
+    monomials with exponent ``e`` in ``v``: one pass over their exponents.
+    The groups of one variable are disjoint, as a monomial has one exponent
+    of each variable."""
+    groups: dict[str, dict[int, int]] = {}
+    for bit, m in bits_and_monomials:
+        for v, e in m._exps:
+            by_exp = groups.get(v)
+            if by_exp is None:
+                by_exp = groups[v] = {}
+            by_exp[e] = by_exp.get(e, 0) | bit
+    return groups
 
 
 def _product_outside(groups: dict[str, dict[int, int]], above: int) -> Monomial:
@@ -424,7 +461,7 @@ def ideal_from_labeling(lat: AtomicLattice, labeling: Labeling) -> MonomialIdeal
     """The ideal generated by ``x(a)`` over all atoms, in atom order: the
     elements above atom ``a`` are its row of the incidence table."""
     groups = _label_groups(lat, labeling)
-    return MonomialIdeal(_product_outside(groups, row) for row in lat._atom_rows())
+    return MonomialIdeal._with_levels(tuple(_product_outside(groups, row) for row in lat._atom_rows()), None)
 
 
 def weak_generator(lat: AtomicLattice, labeling: Labeling, atom: int) -> Monomial:
@@ -441,26 +478,30 @@ def weak_generator(lat: AtomicLattice, labeling: Labeling, atom: int) -> Monomia
 
 def weak_ideal(lat: AtomicLattice, labeling: Labeling) -> MonomialIdeal:
     """The ideal generated by ``delta(a)`` over all atoms, in atom order."""
-    return MonomialIdeal(_refine(lat, ideal_from_labeling(lat, labeling)))
+    return _refine(lat, ideal_from_labeling(lat, labeling))
 
 
 def _exponent_levels(generators: tuple[Monomial, ...]) -> dict[str, dict[int, int]]:
     """Per variable ``v`` of the generators, and for each exponent ``t`` of
     ``v`` over them in increasing order, the level mask ``D(v, t)`` of the
     generators ``i`` with ``e_v(g_i) <= t``.  The last level of every
-    variable holds all generators.  The one place the table is computed;
-    :meth:`MonomialIdeal._level_table` keeps it with its ideal for
-    :attr:`MonomialIdeal.minimal_generators`, :func:`_refine`,
-    :class:`LcmLattice` and the specific-map decision in
-    :mod:`lcmlattice.classify`."""
-    exps = [dict(g._exps) for g in generators]
-    table = {}
-    for v in {v for e in exps for v in e}:
-        column = [e.get(v, 0) for e in exps]
-        levels: dict[int, int] = {}
-        below = 0
-        for i, e in sorted(enumerate(column), key=lambda ie: ie[1]):
-            below |= 1 << i
+    variable holds all generators.  :meth:`MonomialIdeal._level_table`
+    keeps it with its ideal for :attr:`MonomialIdeal.minimal_generators`,
+    :func:`_refine`, :class:`LcmLattice` and the specific-map decision in
+    :mod:`lcmlattice.classify`.  It runs on ``x`` and on outside or minimal
+    generators, never on ``delta``, whose table :func:`_refine` builds from
+    the joins it takes.
+
+    One pass groups the generators by exponent (:func:`_exponent_groups`);
+    then each variable sorts its distinct exponents once and ORs the groups
+    in that order.  Level 0, the generators without ``v``, is the complement
+    of the sum of its groups, which are disjoint."""
+    full, table = (1 << len(generators)) - 1, {}
+    for v, by_exp in _exponent_groups((1 << i, g) for i, g in enumerate(generators)).items():
+        below = full & ~sum(by_exp.values())
+        levels = {0: below} if below else {}
+        for e in sorted(by_exp):
+            below |= by_exp[e]
             levels[e] = below
         table[v] = levels
     return table
@@ -471,9 +512,10 @@ def _level_masks(table: dict[str, dict[int, int]]) -> set[int]:
     return {0}.union(*(levels.values() for levels in table.values()))
 
 
-def _refine(lat: AtomicLattice, ideal: MonomialIdeal) -> tuple[Monomial, ...]:
-    """``delta(a)`` for every atom, from the ideal of the plain generators
-    ``x(a)`` in atom order, read through its level table.
+def _refine(lat: AtomicLattice, ideal: MonomialIdeal) -> MonomialIdeal:
+    """The ideal of ``delta(a)`` for every atom, in atom order, with its
+    level table, from the ideal of the plain generators ``x(a)`` in atom
+    order, read through its level table.
 
     No atom subset and no element is walked: ``e_v(delta(a))`` is the least
     level ``t`` of ``v`` with ``a <= J(v, t)``, the join of the level mask
@@ -495,19 +537,28 @@ def _refine(lat: AtomicLattice, ideal: MonomialIdeal) -> tuple[Monomial, ...]:
     leaves ``v`` out).  That is at most ``k*n`` joins for ``k`` variables and
     ``n`` atoms.  As a corollary, the level masks of the ``delta(a)`` are
     exactly the joins of the level masks of the ``x(a)``: for every level
-    ``t`` of ``v`` over the ``x(a)``, ``D_delta(v, t) = J(v, t)``.
+    ``t`` of ``v`` over the ``x(a)``, ``D_delta(v, t) = J(v, t)``, as the
+    atoms below ``J(v, t)`` are those given a level ``<= t``.  So the
+    table of ``delta`` is built here: the exponents of ``v`` over the
+    ``delta(a)`` are the levels whose join reaches new atoms, in increasing
+    order, each with its join as its level mask, and ``v`` is kept when
+    some atom gets a positive level.
     """
     deltas: list[dict[str, int]] = [{} for _ in ideal.generators]
+    table = {}
     for v, levels in ideal._level_table().items():
+        mine: dict[int, int] = {}
         reached = 0
         for t, below in levels.items():
             if below & ~reached:  # else J(v, t) is the join already reached
-                joined = lat.join_mask(below)
+                mine[t] = joined = lat.join_mask(below)
                 if t:
                     for b in bits_of(joined & ~reached):
                         deltas[b.bit_length() - 1][v] = t
                 reached = joined
-    return tuple(Monomial._trusted(exps) for exps in deltas)
+        if len(mine) > 1 or 0 not in mine:
+            table[v] = mine
+    return MonomialIdeal._with_levels(tuple(Monomial._trusted(exps) for exps in deltas), table)
 
 
 # ---------------------------------------------------------------------------
@@ -692,8 +743,9 @@ def recovered_labeling(lat: AtomicLattice, monomial_of: Mapping[int, Monomial]) 
     gets ``gcd{monomial_of[t] : t > p} / monomial_of[p]`` (the empty gcd at
     the top is the top's own monomial, so the top always ends up unlabeled);
     unit labels are dropped.  An element with no monomial is a
-    :class:`PreconditionError` naming the first such element; a value that
-    is not a :class:`Monomial` is parsed as :class:`MonomialIdeal` does.
+    :class:`PreconditionError` naming the first such element; a string is
+    parsed, and any other value that is not a :class:`Monomial` refused, as
+    :class:`MonomialIdeal` does.
     """
     absent = next((p for p in lat.sets if p not in monomial_of), None)
     if absent is not None:

@@ -259,6 +259,6 @@ def check_cover_transfer(
 
     plain = ideal_from_labeling(smaller, support_labeling(smaller))
     return CoverTransferReport(
-        deltas_equal_generators=_refine(smaller, plain) == plain.generators,
+        deltas_equal_generators=_refine(smaller, plain) == plain,
         strong_on_smaller=_extends_to_isomorphism(smaller, plain),
     )

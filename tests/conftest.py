@@ -219,6 +219,25 @@ def specific_map_oracle(lat: AtomicLattice, atom_monomials: tuple[Monomial, ...]
     return True, None
 
 
+def sorting_exponent_levels(generators: tuple[Monomial, ...]) -> dict[str, dict[int, int]]:
+    """The exponent-level table of ``generators`` by one sort per variable
+    of its whole column of exponents: the code the one-pass
+    ``ideals._exponent_levels`` and the table ``ideals._refine`` hands over
+    replaced.  Per variable of the generators, each exponent ``t`` in
+    increasing order maps to the generators ``i`` with ``e_v(g_i) <= t``."""
+    exps = [dict(g._exps) for g in generators]
+    table = {}
+    for v in {v for e in exps for v in e}:
+        column = [e.get(v, 0) for e in exps]
+        levels: dict[int, int] = {}
+        below = 0
+        for i, e in sorted(enumerate(column), key=lambda ie: ie[1]):
+            below |= 1 << i
+            levels[e] = below
+        table[v] = levels
+    return table
+
+
 def pairwise_minimal_generators(generators: tuple[Monomial, ...]) -> tuple[Monomial, ...]:
     """Generators with duplicates and multiples removed, input order kept, by
     the pairwise divisibility scan that
@@ -820,6 +839,15 @@ def differential_labelings(rng: random.Random):
         yield lat, rng.choice(LABELING_BUILDERS)(rng, lat)
 
 
+def support_and_random_labelings(seed: str, lattices):
+    """Each lattice with its support labeling and a random labeling drawn
+    from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    for lat in lattices:
+        yield lat, support_labeling(lat)
+        yield lat, random_labeling(rng, lat)
+
+
 def decision_labelings(rng: random.Random):
     """Every lattice with n <= 4 with one labeling of each flavour; then 300
     random lattices on 2 to 7 atoms with a labeling of a random flavour."""
@@ -932,6 +960,18 @@ X_ORACLE_CORPORA = {
     "flat with n <= 10": lambda: shared_variable_labelings("flat with n <= 10", up_to(flat_lattice, 10)),
     "100 random lattices with n <= 6": lambda: shared_variable_labelings(
         "100 random lattices with n <= 6", [random_lattice(random.Random(i), 2 + i % 5) for i in range(100)]
+    ),
+}
+
+
+# (lattice, labeling) pairs whose x(a), delta(a) and minimal tuples have
+# their level tables checked against the sorting oracle.
+LEVEL_TABLE_CORPORA = {
+    "decision labelings": lambda: decision_labelings(random.Random(33)),
+    "wide lattices": lambda: support_and_random_labelings("wide lattices", wide_lattices()),
+    "B8": lambda: support_and_random_labelings("B8", [boolean_lattice(8)]),
+    "flat with 8 <= n <= 12": lambda: support_and_random_labelings(
+        "flat with 8 <= n <= 12", [flat_lattice(n) for n in range(8, 13)]
     ),
 }
 

@@ -258,7 +258,7 @@ def test_specific_map_decision_matches_the_oracle(rng):
         c = classify(lat, lab)
         assert c.is_coordinatization or not c.is_strong
         x = ideal_from_labeling(lat, lab)
-        for field, gens in (("is_strong", x.generators), ("is_weak", _refine(lat, x))):
+        for field, gens in (("is_strong", x.generators), ("is_weak", _refine(lat, x).generators)):
             cases.append((lat, gens))
             classified.append((getattr(c, field), (c.witness or {}).get(field)))
     expected = assert_matches_oracle(
@@ -321,20 +321,26 @@ def test_predicates_build_no_lcm_lattice(rng, monkeypatch):
 
 
 def test_classify_computes_one_level_table_per_generator_tuple(rng, monkeypatch):
-    """Each tuple ``classify`` handles (``x(a)``, ``delta(a)``, and their
-    minimal generators when these differ) gets its exponent-level table once
-    per call, whichever checks read it."""
+    """``classify`` computes the exponent-level table of ``x(a)`` once per
+    call, and of the minimal generators of ``x(a)`` or ``delta(a)`` once
+    when these differ from their tuple; never of ``delta(a)``, which
+    ``_refine`` hands its table."""
     tables = []
     exponent_levels = ideals._exponent_levels
     monkeypatch.setattr(ideals, "_exponent_levels", lambda gens: tables.append(gens) or exponent_levels(gens))
-    most = 0
+    most = refined = 0
     for lat, lab in decision_labelings(rng):
         tables.clear()
-        c = classify(lat, lab)
-        assert max(Counter(tables).values()) == 1
-        x = ideal_from_labeling(lat, lab).generators
-        assert x in tables and (c.is_weak == c.is_strong or len(set(tables)) >= 2)
-        most = max(most, len(tables))
+        classify(lat, lab)
+        computed = Counter(tables)
+        x = ideal_from_labeling(lat, lab)
+        delta = _refine(lat, x)
+        shrunk = {i.minimal_generators for i in (x, delta) if len(i.minimal_generators) < len(i)}
+        assert max(computed.values()) == 1 and x.generators in computed
+        assert computed.keys() <= {x.generators} | shrunk
+        refined += delta.generators not in computed
+        most = max(most, len(computed))
+    assert refined >= 500  # delta differs from x and from every minimal tuple tabled
     assert most >= 3  # some calls build an lcm-lattice on minimal generators that differ
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import time
 from collections import Counter
 
@@ -35,12 +36,13 @@ from lcmlattice import (
 )
 
 from lcmlattice import PreconditionError, atoms_of, ideals
-from lcmlattice.errors import ECHO_LIMIT
+from lcmlattice.errors import ECHO_LIMIT, shown
 from lcmlattice.ideals import _exponent_levels, _level_masks, _refine
 from lcmlattice.lattice import bits_of
 
 from conftest import (
     LABELING_BUILDERS,
+    LEVEL_TABLE_CORPORA,
     Raised,
     X_ORACLE_CORPORA,
     assert_matches_oracle,
@@ -58,6 +60,7 @@ from conftest import (
     random_lattice,
     random_monomial,
     small_lattices,
+    sorting_exponent_levels,
     subset_lcm_lattice,
     subset_weak_generators,
     worked_example,
@@ -355,7 +358,7 @@ def test_refine_takes_at_most_one_join_per_level(rng, monkeypatch):
     joins = []
     join_mask = AtomicLattice.join_mask
     monkeypatch.setattr(AtomicLattice, "join_mask", lambda self, mask: joins.append(mask) or join_mask(self, mask))
-    assert _refine(lat, x) == x.generators  # each element of B8 is joined only by its own atoms
+    assert _refine(lat, x).generators == x.generators  # each element of B8 is joined only by its own atoms
     assert 0 < len(joins) <= levels
 
 
@@ -367,7 +370,48 @@ def test_delta_level_masks_are_the_joins_of_the_x_level_masks(rng):
         lat = random_lattice(rng, rng.randint(1, 6), extra=rng.randint(0, 8))
         x = ideal_from_labeling(lat, LABELING_BUILDERS[i % 3](rng, lat))
         joins = {lat.join_mask(d) for levels in _exponent_levels(x.generators).values() for d in levels.values()}
-        assert _level_masks(_exponent_levels(_refine(lat, x))) | {lat.top} == {0, lat.top} | joins
+        assert _level_masks(_exponent_levels(_refine(lat, x).generators)) | {lat.top} == {0, lat.top} | joins
+
+
+def _ordered(table: dict[str, dict[int, int]]) -> dict[str, list[tuple[int, int]]]:
+    """A level table with each variable's levels as a list, so that equal
+    tables also list their levels in the same order."""
+    return {v: list(levels.items()) for v, levels in table.items()}
+
+
+def _level_table_cases(labelings):
+    """The ideals of ``x(a)`` and ``delta(a)`` of each labeling and of their
+    minimal tuples; ``delta`` holds its table before any read."""
+    for lat, lab in labelings:
+        x = ideal_from_labeling(lat, lab)
+        delta = _refine(lat, x)
+        assert delta._levels is not None
+        yield from ((ideal,) for ideal in (x, delta, x._minimal_ideal(), delta._minimal_ideal()))
+
+
+def test_refine_drops_a_variable_that_no_delta_keeps():
+    """On the flat lattice on three atoms, the generators ``u*v``,
+    ``u^2*a`` and ``b`` have ``J(w, 0)`` the top for ``w`` in v, a, b, so
+    no ``delta`` keeps these, and the table handed over lists only ``u``.
+    (The ``x(a)`` of a labeling never do this: ``J(w, 0)`` lies below each
+    label holding ``w`` that is not the top.)"""
+    delta = _refine(flat_lattice(3), MonomialIdeal(["u*v", "u^2*a", "b"]))
+    assert [str(g) for g in delta.generators] == ["u", "u", "1"]
+    assert _ordered(delta._level_table()) == _ordered(sorting_exponent_levels(delta.generators)) == {
+        "u": [(0, 0b100), (1, 0b111)]
+    }
+
+
+@pytest.mark.parametrize("corpus", LEVEL_TABLE_CORPORA)
+def test_level_tables_match_the_sorting_oracle(corpus):
+    """Every level table, computed in one pass (``x`` and the minimal
+    tuples) or handed over by ``_refine`` (``delta``), is the per-variable
+    sort of its generators, each variable's levels in increasing order."""
+    assert_matches_oracle(
+        lambda ideal: _ordered(ideal._level_table()),
+        lambda ideal: _ordered(sorting_exponent_levels(ideal.generators)),
+        _level_table_cases(LEVEL_TABLE_CORPORA[corpus]()),
+    )
 
 
 def test_weak_ideal_never_enumerates_subsets(rng, monkeypatch):
@@ -474,6 +518,63 @@ def test_lcm_lattice_constructor_coerces_generators_like_the_ideal():
             MonomialIdeal(bad)
 
 
+@pytest.mark.parametrize(
+    "value", [None, True, 1.5, b"a", ["a"], 10**5000], ids=["None", "True", "1.5", "bytes", "list", "10**5000"]
+)
+def test_a_value_that_is_no_monomial_or_string_is_refused(value):
+    """Only a :class:`Monomial` or a string is a monomial to the API: any
+    other value is refused, not parsed from its ``str``, which would label
+    an element with a variable named ``None`` or ``True``."""
+    lat = boolean_lattice(2)
+    calls = (
+        lambda: Labeling(lat, {1: value}),
+        lambda: MonomialIdeal([value]),
+        lambda: LcmLattice(["a", value]),
+        lambda: recovered_labeling(lat, dict.fromkeys(lat.sets, value)),
+    )
+    text = f"expected a monomial or a string, got {shown(value)} (at position 0)"
+    for call in calls:
+        with pytest.raises(MonomialParseError, match=f"^{re.escape(text)}$"):
+            call()
+
+
+_NOT_GENERATORS = "generators must be an iterable of monomials, got "
+_NOT_PAIRS = "assignments must be (element, monomial) pairs, got "
+
+
+@pytest.mark.parametrize(
+    "make, text",
+    [
+        pytest.param(lambda lat: MonomialIdeal(5), _NOT_GENERATORS + "5", id="MonomialIdeal(5)"),
+        pytest.param(lambda lat: lcm_lattice(5), _NOT_GENERATORS + "5", id="lcm_lattice(5)"),
+        pytest.param(lambda lat: LcmLattice(None), _NOT_GENERATORS + "None", id="LcmLattice(None)"),
+        pytest.param(
+            lambda lat: Labeling(lat, 5),
+            "assignments must be a mapping or an iterable of (element, monomial) pairs, got 5",
+            id="Labeling(lat, 5)",
+        ),
+        pytest.param(lambda lat: Labeling(lat, [(1,)]), _NOT_PAIRS + "(1,)", id="Labeling(lat, [(1,)])"),
+        pytest.param(lambda lat: Labeling(lat, [5]), _NOT_PAIRS + "5", id="Labeling(lat, [5])"),
+        pytest.param(lambda lat: Labeling(lat, [(1, "a", "b")]), _NOT_PAIRS + "(1, 'a', 'b')", id="a triple"),
+        pytest.param(
+            lambda lat: Labeling.from_sets(lat, 5),
+            "assignments must be a mapping or an iterable of (atom set, monomial) pairs, got 5",
+            id="from_sets(lat, 5)",
+        ),
+        pytest.param(
+            lambda lat: Labeling.from_sets(lat, [([1],)]),
+            "assignments must be (atom set, monomial) pairs, got ([1],)",
+            id="from_sets(lat, [([1],)])",
+        ),
+    ],
+)
+def test_malformed_generators_and_assignments_are_package_errors(make, text):
+    """A container that cannot be read is refused as a package error echoing
+    it, not as the ``TypeError`` or ``ValueError`` of reading it."""
+    with pytest.raises(PreconditionError, match=f"^{re.escape(text)}$"):
+        make(boolean_lattice(2))
+
+
 def _lcm_lattice_answers(gens: tuple[Monomial, ...]) -> tuple:
     """What ``LcmLattice(gens)`` answers: the generators, elements in order,
     supports both ways, the abstract lattice and the meet-irreducibles the
@@ -521,7 +622,7 @@ def test_lcm_lattice_matches_the_subset_lcm_oracle(rng):
         for lat in small_lattices():
             for make in (random_labeling, chain_condition_labeling):
                 x = ideal_from_labeling(lat, make(rng, lat))
-                yield from ((tup,) for tup in dict.fromkeys((x.generators, _refine(lat, x))))
+                yield from ((tup,) for tup in dict.fromkeys((x.generators, _refine(lat, x).generators)))
         for n in range(1, 11):
             yield (tuple(Monomial.parse(f"x{i}") for i in range(n)),)
 

@@ -222,17 +222,31 @@ TRUSTED_MONOMIAL_BUILDERS = {
 }
 
 
+# Every function that may call ``MonomialIdeal._with_levels``, which coerces
+# no generator and takes the level table it is handed on trust.  Each hands
+# over a tuple of monomials the package built: the generators ``x(a)``, the
+# generators ``delta(a)`` with the table their joins give, and a minimal
+# tuple.  The constructor and any loader must always coerce.
+TRUSTED_IDEAL_BUILDERS = {
+    "ideals.ideal_from_labeling",
+    "ideals._refine",
+    "ideals.MonomialIdeal._minimal_ideal",
+}
+
+
 def _unchecked_builder_uses(node: ast.AST, scope: str, found: dict[str, set[str]]) -> None:
-    """Record, per enclosing function, each ``._trusted`` or ``._fill`` the
-    code mentions: as ``Monomial._trusted`` when it is read off the name
-    ``Monomial``, as the bare attribute (a lattice builder) otherwise."""
+    """Record, per enclosing function, each ``._trusted``, ``._fill`` or
+    ``._with_levels`` the code mentions: as ``Monomial._trusted`` when it is
+    read off the name ``Monomial``, as ``MonomialIdeal._with_levels`` off
+    any value, as the bare attribute (a lattice builder) otherwise."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             _unchecked_builder_uses(child, f"{scope}.{child.name}", found)
             continue
-        if isinstance(child, ast.Attribute) and child.attr in ("_trusted", "_fill"):
+        if isinstance(child, ast.Attribute) and child.attr in ("_trusted", "_fill", "_with_levels"):
             on_monomial = isinstance(child.value, ast.Name) and child.value.id == "Monomial"
-            found.setdefault(scope, set()).add(f"Monomial.{child.attr}" if on_monomial else child.attr)
+            owner = "Monomial." if on_monomial else "MonomialIdeal." if child.attr == "_with_levels" else ""
+            found.setdefault(scope, set()).add(owner + child.attr)
         _unchecked_builder_uses(child, scope, found)
 
 
@@ -247,7 +261,8 @@ def _unchecked_builders() -> dict[str, set[str]]:
 def test_only_closed_by_construction_paths_skip_lattice_validation():
     """``AtomicLattice._trusted`` checks nothing, so only the functions listed
     above may reach it; a loader that used it would accept any family."""
-    lattice_uses = {scope: attrs - {"Monomial._trusted"} for scope, attrs in _unchecked_builders().items()}
+    others = {"Monomial._trusted", "MonomialIdeal._with_levels"}
+    lattice_uses = {scope: attrs - others for scope, attrs in _unchecked_builders().items()}
     assert {scope: attrs for scope, attrs in lattice_uses.items() if attrs} == {
         scope: {attr} for scope, attr in UNVALIDATED_LATTICE_BUILDERS.items()
     }
@@ -259,6 +274,14 @@ def test_only_listed_builders_skip_monomial_validation():
     accept any name and exponent."""
     found = _unchecked_builders()
     assert {scope for scope, attrs in found.items() if "Monomial._trusted" in attrs} == TRUSTED_MONOMIAL_BUILDERS
+
+
+def test_only_listed_builders_hand_an_ideal_its_level_table():
+    """``MonomialIdeal._with_levels`` coerces nothing and trusts the table it
+    is handed, so only the functions listed above may reach it; a loader
+    that used it would keep a value that is no monomial, or a wrong table."""
+    found = _unchecked_builders()
+    assert {scope for scope, attrs in found.items() if "MonomialIdeal._with_levels" in attrs} == TRUSTED_IDEAL_BUILDERS
 
 
 def _raised_name(exc: ast.expr) -> str:
