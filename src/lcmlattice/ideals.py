@@ -251,7 +251,11 @@ class MonomialIdeal:
     __slots__ = ("generators", "_levels", "_minimal")
 
     def __init__(self, generators: Iterable[Monomial]):
-        self.generators = tuple(map(_as_monomial, _iterated(generators, "generators must be an iterable of monomials")))
+        """A string is refused, not read as its one-character monomials."""
+        expected = "generators must be an iterable of monomials"
+        if isinstance(generators, str):
+            raise PreconditionError(f"{expected}, got {shown(generators)}")
+        self.generators = tuple(map(_as_monomial, _iterated(generators, expected)))
         self._levels = None
         self._minimal = None
 

@@ -12,7 +12,9 @@ grammar is deliberately small::
 ``a^1`` parses but always renders as ``a``.  Rendering is canonical: variables
 shaped like ``a<k>`` (the default names given to lattice atoms) come first in
 numeric order, every other variable follows lexicographically, so equal
-monomials always produce identical strings.
+monomials always produce identical strings.  The render key tests a name's
+shape with string methods (``a``, then ASCII digits not starting with ``0``),
+with no regex.
 
 Internally the exponents are kept in plain name order, and the render order is
 applied only where order is visible (``str``, :meth:`Monomial.items` and
@@ -55,13 +57,14 @@ _UINT = re.compile(r"[1-9][0-9]*")
 # most MAX_EXPONENT_DIGITS digits, joined by "*".
 _TERM = rf"{_IDENT.pattern}(?:\^[1-9][0-9]{{0,{MAX_EXPONENT_DIGITS - 1}}})?"
 _MONOMIAL = re.compile(rf"{_TERM}(?:\*{_TERM})*")
-_ATOM_NAME = re.compile(r"a([1-9][0-9]*)")
 
 
 def _variable_key(name: str):
-    m = _ATOM_NAME.fullmatch(name)
-    if m:
-        return (0, int(m.group(1)), name)
+    """The render key: ``a<k>`` names (``k`` a positive decimal with no
+    leading zero) first by ``k``, then every other name lexicographically."""
+    digits = name[1:]
+    if name[0] == "a" and digits.isascii() and digits.isdigit() and digits[0] != "0":
+        return (0, int(digits), name)
     return (1, 0, name)
 
 
@@ -134,13 +137,16 @@ class Monomial:
 
         One ``fullmatch`` of the compiled grammar accepts the text, which
         admits only identifier names and positive exponents of at most
-        ``MAX_EXPONENT_DIGITS`` digits; the terms are then split at ``*`` and
-        ``^`` and their exponents summed, and the sums are wrapped as they
-        are.  A text the pattern refuses goes to the grammar loop
-        (:func:`_refuse`), which names the first offending position.  A sum
-        past the cap is the constructor's :class:`PreconditionError`, named
-        for the first variable to pass it, and is raised only once the whole
-        text parses, so a grammar error wins.
+        ``MAX_EXPONENT_DIGITS`` digits; the terms are then split at ``*``.
+        A text with no ``^`` whose names are distinct has every exponent 1,
+        so its names become the exponent dict at once.  Any other text has
+        its terms split at ``^`` and their exponents summed, and the sums
+        are wrapped as they are.  A text the pattern refuses goes to the
+        grammar loop (:func:`_refuse`), which names the first offending
+        position.  A sum past the cap is the constructor's
+        :class:`PreconditionError`, named for the first variable to pass it,
+        and is raised only once the whole text parses, so a grammar error
+        wins.
         """
         if not isinstance(text, str):
             raise MonomialParseError(f"expected a string, got {shown(text)}", 0)
@@ -148,9 +154,14 @@ class Monomial:
             return ONE
         if _MONOMIAL.fullmatch(text) is None:
             _refuse(text)
-        acc: dict[str, int] = {}
+        terms = text.split("*")
+        if "^" not in text:
+            acc = dict.fromkeys(terms, 1)
+            if len(acc) == len(terms):
+                return Monomial._trusted(acc)
+        acc = {}
         over = None  # the first variable whose sum passes the cap
-        for term in text.split("*"):
+        for term in terms:
             name, _, exp = term.partition("^")
             acc[name] = total = acc.get(name, 0) + (int(exp) if exp else 1)
             if over is None and total >= _EXPONENT_BOUND:

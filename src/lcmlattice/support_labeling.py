@@ -134,9 +134,12 @@ def check_weak_interval_criterion(lat: AtomicLattice) -> IntervalCriterionReport
     Sufficient, not necessary: when it holds, the support labeling is a weak
     coordinatization.  N([a_r v a_k, top]) is read from the atom-pair table
     of :func:`_pair_sizes`, so no join is taken per candidate.  N([p, top])
-    and the atoms outside p are found only at elements with a joining pair,
-    and each chosen atom a_r is tested once per element (its result does
-    not depend on the pair it came from).  Each element's witness is built
+    is read there too, at any joining pair {a_i, a_j} of p: an element
+    contains both a_i and a_j exactly when it contains their join, which is
+    p, so the elements above p are the ones the pair's entry counts.  The
+    atoms outside p are found only at elements with a joining pair, and
+    each chosen atom a_r is tested once per element (its result does not
+    depend on the pair it came from).  Each element's witness is built
     once, for the candidate kept: the first that works, or else the last one
     tried, through :func:`_witness`.
     """
@@ -152,7 +155,7 @@ def check_weak_interval_criterion(lat: AtomicLattice) -> IntervalCriterionReport
             witnesses.append(_witness(atoms_of(p), False))
             continue
         outside = [a for a in atoms if not a & p]
-        n_p = lat._above(p).bit_count()
+        n_p = n_pair[pairs[0]]
         first_bad: dict[int, Optional[int]] = {}  # chosen atom -> first outside atom defeating it
         for pr, r in ((pr, r) for pr in pairs for r in (pr & -pr, pr & (pr - 1))):
             if r not in first_bad:

@@ -43,6 +43,7 @@ from lcmlattice import (
     Labeling,
     Monomial,
     MonomialParseError,
+    NotAnElementError,
     ONE,
     ValidationError,
     atom_generator,
@@ -360,6 +361,48 @@ def joining_pairs_oracle(lat: AtomicLattice) -> dict[int, list[int]]:
     ``superatomic._joining_pairs``, which takes no join: one AND of two
     incidence rows per atom pair."""
     return {p: [pr for pr in _pairs_within(p) if lat.join_mask(pr) == p] for p in lat.sets}
+
+
+def bit_loop_atom_rows(lat: AtomicLattice) -> list[int]:
+    """The incidence table one (element, atom) incidence at a time: bit i of
+    row ``a`` is set when the i-th element contains atom ``a + 1``.  The bit
+    loop ``AtomicLattice._atom_rows`` replaced with byte transposition, kept
+    as its oracle."""
+    rows = [0] * lat.n
+    for i, s in enumerate(lat.sets):
+        bit = 1 << i
+        while s:
+            low = s & -s
+            rows[low.bit_length() - 1] |= bit
+            s ^= low
+    return rows
+
+
+def loop_atoms_of(mask: int) -> tuple[int, ...]:
+    """The 1-based atom indices of a mask, one set bit at a time, and the
+    refusal of a negative int: the loop :func:`atoms_of` replaced with byte
+    tables, kept as its oracle."""
+    if mask < 0:
+        raise NotAnElementError(f"{shown(mask)} is not a set of atoms")
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return tuple(out)
+
+
+_ATOM_NAME = re.compile(r"a([1-9][0-9]*)")
+
+
+def regex_variable_key(name: str):
+    """The render key by a regex for ``a<k>`` names: the one
+    ``monomial._variable_key`` replaced with string tests, kept as its
+    oracle."""
+    m = _ATOM_NAME.fullmatch(name)
+    if m:
+        return (0, int(m.group(1)), name)
+    return (1, 0, name)
 
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -887,6 +930,7 @@ def parse_texts(seed: int, count: int) -> list:
     cap = "9" * MAX_EXPONENT_DIGITS
     texts = ["1", "x*", "**", "*x", "x^", "x^0", "x^01", "x^1^2", "x y", " x", "x ", "é", "x*é", "x^\u0663"]
     texts += [5, None, "", "1*x", "x*1", "x\n", f"x^{cap}", f"x^1{cap}", f"x*y^{cap}0", f"x^{cap}*x"]
+    texts += ["a*b*a", "x*x", "a10*a2"]
     for first, second in (("x", "y"), ("y", "x")):
         texts += [f"{first}^{cap}*{second}^{cap}*{first}^{cap}*{second}^{cap}", f"{first}^{cap}*{first}^{cap}*!"]
     exponents = [1, 1, 2, 10, 99, int(cap)]
@@ -940,6 +984,34 @@ FILTER_SIZE_CORPORA = {
     "flat with n <= 12": lambda: up_to(flat_lattice, 12),
     "200 random lattices with n <= 7": lambda: seeded_random_lattices(200, seed=11),
 }
+
+
+def random_wide_families(seed: int) -> list[AtomicLattice]:
+    """Closed families of a few random subsets on 9 to 64 atoms, so their
+    masks span one to eight bytes."""
+    rng = random.Random(seed)
+    return [random_lattice(rng, n, rng.randint(3, 6)) for n in (9, 12, 16, 17, 24, 31, 40, 48, 57, 63, 64)]
+
+
+ATOM_ROW_CORPORA = {
+    "every lattice with n <= 4": small_lattices,
+    "Boolean with n <= 14": lambda: up_to(boolean_lattice, 14),
+    "flat on byte boundaries": lambda: [flat_lattice(n) for n in (7, 8, 9, 15, 16, 17, 63, 64)],
+    "wide lattices": wide_lattices,
+    "200 random lattices with n <= 7": lambda: seeded_random_lattices(200, seed=34),
+    "random families on 9 to 64 atoms": lambda: random_wide_families(35),
+}
+
+
+def atom_masks(seed: int) -> list[int]:
+    """Every mask below 2^16, 3,000 seeded masks of up to 200 bits, and
+    negative ints, which are refused."""
+    rng = random.Random(seed)
+    wide = [rng.getrandbits(rng.randint(17, 200)) | 1 << 16 for _ in range(3000)]
+    return [*range(1 << 16), *wide, -1, -2, -(1 << 70)]
+
+
+VARIABLE_NAMES = ["a", "a0", "a01", "a1", "a10", "A1", "a_1", "a1b", "_a1", "b1", "a2", "a99", "x", "Z9"]
 
 # Each corpus with the kinds of witness it gives: (satisfied, without a
 # joining pair).  On a flat lattice only the top needs one, and with no atom

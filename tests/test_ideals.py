@@ -323,7 +323,6 @@ def test_generator_builders_never_reach_the_name_regex(rng, monkeypatch):
         match = fullmatch
 
     monkeypatch.setattr(monomial, "_IDENT", Refuse())
-    monkeypatch.setattr(monomial, "_ATOM_NAME", Refuse())
     assert ideal_from_labeling(lat, lab).generators == plain
     assert weak_ideal(lat, lab).generators == weak
     assert tuple(weak_generator(lat, lab, a) for a in lat.atoms) == weak
@@ -573,6 +572,17 @@ def test_malformed_generators_and_assignments_are_package_errors(make, text):
     it, not as the ``TypeError`` or ``ValueError`` of reading it."""
     with pytest.raises(PreconditionError, match=f"^{re.escape(text)}$"):
         make(boolean_lattice(2))
+
+
+@pytest.mark.parametrize("build", [MonomialIdeal, lcm_lattice, LcmLattice], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("text", ["ab", "xy", "a*b", "x" * 500])
+def test_a_string_is_not_a_generator_list(build, text):
+    """A string is refused as a whole, echoed through ``shown``: it is not
+    read as one-character monomials, so ``"ab"`` is not the ideal (a, b).
+    A list holding the string is the ideal it names."""
+    with pytest.raises(PreconditionError, match=f"^{re.escape(_NOT_GENERATORS + shown(text))}$"):
+        build(text)
+    assert MonomialIdeal(["ab"]).generators == (Monomial.parse("ab"),)
 
 
 def _lcm_lattice_answers(gens: tuple[Monomial, ...]) -> tuple:

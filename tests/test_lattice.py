@@ -38,8 +38,11 @@ from lcmlattice.errors import ECHO_LIMIT, shown
 from lcmlattice.lattice import MAX_JOINING_ATOMS, _canon_key, _set_str, bits_of
 
 from conftest import (
+    ATOM_ROW_CORPORA,
     Raised,
     assert_matches_oracle,
+    atom_masks,
+    bit_loop_atom_rows,
     boolean_lattice,
     brute_force_isomorphic,
     cubic_covers,
@@ -48,6 +51,7 @@ from conftest import (
     join_oracle,
     late_refusals,
     lattices_with,
+    loop_atoms_of,
     meet_irreducibles_oracle,
     order_lattices,
     outcome,
@@ -74,6 +78,22 @@ def test_mask_atom_roundtrip():
         mask_of([0])
     with pytest.raises(FormatError):
         mask_of([3], n=2)
+
+
+def test_atoms_of_matches_the_loop():
+    """The byte tables give the loop's atoms for every mask below 2^16 and
+    for seeded masks of up to 200 bits, and a negative int is still refused
+    first."""
+    assert_matches_oracle(atoms_of, loop_atoms_of, [(mask,) for mask in atom_masks(36)], {"NotAnElementError": 3})
+
+
+@pytest.mark.parametrize("corpus", ATOM_ROW_CORPORA)
+def test_atom_rows_match_the_bit_loop(corpus):
+    """The byte transposition builds the bit loop's incidence table, on
+    every byte boundary of the atoms and past Python's 4,300-digit limit
+    (B14 has 16,384-bit rows)."""
+    cases = [(lat,) for lat in ATOM_ROW_CORPORA[corpus]()]
+    assert_matches_oracle(lambda lat: lat._atom_rows(), bit_loop_atom_rows, cases)
 
 
 class TestValidation:

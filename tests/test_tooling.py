@@ -496,6 +496,18 @@ def test_lattice_module_names_no_pair_scan():
     assert "combinations" not in names | imported
 
 
+def test_generator_path_kernels_loop_in_c():
+    """The weak criterion reads N([p, top]) off the atom-pair table, so it
+    names no ``_above``; the incidence table and ``atoms_of`` are built by
+    byte operations that run in C, so neither holds a ``while`` loop over
+    bits."""
+    assert "_above" not in _names_used(lcmlattice.check_weak_interval_criterion.__code__)
+    tree = ast.parse((PACKAGE / "lattice.py").read_text())
+    kernels = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    for name in ("_atom_rows", "atoms_of"):
+        assert not any(isinstance(node, ast.While) for node in ast.walk(kernels[name])), name
+
+
 def test_overlap_check_names_no_pair_scan():
     """The overlap check walks, for each labeled element, only the later
     elements whose labels share a variable with its own, read off the
