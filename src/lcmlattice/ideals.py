@@ -45,8 +45,8 @@ from .errors import (
     shown,
 )
 from .lattice import (
-    MAX_ATOMS, AtomicLattice, _canonical, _element_str, _irreducible_members, _json_text, _parse_json, _set_str,
-    atoms_of, bits_of, mask_of,
+    MAX_ATOMS, AtomicLattice, _canonical, _element_str, _json_text, _meet_closure, _parse_json, _set_str, atoms_of,
+    bits_of, mask_of,
 )
 from .monomial import ONE, Monomial, _check_exponent_digits, gcd_all, lcm_all
 
@@ -83,11 +83,15 @@ def _as_monomial(value: object) -> Monomial:
 
 def _iterated(values: object, expected: str) -> Iterator:
     """An iterator over caller-given ``values``; a value that is not
-    iterable is a :class:`PreconditionError` saying what was ``expected``."""
-    try:
-        return iter(values)
-    except TypeError:
-        raise PreconditionError(f"{expected}, got {shown(values)}") from None
+    iterable, or a string, is a :class:`PreconditionError` saying what was
+    ``expected``.  A string is not a container here: read character by
+    character it would name one-character monomials, pairs or names."""
+    if not isinstance(values, str):
+        try:
+            return iter(values)
+        except TypeError:
+            pass
+    raise PreconditionError(f"{expected}, got {shown(values)}")
 
 
 def _pairs(assignments: object, key: str) -> Iterator[tuple[object, object]]:
@@ -252,10 +256,7 @@ class MonomialIdeal:
 
     def __init__(self, generators: Iterable[Monomial]):
         """A string is refused, not read as its one-character monomials."""
-        expected = "generators must be an iterable of monomials"
-        if isinstance(generators, str):
-            raise PreconditionError(f"{expected}, got {shown(generators)}")
-        self.generators = tuple(map(_as_monomial, _iterated(generators, expected)))
+        self.generators = tuple(map(_as_monomial, _iterated(generators, "generators must be an iterable of monomials")))
         self._levels = None
         self._minimal = None
 
@@ -627,18 +628,18 @@ class LcmLattice:
         Each minimal generator is an atom, so more than ``MAX_ATOMS`` of them
         are refused with a :class:`CapExceededError` before any closure.  The
         closure only grows, one support at a time, so the build stops the
-        moment it holds one support more than ``MAX_LCM_ELEMENTS``, and the
-        error names that count.  ``k`` generators give at most ``2^k``
-        elements, so up to 20 generators always build.
+        moment it finds one support more than ``MAX_LCM_ELEMENTS``, and the
+        error names that count, the cap plus one.  ``k`` generators give at
+        most ``2^k`` elements, so up to 20 generators always build.
 
         The cuts (the empty set and the level masks) are closed in by
-        decreasing size through :func:`_irreducible_members
-        <lcmlattice.lattice._irreducible_members>`, which skips a cut already
-        in the closure; its docstring proves that the kept cuts are exactly
-        the meet-irreducibles of the lcm-lattice below the top, so one pass
-        runs per meet-irreducible, plus one lookup per cut.  The closure is
-        the same set in any order, so the cap refuses the same ideals, at
-        the same count.
+        decreasing size through :func:`~lcmlattice.lattice._meet_closure`,
+        the closure validation runs too, with the cap as its limit and no
+        budget.  It skips a cut already in the closure, and its docstring
+        proves that the kept cuts are exactly the meet-irreducibles of the
+        lcm-lattice below the top, so one pass runs per meet-irreducible,
+        plus one lookup per cut.  The closure is the same set in any order,
+        so the cap refuses the same ideals, at the same count.
 
         The abstract lattice wraps the supports unchecked: they are
         intersection-closed and hold {} and the full set (see the class
@@ -652,19 +653,12 @@ class LcmLattice:
         n = len(gens)
         if n > MAX_ATOMS:
             raise CapExceededError(f"{n} minimal generators exceed the supported maximum {MAX_ATOMS} atoms")
-        top = (1 << n) - 1
-        closed = {top}
-        kept = []
         cuts = sorted(_level_masks(ideal._level_table()), key=int.bit_count, reverse=True)
-        for cut in _irreducible_members(cuts, closed):
-            kept.append(cut)
-            for s in tuple(closed):
-                closed.add(s & cut)
-                if len(closed) > MAX_LCM_ELEMENTS:
-                    raise CapExceededError(f"lcm-lattice reached {len(closed)} elements, over the cap {MAX_LCM_ELEMENTS}")
+        closure = _meet_closure(cuts, (1 << n) - 1, MAX_LCM_ELEMENTS)
+        if closure is None:
+            raise CapExceededError(f"lcm-lattice reached {MAX_LCM_ELEMENTS + 1} elements, over the cap {MAX_LCM_ELEMENTS}")
         self.generators = gens
-        mi = (*_canonical(kept), top)
-        self._abstract = AtomicLattice._trusted(n, _canonical(closed), mi)
+        self._abstract = AtomicLattice._trusted(n, _canonical(closure[0]), closure[1])
 
     @property
     def monomials(self) -> tuple[Monomial, ...]:

@@ -25,34 +25,38 @@ no m-entry dict.  The table holds, for atom ``a``, an m-bit int with bit
 ``i`` set when the i-th element (in canonical order) contains ``a``.  The
 AND of the rows of a mask's atoms is the set of elements above the mask.
 Every lattice builds the table on first use, too: its first join miss,
-``filter``, plain generator ``x(p)``, joining-pair table in
-``superatomic``, interval count in ``support_labeling``, or closure walk.
-It is built by byte transposition, in C-level passes over the packed
-elements (see :meth:`AtomicLattice._atom_rows`).
+``filter``, plain generator ``x(p)``, atom-pair table in ``superatomic``,
+or closure walk.  It is built by byte transposition, in C-level passes over
+the packed elements (see :meth:`AtomicLattice._atom_rows`).
 A join that is not already an element (the cache and the membership test
 come first) takes |mask| ANDs and the lowest set bit; ``filter``, the plain
-generators of :mod:`lcmlattice.ideals`, the joining pairs of
-:mod:`lcmlattice.superatomic` (the lowest set bit of the AND of two rows,
-with no join) and the interval counts of ``support_labeling`` (its
-popcount) read the same table.
+generators of :mod:`lcmlattice.ideals` and the atom-pair table of
+:mod:`lcmlattice.superatomic` read the same table.  That table takes one
+AND of two rows per atom pair, with no join: its lowest set bit is the
+pair's join and its popcount N([a v b, top]), and the super-atomic test
+and both interval criteria of ``support_labeling`` read it.
 
-The validating constructor closes the family from the top down: it walks
-the members by decreasing size, skips a member the running closure already
-holds, and checks that every intersection a kept member adds is a member.
-A valid family costs O(|MI|·m) intersections of masks for m elements and
+The validating constructor closes the family from the top down with
+:func:`_meet_closure`, the closure the lcm-lattice build runs on its cuts:
+it walks the members by decreasing size, skips a member the running
+closure already holds, and intersects every other one with the closure.
+The closure holds every member, so it has at most m sets, for m members,
+exactly when it is the family, that is, when the family is closed; it
+stops at m + 1.  A valid family costs O(|MI|·m) intersections of masks for
 |MI| meet-irreducibles, builds no table, and its kept members, with the
-top, are its meet-irreducibles.  A family that misses a required set, fails
-a check, or would cost more than twice the closure walk's AND count goes to
-that walk, which decides from the table in O(m·n) ANDs on m-bit ints for n
-atoms and names one pair of members with a missing intersection at each
-step where it fails, at most m·n pairs, not every such pair.
+top, are its meet-irreducibles.  A family that misses a required set,
+outgrows itself, or would cost more than twice the closure walk's AND
+count goes to that walk, which decides from the table in O(m·n) ANDs on
+m-bit ints for n atoms and names one pair of members with a missing
+intersection at each step where it fails, at most m·n pairs, not every
+such pair.  The walk, not the closure, finds the pairs a refusal names.
 
 The cover queries are answered from joins alone: ``upper_covers(p)`` takes
 the n − |p| joins of p with the atoms outside it, and ``covers`` O(m·n)
 joins; neither is cached.  The meet-irreducibles are one tuple per lattice,
 handed over by its constructor: the validating constructor's closure keeps
-them (or its walk records them), the lcm-lattice build keeps them as its
-cuts, walked the same way, and ``relabel`` permutes its source's.  A
+them (or its walk records them), the lcm-lattice build keeps them from the
+same closure of its cuts, and ``relabel`` permutes its source's.  A
 lattice built without one, an enumerated lattice, decides them as the
 validating constructor does on its first ``meet_irreducibles`` call and
 keeps them.
@@ -168,40 +172,61 @@ def _canonical(masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(sorted(masks), key=int.bit_count))
 
 
-# AtomicLattice._top_down_closure stops after this many intersections per
-# AND of the closure walk (m·n for m members on n atoms) and leaves the
-# family to the walk.  Its closure costs about |MI|·m intersections, which
-# passes m·n on families with many meet-irreducibles (all subsets of at most
-# 5 of 14 atoms and the full set: 2,003 among 3,474 members); with the cap
-# no family costs more than the walk and twice its AND count.
+# Validation stops its meet-closure after this many intersections per AND of
+# the closure walk (m·n for m members on n atoms) and leaves the family to
+# the walk.  The closure costs about |MI|·m intersections, which passes m·n
+# on families with many meet-irreducibles (all subsets of at most 5 of 14
+# atoms and the full set: 2,003 among 3,474 members); with the cap no family
+# costs more than the walk and twice its AND count.
 _CLOSURE_BUDGET = 2
 
 
-def _irreducible_members(members: Iterable[int], closed: set[int]) -> Iterator[int]:
-    """Yield each of ``members``, which come by decreasing size, that
-    ``closed`` does not hold when it is reached.  ``closed`` starts as the
-    full set alone, and before taking the next member the caller adds
-    ``s & c`` to it for every ``s`` in it and the member ``c`` just yielded.
-    ``closed`` then ends as the intersection-closure L of the members and
-    the full set, and the members yielded are exactly the meet-irreducibles
-    of L below the top, each once.
+def _meet_closure(
+    members: Iterable[int], top: int, limit: int, budget: float = float("inf")
+) -> Optional[tuple[set[int], tuple[int, ...]]]:
+    """``(closed, mi)``: the intersection-closure L of ``members`` and the
+    full set ``top``, and its meet-irreducibles in canonical order, the top
+    last.  None the moment a set would make ``closed`` hold ``limit + 1``,
+    or once the next pass would take it past ``budget`` intersections.
+    Validation (``limit`` the family's size) and the lcm-lattice build
+    (``limit`` its cap) both close their members here.
+
+    ``members`` come by decreasing size.  ``closed`` starts as ``{top}``; a
+    member it already holds is skipped, and any other member ``c`` is kept
+    and closed in, one pass adding ``s & c`` for every ``s`` in ``closed``,
+    one set at a time, so the limit is checked at every add.  The kept
+    members, with the top, are ``mi``.
 
     When a member ``c`` is reached, ``closed`` holds every intersection of
-    the members yielded before it and is intersection-closed, and it holds
-    every member reached before (one not yielded was in it).  So if ``c``
-    is in ``closed``, ``s & c`` is in it for every ``s``: a pass would add
+    the members kept before it and is intersection-closed, and it holds
+    every member reached before (one not kept was in it).  So if ``c`` is
+    in ``closed``, ``s & c`` is in it for every ``s``: a pass would add
     nothing.  No other member of ``c``'s size contains ``c``, and every
     member strictly containing it came before, so ``c`` is in ``closed``
     exactly when it is the intersection of the members strictly containing
     it, that is, when it is not meet-irreducible in L (each element of L
-    strictly above ``c`` is an intersection of such members).  Every
-    element of L is an intersection of members, so a meet-irreducible below
-    the top is a member.  The closure is the same set in any order of the
-    yielded members.
+    strictly above ``c`` is an intersection of such members).  Every element
+    of L is an intersection of members, so a meet-irreducible below the top
+    is a member, and each is kept once.  The closure is the same set in any
+    order of the kept members.  O(|MI|·|L|) intersections of masks, and no
+    incidence table.
     """
+    closed = {top}
+    kept = []
     for c in members:
-        if c not in closed:
-            yield c
+        if c in closed:
+            continue
+        budget -= len(closed)
+        if budget < 0:
+            return None
+        kept.append(c)
+        for s in tuple(closed):
+            s &= c
+            if s not in closed:
+                if len(closed) == limit:
+                    return None
+                closed.add(s)
+    return closed, (*_canonical(kept), top)
 
 
 def _set_str(mask: int) -> str:
@@ -235,7 +260,7 @@ class AtomicLattice:
 
     Construct with :meth:`from_sets` (iterables of 1-based indices) or pass
     bitmasks directly.  Construction validates the axioms, closing the
-    family from the top down (:meth:`_top_down_closure`), and otherwise
+    family from the top down (:func:`_meet_closure`), and otherwise
     decides with the closure walk (:meth:`_closure_walk`), which raises
     :class:`ValidationError` carrying every missing required set and the
     non-closed pairs it finds, at least one when the family is not closed
@@ -262,8 +287,12 @@ class AtomicLattice:
         seen.update((0, top))  # the walk needs both; a missing one stays reported
         self._fill(n, _canonical(seen))
         if not missing:
-            self._mi = self._top_down_closure(seen)
-            if self._mi is not None:
+            # The closure holds every member, so it has no more sets than the
+            # family exactly when it is the family, that is, when it is closed.
+            size = len(self.sets)
+            closure = _meet_closure(reversed(self.sets), top, size, _CLOSURE_BUDGET * size * n)
+            if closure:
+                self._mi = closure[1]
                 return
         pairs, self._mi = self._closure_walk()
         non_closed = [(self.sets[i], self.sets[j]) for i, j in sorted(set(pairs))]
@@ -281,40 +310,11 @@ class AtomicLattice:
                 non_closed_pairs=[(atoms_of(a), atoms_of(b)) for a, b in non_closed],
             )
 
-    def _top_down_closure(self, members: set[int]) -> Optional[tuple[int, ...]]:
-        """The meet-irreducibles in canonical order if the family, whose
-        members are ``members``, is closed under intersection and the
-        closure costs at most ``_CLOSURE_BUDGET`` intersections per AND of
-        :meth:`_closure_walk`; else None, and the walk decides.
-
-        The family holds the full set.  Walk it with
-        :func:`_irreducible_members`, in decreasing canonical order.  If
-        every intersection the walk adds is a member, the closure it ends
-        with lies inside the family and holds every member, so it is the
-        family, which is then closed, and the members the walk keeps, with
-        the top, are its meet-irreducibles.  Otherwise some intersection of
-        members is not one.  O(|MI|·m) intersections and membership tests of
-        masks, and no incidence table.
-        """
-        budget = _CLOSURE_BUDGET * len(self.sets) * self.n
-        closed = {self.top}
-        kept = []
-        for c in _irreducible_members(reversed(self.sets), closed):
-            budget -= len(closed)
-            if budget < 0:
-                return None
-            new = {s & c for s in closed}
-            if not new <= members:
-                return None
-            closed |= new
-            kept.append(c)
-        return (*reversed(kept), self.top)
-
     def _closure_walk(self) -> tuple[list[tuple[int, int]], Optional[tuple[int, ...]]]:
         """``(pairs, mi)``: the fallback decision of the validating
         constructor, and its explanation of a refusal.  It runs where
-        :meth:`_top_down_closure` does not answer: on a family missing a
-        required set, failing a membership test, or over the budget.
+        :func:`_meet_closure` does not answer: on a family missing a
+        required set, whose closure outgrows it, or over the budget.
 
         ``pairs`` holds positions ``(i, j)``, i < j, of members whose
         intersection is not a member: one pair for each (r, a) below that
@@ -337,8 +337,9 @@ class AtomicLattice:
         up(s) == up(r | a); as s contains r | a, up(s) lies inside up(r | a),
         and it is enough that both have equally many members.  The walk goes
         from the top down, so the count of up(s), which comes after r, is
-        known when r is reached.  (up(r) is :meth:`_above` inlined: this loop
-        runs on every validated lattice, most of them small.)
+        known when r is reached.  (up(r) is :meth:`_above` inlined: the same
+        pass over the rows collects the rows of the atoms outside r, and
+        calling :meth:`_above` measured slower.)
 
         When the test fails, some member t of up(r | a) does not contain s;
         the first one is the lowest bit of up(r | a) & ~up(s), and it comes
@@ -549,11 +550,13 @@ class AtomicLattice:
 
         The tuple its constructor handed over (see the module docstring), or,
         on a lattice built without one, the one the validating constructor
-        would find, :meth:`_top_down_closure` or, over its budget,
+        would find, :func:`_meet_closure` or, over its budget,
         :meth:`_closure_walk`, on the first call, kept for the next.
         """
         if self._mi is None:
-            self._mi = self._top_down_closure(set(self.sets)) or self._closure_walk()[1]
+            size = len(self.sets)
+            closure = _meet_closure(reversed(self.sets), self.top, size, _CLOSURE_BUDGET * size * self.n)
+            self._mi = closure[1] if closure else self._closure_walk()[1]
         return self._mi
 
     # -- atom subsets joining to an element --------------------------------

@@ -54,28 +54,34 @@ def _pairs_within(mask: int) -> list[int]:
     return [a | b for a, b in combinations(bits, 2)]
 
 
-def _joining_pairs(lat: AtomicLattice) -> dict[int, list[int]]:
-    """Each element's atom pairs whose join is that element, as masks.
+def _atom_pairs(lat: AtomicLattice) -> tuple[dict[int, list[int]], dict[int, int]]:
+    """``(joining, sizes)``: each element's atom pairs whose join is that
+    element, as masks, and N([a v b, top]) for every atom pair {a, b}
+    (a = b included), keyed by ``a | b``.
 
     No join is taken: the elements above atoms a and b are the AND of their
-    two rows of the incidence table, and the join is the first of them in
-    canonical order, its lowest set bit.  So C(n, 2) ANDs in all.  A pair
-    joining to p lies inside p, so walking the atom pairs in
-    ``_pairs_within`` order lists each element's pairs in the order
-    ``_pairs_within(p)`` gives.
+    two rows of the incidence table, so the join is the first of them in
+    canonical order, its lowest set bit, and N([a v b, top]) is its
+    popcount.  The a = b entries are the popcounts of the rows.  So C(n, 2)
+    ANDs in all.  A pair joining to p lies inside p, so walking the atom
+    pairs in ``_pairs_within`` order lists each element's pairs in the order
+    ``_pairs_within(p)`` gives.  The super-atomic test and both interval
+    criteria of :mod:`lcmlattice.support_labeling` read this one table.
     """
-    pairs: dict[int, list[int]] = {p: [] for p in lat.sets}
     sets, rows = lat.sets, lat._atom_rows()
+    joining: dict[int, list[int]] = {p: [] for p in sets}
+    sizes = {1 << i: row.bit_count() for i, row in enumerate(rows)}
     for (i, a), (j, b) in combinations(enumerate(lat.atoms), 2):
         up = rows[i] & rows[j]
-        pairs[sets[(up & -up).bit_length() - 1]].append(a | b)
-    return pairs
+        joining[sets[(up & -up).bit_length() - 1]].append(a | b)
+        sizes[a | b] = up.bit_count()
+    return joining, sizes
 
 
-def _super_atomic_joining_pairs(lat: AtomicLattice) -> Optional[dict[int, list[int]]]:
-    """:func:`_joining_pairs` when the lattice is super-atomic, else None:
-    the definition, decided per element in C(n, 2) ANDs of two incidence
-    rows and O(m) joins.
+def _super_atomic_joining_pairs(lat: AtomicLattice) -> Optional[tuple[dict[int, list[int]], dict[int, int]]]:
+    """The :func:`_atom_pairs` table when the lattice is super-atomic, else
+    None: the definition, decided per element in C(n, 2) ANDs of two
+    incidence rows and O(m) joins.
 
     An element p of two or more atoms passes when exactly one pair {a, b} of
     its atoms joins to p and neither supp(p) - {a} nor supp(p) - {b} does.
@@ -85,14 +91,13 @@ def _super_atomic_joining_pairs(lat: AtomicLattice) -> Optional[dict[int, list[i
     contains a and b, and some joining set misses a exactly when the largest
     set missing a, supp(p) - {a}, joins to p.
     """
-    joining = _joining_pairs(lat)
-    for p in lat.sets:
+    table = _atom_pairs(lat)
+    for p, pairs in table[0].items():
         if p.bit_count() < 2:
             continue
-        pairs = joining[p]
         if len(pairs) != 1 or any(lat.join_mask(p ^ b) == p for b in bits_of(pairs[0])):
             return None
-    return joining
+    return table
 
 
 def is_super_atomic(lat: AtomicLattice) -> bool:
@@ -315,15 +320,15 @@ def check_superatomic_structure(lat: AtomicLattice) -> bool:
 
     (1) the members of an element S of size >= 2 whose removal stays in the
     family are exactly the atoms of its generating pair, the one pair
-    joining to S (``joining[S][0]`` of
+    joining to S (the joining pairs of
     :func:`_super_atomic_joining_pairs`); (2) for incomparable elements,
     neither one contains the other's generating pair.  Raises if the
     lattice is not super-atomic; returns the verdict of the two checks.
     """
-    joining = _super_atomic_joining_pairs(lat)
-    if joining is None:
+    table = _super_atomic_joining_pairs(lat)
+    if table is None:
         raise PreconditionError("lattice is not super-atomic")
-    generating_pair = {S: pairs[0] for S, pairs in joining.items() if S.bit_count() >= 2}
+    generating_pair = {S: pairs[0] for S, pairs in table[0].items() if S.bit_count() >= 2}
     for S, pr in generating_pair.items():
         if sum(b for b in bits_of(S) if (S ^ b) in lat) != pr:  # the removable atoms, as a mask
             return False

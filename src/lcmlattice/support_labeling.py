@@ -26,10 +26,10 @@ from typing import Optional
 
 from .classify import _extends_to_isomorphism, is_strong_coordinatization
 from .errors import PreconditionError, shown
-from .ideals import Labeling, _refine, ideal_from_labeling
+from .ideals import Labeling, _iterated, _refine, ideal_from_labeling
 from .lattice import AtomicLattice, _set_str, atoms_of, bits_of
 from .monomial import Monomial
-from .superatomic import _joining_pairs, _super_atomic_joining_pairs, cover_witness, is_super_atomic
+from .superatomic import _atom_pairs, _super_atomic_joining_pairs, cover_witness, is_super_atomic
 
 __all__ = [
     "support_labeling",
@@ -51,10 +51,7 @@ def support_labeling(lat: AtomicLattice, atom_names: Optional[list[str]] = None)
     if atom_names is None:
         names = [f"a{i}" for i in range(1, lat.n + 1)]
     else:
-        try:
-            names = list(atom_names)
-        except TypeError:
-            raise PreconditionError(f"atom names must be an iterable of strings, got {shown(atom_names)}") from None
+        names = list(_iterated(atom_names, "atom names must be an iterable of strings"))
         for name in names:
             if not isinstance(name, str):
                 raise PreconditionError(f"atom names must be strings, got {shown(name)}")
@@ -65,18 +62,6 @@ def support_labeling(lat: AtomicLattice, atom_names: Optional[list[str]] = None)
         lat,
         ((p, Monomial((by_bit[b], 1) for b in bits_of(p))) for p in lat.sets if p != 0),
     )
-
-
-def _pair_sizes(lat: AtomicLattice) -> dict[int, int]:
-    """N([a v b, top]) for every atom pair {a, b} (a = b included), keyed by
-    ``a | b``.  The elements above a join are those above its atoms, so each
-    entry is the popcount of ``rows[i] & rows[j]``, the AND of the two atoms'
-    rows of the incidence table: n(n + 1)/2 entries, one AND each and no
-    join.  Both interval criteria read N([q, top]) only at such joins."""
-    rows = lat._atom_rows()
-    return {
-        1 << i | 1 << j: (row & rows[j]).bit_count() for i, row in enumerate(rows) for j in range(i, len(rows))
-    }
 
 
 @dataclass(frozen=True)
@@ -132,9 +117,10 @@ def check_weak_interval_criterion(lat: AtomicLattice) -> IntervalCriterionReport
     """Evaluate the weak criterion, reporting per-element evidence.
 
     Sufficient, not necessary: when it holds, the support labeling is a weak
-    coordinatization.  N([a_r v a_k, top]) is read from the atom-pair table
-    of :func:`_pair_sizes`, so no join is taken per candidate.  N([p, top])
-    is read there too, at any joining pair {a_i, a_j} of p: an element
+    coordinatization.  The joining pairs and N([a_r v a_k, top]) are read
+    from the one atom-pair table of :func:`~lcmlattice.superatomic._atom_pairs`,
+    so no join is taken per candidate.  N([p, top]) is read there too, at
+    any joining pair {a_i, a_j} of p: an element
     contains both a_i and a_j exactly when it contains their join, which is
     p, so the elements above p are the ones the pair's entry counts.  The
     atoms outside p are found only at elements with a joining pair, and
@@ -143,8 +129,7 @@ def check_weak_interval_criterion(lat: AtomicLattice) -> IntervalCriterionReport
     once, for the candidate kept: the first that works, or else the last one
     tried, through :func:`_witness`.
     """
-    n_pair = _pair_sizes(lat)
-    joining = _joining_pairs(lat)
+    joining, n_pair = _atom_pairs(lat)
     atoms = lat.atoms
     witnesses = []
     for p in lat.sets:
@@ -185,18 +170,19 @@ def check_strong_interval_criterion(lat: AtomicLattice) -> tuple[bool, Optional[
     equivalence itself is exercised by the test suite, not assumed here).
 
     N([a_r v a_k, top]) depends on the two atoms alone, so the atom-pair
-    table of :func:`_pair_sizes` holds every value the criterion reads, with
-    no join.  At each element p with generating pair {a_i, a_j}, the check
-    fails at the first a_r in p whose entry with a_k is below both
-    N([a_i v a_k, top]) and N([a_j v a_k, top]);
-    atoms are tried in increasing order, a_k outer, so the first witness is
-    the one the triple loop over p's atoms finds.  The joining pairs that
-    decide the super-atomic precondition give each generating pair.
+    table of :func:`~lcmlattice.superatomic._atom_pairs` holds every value
+    the criterion reads, with no join.  At each element p with generating
+    pair {a_i, a_j}, the check fails at the first a_r in p whose entry with
+    a_k is below both N([a_i v a_k, top]) and N([a_j v a_k, top]); atoms are
+    tried in increasing order, a_k outer, so the first witness is the one
+    the triple loop over p's atoms finds.  The same table decides the
+    super-atomic precondition and gives each generating pair, so it is
+    built once.
     """
-    joining = _super_atomic_joining_pairs(lat)
-    if joining is None:
+    table = _super_atomic_joining_pairs(lat)
+    if table is None:
         raise PreconditionError("lattice is not super-atomic")
-    n_pair = _pair_sizes(lat)
+    joining, n_pair = table
     for p in lat.sets:
         if p == 0 or p.bit_count() == 1:
             continue

@@ -357,9 +357,9 @@ def supp_scan_oracle(lat: AtomicLattice) -> bool:
 
 def joining_pairs_oracle(lat: AtomicLattice) -> dict[int, list[int]]:
     """Each element's atom pairs that join to it, found element by element
-    by joining every pair of its own atoms.  The oracle for
-    ``superatomic._joining_pairs``, which takes no join: one AND of two
-    incidence rows per atom pair."""
+    by joining every pair of its own atoms.  The oracle for the joining
+    pairs of ``superatomic._atom_pairs``, which takes no join: one AND of
+    two incidence rows per atom pair."""
     return {p: [pr for pr in _pairs_within(p) if lat.join_mask(pr) == p] for p in lat.sets}
 
 
@@ -454,8 +454,8 @@ def grammar_loop_parse(text: str) -> Monomial:
 
 
 def interval_count(lat: AtomicLattice, lo: int, hi: int) -> int:
-    """N([lo, hi]) by scanning every element: the oracle for
-    ``support_labeling._pair_sizes``."""
+    """N([lo, hi]) by scanning every element: the oracle for the interval
+    counts of ``superatomic._atom_pairs``."""
     return sum(1 for q in lat.sets if lo & ~q == 0 and q & ~hi == 0)
 
 

@@ -574,13 +574,33 @@ def test_malformed_generators_and_assignments_are_package_errors(make, text):
         make(boolean_lattice(2))
 
 
-@pytest.mark.parametrize("build", [MonomialIdeal, lcm_lattice, LcmLattice], ids=lambda f: f.__name__)
-@pytest.mark.parametrize("text", ["ab", "xy", "a*b", "x" * 500])
-def test_a_string_is_not_a_generator_list(build, text):
+_NOT_ASSIGNMENTS = "assignments must be a mapping or an iterable of ({}, monomial) pairs, got "
+
+
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        pytest.param(MonomialIdeal, _NOT_GENERATORS, id="MonomialIdeal"),
+        pytest.param(lcm_lattice, _NOT_GENERATORS, id="lcm_lattice"),
+        pytest.param(LcmLattice, _NOT_GENERATORS, id="LcmLattice"),
+        pytest.param(
+            lambda text: Labeling(boolean_lattice(2), text), _NOT_ASSIGNMENTS.format("element"), id="Labeling"
+        ),
+        pytest.param(
+            lambda text: Labeling.from_sets(boolean_lattice(2), text),
+            _NOT_ASSIGNMENTS.format("atom set"),
+            id="Labeling.from_sets",
+        ),
+    ],
+)
+@pytest.mark.parametrize("text", ["", "ab", "xy", "a*b", "x" * 500])
+def test_a_string_is_not_a_generator_list(build, expected, text):
     """A string is refused as a whole, echoed through ``shown``: it is not
-    read as one-character monomials, so ``"ab"`` is not the ideal (a, b).
-    A list holding the string is the ideal it names."""
-    with pytest.raises(PreconditionError, match=f"^{re.escape(_NOT_GENERATORS + shown(text))}$"):
+    read as one-character monomials, so ``"ab"`` is not the ideal (a, b),
+    nor as pairs, so ``""`` is not the empty labeling and ``"ab"`` is not
+    refused for its first character.  A list holding the string is the
+    ideal it names."""
+    with pytest.raises(PreconditionError, match=f"^{re.escape(expected + shown(text))}$"):
         build(text)
     assert MonomialIdeal(["ab"]).generators == (Monomial.parse("ab"),)
 

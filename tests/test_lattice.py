@@ -221,31 +221,34 @@ def test_a_family_with_many_meet_irreducibles_is_left_to_the_walk(monkeypatch):
 
 
 def test_a_late_missing_intersection_is_refused_as_the_pair_scan_does(monkeypatch):
-    """Families whose one missing intersection the top-down closure meets
-    only after keeping at least three members are refused with the pair
-    scan's text and payload, and the same lattices whole are accepted."""
-    irreducible_members = lattice_module._irreducible_members
-    yielded = []
+    """Families whose one missing intersection the meet-closure meets only
+    after reading at least three members are refused with the pair scan's
+    text and payload, and the same lattices whole are accepted."""
+    meet_closure = lattice_module._meet_closure
+    read = []
 
-    def counted(members, closed):
-        for c in irreducible_members(members, closed):
-            yielded.append(c)
-            yield c
+    def counted(members, *limits):
+        def reading():
+            for c in members:
+                read.append(c)
+                yield c
 
-    monkeypatch.setattr(lattice_module, "_irreducible_members", counted)
-    kept_before_refusal = []
+        return meet_closure(reading(), *limits)
+
+    monkeypatch.setattr(lattice_module, "_meet_closure", counted)
+    read_before_refusal = []
 
     def validated(n, masks):
-        yielded.clear()
+        read.clear()
         try:
             return AtomicLattice(n, masks).sets
         except ValidationError:
-            kept_before_refusal.append(len(yielded))
+            read_before_refusal.append(len(read))
             raise
 
     cases = list(late_refusals(31, 40))
     assert_matches_oracle(validated, pair_scan_validation, cases, reach={"ValidationError": 40})
-    assert len(kept_before_refusal) == 40 and min(kept_before_refusal) >= 3
+    assert len(read_before_refusal) == 40 and min(read_before_refusal) >= 3
 
 
 def test_validating_the_b16_an_lcm_lattice_prints_fits_the_budget():

@@ -23,7 +23,6 @@ from lcmlattice import (
 )
 
 from lcmlattice import fixtures, ideals, superatomic
-from lcmlattice.support_labeling import _pair_sizes
 
 from conftest import (
     FILTER_SIZE_CORPORA,
@@ -69,7 +68,7 @@ def test_pair_sizes_match_interval_count(corpus):
     """The atom-pair table of both interval criteria holds N([a v b, top])
     for every atom pair, a = b included, and nothing else."""
     assert_matches_oracle(
-        _pair_sizes,
+        lambda lat: superatomic._atom_pairs(lat)[1],
         lambda lat: {
             a | b: interval_count(lat, join_oracle(lat, a | b), lat.top) for a in lat.atoms for b in lat.atoms
         },
@@ -115,10 +114,13 @@ def test_support_labeling_refuses_a_name_that_is_not_a_string(names, message):
         support_labeling(AtomicLattice.from_sets(2, [[], [1], [2], [1, 2]]), names)
 
 
-@pytest.mark.parametrize("names, shown_as", [(5, "5"), (1.5, "1.5"), (object, "<class 'object'>")])
+@pytest.mark.parametrize(
+    "names, shown_as", [(5, "5"), (1.5, "1.5"), (object, "<class 'object'>"), ("xy", "'xy'"), ("", "''")]
+)
 def test_support_labeling_refuses_names_that_are_not_iterable(names, shown_as):
     """Names that cannot be listed are refused as a package error, not as
-    the ``TypeError`` of listing them."""
+    the ``TypeError`` of listing them, and so is a string, which is not
+    read as one name per character."""
     with pytest.raises(PreconditionError, match=f"^atom names must be an iterable of strings, got {shown_as}$"):
         support_labeling(AtomicLattice.from_sets(2, [[], [1], [2], [1, 2]]), names)
 
@@ -228,15 +230,22 @@ def test_weak_criterion_witnesses_are_plain_interval_witnesses(corpus):
 
 @pytest.mark.parametrize("make, n", [(boolean_lattice, 7), (flat_lattice, 12)], ids=["B7", "flat12"])
 def test_joining_pairs_and_the_weak_criterion_take_no_join(make, n, monkeypatch):
-    """The joining pairs, and so the weak criterion, read each atom pair's
-    join off the AND of two incidence rows, with no ``join_mask`` call."""
+    """The atom-pair table, and so the weak criterion, read each atom pair's
+    join off the AND of two incidence rows, with no ``join_mask`` call; the
+    criterion builds the table once."""
     lat = make(n)
     calls = []
+    tables = []
     join_mask = AtomicLattice.join_mask
+    atom_pairs = superatomic._atom_pairs
     monkeypatch.setattr(AtomicLattice, "join_mask", lambda self, mask: calls.append(mask) or join_mask(self, mask))
-    assert superatomic._joining_pairs(lat)
+    # The package re-exports the function ``support_labeling`` under its module's name.
+    monkeypatch.setattr(
+        sys.modules["lcmlattice.support_labeling"], "_atom_pairs", lambda lat: tables.append(lat) or atom_pairs(lat)
+    )
+    assert superatomic._atom_pairs(lat)[0]
     assert check_weak_interval_criterion(lat).witnesses
-    assert calls == []
+    assert calls == [] and tables == [lat]
     lat.join_mask(0b11)
     assert calls == [0b11]  # the counter is live
 
@@ -285,14 +294,14 @@ def test_strong_criterion_past_twenty_atoms(n):
 
 
 def test_strong_criterion_lists_the_joining_pairs_once(monkeypatch):
-    """The super-atomic precondition and the criterion read one table of
-    joining pairs, whether the lattice passes, fails the criterion or is
-    not super-atomic."""
+    """The super-atomic precondition and the criterion read one atom-pair
+    table, whether the lattice passes, fails the criterion or is not
+    super-atomic."""
     calls = []
-    joining_pairs = superatomic._joining_pairs
+    atom_pairs = superatomic._atom_pairs
     # The package re-exports the function ``support_labeling`` under its module's name.
     for module in (superatomic, sys.modules["lcmlattice.support_labeling"]):
-        monkeypatch.setattr(module, "_joining_pairs", lambda lat: calls.append(lat) or joining_pairs(lat))
+        monkeypatch.setattr(module, "_atom_pairs", lambda lat: calls.append(lat) or atom_pairs(lat))
     assert check_strong_interval_criterion(SUPER_EXAMPLE) == strong_interval_criterion_oracle(SUPER_EXAMPLE)
     assert check_strong_interval_criterion(STRONG_FAILS) == strong_interval_criterion_oracle(STRONG_FAILS)
     with pytest.raises(PreconditionError, match="^lattice is not super-atomic$"):

@@ -2,9 +2,11 @@
 
 import ast
 import importlib
+import inspect
 import io
 import re
 import sys
+import textwrap
 import tokenize
 import types
 from pathlib import Path
@@ -13,7 +15,7 @@ from typing import Optional
 import pytest
 
 import lcmlattice
-from lcmlattice import LcmLattice, MonomialIdeal, cli, errors, ideals, superatomic
+from lcmlattice import AtomicLattice, LcmLattice, MonomialIdeal, cli, errors, ideals, lattice, superatomic
 from lcmlattice.classify import _extends_to_isomorphism
 from lcmlattice.ideals import _refine
 
@@ -373,7 +375,7 @@ def test_supp_detector_stays_independent_of_the_literal_one():
     the lattice's incidence table, its element index nor the
     meet-irreducibles it holds."""
     names = _names_used(superatomic.is_super_atomic_via_supp.__code__)
-    literal = {"_joining_pairs", "_super_atomic_joining_pairs", "is_super_atomic"}
+    literal = {"_atom_pairs", "_super_atomic_joining_pairs", "is_super_atomic"}
     lattice = {"join_mask", "_above", "_atom_rows", "_rows", "_element_index", "_index", "_join_cache", "_mi"}
     assert names & (literal | lattice) == set()
 
@@ -447,12 +449,12 @@ def test_specific_map_decision_reads_meet_irreducibles_not_a_closure():
 
 def test_meet_irreducibles_have_one_algorithm_the_closure_walk():
     """A lattice answers with the tuple its constructor handed over, or the
-    one the validating constructor would find: the top-down closure, with
-    the closure walk over its budget.  It takes no join, builds no cover
+    one the validating constructor would find: the meet-closure, with the
+    closure walk over its budget.  It takes no join, builds no cover
     relation and asks for no element's upper covers, so a second algorithm
     cannot come back."""
     names = _names_used(lcmlattice.AtomicLattice.meet_irreducibles.__code__)
-    assert {"_top_down_closure", "_closure_walk"} <= names
+    assert {"_meet_closure", "_closure_walk"} <= names
     assert names & {"join_mask", "covers", "upper_covers", "_upper_covers_of"} == set()
 
 
@@ -460,9 +462,27 @@ def test_the_top_down_closure_reads_no_incidence_table():
     """The closure that validates most families and finds their
     meet-irreducibles works on masks alone: it reads no incidence row and
     takes no join, so the m-bit rows stay off the path of a valid family."""
-    names = _names_used(lcmlattice.AtomicLattice._top_down_closure.__code__)
-    assert "_irreducible_members" in names
+    names = _names_used(lattice._meet_closure.__code__)
     assert names & {"_atom_rows", "_rows", "_above", "join_mask"} == set()
+
+
+def test_each_lattice_kernel_is_written_once():
+    """Validation, the meet-irreducibles of an enumerated lattice and the
+    lcm-lattice build close their members through ``_meet_closure``, and the
+    build holds no closure loop of its own; the super-atomic test and both
+    interval criteria read the pairs of atoms through ``_atom_pairs``, and
+    neither criterion ANDs incidence rows itself.  The helpers each kernel
+    replaced are gone."""
+    for function in (AtomicLattice.__init__, AtomicLattice.meet_irreducibles, LcmLattice.__init__):
+        assert "_meet_closure" in _names_used(function.__code__), function.__qualname__
+    build = ast.parse(textwrap.dedent(inspect.getsource(LcmLattice.__init__)))
+    assert not any(isinstance(node, (ast.For, ast.comprehension)) for node in ast.walk(build))
+    assert "_atom_pairs" in _names_used(superatomic._super_atomic_joining_pairs.__code__)
+    for criterion in (lcmlattice.check_weak_interval_criterion, lcmlattice.check_strong_interval_criterion):
+        assert "_atom_rows" not in _names_used(criterion.__code__), criterion.__name__
+    assert not hasattr(lattice, "_irreducible_members")
+    assert not hasattr(superatomic, "_joining_pairs")
+    assert not hasattr(sys.modules["lcmlattice.support_labeling"], "_pair_sizes")
 
 
 def test_no_lattice_generator_sets_lattice_state():
