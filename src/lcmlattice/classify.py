@@ -158,7 +158,7 @@ def check_weak_conditions(lat: AtomicLattice, labeling: Labeling) -> tuple[bool,
         return False, unlabeled
 
     def shares(m: Monomial) -> int:
-        return reduce(int.__or__, (carriers[v] for v, _ in m._exps))
+        return reduce(int.__or__, map(carriers.__getitem__, m._exps))
 
     for p, mp in labeling.items():
         for q in lat._members(shares(mp) & -(2 << lat._element_index()[p])):  # the positions after p's own

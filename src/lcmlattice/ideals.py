@@ -83,10 +83,11 @@ def _as_monomial(value: object) -> Monomial:
 
 def _iterated(values: object, expected: str) -> Iterator:
     """An iterator over caller-given ``values``; a value that is not
-    iterable, or a string, is a :class:`PreconditionError` saying what was
-    ``expected``.  A string is not a container here: read character by
-    character it would name one-character monomials, pairs or names."""
-    if not isinstance(values, str):
+    iterable, or a string, ``bytes`` or ``bytearray``, is a
+    :class:`PreconditionError` saying what was ``expected``.  None of these
+    is a container here: a string read character by character would name
+    one-character monomials, pairs or names, and bytes would yield ints."""
+    if not isinstance(values, (str, bytes, bytearray)):
         try:
             return iter(values)
         except TypeError:
@@ -120,20 +121,29 @@ class Labeling:
         lattice: AtomicLattice,
         assignments: Union[Mapping[int, Monomial], Iterable[tuple[int, Monomial]]] = (),
     ):
+        """Label the elements of ``lattice`` from ``(element, label)`` pairs.
+
+        One pass over the pairs.  An element that is an exact ``int`` found in
+        the lattice's element index is a member; any other goes through
+        ``in lattice``, so a bool, a float or an int subclass gets the answer
+        membership gives it.  A ``str`` label is parsed, any other goes
+        through :func:`_as_monomial`.  An element not in the lattice, a unit
+        label, or two unequal labels of one element are refused.
+        """
+        index = lattice._element_index()
         table: dict[int, Monomial] = {}
         for p, m in _pairs(assignments, "element"):
-            if p not in lattice:
+            if not (type(p) is int and p in index) and p not in lattice:
                 raise NotAnElementError(f"labeled set {_element_str(p)} is not in the lattice")
-            m = _as_monomial(m)
-            if m.is_one:
+            m = Monomial.parse(m) if type(m) is str else _as_monomial(m)
+            if not m._exps:
                 raise ValidationError(
                     f"element {_set_str(p)} labeled with the unit monomial; leave it unlabeled instead"
                 )
-            if p in table and table[p] != m:
+            if table.setdefault(p, m) != m:
                 raise ValidationError(f"element {_set_str(p)} labeled twice, with {table[p]} and {m}")
-            table[p] = m
         self.lattice = lattice
-        self._table = {p: table[p] for p in sorted(table, key=lattice._element_index().__getitem__)}
+        self._table = {p: table[p] for p in sorted(table, key=index.__getitem__)}
         self._groups: Optional[dict[str, dict[int, int]]] = None
 
     @classmethod
@@ -407,7 +417,7 @@ def _exponent_groups(bits_and_monomials: Iterable[tuple[int, Monomial]]) -> dict
     of each variable."""
     groups: dict[str, dict[int, int]] = {}
     for bit, m in bits_and_monomials:
-        for v, e in m._exps:
+        for v, e in m._exps.items():
             by_exp = groups.get(v)
             if by_exp is None:
                 by_exp = groups[v] = {}

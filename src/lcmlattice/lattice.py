@@ -277,11 +277,17 @@ class AtomicLattice:
         if n > MAX_ATOMS:
             raise CapExceededError(f"atom count {shown(n)} exceeds the supported maximum {MAX_ATOMS}")
         top = (1 << n) - 1
-        seen = set()
-        for m in masks:
-            if not _is_int(m) or m < 0 or m > top:
-                raise ValidationError(f"element {shown(m)} is not a bitmask over {n} atoms")
-            seen.add(m)
+        # Exact ints within [0, top] pass in C-level passes over the list;
+        # anything else takes the loop, which names the first offender.
+        masks = list(masks)
+        if set(map(type, masks)) == {int} and min(masks) >= 0 and max(masks) <= top:
+            seen = set(masks)
+        else:
+            seen = set()
+            for m in masks:
+                if not _is_int(m) or m < 0 or m > top:
+                    raise ValidationError(f"element {shown(m)} is not a bitmask over {n} atoms")
+                seen.add(m)
 
         missing = _canonical({m for m in (0, *(1 << i for i in range(n)), top) if m not in seen})
         seen.update((0, top))  # the walk needs both; a missing one stays reported

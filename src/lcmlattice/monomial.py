@@ -16,20 +16,24 @@ monomials always produce identical strings.  The render key tests a name's
 shape with string methods (``a``, then ASCII digits not starting with ``0``),
 with no regex.
 
-Internally the exponents are kept in plain name order, and the render order is
-applied only where order is visible (``str``, :meth:`Monomial.items` and
-:attr:`Monomial.variables`).  Public construction validates every name and
-exponent.  :meth:`Monomial.parse` validates a whole text with one match of a
-compiled pattern of the grammar, and wraps the summed exponents through a
-trusted constructor that checks nothing; the grammar loop runs only to word
-a refusal.  Arithmetic results and the generator builders of
-:mod:`lcmlattice.ideals` go through the trusted constructor too, as their
-exponents are already valid.
+Internally the exponents are a dict from name to exponent in the order the
+names first came, so building a monomial sorts nothing; dict equality ignores
+that order, and the hash, of the frozen set of the pairs, is computed on first
+use and kept.  The render order is applied only where order is visible
+(``str``, :meth:`Monomial.items` and :attr:`Monomial.variables`), by sorting
+the names with a bounded cache of their render keys.  Public construction
+validates every name and exponent.  :meth:`Monomial.parse` validates a whole
+text with one match of a compiled pattern of the grammar, and wraps the summed
+exponents through a trusted constructor that checks nothing and keeps the dict
+it is given; the grammar loop runs only to word a refusal.  Arithmetic results
+and the generator builders of :mod:`lcmlattice.ideals` go through the trusted
+constructor too, as their exponents are already valid.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, NoReturn
 
 from .errors import MonomialParseError, NotDivisibleError, PreconditionError, shown
@@ -66,6 +70,10 @@ def _variable_key(name: str):
     if name[0] == "a" and digits.isascii() and digits.isdigit() and digits[0] != "0":
         return (0, int(digits), name)
     return (1, 0, name)
+
+
+# The render key of each name seen lately: rendering sorts the names by it.
+_render_key = lru_cache(maxsize=4096)(_variable_key)
 
 
 def _refuse(text: str) -> NoReturn:
@@ -113,8 +121,8 @@ class Monomial:
                 raise PreconditionError(f"exponent of {shown(name)} must be a positive int, got {shown(exp)}")
             acc[name] = total = acc.get(name, 0) + exp
             _check_exponent_digits(name, total)
-        self._exps = tuple(sorted(acc.items()))
-        self._hash = hash(self._exps)
+        self._exps = acc
+        self._hash = None
 
     @classmethod
     def _trusted(cls, exps: dict[str, int]) -> "Monomial":
@@ -124,11 +132,13 @@ class Monomial:
         The fast path for arithmetic results, generator builders and
         :meth:`parse`, which has validated every name and exponent with one
         match of the grammar; it skips the checks of ``__init__``, so never
-        hand it unchecked input.
+        hand it unchecked input.  It takes ownership of ``exps`` and stores
+        it as it is, copying nothing: the caller hands over a fresh dict and
+        never touches it again, or the monomial would change under it.
         """
         m = object.__new__(cls)
-        m._exps = tuple(sorted(exps.items()))
-        m._hash = hash(m._exps)
+        m._exps = exps
+        m._hash = None
         return m
 
     @classmethod
@@ -179,36 +189,37 @@ class Monomial:
     @property
     def variables(self) -> tuple[str, ...]:
         """Variable names in render order."""
-        return tuple(v for v, _ in self.items())
+        return tuple(sorted(self._exps, key=_render_key))
 
     def items(self) -> Iterator[tuple[str, int]]:
         """``(variable, exponent)`` pairs in render order."""
-        return iter(sorted(self._exps, key=lambda it: _variable_key(it[0])))
+        exps = self._exps
+        return ((v, exps[v]) for v in sorted(exps, key=_render_key))
 
     # -- arithmetic ----------------------------------------------------------
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not isinstance(other, Monomial):
             return NotImplemented
-        acc = dict(self._exps)
-        for v, e in other._exps:
+        acc = self._exps.copy()
+        for v, e in other._exps.items():
             acc[v] = acc.get(v, 0) + e
         return Monomial._trusted(acc)
 
     def lcm(self, other: "Monomial") -> "Monomial":
-        acc = dict(self._exps)
-        for v, e in other._exps:
+        acc = self._exps.copy()
+        for v, e in other._exps.items():
             if e > acc.get(v, 0):
                 acc[v] = e
         return Monomial._trusted(acc)
 
     def gcd(self, other: "Monomial") -> "Monomial":
-        theirs = dict(other._exps)
-        return Monomial._trusted({v: min(e, theirs[v]) for v, e in self._exps if v in theirs})
+        theirs = other._exps
+        return Monomial._trusted({v: min(e, theirs[v]) for v, e in self._exps.items() if v in theirs})
 
     def divides(self, other: "Monomial") -> bool:
-        theirs = dict(other._exps)
-        return all(e <= theirs.get(v, 0) for v, e in self._exps)
+        theirs = other._exps
+        return all(e <= theirs.get(v, 0) for v, e in self._exps.items())
 
     def __truediv__(self, other: "Monomial") -> "Monomial":
         """Exact division; raises :class:`NotDivisibleError` when it would not be exact."""
@@ -216,8 +227,8 @@ class Monomial:
             return NotImplemented
         if not other.divides(self):
             raise NotDivisibleError(f"{other} does not divide {self}")
-        theirs = dict(other._exps)
-        return Monomial._trusted({v: e - theirs.get(v, 0) for v, e in self._exps if e > theirs.get(v, 0)})
+        theirs = other._exps
+        return Monomial._trusted({v: e - theirs.get(v, 0) for v, e in self._exps.items() if e > theirs.get(v, 0)})
 
     # -- identity ------------------------------------------------------------
 
@@ -225,6 +236,8 @@ class Monomial:
         return isinstance(other, Monomial) and self._exps == other._exps
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(frozenset(self._exps.items()))
         return self._hash
 
     def __str__(self) -> str:

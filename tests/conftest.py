@@ -59,7 +59,7 @@ from lcmlattice.classify import _first_incomparable, _unlabeled_meet_irreducible
 from lcmlattice.errors import shown
 from lcmlattice.ideals import _check_lcm_generators
 from lcmlattice.lattice import _canon_key, _set_str, atoms_of, bits_of
-from lcmlattice.monomial import MAX_EXPONENT_DIGITS
+from lcmlattice.monomial import MAX_EXPONENT_DIGITS, _variable_key
 from lcmlattice.superatomic import _pairs_within
 
 
@@ -403,6 +403,14 @@ def regex_variable_key(name: str):
     if m:
         return (0, int(m.group(1)), name)
     return (1, 0, name)
+
+
+def sorting_render(m: Monomial) -> str:
+    """``str(m)`` as it was rendered from exponents kept sorted by name: the
+    pairs sorted again with ``monomial._variable_key`` of each name through
+    a lambda per term.  The oracle of the render through the cached key."""
+    pairs = sorted(sorted(m._exps.items()), key=lambda it: _variable_key(it[0]))
+    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in pairs) or "1"
 
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

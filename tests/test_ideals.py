@@ -593,13 +593,27 @@ _NOT_ASSIGNMENTS = "assignments must be a mapping or an iterable of ({}, monomia
         ),
     ],
 )
-@pytest.mark.parametrize("text", ["", "ab", "xy", "a*b", "x" * 500])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "ab",
+        "xy",
+        "a*b",
+        "x" * 500,
+        pytest.param(b"", id="bytes-empty"),
+        pytest.param(b"ab", id="bytes-ab"),
+        pytest.param(bytearray(b"ab"), id="bytearray-ab"),
+    ],
+)
 def test_a_string_is_not_a_generator_list(build, expected, text):
     """A string is refused as a whole, echoed through ``shown``: it is not
     read as one-character monomials, so ``"ab"`` is not the ideal (a, b),
     nor as pairs, so ``""`` is not the empty labeling and ``"ab"`` is not
-    refused for its first character.  A list holding the string is the
-    ideal it names."""
+    refused for its first character.  ``bytes`` and ``bytearray`` are
+    refused the same way, not read as ints, so ``b""`` is not the empty
+    labeling and ``b"ab"`` is not refused for its first byte.  A list
+    holding the string is the ideal it names."""
     with pytest.raises(PreconditionError, match=f"^{re.escape(expected + shown(text))}$"):
         build(text)
     assert MonomialIdeal(["ab"]).generators == (Monomial.parse("ab"),)

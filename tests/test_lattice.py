@@ -1,12 +1,14 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
 import time
 from collections import Counter
-from itertools import product
+from enum import IntEnum
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -367,6 +369,53 @@ def test_error_messages_echo_a_bounded_value(call):
     with pytest.raises(Error) as excinfo:
         ECHOING_CALLS[call]()
     assert len(str(excinfo.value)) <= ECHO_LIMIT + 80
+
+
+# Each kind of value that is no mask over 2 atoms, with the text refusing it.
+BAD_MASKS = {
+    "bool": (True, "element True is not a bitmask over 2 atoms"),
+    "float": (1.0, "element 1.0 is not a bitmask over 2 atoms"),
+    "negative": (-1, "element -1 is not a bitmask over 2 atoms"),
+    "over-top": (4, "element 4 is not a bitmask over 2 atoms"),
+    "None": (None, "element None is not a bitmask over 2 atoms"),
+    "unhashable": ([1], "element [1] is not a bitmask over 2 atoms"),
+}
+
+
+@pytest.mark.parametrize("where", [0, 2, 4])
+@pytest.mark.parametrize("kind", BAD_MASKS)
+def test_a_value_that_is_no_mask_is_refused_by_name(kind, where):
+    """A bad mask first, among or after the members, in a list or a one-shot
+    iterator, is refused with the text naming it.  ``True`` and ``1.0``
+    equal a member, so the set of the masks does not show them."""
+    bad, text = BAD_MASKS[kind]
+    masks = [0, 1, 2, 3]
+    masks.insert(where, bad)
+    for given in (masks, iter(masks)):
+        with pytest.raises(ValidationError, match=f"^{re.escape(text)}$"):
+            AtomicLattice(2, given)
+
+
+def test_the_first_of_several_bad_masks_is_named():
+    """Among several offenders, each order names its first."""
+    for order in permutations(BAD_MASKS.values()):
+        masks = [0, 1, *(bad for bad, _ in order), 2, 3]
+        with pytest.raises(ValidationError, match=f"^{re.escape(order[0][1])}$"):
+            AtomicLattice(2, masks)
+
+
+def test_int_subclass_masks_and_one_shot_iterators_are_accepted():
+    """An ``IntEnum`` mask is an int and no bool, so it is a member as it
+    is; a generator of masks is read once."""
+
+    class Mask(IntEnum):
+        BOTTOM = 0
+        FIRST = 1
+        TOP = 3
+
+    lat = AtomicLattice(2, [Mask.TOP, Mask.FIRST, 2, Mask.BOTTOM])
+    assert lat.sets == (0, 1, 2, 3) and lat.sets[1] is Mask.FIRST
+    assert AtomicLattice(2, (m for m in (3, 2, 1, 0, 3))).sets == (0, 1, 2, 3)
 
 
 def test_non_int_values_are_not_members():

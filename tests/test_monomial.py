@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcmlattice import (
@@ -23,6 +23,7 @@ from conftest import (
     grammar_loop_parse,
     parse_texts,
     regex_variable_key,
+    sorting_render,
 )
 
 # -- parsing and rendering ----------------------------------------------------
@@ -117,7 +118,7 @@ exponent_maps = st.dictionaries(names, st.integers(min_value=1, max_value=5), ma
 
 @given(exponent_maps, exponent_maps)
 def test_render_order_where_order_is_visible(left, right):
-    """Arithmetic keeps exponents in plain name order; ``str``, ``items()`` and
+    """Arithmetic keeps exponents in insertion order; ``str``, ``items()`` and
     ``variables`` still show the ``a<k>``-first order."""
     product = {v: left.get(v, 0) + right.get(v, 0) for v in left.keys() | right.keys()}
     lcm = {v: max(left.get(v, 0), right.get(v, 0)) for v in left.keys() | right.keys()}
@@ -319,6 +320,71 @@ def test_value_semantics():
     assert a1 == a2 and hash(a1) == hash(a2)
     assert a1 != Monomial.parse("a*b")
     assert len({a1, a2}) == 1
+
+
+# Names that mix atom names of one to five digits with other identifiers, so
+# the render order and the order of insertion differ.
+mixed_names = st.one_of(
+    st.integers(min_value=1, max_value=99_999).map(lambda k: f"a{k}"),
+    st.sampled_from(["a", "a0", "a01", "a1b", "A1", "_a1", "b", "x_1"]),
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True),
+)
+mixed_exponent_maps = st.dictionaries(mixed_names, st.integers(min_value=1, max_value=12), min_size=1, max_size=8)
+_FIXED_EXAMPLES = settings(derandomize=True, max_examples=100, deadline=None)
+
+
+@_FIXED_EXAMPLES
+@given(mixed_exponent_maps, st.data())
+def test_insertion_order_is_invisible(exps, data):
+    """The same monomial, built in several orders of insertion by every
+    route that builds one, is ``==``, hashes equal and renders one string,
+    the one the sorting render gives."""
+    order = data.draw(st.permutations(sorted(exps)))
+    cut = data.draw(st.integers(min_value=0, max_value=len(order)))
+    shuffled = {v: exps[v] for v in order}
+    left = Monomial({v: exps[v] for v in order[:cut]})
+    right = Monomial({v: exps[v] for v in order[cut:]})
+    # Each exponent split over two terms, the names reversed, so repeats accumulate.
+    halves = [(v, e) for v in reversed(order) for e in (exps[v] // 2, exps[v] - exps[v] // 2) if e]
+    extra = Monomial({"q9": 3, order[-1]: 2})
+    built = [
+        Monomial(exps),
+        Monomial(shuffled),
+        Monomial(list(shuffled.items())),
+        Monomial(halves),
+        Monomial.parse("*".join(f"{v}^{e}" for v, e in halves)),
+        Monomial.parse(str(Monomial(exps))),
+        left * right,
+        right * left,
+        left.lcm(right),
+        right.lcm(left),
+        (Monomial(shuffled) * extra) / extra,
+        (extra * Monomial(exps)) / extra,
+    ]
+    text = sorting_render(built[0])
+    for m in built:
+        assert m == built[0] and hash(m) == hash(built[0]) and str(m) == text
+    assert len(set(built)) == 1
+
+
+@_FIXED_EXAMPLES
+@given(mixed_exponent_maps, mixed_names)
+def test_a_monomial_keeps_no_view_of_its_input(exps, name):
+    """Changing the mapping or the pair list handed to ``Monomial(...)``
+    after construction changes neither the monomial nor its hash, taken
+    before the change or, for the second of each, only after it."""
+    original = Monomial(dict(exps))
+    pairs = list(exps.items())
+    from_map, from_pairs = Monomial(exps), Monomial(pairs)
+    late_map, late_pairs = Monomial(exps), Monomial(pairs)
+    hashes = hash(from_map), hash(from_pairs)
+    exps[name] = exps.get(name, 0) + 7
+    del exps[next(iter(exps))]
+    pairs.append((name, 1))
+    pairs.pop(0)
+    assert hashes == (hash(original), hash(original))
+    for m in (from_map, from_pairs, late_map, late_pairs):
+        assert m == original and hash(m) == hash(original) and str(m) == sorting_render(original)
 
 
 # -- algebraic laws, property-checked ----------------------------------------

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from dataclasses import FrozenInstanceError, fields
 
@@ -115,12 +116,22 @@ def test_support_labeling_refuses_a_name_that_is_not_a_string(names, message):
 
 
 @pytest.mark.parametrize(
-    "names, shown_as", [(5, "5"), (1.5, "1.5"), (object, "<class 'object'>"), ("xy", "'xy'"), ("", "''")]
+    "names, shown_as",
+    [
+        (5, "5"),
+        (1.5, "1.5"),
+        (object, "<class 'object'>"),
+        ("xy", "'xy'"),
+        ("", "''"),
+        pytest.param(b"xy", "b'xy'", id="bytes-xy"),
+        pytest.param(bytearray(b"xy"), re.escape("bytearray(b'xy')"), id="bytearray-xy"),
+    ],
 )
 def test_support_labeling_refuses_names_that_are_not_iterable(names, shown_as):
     """Names that cannot be listed are refused as a package error, not as
     the ``TypeError`` of listing them, and so is a string, which is not
-    read as one name per character."""
+    read as one name per character, and so are ``bytes`` and ``bytearray``,
+    which are not read as one int per byte."""
     with pytest.raises(PreconditionError, match=f"^atom names must be an iterable of strings, got {shown_as}$"):
         support_labeling(AtomicLattice.from_sets(2, [[], [1], [2], [1, 2]]), names)
 
