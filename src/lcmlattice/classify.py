@@ -345,7 +345,8 @@ def classify(lat: AtomicLattice, labeling: Labeling) -> LabelingClassification:
     Each generator tuple's exponent-level table is made at most once per
     call: ``x(a)`` and ``delta(a)`` are each held as a
     :class:`MonomialIdeal`, which keeps its table for the specific-map
-    decision, for the minimal generators and for the lcm-lattice build.
+    decision and for the lcm-lattice build, and its minimal generators,
+    found by a divisibility pass that reads no table.
     The table of ``x`` is computed when first read, and ``delta`` is built
     from it together with its own table, the joins of the levels of ``x``
     (see :func:`~lcmlattice.ideals._refine`), so none is computed for

@@ -1,7 +1,10 @@
-"""Exception types shared across the package, and :func:`shown`, the one
-renderer of a caller's value inside their messages."""
+"""Exception types shared across the package, :func:`shown`, the one
+renderer of a caller's value inside their messages, and :func:`_iterated`,
+the one reader of a caller's container."""
 
 from __future__ import annotations
+
+from typing import Iterator, Mapping
 
 __all__ = [
     "Error",
@@ -89,3 +92,32 @@ class PreconditionError(Error, ValueError):
 
 class CapExceededError(Error, ValueError):
     """Input size exceeds a documented safety cap (atom count, lcm-lattice elements, ...)."""
+
+
+def _iterated(values: object, expected: str, strings: bool = False) -> Iterator:
+    """An iterator over caller-given ``values``; a value that is not
+    iterable is a :class:`PreconditionError` saying what was ``expected``.
+    So is a string, ``bytes`` or ``bytearray``, unless ``strings``: none of
+    these is a container of monomials, pairs or names, as a string read
+    character by character would name one-character ones, and bytes would
+    yield ints.  The lattice readers, whose items are ints, pass
+    ``strings`` and refuse the first item with their own text."""
+    if strings or not isinstance(values, (str, bytes, bytearray)):
+        try:
+            return iter(values)
+        except TypeError:
+            pass
+    raise PreconditionError(f"{expected}, got {shown(values)}")
+
+
+def _pairs(values: object, what: str, pair: str) -> Iterator[tuple[object, object]]:
+    """The two-item ``pair``s (say ``"(name, exponent)"``) of a mapping's
+    items or of an iterable; anything else is a :class:`PreconditionError`
+    naming ``what`` was given and echoing it."""
+    items = values.items() if isinstance(values, Mapping) else values
+    for item in _iterated(items, f"{what} must be a mapping or an iterable of {pair} pairs"):
+        try:
+            k, v = item
+        except (TypeError, ValueError):
+            raise PreconditionError(f"{what} must be {pair} pairs, got {shown(item)}") from None
+        yield k, v

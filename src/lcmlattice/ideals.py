@@ -19,7 +19,11 @@ The constructions here connect the two worlds of the package:
   per level, with no atom subset and no element walked;
 * the *lcm-lattice* of a monomial ideal is the set of lcms of subsets of its
   minimal generators ordered by divisibility, and forgetting the monomials
-  leaves a finite atomic lattice whose atoms are the minimal generators;
+  leaves a finite atomic lattice whose atoms are the minimal generators.
+  These are found by one divisibility pass in order of total degree (see
+  :func:`_minimal_generators`), which the build stops at the first one
+  past ``MAX_ATOMS``; the build reads the level masks of
+  :func:`_exponent_levels` of the minimal generators only;
 * from an lcm-lattice (or any order-isomorphic copy of one) a canonical
   labeling is *recovered*: ``m_p = gcd{monomial(t) : t > p} / monomial(p)``.
 
@@ -42,6 +46,8 @@ from .errors import (
     NotAnElementError,
     PreconditionError,
     ValidationError,
+    _iterated,
+    _pairs,
     shown,
 )
 from .lattice import (
@@ -81,32 +87,6 @@ def _as_monomial(value: object) -> Monomial:
     raise MonomialParseError(f"expected a monomial or a string, got {shown(value)}", 0)
 
 
-def _iterated(values: object, expected: str) -> Iterator:
-    """An iterator over caller-given ``values``; a value that is not
-    iterable, or a string, ``bytes`` or ``bytearray``, is a
-    :class:`PreconditionError` saying what was ``expected``.  None of these
-    is a container here: a string read character by character would name
-    one-character monomials, pairs or names, and bytes would yield ints."""
-    if not isinstance(values, (str, bytes, bytearray)):
-        try:
-            return iter(values)
-        except TypeError:
-            pass
-    raise PreconditionError(f"{expected}, got {shown(values)}")
-
-
-def _pairs(assignments: object, key: str) -> Iterator[tuple[object, object]]:
-    """The ``(key, monomial)`` pairs of a mapping or of an iterable of
-    pairs; anything else is a :class:`PreconditionError` echoing it."""
-    items = assignments.items() if isinstance(assignments, Mapping) else assignments
-    for pair in _iterated(items, f"assignments must be a mapping or an iterable of ({key}, monomial) pairs"):
-        try:
-            k, m = pair
-        except (TypeError, ValueError):
-            raise PreconditionError(f"assignments must be ({key}, monomial) pairs, got {shown(pair)}") from None
-        yield k, m
-
-
 class Labeling:
     """A partial assignment of non-unit monomials to lattice elements.
 
@@ -132,7 +112,7 @@ class Labeling:
         """
         index = lattice._element_index()
         table: dict[int, Monomial] = {}
-        for p, m in _pairs(assignments, "element"):
+        for p, m in _pairs(assignments, "assignments", "(element, monomial)"):
             if not (type(p) is int and p in index) and p not in lattice:
                 raise NotAnElementError(f"labeled set {_element_str(p)} is not in the lattice")
             m = Monomial.parse(m) if type(m) is str else _as_monomial(m)
@@ -153,7 +133,8 @@ class Labeling:
         assignments: Union[Mapping[tuple, Union[str, Monomial]], Iterable[tuple[Iterable[int], Union[str, Monomial]]]],
     ) -> "Labeling":
         """Build from (atom-index iterable, monomial or string) pairs."""
-        return cls(lattice, ((mask_of(s, lattice.n), m) for s, m in _pairs(assignments, "atom set")))
+        pairs = _pairs(assignments, "assignments", "(atom set, monomial)")
+        return cls(lattice, ((mask_of(s, lattice.n), m) for s, m in pairs))
 
     def label(self, p: int) -> Monomial:
         if p not in self.lattice:
@@ -283,66 +264,35 @@ class MonomialIdeal:
     def _level_table(self) -> dict[str, dict[int, int]]:
         """The :func:`_exponent_levels` table of the generators, kept with
         this ideal: handed over by its builder (``delta`` gets it from
-        :func:`_refine`) or computed the first time it is read.  The minimal
-        generators, :func:`lcm_lattice`, ``delta`` and the specific-map
-        decision of :mod:`lcmlattice.classify` all read it, so one ideal's
-        exponent arithmetic is done at most once."""
+        :func:`_refine`) or computed the first time it is read.
+        :func:`lcm_lattice`, ``delta`` and the specific-map decision of
+        :mod:`lcmlattice.classify` all read it, so one ideal's exponent
+        arithmetic is done at most once."""
         if self._levels is None:
             self._levels = _exponent_levels(self.generators)
         return self._levels
 
     @property
     def minimal_generators(self) -> tuple[Monomial, ...]:
-        """Generators with duplicates and multiples removed, input order kept.
-
-        Decided on the level masks ``D(v, t) = {i : e_v(g_i) <= t}`` of
-        :meth:`_level_table`, with no :class:`Monomial` compared: ``g_i``
-        divides ``g_j`` exactly when every level mask holding ``j`` holds
-        ``i``.  If ``g_i | g_j`` and ``D(v, t)`` holds ``j``, then
-        ``e_v(g_i) <= e_v(g_j) <= t``, so it holds ``i``.  Conversely,
-        ``e_v(g_j)`` is itself a level of ``v`` for every variable ``v`` of
-        the generators, so ``D(v, e_v(g_j))`` holds ``j``; if it holds ``i``,
-        then ``e_v(g_i) <= e_v(g_j)``, and a variable of no generator is 0 in
-        both.  (This is the first fact of
-        :func:`lcmlattice.classify._extends_to_isomorphism`, for one-element
-        sets.)
-
-        The least level of ``v`` that holds ``j`` is ``D(v, e_v(g_j))``, and
-        the others contain it, so the divisors of ``g_j`` are the AND, over
-        the variables, of those least levels; walking each variable's levels
-        in increasing order, the generators new at a level get it.  Two
-        generators are equal exactly when each divides the other.  So ``g_j``
-        is dropped exactly when another generator in its divisor mask comes
-        before it (an equal one or a proper divisor) or comes after it
-        without ``g_j`` dividing it (a proper divisor).  That is ``O(k*m)``
-        int operations for ``k`` variables and ``m`` generators, plus one
-        pass over each divisor mask.
-        """
+        """Generators with duplicates and multiples removed, input order kept
+        (see :func:`_minimal_generators`).  Unbounded: for ``m`` generators
+        of which ``K`` are minimal, up to ``m*K`` divisibility tests."""
         if self._minimal is None:
-            gens = self.generators
-            divisors = [(1 << len(gens)) - 1] * len(gens)
-            for levels in self._level_table().values():
-                reached = 0
-                for below in levels.values():
-                    for b in bits_of(below & ~reached):
-                        divisors[b.bit_length() - 1] &= below
-                    reached = below
-            keep = []
-            for j, g in enumerate(gens):
-                others = divisors[j] & ~(1 << j)
-                if others & ((1 << j) - 1):
-                    continue  # an equal generator or a proper divisor comes first
-                if all(divisors[b.bit_length() - 1] >> j & 1 for b in bits_of(others)):
-                    keep.append(g)
-            self._minimal = tuple(keep)
+            self._minimal = _minimal_generators(self.generators, len(self.generators))
         return self._minimal
 
-    def _minimal_ideal(self) -> "MonomialIdeal":
-        """This ideal when no generator is redundant, else the ideal of its
-        minimal generators, whose level table is computed when first read:
-        ``classify`` builds one lcm-lattice per minimal tuple, so equal
-        minimal tuples of ``x`` and ``delta`` compute one table."""
-        gens = self.minimal_generators
+    def _minimal_ideal(self, most: int = MAX_ATOMS) -> "MonomialIdeal":
+        """The ideal an lcm-lattice is built on: this ideal when no generator
+        is redundant, else the ideal of its minimal generators, whose level
+        table is computed when first read (``classify`` builds one
+        lcm-lattice per minimal tuple, so equal minimal tuples of ``x`` and
+        ``delta`` compute one table).  More than ``most`` minimal generators
+        are a :class:`CapExceededError` from the bounded pass, which also
+        runs when :attr:`minimal_generators` already holds more, so the
+        refusal builds no level table."""
+        gens = self._minimal
+        if gens is None or len(gens) > most:
+            gens = self._minimal = _minimal_generators(self.generators, most)
         return self if len(gens) == len(self.generators) else MonomialIdeal._with_levels(gens, None)
 
     @property
@@ -363,6 +313,29 @@ class MonomialIdeal:
 
     def __repr__(self) -> str:
         return "MonomialIdeal(" + ", ".join(str(g) for g in self.generators) + ")"
+
+
+def _minimal_generators(gens: tuple[Monomial, ...], most: int) -> tuple[Monomial, ...]:
+    """The generators that no other one properly divides and no equal one
+    comes before, in input order; a :class:`CapExceededError` the moment
+    more than ``most`` are found.
+
+    One pass over the generators by total degree, ties in input order (the
+    sort is stable), keeps a generator when no kept one divides it.  A
+    proper divisor, or an equal generator earlier in the input, sorts first,
+    and if it was dropped a kept one divides it, so a generator with either
+    is dropped; a kept one dividing a later one is itself one of the two.
+    One sort and at most ``most`` divisibility tests per generator: the
+    refusal of ``x0 ... x{m-1}`` at ``most = 64`` takes 65*64/2 tests,
+    whatever ``m``.
+    """
+    kept: dict[int, Monomial] = {}
+    for i, g in sorted(enumerate(gens), key=lambda ig: sum(ig[1]._exps.values())):
+        if not any(h.divides(g) for h in kept.values()):
+            if len(kept) == most:
+                raise CapExceededError(f"more than {most} minimal generators exceed the supported maximum {most} atoms")
+            kept[i] = g
+    return tuple(kept[i] for i in sorted(kept))
 
 
 def parse_ideal_text(text: str) -> MonomialIdeal:
@@ -501,11 +474,11 @@ def _exponent_levels(generators: tuple[Monomial, ...]) -> dict[str, dict[int, in
     ``v`` over them in increasing order, the level mask ``D(v, t)`` of the
     generators ``i`` with ``e_v(g_i) <= t``.  The last level of every
     variable holds all generators.  :meth:`MonomialIdeal._level_table`
-    keeps it with its ideal for :attr:`MonomialIdeal.minimal_generators`,
-    :func:`_refine`, :class:`LcmLattice` and the specific-map decision in
-    :mod:`lcmlattice.classify`.  It runs on ``x`` and on outside or minimal
-    generators, never on ``delta``, whose table :func:`_refine` builds from
-    the joins it takes.
+    keeps it with its ideal for :func:`_refine`, :class:`LcmLattice` and
+    the specific-map decision in :mod:`lcmlattice.classify`.  It runs on
+    ``x`` and on the at most ``MAX_ATOMS`` minimal generators a build is
+    given, never on ``delta``, whose table :func:`_refine` builds from the
+    joins it takes, and never before the build's atom refusal.
 
     One pass groups the generators by exponent (:func:`_exponent_groups`);
     then each variable sorts its distinct exponents once and ORs the groups
@@ -603,11 +576,11 @@ class LcmLattice:
     the set of generators dividing it, supports are distinct, and the family
     of supports is intersection-closed.  :meth:`abstract` returns that view.
 
-    The build takes no lcm of monomial pairs and no divisibility test.  Its
-    supports are the intersections of the empty set and the level masks
-    ``D(v, t) = {i : e_v(g_i) <= t}`` of :func:`_exponent_levels` (the full
-    set being the empty intersection), and each element is the lcm of the
-    generators in its support:
+    Past the minimal-generator pass, the build takes no lcm of monomial
+    pairs and no divisibility test.  Its supports are the intersections of
+    the empty set and the level masks ``D(v, t) = {i : e_v(g_i) <= t}`` of
+    :func:`_exponent_levels` (the full set being the empty intersection),
+    and each element is the lcm of the generators in its support:
 
     * If ``S`` is such an intersection and ``M = lcm{g_i : i in S}``, then
       ``supp(M) = S``.  Each ``i`` in ``S`` has ``g_i | M``.  If ``S`` is
@@ -633,10 +606,14 @@ class LcmLattice:
     def __init__(self, generators: Union[MonomialIdeal, Iterable[Monomial]]):
         """The lcm-lattice of the ideal the generators span, built on its
         minimal generators; a :class:`MonomialIdeal` lends its own level table
-        (see :meth:`MonomialIdeal._minimal_ideal`).
+        when none of its generators is redundant (see
+        :meth:`MonomialIdeal._minimal_ideal`).
 
         Each minimal generator is an atom, so more than ``MAX_ATOMS`` of them
-        are refused with a :class:`CapExceededError` before any closure.  The
+        are refused with a :class:`CapExceededError` by the bounded pass of
+        :func:`_minimal_generators`, which stops at the first one past the
+        cap, before any level table or closure.  The level table is built on
+        the minimal generators only, when the build reads it.  The
         closure only grows, one support at a time, so the build stops the
         moment it finds one support more than ``MAX_LCM_ELEMENTS``, and the
         error names that count, the cap plus one.  ``k`` generators give at
@@ -658,11 +635,9 @@ class LcmLattice:
         the kept cuts and the top."""
         ideal = generators if isinstance(generators, MonomialIdeal) else MonomialIdeal(generators)
         _check_lcm_generators(ideal.generators)
-        ideal = ideal._minimal_ideal()
+        ideal = ideal._minimal_ideal(MAX_ATOMS)
         gens = ideal.generators
         n = len(gens)
-        if n > MAX_ATOMS:
-            raise CapExceededError(f"{n} minimal generators exceed the supported maximum {MAX_ATOMS} atoms")
         cuts = sorted(_level_masks(ideal._level_table()), key=int.bit_count, reverse=True)
         closure = _meet_closure(cuts, (1 << n) - 1, MAX_LCM_ELEMENTS)
         if closure is None:
@@ -738,8 +713,8 @@ def lcm_lattice(ideal: Union[MonomialIdeal, Iterable[Monomial]]) -> LcmLattice:
     """The lcm-lattice of an ideal's minimal generators (see :class:`LcmLattice`).
 
     When no generator is dropped, the lattice is built on the ideal's own
-    level table, so an ideal that has already decided its minimal generators
-    (or a specific map, or ``delta``) computes no second table."""
+    level table, so an ideal that has already read it (for a specific map,
+    or as ``delta``) computes no second table."""
     return LcmLattice(ideal)
 
 

@@ -81,6 +81,7 @@ from .errors import (
     NotAnElementError,
     PreconditionError,
     ValidationError,
+    _iterated,
     shown,
 )
 
@@ -100,7 +101,7 @@ MAX_JOINING_ATOMS = 16
 def mask_of(atoms: Iterable[int], n: Optional[int] = None) -> int:
     """Bitmask for a collection of 1-based atom indices."""
     mask = 0
-    for a in atoms:
+    for a in _iterated(atoms, "an atom set must be an iterable of atom indices", strings=True):
         if not _is_int(a) or a < 1:
             raise FormatError(f"atom indices must be integers >= 1, got {shown(a)}")
         if n is not None and a > n:
@@ -279,7 +280,7 @@ class AtomicLattice:
         top = (1 << n) - 1
         # Exact ints within [0, top] pass in C-level passes over the list;
         # anything else takes the loop, which names the first offender.
-        masks = list(masks)
+        masks = list(_iterated(masks, "masks must be an iterable of ints", strings=True))
         if set(map(type, masks)) == {int} and min(masks) >= 0 and max(masks) <= top:
             seen = set(masks)
         else:
@@ -411,6 +412,7 @@ class AtomicLattice:
 
     @classmethod
     def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "AtomicLattice":
+        sets = _iterated(sets, "sets must be an iterable of atom sets", strings=True)
         return cls(n, (mask_of(s, n) for s in sets))
 
     # -- basic structure -------------------------------------------------
@@ -602,7 +604,7 @@ class AtomicLattice:
         meet-irreducibles, when the source holds them, is the image's.
         """
         if not isinstance(image, Mapping):
-            image = {i + 1: v for i, v in enumerate(image)}
+            image = dict(enumerate(_iterated(image, "image must be a mapping or an iterable", strings=True), 1))
         indices = list(range(1, self.n + 1))
         if (
             not all(_is_int(i) for i in (*image, *image.values()))

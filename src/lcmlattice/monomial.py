@@ -36,7 +36,7 @@ import re
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, NoReturn
 
-from .errors import MonomialParseError, NotDivisibleError, PreconditionError, shown
+from .errors import MonomialParseError, NotDivisibleError, PreconditionError, _pairs, shown
 
 __all__ = ["Monomial", "ONE", "lcm_all", "gcd_all"]
 
@@ -103,18 +103,19 @@ class Monomial:
     """An immutable, hashable monomial.
 
     Construct from a mapping or an iterable of ``(variable, exponent)`` pairs;
-    repeated variables accumulate.  All exponents must be positive integers
-    (zero-exponent entries are rejected rather than silently dropped, except
-    when they arise internally from exact division), and each accumulated
-    exponent has at most ``MAX_EXPONENT_DIGITS`` digits.
+    repeated variables accumulate, and any other container (a string
+    included) is a :class:`PreconditionError` that echoes it.  All exponents
+    must be positive integers (zero-exponent entries are rejected rather
+    than silently dropped, except when they arise internally from exact
+    division), and each accumulated exponent has at most
+    ``MAX_EXPONENT_DIGITS`` digits.
     """
 
     __slots__ = ("_exps", "_hash")
 
     def __init__(self, exponents: Mapping[str, int] | Iterable[tuple[str, int]] = ()):
         acc: dict[str, int] = {}
-        items = exponents.items() if isinstance(exponents, Mapping) else exponents
-        for name, exp in items:
+        for name, exp in _pairs(exponents, "exponents", "(name, exponent)"):
             if not isinstance(name, str) or not _IDENT.fullmatch(name):
                 raise PreconditionError(f"invalid variable name: {shown(name)}")
             if not isinstance(exp, int) or isinstance(exp, bool) or exp <= 0:

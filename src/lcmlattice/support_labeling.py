@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .classify import _extends_to_isomorphism, is_strong_coordinatization
-from .errors import PreconditionError, shown
-from .ideals import Labeling, _iterated, _refine, ideal_from_labeling
+from .errors import PreconditionError, _iterated, shown
+from .ideals import Labeling, _refine, ideal_from_labeling
 from .lattice import AtomicLattice, _set_str, atoms_of, bits_of
 from .monomial import Monomial
 from .superatomic import _atom_pairs, _super_atomic_joining_pairs, cover_witness, is_super_atomic

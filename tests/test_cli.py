@@ -227,7 +227,7 @@ def test_lcm_lattice_over_the_atom_cap(runner, files):
     text = "y^64\n" + "".join(f"x^{i}*y^{64 - i}\n" for i in range(1, 64)) + "x^64\n"
     res = runner.invoke(main, ["lcm-lattice", files("ideal.txt", text)])
     assert res.exit_code == 1 and isinstance(res.exception, SystemExit) and res.stdout == ""
-    assert res.stderr == "Error: 65 minimal generators exceed the supported maximum 64 atoms\n"
+    assert res.stderr == "Error: more than 64 minimal generators exceed the supported maximum 64 atoms\n"
 
 
 def test_lcm_lattice_overlong_exponent(runner, files):

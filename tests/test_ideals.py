@@ -187,11 +187,35 @@ def _divisibility_chain(rng, variables):
     return chain
 
 
+def _placed_generators(rng, variables):
+    """Tuples that put the pass's tie and order rules to work, each as built
+    and under three shuffles: a proper divisor after its multiple, two equal
+    generators apart, and a unit among repeats."""
+    for _ in range(60):
+        g = random_monomial(rng, variables)
+        others = [random_monomial(rng, variables) for _ in range(rng.randint(0, 4))]
+        multiple = g * Monomial.parse(rng.choice(variables))
+        for base in ([multiple, *others, g], [g, *others, g], [*others, ONE, g, ONE]):
+            yield tuple(base)
+            for _ in range(3):
+                yield tuple(rng.sample(base, len(base)))
+
+
+def _bounded_minimal_oracle(gens, most):
+    """The pairwise scan with the bounded pass's refusal past ``most``."""
+    minimal = pairwise_minimal_generators(gens)
+    if len(minimal) > most:
+        raise CapExceededError(f"more than {most} minimal generators exceed the supported maximum {most} atoms")
+    return minimal
+
+
 def test_minimal_generators_match_the_pairwise_oracle(rng):
-    """The level-mask containment test keeps what the pairwise divisibility
-    scan keeps, in the same order: on seeded random tuples with duplicates,
-    divisibility chains and units, on single generators, on the empty tuple
-    and on 21 to 30 generators."""
+    """The degree-ordered pass keeps what the pairwise divisibility scan
+    keeps, in the same order: on seeded random tuples with duplicates,
+    divisibility chains and units, on single generators, on the empty tuple,
+    on 21 to 30 generators, and on placed divisors, repeats and units under
+    shuffles.  Bounded by ``most``, it gives the same tuple whenever at most
+    ``most`` are minimal, and refuses otherwise."""
     variables = list("abcde")
     shapes = ("duplicate", "chain", "unit", "single", "over 20")
     drawn = []
@@ -217,6 +241,15 @@ def test_minimal_generators_match_the_pairwise_oracle(rng):
     drops = Counter(s for (s, gens), minimal in zip(drawn, kept) if len(minimal) < len(gens) or s == "single")
     assert min(drops[shape] for shape in shapes) >= 300
     assert MonomialIdeal([]).minimal_generators == ()
+    placed = list(_placed_generators(rng, variables))
+    assert_matches_oracle(
+        lambda gens: MonomialIdeal(gens).minimal_generators, pairwise_minimal_generators, [(g,) for g in placed]
+    )
+    cases = [(gens, most) for gens in placed + [g for _, g in drawn[:500]] for most in (1, 2, 4)]
+    outcomes = assert_matches_oracle(
+        ideals._minimal_generators, _bounded_minimal_oracle, cases, {"CapExceededError": 300}
+    )
+    assert sum(not isinstance(out, Raised) for out in outcomes) >= 300
 
 
 # -- generators from labelings -------------------------------------------------
@@ -493,7 +526,8 @@ def test_lcm_lattice_degenerate_inputs(monkeypatch):
     staircase = [Monomial({v: e for v, e in (("x", i), ("y", 30 - i)) if e}) for i in range(31)]
     assert len(lcm_lattice(staircase)) == 497
     # 65 minimal generators (2,146 elements, under the element cap) are refused at the build
-    with pytest.raises(CapExceededError, match=r"^65 minimal generators exceed the supported maximum 64 atoms$"):
+    over = r"^more than 64 minimal generators exceed the supported maximum 64 atoms$"
+    with pytest.raises(CapExceededError, match=over):
         lcm_lattice(Monomial({v: e for v, e in (("x", i), ("y", 64 - i)) if e}) for i in range(65))
     with pytest.raises(CapExceededError, match=r"^lcm-lattice reached 1048577 elements, over the cap 1048576$"):
         LcmLattice(Monomial.parse(f"x{i}") for i in range(21))
@@ -792,17 +826,49 @@ def test_lcm_lattice_of_non_minimal_generators_lives_on_the_minimal_ones():
 def test_the_build_refuses_past_max_atoms_minimal_generators_before_the_closure(k, monkeypatch):
     """The staircase ``x^i*y^(k-1-i)`` has ``k`` minimal generators; past
     ``MAX_ATOMS`` of them ``lcm_lattice`` and ``LcmLattice`` refuse with the
-    text ``lcmlat lcm-lattice`` prints, and no level mask is closed.  A
-    repeat and a multiple do not count."""
+    text ``lcmlat lcm-lattice`` prints, and no level table is built, so no
+    level mask is closed.  A repeat and a multiple do not count, and an
+    ideal whose minimal generators were read first is refused too."""
     staircase = [Monomial({v: e for v, e in (("x", i), ("y", k - 1 - i)) if e}) for i in range(k)]
     raw = staircase + [staircase[0], staircase[1] * Monomial.parse("z")]
+    monkeypatch.setattr(ideals, "_exponent_levels", None)  # building a level table would fail here
     monkeypatch.setattr(ideals, "_level_masks", None)  # reaching the closure would fail here
-    text = rf"^{k} minimal generators exceed the supported maximum 64 atoms$"
+    text = r"^more than 64 minimal generators exceed the supported maximum 64 atoms$"
     for build in (lcm_lattice, LcmLattice):
         with pytest.raises(CapExceededError, match=text):
             build(raw)
         with pytest.raises(CapExceededError, match=text):
             build(MonomialIdeal(raw))
+        read = MonomialIdeal(raw)
+        assert read.minimal_generators == tuple(staircase)
+        with pytest.raises(CapExceededError, match=text):
+            build(read)
+
+
+@pytest.mark.parametrize("m", [4000, 8000])
+def test_an_over_wide_ideal_is_refused_in_budget(m):
+    """``x0 ... x{m-1}``, one per line, is refused at its 65th minimal
+    generator, after one degree sort and 65*64/2 divisibility tests, so
+    parsing and refusing it takes under 0.1 s."""
+    text = "".join(f"x{i}\n" for i in range(m))
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match=r"^more than 64 minimal generators"):
+        lcm_lattice(parse_ideal_text(text))
+    assert time.perf_counter() - start < 0.1
+
+
+def test_many_redundant_generators_build_their_lcm_lattice_in_budget():
+    """4,000 multiples ``x{i%10}*y{i}`` ahead of ``x0 ... x9``: the pass
+    takes at most 10 divisibility tests per generator and the level table is
+    built on the 10 minimal generators only, so the Boolean lcm-lattice of
+    1,024 elements builds in under 0.2 s."""
+    minimal = [Monomial.parse(f"x{i}") for i in range(10)]
+    raw = [Monomial.parse(f"x{i % 10}*y{i}") for i in range(4000)] + minimal
+    start = time.perf_counter()
+    ll = lcm_lattice(MonomialIdeal(raw))
+    elapsed = time.perf_counter() - start
+    assert ll.generators == tuple(minimal) and len(ll) == 1024
+    assert elapsed < 0.2
 
 
 def test_an_ideal_with_many_redundant_cuts_builds_its_lcm_lattice_in_budget():

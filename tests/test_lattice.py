@@ -660,6 +660,43 @@ def test_relabel():
     assert isinstance(excinfo.value, Error)
 
 
+CONTAINER_CALLS = {
+    "AtomicLattice(3, 5)": (lambda lat: AtomicLattice(3, 5), "masks must be an iterable of ints, got 5"),
+    "from_sets(3, 5)": (lambda lat: AtomicLattice.from_sets(3, 5), "sets must be an iterable of atom sets, got 5"),
+    "from_sets(2, [5])": (
+        lambda lat: AtomicLattice.from_sets(2, [5]),
+        "an atom set must be an iterable of atom indices, got 5",
+    ),
+    "mask_of(5)": (lambda lat: mask_of(5), "an atom set must be an iterable of atom indices, got 5"),
+    "Labeling.from_sets": (
+        lambda lat: Labeling.from_sets(lat, [(5, "x")]),
+        "an atom set must be an iterable of atom indices, got 5",
+    ),
+    "relabel(5)": (lambda lat: lat.relabel(5), "image must be a mapping or an iterable, got 5"),
+}
+
+
+@pytest.mark.parametrize("call", CONTAINER_CALLS)
+def test_a_value_that_is_no_container_is_refused_by_name(call):
+    """Where an iterable is expected, a value that is none is a package
+    error that echoes it."""
+    build, text = CONTAINER_CALLS[call]
+    with pytest.raises(PreconditionError) as excinfo:
+        build(AtomicLattice(2, [0, 1, 2, 3]))
+    assert str(excinfo.value) == text
+
+
+def test_the_lattice_readers_read_a_string_item_by_item():
+    """A string is read as its characters, so its first one is refused as an
+    element, an atom index or a permutation, with the text an item gets."""
+    with pytest.raises(ValidationError, match=r"^element 'a' is not a bitmask over 3 atoms$"):
+        AtomicLattice(3, "abc")
+    with pytest.raises(FormatError, match=r"^atom indices must be integers >= 1, got 'a'$"):
+        AtomicLattice.from_sets(3, "abc")
+    with pytest.raises(PreconditionError, match=r"^not a permutation of 1..2: \{1: 'a', 2: 'b'\}$"):
+        AtomicLattice(2, [0, 1, 2, 3]).relabel("ab")
+
+
 @pytest.mark.parametrize("image", [{1: 2.0, 2: 1.0}, [2.0, 1.0], {1.0: 2, 2: 1}, {1: True, 2: 2}, {"1": 2, 2: 1}])
 def test_relabel_rejects_non_int_indices(image):
     lat = AtomicLattice.from_sets(2, [[], [1], [2], [1, 2]])

@@ -256,6 +256,25 @@ def test_constructor_rejects_bad_input():
         Monomial({"a": True})
 
 
+@pytest.mark.parametrize(
+    "exponents, text",
+    [
+        (5, "exponents must be a mapping or an iterable of (name, exponent) pairs, got 5"),
+        ("ab", "exponents must be a mapping or an iterable of (name, exponent) pairs, got 'ab'"),
+        (b"ab", "exponents must be a mapping or an iterable of (name, exponent) pairs, got b'ab'"),
+        ([("a",)], "exponents must be (name, exponent) pairs, got ('a',)"),
+        ([("a", 1, 2)], "exponents must be (name, exponent) pairs, got ('a', 1, 2)"),
+        ([5], "exponents must be (name, exponent) pairs, got 5"),
+    ],
+)
+def test_constructor_refuses_a_container_that_holds_no_pairs(exponents, text):
+    """A value that is not a mapping or an iterable of two-item pairs, a
+    string included, is a package error that echoes it."""
+    with pytest.raises(PreconditionError) as excinfo:
+        Monomial(exponents)
+    assert str(excinfo.value) == text
+
+
 CAP = monomial_module.MAX_EXPONENT_DIGITS
 
 

@@ -384,18 +384,22 @@ def test_level_mask_readers_take_no_join_and_no_monomial_closure():
     """The specific-map decision reads level masks and the
     meet-irreducibles; the lcm-lattice build closes the level masks under
     intersection and takes no lcm (the monomials are taken when read, one
-    lcm per element); the minimal generators compare no monomial; ``delta``
-    joins each level mask and walks no element.  The decision builds no
-    lcm-lattice, so it neither counts minimal generators nor reads a cap:
-    both size refusals, atoms and elements, belong to the build."""
+    lcm per element); the minimal generators come from one divisibility
+    pass that reads no level table, so the build's atom refusal builds
+    none; ``delta`` joins each level mask and walks no element.  The
+    decision builds no lcm-lattice, so it neither counts minimal generators
+    nor reads a cap: both size refusals, atoms and elements, belong to the
+    build."""
     decision = _names_used(_extends_to_isomorphism.__code__)
     assert decision & {"join_mask", "lcm", "lcm_all", "minimal_generators"} == set()
     assert [name for name in decision if name.startswith("MAX_")] == []
     build = _names_used(LcmLattice.__init__.__code__)
     assert build & {"divides", "join_mask", "lcm", "lcm_all"} == set()
     assert {"MAX_ATOMS", "MAX_LCM_ELEMENTS"} <= build
-    minimal = _names_used(MonomialIdeal.minimal_generators.fget.__code__)
-    assert "_level_table" in minimal and minimal & {"divides", "lcm", "gcd"} == set()
+    minimal = _names_used(ideals._minimal_generators.__code__)
+    assert "divides" in minimal and minimal & {"lcm", "gcd"} == set()
+    for reader in (ideals._minimal_generators, MonomialIdeal.minimal_generators.fget, MonomialIdeal._minimal_ideal):
+        assert _names_used(reader.__code__) & {"_level_table", "_levels", "_exponent_levels"} == set(), reader
     assert _names_used(_refine.__code__) & {"sets", "bit_count"} == set()
 
 
