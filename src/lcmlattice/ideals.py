@@ -252,13 +252,14 @@ class MonomialIdeal:
         self._minimal = None
 
     @classmethod
-    def _with_levels(cls, generators: tuple[Monomial, ...], levels: Optional[dict]) -> "MonomialIdeal":
+    def _with_levels(cls, generators: tuple[Monomial, ...], levels: Optional[dict], minimal=None) -> "MonomialIdeal":
         """The ideal of a tuple of monomials the package built, with no
         coercion, and the :func:`_exponent_levels` table of ``generators`` its
-        builder already holds, or None to compute it when first read.  Never
-        hand it caller input or a table of other generators."""
+        builder already holds, or None to compute it when first read; and
+        its minimal generators when the builder knows them.  Never hand it
+        caller input or a table of other generators."""
         ideal = object.__new__(cls)
-        ideal.generators, ideal._levels, ideal._minimal = generators, levels, None
+        ideal.generators, ideal._levels, ideal._minimal = generators, levels, minimal
         return ideal
 
     def _level_table(self) -> dict[str, dict[int, int]]:
@@ -281,19 +282,20 @@ class MonomialIdeal:
             self._minimal = _minimal_generators(self.generators, len(self.generators))
         return self._minimal
 
-    def _minimal_ideal(self, most: int = MAX_ATOMS) -> "MonomialIdeal":
+    def _minimal_ideal(self) -> "MonomialIdeal":
         """The ideal an lcm-lattice is built on: this ideal when no generator
         is redundant, else the ideal of its minimal generators, whose level
         table is computed when first read (``classify`` builds one
         lcm-lattice per minimal tuple, so equal minimal tuples of ``x`` and
-        ``delta`` compute one table).  More than ``most`` minimal generators
-        are a :class:`CapExceededError` from the bounded pass, which also
-        runs when :attr:`minimal_generators` already holds more, so the
-        refusal builds no level table."""
+        ``delta`` compute one table) and whose own minimal generators are
+        known to be all of them.  Each minimal generator is an atom, so more
+        than ``MAX_ATOMS`` are a :class:`CapExceededError` from the bounded
+        pass, which also runs when :attr:`minimal_generators` already holds
+        more, so the refusal builds no level table."""
         gens = self._minimal
-        if gens is None or len(gens) > most:
-            gens = self._minimal = _minimal_generators(self.generators, most)
-        return self if len(gens) == len(self.generators) else MonomialIdeal._with_levels(gens, None)
+        if gens is None or len(gens) > MAX_ATOMS:
+            gens = self._minimal = _minimal_generators(self.generators, MAX_ATOMS)
+        return self if len(gens) == len(self.generators) else MonomialIdeal._with_levels(gens, None, gens)
 
     @property
     def has_unit_generator(self) -> bool:
@@ -635,7 +637,7 @@ class LcmLattice:
         the kept cuts and the top."""
         ideal = generators if isinstance(generators, MonomialIdeal) else MonomialIdeal(generators)
         _check_lcm_generators(ideal.generators)
-        ideal = ideal._minimal_ideal(MAX_ATOMS)
+        ideal = ideal._minimal_ideal()
         gens = ideal.generators
         n = len(gens)
         cuts = sorted(_level_masks(ideal._level_table()), key=int.bit_count, reverse=True)

@@ -871,6 +871,21 @@ def test_many_redundant_generators_build_their_lcm_lattice_in_budget():
     assert elapsed < 0.2
 
 
+def test_the_unbounded_minimal_generators_of_a_wide_staircase_in_budget():
+    """The public property is not bounded by ``MAX_ATOMS``: on the staircase
+    ``x^i*y^(999-i)`` all 1,000 generators are minimal, so the pass takes
+    1000*999/2 divisibility tests, about 0.35 s on 2 shared CPUs with
+    Python 3.11; it must stay under 1.5 s."""
+    k = 1000
+    staircase = [Monomial({v: e for v, e in (("x", i), ("y", k - 1 - i)) if e}) for i in range(k)]
+    ideal = MonomialIdeal(staircase[::-1])
+    start = time.perf_counter()
+    minimal = ideal.minimal_generators
+    elapsed = time.perf_counter() - start
+    assert minimal == tuple(staircase[::-1])
+    assert elapsed < 1.5, f"{elapsed:.3f} s"
+
+
 def test_an_ideal_with_many_redundant_cuts_builds_its_lcm_lattice_in_budget():
     """The build closes in only the cuts that are meet-irreducible in the
     lcm-lattice.  The 17 generators ``v_i * prod_j w_j^(pi_j(i))``, for 100

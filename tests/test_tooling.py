@@ -388,14 +388,15 @@ def test_level_mask_readers_take_no_join_and_no_monomial_closure():
     pass that reads no level table, so the build's atom refusal builds
     none; ``delta`` joins each level mask and walks no element.  The
     decision builds no lcm-lattice, so it neither counts minimal generators
-    nor reads a cap: both size refusals, atoms and elements, belong to the
-    build."""
+    nor reads a cap: both size refusals belong to the build, the element
+    cap read by ``LcmLattice.__init__`` and the atom cap by
+    ``MonomialIdeal._minimal_ideal``, the one place that decides it."""
     decision = _names_used(_extends_to_isomorphism.__code__)
     assert decision & {"join_mask", "lcm", "lcm_all", "minimal_generators"} == set()
     assert [name for name in decision if name.startswith("MAX_")] == []
     build = _names_used(LcmLattice.__init__.__code__)
     assert build & {"divides", "join_mask", "lcm", "lcm_all"} == set()
-    assert {"MAX_ATOMS", "MAX_LCM_ELEMENTS"} <= build
+    assert "MAX_LCM_ELEMENTS" in build and "MAX_ATOMS" in _names_used(MonomialIdeal._minimal_ideal.__code__)
     minimal = _names_used(ideals._minimal_generators.__code__)
     assert "divides" in minimal and minimal & {"lcm", "gcd"} == set()
     for reader in (ideals._minimal_generators, MonomialIdeal.minimal_generators.fget, MonomialIdeal._minimal_ideal):
