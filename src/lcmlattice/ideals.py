@@ -51,8 +51,8 @@ from .errors import (
     shown,
 )
 from .lattice import (
-    MAX_ATOMS, AtomicLattice, _canonical, _element_str, _json_text, _meet_closure, _parse_json, _set_str, atoms_of,
-    bits_of, mask_of,
+    MAX_ATOMS, AtomicLattice, _canonical, _element_str, _json_text, _meet_closure, _parse_json, _require_lattice,
+    _set_str, atoms_of, bits_of, mask_of,
 )
 from .monomial import ONE, Monomial, _check_exponent_digits, gcd_all, lcm_all
 
@@ -107,10 +107,11 @@ class Labeling:
         the lattice's element index is a member; any other goes through
         ``in lattice``, so a bool, a float or an int subclass gets the answer
         membership gives it.  A ``str`` label is parsed, any other goes
-        through :func:`_as_monomial`.  An element not in the lattice, a unit
-        label, or two unequal labels of one element are refused.
+        through :func:`_as_monomial`.  A ``lattice`` that is no
+        :class:`AtomicLattice`, an element not in the lattice, a unit label,
+        or two unequal labels of one element are refused.
         """
-        index = lattice._element_index()
+        index = _require_lattice(lattice)._element_index()
         table: dict[int, Monomial] = {}
         for p, m in _pairs(assignments, "assignments", "(element, monomial)"):
             if not (type(p) is int and p in index) and p not in lattice:
@@ -371,12 +372,15 @@ def _label_groups(lat: AtomicLattice, labeling: Labeling) -> dict[str, dict[int,
     the per-variable carriers, by both condition checks of
     :mod:`lcmlattice.classify`: the chain check and the overlap check.
 
-    Every function taking a lattice and a labeling reaches this refusal of
-    a labeling of another lattice before it reads a label.  The groups are
-    computed the first time they are read and kept with the labeling, as
-    :meth:`MonomialIdeal._level_table` keeps its table with its ideal; equal
-    lattices have the same canonical positions, so they serve any lattice
-    the labeling belongs to."""
+    Every function taking a lattice and a labeling reaches these refusals,
+    of a value that is no :class:`Labeling` and of a labeling of another
+    lattice (so of a lattice of the wrong kind), before it reads a label or
+    the lattice.  The groups are computed the first time they are read and
+    kept with the labeling, as :meth:`MonomialIdeal._level_table` keeps its
+    table with its ideal; equal lattices have the same canonical positions,
+    so they serve any lattice the labeling belongs to."""
+    if not isinstance(labeling, Labeling):
+        raise PreconditionError(f"the labeling must be a Labeling, got {shown(labeling)}")
     if labeling.lattice != lat:
         raise PreconditionError("labeling belongs to a different lattice")
     if labeling._groups is None:
@@ -434,8 +438,10 @@ def element_generator(lat: AtomicLattice, labeling: Labeling, p: int) -> Monomia
     return _product_outside(groups, lat._above(lat._require(p)))
 
 
-def _require_atom(lat: AtomicLattice, atom: int) -> None:
-    """:class:`NotAnElementError` for a non-element, :class:`PreconditionError` for a non-atom."""
+def _require_atom(lat: AtomicLattice, labeling: Labeling, atom: int) -> None:
+    """The refusals of :func:`_label_groups`, then :class:`NotAnElementError`
+    for a non-element and :class:`PreconditionError` for a non-atom."""
+    _label_groups(lat, labeling)
     lat._require(atom)
     if atom.bit_count() != 1:
         raise PreconditionError(f"{_set_str(atom)} is not an atom of the lattice")
@@ -443,7 +449,7 @@ def _require_atom(lat: AtomicLattice, atom: int) -> None:
 
 def atom_generator(lat: AtomicLattice, labeling: Labeling, atom: int) -> Monomial:
     """The generator ``x(a)`` contributed by one atom."""
-    _require_atom(lat, atom)
+    _require_atom(lat, labeling, atom)
     return element_generator(lat, labeling, atom)
 
 
@@ -462,7 +468,7 @@ def weak_generator(lat: AtomicLattice, labeling: Labeling, atom: int) -> Monomia
     caller that wants ``delta`` of several atoms should call
     :func:`weak_ideal` once instead.
     """
-    _require_atom(lat, atom)
+    _require_atom(lat, labeling, atom)
     return weak_ideal(lat, labeling).generators[atom.bit_length() - 1]
 
 
@@ -727,11 +733,15 @@ def recovered_labeling(lat: AtomicLattice, monomial_of: Mapping[int, Monomial]) 
     its image under an order-isomorphism onto some lcm-lattice.  Each element
     gets ``gcd{monomial_of[t] : t > p} / monomial_of[p]`` (the empty gcd at
     the top is the top's own monomial, so the top always ends up unlabeled);
-    unit labels are dropped.  An element with no monomial is a
-    :class:`PreconditionError` naming the first such element; a string is
-    parsed, and any other value that is not a :class:`Monomial` refused, as
-    :class:`MonomialIdeal` does.
+    unit labels are dropped.  A ``lat`` that is no :class:`AtomicLattice`,
+    a ``monomial_of`` that is no mapping, and an element with no monomial
+    (the first such element named) are each a :class:`PreconditionError`; a
+    string is parsed, and any other value that is not a :class:`Monomial`
+    refused, as :class:`MonomialIdeal` does.
     """
+    _require_lattice(lat)
+    if not isinstance(monomial_of, Mapping):
+        raise PreconditionError(f"monomial_of must be a mapping from elements to monomials, got {shown(monomial_of)}")
     absent = next((p for p in lat.sets if p not in monomial_of), None)
     if absent is not None:
         raise PreconditionError(f"no monomial given for element {_set_str(absent)}")

@@ -50,6 +50,8 @@ count goes to that walk, which decides from the table in O(m·n) ANDs on
 m-bit ints for n atoms and names one pair of members with a missing
 intersection at each step where it fails, at most m·n pairs, not every
 such pair.  The walk, not the closure, finds the pairs a refusal names.
+One method, :meth:`AtomicLattice._decide`, takes this closure-or-walk
+decision for the constructor and for ``meet_irreducibles``.
 
 The cover queries are answered from joins alone: ``upper_covers(p)`` takes
 the n − |p| joins of p with the atoms outside it, and ``covers`` O(m·n)
@@ -73,7 +75,7 @@ from __future__ import annotations
 
 import json
 from itertools import repeat
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     CapExceededError,
@@ -293,29 +295,35 @@ class AtomicLattice:
         missing = _canonical({m for m in (0, *(1 << i for i in range(n)), top) if m not in seen})
         seen.update((0, top))  # the walk needs both; a missing one stays reported
         self._fill(n, _canonical(seen))
-        if not missing:
-            # The closure holds every member, so it has no more sets than the
-            # family exactly when it is the family, that is, when it is closed.
-            size = len(self.sets)
-            closure = _meet_closure(reversed(self.sets), top, size, _CLOSURE_BUDGET * size * n)
-            if closure:
-                self._mi = closure[1]
-                return
-        pairs, self._mi = self._closure_walk()
+        pairs, self._mi = self._decide(closure=not missing)
+        if not (missing or pairs):
+            return
         non_closed = [(self.sets[i], self.sets[j]) for i, j in sorted(set(pairs))]
-        if missing or non_closed:
-            parts = []
-            if missing:
-                parts.append("missing required sets: " + ", ".join(_set_str(m) for m in missing))
-            if non_closed:
-                listed = ", ".join(f"{_set_str(a)} & {_set_str(b)}" for a, b in non_closed[:5])
-                more = "" if len(non_closed) <= 5 else f" (+{len(non_closed) - 5} more)"
-                parts.append("intersections not in family: " + listed + more)
-            raise ValidationError(
-                "; ".join(parts),
-                missing_required=[atoms_of(m) for m in missing],
-                non_closed_pairs=[(atoms_of(a), atoms_of(b)) for a, b in non_closed],
-            )
+        parts = []
+        if missing:
+            parts.append("missing required sets: " + ", ".join(_set_str(m) for m in missing))
+        if non_closed:
+            listed = ", ".join(f"{_set_str(a)} & {_set_str(b)}" for a, b in non_closed[:5])
+            more = "" if len(non_closed) <= 5 else f" (+{len(non_closed) - 5} more)"
+            parts.append("intersections not in family: " + listed + more)
+        raise ValidationError(
+            "; ".join(parts),
+            missing_required=[atoms_of(m) for m in missing],
+            non_closed_pairs=[(atoms_of(a), atoms_of(b)) for a, b in non_closed],
+        )
+
+    def _decide(self, closure: bool = True) -> tuple[Sequence[tuple[int, int]], Optional[tuple[int, ...]]]:
+        """``(pairs, mi)`` as :meth:`_closure_walk` gives them: the one
+        decision of the validating constructor and of
+        :meth:`meet_irreducibles`.  With ``closure``, :func:`_meet_closure`
+        runs first, within ``_CLOSURE_BUDGET`` intersections per AND of the
+        walk; the closure holds every member, so it has no more sets than the
+        family exactly when it is the family, that is, when the family is
+        closed, and then no pair fails and its kept members are ``mi``.
+        Otherwise, or when the closure gives up, the walk decides."""
+        size = len(self.sets)
+        closed = closure and _meet_closure(reversed(self.sets), self.top, size, _CLOSURE_BUDGET * size * self.n)
+        return ((), closed[1]) if closed else self._closure_walk()
 
     def _closure_walk(self) -> tuple[list[tuple[int, int]], Optional[tuple[int, ...]]]:
         """``(pairs, mi)``: the fallback decision of the validating
@@ -558,13 +566,10 @@ class AtomicLattice:
 
         The tuple its constructor handed over (see the module docstring), or,
         on a lattice built without one, the one the validating constructor
-        would find, :func:`_meet_closure` or, over its budget,
-        :meth:`_closure_walk`, on the first call, kept for the next.
+        finds (:meth:`_decide`), on the first call, kept for the next.
         """
         if self._mi is None:
-            size = len(self.sets)
-            closure = _meet_closure(reversed(self.sets), self.top, size, _CLOSURE_BUDGET * size * self.n)
-            self._mi = closure[1] if closure else self._closure_walk()[1]
+            self._mi = self._decide()[1]
         return self._mi
 
     # -- atom subsets joining to an element --------------------------------
@@ -645,6 +650,14 @@ class AtomicLattice:
         return cls.from_json_dict(_parse_json(text))
 
 
+def _require_lattice(value: object) -> AtomicLattice:
+    """``value`` if it is an :class:`AtomicLattice`, else a
+    :class:`PreconditionError` echoing it."""
+    if not isinstance(value, AtomicLattice):
+        raise PreconditionError(f"the lattice must be an AtomicLattice, got {shown(value)}")
+    return value
+
+
 def _permute(mask: int, targets: list[int]) -> int:
     """The image of an atom set under an atom permutation, where
     ``targets[i]`` is the image of atom ``i + 1`` as a mask."""
@@ -676,8 +689,9 @@ def lattice_isomorphic(P: AtomicLattice, Q: AtomicLattice) -> Optional[dict[int,
     lattices are the same).  Each nonempty meet-irreducible of P is checked
     against Q's once its last atom is placed; an assignment that passes every
     check maps P's meet-irreducibles into Q's and, by the count, onto them.
+    A value that is no :class:`AtomicLattice` is a :class:`PreconditionError`.
     """
-    if P.n != Q.n or len(P) != len(Q):
+    if _require_lattice(P).n != _require_lattice(Q).n or len(P) != len(Q):
         return None
     n = P.n
     mi_p, mi_q = P.meet_irreducibles(), Q.meet_irreducibles()

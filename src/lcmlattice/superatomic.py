@@ -11,8 +11,11 @@ can serve as an oracle for the other.
 Construction works level by level, top down: each set S of the current level
 picks a pair delta(S) of its members not jointly contained in any other set
 of the level, and contributes the two sets S minus one chosen member to the
-next level.  Exhausting all valid choices enumerates every super-atomic
-lattice on n atoms exactly once.  Each level is sorted and holds sets of one
+next level.  The next level gives the choices back: delta(S) is the set of
+members v of S with S - v in it (see :func:`iter_super_atomic_families`),
+so distinct choices give distinct levels, and exhausting all valid choices
+enumerates every super-atomic lattice on n atoms exactly once, with no
+record of the levels produced.  Each level is sorted and holds sets of one
 size, so a family assembled level by level, smallest sets first, is already
 in canonical order; the enumerations never re-sort a family.
 
@@ -24,7 +27,7 @@ always meet-irreducible in the larger lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import comb
 from typing import Iterator, Optional
 
@@ -171,22 +174,28 @@ def super_atomic_size(n: int) -> int:
 
 
 def iter_super_atomic_families(n: int) -> Iterator[tuple[int, ...]]:
-    """Yield the set system of every super-atomic lattice on n atoms.
+    """An iterator over the set system of every super-atomic lattice on n atoms.
 
     Streams each family as a tuple of masks in canonical order (by size,
     then by mask) without validating them, which is what makes counting at
-    n = 7 (about 2.6 million families) tolerable.  Each family is produced
-    exactly once: within a level, choice combinations yielding the same
-    child level are merged, and families from distinct levels can never
-    coincide because a family determines its levels (the sets of each
-    cardinality).  More than ``MAX_ENUM_ATOMS`` atoms raise
-    :class:`CapExceededError`.
+    n = 7 (about 2.6 million families) tolerable.  The atom count is checked
+    at the call, not at the first family: more than ``MAX_ENUM_ATOMS`` atoms
+    raise :class:`CapExceededError`.
+
+    Each family is produced exactly once, as the child level fixes every
+    choice: for every S of a level, {v in S : S - v is in the child} is
+    delta(S).  Proof: suppose S - v is in the child but v is not in
+    delta(S).  Then S - v = T - z for some other T of the level (T = S
+    would give v = z, a member of delta(S)), so delta(S) lies in S - v,
+    inside T, which the choice rule forbids.  So distinct choices give
+    distinct child levels, and since a family determines its levels (the
+    sets of each cardinality), distinct branches give distinct families.
     """
     _require_atom_count(n, 2)
     if n > MAX_ENUM_ATOMS:
         raise CapExceededError(f"enumeration on {shown(n)} atoms exceeds the cap of {MAX_ENUM_ATOMS}")
     top = (1 << n) - 1
-    yield from _descend((top,), (), (0, *(1 << i for i in range(n))))
+    return _descend((top,), (), (0, *(1 << i for i in range(n))))
 
 
 def _descend(level: tuple[int, ...], above: tuple[int, ...], base: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -194,30 +203,22 @@ def _descend(level: tuple[int, ...], above: tuple[int, ...], base: tuple[int, ..
 
     ``level`` is sorted and holds sets of one size, and ``above`` is the
     concatenation of the levels above it, smallest size first, so each
-    family comes out in canonical order.
+    family comes out in canonical order.  Distinct choices give distinct
+    children (see :func:`iter_super_atomic_families`), so each child is
+    descended into once; a set with no valid pair ends the level.
     """
     levels = level + above
     if level[0].bit_count() == 2:
         yield base + levels
         return
-    options = []
+    options = []  # per set S, the two children S - a and S - b of each valid pair {a, b}
     for S in level:
-        opts = [pr for pr in _pairs_within(S) if all(pr & ~T for T in level if T != S)]
-        if not opts:
+        pairs = [pr for pr in _pairs_within(S) if all(pr & ~T for T in level if T != S)]
+        if not pairs:
             return
-        options.append(opts)
-    seen = set()
+        options.append([(S ^ (pr & -pr), S ^ (pr & (pr - 1))) for pr in pairs])
     for choice in product(*options):
-        child = set()
-        for S, pr in zip(level, choice):
-            lo = pr & -pr
-            child.add(S ^ lo)
-            child.add(S ^ (pr ^ lo))
-        child = tuple(sorted(child))
-        if child in seen:
-            continue
-        seen.add(child)
-        yield from _descend(child, levels, base)
+        yield from _descend(tuple(sorted(set(chain.from_iterable(choice)))), levels, base)
 
 
 def enumerate_super_atomic(n: int) -> list[AtomicLattice]:

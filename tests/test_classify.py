@@ -42,6 +42,7 @@ from conftest import (
     labeled_lattices,
     lattices_with,
     mixed_labelings,
+    order_not_reflected_labeling,
     outcome,
     overlap_conditions_oracle,
     random_labeling,
@@ -355,6 +356,16 @@ def test_a_size_mismatch_witness_takes_no_lcm(monkeypatch):
     c = classify(lab.lattice, lab)
     assert c.witness["is_strong"] == "lcm-lattice has 11 elements, the lattice has 10"
     assert c.witness["is_coordinatization"].startswith("lcm-lattice of the generated ideal (11 elements")
+
+
+def test_a_map_that_does_not_reflect_order_is_explained():
+    """The last check of the strong map's witness: g is injective onto the
+    lcm-lattice, but the image of {2} divides that of {3,4}.  The labeling
+    ends ``decision_labelings``, so the oracle words it the same way."""
+    lat, lab = order_not_reflected_labeling()
+    assert classify(lat, lab).witness["is_strong"] == (
+        "order not reflected: image of {2} divides image of {3,4} but {2} is not below {3,4}"
+    )
 
 
 def test_the_lcm_lattice_build_owns_the_size_refusal():

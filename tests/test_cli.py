@@ -398,6 +398,14 @@ def test_enumerate_refuses_to_list_seven_atoms(runner, tmp_path):
     assert not out.exists()
 
 
+def test_enumerate_refuses_to_stream_eight_atoms(runner):
+    """``--count-only`` streams up to ``MAX_ENUM_ATOMS`` and refuses more
+    before any work."""
+    res = runner.invoke(main, ["enumerate-superatomic", "--count-only", "--n", "8"])
+    assert res.exit_code == 1 and res.stdout == ""
+    assert res.stderr == "Error: enumeration on 8 atoms exceeds the cap of 7\n"
+
+
 def test_enumerate_count_only_takes_no_out(runner, tmp_path):
     out = tmp_path / "fams"
     res = runner.invoke(main, ["enumerate-superatomic", "--n", "3", "--count-only", "--out", str(out)])

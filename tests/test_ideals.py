@@ -20,11 +20,13 @@ from lcmlattice import (
     ONE,
     ValidationError,
     atom_generator,
+    classify,
     element_generator,
     gcd_all,
     ideal_from_labeling,
     labeling_from_json_dict,
     lcm_all,
+    lattice_isomorphic,
     lcm_lattice,
     load_labeling,
     parse_ideal_text,
@@ -54,6 +56,7 @@ from conftest import (
     element_generator_oracle,
     flat_lattice,
     interval_lattice,
+    joining_sets_oracle,
     labeled_lattices,
     pairwise_minimal_generators,
     random_labeling,
@@ -123,6 +126,7 @@ class TestLabeling:
             {"lattice": {"n": 1, "sets": [[], [1]]}, "labels": [{"set": [1], "monomial": "x^"}]},
             {"lattice": {"n": 1, "sets": [[], [1]]}, "labels": [{"set": 5, "monomial": "x"}]},
             {"lattice": {"n": 1, "sets": [[], [1]]}, "labels": [{"set": None, "monomial": "x"}]},
+            {"lattice": {"n": 1, "sets": [[], [1]]}, "labels": 5},
         ],
     )
     def test_json_rejects_malformed(self, doc):
@@ -472,7 +476,7 @@ def test_refined_generator_divides_every_joining_term(rng):
         deltas = dict(zip(lat.atoms, weak_ideal(lat, lab)))
         for a in lat.atoms:
             for p in lat.filter(a):
-                for T in lat.joining_sets(p):
+                for T in joining_sets_oracle(lat, p):
                     term = lcm_all(x[b] for b in bits_of(T))
                     assert deltas[a].divides(term)
 
@@ -606,6 +610,47 @@ def test_malformed_generators_and_assignments_are_package_errors(make, text):
     it, not as the ``TypeError`` or ``ValueError`` of reading it."""
     with pytest.raises(PreconditionError, match=f"^{re.escape(text)}$"):
         make(boolean_lattice(2))
+
+
+_NOT_A_LABELING = "the labeling must be a Labeling, got "
+_NOT_A_LATTICE = "the lattice must be an AtomicLattice, got "
+_OTHER_LATTICE = "labeling belongs to a different lattice"
+
+
+@pytest.mark.parametrize(
+    "call, text",
+    [
+        pytest.param(lambda lat, lab: classify(lat, 5), _NOT_A_LABELING + "5", id="classify(lat, 5)"),
+        pytest.param(lambda lat, lab: weak_ideal(lat, None), _NOT_A_LABELING + "None", id="weak_ideal(lat, None)"),
+        pytest.param(
+            lambda lat, lab: atom_generator(lat, lat, 1),
+            _NOT_A_LABELING + "AtomicLattice(n=2, elements=4)",
+            id="atom_generator(lat, lat, 1)",
+        ),
+        pytest.param(lambda lat, lab: atom_generator(5, lab, 1), _OTHER_LATTICE, id="atom_generator(5, lab, 1)"),
+        pytest.param(lambda lat, lab: weak_generator(5, lab, 1), _OTHER_LATTICE, id="weak_generator(5, lab, 1)"),
+        pytest.param(lambda lat, lab: Labeling(5, {}), _NOT_A_LATTICE + "5", id="Labeling(5, {})"),
+        pytest.param(lambda lat, lab: Labeling.from_sets(None, {}), _NOT_A_LATTICE + "None", id="from_sets(None, {})"),
+        pytest.param(lambda lat, lab: lattice_isomorphic(lat, 5), _NOT_A_LATTICE + "5", id="isomorphic(lat, 5)"),
+        pytest.param(lambda lat, lab: lattice_isomorphic(5, lat), _NOT_A_LATTICE + "5", id="isomorphic(5, lat)"),
+        pytest.param(
+            lambda lat, lab: recovered_labeling(lat, 5),
+            "monomial_of must be a mapping from elements to monomials, got 5",
+            id="recovered_labeling(lat, 5)",
+        ),
+        pytest.param(lambda lat, lab: recovered_labeling(5, {}), _NOT_A_LATTICE + "5", id="recovered_labeling(5, {})"),
+    ],
+)
+def test_an_argument_of_the_wrong_kind_is_a_package_error(call, text):
+    """A labeling that is no :class:`Labeling`, a lattice that is no
+    :class:`AtomicLattice` and a ``monomial_of`` that is no mapping are
+    refused with a package error echoing the value, not the
+    ``AttributeError`` or ``TypeError`` of reading it.  A lattice of the
+    wrong kind beside a labeling is refused as another lattice, by the
+    check every lattice-and-labeling function reaches first."""
+    lat = boolean_lattice(2)
+    with pytest.raises(PreconditionError, match=f"^{re.escape(text)}$"):
+        call(lat, Labeling(lat))
 
 
 _NOT_ASSIGNMENTS = "assignments must be a mapping or an iterable of ({}, monomial) pairs, got "

@@ -51,6 +51,7 @@ from conftest import (
     flat_lattice,
     interval_lattice,
     join_oracle,
+    joining_sets_oracle,
     late_refusals,
     lattices_with,
     loop_atoms_of,
@@ -626,19 +627,8 @@ def test_joining_sets():
 
 
 def test_joining_sets_definition(rng):
-    for lat in random_lattices(rng, 20, (2, 5)):
-        for p in lat.sets:
-            got = set(lat.joining_sets(p))
-            sub, all_subs = p, set()
-            while True:
-                all_subs.add(sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & p
-            expected = {T for T in all_subs if (T or p == 0) and lat.join_mask(T) == p}
-            if p == 0:
-                expected = {0}
-            assert got == expected
+    cases = [(lat, p) for lat in random_lattices(rng, 20, (2, 5)) for p in lat.sets]
+    assert_matches_oracle(lambda lat, p: lat.joining_sets(p), joining_sets_oracle, cases)
 
 
 def test_joining_sets_cap():

@@ -242,6 +242,11 @@ def test_enumeration_refuses_oversized():
     assert len(next(iter_super_atomic_families(7))) == super_atomic_size(7)
     with pytest.raises(PreconditionError):
         enumerate_super_atomic(1)
+    # streaming stops at MAX_ENUM_ATOMS at the call, before any family is asked for
+    with pytest.raises(CapExceededError, match="^enumeration on 8 atoms exceeds the cap of 7$"):
+        iter_super_atomic_families(8)
+    with pytest.raises(PreconditionError, match="^need at least 2 atoms, got 1$"):
+        iter_super_atomic_families(1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -337,6 +342,9 @@ def test_cover_witness_validates():
         CoverWitness(STAIRCASE4, smaller, new_element=0b0110)
     with pytest.raises(PreconditionError):
         CoverWitness(STAIRCASE4, BOOLEAN3, new_element=0b0011)
+    for larger, lower in ((smaller, STAIRCASE4), (STAIRCASE4, STAIRCASE4)):
+        with pytest.raises(PreconditionError, match="^not a cover: the larger family must add exactly one set$"):
+            CoverWitness(larger, lower, new_element=0b0011)
     with pytest.raises(PreconditionError):
         cover_witness(STAIRCASE4, BOOLEAN3)
 
