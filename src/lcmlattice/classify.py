@@ -145,12 +145,14 @@ def check_weak_conditions(lat: AtomicLattice, labeling: Labeling) -> tuple[bool,
     ``m`` divides ``m'``.
 
     Each labeled ``p`` is taken in canonical order, with the members of
-    ``shares`` of its label at later positions, in increasing order: exactly
-    the pairs that share a variable, in the order of a scan over all labeled
-    pairs, so the first witness is that scan's.  A later element is not
-    below ``p``, so the two are comparable exactly when ``p`` lies in it.
-    The elements entangled with a label are the members of its ``shares``;
-    no label is scanned.
+    ``shares`` of its label at later positions, in increasing order, less
+    those above ``p``: exactly the incomparable pairs that share a variable,
+    in the order of a scan over all labeled pairs, so the first witness is
+    that scan's.  A later element is not below ``p``, so the two are
+    comparable exactly when it lies in ``p``'s filter, the bitset
+    :meth:`~lcmlattice.lattice.AtomicLattice._above` of ``p``, which one
+    AND removes.  The elements entangled with a label are the members of
+    its ``shares``; no label is scanned.
     """
     carriers = _carriers(lat, labeling)
     unlabeled = _unlabeled_meet_irreducible(lat, labeling)
@@ -160,11 +162,11 @@ def check_weak_conditions(lat: AtomicLattice, labeling: Labeling) -> tuple[bool,
     def shares(m: Monomial) -> int:
         return reduce(int.__or__, map(carriers.__getitem__, m._exps))
 
+    index = lat._element_index()
     for p, mp in labeling.items():
-        for q in lat._members(shares(mp) & -(2 << lat._element_index()[p])):  # the positions after p's own
-            if p & ~q == 0:
-                continue
-            mq = labeling.label(q)
+        # the positions after p's own, less the elements above p
+        for q in lat._members(shares(mp) & -(2 << index[p]) & ~lat._above(p)):
+            mq = labeling._table[q]  # q is in shares, so it is labeled
             for hi, lo, m_hi, m_lo in ((p, q, mp, mq), (q, p, mq, mp)):
                 if m_hi.divides(m_lo):
                     return False, (
@@ -352,8 +354,12 @@ def classify(lat: AtomicLattice, labeling: Labeling) -> LabelingClassification:
     (see :func:`~lcmlattice.ideals._refine`), so none is computed for
     ``delta``.  Minimal generators that differ from their tuple get an
     ideal, and a table, of their own, once, since ``x`` and ``delta`` share
-    the build when their minimal generators coincide.  Every ideal is made
-    by this call and goes with it, so no table outlives it.
+    the build when their minimal generators coincide.  ``x`` lives with
+    the labeling, like its label groups: :func:`~lcmlattice.ideals.ideal_from_labeling`
+    builds it once per labeling, so a :func:`~lcmlattice.ideals.weak_ideal`
+    call before or after this one reads the same ideal and table.  Every
+    other ideal, ``delta`` and the lcm-lattices included, is made by this
+    call and goes with it.
 
     A degenerate ideal (a unit generator) classifies as false with a witness,
     not as an error.  The witness build of a false verdict raises what
@@ -379,8 +385,8 @@ def classify(lat: AtomicLattice, labeling: Labeling) -> LabelingClassification:
     build = cache(lcm_lattice)
     a_ok = check_strong_conditions(lat, labeling)
     c_ok = check_weak_conditions(lat, labeling)
-    # x computes its level table once, delta is handed its own by _refine,
-    # and both live only as long as this call.
+    # x is the labeling's own and computes its level table once; delta is
+    # handed its own by _refine and lives only as long as this call.
     x = ideal_from_labeling(lat, labeling)
     strong = guarded(lambda: specific_map(x))
     coord = strong if strong[0] else guarded(lambda: _abstract_isomorphism(lat, lcm_lattice_of(x)))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional
 
-from .lattice import AtomicLattice, _set_str
+from .lattice import AtomicLattice, _require_lattice, _set_str
 
 __all__ = ["hasse_dot"]
 
@@ -35,6 +35,7 @@ def hasse_dot(
     cover fall back to their atom-set form.  ``skip_bottom`` drops the bottom
     element and its edges, the way lattice diagrams are usually drawn.
     """
+    _require_lattice(lat)
     labels = labels or {}
     lines = [f"digraph {_quote(name)} {{", "  rankdir=BT;", '  node [shape=plaintext, fontname="Helvetica"];']
     for m in lat.sets:

@@ -92,9 +92,15 @@ class Labeling:
 
     Unlabeled elements implicitly carry the unit monomial, so an explicit
     unit label is rejected rather than silently normalized away.
+
+    A labeling keeps what is derived from its labels alone, each made the
+    first time it is read: its label groups (see :func:`_label_groups`) and
+    its plain ideal ``x`` (see :func:`ideal_from_labeling`), with the level
+    table that ideal keeps.  Both depend only on the labels and the
+    lattice's canonical positions, so they serve any equal lattice.
     """
 
-    __slots__ = ("lattice", "_table", "_groups")
+    __slots__ = ("lattice", "_table", "_groups", "_plain")
 
     def __init__(
         self,
@@ -109,7 +115,8 @@ class Labeling:
         membership gives it.  A ``str`` label is parsed, any other goes
         through :func:`_as_monomial`.  A ``lattice`` that is no
         :class:`AtomicLattice`, an element not in the lattice, a unit label,
-        or two unequal labels of one element are refused.
+        or two unequal labels of one element are refused; a first label
+        is stored with no equality test.
         """
         index = _require_lattice(lattice)._element_index()
         table: dict[int, Monomial] = {}
@@ -121,11 +128,12 @@ class Labeling:
                 raise ValidationError(
                     f"element {_set_str(p)} labeled with the unit monomial; leave it unlabeled instead"
                 )
-            if table.setdefault(p, m) != m:
+            if table.setdefault(p, m) is not m and table[p] != m:
                 raise ValidationError(f"element {_set_str(p)} labeled twice, with {table[p]} and {m}")
         self.lattice = lattice
         self._table = {p: table[p] for p in sorted(table, key=index.__getitem__)}
         self._groups: Optional[dict[str, dict[int, int]]] = None
+        self._plain: Optional[MonomialIdeal] = None
 
     @classmethod
     def from_sets(
@@ -182,7 +190,8 @@ def labeling_from_json_dict(
 
     ``doc["lattice"]`` may be an inline lattice document or a filename; the
     filename form needs ``base_dir`` to resolve against.  An explicit
-    ``lattice`` argument overrides whatever the document says.
+    ``lattice`` argument overrides whatever the document says; one that is
+    no :class:`AtomicLattice` is a :class:`PreconditionError`.
     """
     if not isinstance(doc, dict) or "labels" not in doc:
         raise FormatError('a labeling document needs a "labels" key')
@@ -198,6 +207,8 @@ def labeling_from_json_dict(
             lattice = AtomicLattice.from_json_dict(ref)
         else:
             raise FormatError('"lattice" must be an object or a filename string')
+    else:
+        _require_lattice(lattice)
     labels = doc["labels"]
     if not isinstance(labels, list):
         raise FormatError('"labels" must be a list')
@@ -455,18 +466,30 @@ def atom_generator(lat: AtomicLattice, labeling: Labeling, atom: int) -> Monomia
 
 def ideal_from_labeling(lat: AtomicLattice, labeling: Labeling) -> MonomialIdeal:
     """The ideal generated by ``x(a)`` over all atoms, in atom order: the
-    elements above atom ``a`` are its row of the incidence table."""
+    elements above atom ``a`` are its row of the incidence table.
+
+    Built the first time it is asked for and kept with the labeling, as its
+    label groups are, so every later call returns that one ideal with the
+    level table it keeps: :func:`weak_ideal` refines it, and
+    :func:`~lcmlattice.classify.classify` and the specific-map predicates
+    read it.  Equal lattices have the same incidence rows, so it serves any
+    lattice the labeling belongs to; the refusals of :func:`_label_groups`
+    come first on every call.  A sum of label exponents past the cap
+    refuses the build, and no ideal is kept."""
     groups = _label_groups(lat, labeling)
-    return MonomialIdeal._with_levels(tuple(_product_outside(groups, row) for row in lat._atom_rows()), None)
+    if labeling._plain is None:
+        gens = tuple(_product_outside(groups, row) for row in lat._atom_rows())
+        labeling._plain = MonomialIdeal._with_levels(gens, None)
+    return labeling._plain
 
 
 def weak_generator(lat: AtomicLattice, labeling: Labeling, atom: int) -> Monomial:
     """The refined generator ``delta(a)``; always divides ``x(a)``.
 
-    The single-atom API.  It computes the whole :func:`weak_ideal` (every
-    ``x(a)`` and one join per exponent level) and returns one entry, so a
-    caller that wants ``delta`` of several atoms should call
-    :func:`weak_ideal` once instead.
+    The single-atom API.  It computes the whole :func:`weak_ideal` (one
+    join per exponent level of the ``x(a)``, which the labeling builds
+    once) and returns one entry, so a caller that wants ``delta`` of
+    several atoms should call :func:`weak_ideal` once instead.
     """
     _require_atom(lat, labeling, atom)
     return weak_ideal(lat, labeling).generators[atom.bit_length() - 1]

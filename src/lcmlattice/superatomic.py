@@ -32,7 +32,7 @@ from math import comb
 from typing import Iterator, Optional
 
 from .errors import CapExceededError, PreconditionError, shown
-from .lattice import AtomicLattice, _canon_key, _canonical, _is_int, atoms_of, bits_of
+from .lattice import AtomicLattice, _canon_key, _canonical, _is_int, _require_lattice, atoms_of, bits_of
 
 __all__ = [
     "is_super_atomic",
@@ -69,9 +69,10 @@ def _atom_pairs(lat: AtomicLattice) -> tuple[dict[int, list[int]], dict[int, int
     ANDs in all.  A pair joining to p lies inside p, so walking the atom
     pairs in ``_pairs_within`` order lists each element's pairs in the order
     ``_pairs_within(p)`` gives.  The super-atomic test and both interval
-    criteria of :mod:`lcmlattice.support_labeling` read this one table.
+    criteria of :mod:`lcmlattice.support_labeling` read this one table, so
+    its refusal of a value that is no :class:`AtomicLattice` is theirs.
     """
-    sets, rows = lat.sets, lat._atom_rows()
+    sets, rows = _require_lattice(lat).sets, lat._atom_rows()
     joining: dict[int, list[int]] = {p: [] for p in sets}
     sizes = {1 << i: row.bit_count() for i, row in enumerate(rows)}
     for (i, a), (j, b) in combinations(enumerate(lat.atoms), 2):
@@ -135,7 +136,7 @@ def is_super_atomic_via_supp(lat: AtomicLattice) -> bool:
     no table of the lattice is read and nothing is cached on it.  The first
     failing element ends the check.
     """
-    cols = [0] * lat.n
+    cols = [0] * _require_lattice(lat).n
     seen = set()
     bit = 1
     for p in lat.sets:
@@ -290,7 +291,7 @@ class CoverWitness:
     new_element: int
 
     def __post_init__(self):
-        if self.larger.n != self.smaller.n:
+        if _require_lattice(self.larger).n != _require_lattice(self.smaller).n:
             raise PreconditionError("cover requires lattices on the same atoms")
         sp, sq = set(self.larger.sets), set(self.smaller.sets)
         if not (sq < sp and len(sp) == len(sq) + 1):
@@ -301,7 +302,7 @@ class CoverWitness:
 
 def cover_witness(P: AtomicLattice, Q: AtomicLattice) -> Optional[CoverWitness]:
     """Witness that P covers Q (P's family adds exactly one set), or None."""
-    if P.n != Q.n:
+    if _require_lattice(P).n != _require_lattice(Q).n:
         raise PreconditionError("cover comparison requires lattices on the same atoms")
     sp, sq = set(P.sets), set(Q.sets)
     if sq < sp and len(sp) == len(sq) + 1:
@@ -312,7 +313,10 @@ def cover_witness(P: AtomicLattice, Q: AtomicLattice) -> Optional[CoverWitness]:
 
 def verify_new_element_meet_irreducible(witness: CoverWitness) -> bool:
     """The added set of a cover is always meet-irreducible in the larger
-    lattice; this evaluates that claim on one witness."""
+    lattice; this evaluates that claim on one witness, which must be a
+    :class:`CoverWitness`."""
+    if not isinstance(witness, CoverWitness):
+        raise PreconditionError(f"the witness must be a CoverWitness, got {shown(witness)}")
     return witness.new_element in witness.larger.meet_irreducibles()
 
 

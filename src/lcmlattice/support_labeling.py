@@ -27,7 +27,7 @@ from typing import Optional
 from .classify import _extends_to_isomorphism, is_strong_coordinatization
 from .errors import PreconditionError, _iterated, shown
 from .ideals import Labeling, _refine, ideal_from_labeling
-from .lattice import AtomicLattice, _set_str, atoms_of, bits_of
+from .lattice import AtomicLattice, _require_lattice, _set_str, atoms_of, bits_of
 from .monomial import Monomial
 from .superatomic import _atom_pairs, _super_atomic_joining_pairs, cover_witness, is_super_atomic
 
@@ -48,6 +48,7 @@ def support_labeling(lat: AtomicLattice, atom_names: Optional[list[str]] = None)
     Atom i is written ``a<i>`` unless ``atom_names`` supplies n distinct
     string names (handy for matching hand-drawn figures that use a, b, c, ...).
     """
+    _require_lattice(lat)
     if atom_names is None:
         names = [f"a{i}" for i in range(1, lat.n + 1)]
     else:
@@ -122,15 +123,20 @@ def check_weak_interval_criterion(lat: AtomicLattice) -> IntervalCriterionReport
     so no join is taken per candidate.  N([p, top]) is read there too, at
     any joining pair {a_i, a_j} of p: an element
     contains both a_i and a_j exactly when it contains their join, which is
-    p, so the elements above p are the ones the pair's entry counts.  The
-    atoms outside p are found only at elements with a joining pair, and
-    each chosen atom a_r is tested once per element (its result does not
-    depend on the pair it came from).  Each element's witness is built
+    p, so the elements above p are the ones the pair's entry counts.
+
+    The atoms a_k that defeat a chosen atom a_r depend on a_r and the
+    threshold N([p, top]) alone, so one call keeps, per (a_r, threshold),
+    the mask of the atoms k with N([a_r v a_k, top]) >= N([p, top]), made
+    when first read with one pass over the atoms; a_r itself and every atom
+    of p are removed by ``& ~p``, and the first defeating atom outside p,
+    in atom order, is the lowest bit left.  Each element's witness is built
     once, for the candidate kept: the first that works, or else the last one
     tried, through :func:`_witness`.
     """
     joining, n_pair = _atom_pairs(lat)
     atoms = lat.atoms
+    defeating: dict[tuple[int, int], int] = {}  # (chosen atom, threshold) -> atoms at or over it
     witnesses = []
     for p in lat.sets:
         if p == 0 or p.bit_count() == 1:
@@ -139,22 +145,21 @@ def check_weak_interval_criterion(lat: AtomicLattice) -> IntervalCriterionReport
         if not pairs:
             witnesses.append(_witness(atoms_of(p), False))
             continue
-        outside = [a for a in atoms if not a & p]
         n_p = n_pair[pairs[0]]
-        first_bad: dict[int, Optional[int]] = {}  # chosen atom -> first outside atom defeating it
         for pr, r in ((pr, r) for pr in pairs for r in (pr & -pr, pr & (pr - 1))):
-            if r not in first_bad:
-                first_bad[r] = next((k for k in outside if n_pair[r | k] >= n_p), None)
-            if first_bad[r] is None:
+            mask = defeating.get((r, n_p))
+            if mask is None:
+                mask = defeating[r, n_p] = sum(k for k in atoms if n_pair[r | k] >= n_p)
+            bad = mask & ~p
+            if not bad:
                 break
-        bad = first_bad[r]
         witnesses.append(
             _witness(
                 atoms_of(p),
-                bad is None,
+                not bad,
                 ((pr & -pr).bit_length(), (pr & (pr - 1)).bit_length()),
                 r.bit_length(),
-                None if bad is None else bad.bit_length(),
+                (bad & -bad).bit_length() or None,
             )
         )
     return IntervalCriterionReport(
@@ -235,7 +240,7 @@ def check_cover_transfer(
     refined from them, and the strong verdict reads their level table, as
     in :func:`~lcmlattice.classify.classify`.
     """
-    if root.n != larger.n or root.n != smaller.n:
+    if _require_lattice(root).n != _require_lattice(larger).n or root.n != _require_lattice(smaller).n:
         raise PreconditionError("all three lattices must share the same atoms")
     if not is_super_atomic(root):
         raise PreconditionError("the root lattice is not super-atomic")

@@ -146,6 +146,13 @@ def joining_sets_oracle(lat: AtomicLattice, p: int) -> tuple[int, ...]:
     return tuple(sorted(T for T in subsets if join_oracle(lat, T) == p))
 
 
+def pair_joins_oracle(lat: AtomicLattice) -> dict[int, int]:
+    """The :func:`join_oracle` of every atom pair {a, b}, a = b included,
+    keyed by ``a | b``: the joins the oracles over atom pairs read, each
+    taken once, with no ``join_mask``."""
+    return {a | b: join_oracle(lat, a | b) for a in lat.atoms for b in lat.atoms}
+
+
 def cubic_covers(lat: AtomicLattice) -> tuple[tuple[int, int], ...]:
     """Cover pairs by the literal definition: ``p < q`` with nothing strictly
     between.  The cubic scan :meth:`AtomicLattice.covers` replaced, kept as its
@@ -316,7 +323,7 @@ def literal_super_atomic_oracle(lat: AtomicLattice) -> bool:
     to it.  Walks all 2^|p| atom subsets of each element, so it is only
     sensible for small n; the oracle for :func:`lcmlattice.is_super_atomic`.
     Every join is a :func:`join_oracle`, taken once per atom pair."""
-    pair_join = {pr: join_oracle(lat, pr) for pr in _pairs_within(lat.top)}
+    pair_join = pair_joins_oracle(lat)
     for p in lat.sets:
         if p == 0 or p.bit_count() == 1:
             continue
@@ -341,7 +348,7 @@ def supp_characterization_oracle(lat: AtomicLattice) -> bool:
         if p.bit_count() < 2:
             continue
         removable = [b for b in bits_of(p) if (p ^ b) in lat]
-        if not any(lat.join_mask(a | b) == p for a, b in combinations(removable, 2)):
+        if not any(join_oracle(lat, a | b) == p for a, b in combinations(removable, 2)):
             return False
     return True
 
@@ -375,8 +382,10 @@ def joining_pairs_oracle(lat: AtomicLattice) -> dict[int, list[int]]:
     """Each element's atom pairs that join to it, found element by element
     by joining every pair of its own atoms.  The oracle for the joining
     pairs of ``superatomic._atom_pairs``, which takes no join: one AND of
-    two incidence rows per atom pair."""
-    return {p: [pr for pr in _pairs_within(p) if lat.join_mask(pr) == p] for p in lat.sets}
+    two incidence rows per atom pair.  The joins are
+    :func:`pair_joins_oracle`'s."""
+    pair_join = pair_joins_oracle(lat)
+    return {p: [pr for pr in _pairs_within(p) if pair_join[pr] == p] for p in lat.sets}
 
 
 def bit_loop_atom_rows(lat: AtomicLattice) -> list[int]:
@@ -489,8 +498,10 @@ def strong_interval_criterion_oracle(lat: AtomicLattice) -> tuple[bool, str | No
     a_k and then every atom a_r of p, three joins and three interval counts.
     The loop :func:`lcmlattice.check_strong_interval_criterion` replaced
     with one table over atom pairs, kept as its oracle: ``(verdict,
-    witness)``, with the same witness text."""
+    witness)``, with the same witness text.  Every join is a
+    :func:`join_oracle`, read from :func:`pair_joins_oracle`."""
     n_top = {q: interval_count(lat, q, lat.top) for q in lat.sets}
+    pair_join = pair_joins_oracle(lat)
     joining = joining_pairs_oracle(lat)
     for p in lat.sets:
         if p.bit_count() < 2:
@@ -499,10 +510,10 @@ def strong_interval_criterion_oracle(lat: AtomicLattice) -> tuple[bool, str | No
         ai = pair & -pair
         aj = pair ^ ai
         for ak in bits_of(p):
-            n_ik = n_top[lat.join_mask(ai | ak)]
-            n_jk = n_top[lat.join_mask(aj | ak)]
+            n_ik = n_top[pair_join[ai | ak]]
+            n_jk = n_top[pair_join[aj | ak]]
             for ar in bits_of(p):
-                n_rk = n_top[lat.join_mask(ar | ak)]
+                n_rk = n_top[pair_join[ar | ak]]
                 if n_ik > n_rk and n_jk > n_rk:
                     return False, (
                         f"at element {_set_str(p)}: both members of the "
@@ -564,8 +575,10 @@ def weak_interval_criterion_oracle(lat: AtomicLattice) -> IntervalCriterionRepor
     """The weak interval criterion with an :class:`IntervalWitness` built for
     every candidate tried, keeping the one that works or else the last.  The
     loop :func:`lcmlattice.check_weak_interval_criterion` replaced with one
-    that builds only the kept witness, kept as its oracle."""
+    that builds only the kept witness, kept as its oracle.  Every join is
+    a :func:`join_oracle`, read from :func:`pair_joins_oracle`."""
     n_top = {q: interval_count(lat, q, lat.top) for q in lat.sets}
+    pair_join = pair_joins_oracle(lat)
     joining = joining_pairs_oracle(lat)
     witnesses = []
     for p in lat.sets:
@@ -577,7 +590,7 @@ def weak_interval_criterion_oracle(lat: AtomicLattice) -> IntervalCriterionRepor
         for pr in joining[p]:
             lo = pr & -pr
             for r in (lo, pr ^ lo):
-                bad = next((k for k in outside if n_top[lat.join_mask(r | k)] >= n_top[p]), None)
+                bad = next((k for k in outside if n_top[pair_join[r | k]] >= n_top[p]), None)
                 w = IntervalWitness(
                     element=atoms_of(p),
                     satisfied=bad is None,
@@ -638,6 +651,30 @@ def random_lattice(rng: random.Random, n: int, extra: int | None = None) -> Atom
                     sets.add(a & b)
                     changed = True
     return AtomicLattice(n, sets)
+
+
+def sized_random_lattice(rng: random.Random, n: int, size: int) -> AtomicLattice:
+    """A random atomic lattice of ``size`` to ``size * 1.1`` elements, as the
+    ``wide-generators`` benchmark draws its sparse ones: random subsets are
+    added, closing under intersection after each, until the family is large
+    enough; a draw that overshoots the band starts over."""
+    full = (1 << n) - 1
+    while True:
+        sets = {0, full} | {1 << i for i in range(n)}
+        while len(sets) < size:
+            new = rng.randint(1, full)
+            sets |= {new & s for s in sets} | {new}
+        if len(sets) <= size * 1.1:
+            return AtomicLattice(n, sets)
+
+
+def benchmark_shaped_lattices(seed: int) -> list[AtomicLattice]:
+    """B8, then three :func:`sized_random_lattice` each on 8, 9 and 10 atoms
+    with 40, 70 and 100 elements, drawn from ``random.Random(seed)``: the
+    Boolean and sparse shapes of the ``wide-generators`` benchmark."""
+    rng = random.Random(seed)
+    sparse = [sized_random_lattice(rng, n, size) for n, size in ((8, 40), (9, 70), (10, 100)) for _ in range(3)]
+    return [boolean_lattice(8), *sparse]
 
 
 def random_lattices(rng: random.Random, count: int, atoms: tuple[int, int] = (2, 7)):
@@ -868,6 +905,17 @@ def support_labelings():
         yield lat, support_labeling(lat)
 
 
+def benchmark_shaped_labelings(seed: int):
+    """Each of the :func:`benchmark_shaped_lattices` with its support
+    labeling and one labeling from each of ``LABELING_BUILDERS``, drawn
+    from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    for lat in benchmark_shaped_lattices(seed):
+        yield lat, support_labeling(lat)
+        for build in LABELING_BUILDERS:
+            yield lat, build(rng, lat)
+
+
 def swallowing_labelings(seed: int, count: int = 150):
     """Overlap-condition labelings in which one label is multiplied into the
     label of an incomparable element, so that it divides that label."""
@@ -992,6 +1040,10 @@ CONDITION_CORPORA = {
     ),
     "support labelings, flat n <= 12 and Boolean n <= 7": (support_labelings, {None, "elements"}),
     "a label dividing an incomparable one": (lambda: swallowing_labelings(19), {"label"}),
+    "B8 and sparse lattices on 8 to 10 atoms": (
+        lambda: benchmark_shaped_labelings(41),
+        {None, "meet-irreducible", "label", "elements"},
+    ),
 }
 
 DETECTOR_CORPORA = {
@@ -1059,6 +1111,7 @@ WEAK_CRITERION_CORPORA = {
     "Boolean with n <= 7": (lambda: up_to(boolean_lattice, 7), _EVERY_WITNESS_KIND),
     "200 random lattices with n <= 7": (lambda: seeded_random_lattices(200, seed=18), _EVERY_WITNESS_KIND),
     "flat with 8 <= n <= 12": (lambda: [flat_lattice(n) for n in range(8, 13)], {(True, False)}),
+    "B8 and sparse lattices on 8 to 10 atoms": (lambda: benchmark_shaped_lattices(40), _EVERY_WITNESS_KIND),
 }
 
 # (lattice, labeling) pairs from shared_variable_labelings, seeded with the

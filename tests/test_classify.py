@@ -147,6 +147,24 @@ def test_overlap_conditions_on_a_fully_labeled_boolean_lattice_fit_the_budget(n,
     assert elapsed < budget, f"{elapsed:.3f} s"
 
 
+def test_overlap_conditions_on_the_support_labeling_of_b14_fit_the_budget():
+    """The overlap check walks only the incomparable pairs that share a
+    variable: on the support labeling of B14 each element shares a variable
+    with every element above it, and none of those pairs is visited, so the
+    walk to the first witness takes under 0.12 s.  The first call builds the
+    label groups, which the labeling keeps, so the second call times the
+    walk alone."""
+    lat = boolean_lattice(14)
+    lab = support_labeling(lat)
+    expected = (False, "elements entangled with the label of {1,2} are not a chain: {1} and {2}")
+    assert check_weak_conditions(lat, lab) == expected
+    start = time.perf_counter()
+    verdict = check_weak_conditions(lat, lab)
+    elapsed = time.perf_counter() - start
+    assert verdict == expected
+    assert elapsed < 0.12, f"{elapsed:.3f} s"
+
+
 @pytest.mark.parametrize("check", [check_strong_conditions, check_weak_conditions, classify, verify_labeling_recovery])
 def test_a_labeling_of_another_lattice_is_refused(check):
     """Each entry point refuses a labeling of another lattice before any

@@ -9,6 +9,7 @@ import pytest
 from lcmlattice import (
     AtomicLattice,
     CapExceededError,
+    CoverWitness,
     DegenerateIdealError,
     FormatError,
     Labeling,
@@ -20,10 +21,18 @@ from lcmlattice import (
     ONE,
     ValidationError,
     atom_generator,
+    check_cover_transfer,
+    check_strong_interval_criterion,
+    check_superatomic_structure,
+    check_weak_interval_criterion,
     classify,
+    cover_witness,
     element_generator,
     gcd_all,
+    hasse_dot,
     ideal_from_labeling,
+    is_super_atomic,
+    is_super_atomic_via_supp,
     labeling_from_json_dict,
     lcm_all,
     lattice_isomorphic,
@@ -33,6 +42,7 @@ from lcmlattice import (
     recovered_labeling,
     render_ideal_text,
     support_labeling,
+    verify_new_element_meet_irreducible,
     weak_generator,
     weak_ideal,
 )
@@ -326,6 +336,41 @@ def test_refined_generator_divides_plain(rng):
         refined = weak_ideal(lat, lab)
         for d, x in zip(refined, plain):
             assert d.divides(x)
+
+
+def test_a_labeling_keeps_its_x():
+    """``x`` is built once per labeling and kept with it: every call returns
+    that one ideal, for the labeling's own lattice and for an equal lattice
+    that is another object, and a lattice the labeling does not belong to is
+    refused after the ideal exists as before."""
+    lat = boolean_lattice(4)
+    lab = support_labeling(lat)
+    x = ideal_from_labeling(lat, lab)
+    assert ideal_from_labeling(lat, lab) is x
+    equal = boolean_lattice(4)
+    assert equal == lat and equal is not lat
+    assert ideal_from_labeling(equal, lab) is x
+    with pytest.raises(PreconditionError, match="^labeling belongs to a different lattice$"):
+        ideal_from_labeling(flat_lattice(4), lab)
+
+
+def test_weak_ideal_builds_no_second_x(monkeypatch):
+    """``weak_ideal`` refines the labeling's ``x``: one ``x(a)`` per atom is
+    built, by whichever of ``weak_ideal``, ``ideal_from_labeling`` and
+    ``classify`` comes first, and none after."""
+    calls = []
+    product_outside = ideals._product_outside
+    monkeypatch.setattr(
+        ideals, "_product_outside", lambda groups, above: calls.append(above) or product_outside(groups, above)
+    )
+    lat = boolean_lattice(4)
+    lab = support_labeling(lat)
+    weak = weak_ideal(lat, lab)
+    assert calls == lat._atom_rows()
+    x = ideal_from_labeling(lat, lab)
+    classify(lat, lab)
+    assert weak_ideal(lat, lab) == weak == _refine(lat, x)
+    assert len(calls) == lat.n
 
 
 def test_weak_generator_matches_weak_ideal(rng):
@@ -651,6 +696,47 @@ def test_an_argument_of_the_wrong_kind_is_a_package_error(call, text):
     lat = boolean_lattice(2)
     with pytest.raises(PreconditionError, match=f"^{re.escape(text)}$"):
         call(lat, Labeling(lat))
+
+
+_ONE_LABEL = {"labels": [{"set": [1], "monomial": "x"}]}
+
+
+@pytest.mark.parametrize(
+    "call, text",
+    [
+        *(
+            pytest.param(call, _NOT_A_LATTICE + "5", id=name)
+            for name, call in {
+                "support_labeling(5)": lambda lat: support_labeling(5),
+                "hasse_dot(5)": lambda lat: hasse_dot(5),
+                "is_super_atomic(5)": lambda lat: is_super_atomic(5),
+                "is_super_atomic_via_supp(5)": lambda lat: is_super_atomic_via_supp(5),
+                "check_superatomic_structure(5)": lambda lat: check_superatomic_structure(5),
+                "check_weak_interval_criterion(5)": lambda lat: check_weak_interval_criterion(5),
+                "check_strong_interval_criterion(5)": lambda lat: check_strong_interval_criterion(5),
+                "check_cover_transfer(5, lat, lat)": lambda lat: check_cover_transfer(5, lat, lat),
+                "check_cover_transfer(lat, lat, 5)": lambda lat: check_cover_transfer(lat, lat, 5),
+                "cover_witness(lat, 5)": lambda lat: cover_witness(lat, 5),
+                "cover_witness(5, lat)": lambda lat: cover_witness(5, lat),
+                "CoverWitness(lat, 5, 0b11)": lambda lat: CoverWitness(lat, 5, 0b11),
+                "labeling_from_json_dict(lattice=5)": lambda lat: labeling_from_json_dict(_ONE_LABEL, lattice=5),
+            }.items()
+        ),
+        pytest.param(
+            lambda lat: verify_new_element_meet_irreducible(5),
+            "the witness must be a CoverWitness, got 5",
+            id="verify_new_element_meet_irreducible(5)",
+        ),
+    ],
+)
+def test_a_lattice_or_cover_witness_of_the_wrong_kind_is_a_package_error(call, text):
+    """Every entry point that takes a lattice alone, or lattices beside
+    one another, refuses a value that is no :class:`AtomicLattice` with
+    the text of ``lattice._require_lattice``, and the meet-irreducibility
+    check of a cover refuses a witness that is no :class:`CoverWitness`,
+    not with the ``AttributeError`` of reading it."""
+    with pytest.raises(PreconditionError, match=f"^{re.escape(text)}$"):
+        call(boolean_lattice(2))
 
 
 _NOT_ASSIGNMENTS = "assignments must be a mapping or an iterable of ({}, monomial) pairs, got "
