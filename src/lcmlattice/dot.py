@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional
 
+from .errors import PreconditionError, shown
 from .lattice import AtomicLattice, _require_lattice, _set_str
 
 __all__ = ["hasse_dot"]
@@ -34,14 +35,23 @@ def hasse_dot(
     ``labels`` may map element masks to display text; elements it does not
     cover fall back to their atom-set form.  ``skip_bottom`` drops the bottom
     element and its edges, the way lattice diagrams are usually drawn.
+    A ``labels`` that is not a mapping, a label or a ``name`` that is not a
+    ``str`` is a :class:`PreconditionError`.
     """
     _require_lattice(lat)
-    labels = labels or {}
+    if labels is None:
+        labels = {}
+    elif not isinstance(labels, Mapping):
+        raise PreconditionError(f"labels must be a mapping from element masks to str, got {shown(labels)}")
+    if not isinstance(name, str):
+        raise PreconditionError(f"the graph name must be a str, got {shown(name)}")
     lines = [f"digraph {_quote(name)} {{", "  rankdir=BT;", '  node [shape=plaintext, fontname="Helvetica"];']
     for m in lat.sets:
         if skip_bottom and m == 0:
             continue
         text = labels.get(m)
+        if text is not None and not isinstance(text, str):
+            raise PreconditionError(f"the label of {_set_str(m)} must be a str, got {shown(text)}")
         lines.append(f"  n{m} [label={_quote(_default_label(m) if text is None else text)}];")
     for lo, hi in lat.covers():
         if skip_bottom and lo == 0:

@@ -15,9 +15,13 @@ next level.  The next level gives the choices back: delta(S) is the set of
 members v of S with S - v in it (see :func:`iter_super_atomic_families`),
 so distinct choices give distinct levels, and exhausting all valid choices
 enumerates every super-atomic lattice on n atoms exactly once, with no
-record of the levels produced.  Each level is sorted and holds sets of one
-size, so a family assembled level by level, smallest sets first, is already
-in canonical order; the enumerations never re-sort a family.
+record of the families produced.  Different branches reach the same level
+again (at n = 6, 3,496 times for 1,431 distinct levels): the listing
+computes each distinct level's children once per call and drops that memo
+when it returns, while the stream recomputes them, so its memory stays
+constant.  Each level is sorted and holds sets of one size, so a family
+assembled level by level, smallest sets first, is already in canonical
+order; the enumerations never re-sort a family.
 
 Lattices on the same n atoms are partially ordered by containment of their
 set systems; covers in that order add exactly one set, and the added set is
@@ -26,13 +30,15 @@ always meet-irreducible in the larger lattice.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, combinations, product
 from math import comb
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .errors import CapExceededError, PreconditionError, shown
-from .lattice import AtomicLattice, _canon_key, _canonical, _is_int, _require_lattice, atoms_of, bits_of
+from .lattice import AtomicLattice, _canon_key, _canonical, _is_int, _require_lattice, _set_str, bits_of
 
 __all__ = [
     "is_super_atomic",
@@ -50,6 +56,9 @@ __all__ = [
 MAX_ENUM_ATOMS = 7
 # Listing holds every lattice at once: 23,040 on 6 atoms, 2,580,480 on 7.
 MAX_LIST_ATOMS = 6
+
+# The child levels of a level: :func:`_children`, or a per-call memo of it.
+_Children = Callable[[tuple[int, ...]], list[tuple[int, ...]]]
 
 
 def _pairs_within(mask: int) -> list[int]:
@@ -181,7 +190,10 @@ def iter_super_atomic_families(n: int) -> Iterator[tuple[int, ...]]:
     then by mask) without validating them, which is what makes counting at
     n = 7 (about 2.6 million families) tolerable.  The atom count is checked
     at the call, not at the first family: more than ``MAX_ENUM_ATOMS`` atoms
-    raise :class:`CapExceededError`.
+    raise :class:`CapExceededError`.  A level the descent reaches again has
+    its children computed again (at n = 6, 3,496 computations for 1,431
+    distinct levels), so the stream holds no memo and its memory stays
+    constant; at n = 7 a memo would hold 34,343 levels.
 
     Each family is produced exactly once, as the child level fixes every
     choice: for every S of a level, {v in S : S - v is in the child} is
@@ -195,31 +207,55 @@ def iter_super_atomic_families(n: int) -> Iterator[tuple[int, ...]]:
     _require_atom_count(n, 2)
     if n > MAX_ENUM_ATOMS:
         raise CapExceededError(f"enumeration on {shown(n)} atoms exceeds the cap of {MAX_ENUM_ATOMS}")
+    return _families(n, _children)
+
+
+def _families(n: int, children: _Children) -> Iterator[tuple[int, ...]]:
+    """Every family on n atoms, descending from the top with ``children``."""
     top = (1 << n) - 1
-    return _descend((top,), (), (0, *(1 << i for i in range(n))))
+    return _descend(children, (top,), (), (0, *(1 << i for i in range(n))))
 
 
-def _descend(level: tuple[int, ...], above: tuple[int, ...], base: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+def _children(level: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The child levels of ``level``, each sorted, in the descent's order.
+
+    Each set S of the level picks a pair delta(S) of its members that lies
+    in no other set of the level, and contributes S minus each member of
+    the pair; a child is the union over one choice per set, and the
+    children come in the order of the product of the choices.  So a pair
+    of S is valid exactly when S is the only set of the level holding it,
+    and one count over every set's pairs decides them all.  Distinct
+    choices give distinct children (see :func:`iter_super_atomic_families`),
+    so the list has no repeats.  A set with no valid pair makes the level a
+    dead end, with no children.
+    """
+    within = [_pairs_within(S) for S in level]
+    holders = Counter(chain.from_iterable(within))  # per pair, how many sets of the level contain it
+    options = []  # per set S, the two children S - a and S - b of each valid pair {a, b}
+    for S, inside in zip(level, within):
+        pairs = [pr for pr in inside if holders[pr] == 1]
+        if not pairs:
+            return []
+        options.append([(S ^ (pr & -pr), S ^ (pr & (pr - 1))) for pr in pairs])
+    return [tuple(sorted(set(chain.from_iterable(choice)))) for choice in product(*options)]
+
+
+def _descend(
+    children: _Children, level: tuple[int, ...], above: tuple[int, ...], base: tuple[int, ...]
+) -> Iterator[tuple[int, ...]]:
     """Every family below ``level``, as ``base`` followed by the levels.
 
     ``level`` is sorted and holds sets of one size, and ``above`` is the
     concatenation of the levels above it, smallest size first, so each
-    family comes out in canonical order.  Distinct choices give distinct
-    children (see :func:`iter_super_atomic_families`), so each child is
-    descended into once; a set with no valid pair ends the level.
+    family comes out in canonical order.  ``children`` gives the levels
+    below one level (:func:`_children`, or a memo of it).
     """
     levels = level + above
     if level[0].bit_count() == 2:
         yield base + levels
         return
-    options = []  # per set S, the two children S - a and S - b of each valid pair {a, b}
-    for S in level:
-        pairs = [pr for pr in _pairs_within(S) if all(pr & ~T for T in level if T != S)]
-        if not pairs:
-            return
-        options.append([(S ^ (pr & -pr), S ^ (pr & (pr - 1))) for pr in pairs])
-    for choice in product(*options):
-        yield from _descend(tuple(sorted(set(chain.from_iterable(choice)))), levels, base)
+    for child in children(level):
+        yield from _descend(children, child, levels, base)
 
 
 def enumerate_super_atomic(n: int) -> list[AtomicLattice]:
@@ -247,14 +283,18 @@ def enumerate_super_atomic(n: int) -> list[AtomicLattice]:
     element p is a super-atomic lattice on supp(p), so inclusion-exclusion
     gives N_j(n) = [j = n] + 2·N_j(n - 1) - N_j(n - 2).
 
-    Materializes everything, so more than ``MAX_LIST_ATOMS`` atoms raise
+    The families come from the same descent as
+    :func:`iter_super_atomic_families`, with the child levels of each
+    distinct level computed once per call (1,431 levels for 3,496 visits at
+    n = 6); the memo is dropped when the listing returns.  Materializes
+    everything, so more than ``MAX_LIST_ATOMS`` atoms raise
     :class:`CapExceededError` before any work; for n = 7 stream
     :func:`iter_super_atomic_families` (2,580,480 families) instead.
     """
     _require_atom_count(n, 2)
     if n > MAX_LIST_ATOMS:
         raise CapExceededError(f"listing the lattices on {shown(n)} atoms exceeds the cap of {MAX_LIST_ATOMS}")
-    return [AtomicLattice._trusted(n, sets) for sets in sorted(iter_super_atomic_families(n))]
+    return [AtomicLattice._trusted(n, sets) for sets in sorted(_families(n, cache(_children)))]
 
 
 def enumerate_all_lattices(n: int) -> list[AtomicLattice]:
@@ -296,8 +336,10 @@ class CoverWitness:
         sp, sq = set(self.larger.sets), set(self.smaller.sets)
         if not (sq < sp and len(sp) == len(sq) + 1):
             raise PreconditionError("not a cover: the larger family must add exactly one set")
+        if not _is_int(self.new_element):
+            raise PreconditionError(f"new_element must be an int mask, got {shown(self.new_element)}")
         if sp - sq != {self.new_element}:
-            raise PreconditionError(f"new_element {atoms_of(self.new_element)} is not the added set")
+            raise PreconditionError(f"new_element {_set_str(self.new_element)} is not the added set")
 
 
 def cover_witness(P: AtomicLattice, Q: AtomicLattice) -> Optional[CoverWitness]:

@@ -1,4 +1,6 @@
-from lcmlattice import AtomicLattice, hasse_dot
+import pytest
+
+from lcmlattice import AtomicLattice, PreconditionError, hasse_dot
 
 DIAMOND = AtomicLattice.from_sets(2, [[], [1], [2], [1, 2]])
 
@@ -34,3 +36,23 @@ def test_quoting():
 
 def test_deterministic():
     assert hasse_dot(DIAMOND) == hasse_dot(DIAMOND)
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"labels": 5}, "labels must be a mapping from element masks to str, got 5"),
+        ({"labels": ["a"]}, "labels must be a mapping from element masks to str, got ['a']"),
+        ({"labels": {3: 5}}, "the label of {1,2} must be a str, got 5"),
+        ({"name": 5}, "the graph name must be a str, got 5"),
+        ({"name": None}, "the graph name must be a str, got None"),
+    ],
+)
+def test_labels_and_name_of_the_wrong_kind_are_package_errors(kwargs, message):
+    with pytest.raises(PreconditionError) as info:
+        hasse_dot(DIAMOND, **kwargs)
+    assert str(info.value) == message
+
+
+def test_empty_labels_fall_back_to_atom_sets():
+    assert hasse_dot(DIAMOND, labels={}) == hasse_dot(DIAMOND)

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from math import factorial
 
@@ -20,6 +21,7 @@ from lcmlattice import (
     super_atomic_size,
     verify_new_element_meet_irreducible,
 )
+from lcmlattice import superatomic
 from lcmlattice.lattice import _canon_key
 from lcmlattice.superatomic import _atom_pairs
 
@@ -283,6 +285,33 @@ def test_enumeration_entry_points_reject_a_non_int_atom_count(call, bad):
         call(bad)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_listing_is_the_sorted_stream(n):
+    assert [lat.sets for lat in enumerate_super_atomic(n)] == sorted(iter_super_atomic_families(n))
+
+
+def test_the_listing_computes_each_levels_children_once(monkeypatch):
+    """The listing memoizes the child levels for one call; the stream
+    recomputes a level each time the descent reaches it, so its memory
+    stays constant.  At n = 6 the descent reaches 3,496 levels, of which
+    1,431 are distinct; at n = 5, 101 and 81."""
+    calls = Counter()
+    children = superatomic._children
+
+    def counted(level):
+        calls[level] += 1
+        return children(level)
+
+    monkeypatch.setattr(superatomic, "_children", counted)
+    for n, distinct in ((6, 1431), (5, 81), (5, 81)):  # the second n = 5 call starts from an empty memo
+        calls.clear()
+        enumerate_super_atomic(n)
+        assert len(calls) == sum(calls.values()) == distinct
+    calls.clear()
+    assert sum(1 for _ in iter_super_atomic_families(5)) == 480
+    assert (len(calls), sum(calls.values())) == (81, 101)
+
+
 def test_iteration_streams_without_materializing():
     it = iter_super_atomic_families(6)
     first = [next(it) for _ in range(5)]
@@ -347,6 +376,17 @@ def test_cover_witness_validates():
             CoverWitness(larger, lower, new_element=0b0011)
     with pytest.raises(PreconditionError):
         cover_witness(STAIRCASE4, BOOLEAN3)
+    with pytest.raises(PreconditionError, match=r"^new_element \{2,3\} is not the added set$"):
+        CoverWitness(STAIRCASE4, smaller, new_element=0b0110)
+
+
+@pytest.mark.parametrize("bad", ["x", 3.0, True, None, [3]])
+def test_cover_witness_refuses_a_new_element_that_is_not_an_int(bad):
+    """The refusal names the value; it is no bare ``TypeError`` from
+    rendering a non-mask as an atom set, nor from hashing a list."""
+    smaller = AtomicLattice(4, [m for m in STAIRCASE4.sets if m != 0b0011])
+    with pytest.raises(PreconditionError, match=rf"^new_element must be an int mask, got {re.escape(repr(bad))}$"):
+        CoverWitness(STAIRCASE4, smaller, bad)
 
 
 def test_new_element_meet_irreducible_exhaustive_n3():
