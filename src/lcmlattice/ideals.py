@@ -231,9 +231,11 @@ def labeling_from_json_dict(
 def _read_text(path: Union[str, Path]) -> str:
     """The one reader of input files.  Bytes that are not UTF-8 are a
     :class:`FormatError` naming the file; an unreadable file stays an
-    ``OSError``."""
+    ``OSError``, and a value that is no path is a :class:`PreconditionError`."""
     try:
         return Path(path).read_text(encoding="utf-8")
+    except TypeError:
+        raise PreconditionError(f"a path must be a str or an os.PathLike, got {shown(path)}") from None
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
@@ -369,6 +371,8 @@ def parse_ideal_text(text: str) -> MonomialIdeal:
 
 
 def render_ideal_text(ideal: MonomialIdeal) -> str:
+    if not isinstance(ideal, MonomialIdeal):
+        raise PreconditionError(f"the ideal must be a MonomialIdeal, got {shown(ideal)}")
     return "".join(str(g) + "\n" for g in ideal.generators)
 
 

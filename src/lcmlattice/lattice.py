@@ -133,14 +133,18 @@ def atoms_of(mask: int) -> tuple[int, ...]:
     """Sorted 1-based atom indices of a bitmask (every witness and serialized
     set goes through here), from tables of the 256 byte values: a mask below
     2^16 takes two lookups, a wider one a list extension per nonzero byte,
-    offset by 8 per byte.  A negative int raises as in :func:`bits_of`."""
-    _require_set(mask)
-    if mask < 65536:
-        return _BYTE_ATOMS[mask & 255] + _SECOND_BYTE_ATOMS[mask >> 8]
-    out = []
-    for k, byte in enumerate(mask.to_bytes((mask.bit_length() + 7) >> 3, "little")):
-        if byte:
-            out += map((k << 3).__add__, _BYTE_ATOMS[byte])
+    offset by 8 per byte.  A negative int raises as in :func:`bits_of`, and
+    so does a value that is no int, echoed through ``shown``."""
+    try:
+        _require_set(mask)
+        if mask < 65536:
+            return _BYTE_ATOMS[mask & 255] + _SECOND_BYTE_ATOMS[mask >> 8]
+        out = []
+        for k, byte in enumerate(mask.to_bytes((mask.bit_length() + 7) >> 3, "little")):
+            if byte:
+                out += map((k << 3).__add__, _BYTE_ATOMS[byte])
+    except (TypeError, AttributeError):
+        raise NotAnElementError(f"{shown(mask)} is not a set of atoms") from None
     return tuple(out)
 
 
@@ -245,10 +249,11 @@ def _element_str(p: object) -> str:
 def _parse_json(text: str, source: object = None):
     """The one parser of input JSON.  Whatever ``json`` refuses (malformed
     text, nesting deeper than the recursion limit, an integer over Python's
-    digit limit) is a :class:`FormatError`, naming ``source`` when given."""
+    digit limit, a value that is no text) is a :class:`FormatError`, naming
+    ``source`` when given."""
     try:
         return json.loads(text)
-    except (ValueError, RecursionError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         where = "" if source is None else f"{source}: "
         raise FormatError(f"{where}invalid JSON: {exc}") from None
 

@@ -36,7 +36,7 @@ import re
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, NoReturn
 
-from .errors import MonomialParseError, NotDivisibleError, PreconditionError, _pairs, shown
+from .errors import MonomialParseError, NotDivisibleError, PreconditionError, _iterated, _pairs, shown
 
 __all__ = ["Monomial", "ONE", "lcm_all", "gcd_all"]
 
@@ -256,14 +256,14 @@ ONE = Monomial()
 def lcm_all(monomials: Iterable[Monomial]) -> Monomial:
     """Least common multiple of a finite family; the empty lcm is 1."""
     out = ONE
-    for m in monomials:
+    for m in _iterated(monomials, "monomials must be an iterable of monomials"):
         out = out.lcm(m)
     return out
 
 
 def gcd_all(monomials: Iterable[Monomial]) -> Monomial:
     """Greatest common divisor of a finite family; the empty gcd is 1."""
-    it = iter(monomials)
+    it = _iterated(monomials, "monomials must be an iterable of monomials")
     try:
         out = next(it)
     except StopIteration:

@@ -23,12 +23,15 @@ differential check that compares each fast path with its oracle.
   path and the oracle on every argument tuple, a package error counting as
   an outcome only where the test names its type, and the least counts of
   the outcome kinds the cases must reach.
+* :func:`within` is the one wall-clock budget of a block of work.
 """
 
 from __future__ import annotations
 
 import random
 import re
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -1181,3 +1184,14 @@ def assert_matches_oracle(fast, oracle, cases, reach=None) -> list:
     kinds = [out.kind if isinstance(out, Raised) else out for out in outcomes]
     assert all(kinds.count(kind) >= least for kind, least in reach.items()), f"reach {reach} not met"
     return outcomes
+
+
+@contextmanager
+def within(seconds: float):
+    """Fail unless the block's wall-clock time is under ``seconds``; the
+    failure gives the elapsed time and the bound.  A block that raises
+    fails with its own error."""
+    start = time.perf_counter()
+    yield
+    elapsed = time.perf_counter() - start
+    assert elapsed < seconds, f"took {elapsed:.3f} s, over the budget of {seconds} s"

@@ -1,4 +1,3 @@
-import time
 from collections import Counter
 
 import pytest
@@ -48,6 +47,7 @@ from conftest import (
     random_labeling,
     small_lattices,
     specific_map_oracle,
+    within,
     worked_example,
 )
 
@@ -140,11 +140,9 @@ def test_overlap_conditions_on_a_fully_labeled_boolean_lattice_fit_the_budget(n,
     meet-irreducibles included, takes under the budget."""
     lat = boolean_lattice(n)
     lab = Labeling(lat, {p: Monomial({f"v{i}": 1}) for i, p in enumerate(lat.sets[:-1])})
-    start = time.perf_counter()
-    verdict = check_weak_conditions(lat, lab)
-    elapsed = time.perf_counter() - start
+    with within(budget):
+        verdict = check_weak_conditions(lat, lab)
     assert verdict == (True, None)
-    assert elapsed < budget, f"{elapsed:.3f} s"
 
 
 def test_overlap_conditions_on_the_support_labeling_of_b14_fit_the_budget():
@@ -158,11 +156,9 @@ def test_overlap_conditions_on_the_support_labeling_of_b14_fit_the_budget():
     lab = support_labeling(lat)
     expected = (False, "elements entangled with the label of {1,2} are not a chain: {1} and {2}")
     assert check_weak_conditions(lat, lab) == expected
-    start = time.perf_counter()
-    verdict = check_weak_conditions(lat, lab)
-    elapsed = time.perf_counter() - start
+    with within(0.12):
+        verdict = check_weak_conditions(lat, lab)
     assert verdict == expected
-    assert elapsed < 0.12, f"{elapsed:.3f} s"
 
 
 @pytest.mark.parametrize("check", [check_strong_conditions, check_weak_conditions, classify, verify_labeling_recovery])
@@ -316,14 +312,19 @@ def _flat_product_labeling(n):
 
 def test_predicates_build_no_lcm_lattice(rng, monkeypatch):
     """The strong and weak predicates decide both verdicts, and
-    ``is_coordinatization`` a strong one, without an lcm-lattice."""
+    ``is_coordinatization`` a strong one, without an lcm-lattice and without
+    a closure of the cuts of their own: the flat product labeling on 20
+    atoms, whose lcm-lattice has 2^20 elements, is decided in under 0.05 s.
+    The strong predicate reads level masks and the meet-irreducibles alone:
+    it takes no join and no lcm of monomials."""
 
-    def refuse(self, generators):
-        raise AssertionError("a predicate built an lcm-lattice")
+    def refuse(*args):
+        raise AssertionError("a predicate built an lcm-lattice, took a join or took an lcm")
 
     monkeypatch.setattr(LcmLattice, "__init__", refuse)
-    lat, lab = _flat_product_labeling(16)
-    assert not is_strong_coordinatization(lat, lab) and not is_weak_coordinatization(lat, lab)
+    lat, lab = _flat_product_labeling(20)
+    with within(0.05):
+        assert not is_strong_coordinatization(lat, lab) and not is_weak_coordinatization(lat, lab)
     verdicts = set()
     for lat in small_lattices():
         for make in (random_labeling, chain_condition_labeling):
@@ -337,6 +338,11 @@ def test_predicates_build_no_lcm_lattice(rng, monkeypatch):
     assert verdicts == {True, False, "DegenerateIdealError"}
     lat = interval_lattice(20)
     assert is_coordinatization(lat, support_labeling(lat))
+    cases = list(decision_labelings(rng))
+    monkeypatch.setattr(AtomicLattice, "join_mask", refuse)
+    monkeypatch.setattr(Monomial, "lcm", refuse)
+    strong = Counter(outcome(is_strong_coordinatization, lat, lab) for lat, lab in cases)
+    assert min(strong[True], strong[False]) >= 100
 
 
 def test_classify_computes_one_level_table_per_generator_tuple(rng, monkeypatch):

@@ -1,7 +1,6 @@
 import json
 import random
 import re
-import time
 from collections import Counter
 
 import pytest
@@ -76,6 +75,7 @@ from conftest import (
     sorting_exponent_levels,
     subset_lcm_lattice,
     subset_weak_generators,
+    within,
     worked_example,
 )
 
@@ -622,6 +622,7 @@ def test_a_value_that_is_no_monomial_or_string_is_refused(value):
 
 _NOT_GENERATORS = "generators must be an iterable of monomials, got "
 _NOT_PAIRS = "assignments must be (element, monomial) pairs, got "
+_NOT_MONOMIALS = "monomials must be an iterable of monomials, got 5"
 
 
 @pytest.mark.parametrize(
@@ -630,6 +631,8 @@ _NOT_PAIRS = "assignments must be (element, monomial) pairs, got "
         pytest.param(lambda lat: MonomialIdeal(5), _NOT_GENERATORS + "5", id="MonomialIdeal(5)"),
         pytest.param(lambda lat: lcm_lattice(5), _NOT_GENERATORS + "5", id="lcm_lattice(5)"),
         pytest.param(lambda lat: LcmLattice(None), _NOT_GENERATORS + "None", id="LcmLattice(None)"),
+        pytest.param(lambda lat: lcm_all(5), _NOT_MONOMIALS, id="lcm_all(5)"),
+        pytest.param(lambda lat: gcd_all(5), _NOT_MONOMIALS, id="gcd_all(5)"),
         pytest.param(
             lambda lat: Labeling(lat, 5),
             "assignments must be a mapping or an iterable of (element, monomial) pairs, got 5",
@@ -684,11 +687,18 @@ _OTHER_LATTICE = "labeling belongs to a different lattice"
             id="recovered_labeling(lat, 5)",
         ),
         pytest.param(lambda lat, lab: recovered_labeling(5, {}), _NOT_A_LATTICE + "5", id="recovered_labeling(5, {})"),
+        pytest.param(
+            lambda lat, lab: render_ideal_text(5), "the ideal must be a MonomialIdeal, got 5", id="render_ideal_text(5)"
+        ),
+        pytest.param(
+            lambda lat, lab: load_labeling(5), "a path must be a str or an os.PathLike, got 5", id="load_labeling(5)"
+        ),
     ],
 )
 def test_an_argument_of_the_wrong_kind_is_a_package_error(call, text):
     """A labeling that is no :class:`Labeling`, a lattice that is no
-    :class:`AtomicLattice` and a ``monomial_of`` that is no mapping are
+    :class:`AtomicLattice`, a ``monomial_of`` that is no mapping, an ideal
+    that is no :class:`MonomialIdeal` and a path that is none are
     refused with a package error echoing the value, not the
     ``AttributeError`` or ``TypeError`` of reading it.  A lattice of the
     wrong kind beside a labeling is refused as another lattice, by the
@@ -959,11 +969,14 @@ def test_the_build_refuses_past_max_atoms_minimal_generators_before_the_closure(
     ``MAX_ATOMS`` of them ``lcm_lattice`` and ``LcmLattice`` refuse with the
     text ``lcmlat lcm-lattice`` prints, and no level table is built, so no
     level mask is closed.  A repeat and a multiple do not count, and an
-    ideal whose minimal generators were read first is refused too."""
+    ideal whose minimal generators were read first is refused too.  The
+    pass takes divisibility tests alone, no lcm and no gcd."""
     staircase = [Monomial({v: e for v, e in (("x", i), ("y", k - 1 - i)) if e}) for i in range(k)]
     raw = staircase + [staircase[0], staircase[1] * Monomial.parse("z")]
     monkeypatch.setattr(ideals, "_exponent_levels", None)  # building a level table would fail here
     monkeypatch.setattr(ideals, "_level_masks", None)  # reaching the closure would fail here
+    monkeypatch.setattr(Monomial, "lcm", None)
+    monkeypatch.setattr(Monomial, "gcd", None)
     text = r"^more than 64 minimal generators exceed the supported maximum 64 atoms$"
     for build in (lcm_lattice, LcmLattice):
         with pytest.raises(CapExceededError, match=text):
@@ -982,10 +995,8 @@ def test_an_over_wide_ideal_is_refused_in_budget(m):
     generator, after one degree sort and 65*64/2 divisibility tests, so
     parsing and refusing it takes under 0.1 s."""
     text = "".join(f"x{i}\n" for i in range(m))
-    start = time.perf_counter()
-    with pytest.raises(CapExceededError, match=r"^more than 64 minimal generators"):
+    with within(0.1), pytest.raises(CapExceededError, match=r"^more than 64 minimal generators"):
         lcm_lattice(parse_ideal_text(text))
-    assert time.perf_counter() - start < 0.1
 
 
 def test_many_redundant_generators_build_their_lcm_lattice_in_budget():
@@ -995,11 +1006,9 @@ def test_many_redundant_generators_build_their_lcm_lattice_in_budget():
     1,024 elements builds in under 0.2 s."""
     minimal = [Monomial.parse(f"x{i}") for i in range(10)]
     raw = [Monomial.parse(f"x{i % 10}*y{i}") for i in range(4000)] + minimal
-    start = time.perf_counter()
-    ll = lcm_lattice(MonomialIdeal(raw))
-    elapsed = time.perf_counter() - start
+    with within(0.2):
+        ll = lcm_lattice(MonomialIdeal(raw))
     assert ll.generators == tuple(minimal) and len(ll) == 1024
-    assert elapsed < 0.2
 
 
 def test_the_unbounded_minimal_generators_of_a_wide_staircase_in_budget():
@@ -1010,28 +1019,26 @@ def test_the_unbounded_minimal_generators_of_a_wide_staircase_in_budget():
     k = 1000
     staircase = [Monomial({v: e for v, e in (("x", i), ("y", k - 1 - i)) if e}) for i in range(k)]
     ideal = MonomialIdeal(staircase[::-1])
-    start = time.perf_counter()
-    minimal = ideal.minimal_generators
-    elapsed = time.perf_counter() - start
+    with within(1.5):
+        minimal = ideal.minimal_generators
     assert minimal == tuple(staircase[::-1])
-    assert elapsed < 1.5, f"{elapsed:.3f} s"
 
 
-def test_an_ideal_with_many_redundant_cuts_builds_its_lcm_lattice_in_budget():
+def test_an_ideal_with_many_redundant_cuts_builds_its_lcm_lattice_in_budget(monkeypatch):
     """The build closes in only the cuts that are meet-irreducible in the
     lcm-lattice.  The 17 generators ``v_i * prod_j w_j^(pi_j(i))``, for 100
     random permutations ``pi_j`` of 1..17, have a Boolean lcm-lattice and
     1,363 distinct cuts, of which the 17 coatoms are meet-irreducible; the
-    build takes under 0.3 s."""
+    build takes no join and no lcm, and under 0.3 s."""
     n, k = 17, 100
     rng = random.Random(0)
     perms = [rng.sample(range(1, n + 1), n) for _ in range(k)]
     ideal = MonomialIdeal(Monomial({f"v{i}": 1, **{f"w{j}": perms[j][i] for j in range(k)}}) for i in range(n))
-    start = time.perf_counter()
-    ll = lcm_lattice(ideal)
-    elapsed = time.perf_counter() - start
+    monkeypatch.setattr(AtomicLattice, "join_mask", None)
+    monkeypatch.setattr(Monomial, "lcm", None)
+    with within(0.3):
+        ll = lcm_lattice(ideal)
     assert len(ll) == 2**n
-    assert elapsed < 0.3, f"{elapsed:.3f} s"
 
 
 def test_monomial_lookup_errors():
