@@ -99,6 +99,14 @@ def _refuse(text: str) -> NoReturn:
         pos += 1
 
 
+def _refuse_operand(value: object) -> NoReturn:
+    """Refuse an operand of ``lcm``, ``gcd`` or ``divides`` that is no
+    :class:`Monomial`.  The operations read the operand's exponents in a
+    ``try`` and call this only when the read fails, so a monomial pays no
+    type test."""
+    raise PreconditionError(f"the operand must be a Monomial, got {shown(value)}") from None
+
+
 class Monomial:
     """An immutable, hashable monomial.
 
@@ -208,18 +216,28 @@ class Monomial:
         return Monomial._trusted(acc)
 
     def lcm(self, other: "Monomial") -> "Monomial":
+        try:
+            theirs = other._exps
+        except AttributeError:
+            _refuse_operand(other)
         acc = self._exps.copy()
-        for v, e in other._exps.items():
+        for v, e in theirs.items():
             if e > acc.get(v, 0):
                 acc[v] = e
         return Monomial._trusted(acc)
 
     def gcd(self, other: "Monomial") -> "Monomial":
-        theirs = other._exps
+        try:
+            theirs = other._exps
+        except AttributeError:
+            _refuse_operand(other)
         return Monomial._trusted({v: min(e, theirs[v]) for v, e in self._exps.items() if v in theirs})
 
     def divides(self, other: "Monomial") -> bool:
-        theirs = other._exps
+        try:
+            theirs = other._exps
+        except AttributeError:
+            _refuse_operand(other)
         return all(e <= theirs.get(v, 0) for v, e in self._exps.items())
 
     def __truediv__(self, other: "Monomial") -> "Monomial":
@@ -262,12 +280,16 @@ def lcm_all(monomials: Iterable[Monomial]) -> Monomial:
 
 
 def gcd_all(monomials: Iterable[Monomial]) -> Monomial:
-    """Greatest common divisor of a finite family; the empty gcd is 1."""
+    """Greatest common divisor of a finite family; the empty gcd is 1.  Each
+    later item is checked by :meth:`Monomial.gcd`, and the first one here,
+    so a lone item that is no :class:`Monomial` is refused too."""
     it = _iterated(monomials, "monomials must be an iterable of monomials")
     try:
         out = next(it)
     except StopIteration:
         return ONE
+    if not isinstance(out, Monomial):
+        _refuse_operand(out)
     for m in it:
         if out.is_one:
             break

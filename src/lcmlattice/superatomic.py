@@ -67,34 +67,39 @@ def _pairs_within(mask: int) -> list[int]:
 
 
 def _atom_pairs(lat: AtomicLattice) -> tuple[dict[int, list[int]], dict[int, int]]:
-    """``(joining, sizes)``: each element's atom pairs whose join is that
-    element, as masks, and N([a v b, top]) for every atom pair {a, b}
-    (a = b included), keyed by ``a | b``.
+    """``(joining, sizes)``: the atom pairs whose join is each element, as
+    masks, keyed only by the elements that are the join of some atom pair,
+    and N([a v b, top]) for every atom pair {a, b} (a = b included), keyed
+    by ``a | b``.
 
     No join is taken: the elements above atoms a and b are the AND of their
     two rows of the incidence table, so the join is the first of them in
     canonical order, its lowest set bit, and N([a v b, top]) is its
-    popcount.  The a = b entries are the popcounts of the rows.  So C(n, 2)
-    ANDs in all.  A pair joining to p lies inside p, so walking the atom
-    pairs in ``_pairs_within`` order lists each element's pairs in the order
-    ``_pairs_within(p)`` gives.  The super-atomic test and both interval
-    criteria of :mod:`lcmlattice.support_labeling` read this one table, so
-    its refusal of a value that is no :class:`AtomicLattice` is theirs.
+    popcount.  The a = b entries are the popcounts of the rows.  So the
+    table costs the incidence rows plus C(n, 2) ANDs, and holds at most
+    C(n, 2) keys however many elements the lattice has; every non-atom
+    nonzero element is the join of an atom pair exactly when
+    ``len(joining) == m - n - 1``.  A pair joining to p lies inside p, so
+    walking the atom pairs in ``_pairs_within`` order lists each element's
+    pairs in the order ``_pairs_within(p)`` gives.  The super-atomic test
+    and both interval criteria of :mod:`lcmlattice.support_labeling` read
+    this one table, so its refusal of a value that is no
+    :class:`AtomicLattice` is theirs.
     """
     sets, rows = _require_lattice(lat).sets, lat._atom_rows()
-    joining: dict[int, list[int]] = {p: [] for p in sets}
+    joining: dict[int, list[int]] = {}
     sizes = {1 << i: row.bit_count() for i, row in enumerate(rows)}
     for (i, a), (j, b) in combinations(enumerate(lat.atoms), 2):
         up = rows[i] & rows[j]
-        joining[sets[(up & -up).bit_length() - 1]].append(a | b)
+        joining.setdefault(sets[(up & -up).bit_length() - 1], []).append(a | b)
         sizes[a | b] = up.bit_count()
     return joining, sizes
 
 
 def _super_atomic_joining_pairs(lat: AtomicLattice) -> Optional[tuple[dict[int, list[int]], dict[int, int]]]:
     """The :func:`_atom_pairs` table when the lattice is super-atomic, else
-    None: the definition, decided per element in C(n, 2) ANDs of two
-    incidence rows and O(m) joins.
+    None: the definition, decided in C(n, 2) ANDs of two incidence rows and
+    O(m) joins.
 
     An element p of two or more atoms passes when exactly one pair {a, b} of
     its atoms joins to p and neither supp(p) - {a} nor supp(p) - {b} does.
@@ -102,13 +107,17 @@ def _super_atomic_joining_pairs(lat: AtomicLattice) -> Optional[tuple[dict[int, 
     inside supp(p), and supp(p) is one, so it must hold exactly one joining
     pair {a, b}.  A joining set then holds exactly one joining pair when it
     contains a and b, and some joining set misses a exactly when the largest
-    set missing a, supp(p) - {a}, joins to p.
+    set missing a, supp(p) - {a}, joins to p.  Each of the C(n, 2) pairs
+    joins to one element, so every one of the m - n - 1 elements of two or
+    more atoms has exactly one joining pair when the table has C(n, 2) keys
+    and m - n - 1 = C(n, 2).
     """
     table = _atom_pairs(lat)
-    for p, pairs in table[0].items():
-        if p.bit_count() < 2:
-            continue
-        if len(pairs) != 1 or any(lat.join_mask(p ^ b) == p for b in bits_of(pairs[0])):
+    joining = table[0]
+    if not len(lat) - lat.n - 1 == comb(lat.n, 2) == len(joining):
+        return None
+    for p, (pair,) in joining.items():
+        if any(lat.join_mask(p ^ b) == p for b in bits_of(pair)):
             return None
     return table
 
@@ -375,7 +384,7 @@ def check_superatomic_structure(lat: AtomicLattice) -> bool:
     table = _super_atomic_joining_pairs(lat)
     if table is None:
         raise PreconditionError("lattice is not super-atomic")
-    generating_pair = {S: pairs[0] for S, pairs in table[0].items() if S.bit_count() >= 2}
+    generating_pair = {S: pair for S, (pair,) in table[0].items()}
     for S, pr in generating_pair.items():
         if sum(b for b in bits_of(S) if (S ^ b) in lat) != pr:  # the removable atoms, as a mask
             return False

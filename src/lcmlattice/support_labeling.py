@@ -104,8 +104,28 @@ def _witness(element, satisfied, pair=None, chosen=None, violating=None) -> Inte
 
 @dataclass(frozen=True)
 class IntervalCriterionReport:
+    """The weak criterion's verdict and one :class:`IntervalWitness` per
+    non-atom nonzero element, in canonical order.
+
+    :func:`check_weak_interval_criterion` returns a report whose witnesses
+    are built the first time ``witnesses`` (or :meth:`to_json_dict`,
+    equality, hash or repr) reads them, from the atom-pair table the verdict
+    was decided on; they are then kept, as a public report keeps them."""
+
     hypothesis_holds: bool
     witnesses: tuple[IntervalWitness, ...]
+
+    def __getattr__(self, name: str):
+        """Build the deferred ``witnesses``; any other missing attribute
+        fails the plain lookup's way.  The table is dropped once the
+        witnesses are written into the instance ``__dict__``, so the report
+        then holds what a public one holds."""
+        source = self.__dict__.get("_source")
+        if name != "witnesses" or source is None:
+            return object.__getattribute__(self, name)
+        witnesses = self.__dict__["witnesses"] = _weak_witnesses(*source)
+        del self.__dict__["_source"]
+        return witnesses
 
     def to_json_dict(self) -> dict:
         return {
@@ -114,58 +134,93 @@ class IntervalCriterionReport:
         }
 
 
-def check_weak_interval_criterion(lat: AtomicLattice) -> IntervalCriterionReport:
-    """Evaluate the weak criterion, reporting per-element evidence.
-
-    Sufficient, not necessary: when it holds, the support labeling is a weak
-    coordinatization.  The joining pairs and N([a_r v a_k, top]) are read
-    from the one atom-pair table of :func:`~lcmlattice.superatomic._atom_pairs`,
-    so no join is taken per candidate.  N([p, top]) is read there too, at
-    any joining pair {a_i, a_j} of p: an element
-    contains both a_i and a_j exactly when it contains their join, which is
-    p, so the elements above p are the ones the pair's entry counts.
+def _weak_candidate(
+    p: int, pairs: list[int], n_pair: dict[int, int], defeating: dict, atoms: tuple[int, ...]
+) -> tuple[int, int, int]:
+    """``(pair, chosen, defeaters)`` at an element p that is the join of the
+    atom pairs ``pairs``: the first candidate (a pair, then its lower and
+    its higher atom as a_r) that no atom outside p defeats, with no
+    defeaters, or else the last candidate tried and the atoms outside p
+    that defeat it.
 
     The atoms a_k that defeat a chosen atom a_r depend on a_r and the
-    threshold N([p, top]) alone, so one call keeps, per (a_r, threshold),
-    the mask of the atoms k with N([a_r v a_k, top]) >= N([p, top]), made
-    when first read with one pass over the atoms; a_r itself and every atom
-    of p are removed by ``& ~p``, and the first defeating atom outside p,
-    in atom order, is the lowest bit left.  Each element's witness is built
-    once, for the candidate kept: the first that works, or else the last one
-    tried, through :func:`_witness`.
+    threshold N([p, top]) alone, so ``defeating`` keeps, per (a_r,
+    threshold), the mask of the atoms k with N([a_r v a_k, top]) >=
+    N([p, top]), made when first read with one pass over the atoms; a_r
+    itself and every atom of p are removed by ``& ~p``.  N([p, top]) is the
+    entry of any joining pair {a_i, a_j} of p: an element contains both a_i
+    and a_j exactly when it contains their join, which is p.
     """
-    joining, n_pair = _atom_pairs(lat)
-    atoms = lat.atoms
-    defeating: dict[tuple[int, int], int] = {}  # (chosen atom, threshold) -> atoms at or over it
-    witnesses = []
-    for p in lat.sets:
-        if p == 0 or p.bit_count() == 1:
-            continue
-        pairs = joining[p]
-        if not pairs:
-            witnesses.append(_witness(atoms_of(p), False))
-            continue
-        n_p = n_pair[pairs[0]]
-        for pr, r in ((pr, r) for pr in pairs for r in (pr & -pr, pr & (pr - 1))):
+    n_p = n_pair[pairs[0]]
+    for pair in pairs:
+        for r in (pair & -pair, pair & (pair - 1)):
             mask = defeating.get((r, n_p))
             if mask is None:
                 mask = defeating[r, n_p] = sum(k for k in atoms if n_pair[r | k] >= n_p)
             bad = mask & ~p
             if not bad:
-                break
+                return pair, r, 0
+    return pair, r, bad
+
+
+def _weak_witnesses(lat: AtomicLattice, joining: dict[int, list[int]], n_pair: dict[int, int], defeating: dict):
+    """One :class:`IntervalWitness` per non-atom nonzero element, through
+    :func:`_witness`: the candidate :func:`_weak_candidate` keeps, with the
+    first defeating atom outside p, in atom order, as ``violating``; or no
+    candidate at an element that is not the join of two atoms."""
+    atoms = lat.atoms
+    witnesses = []
+    for p in lat.sets:
+        if p & (p - 1) == 0:  # the bottom and the atoms
+            continue
+        pairs = joining.get(p)
+        if pairs is None:
+            witnesses.append(_witness(atoms_of(p), False))
+            continue
+        pair, r, bad = _weak_candidate(p, pairs, n_pair, defeating, atoms)
         witnesses.append(
             _witness(
                 atoms_of(p),
                 not bad,
-                ((pr & -pr).bit_length(), (pr & (pr - 1)).bit_length()),
+                ((pair & -pair).bit_length(), (pair & (pair - 1)).bit_length()),
                 r.bit_length(),
                 (bad & -bad).bit_length() or None,
             )
         )
-    return IntervalCriterionReport(
-        hypothesis_holds=all(w.satisfied for w in witnesses),
-        witnesses=tuple(witnesses),
+    return tuple(witnesses)
+
+
+def check_weak_interval_criterion(lat: AtomicLattice) -> IntervalCriterionReport:
+    """Evaluate the weak criterion, reporting per-element evidence.
+
+    Sufficient, not necessary: when it holds, the support labeling is a weak
+    coordinatization.  Only an element that is the join of two atoms can
+    pass, and there are at most C(n, 2) of them, so the verdict is read off
+    the one atom-pair table of :func:`~lcmlattice.superatomic._atom_pairs`
+    alone: the incidence rows plus C(n, 2) ANDs, then one test of the
+    candidates of :func:`_weak_candidate` per element that is a pair join,
+    with no join and no walk over the elements.  It holds when every
+    non-atom nonzero element is such a join (the table has m - n - 1 keys)
+    and each has a candidate no outside atom defeats.  The first test only
+    ends a failing verdict early, as the second implies it: if some p is no
+    pair join, take the pair join e inside p with the least N([e, top]) and
+    any atom a_k of p outside e; each a_r v a_k is a pair join inside p,
+    so no smaller in N, and every candidate of e is defeated.
+
+    The report holds the lattice and that table; its ``witnesses`` are built
+    the first time they are read, one per non-atom nonzero element, from the
+    same table and the same candidate test, so they agree with the verdict
+    and no second table is built.
+    """
+    joining, n_pair = _atom_pairs(lat)
+    atoms = lat.atoms
+    defeating: dict[tuple[int, int], int] = {}  # (chosen atom, threshold) -> atoms at or over it
+    holds = len(joining) == len(lat) - lat.n - 1 and not any(
+        _weak_candidate(p, pairs, n_pair, defeating, atoms)[2] for p, pairs in joining.items()
     )
+    report = object.__new__(IntervalCriterionReport)
+    report.__dict__.update(hypothesis_holds=holds, _source=(lat, joining, n_pair, defeating))
+    return report
 
 
 def check_strong_interval_criterion(lat: AtomicLattice) -> tuple[bool, Optional[str]]:

@@ -680,6 +680,32 @@ def benchmark_shaped_lattices(seed: int) -> list[AtomicLattice]:
     return [boolean_lattice(8), *sparse]
 
 
+def graph_lattice(rng: random.Random, n: int, density: float) -> AtomicLattice:
+    """{0, atoms, the edges of a random graph on the atoms, top}, each atom
+    pair an edge with probability ``density``.  An edge is the join of its
+    two atoms, and every other pair of atoms joins to the top."""
+    edges = [(1 << i) | (1 << j) for i, j in combinations(range(n), 2) if rng.random() < density]
+    return AtomicLattice(n, [0, *(1 << i for i in range(n)), *edges, (1 << n) - 1])
+
+
+def wide_weak_criterion_lattices(seed: int) -> list[AtomicLattice]:
+    """Lattices on 8 to 20 atoms, past the reach of the per-candidate weak
+    criterion oracle: B10 to B12, flat on 12 to 20 atoms, the sparse ones of
+    :func:`benchmark_shaped_lattices`, and 60 :func:`graph_lattice` on 8 to
+    16 atoms, drawn from ``random.Random(seed)``.  The flat lattices pass
+    the criterion, the Boolean and sparse ones fail it, and the graph
+    lattices give both verdicts: an edge passes when one of its atoms is on
+    no other edge."""
+    rng = random.Random(seed)
+    graphs = [graph_lattice(rng, rng.randint(8, 16), rng.choice((0.05, 0.1, 0.2))) for _ in range(60)]
+    return [
+        *map(boolean_lattice, (10, 11, 12)),
+        *map(flat_lattice, (12, 16, 20)),
+        *benchmark_shaped_lattices(seed)[1:],
+        *graphs,
+    ]
+
+
 def random_lattices(rng: random.Random, count: int, atoms: tuple[int, int] = (2, 7)):
     """``count`` random lattices on ``atoms[0]`` to ``atoms[1]`` atoms, each
     drawn from ``rng`` when it is reached."""

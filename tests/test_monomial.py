@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from lcmlattice import (
     lcm_all,
 )
 from lcmlattice import monomial as monomial_module
+from lcmlattice.errors import shown
 
 from conftest import (
     VARIABLE_NAMES,
@@ -243,6 +245,33 @@ def test_empty_folds_are_unit():
     ms = [Monomial.parse(s) for s in ("a^2*b", "a*c", "a^3")]
     assert str(lcm_all(ms)) == "a^3*b*c"
     assert str(gcd_all(ms)) == "a"
+
+
+_WRONG_KINDS = [5, None, "ab", b"ab", 1.5, [1], {1: 2}, object(), -1, 10**30, True, 10**5000]
+
+
+@pytest.mark.parametrize("value", _WRONG_KINDS, ids=shown)
+def test_an_operand_that_is_no_monomial_is_a_package_error(value):
+    """``lcm``, ``gcd`` and ``divides`` refuse an operand that is no
+    :class:`Monomial`, and so do the folds, a lone item included, with a
+    :class:`PreconditionError` echoing the value: not the ``AttributeError``
+    of reading its exponents, and not the value handed back as a gcd."""
+    m = Monomial.parse("a*b")
+    text = f"the operand must be a Monomial, got {shown(value)}"
+    calls = [m.lcm, m.gcd, m.divides, ONE.lcm]
+    for fold in (lcm_all, gcd_all):
+        calls += [lambda v, fold=fold: fold([v]), lambda v, fold=fold: fold([m, v]), lambda v, fold=fold: fold([v, m])]
+    for call in calls:
+        with pytest.raises(PreconditionError, match=f"^{re.escape(text)}$"):
+            call(value)
+
+
+def test_a_fold_over_a_mapping_refuses_its_keys():
+    """A mapping is iterated as its keys, so each fold refuses the first
+    key that is no monomial."""
+    for fold in (lcm_all, gcd_all):
+        with pytest.raises(PreconditionError, match=r"^the operand must be a Monomial, got 1$"):
+            fold({1: 2})
 
 
 def test_constructor_rejects_bad_input():

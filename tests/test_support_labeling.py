@@ -38,6 +38,7 @@ from conftest import (
     random_lattices,
     strong_interval_criterion_oracle,
     weak_interval_criterion_oracle,
+    within,
 )
 
 BOOLEAN3 = AtomicLattice.from_sets(3, [[], [1], [2], [3], [1, 2], [1, 3], [2, 3], [1, 2, 3]])
@@ -259,6 +260,43 @@ def test_joining_pairs_and_the_weak_criterion_take_no_join(make, n, monkeypatch)
     assert calls == [] and tables == [lat]
     lat.join_mask(0b11)
     assert calls == [0b11]  # the counter is live
+
+
+def test_the_weak_verdict_on_b16_reads_only_the_pair_table():
+    """Only the joins of two atoms can pass, and B16 has 120 of them for its
+    65,519 non-atom nonzero elements, so the verdict takes the incidence
+    rows and the C(16, 2) ANDs of the atom-pair table, not a witness per
+    element."""
+    lat = boolean_lattice(16)
+    with within(0.05):
+        assert not check_weak_interval_criterion(lat).hypothesis_holds
+
+
+def test_the_weak_verdict_builds_no_witness(monkeypatch):
+    """Reading only ``hypothesis_holds`` builds no witness and lists no
+    element's atoms.  The witnesses are built the first time they are
+    read, from the atom-pair table the verdict was decided on, and kept:
+    a second read gives the same tuple, and no second table is built."""
+    # The package re-exports the function ``support_labeling`` under its module's name.
+    module = sys.modules["lcmlattice.support_labeling"]
+    tables = []
+    atom_pairs = superatomic._atom_pairs
+    monkeypatch.setattr(module, "_atom_pairs", lambda lat: tables.append(lat) or atom_pairs(lat))
+
+    def refuse(*args):
+        raise AssertionError("the verdict built a witness")
+
+    lats = [WEAK_EXAMPLE, BOOLEAN3, boolean_lattice(9), flat_lattice(12)]
+    with monkeypatch.context() as refused:
+        refused.setattr(module, "_witness", refuse)
+        refused.setattr(module, "atoms_of", refuse)
+        reports = [check_weak_interval_criterion(lat) for lat in lats]
+        assert [report.hypothesis_holds for report in reports] == [True, False, False, True]
+    for lat, report in zip(lats, reports):
+        witnesses = report.witnesses
+        assert report.witnesses is witnesses
+        assert witnesses == weak_interval_criterion_oracle(lat).witnesses
+    assert tables == lats
 
 
 # -- strong criterion ---------------------------------------------------------------
